@@ -10,7 +10,6 @@
 
 use crate::cost::{BaselineStats, CostModel};
 use crate::sorted::FullSortIndex;
-use aidx_columnstore::position::PositionList;
 use aidx_columnstore::types::{Key, RowId};
 
 /// An online index tuner over one key column.
@@ -104,11 +103,12 @@ impl OnlineIndexTuner {
     }
 
     /// Answer `[low, high)`; monitor, and possibly trigger index
-    /// construction first.
-    pub fn query_range(&mut self, low: Key, high: Key) -> PositionList {
+    /// construction first. The row ids come back distinct: ascending while
+    /// scans answer, in key order once the index does.
+    pub fn query_range(&mut self, low: Key, high: Key) -> Vec<RowId> {
         self.stats.record_query();
         if self.keys.is_empty() || low >= high {
-            return PositionList::new();
+            return Vec::new();
         }
 
         if self.index.is_none() {
@@ -134,7 +134,7 @@ impl OnlineIndexTuner {
                         out.push(i as RowId);
                     }
                 }
-                PositionList::from_sorted_vec(out)
+                out
             }
         }
     }

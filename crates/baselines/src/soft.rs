@@ -10,7 +10,6 @@
 
 use crate::cost::{BaselineStats, CostModel};
 use crate::sorted::FullSortIndex;
-use aidx_columnstore::position::PositionList;
 use aidx_columnstore::types::{Key, RowId};
 
 /// A soft-index tuner over one key column.
@@ -89,11 +88,12 @@ impl SoftIndexTuner {
                 .map_or(0, |index| index.stats().total_effort())
     }
 
-    /// Answer `[low, high)`.
-    pub fn query_range(&mut self, low: Key, high: Key) -> PositionList {
+    /// Answer `[low, high)`. The row ids come back distinct: ascending
+    /// while scans answer, in key order once the index does.
+    pub fn query_range(&mut self, low: Key, high: Key) -> Vec<RowId> {
         self.stats.record_query();
         if self.keys.is_empty() || low >= high {
-            return PositionList::new();
+            return Vec::new();
         }
 
         if let Some(index) = &mut self.index {
@@ -129,7 +129,7 @@ impl SoftIndexTuner {
             }
         }
 
-        PositionList::from_sorted_vec(out)
+        out
     }
 
     /// Count the qualifying tuples of `[low, high)`.

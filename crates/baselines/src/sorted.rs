@@ -2,7 +2,6 @@
 
 use crate::cost::BaselineStats;
 use aidx_columnstore::column::Column;
-use aidx_columnstore::position::PositionList;
 use aidx_columnstore::types::{Key, RowId};
 
 /// A fully sorted (offline-built) index over one key column.
@@ -68,18 +67,19 @@ impl FullSortIndex {
     }
 
     /// Answer `[low, high)` with two binary searches; the qualifying keys are
-    /// contiguous in the sorted array.
-    pub fn query_range(&mut self, low: Key, high: Key) -> PositionList {
+    /// contiguous in the sorted array. The row ids come back distinct and in
+    /// key order, not row-id order.
+    pub fn query_range(&mut self, low: Key, high: Key) -> Vec<RowId> {
         self.stats.record_query();
         if low >= high || self.keys.is_empty() {
-            return PositionList::new();
+            return Vec::new();
         }
         self.stats.record_probe(self.keys.len());
         self.stats.record_probe(self.keys.len());
         let begin = self.keys.partition_point(|&k| k < low);
         let end = self.keys.partition_point(|&k| k < high);
         self.stats.record_scan(end - begin);
-        PositionList::from_vec(self.rowids[begin..end].to_vec())
+        self.rowids[begin..end].to_vec()
     }
 
     /// Count the qualifying tuples of `[low, high)` without materializing

@@ -6,6 +6,7 @@
 
 use aidx_bench::HarnessConfig;
 use aidx_columnstore::ops::project;
+use aidx_columnstore::position::PositionList;
 use aidx_cracking::selection::CrackedIndex;
 use aidx_cracking::sideways::MapSet;
 use aidx_workloads::data::generate_multi_column_table;
@@ -52,7 +53,9 @@ fn main() {
         let start = Instant::now();
         let mut checksum_naive = 0i64;
         for q in workload.iter() {
-            let positions = plain.query_range(q.low, q.high).positions();
+            // late materialization gathers by position, so order the piece
+            let piece = plain.query_range(q.low, q.high);
+            let positions = PositionList::from_distinct(piece.rowids().to_vec());
             for column in &tail_columns {
                 checksum_naive += project::fetch_i64(column, &positions).iter().sum::<i64>();
             }

@@ -15,7 +15,7 @@
 
 use crate::error::{ColumnStoreError, Result};
 use crate::position::PositionList;
-use crate::segment::Segment;
+use crate::segment::{Segment, SegmentCursor};
 use crate::types::{DataType, RowId, Value};
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -388,6 +388,20 @@ impl Column {
         })
     }
 
+    /// A reader for dynamically typed values at ascending positions: like
+    /// [`Column::value_at`], but a run of positions inside one chunk resolves
+    /// the chunk once.
+    pub fn cursor(&self) -> ColumnCursor<'_> {
+        ColumnCursor(match self {
+            Column::Int64(c) => TypedCursor::Int64(c.cursor()),
+            Column::Float64(c) => TypedCursor::Float64(c.cursor()),
+            Column::Utf8 { codes, dictionary } => TypedCursor::Utf8 {
+                codes: codes.cursor(),
+                dictionary,
+            },
+        })
+    }
+
     /// Borrow the `i64` segment, if this is an `Int64` column.
     pub fn as_i64(&self) -> Option<&Segment<i64>> {
         match self {
@@ -432,30 +446,41 @@ impl Column {
                 });
             }
         }
-        Ok(match self {
-            Column::Int64(c) => c
-                .gather_positions(positions.as_slice())
-                .into_iter()
-                .map(Value::Int64)
-                .collect(),
-            Column::Float64(c) => c
-                .gather_positions(positions.as_slice())
-                .into_iter()
-                .map(Value::Float64)
-                .collect(),
-            Column::Utf8 { codes, dictionary } => codes
-                .gather_positions(positions.as_slice())
-                .into_iter()
-                .map(|code| {
-                    Value::Utf8(
-                        dictionary
-                            .decode(code)
-                            .expect("dictionary code out of range")
-                            .to_owned(),
-                    )
-                })
-                .collect(),
-        })
+        let mut cursor = self.cursor();
+        Ok(positions.iter().map(|p| cursor.value_at(p)).collect())
+    }
+}
+
+/// Reads a [`Column`]'s values at ascending positions, created by
+/// [`Column::cursor`].
+#[derive(Debug, Clone)]
+pub struct ColumnCursor<'a>(TypedCursor<'a>);
+
+#[derive(Debug, Clone)]
+enum TypedCursor<'a> {
+    Int64(SegmentCursor<'a, i64>),
+    Float64(SegmentCursor<'a, f64>),
+    /// Per-row dictionary codes, decoded through the column's dictionary.
+    Utf8 {
+        codes: SegmentCursor<'a, u32>,
+        dictionary: &'a Dictionary,
+    },
+}
+
+impl ColumnCursor<'_> {
+    /// The value at `position`; panics when out of bounds.
+    #[inline]
+    pub fn value_at(&mut self, position: RowId) -> Value {
+        match &mut self.0 {
+            TypedCursor::Int64(c) => Value::Int64(c.value(position)),
+            TypedCursor::Float64(c) => Value::Float64(c.value(position)),
+            TypedCursor::Utf8 { codes, dictionary } => Value::Utf8(
+                dictionary
+                    .decode(codes.value(position))
+                    .expect("dictionary code out of range")
+                    .to_owned(),
+            ),
+        }
     }
 }
 

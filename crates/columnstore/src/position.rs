@@ -5,14 +5,99 @@
 //! the attribute values they need (late tuple reconstruction). This is the
 //! intermediate-result representation the cracking papers assume from
 //! MonetDB's BAT algebra.
+//!
+//! # Ordering contract
+//!
+//! A [`PositionList`] is **always** strictly ascending: every constructor
+//! either receives ordered input or orders it, so wherever a position list
+//! is observable its set operations are linear merges and positional gathers
+//! walk each chunk once. Adaptive indexes, on the other hand, hand out the
+//! row ids of a cracked piece in whatever order the piece holds them, and
+//! ordering them is the single most expensive step of a converged probe.
+//! That step therefore happens in exactly one routine —
+//! [`PositionList::from_distinct`] — and only in front of a consumer that
+//! reads positions in order; counting never pays for it.
 
 use crate::types::RowId;
 
 /// A list of row positions, kept sorted and duplicate-free so that set
 /// operations (intersection, union, difference) are linear merges.
+///
+/// `len`, `is_empty` and `as_slice` are O(1); `contains` is a binary search;
+/// the set operations are linear in the two operands.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct PositionList {
     positions: Vec<RowId>,
+}
+
+/// Inputs up to this length are ordered by the standard library's
+/// comparison sort. Clearing and prefix-summing the radix histograms is a
+/// fixed 1.3 us, a whole warm point probe: measured, 8 ids order in 22 ns
+/// against 1 270 ns, 128 in 0.66 us against 1.7 us, 256 in 1.3 us against
+/// 2.0 us; the two meet near 400 ids and radix wins from there (1 024 ids:
+/// 5.4 us against 7.6 us).
+const SMALL_SORT: usize = 256;
+/// Bits per radix digit: 2 048 four-byte counters per digit stay in L1, and
+/// two digits cover every row id below 4 M.
+const DIGIT_BITS: u32 = 11;
+const BUCKETS: usize = 1 << DIGIT_BITS;
+/// Digits needed to cover a 32-bit row id.
+const DIGITS: usize = RowId::BITS.div_ceil(DIGIT_BITS) as usize;
+
+/// Order `ids` ascending in place: a least-significant-digit radix sort over
+/// 11-bit digits. One counting pass fills the histograms of all digits; a
+/// digit on which every id agrees moves nothing and is skipped, so the
+/// number of scatter passes follows the largest id — in the kernel, the
+/// snapshot's row count — and not the width of [`RowId`]. Already ascending
+/// input (a scan strategy's answer) returns after one comparison pass, a
+/// thirteenth of the radix passes; on a cracked piece that pass stops at the
+/// first descent.
+fn order_row_ids(ids: &mut Vec<RowId>) {
+    if ids.windows(2).all(|w| w[0] <= w[1]) {
+        return;
+    }
+    if ids.len() <= SMALL_SORT {
+        ids.sort_unstable();
+        return;
+    }
+    assert!(
+        u32::try_from(ids.len()).is_ok(),
+        "radix counters are 32-bit"
+    );
+    let digit = |id: RowId, d: usize| (id >> (d as u32 * DIGIT_BITS)) as usize & (BUCKETS - 1);
+    let mut counts = [[0u32; BUCKETS]; DIGITS];
+    for &id in ids.iter() {
+        for (d, histogram) in counts.iter_mut().enumerate() {
+            histogram[digit(id, d)] += 1;
+        }
+    }
+    let mut scratch = vec![0; ids.len()];
+    let mut in_scratch = false;
+    for (d, histogram) in counts.iter_mut().enumerate() {
+        let (from, to) = if in_scratch {
+            (&scratch[..], &mut ids[..])
+        } else {
+            (&ids[..], &mut scratch[..])
+        };
+        if histogram[digit(from[0], d)] as usize == from.len() {
+            continue;
+        }
+        let mut offset = 0u32;
+        for slot in histogram.iter_mut() {
+            let count = *slot;
+            *slot = offset;
+            offset += count;
+        }
+        for &id in from {
+            let slot = &mut histogram[digit(id, d)];
+            to[*slot as usize] = id;
+            *slot += 1;
+        }
+        in_scratch = !in_scratch;
+    }
+    if in_scratch {
+        *ids = scratch;
+    }
 }
 
 impl PositionList {
@@ -30,9 +115,19 @@ impl PositionList {
 
     /// Build from an arbitrary vector; sorts and deduplicates.
     pub fn from_vec(mut positions: Vec<RowId>) -> Self {
-        positions.sort_unstable();
+        order_row_ids(&mut positions);
         positions.dedup();
         PositionList { positions }
+    }
+
+    /// Build from distinct row ids in any order — what an adaptive index
+    /// answers with. This is the one place a selection's row ids get
+    /// ordered: O(n) radix passes (two for row ids below 4 M), one
+    /// comparison pass when the ids already ascend. Debug builds assert
+    /// distinctness; release builds trust the index.
+    pub fn from_distinct(mut row_ids: Vec<RowId>) -> Self {
+        order_row_ids(&mut row_ids);
+        PositionList::from_sorted_vec(row_ids)
     }
 
     /// Build from a vector that is already sorted and duplicate-free.
@@ -164,18 +259,6 @@ impl PositionList {
     }
 }
 
-impl FromIterator<RowId> for PositionList {
-    fn from_iter<I: IntoIterator<Item = RowId>>(iter: I) -> Self {
-        PositionList::from_vec(iter.into_iter().collect())
-    }
-}
-
-impl From<Vec<RowId>> for PositionList {
-    fn from(v: Vec<RowId>) -> Self {
-        PositionList::from_vec(v)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -186,6 +269,52 @@ mod tests {
         assert_eq!(p.as_slice(), &[1, 3, 5]);
         assert_eq!(p.len(), 3);
         assert!(!p.is_empty());
+    }
+
+    #[test]
+    fn ordering_routine_equals_sort_unstable() {
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = move || {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (state >> 32) as RowId
+        };
+        // row-id ceilings: one radix digit, two, and the full 32-bit width
+        for ceiling in [1u64 << 10, 1 << 20, 1 << 32] {
+            for len in [0usize, 1, 255, 256, 257, 1 << 20] {
+                // distinct ids spread over [0, ceiling), the last one pinned
+                // to the largest id the ceiling admits
+                let len = len.min(ceiling as usize);
+                let stride = (ceiling / len.max(1) as u64).max(1);
+                let ascending: Vec<RowId> = (0..len as u64)
+                    .map(|i| if i + 1 == len as u64 { ceiling - 1 } else { i * stride } as RowId)
+                    .collect();
+                let reversed: Vec<RowId> = ascending.iter().rev().copied().collect();
+                let mut shuffled = ascending.clone();
+                for i in (1..shuffled.len()).rev() {
+                    shuffled.swap(i, next() as usize % (i + 1));
+                }
+                for input in [ascending.clone(), reversed, shuffled] {
+                    let mut expected = input.clone();
+                    expected.sort_unstable();
+                    assert_eq!(expected, ascending);
+                    let ordered = PositionList::from_distinct(input.clone());
+                    assert_eq!(ordered.as_slice(), expected, "len {len} below {ceiling}");
+                    assert_eq!(PositionList::from_vec(input).as_slice(), expected);
+                }
+            }
+        }
+        // arbitrary input with duplicates goes through the same routine
+        let noisy: Vec<RowId> = (0..5000).map(|_| next() % 700).collect();
+        let mut expected = noisy.clone();
+        expected.sort_unstable();
+        expected.dedup();
+        assert_eq!(PositionList::from_vec(noisy).as_slice(), expected);
+        assert_eq!(
+            PositionList::from_distinct(vec![RowId::MAX, 0, 7]).as_slice(),
+            &[0, 7, RowId::MAX]
+        );
     }
 
     #[test]
@@ -234,11 +363,9 @@ mod tests {
 
     #[test]
     fn iterators_and_conversions() {
-        let p: PositionList = vec![3u32, 1, 2].into();
+        let p = PositionList::from_vec(vec![3, 1, 2]);
         assert_eq!(p.iter().collect::<Vec<_>>(), vec![1, 2, 3]);
         assert_eq!(p.clone().into_vec(), vec![1, 2, 3]);
-        let q: PositionList = (0u32..3).collect();
-        assert_eq!(q.as_slice(), &[0, 1, 2]);
         let r = PositionList::from_sorted_vec(vec![1, 2, 3]);
         assert_eq!(r.len(), 3);
         let s = PositionList::with_capacity(8);

@@ -300,20 +300,17 @@ impl<T: Copy + PartialOrd + std::fmt::Debug> Segment<T> {
     /// Gather the values at ascending `positions` (chunk-at-a-time: the
     /// current chunk is resolved once per run of positions, not per row).
     pub fn gather_positions(&self, positions: &[RowId]) -> Vec<T> {
-        let mut out = Vec::with_capacity(positions.len());
-        let mut current: Option<ChunkView<'_, T>> = None;
-        for &p in positions {
-            let needs_chunk = match &current {
-                Some(c) => p < c.base || p >= c.end(),
-                None => true,
-            };
-            if needs_chunk {
-                current = Some(self.chunk_containing(p));
-            }
-            let c = current.as_ref().expect("chunk resolved above");
-            out.push(c.values[(p - c.base) as usize]);
+        let mut cursor = self.cursor();
+        positions.iter().map(|&p| cursor.value(p)).collect()
+    }
+
+    /// A reader for values at ascending positions (see [`SegmentCursor`]).
+    pub(crate) fn cursor(&self) -> SegmentCursor<'_, T> {
+        SegmentCursor {
+            segment: self,
+            base: 0,
+            values: &[],
         }
-        out
     }
 
     /// The chunk view containing global position `p` (panics out of bounds).
@@ -438,6 +435,34 @@ impl<T: Copy + PartialOrd + std::fmt::Debug> Segment<T> {
         out.tail_zone = self.tail_zone;
         debug_assert_eq!(out.len(), self.len(), "compaction preserves rows");
         out
+    }
+}
+
+/// Reads the values of a [`Segment`] at caller-chosen positions, keeping the
+/// chunk of the last read resolved: a run of positions inside one chunk
+/// costs one bounds check per read, and only a read that leaves the chunk
+/// pays the chunk lookup. Any position order is answered correctly;
+/// ascending positions make the lookups once-per-chunk.
+#[derive(Debug, Clone)]
+pub(crate) struct SegmentCursor<'a, T> {
+    segment: &'a Segment<T>,
+    /// Global position of `values[0]`.
+    base: RowId,
+    values: &'a [T],
+}
+
+impl<T: Copy + PartialOrd + std::fmt::Debug> SegmentCursor<'_, T> {
+    /// Value at global position `p`; panics when out of bounds.
+    #[inline]
+    pub(crate) fn value(&mut self, p: RowId) -> T {
+        // a position below `base` wraps to a huge offset and misses as well
+        if let Some(&v) = self.values.get(p.wrapping_sub(self.base) as usize) {
+            return v;
+        }
+        let chunk = self.segment.chunk_containing(p);
+        self.base = chunk.base;
+        self.values = chunk.values;
+        self.values[(p - self.base) as usize]
     }
 }
 
@@ -623,6 +648,11 @@ mod tests {
         let expected: Vec<i64> = positions.iter().map(|&p| s.value(p as usize)).collect();
         assert_eq!(gathered, expected);
         assert!(s.gather_positions(&[]).is_empty());
+        // a cursor answers any order; stepping back re-resolves the chunk
+        let mut cursor = s.cursor();
+        for p in [49, 0, 48, 7, 6, 6, 20] {
+            assert_eq!(cursor.value(p), s.value(p as usize), "position {p}");
+        }
     }
 
     #[test]

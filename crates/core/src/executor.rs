@@ -4,17 +4,34 @@
 //! where adaptive indexing lives:
 //!
 //! 1. **Plan** — of the query's conjunctive predicates, pick the *driver*:
-//!    the predicate with the smallest estimated key-width (point < small
-//!    range < wide range), breaking ties in favor of columns that already
-//!    have an adaptive index and then query order. The paper's core claim is
-//!    that queries *are* the index-building mechanism, so exactly one
-//!    predicate per query is routed through the [`IndexManager`] and cracks
-//!    (or merges, or sorts) its column a little further.
+//!    the predicate with the smallest estimated *selectivity* — its key
+//!    width as a fraction of its column's zone-map domain, so 50 000 keys
+//!    of a million-key column (5 %) beat 300 keys of a thousand-key column
+//!    (30 %) — breaking ties in favor of columns that already have an
+//!    adaptive index and then query order. A single-predicate query has
+//!    nothing to rank and estimates nothing. The paper's core claim is that
+//!    queries *are* the index-building mechanism, so exactly one predicate
+//!    per query is routed through the [`IndexManager`] and cracks (or
+//!    merges, or sorts) its column a little further.
 //! 2. **Drive** — answer the driver predicate through the adaptive index of
-//!    its column, creating the index lazily on first touch.
+//!    its column, creating the index lazily on first touch. The index
+//!    answers with the row ids of its piece **as they stand** — distinct,
+//!    in piece order — and the drive step passes them on untouched: an
+//!    `InSet` driver concatenates its per-key answers, a partitioned index
+//!    its per-partition answers, and nobody sorts.
 //! 3. **Filter** — apply every remaining predicate as a residual,
 //!    late-materialized filter over the qualifying positions, and compute
-//!    the optional aggregate.
+//!    the optional aggregate. These are the consumers that read positions
+//!    in order (chunk-at-a-time filtering, positional gathers), so this is
+//!    where the executor orders the selection — once, through
+//!    [`PositionList::from_distinct`], and only if such a consumer actually
+//!    runs. `COUNT`, the hotness credit and the telemetry counters need a
+//!    length, not an order.
+//!
+//! A selection no consumer ordered travels into the [`QueryResult`] as
+//! produced; the result orders it on the first `positions()` / `rows()`
+//! read, and `row_count()` never does. A converged single-predicate count
+//! therefore costs two cut lookups plus a copy of the answer.
 //!
 //! The engine operates on a point-in-time snapshot (`Arc<Table>`) taken by
 //! the session, so concurrent writers never invalidate a running query.
@@ -22,7 +39,7 @@
 use crate::error::{AidxError, AidxResult};
 use crate::manager::{ColumnId, IndexManager, ProbeTrace};
 use crate::query::{Aggregation, Predicate, Query};
-use crate::result::QueryResult;
+use crate::result::{QueryResult, Selection};
 use crate::strategy::StrategyKind;
 use crate::telemetry::EngineTelemetry;
 use aidx_columnstore::error::ColumnStoreError;
@@ -53,7 +70,10 @@ pub struct QueryPlan {
 struct BoundPredicate<'a> {
     predicate: &'a Predicate,
     segment: &'a Segment<Key>,
-    width: u128,
+    /// Estimated fraction of the column's key domain the predicate admits
+    /// (see [`estimated_selectivity`]); 1.0 when the query has nothing to
+    /// rank.
+    selectivity: f64,
     indexed: bool,
 }
 
@@ -67,6 +87,7 @@ fn bind_predicates<'a>(
     query: &'a Query,
 ) -> AidxResult<Vec<BoundPredicate<'a>>> {
     let mut bound = Vec::with_capacity(query.predicates().len());
+    let ranked = query.predicates().len() > 1;
     for predicate in query.predicates() {
         if let Predicate::Range { column, low, high } = predicate {
             if low > high {
@@ -89,17 +110,26 @@ fn bind_predicates<'a>(
         bound.push(BoundPredicate {
             predicate,
             segment,
-            width: predicate.estimated_width(),
+            selectivity: if ranked {
+                estimated_selectivity(segment, predicate)
+            } else {
+                1.0
+            },
             indexed,
         });
     }
     Ok(bound)
 }
 
-/// Index of the driver predicate within `bound`: smallest estimated width
-/// wins; ties prefer already-indexed columns, then query order.
+/// Index of the driver predicate within `bound`: smallest estimated
+/// selectivity wins; ties prefer already-indexed columns, then query order.
 fn choose_driver(bound: &[BoundPredicate<'_>]) -> Option<usize> {
-    (0..bound.len()).min_by_key(|&i| (bound[i].width, !bound[i].indexed, i))
+    (0..bound.len()).min_by(|&a, &b| {
+        let (a, b) = (&bound[a], &bound[b]);
+        a.selectivity
+            .total_cmp(&b.selectivity)
+            .then_with(|| b.indexed.cmp(&a.indexed))
+    })
 }
 
 /// Answer the driver predicate through the adaptive index of its column.
@@ -111,6 +141,10 @@ fn choose_driver(bound: &[BoundPredicate<'_>]) -> Option<usize> {
 /// index build. The pruned chunks are recorded in `prune`. When the index
 /// does answer, its internal work is not chunk-granular and contributes
 /// nothing to the statistics.
+///
+/// Index answers are passed on as produced (distinct row ids, piece order);
+/// only the scan fallbacks, which emit positions in order, come back
+/// [`Selection::Ordered`].
 #[allow(clippy::too_many_arguments)]
 fn drive(
     manager: &IndexManager,
@@ -121,7 +155,7 @@ fn drive(
     strategy: StrategyKind,
     prune: &mut PruneStats,
     mut probe: Option<&mut ProbeTrace>,
-) -> PositionList {
+) -> Selection {
     // short-circuit at the first overlapping chunk: the common in-domain
     // query pays O(1)-ish here, and only a provably empty query walks (and
     // records) every zone map
@@ -136,59 +170,54 @@ fn drive(
     }
     if !any_overlap {
         prune.chunks_pruned += pruned_chunks;
-        return PositionList::new();
+        return Selection::Ordered(PositionList::new());
     }
+    let mut probe_index = |low: Key, high: Key| {
+        manager.query_range_probed(
+            &column_id,
+            segment,
+            epoch,
+            low,
+            high,
+            strategy,
+            probe.as_deref_mut(),
+        )
+    };
+    // `Key::MAX` cannot be the low end of a half-open range; that one key is
+    // answered with a direct (zone-pruned) scan of the snapshot.
+    let mut scan_key_max = || {
+        let (hits, stats) = scan_segment(manager, segment, &Predicate::point("", Key::MAX));
+        prune.merge(stats);
+        hits
+    };
     match predicate {
         Predicate::Range { low, high, .. } => {
             if low >= high {
-                PositionList::new()
+                Selection::Ordered(PositionList::new())
             } else {
-                manager
-                    .query_range_probed(&column_id, segment, epoch, *low, *high, strategy, probe)
-                    .positions
+                Selection::AsProduced(probe_index(*low, *high).into_row_ids())
             }
         }
         Predicate::Point { key, .. } => match key.checked_add(1) {
-            Some(next) => {
-                manager
-                    .query_range_probed(&column_id, segment, epoch, *key, next, strategy, probe)
-                    .positions
-            }
-            // `key == Key::MAX` cannot be phrased as a half-open range;
-            // answer it with a direct (zone-pruned) scan of the snapshot.
-            None => {
-                let (positions, stats) = scan_segment(manager, segment, predicate);
-                prune.merge(stats);
-                positions
-            }
+            Some(next) => Selection::AsProduced(probe_index(*key, next).into_row_ids()),
+            None => Selection::Ordered(scan_key_max()),
         },
         Predicate::InSet { keys: set, .. } => {
-            let mut positions = PositionList::new();
+            // distinct keys have disjoint answers, so concatenating them
+            // keeps the row ids distinct; the keys ascend, and a variant
+            // built by hand may repeat one, which is answered once
+            let mut row_ids = Vec::new();
+            let mut previous = None;
             for &key in set.iter() {
-                let hits = match key.checked_add(1) {
-                    Some(next) => {
-                        manager
-                            .query_range_probed(
-                                &column_id,
-                                segment,
-                                epoch,
-                                key,
-                                next,
-                                strategy,
-                                probe.as_deref_mut(),
-                            )
-                            .positions
-                    }
-                    None => {
-                        let (hits, stats) =
-                            scan_segment(manager, segment, &Predicate::point("", Key::MAX));
-                        prune.merge(stats);
-                        hits
-                    }
-                };
-                positions = positions.union(&hits);
+                if previous.replace(key) == Some(key) {
+                    continue;
+                }
+                match key.checked_add(1) {
+                    Some(next) => row_ids.extend_from_slice(probe_index(key, next).row_ids()),
+                    None => row_ids.extend_from_slice(scan_key_max().as_slice()),
+                }
             }
-            positions
+            Selection::AsProduced(row_ids)
         }
     }
 }
@@ -221,33 +250,35 @@ fn scan_segment(
 /// statistics are byte-identical at any worker count.
 fn filter_residual(
     manager: &IndexManager,
-    positions: PositionList,
+    positions: &PositionList,
     segment: &Segment<Key>,
     predicate: &Predicate,
 ) -> (PositionList, PruneStats) {
     aidx_parallel::parallel_filter_positions(
         manager.pool(),
         segment,
-        &positions,
+        positions,
         |zone| predicate.zone_may_match(zone),
         |v| predicate.matches(v),
     )
 }
 
-/// Compute the requested aggregate over the qualifying positions.
+/// Compute the requested aggregate over the selected rows. `COUNT` reads the
+/// selection's length; every other aggregate gathers by position and orders
+/// the selection first.
 ///
 /// `COUNT` of an empty set is `Some(Int64(0))`; `SUM`, `MIN`, `MAX` and
 /// `AVG` of an empty set are `None` (never a sentinel or a garbage value).
 /// A `SUM` that does not fit `i64` is a typed [`AidxError::AggregateOverflow`].
 fn compute_aggregate(
     table: &Table,
-    positions: &PositionList,
+    selection: &mut Selection,
     aggregation: Aggregation,
     column_name: &str,
 ) -> AidxResult<Option<Value>> {
     let column = table.column(column_name)?;
     if aggregation == Aggregation::Count {
-        return Ok(Some(Value::Int64(positions.len() as i64)));
+        return Ok(Some(Value::Int64(selection.len() as i64)));
     }
     if column.as_i64().is_none() {
         return Err(ColumnStoreError::TypeMismatch {
@@ -257,7 +288,7 @@ fn compute_aggregate(
         }
         .into());
     }
-    let agg = aggregate::aggregate_at(column, positions);
+    let agg = aggregate::aggregate_at(column, selection.order());
     if agg.count == 0 {
         return Ok(None);
     }
@@ -311,10 +342,12 @@ pub(crate) fn plan_on_snapshot(
     })
 }
 
-/// Fraction of a segment's key domain the driver predicate selects,
-/// estimated from the predicate's key width and the segment's zone-map
-/// min/max. Degenerate domains (empty, single key, unknown) estimate 1.0.
-/// Computed only for traced queries — never on the metrics-only hot path.
+/// Fraction of a segment's key domain a predicate selects, estimated from
+/// the predicate's key width and the segment's zone-map min/max (a walk
+/// over the chunk headers, no values read). Degenerate domains (empty,
+/// single key, unknown) estimate 1.0. Computed by the planner when a query
+/// has several predicates to rank, and for the plan span of a traced query —
+/// never for an untraced single-predicate query.
 fn estimated_selectivity(segment: &Segment<Key>, predicate: &Predicate) -> f64 {
     let (Some(lo), Some(hi)) = (segment.min(), segment.max()) else {
         return 1.0;
@@ -373,8 +406,8 @@ pub(crate) fn execute_on_snapshot(
     // a trace recorder, or the enabled metrics registry
     let mut probe = (metrics.is_some() || trace.is_some()).then(ProbeTrace::default);
     let mut prune = PruneStats::default();
-    let mut positions = match driver {
-        None => PositionList::from_range(0, snapshot.row_count() as RowId),
+    let mut selection = match driver {
+        None => Selection::Ordered(PositionList::from_range(0, snapshot.row_count() as RowId)),
         Some(i) => {
             let column_id = ColumnId::new(query.table_arc(), bound[i].predicate.column_arc());
             drive(
@@ -411,19 +444,23 @@ pub(crate) fn execute_on_snapshot(
     }
 
     for (i, residual) in bound.iter().enumerate() {
-        if Some(i) == driver || positions.is_empty() {
+        if Some(i) == driver || selection.is_empty() {
             continue;
         }
-        let candidates_in = positions.len() as u64;
-        let (filtered, stats) =
-            filter_residual(manager, positions, residual.segment, residual.predicate);
-        positions = filtered;
+        let candidates_in = selection.len() as u64;
+        let (filtered, stats) = filter_residual(
+            manager,
+            selection.order(),
+            residual.segment,
+            residual.predicate,
+        );
+        selection = Selection::Ordered(filtered);
         prune.merge(stats);
         if let Some(recorder) = trace.as_deref_mut() {
             recorder.record(SpanEvent::ResidualFilter {
                 column: residual.predicate.column().to_owned(),
                 candidates_in,
-                rows_out: positions.len() as u64,
+                rows_out: selection.len() as u64,
             });
         }
     }
@@ -439,13 +476,13 @@ pub(crate) fn execute_on_snapshot(
     let aggregate_value = match query.aggregation() {
         None => None,
         Some((aggregation, column)) => {
-            compute_aggregate(&snapshot, &positions, aggregation, column)?
+            compute_aggregate(&snapshot, &mut selection, aggregation, column)?
         }
     };
 
     if let Some(recorder) = trace {
         recorder.record(SpanEvent::Materialize {
-            rows: positions.len() as u64,
+            rows: selection.len() as u64,
             aggregated: aggregate_value.is_some(),
         });
     }
@@ -456,7 +493,7 @@ pub(crate) fn execute_on_snapshot(
         }
         t.chunks_scanned.add(prune.chunks_scanned as u64);
         t.chunks_pruned.add(prune.chunks_pruned as u64);
-        t.rows_materialized.add(positions.len() as u64);
+        t.rows_materialized.add(selection.len() as u64);
         if let Some(p) = &probe {
             t.refinement_effort.add(p.effort_delta);
             if p.rebuilt {
@@ -470,7 +507,7 @@ pub(crate) fn execute_on_snapshot(
 
     Ok(QueryResult::new(
         snapshot,
-        positions,
+        selection,
         projected,
         aggregate_value,
         prune,
@@ -522,13 +559,43 @@ mod tests {
     }
 
     #[test]
+    fn planner_ranks_by_selectivity_not_by_key_width() {
+        // wide: a million-key domain; narrow: a thousand-key domain
+        let wide: Vec<Key> = (0..2000).map(|i| (i * 7919) % 2000 * 500).collect();
+        let narrow: Vec<Key> = (0..2000).map(|i| i % 1000).collect();
+        let table = Table::from_columns(vec![
+            ("wide", Column::from_i64(wide)),
+            ("narrow", Column::from_i64(narrow)),
+        ])
+        .unwrap();
+        let manager = IndexManager::new(StrategyKind::Cracking);
+        // 50 000 keys of ~1 000 000 is 5 % of `wide`; 300 keys of 1 000 is
+        // 30 % of `narrow` — the absolutely wider range is the selective one
+        for query in [
+            Query::table("t")
+                .range("wide", 100_000, 150_000)
+                .range("narrow", 200, 500),
+            Query::table("t")
+                .range("narrow", 200, 500)
+                .range("wide", 100_000, 150_000),
+        ] {
+            let plan = plan_on_snapshot(&table, &manager, &query).unwrap();
+            assert_eq!(plan.driver_column.as_deref(), Some("wide"), "{query:?}");
+            assert_eq!(plan.residual_columns, vec!["narrow".to_owned()]);
+        }
+    }
+
+    #[test]
     fn planner_prefers_indexed_columns_on_ties() {
         let manager = IndexManager::new(StrategyKind::Cracking);
         let table = snapshot();
-        // same width on both columns, but "r" is already indexed
+        // a fifth of either domain (k: 0..100, r: 0..5), but "r" is already
+        // indexed
+        let query = Query::table("t").range("k", 0, 20).range("r", 0, 1);
+        let plan = plan_on_snapshot(&table, &manager, &query).unwrap();
+        assert_eq!(plan.driver_column.as_deref(), Some("k"), "query order");
         let keys = table.column("r").unwrap().as_i64().unwrap().to_vec();
         let _ = manager.query_range(&ColumnId::new("t", "r"), &keys, 0, 2);
-        let query = Query::table("t").range("k", 0, 10).range("r", 0, 10);
         let plan = plan_on_snapshot(&table, &manager, &query).unwrap();
         assert_eq!(plan.driver_column.as_deref(), Some("r"));
     }
@@ -638,7 +705,7 @@ mod tests {
     fn residual_filter_prunes_chunks_outside_the_predicate_range() {
         // sorted residual column in chunks of 10 => disjoint chunk ranges
         let k: Vec<Key> = (0..100).collect();
-        let r: Vec<Key> = k.iter().map(|&v| v % 4).collect();
+        let r: Vec<Key> = k.iter().map(|&v| v % 20).collect();
         let table = Arc::new(
             Table::from_columns(vec![
                 ("k", Column::from_i64(k).with_segment_capacity(10)),
@@ -647,9 +714,10 @@ mod tests {
             .unwrap(),
         );
         let manager = IndexManager::new(StrategyKind::Cracking);
-        // driver: the point predicate on r (width 1); residual: the narrow
-        // range on sorted k, which only chunk [30,40) can satisfy
-        let query = Query::table("t").range("k", 30, 40).point("r", 1);
+        // driver: the point predicate on r (a twentieth of its domain);
+        // residual: the range on sorted k (a tenth of its domain), which
+        // only chunk [30,40) can satisfy
+        let query = Query::table("t").range("k", 30, 40).point("r", 13);
         let result = execute_on_snapshot(
             Arc::clone(&table),
             1,
@@ -661,8 +729,8 @@ mod tests {
             None,
         )
         .unwrap();
-        // correctness: k in [30,40) and k % 4 == 1 => 33, 37
-        assert_eq!(result.positions().as_slice(), &[33, 37]);
+        // correctness: k in [30,40) and k % 20 == 13 => 33
+        assert_eq!(result.positions().as_slice(), &[33]);
         let stats = result.prune_stats();
         assert!(
             stats.chunks_pruned > 0,

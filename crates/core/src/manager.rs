@@ -468,9 +468,9 @@ impl IndexManager {
                 p.observe_lagging(managed.kind.label());
             }
             drop(managed);
-            return QueryOutput {
-                positions: keys.scan_range_with_pool(low, high, &self.pool),
-            };
+            return QueryOutput::from_row_ids(
+                keys.scan_range_with_pool(low, high, &self.pool).into_vec(),
+            );
         }
         let mut rebuilt = false;
         if managed.epoch != epoch || managed.body.len() != keys.len() {
@@ -513,9 +513,7 @@ impl IndexManager {
                 let partitioned = Arc::clone(partitioned);
                 let snapshot_len = keys.len();
                 drop(managed);
-                let output = QueryOutput {
-                    positions: partitioned.query_range(&self.pool, low, high, snapshot_len),
-                };
+                let output = partitioned.query_range(&self.pool, low, high, snapshot_len);
                 if let (Some(p), Some(before)) = (probe, before) {
                     p.observe(
                         strategy_label,
@@ -1193,7 +1191,7 @@ mod tests {
                 low + 500,
                 StrategyKind::Cracking,
             );
-            assert_eq!(a.positions, b.positions, "query {q}");
+            assert_eq!(a.into_positions(), b.into_positions(), "query {q}");
         }
         assert_eq!(serial.describe()[0].partitions, 1);
         assert!(parallel.describe()[0].partitions > 1, "range-partitioned");
@@ -1220,13 +1218,13 @@ mod tests {
         let out =
             manager.query_range_snapshot(&column, &data, 7, 5, 6, StrategyKind::UpdatableCracking);
         // the 1000-row snapshot must not see the absorbed row 1000
-        assert!(out.positions.iter().all(|p| p < 1000));
+        assert!(out.row_ids().iter().all(|&p| p < 1000));
         // a fresh snapshot containing the row does see it
         let mut grown = data.clone();
         grown.push(5);
         let out =
             manager.query_range_snapshot(&column, &grown, 7, 5, 6, StrategyKind::UpdatableCracking);
-        assert!(out.positions.contains(1000));
+        assert!(out.row_ids().contains(&1000));
     }
 
     #[test]

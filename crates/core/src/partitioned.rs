@@ -15,8 +15,9 @@
 //!
 //! * **Same answers.** Partitions hold disjoint value ranges, every tuple
 //!   lives in exactly one partition, and per-partition answers are mapped
-//!   back to global row ids and merged into one sorted position list — the
-//!   same set the serial index emits, at any worker count.
+//!   back to global row ids and concatenated — the same set of distinct row
+//!   ids the serial index emits, at any worker count, and ordered by the
+//!   same routine when a consumer needs order.
 //! * **Same versioning.** The index tracks one global tuple count, so the
 //!   [`crate::IndexManager`]'s epoch/length staleness guard works unchanged.
 //! * **Snapshot safety.** Queries fan out *after* releasing the manager's
@@ -25,8 +26,7 @@
 //!   snapshot's row count — a concurrent append that already reached the
 //!   shared index can never leak rows a reader's snapshot does not have.
 
-use crate::strategy::{AdaptiveIndex, StrategyKind, StrategyTuning};
-use aidx_columnstore::position::PositionList;
+use crate::strategy::{AdaptiveIndex, QueryOutput, StrategyKind, StrategyTuning};
 use aidx_columnstore::types::{Key, RowId};
 use aidx_parallel::{partition_of, partition_span, PartitionData, ThreadPool};
 use parking_lot::Mutex;
@@ -136,18 +136,22 @@ impl PartitionedIndex {
 
     /// Answer `[low, high)` partition-parallel: fan the overlapping
     /// partitions out across `pool`, refine each under its latch, map local
-    /// answers to global row ids, and merge. `snapshot_len` clamps the
+    /// answers to global row ids, and concatenate. `snapshot_len` clamps the
     /// answer to the caller's snapshot (appends absorbed into the shared
     /// index after the snapshot was taken must stay invisible to it).
+    ///
+    /// Like every index answer the row ids are distinct (each tuple lives
+    /// in exactly one partition) and unordered; once ordered, the answer is
+    /// independent of the partition layout.
     pub fn query_range(
         &self,
         pool: &ThreadPool,
         low: Key,
         high: Key,
         snapshot_len: usize,
-    ) -> PositionList {
+    ) -> QueryOutput {
         if low >= high || self.partitions.is_empty() {
-            return PositionList::new();
+            return QueryOutput::default();
         }
         let (first, last) = partition_span(&self.cuts, low, high);
         let last = last.min(self.partitions.len() - 1);
@@ -156,19 +160,13 @@ impl PartitionedIndex {
             let output = partition.index.query_range(low, high);
             let rowids = &partition.rowids;
             output
-                .positions
+                .row_ids()
                 .iter()
-                .map(|local| rowids[local as usize])
+                .map(|&local| rowids[local as usize])
                 .filter(|&global| (global as usize) < snapshot_len)
                 .collect::<Vec<RowId>>()
         });
-        let mut merged: Vec<RowId> = Vec::with_capacity(per_partition.iter().map(Vec::len).sum());
-        for positions in per_partition {
-            merged.extend_from_slice(&positions);
-        }
-        // partitions interleave row ids, so the merged set must be sorted —
-        // which also makes the answer independent of partition layout
-        PositionList::from_vec(merged)
+        QueryOutput::from_row_ids(per_partition.concat())
     }
 
     /// Stage the append of `(key, global_rowid)` into the owning partition.
@@ -263,8 +261,10 @@ mod tests {
                 let low = (q * 97) % 3500;
                 let high = low + 300;
                 assert_eq!(
-                    partitioned.query_range(&pool, low, high, data.len()),
-                    serial.query_range(low, high).positions,
+                    partitioned
+                        .query_range(&pool, low, high, data.len())
+                        .into_positions(),
+                    serial.query_range(low, high).into_positions(),
                     "{} query {q}",
                     kind.label()
                 );
@@ -280,10 +280,10 @@ mod tests {
         assert_eq!(partitioned.len(), 1001);
         // a reader whose snapshot predates the insert never sees row 1000
         let old = partitioned.query_range(&pool, 5, 6, 1000);
-        assert!(old.iter().all(|p| p < 1000));
+        assert!(old.row_ids().iter().all(|&p| p < 1000));
         let new = partitioned.query_range(&pool, 5, 6, 1001);
-        assert_eq!(new.len(), old.len() + 1);
-        assert!(new.contains(1000));
+        assert_eq!(new.count(), old.count() + 1);
+        assert!(new.row_ids().contains(&1000));
     }
 
     #[test]
@@ -294,7 +294,7 @@ mod tests {
         assert!(updatable.insert(1_000_000, 101), "above-domain keys clamp");
         assert_eq!(updatable.len(), 102);
         let found = updatable.query_range(&pool, -1_000_000, 1_000_001, 102);
-        assert_eq!(found.len(), 102);
+        assert_eq!(found.count(), 102);
         let (_, plain) = build(&data, StrategyKind::Cracking, 2, 4);
         assert!(!plain.insert(5, 100));
         assert_eq!(plain.len(), 100);
@@ -323,7 +323,7 @@ mod tests {
         assert!(empty.is_empty());
         assert!(empty.query_range(&pool, 0, 10, 0).is_empty());
         let (pool, single) = build(&[7], StrategyKind::Cracking, 4, 4);
-        assert_eq!(single.query_range(&pool, 7, 8, 1).len(), 1);
+        assert_eq!(single.query_range(&pool, 7, 8, 1).count(), 1);
         assert!(single.query_range(&pool, 8, 8, 1).is_empty(), "low >= high");
     }
 
@@ -341,7 +341,7 @@ mod tests {
             handles.push(std::thread::spawn(move || {
                 let pool = ThreadPool::new(2);
                 (0..25)
-                    .map(|_| partitioned.query_range(&pool, 500, 1500, n).len())
+                    .map(|_| partitioned.query_range(&pool, 500, 1500, n).count())
                     .collect::<Vec<_>>()
             }));
         }

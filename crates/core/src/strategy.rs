@@ -6,7 +6,7 @@
 
 use aidx_baselines::{FullScanIndex, FullSortIndex, OnlineIndexTuner, SoftIndexTuner};
 use aidx_columnstore::position::PositionList;
-use aidx_columnstore::types::Key;
+use aidx_columnstore::types::{Key, RowId};
 use aidx_cracking::partial::PartialCrackedIndex;
 use aidx_cracking::selection::CrackedIndex;
 use aidx_cracking::stochastic::{StochasticCrackedIndex, StochasticVariant};
@@ -15,22 +15,51 @@ use aidx_hybrids::{HybridAlgorithm, HybridIndex};
 use aidx_merging::AdaptiveMergeIndex;
 use serde::{Deserialize, Serialize};
 
-/// The answer of one adaptive range query.
+/// The answer of one adaptive range query: the base-column row ids of the
+/// qualifying tuples, **as the index produced them** — distinct, but in
+/// piece order (a cracked piece, a sorted run, a key-ordered slice), not
+/// row-id order.
+///
+/// Counting ([`QueryOutput::count`]) is O(1) and reading the ids as they
+/// stand ([`QueryOutput::row_ids`]) is free. Ordering them is the one
+/// per-row cost a converged probe has left, so it is paid only by the
+/// consumer that needs order, through [`QueryOutput::into_positions`].
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct QueryOutput {
-    /// Base-column positions of the qualifying tuples.
-    pub positions: PositionList,
+    row_ids: Vec<RowId>,
 }
 
 impl QueryOutput {
+    /// Wrap the row ids an index answered with. They must be distinct; any
+    /// order is fine.
+    pub fn from_row_ids(row_ids: Vec<RowId>) -> Self {
+        QueryOutput { row_ids }
+    }
+
     /// Number of qualifying tuples.
     pub fn count(&self) -> usize {
-        self.positions.len()
+        self.row_ids.len()
     }
 
     /// True when no tuple qualifies.
     pub fn is_empty(&self) -> bool {
-        self.positions.is_empty()
+        self.row_ids.is_empty()
+    }
+
+    /// The qualifying row ids in the order the index produced them.
+    pub fn row_ids(&self) -> &[RowId] {
+        &self.row_ids
+    }
+
+    /// Consume the answer, keeping the row ids as produced.
+    pub fn into_row_ids(self) -> Vec<RowId> {
+        self.row_ids
+    }
+
+    /// Order the row ids into a [`PositionList`] (see
+    /// [`PositionList::from_distinct`]).
+    pub fn into_positions(self) -> PositionList {
+        PositionList::from_distinct(self.row_ids)
     }
 }
 
@@ -351,9 +380,8 @@ impl AdaptiveIndex for ScanStrategy {
         self.inner.len()
     }
     fn query_range(&mut self, low: Key, high: Key) -> QueryOutput {
-        QueryOutput {
-            positions: self.inner.query_range(low, high),
-        }
+        // a scan emits row ids in order; nothing downstream re-sorts them
+        QueryOutput::from_row_ids(self.inner.query_range(low, high).into_vec())
     }
     fn effort(&self) -> u64 {
         self.inner.stats().total_effort()
@@ -381,9 +409,7 @@ impl AdaptiveIndex for SortStrategy {
         self.inner.len()
     }
     fn query_range(&mut self, low: Key, high: Key) -> QueryOutput {
-        QueryOutput {
-            positions: self.inner.query_range(low, high),
-        }
+        QueryOutput::from_row_ids(self.inner.query_range(low, high))
     }
     fn effort(&self) -> u64 {
         self.inner.stats().total_effort()
@@ -411,9 +437,7 @@ impl AdaptiveIndex for CrackingStrategy {
         self.inner.len()
     }
     fn query_range(&mut self, low: Key, high: Key) -> QueryOutput {
-        QueryOutput {
-            positions: self.inner.query_range(low, high).positions(),
-        }
+        QueryOutput::from_row_ids(self.inner.query_range(low, high).rowids().to_vec())
     }
     fn effort(&self) -> u64 {
         self.inner.stats().total_effort()
@@ -444,9 +468,7 @@ impl AdaptiveIndex for StochasticStrategy {
         self.inner.len()
     }
     fn query_range(&mut self, low: Key, high: Key) -> QueryOutput {
-        QueryOutput {
-            positions: self.inner.query_range(low, high).positions(),
-        }
+        QueryOutput::from_row_ids(self.inner.query_range(low, high).rowids().to_vec())
     }
     fn effort(&self) -> u64 {
         self.inner.stats().total_effort()
@@ -477,10 +499,7 @@ impl AdaptiveIndex for UpdatableStrategy {
         self.inner.len()
     }
     fn query_range(&mut self, low: Key, high: Key) -> QueryOutput {
-        let answer = self.inner.query_range(low, high);
-        QueryOutput {
-            positions: PositionList::from_vec(answer.rowids),
-        }
+        QueryOutput::from_row_ids(self.inner.query_range(low, high).rowids)
     }
     fn effort(&self) -> u64 {
         self.inner.stats().total_effort()
@@ -515,10 +534,7 @@ impl AdaptiveIndex for PartialStrategy {
         self.inner.len()
     }
     fn query_range(&mut self, low: Key, high: Key) -> QueryOutput {
-        let answer = self.inner.query_range(low, high);
-        QueryOutput {
-            positions: PositionList::from_vec(answer.rowids),
-        }
+        QueryOutput::from_row_ids(self.inner.query_range(low, high).rowids)
     }
     fn effort(&self) -> u64 {
         // base scans dominate; fragments account for themselves internally
@@ -550,9 +566,7 @@ impl AdaptiveIndex for MergingStrategy {
         self.inner.len()
     }
     fn query_range(&mut self, low: Key, high: Key) -> QueryOutput {
-        QueryOutput {
-            positions: self.inner.query_range(low, high).positions(),
-        }
+        QueryOutput::from_row_ids(self.inner.query_range(low, high).into_rowids())
     }
     fn effort(&self) -> u64 {
         self.inner.stats().total_effort()
@@ -584,9 +598,7 @@ impl AdaptiveIndex for HybridStrategy {
         self.inner.len()
     }
     fn query_range(&mut self, low: Key, high: Key) -> QueryOutput {
-        QueryOutput {
-            positions: self.inner.query_range(low, high).positions(),
-        }
+        QueryOutput::from_row_ids(self.inner.query_range(low, high).rowids)
     }
     fn effort(&self) -> u64 {
         self.inner.stats().total_effort()
@@ -614,9 +626,7 @@ impl AdaptiveIndex for OnlineStrategy {
         self.inner.len()
     }
     fn query_range(&mut self, low: Key, high: Key) -> QueryOutput {
-        QueryOutput {
-            positions: self.inner.query_range(low, high),
-        }
+        QueryOutput::from_row_ids(self.inner.query_range(low, high))
     }
     fn effort(&self) -> u64 {
         self.inner.total_effort()
@@ -648,9 +658,7 @@ impl AdaptiveIndex for SoftStrategy {
         self.inner.len()
     }
     fn query_range(&mut self, low: Key, high: Key) -> QueryOutput {
-        QueryOutput {
-            positions: self.inner.query_range(low, high),
-        }
+        QueryOutput::from_row_ids(self.inner.query_range(low, high))
     }
     fn effort(&self) -> u64 {
         self.inner.total_effort()
@@ -699,8 +707,8 @@ mod tests {
                     "{} query {q}",
                     kind.label()
                 );
-                // positions refer to the base column
-                for p in output.positions.iter() {
+                // row ids refer to the base column
+                for &p in output.row_ids() {
                     let v = keys[p as usize];
                     assert!(v >= low && v < high, "{}", kind.label());
                 }
@@ -856,8 +864,8 @@ mod tests {
                 let low = (q * 151) % 2500;
                 let high = low + 200;
                 assert_eq!(
-                    from_iter.query_range(low, high).positions,
-                    from_slice.query_range(low, high).positions,
+                    from_iter.query_range(low, high).into_positions(),
+                    from_slice.query_range(low, high).into_positions(),
                     "{} query {q}",
                     kind.label()
                 );

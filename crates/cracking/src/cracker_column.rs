@@ -8,7 +8,6 @@
 //! indexes need.
 
 use aidx_columnstore::column::{Column, FixedColumn};
-use aidx_columnstore::position::PositionList;
 use aidx_columnstore::types::{Key, RowId};
 
 /// A pair column `(values, row ids)` that cracking physically reorganizes.
@@ -167,12 +166,6 @@ impl CrackerColumn {
         self.values[begin..end].windows(2).all(|w| w[0] <= w[1])
     }
 
-    /// The row ids of the pairs in `[begin, end)` as a [`PositionList`]
-    /// (sorted, for downstream late materialization against the base column).
-    pub fn rowids_in(&self, begin: usize, end: usize) -> PositionList {
-        PositionList::from_vec(self.rowids[begin..end].to_vec())
-    }
-
     /// The values in `[begin, end)`.
     pub fn values_in(&self, begin: usize, end: usize) -> &[Key] {
         &self.values[begin..end]
@@ -258,10 +251,8 @@ mod tests {
     }
 
     #[test]
-    fn rowids_in_and_values_in() {
+    fn values_in_borrows_the_range() {
         let c = CrackerColumn::from_keys(&[40, 10, 30, 20]);
-        let p = c.rowids_in(1, 3);
-        assert_eq!(p.as_slice(), &[1, 2]);
         assert_eq!(c.values_in(1, 3), &[10, 30]);
     }
 

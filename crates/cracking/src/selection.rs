@@ -14,7 +14,6 @@ use crate::index::{BTreeCutIndex, CutIndex};
 use crate::stats::CrackStats;
 use aidx_columnstore::column::Column;
 use aidx_columnstore::ops::select::Predicate;
-use aidx_columnstore::position::PositionList;
 use aidx_columnstore::types::{Key, RowId};
 
 /// Description of one piece of the cracker column.
@@ -58,15 +57,11 @@ impl<'a> RangeResult<'a> {
     }
 
     /// Row ids (positions in the base column) of the qualifying tuples,
-    /// parallel to [`Self::keys`].
+    /// parallel to [`Self::keys`]: distinct, in piece order. A consumer
+    /// that gathers by position orders them first
+    /// (`PositionList::from_distinct`); a consumer that counts never does.
     pub fn rowids(&self) -> &'a [RowId] {
         &self.rowids[self.begin..self.end]
-    }
-
-    /// Qualifying row ids as a sorted [`PositionList`] for late
-    /// materialization against other columns of the same table.
-    pub fn positions(&self) -> PositionList {
-        PositionList::from_vec(self.rowids().to_vec())
     }
 
     /// Number of qualifying tuples.
@@ -171,11 +166,23 @@ impl<I: CutIndex> CrackedIndex<I> {
         (&mut self.column, &mut self.cuts, &mut self.stats)
     }
 
-    /// Recompute the cached min/max after an update changed the value domain.
-    pub(crate) fn refresh_min_max(&mut self) {
-        let (min_value, max_value) = min_max(self.column.values());
-        self.min_value = min_value;
-        self.max_value = max_value;
+    /// Widen the cached min/max over `key`, which an update just merged
+    /// into the cracker column — O(1), so a merged insert never rescans.
+    pub(crate) fn widen_min_max(&mut self, key: Key) {
+        if self.column.len() == 1 {
+            (self.min_value, self.max_value) = (key, key);
+        } else {
+            self.min_value = self.min_value.min(key);
+            self.max_value = self.max_value.max(key);
+        }
+    }
+
+    /// Recompute the cached min/max after `key` left the cracker column: a
+    /// rescan, but only when the key was one of the extremes.
+    pub(crate) fn narrow_min_max(&mut self, key: Key) {
+        if key == self.min_value || key == self.max_value {
+            (self.min_value, self.max_value) = min_max(self.column.values());
+        }
     }
 
     /// Smallest indexed key (undefined for an empty index).
@@ -323,11 +330,6 @@ impl<I: CutIndex> CrackedIndex<I> {
         self.query_range(low, high).len()
     }
 
-    /// The qualifying base-column positions for `[low, high)`.
-    pub fn positions_range(&mut self, low: Key, high: Key) -> PositionList {
-        self.query_range(low, high).positions()
-    }
-
     /// The piece `[begin, end)` that `key` currently falls into.
     fn piece_bounds_for(&self, key: Key) -> (usize, usize) {
         let len = self.column.len();
@@ -470,8 +472,7 @@ mod tests {
         for (&v, &rid) in r.keys().iter().zip(r.rowids()) {
             assert_eq!(data[rid as usize], v);
         }
-        let positions = r.positions();
-        assert_eq!(positions.len(), 3);
+        assert_eq!(r.rowids().len(), 3);
     }
 
     #[test]
@@ -517,13 +518,13 @@ mod tests {
     }
 
     #[test]
-    fn count_and_positions_helpers() {
+    fn count_and_rowids_helpers() {
         let data: Vec<Key> = (0..50).collect();
         let mut idx: CrackedIndex = CrackedIndex::from_keys(&data);
         assert_eq!(idx.count_range(10, 20), 10);
-        let p = idx.positions_range(10, 20);
-        assert_eq!(p.len(), 10);
-        assert!(p.contains(15));
+        let result = idx.query_range(10, 20);
+        assert_eq!(result.rowids().len(), 10);
+        assert!(result.rowids().contains(&15));
     }
 
     #[test]

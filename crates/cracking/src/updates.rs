@@ -252,9 +252,6 @@ impl UpdatableCrackedIndex {
                 self.merge_pending_deletes_in_range(low, high, usize::MAX);
             }
         }
-        if self.merged_inserts + self.merged_deletes > 0 {
-            self.index.refresh_min_max();
-        }
     }
 
     fn merge_pending_inserts_in_range(&mut self, low: Key, high: Key, budget: usize) -> usize {
@@ -319,6 +316,7 @@ impl UpdatableCrackedIndex {
 
         column.set(hole, key, rowid);
         stats.record_merge(1);
+        self.index.widen_min_max(key);
         self.merged_inserts += 1;
     }
 
@@ -376,6 +374,7 @@ impl UpdatableCrackedIndex {
         debug_assert_eq!(hole, len - 1);
         column.truncate(len - 1);
         stats.record_merge(1);
+        self.index.narrow_min_max(key);
         self.merged_deletes += 1;
     }
 
@@ -608,6 +607,53 @@ mod tests {
             }
             assert!(idx.verify_integrity(), "{policy:?}");
         }
+    }
+
+    #[test]
+    fn min_max_follow_merged_inserts_and_deleted_extremes() {
+        for policy in policies() {
+            let data: Vec<Key> = (10..20).collect();
+            let mut idx = UpdatableCrackedIndex::from_keys(&data, policy);
+            let domain = |idx: &UpdatableCrackedIndex| {
+                let values = idx.index().column().values();
+                (*values.iter().min().unwrap(), *values.iter().max().unwrap())
+            };
+            let cached =
+                |idx: &UpdatableCrackedIndex| (idx.index().min_value(), idx.index().max_value());
+
+            // inserts beyond both ends of the domain widen the cached bounds
+            let low_rid = idx.insert(-5);
+            let high_rid = idx.insert(99);
+            assert_eq!(idx.count_range(-100, 100), 12, "{policy:?}");
+            assert_eq!(idx.pending_insert_count(), 0, "{policy:?}");
+            assert_eq!(cached(&idx), (-5, 99), "{policy:?}");
+            assert_eq!(cached(&idx), domain(&idx), "{policy:?}");
+            // the short-circuits keyed on them still find the new extremes
+            assert_eq!(idx.count_range(-5, -4), 1, "{policy:?}");
+            assert_eq!(idx.count_range(99, 100), 1, "{policy:?}");
+
+            // an interior insert leaves them alone
+            idx.insert(15);
+            assert_eq!(idx.count_range(-100, 100), 13, "{policy:?}");
+            assert_eq!(cached(&idx), (-5, 99), "{policy:?}");
+
+            // deleting the current extremes narrows them again
+            assert!(idx.delete(-5, low_rid));
+            assert!(idx.delete(99, high_rid));
+            assert_eq!(idx.count_range(-100, 100), 11, "{policy:?}");
+            assert_eq!(idx.pending_delete_count(), 0, "{policy:?}");
+            assert_eq!(cached(&idx), (10, 19), "{policy:?}");
+            assert_eq!(cached(&idx), domain(&idx), "{policy:?}");
+            assert_eq!(idx.count_range(10, 11), 1, "{policy:?}");
+            assert_eq!(idx.count_range(19, 20), 1, "{policy:?}");
+            assert!(idx.verify_integrity(), "{policy:?}");
+        }
+
+        // an index that starts empty takes its first key as both bounds
+        let mut idx = UpdatableCrackedIndex::from_keys(&[], MergePolicy::MergeRipple);
+        idx.insert(-7);
+        assert_eq!(idx.count_range(-10, 0), 1);
+        assert_eq!((idx.index().min_value(), idx.index().max_value()), (-7, -7));
     }
 
     #[test]

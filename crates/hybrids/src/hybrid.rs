@@ -3,7 +3,6 @@
 use crate::final_partition::{FinalOrganization, FinalPartition};
 use crate::source::{SourceOrganization, SourcePartition};
 use aidx_columnstore::column::Column;
-use aidx_columnstore::position::PositionList;
 use aidx_columnstore::types::{Key, RowId};
 use aidx_cracking::stats::CrackStats;
 
@@ -130,11 +129,6 @@ impl HybridQueryAnswer {
     /// True when no tuple qualifies.
     pub fn is_empty(&self) -> bool {
         self.keys.is_empty()
-    }
-
-    /// Row ids as a sorted position list for late materialization.
-    pub fn positions(&self) -> PositionList {
-        PositionList::from_vec(self.rowids.clone())
     }
 }
 
@@ -448,8 +442,7 @@ mod tests {
             let mut idx = HybridIndex::from_keys(&[5, 1, 9], algorithm, 2, 4);
             assert_eq!(idx.count_range(9, 5), 0);
             assert_eq!(idx.count_range(0, 100), 3);
-            let positions = idx.query_range(0, 100).positions();
-            assert_eq!(positions.len(), 3);
+            assert_eq!(idx.query_range(0, 100).rowids.len(), 3);
         }
     }
 

@@ -4,7 +4,6 @@ use crate::final_index::SortedRangeIndex;
 use crate::run::SortedRun;
 use crate::stats::MergeStats;
 use aidx_columnstore::column::Column;
-use aidx_columnstore::position::PositionList;
 use aidx_columnstore::types::{Key, RowId};
 
 /// Default run size (number of tuples per initial sorted run) when the caller
@@ -30,14 +29,14 @@ impl MergeRangeResult {
         &self.keys
     }
 
-    /// Row ids parallel to [`Self::keys`].
+    /// Row ids parallel to [`Self::keys`] — in key order, not row-id order.
     pub fn rowids(&self) -> &[RowId] {
         &self.rowids
     }
 
-    /// Row ids as a sorted position list for late materialization.
-    pub fn positions(&self) -> PositionList {
-        PositionList::from_vec(self.rowids.clone())
+    /// Consume the answer, keeping only its row ids.
+    pub fn into_rowids(self) -> Vec<RowId> {
+        self.rowids
     }
 
     /// Number of qualifying tuples.
@@ -195,11 +194,6 @@ impl AdaptiveMergeIndex {
         self.query_range(low, high).len()
     }
 
-    /// The qualifying base-column positions for `[low, high)`.
-    pub fn positions_range(&mut self, low: Key, high: Key) -> PositionList {
-        self.query_range(low, high).positions()
-    }
-
     /// Verify structural invariants: the final index and runs are internally
     /// consistent and no tuple is lost or duplicated.
     pub fn verify_integrity(&self) -> bool {
@@ -328,8 +322,7 @@ mod tests {
         let mut idx = AdaptiveMergeIndex::from_keys(&data, 2);
         assert_eq!(idx.count_range(9, 5), 0);
         assert_eq!(idx.count_range(0, 100), 3);
-        let p = idx.positions_range(0, 100);
-        assert_eq!(p.len(), 3);
+        assert_eq!(idx.query_range(0, 100).into_rowids().len(), 3);
     }
 
     #[test]

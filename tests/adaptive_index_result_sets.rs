@@ -103,7 +103,7 @@ fn every_strategy_returns_identical_position_sets_on_random_workloads() {
         for &(low, high) in &ranges {
             let expected = reference_positions(&keys, low, high);
             for index in &mut indexes {
-                let got = index.query_range(low, high).positions.into_vec();
+                let got = index.query_range(low, high).into_positions().into_vec();
                 assert_eq!(
                     got,
                     expected,
@@ -124,7 +124,7 @@ fn returned_positions_select_exactly_the_qualifying_keys() {
         let mut index = kind.build(&keys);
         for &(low, high) in &ranges {
             let output = index.query_range(low, high);
-            for position in output.positions.iter() {
+            for &position in output.row_ids() {
                 let key = keys[position as usize];
                 assert!(
                     key >= low && key < high,

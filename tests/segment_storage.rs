@@ -6,16 +6,28 @@
 
 use adaptive_indexing::columnstore::segment::Segment;
 use adaptive_indexing::columnstore::Value;
-use adaptive_indexing::{Database, StrategyKind};
+use adaptive_indexing::{Database, Predicate, Query, StrategyKind};
 use proptest::prelude::*;
 use std::sync::Arc;
 
 /// A database with one table `t(k int64)` holding `initial`, chunked small
 /// enough that even modest row counts span many chunks.
 fn seeded_db(initial: &[i64], segment_capacity: usize, strategy: StrategyKind) -> Database {
+    seeded_db_with_workers(initial, segment_capacity, strategy, 1)
+}
+
+/// [`seeded_db`] on `workers` pool threads: more than one makes every lazily
+/// built index range-partitioned.
+fn seeded_db_with_workers(
+    initial: &[i64],
+    segment_capacity: usize,
+    strategy: StrategyKind,
+    workers: usize,
+) -> Database {
     let db = Database::builder()
         .default_strategy(strategy)
         .segment_capacity(segment_capacity)
+        .parallelism(workers)
         .try_build()
         .expect("valid configuration");
     db.create_table(
@@ -132,54 +144,96 @@ fn zone_maps_prune_chunks_through_the_facade() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    // Random interleavings of single-row inserts and range queries on the
-    // segmented store must agree *exactly* (position sets, not just
-    // cardinalities) with a flat `Vec` reference model, for every strategy
-    // family and tiny chunk sizes that force many chunk boundaries.
+    // Random interleavings of batch inserts and queries of every driver
+    // shape must agree *exactly* with a flat `Vec` reference model — for
+    // every strategy, as a single index and range-partitioned over two
+    // workers, with tiny chunk sizes that force many chunk boundaries. An
+    // index answers with row ids in piece order and the result orders them
+    // on the first ordered read, so the count is checked before and after
+    // that read, and the positions and the streamed rows against the
+    // reference's ascending order.
     #[test]
     fn interleaved_inserts_and_queries_match_flat_reference(
         initial in prop::collection::vec(-200i64..200, 0..120),
         operations in prop::collection::vec(
-            // (op selector: 0 = insert, 1 = query; value/low; high)
-            (0u8..2, -250i64..250, -250i64..250),
+            // (op selector: 0 = insert, 1.. = a query shape; value/low; high)
+            (0u8..8, -250i64..250, -250i64..250),
             1..60,
         ),
         segment_capacity in 1usize..32,
-        strategy_index in 0usize..3,
+        strategy_index in 0usize..10,
+        workers in 1usize..3,
     ) {
-        let strategy = [
-            StrategyKind::Cracking,
-            StrategyKind::UpdatableCracking,
-            StrategyKind::FullSort,
-        ][strategy_index];
-        let db = seeded_db(&initial, segment_capacity, strategy);
+        let strategies = StrategyKind::all_defaults();
+        let strategy = strategies[strategy_index % strategies.len()];
+        let db = seeded_db_with_workers(&initial, segment_capacity, strategy, workers);
         let session = db.session();
         let mut reference: Vec<i64> = initial.clone();
 
         for (op, a, b) in operations {
-            if op == 0 {
-                let row_id = session.insert_row("t", &[Value::Int64(a)]).unwrap();
-                prop_assert_eq!(row_id as usize, reference.len());
-                reference.push(a);
-            } else {
-                let (low, high) = if a <= b { (a, b) } else { (b, a) };
-                let result = session.query("t").range("k", low, high).execute().unwrap();
-                let expected: Vec<u32> = reference
-                    .iter()
-                    .enumerate()
-                    .filter(|&(_, &v)| v >= low && v < high)
-                    .map(|(i, _)| i as u32)
-                    .collect();
-                prop_assert_eq!(
-                    result.positions().as_slice(),
-                    expected.as_slice(),
-                    "strategy {:?}, capacity {}, range [{}, {})",
-                    strategy,
-                    segment_capacity,
-                    low,
-                    high
-                );
-            }
+            let (low, high) = if a <= b { (a, b) } else { (b, a) };
+            // each query shape with the flat model's own reading of it
+            let (query, matches): (Query, Box<dyn Fn(i64) -> bool>) = match op {
+                0 => {
+                    // a batch of one to three rows, now and then holding the
+                    // one key no half-open range can name
+                    let batch = [a, b, i64::MAX][..1 + (a.unsigned_abs() % 3) as usize].to_vec();
+                    let rows: Vec<Vec<Value>> =
+                        batch.iter().map(|&k| vec![Value::Int64(k)]).collect();
+                    let first = session.insert_rows("t", &rows).unwrap();
+                    prop_assert_eq!(first as usize, reference.len());
+                    reference.extend(batch);
+                    continue;
+                }
+                // a range: empty when both bounds coincide
+                1 | 2 => (
+                    Query::table("t").range("k", low, high),
+                    Box::new(move |v| v >= low && v < high),
+                ),
+                3 => (Query::table("t").point("k", a), Box::new(move |v| v == a)),
+                // beyond every key but `i64::MAX`: zone maps answer alone
+                4 => (
+                    Query::table("t").range("k", low + 10_000, high + 20_000),
+                    Box::new(move |v| v >= low + 10_000 && v < high + 20_000),
+                ),
+                5 => (
+                    Query::table("t").range("k", i64::MIN, i64::MAX),
+                    Box::new(|v| v < i64::MAX),
+                ),
+                6 => (
+                    Query::table("t").in_set("k", [a, b, i64::MAX]),
+                    Box::new(move |v| v == a || v == b || v == i64::MAX),
+                ),
+                // the variant built by hand, every member key repeated: the
+                // rows of a repeated key are answered once
+                _ => (
+                    Query::table("t").filter(Predicate::InSet {
+                        column: "k".into(),
+                        keys: [low, low, high, high, i64::MAX, i64::MAX].into(),
+                    }),
+                    Box::new(move |v| v == a || v == b || v == i64::MAX),
+                ),
+            };
+            let result = session.execute(&query.clone().project(["k"])).unwrap();
+            let expected: Vec<u32> = (0..reference.len() as u32)
+                .filter(|&i| matches(reference[i as usize]))
+                .collect();
+            let context = format!(
+                "{} on {workers} worker(s), capacity {segment_capacity}, {query:?}",
+                strategy.label()
+            );
+            prop_assert_eq!(result.row_count(), expected.len(), "{}", context);
+            prop_assert_eq!(result.is_empty(), expected.is_empty(), "{}", context);
+            let positions = result.positions().as_slice();
+            prop_assert!(positions.windows(2).all(|w| w[0] < w[1]), "{}", context);
+            prop_assert_eq!(positions, expected.as_slice(), "{}", context);
+            prop_assert_eq!(result.row_count(), expected.len(), "{}", context);
+            let streamed: Vec<Vec<Value>> = result.collect_rows();
+            let expected_rows: Vec<Vec<Value>> = expected
+                .iter()
+                .map(|&i| vec![Value::Int64(reference[i as usize])])
+                .collect();
+            prop_assert_eq!(streamed, expected_rows, "{}", context);
         }
         prop_assert_eq!(session.row_count("t").unwrap(), reference.len());
     }

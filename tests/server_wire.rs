@@ -9,7 +9,7 @@
 use adaptive_indexing::columnstore::{Column, Table, Value};
 use adaptive_indexing::server::protocol::{read_frame, write_frame, Reply};
 use adaptive_indexing::server::{Client, ClientError, ErrorCode, Server, ServerConfig, WireResult};
-use adaptive_indexing::{Database, Query, StrategyKind};
+use adaptive_indexing::{Aggregation, Database, Query, StrategyKind};
 use std::io::Write as _;
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -199,14 +199,20 @@ fn concurrent_clients_match_embedded_session_byte_for_byte() {
     let (server, db) = served(ServerConfig::localhost());
     let addr = server.local_addr();
     // precompute embedded baselines, then race 8 wire clients over the same
-    // queries while the adaptive index refines under all of them
+    // queries while the adaptive index refines under all of them: a
+    // conjunction with a projection, and the three single-predicate shapes
+    // whose row ids reach the reply straight from the cracked piece — a bare
+    // range, a count, and a fetch of the projected rows
     let queries: Vec<Query> = (0..24)
         .map(|i| {
             let low = (i * 389) % (ROWS - 200);
-            Query::table("events")
-                .range("k", low, low + 200)
-                .point("v", i % 97)
-                .project(["k", "v"])
+            let range = Query::table("events").range("k", low, low + 200);
+            match i % 4 {
+                0 => range.point("v", i % 97).project(["k", "v"]),
+                1 => range,
+                2 => range.aggregate(Aggregation::Count, "k"),
+                _ => range.project(["k"]),
+            }
         })
         .collect();
     let session = db.session();
@@ -214,6 +220,14 @@ fn concurrent_clients_match_embedded_session_byte_for_byte() {
         .iter()
         .map(|q| WireResult::from_query_result(&session.execute(q).unwrap()).encoded())
         .collect();
+    // `k` holds ROWS-1 down to 0, so key `k` lives in row `ROWS - 1 - k`: the
+    // replies must carry the rows of each range in ascending row order
+    let expected_rows = |i: usize| -> Vec<u32> {
+        let low = (i as i64 * 389) % (ROWS - 200);
+        (ROWS - low - 200..ROWS - low)
+            .map(|row| row as u32)
+            .collect()
+    };
     std::thread::scope(|scope| {
         for t in 0..8usize {
             let (queries, baselines) = (&queries, &baselines);
@@ -231,6 +245,19 @@ fn concurrent_clients_match_embedded_session_byte_for_byte() {
                         baselines[i],
                         "wire result diverged from the embedded session"
                     );
+                    if i % 4 != 0 {
+                        assert_eq!(wire.positions, expected_rows(i), "query {i}");
+                    }
+                    if i % 4 == 2 {
+                        assert_eq!(wire.aggregate, Some(Value::Int64(200)));
+                    }
+                    if i % 4 == 3 {
+                        let keys: Vec<Vec<Value>> = expected_rows(i)
+                            .iter()
+                            .map(|&row| vec![Value::Int64(ROWS - 1 - row as i64)])
+                            .collect();
+                        assert_eq!(wire.rows, keys, "query {i}");
+                    }
                 }
             });
         }
