@@ -1,41 +1,113 @@
 //! Criterion micro-benchmarks for the physical reorganization kernels:
-//! crack-in-two, crack-in-three, sorted-run extraction and the scan / binary
-//! search baselines they compete with.
+//! crack-in-two, crack-in-three and the first-touch build, each beside the
+//! loop it replaced, plus sorted-run extraction and the scan / binary search
+//! baselines they compete with.
+//!
+//! Two decisions in `aidx_cracking::crack` rest on these numbers and can be
+//! re-derived from them: `crack_in_two` is a block partition at *every*
+//! piece size (compare `crack_in_two/block/..` with `crack_in_two/hoare/..`
+//! across sizes and pivot positions — there is no size below which the Hoare
+//! loop is ahead by more than noise, hence no threshold), and
+//! `crack_in_three` is two of them rather than one Dutch-flag pass (compare
+//! `crack_in_three/two_cracks/..` with `crack_in_three/dutch_flag/..`).
 
 use aidx_cracking::crack::{crack_in_three, crack_in_two, PivotSide};
+use aidx_cracking::selection::CrackedIndex;
 use aidx_merging::run::SortedRun;
 use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion};
 use std::hint::black_box;
 
-const SIZES: [usize; 3] = [1 << 14, 1 << 17, 1 << 20];
+const SIZES: [usize; 4] = [1 << 14, 1 << 17, 1 << 20, 1 << 22];
+/// Where in the piece the pivot (or the low bound) falls, in percent.
+const PIVOT_PERCENTS: [usize; 3] = [1, 50, 99];
 
+/// A seeded shuffle of `0..n` with its identity row ids.
 fn make_pairs(n: usize) -> (Vec<i64>, Vec<u32>) {
-    let values: Vec<i64> = (0..n as i64).map(|i| (i * 48271) % n as i64).collect();
-    let rowids: Vec<u32> = (0..n as u32).collect();
-    (values, rowids)
+    let mut values: Vec<i64> = (0..n as i64).collect();
+    let mut state = 0x9E37_79B9_7F4A_7C15u64;
+    for i in (1..n).rev() {
+        state = state
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        values.swap(i, (state >> 33) as usize % (i + 1));
+    }
+    (values, (0..n as u32).collect())
+}
+
+/// The two-sided loop `crack_in_two` was until it became a block partition:
+/// kept here as the baseline the kernel is measured against.
+fn hoare_crack_in_two(values: &mut [i64], rowids: &mut [u32], pivot: i64) -> usize {
+    if values.is_empty() {
+        return 0;
+    }
+    let (mut lo, mut hi) = (0, values.len() - 1);
+    loop {
+        while lo <= hi && values[lo] < pivot {
+            lo += 1;
+        }
+        while lo < hi && values[hi] >= pivot {
+            hi -= 1;
+        }
+        if lo >= hi {
+            return lo;
+        }
+        values.swap(lo, hi);
+        rowids.swap(lo, hi);
+        lo += 1;
+        hi -= 1;
+    }
+}
+
+/// The single-pass three-way loop `crack_in_three` was, likewise.
+fn dutch_flag_crack_in_three(
+    values: &mut [i64],
+    rowids: &mut [u32],
+    low: i64,
+    high: i64,
+) -> (usize, usize) {
+    let (mut lt, mut i, mut gt) = (0, 0, values.len());
+    while i < gt {
+        let v = values[i];
+        if v < low {
+            values.swap(lt, i);
+            rowids.swap(lt, i);
+            lt += 1;
+            i += 1;
+        } else if v >= high {
+            gt -= 1;
+            values.swap(i, gt);
+            rowids.swap(i, gt);
+        } else {
+            i += 1;
+        }
+    }
+    (lt, gt)
 }
 
 fn bench_crack_in_two(c: &mut Criterion) {
     let mut group = c.benchmark_group("crack_in_two");
     for &n in &SIZES {
-        group.bench_with_input(BenchmarkId::from_parameter(n), &n, |b, &n| {
-            let (values, rowids) = make_pairs(n);
-            b.iter_batched(
-                || (values.clone(), rowids.clone()),
-                |(mut values, mut rowids)| {
-                    let split = crack_in_two(
-                        &mut values,
-                        &mut rowids,
-                        0,
-                        n,
-                        (n / 2) as i64,
-                        PivotSide::Left,
-                    );
-                    black_box(split)
-                },
-                BatchSize::LargeInput,
-            );
-        });
+        let (values, rowids) = make_pairs(n);
+        for percent in PIVOT_PERCENTS {
+            let pivot = (n * percent / 100) as i64;
+            let id = format!("{n}/p{percent:02}");
+            group.bench_function(BenchmarkId::new("block", &id), |b| {
+                b.iter_batched(
+                    || (values.clone(), rowids.clone()),
+                    |(mut values, mut rowids)| {
+                        crack_in_two(&mut values, &mut rowids, 0, n, pivot, PivotSide::Left)
+                    },
+                    BatchSize::LargeInput,
+                );
+            });
+            group.bench_function(BenchmarkId::new("hoare", &id), |b| {
+                b.iter_batched(
+                    || (values.clone(), rowids.clone()),
+                    |(mut values, mut rowids)| hoare_crack_in_two(&mut values, &mut rowids, pivot),
+                    BatchSize::LargeInput,
+                );
+            });
+        }
     }
     group.finish();
 }
@@ -43,18 +115,71 @@ fn bench_crack_in_two(c: &mut Criterion) {
 fn bench_crack_in_three(c: &mut Criterion) {
     let mut group = c.benchmark_group("crack_in_three");
     for &n in &SIZES {
-        group.bench_with_input(BenchmarkId::from_parameter(n), &n, |b, &n| {
-            let (values, rowids) = make_pairs(n);
-            let low = (n / 4) as i64;
-            let high = (3 * n / 4) as i64;
-            b.iter_batched(
-                || (values.clone(), rowids.clone()),
-                |(mut values, mut rowids)| {
-                    let split = crack_in_three(&mut values, &mut rowids, 0, n, low, high);
-                    black_box(split.high_split - split.low_split)
-                },
-                BatchSize::LargeInput,
-            );
+        let (values, rowids) = make_pairs(n);
+        // a range 1 % of the piece wide, at its bottom, middle and top
+        for percent in [1, 50, 98] {
+            let low = (n * percent / 100) as i64;
+            let high = low + (n / 100) as i64;
+            let id = format!("{n}/p{percent:02}");
+            group.bench_function(BenchmarkId::new("two_cracks", &id), |b| {
+                b.iter_batched(
+                    || (values.clone(), rowids.clone()),
+                    |(mut values, mut rowids)| {
+                        let split = crack_in_three(&mut values, &mut rowids, 0, n, low, high);
+                        split.high_split - split.low_split
+                    },
+                    BatchSize::LargeInput,
+                );
+            });
+            group.bench_function(BenchmarkId::new("dutch_flag", &id), |b| {
+                b.iter_batched(
+                    || (values.clone(), rowids.clone()),
+                    |(mut values, mut rowids)| {
+                        let (low_split, high_split) =
+                            dutch_flag_crack_in_three(&mut values, &mut rowids, low, high);
+                        high_split - low_split
+                    },
+                    BatchSize::LargeInput,
+                );
+            });
+        }
+    }
+    group.finish();
+}
+
+/// The first query on a column: a chunked source becomes a cracker column
+/// cracked on a range 1 % of the domain wide.
+fn bench_first_touch(c: &mut Criterion) {
+    let mut group = c.benchmark_group("first_touch");
+    for n in [1usize << 20, 1 << 22] {
+        let (values, _) = make_pairs(n);
+        let chunks: Vec<&[i64]> = values.chunks(4096).collect();
+        let low = (n / 2) as i64;
+        let high = low + (n / 100) as i64;
+        // partition while copying, then read the answer's piece
+        group.bench_function(BenchmarkId::new("fused", n), |b| {
+            b.iter(|| {
+                let mut index: CrackedIndex = CrackedIndex::from_chunks(&chunks, Some((low, high)));
+                let answer = index.query_range(low, high).len();
+                (index, answer)
+            })
+        });
+        // copy, then crack the copy in place
+        group.bench_function(BenchmarkId::new("copy_then_crack", n), |b| {
+            b.iter(|| {
+                let mut index: CrackedIndex = CrackedIndex::from_chunks(&chunks, None);
+                let answer = index.query_range(low, high).len();
+                (index, answer)
+            })
+        });
+        // the copy alone, and the scan a first query replaces
+        group.bench_function(BenchmarkId::new("copy", n), |b| {
+            b.iter(|| {
+                CrackedIndex::<aidx_cracking::index::BTreeCutIndex>::from_chunks(&chunks, None)
+            })
+        });
+        group.bench_function(BenchmarkId::new("scan_count", n), |b| {
+            b.iter(|| values.iter().filter(|&&v| v >= low && v < high).count())
         });
     }
     group.finish();
@@ -95,6 +220,7 @@ fn bench_scan_vs_sorted_extract(c: &mut Criterion) {
 criterion_group! {
     name = kernels;
     config = Criterion::default().sample_size(15);
-    targets = bench_crack_in_two, bench_crack_in_three, bench_scan_vs_sorted_extract
+    targets = bench_crack_in_two, bench_crack_in_three, bench_first_touch,
+        bench_scan_vs_sorted_extract
 }
 criterion_main!(kernels);

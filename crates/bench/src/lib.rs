@@ -37,28 +37,40 @@ pub struct HarnessConfig {
 }
 
 impl Default for HarnessConfig {
+    /// The sizing the environment asks for. A variable that is set to
+    /// something unparsable ends the process (status 2) with a message
+    /// naming it: running the 2 M-row default instead would look like a hang.
     fn default() -> Self {
-        HarnessConfig {
-            rows: env_usize("AIDX_ROWS", 2_000_000),
-            queries: env_usize("AIDX_QUERIES", 1_000),
-            selectivity: env_f64("AIDX_SELECTIVITY", 0.01),
-            seed: 42,
-        }
+        HarnessConfig::from_lookup(|name| std::env::var(name).ok()).unwrap_or_else(|message| {
+            eprintln!("{message}");
+            std::process::exit(2)
+        })
     }
 }
 
-fn env_usize(name: &str, default: usize) -> usize {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
-
-fn env_f64(name: &str, default: f64) -> f64 {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
+impl HarnessConfig {
+    /// The sizing `lookup` describes: a variable it does not know keeps its
+    /// default, one it knows must parse.
+    fn from_lookup(lookup: impl Fn(&str) -> Option<String>) -> Result<Self, String> {
+        fn setting<T: std::str::FromStr + std::fmt::Display>(
+            lookup: &impl Fn(&str) -> Option<String>,
+            name: &str,
+            default: T,
+        ) -> Result<T, String> {
+            let Some(raw) = lookup(name) else {
+                return Ok(default);
+            };
+            raw.parse().map_err(|_| {
+                format!("{name}={raw:?} is not a valid value (unset, it defaults to {default})")
+            })
+        }
+        Ok(HarnessConfig {
+            rows: setting(&lookup, "AIDX_ROWS", 2_000_000)?,
+            queries: setting(&lookup, "AIDX_QUERIES", 1_000)?,
+            selectivity: setting(&lookup, "AIDX_SELECTIVITY", 0.01)?,
+            seed: 42,
+        })
+    }
 }
 
 /// The measurements of one strategy over one query sequence.
@@ -313,6 +325,52 @@ mod tests {
         let (series, checksum) = run_custom("const", &workload, |_, _| 7);
         assert_eq!(series.len(), 10);
         assert_eq!(checksum, 70);
+    }
+
+    /// The configuration when only `name` is set, to `value`.
+    fn config_with(name: &str, value: &str) -> Result<HarnessConfig, String> {
+        HarnessConfig::from_lookup(|asked| (asked == name).then(|| value.to_owned()))
+    }
+
+    #[test]
+    fn unparsable_rows_are_an_error_naming_the_variable_and_the_value() {
+        let message = config_with("AIDX_ROWS", "garbage").unwrap_err();
+        assert!(
+            message.contains("AIDX_ROWS") && message.contains("garbage"),
+            "{message}"
+        );
+        assert!(config_with("AIDX_ROWS", "-1").is_err());
+        assert_eq!(config_with("AIDX_ROWS", "20000").unwrap().rows, 20_000);
+    }
+
+    #[test]
+    fn unparsable_queries_are_an_error_naming_the_variable_and_the_value() {
+        let message = config_with("AIDX_QUERIES", "3.5").unwrap_err();
+        assert!(
+            message.contains("AIDX_QUERIES") && message.contains("3.5"),
+            "{message}"
+        );
+        assert_eq!(config_with("AIDX_QUERIES", "30").unwrap().queries, 30);
+    }
+
+    #[test]
+    fn unparsable_selectivity_is_an_error_naming_the_variable_and_the_value() {
+        let message = config_with("AIDX_SELECTIVITY", "1%").unwrap_err();
+        assert!(
+            message.contains("AIDX_SELECTIVITY") && message.contains("1%"),
+            "{message}"
+        );
+        assert_eq!(
+            config_with("AIDX_SELECTIVITY", "0.5").unwrap().selectivity,
+            0.5
+        );
+    }
+
+    #[test]
+    fn unset_variables_keep_their_defaults() {
+        let config = HarnessConfig::from_lookup(|_| None).unwrap();
+        assert_eq!((config.rows, config.queries), (2_000_000, 1_000));
+        assert_eq!(config.selectivity, 0.01);
     }
 
     #[test]

@@ -268,9 +268,9 @@ impl<T: Copy + PartialOrd + std::fmt::Debug> Segment<T> {
     /// contiguous copy via [`Segment::to_contiguous`].
     pub fn iter(&self) -> SegmentIter<'_, T> {
         SegmentIter {
-            segment: self,
-            chunk: 0,
-            offset: 0,
+            current: [].iter(),
+            sealed: self.sealed.iter(),
+            tail: &self.tail,
             remaining: self.len(),
         }
     }
@@ -468,45 +468,62 @@ impl<T: Copy + PartialOrd + std::fmt::Debug> SegmentCursor<'_, T> {
 
 /// Position-ordered value iterator over a [`Segment`] with an exact length,
 /// created by [`Segment::iter`].
+///
+/// It walks one chunk's slice at a time: `next()` is a slice iterator's
+/// `next()` until the chunk runs out, and only then looks for the following
+/// chunk. `fold` — and with it `for_each`, `sum` and the other adaptors built
+/// on it — hands each remaining chunk to the slice iterator's own `fold`.
 #[derive(Debug, Clone)]
 pub struct SegmentIter<'a, T> {
-    segment: &'a Segment<T>,
-    /// Current chunk: an index into the sealed chunks, or `sealed.len()` for
-    /// the tail.
-    chunk: usize,
-    /// Offset of the next value within the current chunk.
-    offset: usize,
+    /// What is left of the chunk being read.
+    current: std::slice::Iter<'a, T>,
+    /// The sealed chunks not started yet.
+    sealed: std::slice::Iter<'a, Arc<SealedChunk<T>>>,
+    /// The tail, emptied when it becomes `current`.
+    tail: &'a [T],
     remaining: usize,
 }
 
-impl<T: Copy + PartialOrd + std::fmt::Debug> Iterator for SegmentIter<'_, T> {
+impl<'a, T: Copy + PartialOrd> SegmentIter<'a, T> {
+    /// The next non-empty stretch of values after `current`, if any.
+    fn next_chunk(&mut self) -> Option<std::slice::Iter<'a, T>> {
+        match self.sealed.next() {
+            Some(chunk) => Some(chunk.values().iter()),
+            None if self.tail.is_empty() => None,
+            None => Some(std::mem::take(&mut self.tail).iter()),
+        }
+    }
+}
+
+impl<T: Copy + PartialOrd> Iterator for SegmentIter<'_, T> {
     type Item = T;
 
+    #[inline]
     fn next(&mut self) -> Option<T> {
-        if self.remaining == 0 {
-            return None;
+        loop {
+            if let Some(&value) = self.current.next() {
+                self.remaining -= 1;
+                return Some(value);
+            }
+            self.current = self.next_chunk()?;
         }
-        let values: &[T] = if self.chunk < self.segment.sealed.len() {
-            self.segment.sealed[self.chunk].values()
-        } else {
-            &self.segment.tail
-        };
-        let v = values[self.offset];
-        self.offset += 1;
-        if self.offset == values.len() {
-            self.chunk += 1;
-            self.offset = 0;
-        }
-        self.remaining -= 1;
-        Some(v)
     }
 
     fn size_hint(&self) -> (usize, Option<usize>) {
         (self.remaining, Some(self.remaining))
     }
+
+    fn fold<B, F: FnMut(B, T) -> B>(mut self, init: B, mut f: F) -> B {
+        let current = std::mem::take(&mut self.current);
+        let mut acc = current.copied().fold(init, &mut f);
+        while let Some(chunk) = self.next_chunk() {
+            acc = chunk.copied().fold(acc, &mut f);
+        }
+        acc
+    }
 }
 
-impl<T: Copy + PartialOrd + std::fmt::Debug> ExactSizeIterator for SegmentIter<'_, T> {}
+impl<T: Copy + PartialOrd> ExactSizeIterator for SegmentIter<'_, T> {}
 
 /// Segments compare by logical contents (length and values in position
 /// order), independent of chunk layout, so re-chunking never changes
@@ -612,6 +629,30 @@ mod tests {
         // collect through the exact-size hint pre-sizes correctly
         let collected: Vec<i64> = segment(17, 4).iter().collect();
         assert_eq!(collected, (0..17).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn iter_fold_picks_up_where_next_stopped() {
+        // layout: sealed [0..5) undersized, sealed [5..13), tail [13..16)
+        let mut s: Segment<i64> = Segment::with_chunk_capacity(8);
+        for i in 0..5 {
+            s.push(i);
+        }
+        s.seal_tail();
+        for i in 5..16 {
+            s.push(i);
+        }
+        assert_eq!(s.sealed_chunk_lens(), vec![5, 8]);
+        for consumed in 0..=16 {
+            let mut iter = s.iter();
+            for expected in 0..consumed {
+                assert_eq!(iter.next(), Some(expected));
+            }
+            let mut rest = Vec::new();
+            iter.for_each(|v| rest.push(v));
+            assert_eq!(rest, (consumed..16).collect::<Vec<_>>(), "after {consumed}");
+        }
+        assert_eq!(s.iter().sum::<i64>(), (0..16).sum());
     }
 
     #[test]

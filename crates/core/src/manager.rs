@@ -132,6 +132,15 @@ impl KeySource<'_> {
         }
     }
 
+    /// The slices the keys are stored in, in position order: the one slice
+    /// of a flat view, a segment's sealed chunks and tail.
+    pub fn chunks(&self) -> Vec<&[Key]> {
+        match self {
+            KeySource::Flat(keys) => vec![keys],
+            KeySource::Segmented(segment) => segment.chunks().map(|chunk| chunk.values).collect(),
+        }
+    }
+
     /// A contiguous view of the keys, borrowed when possible (flat slices
     /// always; segments only when they happen to live in a single chunk).
     pub fn to_contiguous(&self) -> Cow<'_, [Key]> {
@@ -475,7 +484,10 @@ impl IndexManager {
         let mut rebuilt = false;
         if managed.epoch != epoch || managed.body.len() != keys.len() {
             let kind = managed.kind;
-            managed.body = self.build_body(kind, &keys);
+            // the build is this query's doing, so it is done for this query:
+            // a cracking kind cracks on [low, high) while it copies, and the
+            // probe below finds its piece in place
+            managed.body = self.build_body(kind, &keys, Some((low, high)));
             managed.epoch = epoch;
             managed.queries = 0;
             rebuilt = true;
@@ -484,13 +496,23 @@ impl IndexManager {
         let strategy_label = managed.kind.label();
         // a rebuild restarts the new body's effort counter, and its
         // construction cost is work *this* query caused — so the rebuilt
-        // baseline is effort 0 at the fresh body's piece count
+        // baseline is effort 0 at the fresh body's piece count. The cuts a
+        // cracking kind made while building are this query's work as well:
+        // its count starts from the one piece of an uncracked column
+        let cut_while_building = self.pool.is_serial() && managed.kind.cracks_while_building();
         let before = probe.as_ref().map(|_| {
-            if rebuilt {
-                (0, body_pieces(&managed.body))
-            } else {
-                body_measurements(&managed.body)
+            if !rebuilt {
+                return body_measurements(&managed.body);
             }
+            let pieces = body_pieces(&managed.body);
+            (
+                0,
+                if cut_while_building {
+                    pieces.min(1)
+                } else {
+                    pieces
+                },
+            )
         });
         match &mut managed.body {
             IndexBody::Single(index) => {
@@ -528,17 +550,19 @@ impl IndexManager {
     }
 
     /// Build a column's physical index from a snapshot view: a single
-    /// strategy index on the serial pool (streamed chunk-by-chunk for
-    /// multi-chunk segments — no transient contiguous copy), or a
+    /// strategy index on the serial pool (read chunk by chunk out of a
+    /// multi-chunk segment — no transient contiguous copy — and built for
+    /// `first_query`, see [`StrategyKind::build_from`]), or a
     /// range-partitioned index built partition-parallel when the pool has
     /// workers to feed.
-    fn build_body(&self, kind: StrategyKind, keys: &KeySource<'_>) -> IndexBody {
+    fn build_body(
+        &self,
+        kind: StrategyKind,
+        keys: &KeySource<'_>,
+        first_query: Option<(Key, Key)>,
+    ) -> IndexBody {
         if self.pool.is_serial() {
-            let index = match keys {
-                KeySource::Flat(slice) => kind.build_with(slice, &self.tuning),
-                KeySource::Segmented(segment) => kind.build_from_iter(segment.iter(), &self.tuning),
-            };
-            return IndexBody::Single(index);
+            return IndexBody::Single(kind.build_from(keys, first_query, &self.tuning));
         }
         let partition_count = self.pool.threads() * PARTITIONS_PER_WORKER;
         let scattered = match keys {
@@ -598,7 +622,7 @@ impl IndexManager {
     /// Replace a column's index with a freshly built one of the given
     /// strategy (the auto-tuner calls this when it changes its mind).
     pub fn rebuild(&self, column: &ColumnId, keys: &[Key], strategy: StrategyKind) {
-        let body = self.build_body(strategy, &KeySource::Flat(keys));
+        let body = self.build_body(strategy, &KeySource::Flat(keys), None);
         let mut registry = self.indexes.lock();
         registry.insert(
             column.clone(),
@@ -692,7 +716,7 @@ impl IndexManager {
             return false;
         }
         let kind = managed.kind;
-        managed.body = self.build_body(kind, &keys);
+        managed.body = self.build_body(kind, &keys, None);
         managed.epoch = epoch;
         managed.queries = 0;
         true
@@ -746,7 +770,7 @@ impl IndexManager {
         if managed.epoch > epoch {
             return false;
         }
-        managed.body = self.build_body(strategy, &keys);
+        managed.body = self.build_body(strategy, &keys, None);
         managed.kind = strategy;
         managed.epoch = epoch;
         managed.queries = 0;

@@ -4,6 +4,7 @@
 //! behind one object-safe trait so that the index manager, the auto-tuner,
 //! the executor and the benchmark harnesses can treat them interchangeably.
 
+use crate::manager::KeySource;
 use aidx_baselines::{FullScanIndex, FullSortIndex, OnlineIndexTuner, SoftIndexTuner};
 use aidx_columnstore::position::PositionList;
 use aidx_columnstore::types::{Key, RowId};
@@ -230,6 +231,15 @@ impl StrategyKind {
         }
     }
 
+    /// Whether this kind's build cracks on the query it is built for (see
+    /// [`StrategyKind::build_from`]).
+    pub fn cracks_while_building(&self) -> bool {
+        matches!(
+            self,
+            StrategyKind::Cracking | StrategyKind::UpdatableCracking
+        )
+    }
+
     /// Build an index of this kind over the given keys with default tuning.
     pub fn build(&self, keys: &[Key]) -> Box<dyn AdaptiveIndex + Send> {
         self.build_with(keys, &StrategyTuning::default())
@@ -242,103 +252,89 @@ impl StrategyKind {
         keys: &[Key],
         tuning: &StrategyTuning,
     ) -> Box<dyn AdaptiveIndex + Send> {
-        match *self {
-            StrategyKind::FullScan => Box::new(ScanStrategy {
-                inner: FullScanIndex::from_keys(keys),
-            }),
-            StrategyKind::FullSort => Box::new(SortStrategy {
-                inner: FullSortIndex::from_keys(keys),
-            }),
-            StrategyKind::Cracking => Box::new(CrackingStrategy {
-                inner: CrackedIndex::from_keys(keys),
-            }),
-            StrategyKind::StochasticCracking => Box::new(StochasticStrategy {
-                inner: StochasticCrackedIndex::from_keys(
-                    keys,
-                    StochasticVariant::DataDrivenCenter,
-                    1 << 12,
-                    0xA1D0,
-                ),
-            }),
-            StrategyKind::UpdatableCracking => Box::new(UpdatableStrategy {
-                inner: UpdatableCrackedIndex::from_keys(keys, tuning.merge_policy),
-            }),
-            StrategyKind::PartialCracking { budget_bytes } => Box::new(PartialStrategy {
-                inner: PartialCrackedIndex::new(keys, budget_bytes),
-            }),
-            StrategyKind::AdaptiveMerging { run_size } => Box::new(MergingStrategy {
-                inner: AdaptiveMergeIndex::from_keys(keys, run_size),
-            }),
-            StrategyKind::Hybrid { algorithm } => Box::new(HybridStrategy {
-                inner: HybridIndex::from_keys(
-                    keys,
-                    algorithm.into(),
-                    tuning.hybrid_partition_size,
-                    tuning.hybrid_radix_bits,
-                ),
-            }),
-            StrategyKind::OnlineTuning => Box::new(OnlineStrategy {
-                inner: OnlineIndexTuner::from_keys(keys),
-            }),
-            StrategyKind::SoftIndexes => Box::new(SoftStrategy {
-                inner: SoftIndexTuner::from_keys(keys, 10),
-            }),
+        self.build_from(&KeySource::Flat(keys), None, tuning)
+    }
+
+    /// Build an index of this kind from a view of the base column — a flat
+    /// slice or a chunked segment, read where it lies, without a transient
+    /// contiguous copy — for the query `first_query` that found the column
+    /// unindexed, if one did.
+    ///
+    /// [`StrategyKind::Cracking`] and [`StrategyKind::UpdatableCracking`]
+    /// crack on that query's `[low, high)` while they copy (see
+    /// [`CrackedIndex::from_chunks`]); the caller still asks the query
+    /// afterwards, and it finds its piece in place. Every other kind builds
+    /// the index it always builds and `first_query` changes nothing.
+    pub fn build_from(
+        &self,
+        keys: &KeySource<'_>,
+        first_query: Option<(Key, Key)>,
+        tuning: &StrategyTuning,
+    ) -> Box<dyn AdaptiveIndex + Send> {
+        match keys {
+            KeySource::Flat(slice) => {
+                self.build_inner(slice.iter().copied(), keys, first_query, tuning)
+            }
+            KeySource::Segmented(segment) => {
+                self.build_inner(segment.iter(), keys, first_query, tuning)
+            }
         }
     }
 
-    /// Build an index of this kind by *streaming* the keys, so a multi-chunk
-    /// segment feeds the index's own storage directly — without the
-    /// transient contiguous copy `build_with` over `Segment::to_contiguous`
-    /// used to pay. Every strategy constructs exactly the same index as its
-    /// slice-based constructor given the same key sequence.
-    pub fn build_from_iter<I>(
+    /// `stream` and `source` are the same keys twice: the kinds that sort,
+    /// merge or just keep the keys consume the stream, the cracking kinds
+    /// partition straight out of the source's chunks.
+    fn build_inner(
         &self,
-        keys: I,
+        stream: impl ExactSizeIterator<Item = Key>,
+        source: &KeySource<'_>,
+        first_query: Option<(Key, Key)>,
         tuning: &StrategyTuning,
-    ) -> Box<dyn AdaptiveIndex + Send>
-    where
-        I: ExactSizeIterator<Item = Key>,
-    {
+    ) -> Box<dyn AdaptiveIndex + Send> {
         match *self {
             StrategyKind::FullScan => Box::new(ScanStrategy {
-                inner: FullScanIndex::from_key_iter(keys),
+                inner: FullScanIndex::from_key_iter(stream),
             }),
             StrategyKind::FullSort => Box::new(SortStrategy {
-                inner: FullSortIndex::from_key_iter(keys),
+                inner: FullSortIndex::from_key_iter(stream),
             }),
             StrategyKind::Cracking => Box::new(CrackingStrategy {
-                inner: CrackedIndex::from_key_iter(keys),
+                inner: CrackedIndex::from_chunks(&source.chunks(), first_query),
             }),
             StrategyKind::StochasticCracking => Box::new(StochasticStrategy {
-                inner: StochasticCrackedIndex::from_key_iter(
-                    keys,
+                inner: StochasticCrackedIndex::from_chunks(
+                    &source.chunks(),
                     StochasticVariant::DataDrivenCenter,
                     1 << 12,
                     0xA1D0,
                 ),
             }),
             StrategyKind::UpdatableCracking => Box::new(UpdatableStrategy {
-                inner: UpdatableCrackedIndex::from_key_iter(keys, tuning.merge_policy),
+                inner: UpdatableCrackedIndex::from_chunks(
+                    &source.chunks(),
+                    first_query,
+                    tuning.merge_policy,
+                ),
             }),
             StrategyKind::PartialCracking { budget_bytes } => Box::new(PartialStrategy {
-                inner: PartialCrackedIndex::from_key_iter(keys, budget_bytes),
+                inner: PartialCrackedIndex::from_key_iter(stream, budget_bytes),
             }),
             StrategyKind::AdaptiveMerging { run_size } => Box::new(MergingStrategy {
-                inner: AdaptiveMergeIndex::from_key_iter(keys, run_size),
+                inner: AdaptiveMergeIndex::from_key_iter(stream, run_size),
             }),
             StrategyKind::Hybrid { algorithm } => Box::new(HybridStrategy {
                 inner: HybridIndex::from_key_iter(
-                    keys,
+                    stream,
                     algorithm.into(),
                     tuning.hybrid_partition_size,
                     tuning.hybrid_radix_bits,
                 ),
             }),
             StrategyKind::OnlineTuning => Box::new(OnlineStrategy {
-                inner: OnlineIndexTuner::from_key_iter(keys),
+                inner: OnlineIndexTuner::from_key_iter(stream),
             }),
             StrategyKind::SoftIndexes => Box::new(SoftStrategy {
-                inner: SoftIndexTuner::from_key_iter(keys, 10),
+                inner: SoftIndexTuner::from_key_iter(stream, 10),
             }),
         }
     }
@@ -499,7 +495,7 @@ impl AdaptiveIndex for UpdatableStrategy {
         self.inner.len()
     }
     fn query_range(&mut self, low: Key, high: Key) -> QueryOutput {
-        QueryOutput::from_row_ids(self.inner.query_range(low, high).rowids)
+        QueryOutput::from_row_ids(self.inner.query_rowids(low, high))
     }
     fn effort(&self) -> u64 {
         self.inner.stats().total_effort()
@@ -856,17 +852,27 @@ mod tests {
         let keys = test_keys(3000);
         let segment = Segment::from_vec_with_capacity(keys.clone(), 128);
         let tuning = StrategyTuning::default();
+        let queries: Vec<(Key, Key)> = (0..30)
+            .map(|q| ((q * 151) % 2500, (q * 151) % 2500 + 200))
+            .collect();
         for kind in StrategyKind::all_defaults() {
-            let mut from_slice = kind.build_with(&keys, &tuning);
-            let mut from_iter = kind.build_from_iter(segment.iter(), &tuning);
-            assert_eq!(from_iter.len(), from_slice.len(), "{}", kind.label());
-            for q in 0..30 {
-                let low = (q * 151) % 2500;
-                let high = low + 200;
+            // built for no query, and for the one that is asked first
+            for first_query in [None, Some(queries[0])] {
+                let mut from_slice = kind.build_with(&keys, &tuning);
+                let mut from_segment = kind.build_from(&(&segment).into(), first_query, &tuning);
+                assert_eq!(from_segment.len(), from_slice.len(), "{}", kind.label());
+                for (q, &(low, high)) in queries.iter().enumerate() {
+                    assert_eq!(
+                        from_segment.query_range(low, high).into_positions(),
+                        from_slice.query_range(low, high).into_positions(),
+                        "{} query {q}",
+                        kind.label()
+                    );
+                }
                 assert_eq!(
-                    from_iter.query_range(low, high).into_positions(),
-                    from_slice.query_range(low, high).into_positions(),
-                    "{} query {q}",
+                    from_segment.pieces(),
+                    from_slice.pieces(),
+                    "{}",
                     kind.label()
                 );
             }

@@ -1,10 +1,29 @@
-//! The physical reorganization kernels: crack-in-two and crack-in-three.
+//! The physical reorganization kernels: crack-in-two and crack-in-three in
+//! place, and the out-of-place partition that builds a cracker column.
 //!
-//! Both operate in place on a *pair* of parallel arrays — the key values and
-//! the row ids that travel with them — restricted to a half-open slice
-//! `[begin, end)` of the cracker column. They are the only routines in the
-//! whole workspace that move data around during query processing, so they are
-//! written as tight, branch-light partition loops.
+//! All three work on a *pair* of parallel arrays — the key values and the row
+//! ids that travel with them — and they are the only routines in the whole
+//! workspace that move data around during query processing. On random data
+//! every comparison of a textbook partition loop is a coin-flip branch, so
+//! none of them branches on a key: comparisons feed cursor arithmetic
+//! instead.
+//!
+//! * [`crack_in_two`] is a block partition (Edelkamp and Weiss,
+//!   "BlockQuicksort"; the scheme `sort_unstable` used for years): it
+//!   classifies [`BLOCK`] keys from each end of the piece into two small
+//!   offset buffers, with the comparison result added to the buffer length,
+//!   and then swaps the misplaced pairs the buffers name. One loop for every
+//!   piece size: no scratch beyond the two buffers, no fallback below a
+//!   threshold.
+//! * [`crack_in_three`] is two of those, one per bound, the second over what
+//!   the first left at or above `low`. `crack_kernels` (the criterion bench in
+//!   `aidx-bench`) measures it against the single-pass Dutch-flag loop it
+//!   replaced; the two cracks win by 2-4x wherever the bounds do not sit at
+//!   the very bottom of the piece, and tie there.
+//! * [`partition_chunks`] is the first touch: it reads the base column's
+//!   chunks where they lie and writes each `(key, row id)` pair into a fresh
+//!   cracker column on its side of the triggering query's lower bound, then
+//!   cracks the upper side on the other bound.
 
 use aidx_columnstore::types::{Key, RowId};
 
@@ -32,7 +51,8 @@ pub enum PivotSide {
 pub struct CrackTouch {
     /// Number of elements compared (the size of the cracked piece).
     pub compared: usize,
-    /// Number of element swaps performed.
+    /// Number of pair swaps performed: the misplaced pairs the block
+    /// partition exchanged, summed from its per-round counts.
     pub swapped: usize,
 }
 
@@ -42,14 +62,22 @@ fn swap_pair(values: &mut [Key], rowids: &mut [RowId], a: usize, b: usize) {
     rowids.swap(a, b);
 }
 
+/// Keys classified per side and round by [`crack_in_two`]. Offsets into a
+/// block are stored as `u8`, which caps it at 256; 128 is the size
+/// BlockQuicksort and the standard library settled on. In `crack_kernels`,
+/// from 2^14 to 2^22 keys, it is 2-4x faster than the Hoare loop it replaced
+/// at a median pivot and at most ~0.5 ns/key behind it at a 1 % or 99 %
+/// pivot, where either loop's branches are predictable: no piece size at
+/// which to switch loops.
+pub const BLOCK: usize = 128;
+
 /// Partition `values[begin..end]` (and the parallel `rowids`) in place around
 /// `pivot`, returning the split position.
 ///
 /// After the call, with `PivotSide::Left`:
 /// `values[begin..split] < pivot <= values[split..end]`.
 ///
-/// This is the classic two-sided (Hoare-style) partition used by database
-/// cracking: it touches each element at most once and performs no allocation.
+/// A block partition: no allocation, and no branch on a key.
 pub fn crack_in_two(
     values: &mut [Key],
     rowids: &mut [RowId],
@@ -73,43 +101,133 @@ pub fn crack_in_two_counted(
     debug_assert!(begin <= end && end <= values.len());
     debug_assert_eq!(values.len(), rowids.len());
 
-    let goes_left = |v: Key| match side {
-        PivotSide::Left => v < pivot,
-        PivotSide::Right => v <= pivot,
-    };
-
     let mut touch = CrackTouch {
         compared: end - begin,
         swapped: 0,
     };
+    // `<= pivot` is `< pivot + 1`, so one strict comparison serves both
+    // sides; no key is above `Key::MAX`, and then nothing has to move
+    let bound = match side {
+        PivotSide::Left => pivot,
+        PivotSide::Right => match pivot.checked_add(1) {
+            Some(bound) => bound,
+            None => return (end, touch),
+        },
+    };
+    let (below, swapped) =
+        partition_in_blocks(&mut values[begin..end], &mut rowids[begin..end], bound);
+    touch.swapped = swapped;
+    (begin + below, touch)
+}
 
-    if begin >= end {
-        return (begin, touch);
-    }
+/// Reorder `values` (and the parallel `rowids`) into `< bound | >= bound`;
+/// returns the number of keys below `bound` and the number of pair swaps.
+///
+/// Each round fills, for whichever side has none pending, a buffer with the
+/// offsets of the keys that sit on the wrong side of their block — every
+/// offset is written, and kept only if the comparison says so — then swaps
+/// as many pairs as both buffers hold. The last round sizes its blocks to
+/// what is left, and the misplaced keys one side may still hold afterwards
+/// are swapped to the boundary.
+fn partition_in_blocks(values: &mut [Key], rowids: &mut [RowId], bound: Key) -> (usize, usize) {
+    // unclassified keys live in [left, right)
+    let mut left = 0;
+    let mut right = values.len();
+    let (mut left_block, mut right_block) = (BLOCK, BLOCK);
+    // offsets from `left` of keys `>= bound`, pending in [left_from, left_to)
+    let mut left_offsets = [0u8; BLOCK];
+    let (mut left_from, mut left_to) = (0, 0);
+    // offsets down from `right - 1` of keys `< bound`
+    let mut right_offsets = [0u8; BLOCK];
+    let (mut right_from, mut right_to) = (0, 0);
+    let mut swapped = 0;
 
-    let mut lo = begin;
-    let mut hi = end - 1;
     loop {
-        // advance lo over elements already on the correct (left) side
-        while lo <= hi && goes_left(values[lo]) {
-            lo += 1;
+        let last_round = right - left <= 2 * BLOCK;
+        if last_round {
+            // a side with offsets pending keeps its block; the keys nobody
+            // has classified go to the other side, or are split between both
+            let mut rest = right - left;
+            if left_from < left_to || right_from < right_to {
+                rest -= BLOCK;
+            }
+            if left_from < left_to {
+                right_block = rest;
+            } else if right_from < right_to {
+                left_block = rest;
+            } else {
+                left_block = rest / 2;
+                right_block = rest - left_block;
+            }
         }
-        // retreat hi over elements already on the correct (right) side
-        while lo < hi && !goes_left(values[hi]) {
-            hi -= 1;
+        if left_from == left_to {
+            (left_from, left_to) = (0, 0);
+            for (offset, &key) in values[left..left + left_block].iter().enumerate() {
+                left_offsets[left_to] = offset as u8;
+                left_to += usize::from(key >= bound);
+            }
         }
-        if lo >= hi {
+        if right_from == right_to {
+            (right_from, right_to) = (0, 0);
+            let block = values[right - right_block..right].iter().rev();
+            for (offset, &key) in block.enumerate() {
+                right_offsets[right_to] = offset as u8;
+                right_to += usize::from(key < bound);
+            }
+        }
+        let pairs = (left_to - left_from).min(right_to - right_from);
+        for i in 0..pairs {
+            swap_pair(
+                values,
+                rowids,
+                left + usize::from(left_offsets[left_from + i]),
+                right - 1 - usize::from(right_offsets[right_from + i]),
+            );
+        }
+        swapped += pairs;
+        left_from += pairs;
+        right_from += pairs;
+        if left_from == left_to {
+            left += left_block;
+        }
+        if right_from == right_to {
+            right -= right_block;
+        }
+        if last_round {
             break;
         }
-        swap_pair(values, rowids, lo, hi);
-        touch.swapped += 1;
-        lo += 1;
-        if hi == 0 {
-            break;
-        }
-        hi -= 1;
     }
-    (lo, touch)
+
+    // everything is classified, and at most one block still names misplaced
+    // keys: they trade places with that block's far end, outermost first
+    swapped += (left_to - left_from) + (right_to - right_from);
+    let below = if left_from < left_to {
+        while left_from < left_to {
+            left_to -= 1;
+            right -= 1;
+            swap_pair(
+                values,
+                rowids,
+                left + usize::from(left_offsets[left_to]),
+                right,
+            );
+        }
+        right
+    } else {
+        // the left block is spent: `left` is where the right block starts
+        while right_from < right_to {
+            right_to -= 1;
+            swap_pair(
+                values,
+                rowids,
+                left,
+                right - 1 - usize::from(right_offsets[right_to]),
+            );
+            left += 1;
+        }
+        left
+    };
+    (below, swapped)
 }
 
 /// Result of a [`crack_in_three`] call.
@@ -126,9 +244,9 @@ pub struct ThreeWaySplit {
 /// Partition `values[begin..end]` in place into three regions:
 /// `< low | low <= v < high | >= high`, returning both split positions.
 ///
-/// Used when both bounds of a range query fall into the same piece — the
-/// common case for the very first query on a column. Implemented as a
-/// single-pass three-way (Dutch national flag) partition over the pairs.
+/// Used when both bounds of a range query fall into the same piece. Two
+/// [`crack_in_two`]s: on `low` over the piece, then on `high` over what
+/// landed at or above `low`.
 pub fn crack_in_three(
     values: &mut [Key],
     rowids: &mut [RowId],
@@ -137,58 +255,115 @@ pub fn crack_in_three(
     low: Key,
     high: Key,
 ) -> ThreeWaySplit {
-    debug_assert!(begin <= end && end <= values.len());
     debug_assert!(low <= high);
-    debug_assert_eq!(values.len(), rowids.len());
-
-    let mut touch = CrackTouch {
-        compared: end - begin,
-        swapped: 0,
-    };
-
-    // Dutch national flag over [begin, end):
-    //   [begin, lt)  : < low
-    //   [lt, i)      : in [low, high)
-    //   [i, gt]      : unclassified
-    //   (gt, end)    : >= high
-    let mut lt = begin;
-    let mut i = begin;
-    if begin >= end {
-        return ThreeWaySplit {
-            low_split: begin,
-            high_split: begin,
-            touch,
-        };
-    }
-    let mut gt = end - 1;
-
-    while i <= gt {
-        let v = values[i];
-        if v < low {
-            swap_pair(values, rowids, lt, i);
-            if lt != i {
-                touch.swapped += 1;
-            }
-            lt += 1;
-            i += 1;
-        } else if v >= high {
-            swap_pair(values, rowids, i, gt);
-            if i != gt {
-                touch.swapped += 1;
-            }
-            if gt == 0 {
-                break;
-            }
-            gt -= 1;
-        } else {
-            i += 1;
-        }
-    }
-
+    let (low_split, below) = crack_in_two_counted(values, rowids, begin, end, low, PivotSide::Left);
+    let (high_split, above) =
+        crack_in_two_counted(values, rowids, low_split, end, high, PivotSide::Left);
     ThreeWaySplit {
-        low_split: lt,
-        high_split: gt + 1,
-        touch,
+        low_split,
+        high_split,
+        touch: CrackTouch {
+            compared: end - begin,
+            swapped: below.swapped + above.swapped,
+        },
+    }
+}
+
+/// What [`partition_chunks`] learned about the keys while placing them.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ChunkPartition {
+    /// First position of the keys `>= low` (0 without bounds).
+    pub low_split: usize,
+    /// First position of the keys `>= high` (the key count without bounds).
+    pub high_split: usize,
+    /// Smallest and largest key; `None` when there are no keys.
+    pub min_max: Option<(Key, Key)>,
+    /// Pair swaps the crack on `high` made (the copy itself makes none).
+    pub swapped: usize,
+}
+
+/// Build a cracker column out of place: copy the keys of `chunks`, in order,
+/// into `values`, writing each key's position in that order beside it in
+/// `rowids` — and, given the `[low, high)` of the query that caused the
+/// copy, leave the pairs partitioned as
+/// `< low | low <= v < high | >= high`.
+///
+/// One sequential read of the source and one write of the column. With
+/// bounds, each pair is written from one of two cursors, the comparison with
+/// `low` choosing which: keys below `low` fill the column from the front,
+/// the others from the back, and the cursors meet at the first cut — so
+/// there is nothing to count beforehand. What landed at or above `low` is
+/// then cracked on `high` in place ([`crack_in_two`]); for the narrow range
+/// of a typical query that pivot sits at the very bottom of its piece and
+/// next to nothing moves. Without bounds each chunk is copied whole. The
+/// smallest and largest key are picked up on the way, while a chunk is in
+/// cache for its placement anyway.
+///
+/// # Panics
+/// Panics if `values` and `rowids` are not both exactly as long as the
+/// chunks together, or if `low > high`.
+pub fn partition_chunks(
+    chunks: &[&[Key]],
+    bounds: Option<(Key, Key)>,
+    values: &mut [Key],
+    rowids: &mut [RowId],
+) -> ChunkPartition {
+    let len = chunks.iter().map(|chunk| chunk.len()).sum::<usize>();
+    assert_eq!(values.len(), len, "one value slot per source key");
+    assert_eq!(rowids.len(), len, "one row id slot per source key");
+    assert!(
+        bounds.is_none_or(|(low, high)| low <= high),
+        "partition bounds are ordered"
+    );
+
+    // the next slot from the front, and one past the next from the back
+    let (mut front, mut back) = (0, len);
+    let (mut min, mut max) = (Key::MAX, Key::MIN);
+    let mut next_id: RowId = 0;
+    for chunk in chunks {
+        for &key in *chunk {
+            min = min.min(key);
+            max = max.max(key);
+        }
+        let ids = next_id..next_id + chunk.len() as RowId;
+        match bounds {
+            Some((low, _)) => {
+                for (&key, id) in chunk.iter().zip(ids) {
+                    let below = usize::from(key < low);
+                    // `front` for a key below `low`, `back - 1` for the rest
+                    let at = (back - 1) - (below.wrapping_neg() & (back - 1 - front));
+                    values[at] = key;
+                    rowids[at] = id;
+                    front += below;
+                    back -= 1 - below;
+                }
+            }
+            None => {
+                let at = front..front + chunk.len();
+                values[at.clone()].copy_from_slice(chunk);
+                for (slot, id) in rowids[at].iter_mut().zip(ids) {
+                    *slot = id;
+                }
+                front += chunk.len();
+            }
+        }
+        next_id += chunk.len() as RowId;
+    }
+    debug_assert_eq!(front, back);
+
+    let (low_split, high_split, swapped) = match bounds {
+        Some((_, high)) => {
+            let (high_split, touch) =
+                crack_in_two_counted(values, rowids, front, len, high, PivotSide::Left);
+            (front, high_split, touch.swapped)
+        }
+        None => (0, len, 0),
+    };
+    ChunkPartition {
+        low_split,
+        high_split,
+        min_max: (len > 0).then_some((min, max)),
+        swapped,
     }
 }
 

@@ -6,7 +6,16 @@
 //! subsequent cracking happens on that copy. This module provides that copy
 //! as two parallel dense vectors, plus the low-level accessors the adaptive
 //! indexes need.
+//!
+//! The copy is made once, by [`CrackerColumn::from_chunks`], straight out of
+//! the slices the base column is stored in: one read of the source and one
+//! write of the two arrays, with the row ids written beside the keys rather
+//! than materialized first and the key domain noted on the way. Told the
+//! bounds of the selection that triggered it, the copy is also that
+//! selection's crack — the first query pays for one pass over the column,
+//! not for a copy and then a crack of the copy.
 
+use crate::crack::{partition_chunks, ChunkPartition};
 use aidx_columnstore::column::{Column, FixedColumn};
 use aidx_columnstore::types::{Key, RowId};
 
@@ -28,22 +37,26 @@ impl CrackerColumn {
     }
 
     /// Copy a dense key slice into a cracker column (row ids become the
-    /// original positions `0..n`). This is the "first query pays the copy"
-    /// initialization cost of database cracking.
+    /// original positions `0..n`): [`Self::from_chunks`] over one chunk, with
+    /// no query to partition for.
     pub fn from_keys(keys: &[Key]) -> Self {
-        Self::from_key_iter(keys.iter().copied())
+        Self::from_chunks(&[keys], None).0
     }
 
-    /// Stream keys straight into a cracker column (row ids become the stream
-    /// positions `0..n`). With an exact-size source — e.g. a chunked
-    /// segment's iterator — this is the *only* copy the build makes: no
-    /// transient contiguous materialization of the base column is needed.
-    pub fn from_key_iter(keys: impl ExactSizeIterator<Item = Key>) -> Self {
-        let len = keys.len();
-        CrackerColumn {
-            values: keys.collect(),
-            rowids: (0..len as RowId).collect(),
-        }
+    /// Build the cracker column of a base column stored as `chunks` (row
+    /// ids become the positions `0..n` in chunk order), allocating the two
+    /// arrays zeroed and nothing else. With the `[low, high)` of the query
+    /// that triggered the build, the pairs land partitioned around it — see
+    /// [`partition_chunks`], whose report of the two split positions and the
+    /// key domain is returned beside the column.
+    pub fn from_chunks(chunks: &[&[Key]], bounds: Option<(Key, Key)>) -> (Self, ChunkPartition) {
+        let len = chunks.iter().map(|chunk| chunk.len()).sum();
+        let mut column = CrackerColumn {
+            values: vec![0; len],
+            rowids: vec![0; len],
+        };
+        let placed = partition_chunks(chunks, bounds, &mut column.values, &mut column.rowids);
+        (column, placed)
     }
 
     /// Copy an `Int64` base column. Non-integer columns produce an empty

@@ -7,7 +7,8 @@
 //!
 //! The central idea: *every query is treated as advice on how data should be
 //! stored*. The first range selection on a column copies it into a **cracker
-//! column**; each subsequent selection physically reorganizes ("cracks") only
+//! column** — partitioned around that selection's bounds as it is copied —
+//! and each subsequent selection physically reorganizes ("cracks") only
 //! the pieces of that copy that the query touches, so that the qualifying
 //! values end up contiguous. A **cracker index** remembers the piece
 //! boundaries. Over time the column converges towards a fully sorted state,
@@ -15,7 +16,9 @@
 //!
 //! ## Modules
 //!
-//! * [`crack`] — the in-place crack-in-two / crack-in-three partition kernels.
+//! * [`crack`] — the partition kernels: crack-in-two / crack-in-three in
+//!   place, and the out-of-place partition that builds a cracker column from
+//!   the base column's chunks.
 //! * [`cracker_column`] — the (value, row-id) pair column that gets cracked.
 //! * [`index`] — the cracker index: piece boundary catalogs (`BTreeMap`-based
 //!   and a hand-rolled AVL tree, selectable for the ablation benchmark).

@@ -8,7 +8,7 @@
 //! pure index lookups with zero reorganization (the "overhead disappears when
 //! a range has been fully optimized" property the tutorial highlights).
 
-use crate::crack::{crack_in_three, crack_in_two_counted, PivotSide};
+use crate::crack::{crack_in_three, crack_in_two_counted, CrackTouch, PivotSide};
 use crate::cracker_column::CrackerColumn;
 use crate::index::{BTreeCutIndex, CutIndex};
 use crate::stats::CrackStats;
@@ -100,22 +100,53 @@ pub type AvlCrackedIndex = CrackedIndex<crate::index::AvlCutIndex>;
 impl<I: CutIndex> CrackedIndex<I> {
     /// Build the index by copying a dense key slice (this is the
     /// initialization cost the first query pays in a real kernel; harnesses
-    /// account for it explicitly).
+    /// account for it explicitly): [`Self::from_chunks`] over one chunk,
+    /// with no query to crack for.
     pub fn from_keys(keys: &[Key]) -> Self {
-        Self::from_key_iter(keys.iter().copied())
+        Self::from_chunks(&[keys], None)
     }
 
-    /// Build the index by streaming keys directly into the cracker column —
-    /// one copy total, even when the source is a multi-chunk segment (the
-    /// min/max bookkeeping reads the cracker column's own storage).
-    pub fn from_key_iter(keys: impl ExactSizeIterator<Item = Key>) -> Self {
-        let column = CrackerColumn::from_key_iter(keys);
+    /// Build the index from a base column stored as `chunks` — and, given
+    /// the `[low, high)` of the query that triggers the build, crack on it
+    /// in the same pass ([`CrackerColumn::from_chunks`]), so the first query
+    /// costs one read of the base column and one write of the copy.
+    ///
+    /// The index is then exactly what [`Self::from_keys`] followed by
+    /// `query_range(low, high)` leaves, up to the order of pairs within a
+    /// piece: the same cuts at the same positions, recorded under the same
+    /// rule (a bound at or below the smallest key, or above the largest,
+    /// cuts nothing), and the crack accounted as the one crack-in-three or
+    /// crack-in-two that query would have run. It is not yet a query:
+    /// `query_range(low, high)` afterwards finds both cuts in place and
+    /// only reads the answer. An empty or inverted range builds uncracked.
+    pub fn from_chunks(chunks: &[&[Key]], first_query: Option<(Key, Key)>) -> Self {
+        let bounds = first_query.filter(|(low, high)| low < high);
+        let (column, placed) = CrackerColumn::from_chunks(chunks, bounds);
+        let (min_value, max_value) = placed.min_max.unwrap_or((0, 0));
         let mut stats = CrackStats::new();
         stats.record_copy(column.len());
-        let (min_value, max_value) = min_max(column.values());
+        let mut cuts = I::default();
+        if let Some((low, high)) = bounds {
+            let touch = CrackTouch {
+                compared: column.len(),
+                swapped: placed.swapped,
+            };
+            let cuts_piece = |bound: Key| bound > min_value && bound <= max_value;
+            match (cuts_piece(low), cuts_piece(high)) {
+                (true, true) => stats.record_crack_in_three(touch),
+                (false, false) => {}
+                _ => stats.record_crack_in_two(touch),
+            }
+            if cuts_piece(low) {
+                cuts.insert(low, placed.low_split);
+            }
+            if cuts_piece(high) {
+                cuts.insert(high, placed.high_split);
+            }
+        }
         CrackedIndex {
             column,
-            cuts: I::default(),
+            cuts,
             stats,
             min_value,
             max_value,

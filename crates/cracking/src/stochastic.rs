@@ -57,19 +57,19 @@ impl StochasticCrackedIndex {
         piece_threshold: usize,
         seed: u64,
     ) -> Self {
-        Self::from_key_iter(keys.iter().copied(), variant, piece_threshold, seed)
+        Self::from_chunks(&[keys], variant, piece_threshold, seed)
     }
 
-    /// Build by streaming keys straight into the inner cracked index (no
-    /// transient contiguous copy of the base column).
-    pub fn from_key_iter(
-        keys: impl ExactSizeIterator<Item = Key>,
+    /// Build from a base column stored as `chunks`, copied chunk by chunk
+    /// into the inner cracked index.
+    pub fn from_chunks(
+        chunks: &[&[Key]],
         variant: StochasticVariant,
         piece_threshold: usize,
         seed: u64,
     ) -> Self {
         StochasticCrackedIndex {
-            inner: CrackedIndex::from_key_iter(keys),
+            inner: CrackedIndex::from_chunks(chunks, None),
             variant,
             piece_threshold: piece_threshold.max(2),
             rng: StdRng::seed_from_u64(seed),

@@ -76,13 +76,18 @@ pub struct UpdatableCrackedIndex {
 impl UpdatableCrackedIndex {
     /// Build from a dense key slice; row ids `0..n` refer to those keys.
     pub fn from_keys(keys: &[Key], policy: MergePolicy) -> Self {
-        Self::from_key_iter(keys.iter().copied(), policy)
+        Self::from_chunks(&[keys], None, policy)
     }
 
-    /// Build by streaming keys straight into the inner cracked index (no
-    /// transient contiguous copy of the base column).
-    pub fn from_key_iter(keys: impl ExactSizeIterator<Item = Key>, policy: MergePolicy) -> Self {
-        let index = CrackedIndex::from_key_iter(keys);
+    /// Build from a base column stored as `chunks`, cracked on the
+    /// `[low, high)` of the query that triggers the build, if there is one
+    /// (see [`CrackedIndex::from_chunks`]).
+    pub fn from_chunks(
+        chunks: &[&[Key]],
+        first_query: Option<(Key, Key)>,
+        policy: MergePolicy,
+    ) -> Self {
+        let index = CrackedIndex::from_chunks(chunks, first_query);
         let next_rowid = index.len() as RowId;
         UpdatableCrackedIndex {
             index,
@@ -187,47 +192,68 @@ impl UpdatableCrackedIndex {
     /// Answer the half-open range query `[low, high)`, merging pending
     /// updates according to the configured policy first.
     pub fn query_range(&mut self, low: Key, high: Key) -> UpdateQueryAnswer {
-        self.merge_for_query(low, high);
-
-        let result = self.index.query_range(low, high);
-        let mut keys = result.keys().to_vec();
-        let mut rowids = result.rowids().to_vec();
-
-        // Remaining pending deletions mask indexed tuples; remaining pending
-        // insertions contribute extra tuples.
-        if !self.pending_deletes.is_empty() {
-            let deleted: Vec<(Key, RowId)> = self
-                .pending_deletes
-                .iter()
-                .copied()
-                .filter(|&(k, _)| k >= low && k < high)
-                .collect();
-            if !deleted.is_empty() {
-                let mut keep = Vec::with_capacity(keys.len());
-                let mut keep_rowids = Vec::with_capacity(rowids.len());
-                for (&k, &r) in keys.iter().zip(rowids.iter()) {
-                    if !deleted.iter().any(|&(dk, dr)| dk == k && dr == r) {
-                        keep.push(k);
-                        keep_rowids.push(r);
-                    }
-                }
-                keys = keep;
-                rowids = keep_rowids;
-            }
-        }
-        for &(k, r) in &self.pending_inserts {
-            if k >= low && k < high {
-                keys.push(k);
-                rowids.push(r);
-            }
-        }
-
+        let mut keys = Vec::new();
+        let rowids = self.answer(low, high, Some(&mut keys));
         UpdateQueryAnswer { keys, rowids }
     }
 
-    /// Count the qualifying tuples of `[low, high)`.
+    /// [`Self::query_range`] for a caller that gathers by row id and never
+    /// looks at the keys: the same tuples, the keys not copied.
+    pub fn query_rowids(&mut self, low: Key, high: Key) -> Vec<RowId> {
+        self.answer(low, high, None)
+    }
+
+    /// Count the qualifying tuples of `[low, high)`: the answer's piece
+    /// bounds, less the pending deletions and plus the pending insertions
+    /// inside the range. Merges and cracks like any query; copies nothing.
     pub fn count_range(&mut self, low: Key, high: Key) -> usize {
-        self.query_range(low, high).len()
+        self.merge_for_query(low, high);
+        let in_range = |&&(key, _): &&(Key, RowId)| key >= low && key < high;
+        // a pending deletion names a tuple of the cracker column, once
+        self.index.query_range(low, high).len()
+            - self.pending_deletes.iter().filter(in_range).count()
+            + self.pending_inserts.iter().filter(in_range).count()
+    }
+
+    /// The row ids of `[low, high)` — and, for a caller that asks, the keys
+    /// parallel to them. Remaining pending deletions mask indexed tuples;
+    /// remaining pending insertions contribute extra ones.
+    fn answer(&mut self, low: Key, high: Key, mut keys: Option<&mut Vec<Key>>) -> Vec<RowId> {
+        self.merge_for_query(low, high);
+        let in_range = |key: Key| key >= low && key < high;
+        let result = self.index.query_range(low, high);
+        let deleted: Vec<(Key, RowId)> = self
+            .pending_deletes
+            .iter()
+            .copied()
+            .filter(|&(key, _)| in_range(key))
+            .collect();
+
+        let mut rowids = Vec::with_capacity(result.len());
+        if deleted.is_empty() {
+            rowids.extend_from_slice(result.rowids());
+            if let Some(keys) = keys.as_deref_mut() {
+                keys.extend_from_slice(result.keys());
+            }
+        } else {
+            for (&key, &rowid) in result.keys().iter().zip(result.rowids()) {
+                if !deleted.contains(&(key, rowid)) {
+                    rowids.push(rowid);
+                    if let Some(keys) = keys.as_deref_mut() {
+                        keys.push(key);
+                    }
+                }
+            }
+        }
+        for &(key, rowid) in &self.pending_inserts {
+            if in_range(key) {
+                rowids.push(rowid);
+                if let Some(keys) = keys.as_deref_mut() {
+                    keys.push(key);
+                }
+            }
+        }
+        rowids
     }
 
     fn merge_for_query(&mut self, low: Key, high: Key) {
@@ -600,8 +626,15 @@ mod tests {
                         let a = next() % 600;
                         let b = next() % 600;
                         let (low, high) = if a <= b { (a, b) } else { (b, a) };
-                        let got = sorted(idx.query_range(low, high).keys);
-                        assert_eq!(got, model.range(low, high), "{policy:?}");
+                        let answer = idx.query_range(low, high);
+                        // a repeat may merge more pending tuples and so reorder
+                        let mut rowids = idx.query_rowids(low, high);
+                        rowids.sort_unstable();
+                        let mut expected = answer.rowids.clone();
+                        expected.sort_unstable();
+                        assert_eq!(rowids, expected, "{policy:?}");
+                        assert_eq!(idx.count_range(low, high), answer.len(), "{policy:?}");
+                        assert_eq!(sorted(answer.keys), model.range(low, high), "{policy:?}");
                     }
                 }
             }

@@ -281,3 +281,104 @@ fn typed_errors_replace_panics_at_the_api_boundary() {
         .unwrap_err();
     assert!(matches!(err, AidxError::InvalidRange { .. }));
 }
+
+/// The first query on a column builds its index *for that query*: the
+/// cracking kinds partition around its bounds while they copy the chunks.
+/// Whatever shape that first query has, the answer is the scan's, the index
+/// keeps answering like one afterwards, and appended rows show up.
+#[test]
+fn first_touch_answers_like_a_scan_for_every_query_shape() {
+    let rows = 1000; // 15 chunks of 64 and a tail of 40
+    let keys: Vec<i64> = (0..rows).map(|i| (i * 7919) % 500).collect();
+    let shapes: [(&str, i64, i64); 6] = [
+        ("range", 100, 180),
+        ("point", 250, 251),
+        ("empty", 300, 300),
+        ("below the domain", -50, -10),
+        ("straddling the top", 450, 9000),
+        ("whole domain", i64::MIN, i64::MAX),
+    ];
+    let scan = |model: &[i64], low: i64, high: i64| -> Vec<RowId> {
+        (0..model.len() as RowId)
+            .filter(|&p| (low..high).contains(&model[p as usize]))
+            .collect()
+    };
+    for strategy in [StrategyKind::Cracking, StrategyKind::UpdatableCracking] {
+        for (shape, low, high) in shapes {
+            let db = Database::builder()
+                .default_strategy(strategy)
+                .segment_capacity(64)
+                .parallelism(1)
+                .build();
+            db.create_table(
+                "t",
+                Table::from_columns(vec![("k", Column::from_i64(keys.clone()))]).unwrap(),
+            )
+            .unwrap();
+            let session = db.session();
+            let mut model = keys.clone();
+            let context = format!("{strategy:?}, {shape}");
+
+            let query = Query::table("t").range("k", low, high);
+            let first = session.explain_profile(&query).unwrap();
+            assert_eq!(
+                first.result.positions().as_slice(),
+                scan(&model, low, high),
+                "{context}"
+            );
+            if shape == "range" {
+                assert_eq!(first.trace.pieces_after(), Some(3), "{context}");
+            }
+            for event in &first.trace.events {
+                if let SpanEvent::IndexProbe {
+                    pieces_before,
+                    pieces_after,
+                    effort_delta,
+                    rebuilt,
+                    ..
+                } = event
+                {
+                    // the build and its cuts are this query's work: copy +
+                    // compare + the answer read (+ the few swaps that cut the
+                    // upper side on `high`), from one piece to three
+                    assert!(*rebuilt, "{context}");
+                    assert_eq!(*pieces_before, 1, "{context}");
+                    if shape == "range" {
+                        assert_eq!(*pieces_after, 3, "{context}");
+                        let floor = 2 * rows as u64 + first.result.row_count() as u64;
+                        assert!(
+                            (floor..floor + rows as u64 / 2).contains(effort_delta),
+                            "{context}: {effort_delta}"
+                        );
+                    }
+                }
+            }
+
+            // the index the first touch left keeps answering like a scan
+            for (_, low, high) in shapes {
+                let result = session.query("t").range("k", low, high).execute().unwrap();
+                assert_eq!(
+                    result.positions().as_slice(),
+                    scan(&model, low, high),
+                    "{context}, then [{low}, {high})"
+                );
+            }
+
+            // and so do rows appended behind it
+            let batch: Vec<Vec<Value>> = [120, 250, -20, 9500, 499, 120]
+                .iter()
+                .map(|&k| vec![Value::Int64(k)])
+                .collect();
+            session.insert_rows("t", &batch).unwrap();
+            model.extend([120, 250, -20, 9500, 499, 120]);
+            for (_, low, high) in shapes.into_iter().chain([("above", 9000, 10_000)]) {
+                let result = session.query("t").range("k", low, high).execute().unwrap();
+                assert_eq!(
+                    result.positions().as_slice(),
+                    scan(&model, low, high),
+                    "{context}, after inserts [{low}, {high})"
+                );
+            }
+        }
+    }
+}
