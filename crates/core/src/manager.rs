@@ -14,7 +14,7 @@ use crate::partitioned::{PartitionedIndex, PARTITIONS_PER_WORKER};
 use crate::strategy::{AdaptiveIndex, QueryOutput, StrategyKind, StrategyTuning};
 use aidx_columnstore::ops::select as columnstore_select;
 use aidx_columnstore::segment::Segment;
-use aidx_columnstore::types::Key;
+use aidx_columnstore::types::{Key, RowId};
 use aidx_parallel::ThreadPool;
 use parking_lot::Mutex;
 use std::borrow::Cow;
@@ -68,7 +68,7 @@ pub(crate) fn scan_positions(
     let mut positions = aidx_columnstore::position::PositionList::new();
     for (i, &v) in keys.iter().enumerate() {
         if matches(v) {
-            positions.push(i as aidx_columnstore::types::RowId);
+            positions.push(i as RowId);
         }
     }
     positions
@@ -582,40 +582,54 @@ impl IndexManager {
     }
 
     /// Stage the insertion of row `rowid` (holding `key`) into a column's
-    /// index, for a table incarnation identified by `epoch`.
+    /// index: [`Self::insert_batch_at`] for one row.
+    pub fn insert_at(&self, column: &ColumnId, key: Key, rowid: u64, epoch: u64) -> bool {
+        self.insert_batch_at(column, rowid, epoch, &[key])
+    }
+
+    /// Stage the insertion of rows `first_rowid..` (holding `keys`, in row
+    /// order) into a column's index, for a table incarnation identified by
+    /// `epoch` — one registry lookup and one column latch for the batch.
     ///
-    /// Returns `true` when the index now covers the row: either it absorbed
-    /// the insert (update-capable strategy, and the index was exactly at the
-    /// preceding version), or a concurrent rebuild already included it.
+    /// Returns `true` when the index now covers the rows: either it absorbed
+    /// them (update-capable strategy, and the index was exactly at the
+    /// preceding version), or a concurrent rebuild already included them.
     /// Returns `false` when the column is not indexed, the index belongs to
     /// a different epoch, the strategy cannot absorb inserts, or rows are
     /// missing in between — callers should then drop the index so it
-    /// rebuilds lazily from a complete snapshot.
-    pub fn insert_at(&self, column: &ColumnId, key: Key, rowid: u64, epoch: u64) -> bool {
+    /// rebuilds lazily from a complete snapshot; it may have absorbed part
+    /// of the batch.
+    pub fn insert_batch_at(
+        &self,
+        column: &ColumnId,
+        first_rowid: u64,
+        epoch: u64,
+        keys: &[Key],
+    ) -> bool {
         let entry = {
             let registry = self.indexes.lock();
             registry.get(column).cloned()
         };
-        match entry {
-            Some(entry) => {
-                let mut managed = entry.lock();
-                if managed.epoch != epoch {
-                    return false;
-                }
-                match (managed.body.len() as u64).cmp(&rowid) {
-                    // a rebuild from a newer snapshot already covers the row
-                    std::cmp::Ordering::Greater => true,
-                    std::cmp::Ordering::Equal => match &mut managed.body {
-                        IndexBody::Single(index) => index.insert(key),
-                        IndexBody::Partitioned(partitioned) => {
-                            partitioned.insert(key, rowid as aidx_columnstore::types::RowId)
-                        }
-                    },
-                    // rows missing between the index and this insert
-                    std::cmp::Ordering::Less => false,
-                }
+        let Some(entry) = entry else {
+            return false;
+        };
+        let mut managed = entry.lock();
+        if managed.epoch != epoch {
+            return false;
+        }
+        // a rebuild from a newer snapshot already covers the first of them
+        let Some(covered) = (managed.body.len() as u64).checked_sub(first_rowid) else {
+            // rows missing between the index and this batch
+            return false;
+        };
+        let keys = keys.get(covered as usize..).unwrap_or(&[]);
+        match &mut managed.body {
+            IndexBody::Single(index) => index.insert_batch(keys),
+            IndexBody::Partitioned(partitioned) => {
+                let first = first_rowid + covered;
+                (keys.iter().zip(first..))
+                    .all(|(&key, rowid)| partitioned.insert(key, rowid as RowId))
             }
-            None => false,
         }
     }
 
@@ -1025,6 +1039,18 @@ mod tests {
         // already covered by the index (e.g. a rebuild raced ahead): no-op ok
         assert!(manager.insert_at(&column, 5, 50, 7));
         assert_eq!(manager.describe()[0].tuples, 101);
+
+        // a batch is held to the same guard, once, at its first row
+        assert!(!manager.insert_batch_at(&column, 101, 8, &[1, 2]));
+        assert!(!manager.insert_batch_at(&column, 102, 7, &[1, 2]));
+        assert!(manager.insert_batch_at(&column, 101, 7, &[1, 2]));
+        assert_eq!(manager.describe()[0].tuples, 103);
+        // rows a rebuild already covers are skipped, the rest absorbed
+        assert!(manager.insert_batch_at(&column, 101, 7, &[1, 2, 3]));
+        assert_eq!(manager.describe()[0].tuples, 104);
+        assert!(manager.insert_batch_at(&column, 90, 7, &[1, 2, 3]));
+        assert!(manager.insert_batch_at(&column, 104, 7, &[]));
+        assert_eq!(manager.describe()[0].tuples, 104);
     }
 
     #[test]

@@ -324,31 +324,20 @@ impl Session {
         if let Some(durability) = &self.inner.durability {
             durability.sync_if_requested(sync_lsn)?;
         }
+        let manager = &self.inner.manager;
+        let table: Arc<str> = Arc::from(table_name);
         for (i, name) in column_names.into_iter().enumerate() {
-            let column_id = ColumnId::new(table_name, name);
-            if !self.inner.manager.has_index(&column_id) {
+            let column_id = ColumnId::new(table.clone(), name);
+            if !manager.has_index(&column_id) {
                 continue;
             }
-            let mut covered = true;
-            for (offset, row) in rows.iter().enumerate() {
-                let absorbed = row[i]
-                    .as_i64()
-                    .map(|key| {
-                        self.inner.manager.insert_at(
-                            &column_id,
-                            key,
-                            start_row as u64 + offset as u64,
-                            epoch,
-                        )
-                    })
-                    .unwrap_or(false);
-                if !absorbed {
-                    covered = false;
-                    break;
-                }
-            }
+            // a value that is no key cannot be absorbed: the index is dropped
+            let keys: Option<Vec<Key>> = rows.iter().map(|row| row[i].as_i64()).collect();
+            let covered = keys.is_some_and(|keys| {
+                manager.insert_batch_at(&column_id, start_row as u64, epoch, &keys)
+            });
             if !covered {
-                self.inner.manager.drop_index_if_stale(&column_id, epoch);
+                manager.drop_index_if_stale(&column_id, epoch);
             }
         }
         if let Some(started) = clock {

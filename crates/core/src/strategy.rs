@@ -110,6 +110,12 @@ pub trait AdaptiveIndex {
     fn insert(&mut self, _key: Key) -> bool {
         false
     }
+
+    /// Stage insertions of `keys`, in order. `false` as soon as one is
+    /// refused; the index is then of no further use to the caller.
+    fn insert_batch(&mut self, keys: &[Key]) -> bool {
+        keys.iter().all(|&key| self.insert(key))
+    }
 }
 
 /// Which strategy to build for a column.
@@ -501,7 +507,8 @@ impl AdaptiveIndex for UpdatableStrategy {
         self.inner.stats().total_effort()
     }
     fn auxiliary_bytes(&self) -> usize {
-        self.inner.index().column().byte_size()
+        let pending = self.inner.pending_insert_count() + self.inner.pending_delete_count();
+        self.inner.index().column().byte_size() + pending * std::mem::size_of::<(Key, RowId)>()
     }
     fn pieces(&self) -> usize {
         self.inner.piece_count()
@@ -776,10 +783,20 @@ mod tests {
     fn insert_supported_only_by_updatable_strategies() {
         let keys = test_keys(100);
         let mut updatable = StrategyKind::UpdatableCracking.build(&keys);
+        let before = updatable.auxiliary_bytes();
         assert!(updatable.insert(42));
         assert_eq!(updatable.len(), 101);
+        assert!(updatable.insert_batch(&[7, 7, -1]));
+        assert_eq!(updatable.len(), 104);
+        // staged tuples are auxiliary memory before the merge as after it
+        let staged = std::mem::size_of::<(Key, RowId)>();
+        assert_eq!(updatable.auxiliary_bytes(), before + 4 * staged);
+        assert_eq!(updatable.query_range(Key::MIN, Key::MAX).count(), 104);
+        let merged = std::mem::size_of::<Key>() + std::mem::size_of::<RowId>();
+        assert_eq!(updatable.auxiliary_bytes(), before + 4 * merged);
         let mut plain = StrategyKind::Cracking.build(&keys);
         assert!(!plain.insert(42));
+        assert!(!plain.insert_batch(&[42]));
         assert_eq!(plain.len(), 100);
     }
 

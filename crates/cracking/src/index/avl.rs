@@ -6,7 +6,7 @@
 //! arena and refer to each other by index, which keeps the tree allocation
 //! friendly and makes `clone` cheap.
 
-use super::CutIndex;
+use super::{CutIndex, VisitOrder};
 use aidx_columnstore::types::Key;
 
 /// Arena slot id. `u32::MAX` (via `Option<u32>`) is avoided by using
@@ -209,6 +209,35 @@ impl AvlCutIndex {
         self.in_order(self.node(id).right, out);
     }
 
+    /// In-order walk (reversed for [`VisitOrder::Descending`]) of the nodes
+    /// with key `> key`, skipping every subtree that cannot hold one.
+    fn walk_above<F: FnMut(Key, &mut usize)>(
+        &mut self,
+        id: Option<NodeId>,
+        key: Key,
+        order: VisitOrder,
+        visit: &mut F,
+    ) {
+        let Some(id) = id else { return };
+        let Node {
+            key: node_key,
+            left,
+            right,
+            ..
+        } = *self.node(id);
+        if node_key <= key {
+            // this node and its whole left subtree are at or below `key`
+            return self.walk_above(right, key, order, visit);
+        }
+        let (first, second) = match order {
+            VisitOrder::Ascending => (left, right),
+            VisitOrder::Descending => (right, left),
+        };
+        self.walk_above(first, key, order, visit);
+        visit(node_key, &mut self.node_mut(id).position);
+        self.walk_above(second, key, order, visit);
+    }
+
     /// Maximum depth of the tree (for balance assertions in tests).
     pub fn depth(&self) -> usize {
         self.height(self.root) as usize
@@ -306,6 +335,15 @@ impl CutIndex for AvlCutIndex {
         }
         // Note: freed arena slots may also be shifted; they are unreachable
         // from the root, so this is harmless.
+    }
+
+    fn visit_above<F: FnMut(Key, &mut usize)>(
+        &mut self,
+        key: Key,
+        order: VisitOrder,
+        mut visit: F,
+    ) {
+        self.walk_above(self.root, key, order, &mut visit);
     }
 }
 

@@ -1,6 +1,6 @@
 //! Cracker index backed by `std::collections::BTreeMap`.
 
-use super::CutIndex;
+use super::{CutIndex, VisitOrder};
 use aidx_columnstore::types::Key;
 use std::collections::BTreeMap;
 use std::ops::Bound;
@@ -66,6 +66,21 @@ impl CutIndex for BTreeCutIndex {
             if *position >= from_position {
                 *position = (*position as isize + delta) as usize;
             }
+        }
+    }
+
+    fn visit_above<F: FnMut(Key, &mut usize)>(
+        &mut self,
+        key: Key,
+        order: VisitOrder,
+        mut visit: F,
+    ) {
+        let above = self
+            .cuts
+            .range_mut((Bound::Excluded(key), Bound::Unbounded));
+        match order {
+            VisitOrder::Ascending => above.for_each(|(&k, position)| visit(k, position)),
+            VisitOrder::Descending => above.rev().for_each(|(&k, position)| visit(k, position)),
         }
     }
 }

@@ -19,6 +19,15 @@ use aidx_columnstore::types::Key;
 pub use avl::AvlCutIndex;
 pub use btree::BTreeCutIndex;
 
+/// The order in which [`CutIndex::visit_above`] hands out cuts.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum VisitOrder {
+    /// Lowest key first.
+    Ascending,
+    /// Highest key first.
+    Descending,
+}
+
 /// A catalog of cuts `(key, position)`, ordered by key.
 ///
 /// Implementations must keep at most one position per key and support
@@ -63,6 +72,13 @@ pub trait CutIndex: Default + std::fmt::Debug {
     /// `>= from_position`. Used by the update paths: inserting (deleting) a
     /// pair at some position shifts all later piece boundaries right (left).
     fn shift_positions(&mut self, from_position: usize, delta: isize);
+
+    /// Call `visit` on every cut whose key is `> key`, in `order`, with the
+    /// position open to change. The update paths move the boundaries of the
+    /// pieces above a merged tuple this way, in one walk of the part of the
+    /// index that holds them; positions must stay non-decreasing in key
+    /// order once the walk is over.
+    fn visit_above<F: FnMut(Key, &mut usize)>(&mut self, key: Key, order: VisitOrder, visit: F);
 
     /// Number of pieces the cuts induce over a column of `len` values
     /// (`number of cuts + 1` for a non-empty column, counting possibly empty
@@ -138,6 +154,32 @@ mod trait_tests {
         assert_eq!(idx.exact(5), Some(0));
         assert_eq!(idx.exact(10), Some(3));
 
+        // ranged visit: cuts are (5, 0), (10, 3), (20, 8), (30, 10)
+        let visited = |idx: &mut I, key: Key, order: VisitOrder| {
+            let mut seen = Vec::new();
+            idx.visit_above(key, order, |k, position| seen.push((k, *position)));
+            seen
+        };
+        let all = vec![(5, 0), (10, 3), (20, 8), (30, 10)];
+        let reversed: Vec<_> = all.iter().rev().copied().collect();
+        // below all
+        assert_eq!(visited(&mut idx, Key::MIN, VisitOrder::Ascending), all);
+        assert_eq!(visited(&mut idx, 4, VisitOrder::Descending), reversed);
+        // between two cuts, and equal to one (strictly above either way)
+        assert_eq!(visited(&mut idx, 7, VisitOrder::Ascending), all[1..]);
+        assert_eq!(visited(&mut idx, 10, VisitOrder::Ascending), all[2..]);
+        assert_eq!(visited(&mut idx, 10, VisitOrder::Descending), reversed[..2]);
+        // at or above the highest
+        assert_eq!(visited(&mut idx, 30, VisitOrder::Descending), vec![]);
+        assert_eq!(visited(&mut idx, Key::MAX, VisitOrder::Ascending), vec![]);
+        // positions edited in the callback stick, and only those visited
+        idx.visit_above(10, VisitOrder::Descending, |_, position| *position += 5);
+        idx.visit_above(5, VisitOrder::Ascending, |_, position| *position -= 1);
+        assert_eq!(idx.cuts(), vec![(5, 0), (10, 2), (20, 12), (30, 14)]);
+        idx.visit_above(5, VisitOrder::Ascending, |_, position| *position += 1);
+        idx.visit_above(10, VisitOrder::Descending, |_, position| *position -= 5);
+        assert_eq!(idx.cuts(), all);
+
         // remove
         assert_eq!(idx.remove(10), Some(3));
         assert_eq!(idx.remove(10), None);
@@ -173,7 +215,7 @@ mod trait_tests {
         let mut a = BTreeCutIndex::default();
         let mut b = AvlCutIndex::default();
         for _ in 0..2000 {
-            let op = next() % 4;
+            let op = next() % 5;
             let key = (next() % 500) as Key;
             match op {
                 0 | 1 => {
@@ -183,6 +225,35 @@ mod trait_tests {
                 }
                 2 => {
                     assert_eq!(a.remove(key), b.remove(key));
+                }
+                3 => {
+                    let order = if next() % 2 == 0 {
+                        VisitOrder::Ascending
+                    } else {
+                        VisitOrder::Descending
+                    };
+                    let delta = (next() % 7) as usize;
+                    let (mut seen_a, mut seen_b) = (Vec::new(), Vec::new());
+                    a.visit_above(key, order, |k, position| {
+                        seen_a.push((k, *position));
+                        *position += delta;
+                    });
+                    b.visit_above(key, order, |k, position| {
+                        seen_b.push((k, *position));
+                        *position += delta;
+                    });
+                    assert_eq!(seen_a, seen_b);
+                    // exactly the cuts above `key`, in the order asked for
+                    let mut expected: Vec<(Key, usize)> = a
+                        .cuts()
+                        .into_iter()
+                        .filter(|&(k, _)| k > key)
+                        .map(|(k, position)| (k, position - delta))
+                        .collect();
+                    if order == VisitOrder::Descending {
+                        expected.reverse();
+                    }
+                    assert_eq!(seen_a, expected);
                 }
                 _ => {
                     assert_eq!(a.exact(key), b.exact(key));

@@ -197,15 +197,31 @@ impl<I: CutIndex> CrackedIndex<I> {
         (&mut self.column, &mut self.cuts, &mut self.stats)
     }
 
-    /// Widen the cached min/max over `key`, which an update just merged
-    /// into the cracker column — O(1), so a merged insert never rescans.
-    pub(crate) fn widen_min_max(&mut self, key: Key) {
-        if self.column.len() == 1 {
-            (self.min_value, self.max_value) = (key, key);
+    /// Widen the cached min/max over `lowest..=highest`, the extremes of a
+    /// batch an update just merged into the cracker column (`was_empty`:
+    /// the column held nothing before it) — O(1), so a merge never rescans.
+    pub(crate) fn widen_min_max(&mut self, lowest: Key, highest: Key, was_empty: bool) {
+        if was_empty {
+            (self.min_value, self.max_value) = (lowest, highest);
         } else {
-            self.min_value = self.min_value.min(key);
-            self.max_value = self.max_value.max(key);
+            self.min_value = self.min_value.min(lowest);
+            self.max_value = self.max_value.max(highest);
         }
+    }
+
+    /// Where the tuple `(key, rowid)` sits in the cracker column, if it is
+    /// there: a scan of the one piece `key` falls into.
+    pub(crate) fn position_of(&self, key: Key, rowid: RowId) -> Option<usize> {
+        let begin = self.cuts.floor(key).map_or(0, |(_, p)| p);
+        let end = self
+            .cuts
+            .successor(key)
+            .map_or(self.column.len(), |(_, p)| p);
+        let values = self.column.values_in(begin, end);
+        let rowids = &self.column.rowids()[begin..end];
+        (values.iter().zip(rowids))
+            .position(|(&v, &r)| v == key && r == rowid)
+            .map(|offset| begin + offset)
     }
 
     /// Recompute the cached min/max after `key` left the cracker column: a

@@ -2,7 +2,7 @@
 //!
 //! Updates follow the same adaptive philosophy as the index itself: they are
 //! *not* applied eagerly. Insertions and deletions are staged in pending
-//! columns and merged into the cracker column lazily, during query
+//! areas and merged into the cracker column lazily, during query
 //! processing, and only as much as the chosen merge policy demands:
 //!
 //! * [`MergePolicy::MergeCompletely`] — the first query after updates merges
@@ -10,18 +10,36 @@
 //! * [`MergePolicy::MergeGradually`] — each query merges at most a fixed
 //!   number of pending tuples that fall inside its range,
 //! * [`MergePolicy::MergeRipple`] — each query merges exactly the pending
-//!   tuples that fall inside its range, using the *ripple* mechanism: the
-//!   insertion shifts one element per downstream piece instead of shifting
-//!   the whole column tail.
+//!   tuples that fall inside its range, using the *ripple* mechanism: a
+//!   piece above the merged tuples moves a few tuples from its front to its
+//!   end instead of the whole column tail shifting.
 //!
 //! Whatever is not merged yet is still reflected in query answers: results
 //! combine the cracker column with the relevant pending tuples, so answers
-//! are always up to date ("updates are applied on demand").
+//! are complete before any merge ("updates are applied on demand").
+//!
+//! # Costs
+//!
+//! Both pending areas are ordered by `(key, row id)`, so nothing here walks
+//! one:
+//!
+//! * staging an insertion is O(log pending); staging a deletion adds a scan
+//!   of the one piece the key falls into,
+//! * a query finds the tuples it is due — to merge, to add to its answer or
+//!   to mask from it — in O(log pending + due),
+//! * merging `m` due insertions is one descending pass over the pieces above
+//!   the smallest due key: each piece moves at most `m` tuples and has its
+//!   cut moved in place in the cracker index, so the merge costs
+//!   O(pieces above + m) piece visits — not `m` passes over every cut. A
+//!   merged deletion is one ascending pass over the pieces above its key,
+//!   one tuple moved per piece.
 
-use crate::index::{BTreeCutIndex, CutIndex};
+use crate::cracker_column::CrackerColumn;
+use crate::index::{BTreeCutIndex, CutIndex, VisitOrder};
 use crate::selection::CrackedIndex;
 use crate::stats::CrackStats;
 use aidx_columnstore::types::{Key, RowId};
+use std::collections::BTreeSet;
 
 /// How aggressively pending updates are merged during query processing.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -61,13 +79,38 @@ impl UpdateQueryAnswer {
     }
 }
 
+/// A pending area: staged tuples in `(key, row id)` order.
+type PendingArea = BTreeSet<(Key, RowId)>;
+
+/// The tuples of `area` with a key in `[low, high)`, ascending; none for an
+/// empty or inverted range (which `BTreeSet::range` would panic on).
+fn pending_in(area: &PendingArea, low: Key, high: Key) -> impl Iterator<Item = &(Key, RowId)> {
+    area.range((low, RowId::MIN)..(high.max(low), RowId::MIN))
+}
+
+/// Take the first `budget` tuples of [`pending_in`] out of `area`.
+fn take_pending_in(
+    area: &mut PendingArea,
+    low: Key,
+    high: Key,
+    budget: usize,
+) -> Vec<(Key, RowId)> {
+    let due: Vec<(Key, RowId)> = pending_in(area, low, high).take(budget).copied().collect();
+    for tuple in &due {
+        area.remove(tuple);
+    }
+    due
+}
+
 /// A selection-cracking index that supports adaptive insertions and deletions.
 #[derive(Debug, Clone)]
 pub struct UpdatableCrackedIndex {
     index: CrackedIndex<BTreeCutIndex>,
     policy: MergePolicy,
-    pending_inserts: Vec<(Key, RowId)>,
-    pending_deletes: Vec<(Key, RowId)>,
+    pending_inserts: PendingArea,
+    /// Names tuples of the cracker column only: deleting a tuple that is
+    /// still a pending insertion just unstages it.
+    pending_deletes: PendingArea,
     next_rowid: RowId,
     merged_inserts: u64,
     merged_deletes: u64,
@@ -92,8 +135,8 @@ impl UpdatableCrackedIndex {
         UpdatableCrackedIndex {
             index,
             policy,
-            pending_inserts: Vec::new(),
-            pending_deletes: Vec::new(),
+            pending_inserts: PendingArea::new(),
+            pending_deletes: PendingArea::new(),
             next_rowid,
             merged_inserts: 0,
             merged_deletes: 0,
@@ -154,7 +197,7 @@ impl UpdatableCrackedIndex {
     pub fn insert(&mut self, key: Key) -> RowId {
         let rowid = self.next_rowid;
         self.next_rowid += 1;
-        self.pending_inserts.push((key, rowid));
+        self.pending_inserts.insert((key, rowid));
         rowid
     }
 
@@ -162,31 +205,10 @@ impl UpdatableCrackedIndex {
     /// the pending-insertions area it is simply dropped from there. Returns
     /// `true` when the tuple was known (either pending or indexed).
     pub fn delete(&mut self, key: Key, rowid: RowId) -> bool {
-        if let Some(idx) = self
-            .pending_inserts
-            .iter()
-            .position(|&(k, r)| k == key && r == rowid)
-        {
-            self.pending_inserts.swap_remove(idx);
-            return true;
-        }
-        let exists_in_index = self
-            .index
-            .column()
-            .rowids()
-            .iter()
-            .zip(self.index.column().values())
-            .any(|(&r, &k)| r == rowid && k == key);
-        if exists_in_index
-            && !self
-                .pending_deletes
-                .iter()
-                .any(|&(k, r)| k == key && r == rowid)
-        {
-            self.pending_deletes.push((key, rowid));
-            return true;
-        }
-        false
+        // staging a deletion twice is refused by the set
+        self.pending_inserts.remove(&(key, rowid))
+            || (self.index.position_of(key, rowid).is_some()
+                && self.pending_deletes.insert((key, rowid)))
     }
 
     /// Answer the half-open range query `[low, high)`, merging pending
@@ -208,11 +230,10 @@ impl UpdatableCrackedIndex {
     /// inside the range. Merges and cracks like any query; copies nothing.
     pub fn count_range(&mut self, low: Key, high: Key) -> usize {
         self.merge_for_query(low, high);
-        let in_range = |&&(key, _): &&(Key, RowId)| key >= low && key < high;
         // a pending deletion names a tuple of the cracker column, once
         self.index.query_range(low, high).len()
-            - self.pending_deletes.iter().filter(in_range).count()
-            + self.pending_inserts.iter().filter(in_range).count()
+            - pending_in(&self.pending_deletes, low, high).count()
+            + pending_in(&self.pending_inserts, low, high).count()
     }
 
     /// The row ids of `[low, high)` — and, for a caller that asks, the keys
@@ -220,24 +241,19 @@ impl UpdatableCrackedIndex {
     /// remaining pending insertions contribute extra ones.
     fn answer(&mut self, low: Key, high: Key, mut keys: Option<&mut Vec<Key>>) -> Vec<RowId> {
         self.merge_for_query(low, high);
-        let in_range = |key: Key| key >= low && key < high;
         let result = self.index.query_range(low, high);
-        let deleted: Vec<(Key, RowId)> = self
-            .pending_deletes
-            .iter()
-            .copied()
-            .filter(|&(key, _)| in_range(key))
-            .collect();
-
         let mut rowids = Vec::with_capacity(result.len());
-        if deleted.is_empty() {
+        if pending_in(&self.pending_deletes, low, high)
+            .next()
+            .is_none()
+        {
             rowids.extend_from_slice(result.rowids());
             if let Some(keys) = keys.as_deref_mut() {
                 keys.extend_from_slice(result.keys());
             }
         } else {
             for (&key, &rowid) in result.keys().iter().zip(result.rowids()) {
-                if !deleted.contains(&(key, rowid)) {
+                if !self.pending_deletes.contains(&(key, rowid)) {
                     rowids.push(rowid);
                     if let Some(keys) = keys.as_deref_mut() {
                         keys.push(key);
@@ -245,160 +261,108 @@ impl UpdatableCrackedIndex {
                 }
             }
         }
-        for &(key, rowid) in &self.pending_inserts {
-            if in_range(key) {
-                rowids.push(rowid);
-                if let Some(keys) = keys.as_deref_mut() {
-                    keys.push(key);
-                }
+        for &(key, rowid) in pending_in(&self.pending_inserts, low, high) {
+            rowids.push(rowid);
+            if let Some(keys) = keys.as_deref_mut() {
+                keys.push(key);
             }
         }
         rowids
     }
 
+    /// Merge what the policy says the query `[low, high)` is due: insertions
+    /// first, in one batch, then deletions out of what is left of the budget.
     fn merge_for_query(&mut self, low: Key, high: Key) {
-        match self.policy {
+        let budget = match self.policy {
             MergePolicy::MergeCompletely => {
-                let inserts: Vec<(Key, RowId)> = std::mem::take(&mut self.pending_inserts);
-                for (k, r) in inserts {
-                    self.ripple_insert(k, r);
+                let inserts: Vec<(Key, RowId)> = std::mem::take(&mut self.pending_inserts)
+                    .into_iter()
+                    .collect();
+                self.merge_inserts(&inserts);
+                for (key, rowid) in std::mem::take(&mut self.pending_deletes) {
+                    self.ripple_delete(key, rowid);
                 }
-                let deletes: Vec<(Key, RowId)> = std::mem::take(&mut self.pending_deletes);
-                for (k, r) in deletes {
-                    self.ripple_delete(k, r);
-                }
+                return;
             }
-            MergePolicy::MergeGradually { batch } => {
-                let mut budget = batch;
-                budget -= self.merge_pending_inserts_in_range(low, high, budget);
-                self.merge_pending_deletes_in_range(low, high, budget);
-            }
-            MergePolicy::MergeRipple => {
-                self.merge_pending_inserts_in_range(low, high, usize::MAX);
-                self.merge_pending_deletes_in_range(low, high, usize::MAX);
-            }
+            MergePolicy::MergeGradually { batch } => batch,
+            MergePolicy::MergeRipple => usize::MAX,
+        };
+        let inserts = take_pending_in(&mut self.pending_inserts, low, high, budget);
+        self.merge_inserts(&inserts);
+        let budget = budget - inserts.len();
+        for (key, rowid) in take_pending_in(&mut self.pending_deletes, low, high, budget) {
+            self.ripple_delete(key, rowid);
         }
     }
 
-    fn merge_pending_inserts_in_range(&mut self, low: Key, high: Key, budget: usize) -> usize {
-        let mut merged = 0;
-        let mut i = 0;
-        while i < self.pending_inserts.len() && merged < budget {
-            let (k, _) = self.pending_inserts[i];
-            if k >= low && k < high {
-                let (k, r) = self.pending_inserts.swap_remove(i);
-                self.ripple_insert(k, r);
-                merged += 1;
-            } else {
-                i += 1;
-            }
-        }
-        merged
-    }
-
-    fn merge_pending_deletes_in_range(&mut self, low: Key, high: Key, budget: usize) -> usize {
-        let mut merged = 0;
-        let mut i = 0;
-        while i < self.pending_deletes.len() && merged < budget {
-            let (k, _) = self.pending_deletes[i];
-            if k >= low && k < high {
-                let (k, r) = self.pending_deletes.swap_remove(i);
-                self.ripple_delete(k, r);
-                merged += 1;
-            } else {
-                i += 1;
-            }
-        }
-        merged
-    }
-
-    /// Insert `(key, rowid)` into the cracker column using the ripple
-    /// technique: append one slot, then shift *one element per downstream
-    /// piece* into it, finally writing the new pair into the hole that opens
-    /// at the end of the target piece.
-    fn ripple_insert(&mut self, key: Key, rowid: RowId) {
+    /// Merge `due` — tuples ascending by key — into the cracker column with
+    /// one ripple: append a slot per tuple, then walk the pieces above the
+    /// smallest due key from the top down. A piece that `below` due tuples
+    /// sit under has to start `below` slots later, so it moves that many
+    /// tuples (all of them, if it is shorter) from its front to just past
+    /// its end — free, because everything above has moved already — and the
+    /// due tuples that belong to it are written behind them.
+    fn merge_inserts(&mut self, due: &[(Key, RowId)]) {
+        let (Some(&(lowest, _)), Some(&(highest, _))) = (due.first(), due.last()) else {
+            return;
+        };
+        let was_empty = self.index.is_empty();
         let (column, cuts, stats) = self.index.parts_mut();
-
-        // Cut keys strictly greater than `key`, in descending key order: these
-        // are the piece boundaries that must shift right by one.
-        let mut downstream: Vec<(Key, usize)> =
-            cuts.cuts().into_iter().filter(|&(k, _)| k > key).collect();
-        downstream.sort_unstable_by_key(|&(k, _)| std::cmp::Reverse(k));
-
-        // Open a hole at the very end of the column.
-        column.push(0, 0);
-        let mut hole = column.len() - 1;
-
-        for (cut_key, cut_pos) in downstream {
-            // Move the first element of the piece starting at `cut_pos` into
-            // the hole (which sits just past that piece's current last slot).
-            if cut_pos < hole {
-                let (v, r) = (column.value(cut_pos), column.rowid(cut_pos));
-                column.set(hole, v, r);
-                hole = cut_pos;
-            }
-            cuts.insert(cut_key, cut_pos + 1);
+        // the end, before the merge, of the piece being placed
+        let mut end = column.len();
+        for &(key, rowid) in due {
+            column.push(key, rowid);
         }
-
-        column.set(hole, key, rowid);
-        stats.record_merge(1);
-        self.index.widen_min_max(key);
-        self.merged_inserts += 1;
+        let (values, rowids) = column.pair_slices_mut();
+        let place =
+            |values: &mut [Key], rowids: &mut [RowId], at: usize, tuples: &[(Key, RowId)]| {
+                for (slot, &(key, rowid)) in tuples.iter().enumerate() {
+                    values[at + slot] = key;
+                    rowids[at + slot] = rowid;
+                }
+            };
+        // `due[..unplaced]` sit below the upper bound of that piece
+        let mut unplaced = due.len();
+        cuts.visit_above(lowest, VisitOrder::Descending, |cut_key, position| {
+            let begin = *position;
+            let below = due[..unplaced].partition_point(|&(key, _)| key < cut_key);
+            let moved = below.min(end - begin);
+            values.copy_within(begin..begin + moved, end + below - moved);
+            rowids.copy_within(begin..begin + moved, end + below - moved);
+            place(values, rowids, end + below, &due[below..unplaced]);
+            *position = begin + below;
+            end = begin;
+            unplaced = below;
+        });
+        place(values, rowids, end, &due[..unplaced]);
+        stats.record_merge(due.len());
+        self.index.widen_min_max(lowest, highest, was_empty);
+        self.merged_inserts += due.len() as u64;
     }
 
     /// Delete `(key, rowid)` from the cracker column using the reverse
-    /// ripple: the hole left by the deleted pair swallows one element per
-    /// downstream piece, and the column shrinks by one at the end.
+    /// ripple: the hole the pair leaves is filled with the last pair of its
+    /// piece, which opens a hole just below the next piece; that piece starts
+    /// one slot earlier and fills the hole with its own last pair, and so on
+    /// up to the end of the column, which shrinks by one.
     fn ripple_delete(&mut self, key: Key, rowid: RowId) {
-        let (column, cuts, stats) = self.index.parts_mut();
-        let len = column.len();
-        if len == 0 {
-            return;
-        }
-
-        // Locate the piece holding `key` and scan it for the row id.
-        let begin = cuts.floor(key).map_or(0, |(_, p)| p);
-        let end = cuts.successor(key).map_or(len, |(_, p)| p);
-        let Some(offset) =
-            (begin..end).find(|&p| column.rowid(p) == rowid && column.value(p) == key)
-        else {
+        let Some(mut hole) = self.index.position_of(key, rowid) else {
             return;
         };
-
-        // Cut keys strictly greater than `key`, ascending: each downstream
-        // piece donates its first element to the hole and shifts left by one.
-        let downstream: Vec<(Key, usize)> =
-            cuts.cuts().into_iter().filter(|&(k, _)| k > key).collect();
-
-        let mut hole = offset;
-        // Within the target piece, fill the hole with the piece's last pair.
-        let target_piece_end = downstream.first().map_or(len, |&(_, p)| p);
-        if hole != target_piece_end - 1 {
-            let (v, r) = (
-                column.value(target_piece_end - 1),
-                column.rowid(target_piece_end - 1),
-            );
-            column.set(hole, v, r);
-        }
-        hole = target_piece_end - 1;
-
-        for (i, &(cut_key, cut_pos)) in downstream.iter().enumerate() {
-            // The piece [cut_pos, next_pos) donates its last element into the
-            // hole at cut_pos - 1 ... wait: the hole currently sits at the
-            // last slot of the *previous* piece; after shifting the boundary
-            // left by one, that slot becomes the first slot of this piece, so
-            // we fill it with this piece's last element.
-            let next_pos = downstream.get(i + 1).map_or(len, |&(_, p)| p);
-            if next_pos - 1 != hole {
-                let (v, r) = (column.value(next_pos - 1), column.rowid(next_pos - 1));
-                column.set(hole, v, r);
-            }
-            hole = next_pos - 1;
-            cuts.insert(cut_key, cut_pos - 1);
-        }
-
-        debug_assert_eq!(hole, len - 1);
-        column.truncate(len - 1);
+        let (column, cuts, stats) = self.index.parts_mut();
+        // fill the hole with the pair at `last`, which leaves the hole there
+        let fill_from = |column: &mut CrackerColumn, hole: &mut usize, last: usize| {
+            column.set(*hole, column.value(last), column.rowid(last));
+            *hole = last;
+        };
+        cuts.visit_above(key, VisitOrder::Ascending, |_, position| {
+            // the hole's piece is not empty, so the cut above it is not at 0
+            *position -= 1;
+            fill_from(column, &mut hole, *position);
+        });
+        let last = column.len() - 1;
+        fill_from(column, &mut hole, last);
+        column.truncate(last);
         stats.record_merge(1);
         self.index.narrow_min_max(key);
         self.merged_deletes += 1;
@@ -407,14 +371,7 @@ impl UpdatableCrackedIndex {
     /// Verify structural invariants of the underlying index plus the pending
     /// areas (no tuple may be both pending-inserted and pending-deleted).
     pub fn verify_integrity(&self) -> bool {
-        if !self.index.verify_integrity() {
-            return false;
-        }
-        !self.pending_inserts.iter().any(|pi| {
-            self.pending_deletes
-                .iter()
-                .any(|pd| pi.0 == pd.0 && pi.1 == pd.1)
-        })
+        self.index.verify_integrity() && self.pending_inserts.is_disjoint(&self.pending_deletes)
     }
 
     /// The underlying cracked index (for inspection in tests / harnesses).

@@ -382,3 +382,67 @@ fn first_touch_answers_like_a_scan_for_every_query_shape() {
         }
     }
 }
+
+/// Batches land inside the domain of a column the queries have already cut
+/// into many pieces, so every merge ripples through the pieces above its
+/// keys — on one worker (one index) and on two (one index per partition).
+/// Between batches every answer is the scan's, and the index is never
+/// dropped and rebuilt to get there.
+#[test]
+fn in_domain_insert_batches_merge_into_a_converged_updatable_column() {
+    let rows: i64 = 4000;
+    let keys: Vec<i64> = (0..rows).map(|i| (i * 7919) % rows).collect();
+    let scan = |model: &[i64], low: i64, high: i64| -> Vec<RowId> {
+        (0..model.len() as RowId)
+            .filter(|&p| (low..high).contains(&model[p as usize]))
+            .collect()
+    };
+    for workers in [1, 2] {
+        let db = Database::builder()
+            .default_strategy(StrategyKind::UpdatableCracking)
+            .segment_capacity(256)
+            .parallelism(workers)
+            .build();
+        db.create_table(
+            "t",
+            Table::from_columns(vec![("k", Column::from_i64(keys.clone()))]).unwrap(),
+        )
+        .unwrap();
+        let session = db.session();
+        let mut model = keys.clone();
+        let check = |model: &[i64], low: i64, high: i64, context: &str| {
+            let result = session.query("t").range("k", low, high).execute().unwrap();
+            assert_eq!(
+                result.positions().as_slice(),
+                scan(model, low, high),
+                "{workers} workers, {context}: [{low}, {high})"
+            );
+        };
+        for q in 0..200 {
+            let low = (q * 613) % rows;
+            check(&model, low, low + 40, "converging");
+        }
+        assert!(db.index_stats()[0].converged, "{workers} workers");
+
+        for batch in 0..30 {
+            // duplicates of stored keys, across the whole domain
+            let batch_keys: Vec<i64> = (0..16).map(|i| (batch * 997 + i * 251) % rows).collect();
+            let values: Vec<Vec<Value>> =
+                batch_keys.iter().map(|&k| vec![Value::Int64(k)]).collect();
+            session.insert_rows("t", &values).unwrap();
+            model.extend(&batch_keys);
+            // one range that is due part of the batch, one that is due all
+            // that is still pending, one point
+            let low = (batch * 389) % rows;
+            check(&model, low, low + 500, "after a batch");
+            if batch % 5 == 4 {
+                check(&model, i64::MIN, i64::MAX, "whole domain");
+            }
+            check(&model, batch_keys[3], batch_keys[3] + 1, "point");
+        }
+        // one index took every batch and every query: never dropped
+        let info = &db.index_stats()[0];
+        assert_eq!(info.tuples, model.len(), "{workers} workers");
+        assert_eq!(info.queries, 200 + 30 * 2 + 6, "{workers} workers");
+    }
+}
