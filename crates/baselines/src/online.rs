@@ -10,7 +10,8 @@
 
 use crate::cost::{BaselineStats, CostModel};
 use crate::sorted::FullSortIndex;
-use aidx_columnstore::types::{Key, RowId};
+use aidx_columnstore::index::{AdaptiveIndex, QueryOutput};
+use aidx_columnstore::types::{Key, RowId, PAIR_BYTES};
 
 /// An online index tuner over one key column.
 #[derive(Debug, Clone)]
@@ -28,29 +29,22 @@ pub struct OnlineIndexTuner {
 }
 
 impl OnlineIndexTuner {
-    /// Create a tuner with the default cost model and a trigger factor of 1.
+    /// Create a tuner over a dense key slice with the default cost model and
+    /// a trigger factor of 1: [`Self::from_chunks`] over one chunk.
     pub fn from_keys(keys: &[Key]) -> Self {
-        Self::with_settings(keys, CostModel::default(), 1.0)
+        Self::from_chunks(&[keys])
     }
 
-    /// Create a tuner from a key stream with the default settings (one
-    /// collect, no transient contiguous copy for chunked sources).
-    pub fn from_key_iter(keys: impl ExactSizeIterator<Item = Key>) -> Self {
-        OnlineIndexTuner {
-            keys: keys.collect(),
-            index: None,
-            cost_model: CostModel::default(),
-            accumulated_benefit: 0.0,
-            trigger_factor: 1.0,
-            stats: BaselineStats::new(),
-            build_at_query: None,
-        }
+    /// Create a tuner with the default settings over a base column stored as
+    /// `chunks`.
+    pub fn from_chunks(chunks: &[&[Key]]) -> Self {
+        Self::with_settings(chunks, CostModel::default(), 1.0)
     }
 
     /// Create a tuner with explicit cost model and trigger factor.
-    pub fn with_settings(keys: &[Key], cost_model: CostModel, trigger_factor: f64) -> Self {
+    pub fn with_settings(chunks: &[&[Key]], cost_model: CostModel, trigger_factor: f64) -> Self {
         OnlineIndexTuner {
-            keys: keys.to_vec(),
+            keys: chunks.concat(),
             index: None,
             cost_model,
             accumulated_benefit: 0.0,
@@ -165,6 +159,31 @@ fn estimate_selectivity(keys: &[Key], low: Key, high: Key) -> f64 {
     matching as f64 / sampled as f64
 }
 
+impl AdaptiveIndex for OnlineIndexTuner {
+    fn len(&self) -> usize {
+        self.keys.len()
+    }
+    fn query_range(&mut self, low: Key, high: Key) -> QueryOutput {
+        QueryOutput::from_row_ids(OnlineIndexTuner::query_range(self, low, high))
+    }
+    fn effort(&self) -> u64 {
+        self.total_effort()
+    }
+    fn auxiliary_bytes(&self) -> usize {
+        if self.index_built() {
+            self.keys.len() * PAIR_BYTES
+        } else {
+            0
+        }
+    }
+    fn is_adaptive(&self) -> bool {
+        false
+    }
+    fn is_converged(&self) -> bool {
+        self.index_built()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -225,8 +244,8 @@ mod tests {
     #[test]
     fn trigger_factor_delays_construction() {
         let keys = data(50_000);
-        let mut eager = OnlineIndexTuner::with_settings(&keys, CostModel::default(), 1.0);
-        let mut reluctant = OnlineIndexTuner::with_settings(&keys, CostModel::default(), 10.0);
+        let mut eager = OnlineIndexTuner::with_settings(&[&keys], CostModel::default(), 1.0);
+        let mut reluctant = OnlineIndexTuner::with_settings(&[&keys], CostModel::default(), 10.0);
         for q in 0..300 {
             let low = (q * 97) % 45_000;
             let _ = eager.query_range(low, low + 200);

@@ -1,7 +1,7 @@
 //! The no-index baseline: answer every query with a full scan.
 
 use crate::cost::BaselineStats;
-use aidx_columnstore::column::Column;
+use aidx_columnstore::index::{AdaptiveIndex, QueryOutput};
 use aidx_columnstore::ops::select::Predicate;
 use aidx_columnstore::position::PositionList;
 use aidx_columnstore::types::{Key, RowId};
@@ -18,25 +18,16 @@ pub struct FullScanIndex {
 }
 
 impl FullScanIndex {
-    /// Wrap a dense key slice.
+    /// Wrap a dense key slice: [`Self::from_chunks`] over one chunk.
     pub fn from_keys(keys: &[Key]) -> Self {
-        Self::from_key_iter(keys.iter().copied())
+        Self::from_chunks(&[keys])
     }
 
-    /// Wrap a key stream (one collect, no transient contiguous copy when
-    /// the source is a chunked segment).
-    pub fn from_key_iter(keys: impl ExactSizeIterator<Item = Key>) -> Self {
+    /// Wrap a base column stored as `chunks` (one copy, chunk by chunk).
+    pub fn from_chunks(chunks: &[&[Key]]) -> Self {
         FullScanIndex {
-            keys: keys.collect(),
+            keys: chunks.concat(),
             stats: BaselineStats::new(),
-        }
-    }
-
-    /// Wrap an `Int64` column.
-    pub fn from_column(column: &Column) -> Self {
-        match column.as_i64() {
-            Some(c) => Self::from_keys(&c.to_contiguous()),
-            None => Self::from_keys(&[]),
         }
     }
 
@@ -79,6 +70,28 @@ impl FullScanIndex {
     }
 }
 
+impl AdaptiveIndex for FullScanIndex {
+    fn len(&self) -> usize {
+        self.keys.len()
+    }
+    fn query_range(&mut self, low: Key, high: Key) -> QueryOutput {
+        // a scan emits row ids in order; nothing downstream re-sorts them
+        QueryOutput::from_row_ids(FullScanIndex::query_range(self, low, high).into_vec())
+    }
+    fn effort(&self) -> u64 {
+        self.stats.total_effort()
+    }
+    fn auxiliary_bytes(&self) -> usize {
+        0
+    }
+    fn is_adaptive(&self) -> bool {
+        false
+    }
+    fn is_converged(&self) -> bool {
+        false
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -108,12 +121,14 @@ mod tests {
     }
 
     #[test]
-    fn from_column_dispatch() {
-        let c = Column::from_i64(vec![3, 1, 2]);
-        let mut idx = FullScanIndex::from_column(&c);
-        assert_eq!(idx.count_range(2, 4), 2);
-        let f = Column::from_f64(vec![1.0]);
-        assert!(FullScanIndex::from_column(&f).is_empty());
+    fn from_chunks_matches_from_keys() {
+        let data: Vec<Key> = (0..100).rev().collect();
+        let (head, tail) = data.split_at(37);
+        let mut chunked = FullScanIndex::from_chunks(&[head, &[], tail]);
+        let mut flat = FullScanIndex::from_keys(&data);
+        assert_eq!(chunked.len(), 100);
+        assert_eq!(chunked.query_range(20, 60), flat.query_range(20, 60));
+        assert!(FullScanIndex::from_chunks(&[]).is_empty());
     }
 
     #[test]

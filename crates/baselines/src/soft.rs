@@ -10,7 +10,8 @@
 
 use crate::cost::{BaselineStats, CostModel};
 use crate::sorted::FullSortIndex;
-use aidx_columnstore::types::{Key, RowId};
+use aidx_columnstore::index::{AdaptiveIndex, QueryOutput};
+use aidx_columnstore::types::{Key, RowId, PAIR_BYTES};
 
 /// A soft-index tuner over one key column.
 #[derive(Debug, Clone)]
@@ -32,17 +33,17 @@ pub struct SoftIndexTuner {
 }
 
 impl SoftIndexTuner {
-    /// Create a soft-index tuner with a decision period of `decision_period`
-    /// queries and the default cost model.
+    /// Create a soft-index tuner over a dense key slice with a decision
+    /// period of `decision_period` queries and the default cost model:
+    /// [`Self::from_chunks`] over one chunk.
     pub fn from_keys(keys: &[Key], decision_period: u64) -> Self {
-        Self::from_key_iter(keys.iter().copied(), decision_period)
+        Self::from_chunks(&[keys], decision_period)
     }
 
-    /// Create a soft-index tuner from a key stream (one collect, no
-    /// transient contiguous copy for chunked sources).
-    pub fn from_key_iter(keys: impl ExactSizeIterator<Item = Key>, decision_period: u64) -> Self {
+    /// Create a soft-index tuner over a base column stored as `chunks`.
+    pub fn from_chunks(chunks: &[&[Key]], decision_period: u64) -> Self {
         SoftIndexTuner {
-            keys: keys.collect(),
+            keys: chunks.concat(),
             index: None,
             cost_model: CostModel::default(),
             observed_queries: 0,
@@ -135,6 +136,31 @@ impl SoftIndexTuner {
     /// Count the qualifying tuples of `[low, high)`.
     pub fn count_range(&mut self, low: Key, high: Key) -> usize {
         self.query_range(low, high).len()
+    }
+}
+
+impl AdaptiveIndex for SoftIndexTuner {
+    fn len(&self) -> usize {
+        self.keys.len()
+    }
+    fn query_range(&mut self, low: Key, high: Key) -> QueryOutput {
+        QueryOutput::from_row_ids(SoftIndexTuner::query_range(self, low, high))
+    }
+    fn effort(&self) -> u64 {
+        self.total_effort()
+    }
+    fn auxiliary_bytes(&self) -> usize {
+        if self.index_built() {
+            self.keys.len() * PAIR_BYTES
+        } else {
+            0
+        }
+    }
+    fn is_adaptive(&self) -> bool {
+        false
+    }
+    fn is_converged(&self) -> bool {
+        self.index_built()
     }
 }
 

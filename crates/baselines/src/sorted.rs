@@ -1,8 +1,8 @@
 //! The full-index baseline: a sorted copy of the column, built up front.
 
 use crate::cost::BaselineStats;
-use aidx_columnstore::column::Column;
-use aidx_columnstore::types::{Key, RowId};
+use aidx_columnstore::index::{AdaptiveIndex, QueryOutput};
+use aidx_columnstore::types::{Key, RowId, PAIR_BYTES};
 
 /// A fully sorted (offline-built) index over one key column.
 ///
@@ -17,32 +17,29 @@ pub struct FullSortIndex {
 }
 
 impl FullSortIndex {
-    /// Build the index by sorting a copy of `keys`. The sort cost is charged
-    /// to the statistics immediately.
+    /// Build the index by sorting a copy of `keys` ([`Self::from_chunks`]
+    /// over one chunk). The sort cost is charged to the statistics
+    /// immediately.
     pub fn from_keys(keys: &[Key]) -> Self {
-        Self::from_key_iter(keys.iter().copied())
+        Self::from_chunks(&[keys])
     }
 
-    /// Build by streaming keys into the pair array to sort (no transient
-    /// contiguous copy when the source is a chunked segment).
-    pub fn from_key_iter(keys: impl ExactSizeIterator<Item = Key>) -> Self {
+    /// Build from a base column stored as `chunks`: the keys go straight
+    /// into the pair array to sort, row ids `0..n` in chunk order.
+    pub fn from_chunks(chunks: &[&[Key]]) -> Self {
+        let len = chunks.iter().map(|chunk| chunk.len()).sum();
+        let mut pairs: Vec<(Key, RowId)> = Vec::with_capacity(len);
+        for chunk in chunks {
+            pairs.extend(chunk.iter().copied().zip(pairs.len() as RowId..));
+        }
         let mut stats = BaselineStats::new();
-        stats.record_copy(keys.len());
-        stats.record_sort(keys.len());
-        let mut pairs: Vec<(Key, RowId)> = keys.enumerate().map(|(i, k)| (k, i as RowId)).collect();
+        stats.record_copy(pairs.len());
+        stats.record_sort(pairs.len());
         pairs.sort_unstable();
         FullSortIndex {
             keys: pairs.iter().map(|&(k, _)| k).collect(),
             rowids: pairs.iter().map(|&(_, r)| r).collect(),
             stats,
-        }
-    }
-
-    /// Build from an `Int64` column.
-    pub fn from_column(column: &Column) -> Self {
-        match column.as_i64() {
-            Some(c) => Self::from_keys(&c.to_contiguous()),
-            None => Self::from_keys(&[]),
         }
     }
 
@@ -111,6 +108,27 @@ impl FullSortIndex {
     }
 }
 
+impl AdaptiveIndex for FullSortIndex {
+    fn len(&self) -> usize {
+        self.keys.len()
+    }
+    fn query_range(&mut self, low: Key, high: Key) -> QueryOutput {
+        QueryOutput::from_row_ids(FullSortIndex::query_range(self, low, high))
+    }
+    fn effort(&self) -> u64 {
+        self.stats.total_effort()
+    }
+    fn auxiliary_bytes(&self) -> usize {
+        self.keys.len() * PAIR_BYTES
+    }
+    fn is_adaptive(&self) -> bool {
+        false
+    }
+    fn is_converged(&self) -> bool {
+        true
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -162,11 +180,14 @@ mod tests {
     }
 
     #[test]
-    fn from_column_dispatch() {
-        let c = Column::from_i64(vec![3, 1, 2]);
-        let mut idx = FullSortIndex::from_column(&c);
-        assert_eq!(idx.count_range(2, 4), 2);
-        let f = Column::from_f64(vec![1.0]);
-        assert!(FullSortIndex::from_column(&f).is_empty());
+    fn from_chunks_matches_from_keys() {
+        let data: Vec<Key> = (0..100).map(|i| (i * 37) % 100).collect();
+        let (head, tail) = data.split_at(41);
+        let mut chunked = FullSortIndex::from_chunks(&[head, &[], tail]);
+        let mut flat = FullSortIndex::from_keys(&data);
+        assert_eq!(chunked.sorted_keys(), flat.sorted_keys());
+        assert_eq!(chunked.query_range(20, 60), flat.query_range(20, 60));
+        assert_eq!(chunked.stats(), flat.stats());
+        assert!(FullSortIndex::from_chunks(&[]).is_empty());
     }
 }

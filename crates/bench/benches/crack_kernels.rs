@@ -159,7 +159,7 @@ fn bench_first_touch(c: &mut Criterion) {
         // partition while copying, then read the answer's piece
         group.bench_function(BenchmarkId::new("fused", n), |b| {
             b.iter(|| {
-                let mut index: CrackedIndex = CrackedIndex::from_chunks(&chunks, Some((low, high)));
+                let mut index = CrackedIndex::from_chunks(&chunks, Some((low, high)));
                 let answer = index.query_range(low, high).len();
                 (index, answer)
             })
@@ -167,16 +167,14 @@ fn bench_first_touch(c: &mut Criterion) {
         // copy, then crack the copy in place
         group.bench_function(BenchmarkId::new("copy_then_crack", n), |b| {
             b.iter(|| {
-                let mut index: CrackedIndex = CrackedIndex::from_chunks(&chunks, None);
+                let mut index = CrackedIndex::from_chunks(&chunks, None);
                 let answer = index.query_range(low, high).len();
                 (index, answer)
             })
         });
         // the copy alone, and the scan a first query replaces
         group.bench_function(BenchmarkId::new("copy", n), |b| {
-            b.iter(|| {
-                CrackedIndex::<aidx_cracking::index::BTreeCutIndex>::from_chunks(&chunks, None)
-            })
+            b.iter(|| CrackedIndex::from_chunks(&chunks, None))
         });
         group.bench_function(BenchmarkId::new("scan_count", n), |b| {
             b.iter(|| values.iter().filter(|&&v| v >= low && v < high).count())

@@ -25,7 +25,7 @@
 
 use aidx_columnstore::types::{Key, RowId};
 use aidx_cracking::crack::{crack_in_two, PivotSide};
-use aidx_cracking::index::{BTreeCutIndex, CutIndex};
+use aidx_cracking::index::BTreeCutIndex;
 use aidx_cracking::updates::{MergePolicy, UpdatableCrackedIndex};
 use aidx_cracking::CrackerColumn;
 use aidx_workloads::data::{generate_keys, DataDistribution};

@@ -49,7 +49,7 @@ fn main() {
             .collect();
 
         // (a) selection cracking + late materialization of every tail
-        let mut plain: CrackedIndex = CrackedIndex::from_keys(&head);
+        let mut plain = CrackedIndex::from_keys(&head);
         let start = Instant::now();
         let mut checksum_naive = 0i64;
         for q in workload.iter() {

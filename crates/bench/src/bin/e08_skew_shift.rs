@@ -76,7 +76,7 @@ fn main() {
     // inspect the physical state
     let hot_low = (config.rows / 2) as i64;
     let hot_high = hot_low + (config.rows / 20) as i64;
-    let mut index: CrackedIndex = CrackedIndex::from_keys(&keys);
+    let mut index = CrackedIndex::from_keys(&keys);
     let workload = QueryWorkload::generate(
         WorkloadKind::UniformRandom,
         500,

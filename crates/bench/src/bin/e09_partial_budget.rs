@@ -73,7 +73,7 @@ fn main() {
     }
 
     // reference: unconstrained full cracking
-    let mut full: CrackedIndex = CrackedIndex::from_keys(&keys);
+    let mut full = CrackedIndex::from_keys(&keys);
     let start = Instant::now();
     let mut checksum = 0u64;
     for q in workload.iter() {

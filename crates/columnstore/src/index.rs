@@ -1,0 +1,123 @@
+//! The one interface every index over a key column implements.
+//!
+//! Scan, full sort, cracking and its variants, adaptive merging and the
+//! hybrids are points on one spectrum behind the same select operator. The
+//! trait lives here, beside [`Key`], [`RowId`] and [`PositionList`], so that
+//! each index crate implements it on its own type and the kernel holds a
+//! `Box<dyn AdaptiveIndex + Send>` without an adapter in between.
+
+use crate::position::PositionList;
+use crate::types::{Key, RowId};
+
+/// The answer of one adaptive range query: the base-column row ids of the
+/// qualifying tuples, **as the index produced them** — distinct, but in
+/// piece order (a cracked piece, a sorted run, a key-ordered slice), not
+/// row-id order.
+///
+/// Counting ([`QueryOutput::count`]) is O(1) and reading the ids as they
+/// stand ([`QueryOutput::row_ids`]) is free. Ordering them is the one
+/// per-row cost a converged probe has left, so it is paid only by the
+/// consumer that needs order, through [`QueryOutput::into_positions`].
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct QueryOutput {
+    row_ids: Vec<RowId>,
+}
+
+impl QueryOutput {
+    /// Wrap the row ids an index answered with. They must be distinct; any
+    /// order is fine.
+    pub fn from_row_ids(row_ids: Vec<RowId>) -> Self {
+        QueryOutput { row_ids }
+    }
+
+    /// Number of qualifying tuples.
+    pub fn count(&self) -> usize {
+        self.row_ids.len()
+    }
+
+    /// True when no tuple qualifies.
+    pub fn is_empty(&self) -> bool {
+        self.row_ids.is_empty()
+    }
+
+    /// The qualifying row ids in the order the index produced them.
+    pub fn row_ids(&self) -> &[RowId] {
+        &self.row_ids
+    }
+
+    /// Consume the answer, keeping the row ids as produced.
+    pub fn into_row_ids(self) -> Vec<RowId> {
+        self.row_ids
+    }
+
+    /// Order the row ids into a [`PositionList`] (see
+    /// [`PositionList::from_distinct`]).
+    pub fn into_positions(self) -> PositionList {
+        PositionList::from_distinct(self.row_ids)
+    }
+}
+
+/// An index over one key column, adaptive or not, behind a uniform,
+/// object-safe interface.
+///
+/// What every implementation guarantees, and every caller may rely on:
+///
+/// * **Answers.** [`Self::query_range`] returns exactly the tuples of the
+///   column it was built over (plus absorbed inserts) whose key lies in
+///   `[low, high)`, as base-column row ids — each once, in any order.
+///   Reorganizing as a side effect never changes an answer.
+/// * **Version.** [`Self::len`] counts the base-column rows the index
+///   covers. Base columns are append-only, so the kernel reads it as a
+///   version number: an index of length `m` covers rows `0..m`, and is stale
+///   against a longer snapshot. Only [`Self::insert`] grows it, by one.
+/// * **Effort.** [`Self::effort`] never decreases; the difference across a
+///   query is the work that query caused.
+pub trait AdaptiveIndex {
+    /// Number of indexed tuples.
+    fn len(&self) -> usize;
+
+    /// True when the index holds no tuples.
+    fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Answer the half-open range query `[low, high)`, performing whatever
+    /// adaptive reorganization the strategy calls for as a side effect.
+    fn query_range(&mut self, low: Key, high: Key) -> QueryOutput;
+
+    /// Cumulative machine-independent work performed so far (initialization
+    /// plus per-query overhead plus answering).
+    fn effort(&self) -> u64;
+
+    /// Approximate memory used by auxiliary structures, in bytes (the base
+    /// column itself is not counted).
+    fn auxiliary_bytes(&self) -> usize;
+
+    /// Number of physical pieces the index currently partitions the key
+    /// domain into (cracked pieces, fragments, sorted runs) — the telemetry
+    /// layer's convergence series. Strategies without piece structure
+    /// report 1.
+    fn pieces(&self) -> usize {
+        1
+    }
+
+    /// Whether the strategy refines physical organization as a side effect
+    /// of queries.
+    fn is_adaptive(&self) -> bool;
+
+    /// A strategy-specific notion of "fully optimized for the workload seen
+    /// so far" (full indexes are converged from the start; scans never are).
+    fn is_converged(&self) -> bool;
+
+    /// Stage an insertion of `key`. Strategies without update support return
+    /// `false` (the kernel then falls back to rebuilding).
+    fn insert(&mut self, _key: Key) -> bool {
+        false
+    }
+
+    /// Stage insertions of `keys`, in order. `false` as soon as one is
+    /// refused; the index is then of no further use to the caller.
+    fn insert_batch(&mut self, keys: &[Key]) -> bool {
+        keys.iter().all(|&key| self.insert(key))
+    }
+}

@@ -28,6 +28,9 @@
 //!
 //! The crate deliberately contains *no* indexing: it is the substrate on which
 //! `aidx-cracking`, `aidx-merging`, `aidx-hybrids` and `aidx-baselines` build.
+//! It does hold the interface they share — [`index::AdaptiveIndex`] and its
+//! answer type [`index::QueryOutput`] — beside the [`types::Key`] and
+//! [`types::RowId`] it is written in.
 //!
 //! ## Quick example
 //!
@@ -53,6 +56,7 @@
 pub mod catalog;
 pub mod column;
 pub mod error;
+pub mod index;
 pub mod ops;
 pub mod position;
 pub mod segment;
@@ -75,8 +79,9 @@ pub mod prelude {
 pub use catalog::{Catalog, TableVersion};
 pub use column::{Column, FixedColumn};
 pub use error::{ColumnStoreError, Result};
+pub use index::{AdaptiveIndex, QueryOutput};
 pub use ops::select::PruneStats;
 pub use position::PositionList;
 pub use segment::{Segment, ZoneMap, DEFAULT_SEGMENT_CAPACITY};
 pub use table::{Field, Schema, Table};
-pub use types::{DataType, Key, RowId, Value};
+pub use types::{DataType, Key, RowId, Value, PAIR_BYTES};

@@ -20,6 +20,10 @@ pub type Key = i64;
 /// every column of that table.
 pub type RowId = u32;
 
+/// Bytes one indexed tuple occupies in an auxiliary structure that keeps the
+/// key beside its row id (a cracker column, a sorted run, a full index).
+pub const PAIR_BYTES: usize = std::mem::size_of::<Key>() + std::mem::size_of::<RowId>();
+
 /// Physical data types supported by the substrate.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum DataType {

@@ -12,10 +12,12 @@
 //! a side effect of query execution, which is the paper's headline idea.
 //! Underneath sit:
 //!
-//! * [`strategy`] — the [`strategy::AdaptiveIndex`] trait: one uniform
-//!   interface (`query_range`, effort accounting, memory accounting,
-//!   convergence introspection) over every indexing strategy in the
-//!   workspace, plus a factory keyed by [`strategy::StrategyKind`].
+//! * [`strategy`] — [`strategy::StrategyKind`], which names every indexing
+//!   strategy in the workspace, and the one `match` that builds it from a
+//!   column's chunks. Each strategy implements [`strategy::AdaptiveIndex`]
+//!   (`query_range`, effort accounting, memory accounting, convergence
+//!   introspection) on its own type in its own crate; the trait itself
+//!   lives in `aidx_columnstore::index` and is re-exported here.
 //! * [`manager`] — the per-column index manager: it owns one adaptive index
 //!   per (table, column) pair, creates them lazily on first access, and
 //!   serializes reorganization per column, exactly like the cracker-map

@@ -17,7 +17,6 @@ use aidx_columnstore::segment::Segment;
 use aidx_columnstore::types::{Key, RowId};
 use aidx_parallel::ThreadPool;
 use parking_lot::Mutex;
-use std::borrow::Cow;
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -79,9 +78,10 @@ pub(crate) fn scan_positions(
 /// chunked [`Segment`] (the facade's segmented tables).
 ///
 /// The manager only touches the view on the slow paths — building or
-/// rebuilding an index materializes a contiguous copy, and a lagging
-/// snapshot is answered by a scan (zone-map pruned for segments). The hot
-/// path, answering through an up-to-date index, never reads the view.
+/// rebuilding an index reads its [`KeySource::chunks`] where they lie, and a
+/// lagging snapshot is answered by a scan (zone-map pruned for segments).
+/// The hot path, answering through an up-to-date index, never reads the
+/// view.
 #[derive(Debug, Clone, Copy)]
 pub enum KeySource<'a> {
     /// A flat dense key slice.
@@ -133,20 +133,12 @@ impl KeySource<'_> {
     }
 
     /// The slices the keys are stored in, in position order: the one slice
-    /// of a flat view, a segment's sealed chunks and tail.
+    /// of a flat view, a segment's sealed chunks and tail. This is all a
+    /// build asks of a view ([`StrategyKind::build_from`]).
     pub fn chunks(&self) -> Vec<&[Key]> {
         match self {
             KeySource::Flat(keys) => vec![keys],
             KeySource::Segmented(segment) => segment.chunks().map(|chunk| chunk.values).collect(),
-        }
-    }
-
-    /// A contiguous view of the keys, borrowed when possible (flat slices
-    /// always; segments only when they happen to live in a single chunk).
-    pub fn to_contiguous(&self) -> Cow<'_, [Key]> {
-        match self {
-            KeySource::Flat(keys) => Cow::Borrowed(keys),
-            KeySource::Segmented(segment) => segment.to_contiguous(),
         }
     }
 }
@@ -459,7 +451,7 @@ impl IndexManager {
                 .entry(column.clone())
                 .or_insert_with(|| {
                     Arc::new(Mutex::new(ManagedIndex {
-                        body: IndexBody::Single(strategy.build_with(&[], &self.tuning)),
+                        body: IndexBody::Single(strategy.build_from(&[], None, &self.tuning)),
                         kind: strategy,
                         epoch,
                         queries: 0,
@@ -562,7 +554,7 @@ impl IndexManager {
         first_query: Option<(Key, Key)>,
     ) -> IndexBody {
         if self.pool.is_serial() {
-            return IndexBody::Single(kind.build_from(keys, first_query, &self.tuning));
+            return IndexBody::Single(kind.build_from(&keys.chunks(), first_query, &self.tuning));
         }
         let partition_count = self.pool.threads() * PARTITIONS_PER_WORKER;
         let scattered = match keys {
@@ -768,9 +760,7 @@ impl IndexManager {
                 .or_insert_with(|| {
                     Arc::new(Mutex::new(ManagedIndex {
                         // placeholder swapped out below under the entry lock
-                        body: IndexBody::Single(
-                            StrategyKind::FullScan.build_with(&[], &self.tuning),
-                        ),
+                        body: IndexBody::Single(StrategyKind::FullScan.build(&[])),
                         kind: StrategyKind::FullScan,
                         epoch,
                         queries: 0,
@@ -823,10 +813,11 @@ impl IndexManager {
             .iter()
             .map(|(column, entry)| {
                 let managed = entry.lock();
+                let strategy = managed.kind.label();
                 match &managed.body {
                     IndexBody::Single(index) => IndexInfo {
                         column: column.clone(),
-                        strategy: index.name(),
+                        strategy,
                         tuples: index.len(),
                         queries: managed.queries,
                         effort: index.effort(),
@@ -836,7 +827,7 @@ impl IndexManager {
                     },
                     IndexBody::Partitioned(partitioned) => IndexInfo {
                         column: column.clone(),
-                        strategy: partitioned.name(),
+                        strategy,
                         tuples: partitioned.len(),
                         queries: managed.queries,
                         effort: partitioned.effort(),
@@ -926,6 +917,28 @@ mod tests {
         assert_eq!(manager.describe()[0].strategy, "full-sort");
         let out = manager.query_range(&column, &data, 0, 100);
         assert_eq!(out.count(), 100);
+    }
+
+    #[test]
+    fn hybrid_probes_report_their_full_name_and_draining_sources() {
+        let kind = StrategyKind::Hybrid {
+            algorithm: crate::strategy::HybridKind::RadixSort,
+        };
+        let tuning = StrategyTuning {
+            hybrid_partition_size: 256,
+            ..StrategyTuning::default()
+        };
+        let manager = IndexManager::with_tuning(kind, tuning);
+        let data = keys(2048);
+        let column = ColumnId::new("t", "a");
+        let mut probe = ProbeTrace::default();
+        let out =
+            manager.query_range_probed(&column, &data[..], 0, 0, 2048, kind, Some(&mut probe));
+        assert_eq!(out.count(), 2048);
+        assert_eq!(probe.strategy, "hybrid-radix-sort");
+        assert_eq!(manager.describe()[0].strategy, "hybrid-radix-sort");
+        // eight initial partitions and the final one, drained by the query
+        assert_eq!((probe.pieces_before, probe.pieces_after), (9, 1));
     }
 
     #[test]
@@ -1180,7 +1193,8 @@ mod tests {
         assert_eq!(flat.len(), seg.len());
         assert!(!flat.is_empty());
         assert_eq!(flat.scan_range(100, 200), seg.scan_range(100, 200));
-        assert_eq!(flat.to_contiguous().as_ref(), seg.to_contiguous().as_ref());
+        assert_eq!(flat.chunks(), [&data[..]]);
+        assert_eq!(seg.chunks().concat(), data);
         let empty: KeySource<'_> = (&[] as &[Key]).into();
         assert!(empty.is_empty());
     }

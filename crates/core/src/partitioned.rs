@@ -84,9 +84,10 @@ impl PartitionedIndex {
         tuning: &StrategyTuning,
     ) -> Self {
         let (cuts, data) = scattered;
-        let built = pool.run(data.len(), |p| kind.build_with(&data[p].keys, tuning));
+        let built = pool.run(data.len(), |p| {
+            kind.build_from(&[&data[p].keys], None, tuning)
+        });
         let total: usize = data.iter().map(PartitionData::len).sum();
-        let name = built.first().map_or("empty", |b| b.name());
         let adaptive = built.first().is_some_and(|b| b.is_adaptive());
         let partitions = built
             .into_iter()
@@ -103,7 +104,7 @@ impl PartitionedIndex {
             cuts,
             partitions,
             len: AtomicUsize::new(total),
-            name,
+            name: kind.label(),
             adaptive,
         }
     }
@@ -121,11 +122,6 @@ impl PartitionedIndex {
     /// Number of value-range partitions.
     pub fn partition_count(&self) -> usize {
         self.partitions.len()
-    }
-
-    /// The wrapped strategy's name.
-    pub fn name(&self) -> &'static str {
-        self.name
     }
 
     /// Whether the wrapped strategy refines itself as a side effect of
@@ -306,7 +302,6 @@ mod tests {
         // (1 << 10) so the fresh index still reports unconverged
         let data = keys(40_000);
         let (pool, partitioned) = build(&data, StrategyKind::Cracking, 4, 8);
-        assert_eq!(partitioned.name(), "cracking");
         assert!(partitioned.is_adaptive());
         assert!(!partitioned.is_empty());
         assert!(partitioned.partition_count() >= 2);

@@ -1,122 +1,26 @@
-//! The unified [`AdaptiveIndex`] abstraction and its adapters.
+//! [`StrategyKind`]: which index to build for a column, and the one place
+//! that builds it.
 //!
-//! Every indexing technique in the workspace — adaptive or not — is wrapped
-//! behind one object-safe trait so that the index manager, the auto-tuner,
-//! the executor and the benchmark harnesses can treat them interchangeably.
+//! Every indexing technique in the workspace — adaptive or not — implements
+//! [`AdaptiveIndex`] on its own type, in its own crate, so the index manager,
+//! the auto-tuner, the executor and the benchmark harnesses treat them
+//! interchangeably. This module names the kinds, carries their tuning, and
+//! boxes the real type; the trait and its answer type live in
+//! `aidx_columnstore::index` and are re-exported here.
 
-use crate::manager::KeySource;
 use aidx_baselines::{FullScanIndex, FullSortIndex, OnlineIndexTuner, SoftIndexTuner};
-use aidx_columnstore::position::PositionList;
-use aidx_columnstore::types::{Key, RowId};
+use aidx_columnstore::types::Key;
 use aidx_cracking::partial::PartialCrackedIndex;
 use aidx_cracking::selection::CrackedIndex;
 use aidx_cracking::stochastic::{StochasticCrackedIndex, StochasticVariant};
 use aidx_cracking::updates::{MergePolicy, UpdatableCrackedIndex};
-use aidx_hybrids::{HybridAlgorithm, HybridIndex};
+use aidx_hybrids::HybridIndex;
 use aidx_merging::AdaptiveMergeIndex;
 use serde::{Deserialize, Serialize};
 
-/// The answer of one adaptive range query: the base-column row ids of the
-/// qualifying tuples, **as the index produced them** — distinct, but in
-/// piece order (a cracked piece, a sorted run, a key-ordered slice), not
-/// row-id order.
-///
-/// Counting ([`QueryOutput::count`]) is O(1) and reading the ids as they
-/// stand ([`QueryOutput::row_ids`]) is free. Ordering them is the one
-/// per-row cost a converged probe has left, so it is paid only by the
-/// consumer that needs order, through [`QueryOutput::into_positions`].
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct QueryOutput {
-    row_ids: Vec<RowId>,
-}
-
-impl QueryOutput {
-    /// Wrap the row ids an index answered with. They must be distinct; any
-    /// order is fine.
-    pub fn from_row_ids(row_ids: Vec<RowId>) -> Self {
-        QueryOutput { row_ids }
-    }
-
-    /// Number of qualifying tuples.
-    pub fn count(&self) -> usize {
-        self.row_ids.len()
-    }
-
-    /// True when no tuple qualifies.
-    pub fn is_empty(&self) -> bool {
-        self.row_ids.is_empty()
-    }
-
-    /// The qualifying row ids in the order the index produced them.
-    pub fn row_ids(&self) -> &[RowId] {
-        &self.row_ids
-    }
-
-    /// Consume the answer, keeping the row ids as produced.
-    pub fn into_row_ids(self) -> Vec<RowId> {
-        self.row_ids
-    }
-
-    /// Order the row ids into a [`PositionList`] (see
-    /// [`PositionList::from_distinct`]).
-    pub fn into_positions(self) -> PositionList {
-        PositionList::from_distinct(self.row_ids)
-    }
-}
-
-/// One indexing strategy wrapped behind a uniform, object-safe interface.
-pub trait AdaptiveIndex {
-    /// Short human-readable name ("cracking", "full-sort", ...).
-    fn name(&self) -> &'static str;
-
-    /// Number of indexed tuples.
-    fn len(&self) -> usize;
-
-    /// True when the index holds no tuples.
-    fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Answer the half-open range query `[low, high)`, performing whatever
-    /// adaptive reorganization the strategy calls for as a side effect.
-    fn query_range(&mut self, low: Key, high: Key) -> QueryOutput;
-
-    /// Cumulative machine-independent work performed so far (initialization
-    /// plus per-query overhead plus answering).
-    fn effort(&self) -> u64;
-
-    /// Approximate memory used by auxiliary structures, in bytes (the base
-    /// column itself is not counted).
-    fn auxiliary_bytes(&self) -> usize;
-
-    /// Number of physical pieces the index currently partitions the key
-    /// domain into (cracked pieces, fragments, sorted runs) — the telemetry
-    /// layer's convergence series. Strategies without piece structure
-    /// report 1.
-    fn pieces(&self) -> usize {
-        1
-    }
-
-    /// Whether the strategy refines physical organization as a side effect
-    /// of queries.
-    fn is_adaptive(&self) -> bool;
-
-    /// A strategy-specific notion of "fully optimized for the workload seen
-    /// so far" (full indexes are converged from the start; scans never are).
-    fn is_converged(&self) -> bool;
-
-    /// Stage an insertion of `key`. Strategies without update support return
-    /// `false` (the kernel then falls back to rebuilding).
-    fn insert(&mut self, _key: Key) -> bool {
-        false
-    }
-
-    /// Stage insertions of `keys`, in order. `false` as soon as one is
-    /// refused; the index is then of no further use to the caller.
-    fn insert_batch(&mut self, keys: &[Key]) -> bool {
-        keys.iter().all(|&key| self.insert(key))
-    }
-}
+pub use aidx_columnstore::index::{AdaptiveIndex, QueryOutput};
+/// Which hybrid crack/sort/radix algorithm a [`StrategyKind::Hybrid`] builds.
+pub use aidx_hybrids::HybridAlgorithm as HybridKind;
 
 /// Which strategy to build for a column.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -152,37 +56,6 @@ pub enum StrategyKind {
     SoftIndexes,
 }
 
-/// Serializable mirror of [`HybridAlgorithm`] (kept separate so that
-/// `StrategyKind` can derive `Serialize` without foreign-type issues).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum HybridKind {
-    /// Hybrid crack-crack.
-    CrackCrack,
-    /// Hybrid crack-sort.
-    CrackSort,
-    /// Hybrid crack-radix.
-    CrackRadix,
-    /// Hybrid sort-sort.
-    SortSort,
-    /// Hybrid sort-radix.
-    SortRadix,
-    /// Hybrid radix-radix.
-    RadixRadix,
-}
-
-impl From<HybridKind> for HybridAlgorithm {
-    fn from(kind: HybridKind) -> Self {
-        match kind {
-            HybridKind::CrackCrack => HybridAlgorithm::CrackCrack,
-            HybridKind::CrackSort => HybridAlgorithm::CrackSort,
-            HybridKind::CrackRadix => HybridAlgorithm::CrackRadix,
-            HybridKind::SortSort => HybridAlgorithm::SortSort,
-            HybridKind::SortRadix => HybridAlgorithm::SortRadix,
-            HybridKind::RadixRadix => HybridAlgorithm::RadixRadix,
-        }
-    }
-}
-
 /// Construction-time tuning knobs for the strategies the kernel builds
 /// lazily.
 ///
@@ -214,7 +87,8 @@ impl Default for StrategyTuning {
 }
 
 impl StrategyKind {
-    /// Short label used in harness output.
+    /// Short label used in harness output and as [`crate::manager::IndexInfo`]'s
+    /// strategy name.
     pub fn label(&self) -> &'static str {
         match self {
             StrategyKind::FullScan => "full-scan",
@@ -228,8 +102,11 @@ impl StrategyKind {
                 HybridKind::CrackCrack => "hybrid-crack-crack",
                 HybridKind::CrackSort => "hybrid-crack-sort",
                 HybridKind::CrackRadix => "hybrid-crack-radix",
+                HybridKind::SortCrack => "hybrid-sort-crack",
                 HybridKind::SortSort => "hybrid-sort-sort",
                 HybridKind::SortRadix => "hybrid-sort-radix",
+                HybridKind::RadixCrack => "hybrid-radix-crack",
+                HybridKind::RadixSort => "hybrid-radix-sort",
                 HybridKind::RadixRadix => "hybrid-radix-radix",
             },
             StrategyKind::OnlineTuning => "online-tuning",
@@ -246,25 +123,18 @@ impl StrategyKind {
         )
     }
 
-    /// Build an index of this kind over the given keys with default tuning.
+    /// Build an index of this kind over a dense key slice with default
+    /// tuning and no query to build for: [`StrategyKind::build_from`] over
+    /// one chunk.
     pub fn build(&self, keys: &[Key]) -> Box<dyn AdaptiveIndex + Send> {
-        self.build_with(keys, &StrategyTuning::default())
+        self.build_from(&[keys], None, &StrategyTuning::default())
     }
 
-    /// Build an index of this kind over the given keys, using `tuning` for
-    /// the parameters that are not part of the kind itself.
-    pub fn build_with(
-        &self,
-        keys: &[Key],
-        tuning: &StrategyTuning,
-    ) -> Box<dyn AdaptiveIndex + Send> {
-        self.build_from(&KeySource::Flat(keys), None, tuning)
-    }
-
-    /// Build an index of this kind from a view of the base column — a flat
-    /// slice or a chunked segment, read where it lies, without a transient
-    /// contiguous copy — for the query `first_query` that found the column
-    /// unindexed, if one did.
+    /// Build an index of this kind over a base column stored as `chunks` —
+    /// the one slice of a flat column, a segment's sealed chunks and tail,
+    /// read where they lie — using `tuning` for the parameters that are not
+    /// part of the kind itself, for the query `first_query` that found the
+    /// column unindexed, if one did.
     ///
     /// [`StrategyKind::Cracking`] and [`StrategyKind::UpdatableCracking`]
     /// crack on that query's `[low, high)` while they copy (see
@@ -273,75 +143,39 @@ impl StrategyKind {
     /// the index it always builds and `first_query` changes nothing.
     pub fn build_from(
         &self,
-        keys: &KeySource<'_>,
-        first_query: Option<(Key, Key)>,
-        tuning: &StrategyTuning,
-    ) -> Box<dyn AdaptiveIndex + Send> {
-        match keys {
-            KeySource::Flat(slice) => {
-                self.build_inner(slice.iter().copied(), keys, first_query, tuning)
-            }
-            KeySource::Segmented(segment) => {
-                self.build_inner(segment.iter(), keys, first_query, tuning)
-            }
-        }
-    }
-
-    /// `stream` and `source` are the same keys twice: the kinds that sort,
-    /// merge or just keep the keys consume the stream, the cracking kinds
-    /// partition straight out of the source's chunks.
-    fn build_inner(
-        &self,
-        stream: impl ExactSizeIterator<Item = Key>,
-        source: &KeySource<'_>,
+        chunks: &[&[Key]],
         first_query: Option<(Key, Key)>,
         tuning: &StrategyTuning,
     ) -> Box<dyn AdaptiveIndex + Send> {
         match *self {
-            StrategyKind::FullScan => Box::new(ScanStrategy {
-                inner: FullScanIndex::from_key_iter(stream),
-            }),
-            StrategyKind::FullSort => Box::new(SortStrategy {
-                inner: FullSortIndex::from_key_iter(stream),
-            }),
-            StrategyKind::Cracking => Box::new(CrackingStrategy {
-                inner: CrackedIndex::from_chunks(&source.chunks(), first_query),
-            }),
-            StrategyKind::StochasticCracking => Box::new(StochasticStrategy {
-                inner: StochasticCrackedIndex::from_chunks(
-                    &source.chunks(),
-                    StochasticVariant::DataDrivenCenter,
-                    1 << 12,
-                    0xA1D0,
-                ),
-            }),
-            StrategyKind::UpdatableCracking => Box::new(UpdatableStrategy {
-                inner: UpdatableCrackedIndex::from_chunks(
-                    &source.chunks(),
-                    first_query,
-                    tuning.merge_policy,
-                ),
-            }),
-            StrategyKind::PartialCracking { budget_bytes } => Box::new(PartialStrategy {
-                inner: PartialCrackedIndex::from_key_iter(stream, budget_bytes),
-            }),
-            StrategyKind::AdaptiveMerging { run_size } => Box::new(MergingStrategy {
-                inner: AdaptiveMergeIndex::from_key_iter(stream, run_size),
-            }),
-            StrategyKind::Hybrid { algorithm } => Box::new(HybridStrategy {
-                inner: HybridIndex::from_key_iter(
-                    stream,
-                    algorithm.into(),
-                    tuning.hybrid_partition_size,
-                    tuning.hybrid_radix_bits,
-                ),
-            }),
-            StrategyKind::OnlineTuning => Box::new(OnlineStrategy {
-                inner: OnlineIndexTuner::from_key_iter(stream),
-            }),
-            StrategyKind::SoftIndexes => Box::new(SoftStrategy {
-                inner: SoftIndexTuner::from_key_iter(stream, 10),
-            }),
+            StrategyKind::FullScan => Box::new(FullScanIndex::from_chunks(chunks)),
+            StrategyKind::FullSort => Box::new(FullSortIndex::from_chunks(chunks)),
+            StrategyKind::Cracking => Box::new(CrackedIndex::from_chunks(chunks, first_query)),
+            StrategyKind::StochasticCracking => Box::new(StochasticCrackedIndex::from_chunks(
+                chunks,
+                StochasticVariant::DataDrivenCenter,
+                1 << 12,
+                0xA1D0,
+            )),
+            StrategyKind::UpdatableCracking => Box::new(UpdatableCrackedIndex::from_chunks(
+                chunks,
+                first_query,
+                tuning.merge_policy,
+            )),
+            StrategyKind::PartialCracking { budget_bytes } => {
+                Box::new(PartialCrackedIndex::from_chunks(chunks, budget_bytes))
+            }
+            StrategyKind::AdaptiveMerging { run_size } => {
+                Box::new(AdaptiveMergeIndex::from_chunks(chunks, run_size))
+            }
+            StrategyKind::Hybrid { algorithm } => Box::new(HybridIndex::from_chunks(
+                chunks,
+                algorithm,
+                tuning.hybrid_partition_size,
+                tuning.hybrid_radix_bits,
+            )),
+            StrategyKind::OnlineTuning => Box::new(OnlineIndexTuner::from_chunks(chunks)),
+            StrategyKind::SoftIndexes => Box::new(SoftIndexTuner::from_chunks(chunks, 10)),
         }
     }
 
@@ -366,324 +200,22 @@ impl StrategyKind {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Adapters
-// ---------------------------------------------------------------------------
-
-struct ScanStrategy {
-    inner: FullScanIndex,
-}
-
-impl AdaptiveIndex for ScanStrategy {
-    fn name(&self) -> &'static str {
-        "full-scan"
-    }
-    fn len(&self) -> usize {
-        self.inner.len()
-    }
-    fn query_range(&mut self, low: Key, high: Key) -> QueryOutput {
-        // a scan emits row ids in order; nothing downstream re-sorts them
-        QueryOutput::from_row_ids(self.inner.query_range(low, high).into_vec())
-    }
-    fn effort(&self) -> u64 {
-        self.inner.stats().total_effort()
-    }
-    fn auxiliary_bytes(&self) -> usize {
-        0
-    }
-    fn is_adaptive(&self) -> bool {
-        false
-    }
-    fn is_converged(&self) -> bool {
-        false
-    }
-}
-
-struct SortStrategy {
-    inner: FullSortIndex,
-}
-
-impl AdaptiveIndex for SortStrategy {
-    fn name(&self) -> &'static str {
-        "full-sort"
-    }
-    fn len(&self) -> usize {
-        self.inner.len()
-    }
-    fn query_range(&mut self, low: Key, high: Key) -> QueryOutput {
-        QueryOutput::from_row_ids(self.inner.query_range(low, high))
-    }
-    fn effort(&self) -> u64 {
-        self.inner.stats().total_effort()
-    }
-    fn auxiliary_bytes(&self) -> usize {
-        self.inner.len() * 12
-    }
-    fn is_adaptive(&self) -> bool {
-        false
-    }
-    fn is_converged(&self) -> bool {
-        true
-    }
-}
-
-struct CrackingStrategy {
-    inner: CrackedIndex,
-}
-
-impl AdaptiveIndex for CrackingStrategy {
-    fn name(&self) -> &'static str {
-        "cracking"
-    }
-    fn len(&self) -> usize {
-        self.inner.len()
-    }
-    fn query_range(&mut self, low: Key, high: Key) -> QueryOutput {
-        QueryOutput::from_row_ids(self.inner.query_range(low, high).rowids().to_vec())
-    }
-    fn effort(&self) -> u64 {
-        self.inner.stats().total_effort()
-    }
-    fn auxiliary_bytes(&self) -> usize {
-        self.inner.column().byte_size()
-    }
-    fn pieces(&self) -> usize {
-        self.inner.piece_count()
-    }
-    fn is_adaptive(&self) -> bool {
-        true
-    }
-    fn is_converged(&self) -> bool {
-        self.inner.is_converged(1 << 10)
-    }
-}
-
-struct StochasticStrategy {
-    inner: StochasticCrackedIndex,
-}
-
-impl AdaptiveIndex for StochasticStrategy {
-    fn name(&self) -> &'static str {
-        "stochastic-cracking"
-    }
-    fn len(&self) -> usize {
-        self.inner.len()
-    }
-    fn query_range(&mut self, low: Key, high: Key) -> QueryOutput {
-        QueryOutput::from_row_ids(self.inner.query_range(low, high).rowids().to_vec())
-    }
-    fn effort(&self) -> u64 {
-        self.inner.stats().total_effort()
-    }
-    fn auxiliary_bytes(&self) -> usize {
-        self.inner.inner().column().byte_size()
-    }
-    fn pieces(&self) -> usize {
-        self.inner.piece_count()
-    }
-    fn is_adaptive(&self) -> bool {
-        true
-    }
-    fn is_converged(&self) -> bool {
-        self.inner.largest_piece() <= 1 << 10
-    }
-}
-
-struct UpdatableStrategy {
-    inner: UpdatableCrackedIndex,
-}
-
-impl AdaptiveIndex for UpdatableStrategy {
-    fn name(&self) -> &'static str {
-        "updatable-cracking"
-    }
-    fn len(&self) -> usize {
-        self.inner.len()
-    }
-    fn query_range(&mut self, low: Key, high: Key) -> QueryOutput {
-        QueryOutput::from_row_ids(self.inner.query_rowids(low, high))
-    }
-    fn effort(&self) -> u64 {
-        self.inner.stats().total_effort()
-    }
-    fn auxiliary_bytes(&self) -> usize {
-        let pending = self.inner.pending_insert_count() + self.inner.pending_delete_count();
-        self.inner.index().column().byte_size() + pending * std::mem::size_of::<(Key, RowId)>()
-    }
-    fn pieces(&self) -> usize {
-        self.inner.piece_count()
-    }
-    fn is_adaptive(&self) -> bool {
-        true
-    }
-    fn is_converged(&self) -> bool {
-        self.inner.index().is_converged(1 << 10)
-    }
-    fn insert(&mut self, key: Key) -> bool {
-        self.inner.insert(key);
-        true
-    }
-}
-
-struct PartialStrategy {
-    inner: PartialCrackedIndex,
-}
-
-impl AdaptiveIndex for PartialStrategy {
-    fn name(&self) -> &'static str {
-        "partial-cracking"
-    }
-    fn len(&self) -> usize {
-        self.inner.len()
-    }
-    fn query_range(&mut self, low: Key, high: Key) -> QueryOutput {
-        QueryOutput::from_row_ids(self.inner.query_range(low, high).rowids)
-    }
-    fn effort(&self) -> u64 {
-        // base scans dominate; fragments account for themselves internally
-        self.inner.base_scans() * self.inner.len() as u64
-    }
-    fn auxiliary_bytes(&self) -> usize {
-        self.inner.fragment_bytes()
-    }
-    fn pieces(&self) -> usize {
-        self.inner.fragment_count()
-    }
-    fn is_adaptive(&self) -> bool {
-        true
-    }
-    fn is_converged(&self) -> bool {
-        false
-    }
-}
-
-struct MergingStrategy {
-    inner: AdaptiveMergeIndex,
-}
-
-impl AdaptiveIndex for MergingStrategy {
-    fn name(&self) -> &'static str {
-        "adaptive-merging"
-    }
-    fn len(&self) -> usize {
-        self.inner.len()
-    }
-    fn query_range(&mut self, low: Key, high: Key) -> QueryOutput {
-        QueryOutput::from_row_ids(self.inner.query_range(low, high).into_rowids())
-    }
-    fn effort(&self) -> u64 {
-        self.inner.stats().total_effort()
-    }
-    fn auxiliary_bytes(&self) -> usize {
-        self.inner.len() * 12
-    }
-    fn pieces(&self) -> usize {
-        // unmerged runs plus the growing final index
-        self.inner.active_run_count() + 1
-    }
-    fn is_adaptive(&self) -> bool {
-        true
-    }
-    fn is_converged(&self) -> bool {
-        self.inner.is_converged()
-    }
-}
-
-struct HybridStrategy {
-    inner: HybridIndex,
-}
-
-impl AdaptiveIndex for HybridStrategy {
-    fn name(&self) -> &'static str {
-        "hybrid"
-    }
-    fn len(&self) -> usize {
-        self.inner.len()
-    }
-    fn query_range(&mut self, low: Key, high: Key) -> QueryOutput {
-        QueryOutput::from_row_ids(self.inner.query_range(low, high).rowids)
-    }
-    fn effort(&self) -> u64 {
-        self.inner.stats().total_effort()
-    }
-    fn auxiliary_bytes(&self) -> usize {
-        self.inner.len() * 12
-    }
-    fn is_adaptive(&self) -> bool {
-        true
-    }
-    fn is_converged(&self) -> bool {
-        self.inner.is_converged()
-    }
-}
-
-struct OnlineStrategy {
-    inner: OnlineIndexTuner,
-}
-
-impl AdaptiveIndex for OnlineStrategy {
-    fn name(&self) -> &'static str {
-        "online-tuning"
-    }
-    fn len(&self) -> usize {
-        self.inner.len()
-    }
-    fn query_range(&mut self, low: Key, high: Key) -> QueryOutput {
-        QueryOutput::from_row_ids(self.inner.query_range(low, high))
-    }
-    fn effort(&self) -> u64 {
-        self.inner.total_effort()
-    }
-    fn auxiliary_bytes(&self) -> usize {
-        if self.inner.index_built() {
-            self.inner.len() * 12
-        } else {
-            0
-        }
-    }
-    fn is_adaptive(&self) -> bool {
-        false
-    }
-    fn is_converged(&self) -> bool {
-        self.inner.index_built()
-    }
-}
-
-struct SoftStrategy {
-    inner: SoftIndexTuner,
-}
-
-impl AdaptiveIndex for SoftStrategy {
-    fn name(&self) -> &'static str {
-        "soft-indexes"
-    }
-    fn len(&self) -> usize {
-        self.inner.len()
-    }
-    fn query_range(&mut self, low: Key, high: Key) -> QueryOutput {
-        QueryOutput::from_row_ids(self.inner.query_range(low, high))
-    }
-    fn effort(&self) -> u64 {
-        self.inner.total_effort()
-    }
-    fn auxiliary_bytes(&self) -> usize {
-        if self.inner.index_built() {
-            self.inner.len() * 12
-        } else {
-            0
-        }
-    }
-    fn is_adaptive(&self) -> bool {
-        false
-    }
-    fn is_converged(&self) -> bool {
-        self.inner.index_built()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use aidx_columnstore::types::RowId;
+
+    /// The default kinds, with every hybrid in place of the one.
+    fn all_kinds() -> Vec<StrategyKind> {
+        let hybrids = HybridKind::all()
+            .into_iter()
+            .map(|algorithm| StrategyKind::Hybrid { algorithm });
+        StrategyKind::all_defaults()
+            .into_iter()
+            .filter(|kind| !matches!(kind, StrategyKind::Hybrid { .. }))
+            .chain(hybrids)
+            .collect()
+    }
 
     fn test_keys(n: usize) -> Vec<Key> {
         (0..n as Key).map(|i| (i * 10007) % n as Key).collect()
@@ -725,7 +257,6 @@ mod tests {
         let keys = test_keys(500);
         for kind in StrategyKind::all_defaults() {
             let index = kind.build(&keys);
-            assert!(!index.name().is_empty());
             match kind {
                 StrategyKind::FullScan => {
                     assert!(!index.is_adaptive());
@@ -752,11 +283,10 @@ mod tests {
 
     #[test]
     fn labels_are_unique() {
-        let labels: std::collections::HashSet<_> = StrategyKind::all_defaults()
-            .iter()
-            .map(|k| k.label())
-            .collect();
-        assert_eq!(labels.len(), StrategyKind::all_defaults().len());
+        let kinds = all_kinds();
+        assert_eq!(kinds.len(), 9 + 9);
+        let labels: std::collections::HashSet<_> = kinds.iter().map(|k| k.label()).collect();
+        assert_eq!(labels.len(), kinds.len());
     }
 
     #[test]
@@ -844,7 +374,7 @@ mod tests {
                 algorithm: HybridKind::CrackRadix,
             },
         ] {
-            let mut tuned = kind.build_with(&keys, &tuning);
+            let mut tuned = kind.build_from(&[&keys], None, &tuning);
             let mut default = kind.build(&keys);
             for q in 0..20 {
                 let low = (q * 97) % 1800;
@@ -868,15 +398,21 @@ mod tests {
         use aidx_columnstore::segment::Segment;
         let keys = test_keys(3000);
         let segment = Segment::from_vec_with_capacity(keys.clone(), 128);
-        let tuning = StrategyTuning::default();
+        let chunks: Vec<&[Key]> = segment.chunks().map(|chunk| chunk.values).collect();
+        assert!(chunks.len() > 20);
+        // hybrid partitions end inside chunks
+        let tuning = StrategyTuning {
+            hybrid_partition_size: 200,
+            ..StrategyTuning::default()
+        };
         let queries: Vec<(Key, Key)> = (0..30)
             .map(|q| ((q * 151) % 2500, (q * 151) % 2500 + 200))
             .collect();
-        for kind in StrategyKind::all_defaults() {
+        for kind in all_kinds() {
             // built for no query, and for the one that is asked first
             for first_query in [None, Some(queries[0])] {
-                let mut from_slice = kind.build_with(&keys, &tuning);
-                let mut from_segment = kind.build_from(&(&segment).into(), first_query, &tuning);
+                let mut from_slice = kind.build_from(&[&keys], None, &tuning);
+                let mut from_segment = kind.build_from(&chunks, first_query, &tuning);
                 assert_eq!(from_segment.len(), from_slice.len(), "{}", kind.label());
                 for (q, &(low, high)) in queries.iter().enumerate() {
                     assert_eq!(
@@ -905,5 +441,39 @@ mod tests {
         let back: StrategyKind = serde_json::from_str(&json).unwrap();
         assert_eq!(kind, back);
         assert_eq!(back.label(), "hybrid-crack-sort");
+    }
+
+    #[test]
+    fn strategy_kind_json_is_pinned() {
+        // what the commit before the `HybridKind` mirror went away wrote
+        let golden = [
+            (StrategyKind::Cracking, r#""Cracking""#),
+            (
+                StrategyKind::PartialCracking { budget_bytes: 4096 },
+                r#"{"PartialCracking":{"budget_bytes":4096}}"#,
+            ),
+            (
+                StrategyKind::AdaptiveMerging { run_size: 1 << 14 },
+                r#"{"AdaptiveMerging":{"run_size":16384}}"#,
+            ),
+            (
+                StrategyKind::Hybrid {
+                    algorithm: HybridKind::CrackSort,
+                },
+                r#"{"Hybrid":{"algorithm":"CrackSort"}}"#,
+            ),
+        ];
+        for (kind, json) in golden {
+            assert_eq!(serde_json::to_string(&kind).unwrap(), json);
+            assert_eq!(serde_json::from_str::<StrategyKind>(json).unwrap(), kind);
+        }
+        // the other hybrids follow the same shape, variant name for variant name
+        for algorithm in HybridKind::all() {
+            let kind = StrategyKind::Hybrid { algorithm };
+            assert_eq!(
+                serde_json::to_string(&kind).unwrap(),
+                format!(r#"{{"Hybrid":{{"algorithm":"{algorithm:?}"}}}}"#)
+            );
+        }
     }
 }

@@ -16,7 +16,7 @@
 //! not for a copy and then a crack of the copy.
 
 use crate::crack::{partition_chunks, ChunkPartition};
-use aidx_columnstore::column::{Column, FixedColumn};
+use aidx_columnstore::column::FixedColumn;
 use aidx_columnstore::types::{Key, RowId};
 
 /// A pair column `(values, row ids)` that cracking physically reorganizes.
@@ -57,15 +57,6 @@ impl CrackerColumn {
         };
         let placed = partition_chunks(chunks, bounds, &mut column.values, &mut column.rowids);
         (column, placed)
-    }
-
-    /// Copy an `Int64` base column. Non-integer columns produce an empty
-    /// cracker column.
-    pub fn from_column(column: &Column) -> Self {
-        match column.as_i64() {
-            Some(c) => Self::from_keys(&c.to_contiguous()),
-            None => Self::new(),
-        }
     }
 
     /// Build directly from parallel vectors (used by updates and hybrids).
@@ -208,14 +199,6 @@ mod tests {
         assert_eq!(c.rowids(), &[0, 1, 2]);
         assert!(c.check_invariants());
         assert!(!c.is_empty());
-    }
-
-    #[test]
-    fn from_column_only_for_int64() {
-        let col = Column::from_i64(vec![5, 6]);
-        assert_eq!(CrackerColumn::from_column(&col).len(), 2);
-        let f = Column::from_f64(vec![1.0]);
-        assert!(CrackerColumn::from_column(&f).is_empty());
     }
 
     #[test]

@@ -6,20 +6,14 @@
 //! partitions the cracker column into *pieces*; each piece is an unordered
 //! bag of values falling between two consecutive cut keys.
 //!
-//! Two interchangeable implementations are provided (the ablation benchmark
-//! compares them): [`btree::BTreeCutIndex`] built on `std::collections::BTreeMap`
-//! and [`avl::AvlCutIndex`], a hand-rolled arena-based AVL tree as used by the
-//! original MonetDB implementation.
+//! There is one implementation, [`btree::BTreeCutIndex`], built on
+//! `std::collections::BTreeMap`.
 
-pub mod avl;
 pub mod btree;
 
-use aidx_columnstore::types::Key;
-
-pub use avl::AvlCutIndex;
 pub use btree::BTreeCutIndex;
 
-/// The order in which [`CutIndex::visit_above`] hands out cuts.
+/// The order in which [`BTreeCutIndex::visit_above`] hands out cuts.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum VisitOrder {
     /// Lowest key first.
@@ -28,85 +22,43 @@ pub enum VisitOrder {
     Descending,
 }
 
-/// A catalog of cuts `(key, position)`, ordered by key.
-///
-/// Implementations must keep at most one position per key and support
-/// predecessor / successor queries, which is all the cracking algorithms need
-/// to locate the pieces a range query touches.
-pub trait CutIndex: Default + std::fmt::Debug {
-    /// Record (or overwrite) the cut for `key`.
-    fn insert(&mut self, key: Key, position: usize);
-
-    /// The position recorded for exactly `key`, if any.
-    fn exact(&self, key: Key) -> Option<usize>;
-
-    /// The greatest cut with `cut.key <= key`, if any.
-    fn floor(&self, key: Key) -> Option<(Key, usize)>;
-
-    /// The smallest cut with `cut.key >= key`, if any.
-    fn ceiling(&self, key: Key) -> Option<(Key, usize)>;
-
-    /// The smallest cut with `cut.key > key`, if any.
-    fn successor(&self, key: Key) -> Option<(Key, usize)> {
-        self.ceiling(key.checked_add(1)?)
-    }
-
-    /// Remove the cut at exactly `key`, returning its position.
-    fn remove(&mut self, key: Key) -> Option<usize>;
-
-    /// Number of cuts.
-    fn len(&self) -> usize;
-
-    /// True when no cuts have been recorded.
-    fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// All cuts in ascending key order.
-    fn cuts(&self) -> Vec<(Key, usize)>;
-
-    /// Remove every cut.
-    fn clear(&mut self);
-
-    /// Add `delta` to the position of every cut whose position is
-    /// `>= from_position`. Used by the update paths: inserting (deleting) a
-    /// pair at some position shifts all later piece boundaries right (left).
-    fn shift_positions(&mut self, from_position: usize, delta: isize);
-
-    /// Call `visit` on every cut whose key is `> key`, in `order`, with the
-    /// position open to change. The update paths move the boundaries of the
-    /// pieces above a merged tuple this way, in one walk of the part of the
-    /// index that holds them; positions must stay non-decreasing in key
-    /// order once the walk is over.
-    fn visit_above<F: FnMut(Key, &mut usize)>(&mut self, key: Key, order: VisitOrder, visit: F);
-
-    /// Number of pieces the cuts induce over a column of `len` values
-    /// (`number of cuts + 1` for a non-empty column, counting possibly empty
-    /// edge pieces).
-    fn piece_count(&self, len: usize) -> usize {
-        if len == 0 {
-            0
-        } else {
-            self.len() + 1
-        }
-    }
-
-    /// Consistency check: cut positions must be non-decreasing in key order
-    /// and within `0..=len`.
-    fn check_consistency(&self, len: usize) -> bool {
-        let cuts = self.cuts();
-        cuts.windows(2).all(|w| w[0].0 < w[1].0 && w[0].1 <= w[1].1)
-            && cuts.iter().all(|&(_, p)| p <= len)
-    }
-}
-
-/// Exhaustive equivalence tests run against both implementations.
+/// The contract of the cut index, and a cross-check against an independent
+/// model.
 #[cfg(test)]
 mod trait_tests {
     use super::*;
+    use aidx_columnstore::types::Key;
 
-    fn exercise<I: CutIndex>() {
-        let mut idx = I::default();
+    /// The reference the B-tree is checked against: cuts in a `Vec` kept
+    /// sorted by key, every operation a linear walk.
+    #[derive(Default)]
+    struct SortedVecModel(Vec<(Key, usize)>);
+
+    impl SortedVecModel {
+        fn insert(&mut self, key: Key, position: usize) {
+            match self.0.binary_search_by_key(&key, |&(k, _)| k) {
+                Ok(at) => self.0[at].1 = position,
+                Err(at) => self.0.insert(at, (key, position)),
+            }
+        }
+        fn remove(&mut self, key: Key) -> Option<usize> {
+            let at = self.0.iter().position(|&(k, _)| k == key)?;
+            Some(self.0.remove(at).1)
+        }
+        fn exact(&self, key: Key) -> Option<usize> {
+            self.0.iter().find(|&&(k, _)| k == key).map(|&(_, p)| p)
+        }
+        fn floor(&self, key: Key) -> Option<(Key, usize)> {
+            self.0.iter().rev().find(|&&(k, _)| k <= key).copied()
+        }
+        fn ceiling(&self, key: Key) -> Option<(Key, usize)> {
+            self.0.iter().find(|&&(k, _)| k >= key).copied()
+        }
+    }
+
+    #[test]
+    fn btree_cut_index_contract() {
+        let mut idx = BTreeCutIndex::default();
         assert!(idx.is_empty());
         assert_eq!(idx.floor(10), None);
         assert_eq!(idx.ceiling(10), None);
@@ -155,7 +107,7 @@ mod trait_tests {
         assert_eq!(idx.exact(10), Some(3));
 
         // ranged visit: cuts are (5, 0), (10, 3), (20, 8), (30, 10)
-        let visited = |idx: &mut I, key: Key, order: VisitOrder| {
+        let visited = |idx: &mut BTreeCutIndex, key: Key, order: VisitOrder| {
             let mut seen = Vec::new();
             idx.visit_above(key, order, |k, position| seen.push((k, *position)));
             seen
@@ -192,16 +144,6 @@ mod trait_tests {
     }
 
     #[test]
-    fn btree_cut_index_contract() {
-        exercise::<BTreeCutIndex>();
-    }
-
-    #[test]
-    fn avl_cut_index_contract() {
-        exercise::<AvlCutIndex>();
-    }
-
-    #[test]
     fn implementations_agree_on_random_workload() {
         // simple deterministic pseudo-random sequence (LCG) so the test does
         // not need the rand crate in this crate's unit tests
@@ -213,7 +155,7 @@ mod trait_tests {
             state >> 33
         };
         let mut a = BTreeCutIndex::default();
-        let mut b = AvlCutIndex::default();
+        let mut b = SortedVecModel::default();
         for _ in 0..2000 {
             let op = next() % 5;
             let key = (next() % 500) as Key;
@@ -233,27 +175,20 @@ mod trait_tests {
                         VisitOrder::Descending
                     };
                     let delta = (next() % 7) as usize;
-                    let (mut seen_a, mut seen_b) = (Vec::new(), Vec::new());
-                    a.visit_above(key, order, |k, position| {
-                        seen_a.push((k, *position));
-                        *position += delta;
-                    });
-                    b.visit_above(key, order, |k, position| {
-                        seen_b.push((k, *position));
-                        *position += delta;
-                    });
-                    assert_eq!(seen_a, seen_b);
-                    // exactly the cuts above `key`, in the order asked for
-                    let mut expected: Vec<(Key, usize)> = a
-                        .cuts()
-                        .into_iter()
-                        .filter(|&(k, _)| k > key)
-                        .map(|(k, position)| (k, position - delta))
-                        .collect();
+                    // the model says which cuts lie above `key`, and moves them
+                    let above = |&&(k, _): &&(Key, usize)| k > key;
+                    let mut expected: Vec<(Key, usize)> =
+                        b.0.iter().filter(above).copied().collect();
                     if order == VisitOrder::Descending {
                         expected.reverse();
                     }
-                    assert_eq!(seen_a, expected);
+                    (b.0.iter_mut().filter(|(k, _)| *k > key)).for_each(|(_, p)| *p += delta);
+                    let mut seen = Vec::new();
+                    a.visit_above(key, order, |k, position| {
+                        seen.push((k, *position));
+                        *position += delta;
+                    });
+                    assert_eq!(seen, expected);
                 }
                 _ => {
                     assert_eq!(a.exact(key), b.exact(key));
@@ -262,7 +197,7 @@ mod trait_tests {
                 }
             }
         }
-        assert_eq!(a.cuts(), b.cuts());
-        assert_eq!(a.len(), b.len());
+        assert_eq!(a.cuts(), b.0);
+        assert_eq!(a.len(), b.0.len());
     }
 }

@@ -20,8 +20,8 @@
 //!   place, and the out-of-place partition that builds a cracker column from
 //!   the base column's chunks.
 //! * [`cracker_column`] — the (value, row-id) pair column that gets cracked.
-//! * [`index`] — the cracker index: piece boundary catalogs (`BTreeMap`-based
-//!   and a hand-rolled AVL tree, selectable for the ablation benchmark).
+//! * [`index`] — the cracker index: the catalog of piece boundaries, on a
+//!   `BTreeMap`.
 //! * [`selection`] — [`selection::CrackedIndex`], the selection-cracking
 //!   adaptive index: answers range queries and cracks as a side effect.
 //! * [`stochastic`] — stochastic cracking (DDC / DDR / MDD1R style auxiliary
@@ -33,13 +33,19 @@
 //!   alignment for multi-column queries and late tuple reconstruction.
 //! * [`stats`] — instrumentation shared by all of the above.
 //!
+//! The four indexes a kernel can hold — [`selection::CrackedIndex`],
+//! [`stochastic::StochasticCrackedIndex`],
+//! [`updates::UpdatableCrackedIndex`] and [`partial::PartialCrackedIndex`] —
+//! implement `aidx_columnstore::index::AdaptiveIndex` here, beside their own
+//! richer inherent interfaces.
+//!
 //! ## Quick example
 //!
 //! ```
 //! use aidx_cracking::selection::CrackedIndex;
 //!
 //! let data = vec![13, 16, 4, 9, 2, 12, 7, 1, 19, 3];
-//! let mut index: CrackedIndex = CrackedIndex::from_keys(&data);
+//! let mut index = CrackedIndex::from_keys(&data);
 //!
 //! // "select * where 5 <= key < 15" — answers the query AND cracks the column
 //! let result = index.query_range(5, 15);

@@ -16,6 +16,7 @@
 
 use crate::cracker_column::CrackerColumn;
 use crate::selection::CrackedIndex;
+use aidx_columnstore::index::{AdaptiveIndex, QueryOutput};
 use aidx_columnstore::types::{Key, RowId};
 use std::collections::BTreeMap;
 
@@ -68,24 +69,28 @@ pub struct PartialCrackedIndex {
     clock: u64,
     evictions: u64,
     base_scans: u64,
+    /// What evicted fragments had spent by the time they were dropped, so
+    /// the index's effort keeps counting work whose result is gone.
+    retired_effort: u64,
 }
 
 impl PartialCrackedIndex {
-    /// Create a partial index over `keys` with the given fragment budget.
+    /// Create a partial index over `keys` with the given fragment budget:
+    /// [`Self::from_chunks`] over one chunk.
     pub fn new(keys: &[Key], budget_bytes: usize) -> Self {
-        Self::from_key_iter(keys.iter().copied(), budget_bytes)
+        Self::from_chunks(&[keys], budget_bytes)
     }
 
-    /// Create a partial index by streaming keys into the base copy (no
-    /// transient contiguous materialization of the source column).
-    pub fn from_key_iter(keys: impl ExactSizeIterator<Item = Key>, budget_bytes: usize) -> Self {
+    /// Create a partial index over a base column stored as `chunks`.
+    pub fn from_chunks(chunks: &[&[Key]], budget_bytes: usize) -> Self {
         PartialCrackedIndex {
-            base: keys.collect(),
+            base: chunks.concat(),
             fragments: BTreeMap::new(),
             budget_bytes,
             clock: 0,
             evictions: 0,
             base_scans: 0,
+            retired_effort: 0,
         }
     }
 
@@ -221,7 +226,9 @@ impl PartialCrackedIndex {
                 .map(|(&k, _)| k);
             match victim {
                 Some(k) => {
-                    self.fragments.remove(&k);
+                    if let Some(evicted) = self.fragments.remove(&k) {
+                        self.retired_effort += evicted.index.stats().total_effort();
+                    }
                     self.evictions += 1;
                 }
                 None => break, // everything left is needed by the current query
@@ -230,9 +237,39 @@ impl PartialCrackedIndex {
     }
 }
 
+impl AdaptiveIndex for PartialCrackedIndex {
+    fn len(&self) -> usize {
+        self.base.len()
+    }
+    fn query_range(&mut self, low: Key, high: Key) -> QueryOutput {
+        QueryOutput::from_row_ids(PartialCrackedIndex::query_range(self, low, high).rowids)
+    }
+    /// Every base scan reads the whole column; the fragments account for
+    /// their own copies, cracks and answers, evicted ones included.
+    fn effort(&self) -> u64 {
+        let fragments: u64 = (self.fragments.values())
+            .map(|f| f.index.stats().total_effort())
+            .sum();
+        self.base_scans * self.base.len() as u64 + fragments + self.retired_effort
+    }
+    fn auxiliary_bytes(&self) -> usize {
+        self.fragment_bytes()
+    }
+    fn pieces(&self) -> usize {
+        self.fragment_count()
+    }
+    fn is_adaptive(&self) -> bool {
+        true
+    }
+    fn is_converged(&self) -> bool {
+        false
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use aidx_columnstore::types::PAIR_BYTES;
 
     fn reference(data: &[Key], low: Key, high: Key) -> Vec<Key> {
         let mut v: Vec<Key> = data
@@ -288,7 +325,7 @@ mod tests {
         assert!(covered.contains(&(100, 200)));
         assert!(covered.contains(&(5000, 5100)));
         // the fragments hold only ~200 of the 10 000 tuples
-        assert!(idx.fragment_bytes() < data.len() * 12 / 10);
+        assert!(idx.fragment_bytes() < data.len() * PAIR_BYTES / 10);
     }
 
     #[test]
@@ -310,20 +347,21 @@ mod tests {
     #[test]
     fn budget_forces_evictions_but_answers_stay_correct() {
         let data = test_data(20_000);
-        // budget fits only ~2 fragments of 1000 tuples (12 bytes per pair)
-        let mut idx = PartialCrackedIndex::new(&data, 2 * 1000 * 12);
+        // budget fits only ~2 fragments of 1000 tuples
+        let budget = 2 * 1000 * PAIR_BYTES;
+        let mut idx = PartialCrackedIndex::new(&data, budget);
         for q in 0..30 {
             let low = (q * 633) % 18_000;
             let high = low + 1000;
             let got = sorted(idx.query_range(low, high).keys);
             assert_eq!(got, reference(&data, low, high));
             assert!(
-                idx.fragment_bytes() <= 2 * 1000 * 12 + 1000 * 12,
+                idx.fragment_bytes() <= budget + 1000 * PAIR_BYTES,
                 "fragments stay near the budget"
             );
         }
         assert!(idx.evictions() > 0);
-        assert_eq!(idx.budget_bytes(), 2 * 1000 * 12);
+        assert_eq!(idx.budget_bytes(), budget);
     }
 
     #[test]
@@ -349,5 +387,36 @@ mod tests {
         }
         assert_eq!(answer.len(), 2);
         assert!(!answer.is_empty());
+    }
+
+    #[test]
+    fn cracks_inside_a_fragment_count_as_effort() {
+        let data = test_data(10_000);
+        let mut idx = PartialCrackedIndex::new(&data, usize::MAX);
+        let _ = idx.query_range(1000, 5000);
+        let (scans, after_build) = (idx.base_scans(), idx.effort());
+        assert!(after_build >= data.len() as u64, "the base scan is charged");
+        // lands inside the fragment: no base scan, but a crack and an answer
+        assert_eq!(idx.query_range(2000, 3000).len(), 1000);
+        assert_eq!(idx.base_scans(), scans);
+        assert!(idx.effort() > after_build);
+    }
+
+    #[test]
+    fn effort_is_monotone_across_evictions() {
+        let data = test_data(2000);
+        // room for the one wide fragment and nothing beside it
+        let mut idx = PartialCrackedIndex::new(&data, 1500 * PAIR_BYTES);
+        let _ = idx.query_range(0, 1500);
+        for low in [100, 400, 700, 1000] {
+            let _ = idx.query_range(low, low + 200);
+        }
+        let before = idx.effort();
+        assert!(before > 3 * data.len() as u64, "the fragment did real work");
+        // evicts it: what it had spent stays counted beside the new scan
+        let _ = idx.query_range(1500, 2000);
+        assert_eq!(idx.evictions(), 1);
+        assert_eq!(idx.fragment_count(), 1);
+        assert!(idx.effort() >= before + data.len() as u64);
     }
 }

@@ -10,9 +10,9 @@
 
 use crate::crack::{crack_in_three, crack_in_two_counted, CrackTouch, PivotSide};
 use crate::cracker_column::CrackerColumn;
-use crate::index::{BTreeCutIndex, CutIndex};
+use crate::index::BTreeCutIndex;
 use crate::stats::CrackStats;
-use aidx_columnstore::column::Column;
+use aidx_columnstore::index::{AdaptiveIndex, QueryOutput};
 use aidx_columnstore::ops::select::Predicate;
 use aidx_columnstore::types::{Key, RowId};
 
@@ -81,23 +81,16 @@ impl<'a> RangeResult<'a> {
 }
 
 /// A selection-cracking adaptive index over one key column.
-///
-/// The generic parameter selects the cracker-index implementation
-/// ([`BTreeCutIndex`] by default, [`crate::index::AvlCutIndex`] for the
-/// MonetDB-style AVL tree).
 #[derive(Debug, Clone, Default)]
-pub struct CrackedIndex<I: CutIndex = BTreeCutIndex> {
+pub struct CrackedIndex {
     column: CrackerColumn,
-    cuts: I,
+    cuts: BTreeCutIndex,
     stats: CrackStats,
     min_value: Key,
     max_value: Key,
 }
 
-/// A [`CrackedIndex`] using the AVL-tree cracker index.
-pub type AvlCrackedIndex = CrackedIndex<crate::index::AvlCutIndex>;
-
-impl<I: CutIndex> CrackedIndex<I> {
+impl CrackedIndex {
     /// Build the index by copying a dense key slice (this is the
     /// initialization cost the first query pays in a real kernel; harnesses
     /// account for it explicitly): [`Self::from_chunks`] over one chunk,
@@ -125,7 +118,7 @@ impl<I: CutIndex> CrackedIndex<I> {
         let (min_value, max_value) = placed.min_max.unwrap_or((0, 0));
         let mut stats = CrackStats::new();
         stats.record_copy(column.len());
-        let mut cuts = I::default();
+        let mut cuts = BTreeCutIndex::new();
         if let Some((low, high)) = bounds {
             let touch = CrackTouch {
                 compared: column.len(),
@@ -153,14 +146,6 @@ impl<I: CutIndex> CrackedIndex<I> {
         }
     }
 
-    /// Build the index from an `Int64` base column.
-    pub fn from_column(column: &Column) -> Self {
-        match column.as_i64() {
-            Some(c) => Self::from_keys(&c.to_contiguous()),
-            None => Self::from_keys(&[]),
-        }
-    }
-
     /// Build from an existing cracker column (used by updates and hybrids).
     pub fn from_cracker_column(column: CrackerColumn) -> Self {
         let (min_value, max_value) = min_max(column.values());
@@ -168,7 +153,7 @@ impl<I: CutIndex> CrackedIndex<I> {
         stats.record_copy(column.len());
         CrackedIndex {
             column,
-            cuts: I::default(),
+            cuts: BTreeCutIndex::new(),
             stats,
             min_value,
             max_value,
@@ -193,7 +178,9 @@ impl<I: CutIndex> CrackedIndex<I> {
     /// Mutable access to the cracker column *and* cut index together — used
     /// by the update strategies in [`crate::updates`], which must keep the
     /// two consistent.
-    pub(crate) fn parts_mut(&mut self) -> (&mut CrackerColumn, &mut I, &mut CrackStats) {
+    pub(crate) fn parts_mut(
+        &mut self,
+    ) -> (&mut CrackerColumn, &mut BTreeCutIndex, &mut CrackStats) {
         (&mut self.column, &mut self.cuts, &mut self.stats)
     }
 
@@ -444,6 +431,34 @@ fn min_max(keys: &[Key]) -> (Key, Key) {
     }
 }
 
+/// Pieces this small no longer cost a query a noticeable crack: an index
+/// whose largest piece is within it reports [`AdaptiveIndex::is_converged`].
+pub(crate) const CONVERGED_PIECE_LEN: usize = 1 << 10;
+
+impl AdaptiveIndex for CrackedIndex {
+    fn len(&self) -> usize {
+        self.column.len()
+    }
+    fn query_range(&mut self, low: Key, high: Key) -> QueryOutput {
+        QueryOutput::from_row_ids(CrackedIndex::query_range(self, low, high).rowids().to_vec())
+    }
+    fn effort(&self) -> u64 {
+        self.stats.total_effort()
+    }
+    fn auxiliary_bytes(&self) -> usize {
+        self.column.byte_size()
+    }
+    fn pieces(&self) -> usize {
+        self.piece_count()
+    }
+    fn is_adaptive(&self) -> bool {
+        true
+    }
+    fn is_converged(&self) -> bool {
+        CrackedIndex::is_converged(self, CONVERGED_PIECE_LEN)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -466,7 +481,7 @@ mod tests {
 
     #[test]
     fn empty_index_returns_empty_results() {
-        let mut idx: CrackedIndex = CrackedIndex::from_keys(&[]);
+        let mut idx = CrackedIndex::from_keys(&[]);
         assert!(idx.is_empty());
         let r = idx.query_range(0, 10);
         assert!(r.is_empty());
@@ -478,7 +493,7 @@ mod tests {
     #[test]
     fn first_query_cracks_in_three() {
         let data = vec![13, 16, 4, 9, 2, 12, 7, 1, 19, 3];
-        let mut idx: CrackedIndex = CrackedIndex::from_keys(&data);
+        let mut idx = CrackedIndex::from_keys(&data);
         let r = idx.query_range(5, 15);
         assert_eq!(sorted_keys(&r), reference_answer(&data, 5, 15));
         assert_eq!(idx.stats().crack_in_three_calls, 1);
@@ -491,7 +506,7 @@ mod tests {
     #[test]
     fn second_query_reuses_and_refines() {
         let data: Vec<Key> = (0..100).rev().collect();
-        let mut idx: CrackedIndex = CrackedIndex::from_keys(&data);
+        let mut idx = CrackedIndex::from_keys(&data);
         let _ = idx.query_range(20, 60);
         let r = idx.query_range(30, 50);
         assert_eq!(sorted_keys(&r), reference_answer(&data, 30, 50));
@@ -502,7 +517,7 @@ mod tests {
     #[test]
     fn repeated_query_stops_cracking() {
         let data: Vec<Key> = (0..1000).map(|i| (i * 7919) % 1000).collect();
-        let mut idx: CrackedIndex = CrackedIndex::from_keys(&data);
+        let mut idx = CrackedIndex::from_keys(&data);
         let _ = idx.query_range(100, 200);
         let cracks_after_first = idx.stats().crack_in_two_calls + idx.stats().crack_in_three_calls;
         let got = sorted_keys(&idx.query_range(100, 200));
@@ -514,7 +529,7 @@ mod tests {
     #[test]
     fn rowids_point_back_into_base_data() {
         let data = vec![50, 10, 40, 20, 30];
-        let mut idx: CrackedIndex = CrackedIndex::from_keys(&data);
+        let mut idx = CrackedIndex::from_keys(&data);
         let r = idx.query_range(15, 45);
         for (&v, &rid) in r.keys().iter().zip(r.rowids()) {
             assert_eq!(data[rid as usize], v);
@@ -525,7 +540,7 @@ mod tests {
     #[test]
     fn out_of_domain_queries() {
         let data = vec![10, 20, 30];
-        let mut idx: CrackedIndex = CrackedIndex::from_keys(&data);
+        let mut idx = CrackedIndex::from_keys(&data);
         assert_eq!(idx.query_range(-100, -50).len(), 0);
         assert_eq!(idx.query_range(100, 200).len(), 0);
         assert_eq!(idx.query_range(-100, 200).len(), 3);
@@ -537,7 +552,7 @@ mod tests {
     #[test]
     fn query_covering_everything_does_not_crack() {
         let data = vec![10, 20, 30];
-        let mut idx: CrackedIndex = CrackedIndex::from_keys(&data);
+        let mut idx = CrackedIndex::from_keys(&data);
         let r = idx.query_range(0, 100);
         assert_eq!(r.len(), 3);
         assert_eq!(idx.stats().crack_in_two_calls, 0);
@@ -547,7 +562,7 @@ mod tests {
     #[test]
     fn predicate_queries() {
         let data = vec![5, 1, 9, 3, 7];
-        let mut idx: CrackedIndex = CrackedIndex::from_keys(&data);
+        let mut idx = CrackedIndex::from_keys(&data);
         assert_eq!(sorted_keys(&idx.query(&Predicate::equals(7))), vec![7]);
         assert_eq!(
             sorted_keys(&idx.query(&Predicate::LessThan { high: 5 })),
@@ -567,7 +582,7 @@ mod tests {
     #[test]
     fn count_and_rowids_helpers() {
         let data: Vec<Key> = (0..50).collect();
-        let mut idx: CrackedIndex = CrackedIndex::from_keys(&data);
+        let mut idx = CrackedIndex::from_keys(&data);
         assert_eq!(idx.count_range(10, 20), 10);
         let result = idx.query_range(10, 20);
         assert_eq!(result.rowids().len(), 10);
@@ -577,7 +592,7 @@ mod tests {
     #[test]
     fn duplicates_handled_correctly() {
         let data = vec![5, 5, 5, 1, 9, 5, 9, 1];
-        let mut idx: CrackedIndex = CrackedIndex::from_keys(&data);
+        let mut idx = CrackedIndex::from_keys(&data);
         assert_eq!(idx.count_range(5, 6), 4);
         assert_eq!(idx.count_range(1, 5), 2);
         assert_eq!(idx.count_range(9, 10), 2);
@@ -593,7 +608,7 @@ mod tests {
             (state >> 33) as Key
         };
         let data: Vec<Key> = (0..5000).map(|_| next() % 10_000).collect();
-        let mut idx: CrackedIndex = CrackedIndex::from_keys(&data);
+        let mut idx = CrackedIndex::from_keys(&data);
         for _ in 0..200 {
             let a = next() % 10_000;
             let b = next() % 10_000;
@@ -609,7 +624,7 @@ mod tests {
     #[test]
     fn convergence_with_many_queries() {
         let data: Vec<Key> = (0..4096).map(|i| (i * 48271) % 4096).collect();
-        let mut idx: CrackedIndex = CrackedIndex::from_keys(&data);
+        let mut idx = CrackedIndex::from_keys(&data);
         let mut state: u64 = 12345;
         for _ in 0..3000 {
             state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
@@ -628,25 +643,9 @@ mod tests {
     }
 
     #[test]
-    fn avl_backed_index_agrees_with_btree_backed() {
-        let data: Vec<Key> = (0..2000).map(|i| (i * 31337) % 5000).collect();
-        let mut a: CrackedIndex = CrackedIndex::from_keys(&data);
-        let mut b: AvlCrackedIndex = CrackedIndex::from_keys(&data);
-        let queries = [(10, 500), (400, 900), (0, 5000), (2500, 2600), (4990, 5050)];
-        for &(low, high) in &queries {
-            let ra = sorted_keys(&a.query_range(low, high));
-            let rb = sorted_keys(&b.query_range(low, high));
-            assert_eq!(ra, rb);
-        }
-        assert_eq!(a.piece_count(), b.piece_count());
-        assert!(a.verify_integrity());
-        assert!(b.verify_integrity());
-    }
-
-    #[test]
     fn pieces_describe_partition() {
         let data: Vec<Key> = (0..100).rev().collect();
-        let mut idx: CrackedIndex = CrackedIndex::from_keys(&data);
+        let mut idx = CrackedIndex::from_keys(&data);
         let _ = idx.query_range(25, 75);
         let pieces = idx.pieces();
         assert_eq!(pieces.len(), idx.piece_count());
@@ -662,27 +661,20 @@ mod tests {
     }
 
     #[test]
-    fn from_column_and_from_cracker_column() {
-        let col = Column::from_i64(vec![3, 1, 2]);
-        let mut idx: CrackedIndex = CrackedIndex::from_column(&col);
-        assert_eq!(idx.len(), 3);
-        assert_eq!(idx.min_value(), 1);
-        assert_eq!(idx.max_value(), 3);
-        assert_eq!(idx.count_range(2, 4), 2);
-
+    fn from_cracker_column_builds_uncracked() {
         let cc = CrackerColumn::from_keys(&[9, 4, 6]);
-        let mut idx2: CrackedIndex = CrackedIndex::from_cracker_column(cc);
-        assert_eq!(idx2.count_range(5, 10), 2);
-
-        let f = Column::from_f64(vec![1.0]);
-        let idx3: CrackedIndex = CrackedIndex::from_column(&f);
-        assert!(idx3.is_empty());
+        let mut idx = CrackedIndex::from_cracker_column(cc);
+        assert_eq!(idx.len(), 3);
+        assert_eq!(idx.min_value(), 4);
+        assert_eq!(idx.max_value(), 9);
+        assert_eq!(idx.piece_count(), 1);
+        assert_eq!(idx.count_range(5, 10), 2);
     }
 
     #[test]
     fn stats_track_scans_and_copies() {
         let data: Vec<Key> = (0..100).collect();
-        let mut idx: CrackedIndex = CrackedIndex::from_keys(&data);
+        let mut idx = CrackedIndex::from_keys(&data);
         assert_eq!(idx.stats().elements_copied, 100);
         let _ = idx.query_range(10, 20);
         assert_eq!(idx.stats().queries, 1);
@@ -693,7 +685,7 @@ mod tests {
     #[test]
     fn cut_at_reports_learned_bounds() {
         let data: Vec<Key> = (0..100).rev().collect();
-        let mut idx: CrackedIndex = CrackedIndex::from_keys(&data);
+        let mut idx = CrackedIndex::from_keys(&data);
         assert_eq!(idx.cut_at(30), None);
         let _ = idx.query_range(30, 60);
         assert_eq!(idx.cut_at(30), Some(30));

@@ -19,7 +19,7 @@
 //! the map is used.
 
 use crate::crack::PivotSide;
-use crate::index::{BTreeCutIndex, CutIndex};
+use crate::index::BTreeCutIndex;
 use crate::stats::CrackStats;
 use aidx_columnstore::table::Table;
 use aidx_columnstore::types::{Key, RowId};

@@ -17,8 +17,9 @@
 //!   performs exactly one random auxiliary crack per query on the largest
 //!   piece the query touches.
 
-use crate::selection::{CrackedIndex, Piece, RangeResult};
+use crate::selection::{CrackedIndex, Piece, RangeResult, CONVERGED_PIECE_LEN};
 use crate::stats::CrackStats;
+use aidx_columnstore::index::{AdaptiveIndex, QueryOutput};
 use aidx_columnstore::types::Key;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -198,6 +199,31 @@ impl StochasticCrackedIndex {
     }
 }
 
+impl AdaptiveIndex for StochasticCrackedIndex {
+    fn len(&self) -> usize {
+        self.inner.len()
+    }
+    fn query_range(&mut self, low: Key, high: Key) -> QueryOutput {
+        let answer = StochasticCrackedIndex::query_range(self, low, high);
+        QueryOutput::from_row_ids(answer.rowids().to_vec())
+    }
+    fn effort(&self) -> u64 {
+        self.stats().total_effort()
+    }
+    fn auxiliary_bytes(&self) -> usize {
+        self.inner.column().byte_size()
+    }
+    fn pieces(&self) -> usize {
+        self.piece_count()
+    }
+    fn is_adaptive(&self) -> bool {
+        true
+    }
+    fn is_converged(&self) -> bool {
+        self.largest_piece() <= CONVERGED_PIECE_LEN
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -243,7 +269,7 @@ mod tests {
         let n: Key = 20_000;
         let data: Vec<Key> = (0..n).map(|i| (i * 75) % n).collect();
 
-        let mut plain: CrackedIndex = CrackedIndex::from_keys(&data);
+        let mut plain = CrackedIndex::from_keys(&data);
         let mut stochastic =
             StochasticCrackedIndex::from_keys(&data, StochasticVariant::DataDrivenCenter, 128, 42);
 

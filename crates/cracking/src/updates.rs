@@ -35,9 +35,10 @@
 //!   one tuple moved per piece.
 
 use crate::cracker_column::CrackerColumn;
-use crate::index::{BTreeCutIndex, CutIndex, VisitOrder};
-use crate::selection::CrackedIndex;
+use crate::index::VisitOrder;
+use crate::selection::{CrackedIndex, CONVERGED_PIECE_LEN};
 use crate::stats::CrackStats;
+use aidx_columnstore::index::{AdaptiveIndex, QueryOutput};
 use aidx_columnstore::types::{Key, RowId};
 use std::collections::BTreeSet;
 
@@ -105,7 +106,7 @@ fn take_pending_in(
 /// A selection-cracking index that supports adaptive insertions and deletions.
 #[derive(Debug, Clone)]
 pub struct UpdatableCrackedIndex {
-    index: CrackedIndex<BTreeCutIndex>,
+    index: CrackedIndex,
     policy: MergePolicy,
     pending_inserts: PendingArea,
     /// Names tuples of the cracker column only: deleting a tuple that is
@@ -375,8 +376,37 @@ impl UpdatableCrackedIndex {
     }
 
     /// The underlying cracked index (for inspection in tests / harnesses).
-    pub fn index(&self) -> &CrackedIndex<BTreeCutIndex> {
+    pub fn index(&self) -> &CrackedIndex {
         &self.index
+    }
+}
+
+impl AdaptiveIndex for UpdatableCrackedIndex {
+    fn len(&self) -> usize {
+        UpdatableCrackedIndex::len(self)
+    }
+    fn query_range(&mut self, low: Key, high: Key) -> QueryOutput {
+        QueryOutput::from_row_ids(self.query_rowids(low, high))
+    }
+    fn effort(&self) -> u64 {
+        self.stats().total_effort()
+    }
+    fn auxiliary_bytes(&self) -> usize {
+        let pending = self.pending_inserts.len() + self.pending_deletes.len();
+        self.index.column().byte_size() + pending * std::mem::size_of::<(Key, RowId)>()
+    }
+    fn pieces(&self) -> usize {
+        self.piece_count()
+    }
+    fn is_adaptive(&self) -> bool {
+        true
+    }
+    fn is_converged(&self) -> bool {
+        self.index.is_converged(CONVERGED_PIECE_LEN)
+    }
+    fn insert(&mut self, key: Key) -> bool {
+        UpdatableCrackedIndex::insert(self, key);
+        true
     }
 }
 

@@ -183,9 +183,9 @@ proptest! {
 
         // the index: what `from_keys` and the same first query come to
         let (low, high) = bounds.unwrap_or((a, b));
-        let mut fused: CrackedIndex = CrackedIndex::from_chunks(&chunks, Some((low, high)));
+        let mut fused = CrackedIndex::from_chunks(&chunks, Some((low, high)));
         prop_assert!(fused.verify_integrity());
-        let mut stepwise: CrackedIndex = CrackedIndex::from_keys(&keys);
+        let mut stepwise = CrackedIndex::from_keys(&keys);
         let expected = {
             let answer = stepwise.query_range(low, high);
             sorted(zip(answer.keys(), answer.rowids()))
@@ -297,7 +297,7 @@ fn edge_pieces_and_extreme_bounds() {
         assert_eq!(index.cut_count(), cuts, "{bounds:?}");
         assert_eq!(index.len(), 5);
     }
-    let empty: CrackedIndex = CrackedIndex::from_chunks(&[], Some((1, 2)));
+    let empty = CrackedIndex::from_chunks(&[], Some((1, 2)));
     assert!(empty.is_empty() && empty.verify_integrity());
     assert_eq!(empty.cut_count(), 0);
 }

@@ -2,19 +2,14 @@
 
 use crate::final_partition::{FinalOrganization, FinalPartition};
 use crate::source::{SourceOrganization, SourcePartition};
-use aidx_columnstore::column::Column;
-use aidx_columnstore::types::{Key, RowId};
+use aidx_columnstore::index::{AdaptiveIndex, QueryOutput};
+use aidx_columnstore::types::{Key, RowId, PAIR_BYTES};
 use aidx_cracking::stats::CrackStats;
-
-/// Default number of tuples per initial partition.
-pub const DEFAULT_PARTITION_SIZE: usize = 1 << 16;
-
-/// Default number of radix bits for the radix organizations.
-pub const DEFAULT_RADIX_BITS: u32 = 6;
+use serde::{Deserialize, Serialize};
 
 /// The named hybrid algorithms of the PVLDB 2011 paper, spelled as
 /// (initial-partition organization, final-partition organization).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum HybridAlgorithm {
     /// Hybrid Crack-Crack: lazy on both sides; closest to plain cracking.
     CrackCrack,
@@ -143,7 +138,8 @@ pub struct HybridIndex {
 }
 
 impl HybridIndex {
-    /// Build the index: split `keys` into partitions of `partition_size` and
+    /// Build the index over a dense key slice ([`Self::from_chunks`] over
+    /// one chunk): split `keys` into partitions of `partition_size` and
     /// organize them according to the algorithm's initial-partition letter.
     /// The cost of that organization (nothing for C, a sort per partition for
     /// S, a clustering pass for R) is charged to the statistics immediately —
@@ -154,38 +150,43 @@ impl HybridIndex {
         partition_size: usize,
         radix_bits: u32,
     ) -> Self {
-        Self::from_key_iter(keys.iter().copied(), algorithm, partition_size, radix_bits)
+        Self::from_chunks(&[keys], algorithm, partition_size, radix_bits)
     }
 
-    /// Build the index by streaming keys: each initial-partition buffer fills
-    /// directly from the source iterator (and the key domain is tracked
-    /// incrementally), so a multi-chunk segment is never materialized into a
-    /// transient contiguous copy first.
-    pub fn from_key_iter(
-        keys: impl ExactSizeIterator<Item = Key>,
+    /// Build from a base column stored as `chunks`: each initial-partition
+    /// buffer fills straight from the chunks (row ids `0..n` in chunk order,
+    /// the key domain tracked on the way), so a multi-chunk segment is never
+    /// materialized contiguously first. Partitions are cut every
+    /// `partition_size` tuples, wherever chunks end.
+    pub fn from_chunks(
+        chunks: &[&[Key]],
         algorithm: HybridAlgorithm,
         partition_size: usize,
         radix_bits: u32,
     ) -> Self {
         let partition_size = partition_size.max(1);
-        let total_len = keys.len();
+        let total_len: usize = chunks.iter().map(|chunk| chunk.len()).sum();
         let mut stats = CrackStats::new();
         stats.record_copy(total_len);
         let mut domain_low = Key::MAX;
         let mut domain_high = Key::MIN;
         let mut sources = Vec::with_capacity(total_len.div_ceil(partition_size));
         let mut pairs: Vec<(Key, RowId)> = Vec::with_capacity(partition_size.min(total_len));
-        for (i, k) in keys.enumerate() {
-            domain_low = domain_low.min(k);
-            domain_high = domain_high.max(k);
-            pairs.push((k, i as RowId));
-            if pairs.len() == partition_size {
-                sources.push(SourcePartition::new(
-                    algorithm.source_organization(),
-                    std::mem::take(&mut pairs),
-                    radix_bits,
-                    &mut stats,
-                ));
+        let mut rowid: RowId = 0;
+        for chunk in chunks {
+            for &k in *chunk {
+                domain_low = domain_low.min(k);
+                domain_high = domain_high.max(k);
+                pairs.push((k, rowid));
+                rowid += 1;
+                if pairs.len() == partition_size {
+                    sources.push(SourcePartition::new(
+                        algorithm.source_organization(),
+                        std::mem::take(&mut pairs),
+                        radix_bits,
+                        &mut stats,
+                    ));
+                }
             }
         }
         if !pairs.is_empty() {
@@ -209,19 +210,6 @@ impl HybridIndex {
             ),
             total_len,
             stats,
-        }
-    }
-
-    /// Build from an `Int64` base column with default sizing.
-    pub fn from_column(column: &Column, algorithm: HybridAlgorithm) -> Self {
-        match column.as_i64() {
-            Some(c) => Self::from_keys(
-                &c.to_contiguous(),
-                algorithm,
-                DEFAULT_PARTITION_SIZE,
-                DEFAULT_RADIX_BITS,
-            ),
-            None => Self::from_keys(&[], algorithm, DEFAULT_PARTITION_SIZE, DEFAULT_RADIX_BITS),
         }
     }
 
@@ -305,6 +293,31 @@ impl HybridIndex {
         source_len + self.final_partition.len() == self.total_len
             && self.sources.iter().all(SourcePartition::check_invariants)
             && self.final_partition.check_invariants()
+    }
+}
+
+impl AdaptiveIndex for HybridIndex {
+    fn len(&self) -> usize {
+        self.total_len
+    }
+    fn query_range(&mut self, low: Key, high: Key) -> QueryOutput {
+        QueryOutput::from_row_ids(HybridIndex::query_range(self, low, high).rowids)
+    }
+    fn effort(&self) -> u64 {
+        self.stats.total_effort()
+    }
+    fn auxiliary_bytes(&self) -> usize {
+        self.total_len * PAIR_BYTES
+    }
+    fn pieces(&self) -> usize {
+        // undrained initial partitions plus the growing final partition
+        self.active_source_count() + 1
+    }
+    fn is_adaptive(&self) -> bool {
+        true
+    }
+    fn is_converged(&self) -> bool {
+        HybridIndex::is_converged(self)
     }
 }
 
@@ -459,14 +472,43 @@ mod tests {
     }
 
     #[test]
-    fn from_column_dispatch() {
-        let column = Column::from_i64(test_data(500));
-        let mut idx = HybridIndex::from_column(&column, HybridAlgorithm::CrackSort);
-        assert_eq!(idx.len(), 500);
-        assert_eq!(idx.algorithm(), HybridAlgorithm::CrackSort);
-        assert!(idx.count_range(0, 500) == 500);
-        let f = Column::from_f64(vec![1.0]);
-        let idx2 = HybridIndex::from_column(&f, HybridAlgorithm::CrackSort);
-        assert!(idx2.is_empty());
+    fn from_chunks_matches_from_keys() {
+        let data = test_data(500);
+        // chunk ends fall inside partitions
+        let (head, tail) = data.split_at(201);
+        for algorithm in HybridAlgorithm::all() {
+            let mut chunked = HybridIndex::from_chunks(&[head, &[], tail], algorithm, 64, 4);
+            let mut flat = HybridIndex::from_keys(&data, algorithm, 64, 4);
+            assert_eq!(chunked.len(), 500);
+            assert_eq!(chunked.algorithm(), algorithm);
+            assert_eq!(chunked.active_source_count(), flat.active_source_count());
+            assert_eq!(chunked.query_range(100, 300), flat.query_range(100, 300));
+            assert_eq!(chunked.stats(), flat.stats(), "{algorithm:?}");
+            assert!(chunked.verify_integrity(), "{algorithm:?}");
+        }
+        assert!(HybridIndex::from_chunks(&[], HybridAlgorithm::CrackSort, 64, 4).is_empty());
+    }
+
+    #[test]
+    fn pieces_fall_as_sources_drain() {
+        let data = test_data(2048);
+        for algorithm in HybridAlgorithm::all() {
+            let mut idx = HybridIndex::from_keys(&data, algorithm, 256, 4);
+            assert_eq!(
+                idx.pieces(),
+                8 + 1,
+                "{algorithm:?}: eight sources and the final"
+            );
+            let mut last = idx.pieces();
+            for low in (0..2048).step_by(128) {
+                let _ = idx.query_range(low, low + 128);
+                assert!(idx.pieces() <= last, "{algorithm:?}");
+                last = idx.pieces();
+            }
+            // drained: only the final partition is left, and stays
+            assert_eq!(idx.pieces(), 1, "{algorithm:?}");
+            let _ = idx.query_range(0, 2048);
+            assert_eq!(idx.pieces(), 1, "{algorithm:?}");
+        }
     }
 }

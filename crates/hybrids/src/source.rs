@@ -7,7 +7,7 @@
 
 use aidx_columnstore::types::{Key, RowId};
 use aidx_cracking::crack::{crack_in_two_counted, PivotSide};
-use aidx_cracking::index::{BTreeCutIndex, CutIndex};
+use aidx_cracking::index::BTreeCutIndex;
 use aidx_cracking::stats::CrackStats;
 use aidx_merging::run::SortedRun;
 

@@ -3,14 +3,8 @@
 use crate::final_index::SortedRangeIndex;
 use crate::run::SortedRun;
 use crate::stats::MergeStats;
-use aidx_columnstore::column::Column;
-use aidx_columnstore::types::{Key, RowId};
-
-/// Default run size (number of tuples per initial sorted run) when the caller
-/// does not specify one. Chosen so that a run comfortably fits the L2 cache
-/// for 12-byte pairs, mirroring the "workload fits memory, runs fit cache"
-/// setup of the main-memory adaptive merging experiments.
-pub const DEFAULT_RUN_SIZE: usize = 1 << 16;
+use aidx_columnstore::index::{AdaptiveIndex, QueryOutput};
+use aidx_columnstore::types::{Key, RowId, PAIR_BYTES};
 
 /// The qualifying tuples of one range query, in sorted key order.
 ///
@@ -63,28 +57,33 @@ pub struct AdaptiveMergeIndex {
 }
 
 impl AdaptiveMergeIndex {
-    /// Build the index from a dense key slice. Run generation (splitting into
-    /// runs of `run_size` and sorting each) happens immediately and is
-    /// charged to the statistics — it is the initialization cost the first
-    /// query pays.
+    /// Build the index from a dense key slice ([`Self::from_chunks`] over
+    /// one chunk). Run generation (splitting into runs of `run_size` and
+    /// sorting each) happens immediately and is charged to the statistics —
+    /// it is the initialization cost the first query pays.
     pub fn from_keys(keys: &[Key], run_size: usize) -> Self {
-        Self::from_key_iter(keys.iter().copied(), run_size)
+        Self::from_chunks(&[keys], run_size)
     }
 
-    /// Build by streaming keys: each run buffer fills directly from the
-    /// source iterator and is sorted in place, so a multi-chunk segment never
-    /// has to be materialized contiguously first.
-    pub fn from_key_iter(keys: impl ExactSizeIterator<Item = Key>, run_size: usize) -> Self {
+    /// Build from a base column stored as `chunks`: each run buffer fills
+    /// straight from the chunks (row ids `0..n` in chunk order) and is sorted
+    /// in place, so a multi-chunk segment is never materialized contiguously
+    /// first. Runs are cut every `run_size` tuples, wherever chunks end.
+    pub fn from_chunks(chunks: &[&[Key]], run_size: usize) -> Self {
         let run_size = run_size.max(1);
-        let total_len = keys.len();
+        let total_len: usize = chunks.iter().map(|chunk| chunk.len()).sum();
         let mut stats = MergeStats::new();
         let mut runs = Vec::with_capacity(total_len.div_ceil(run_size));
         let mut pairs: Vec<(Key, RowId)> = Vec::with_capacity(run_size.min(total_len));
-        for (i, k) in keys.enumerate() {
-            pairs.push((k, i as RowId));
-            if pairs.len() == run_size {
-                stats.record_sort(pairs.len());
-                runs.push(SortedRun::from_pairs(std::mem::take(&mut pairs)));
+        let mut rowid: RowId = 0;
+        for chunk in chunks {
+            for &k in *chunk {
+                pairs.push((k, rowid));
+                rowid += 1;
+                if pairs.len() == run_size {
+                    stats.record_sort(pairs.len());
+                    runs.push(SortedRun::from_pairs(std::mem::take(&mut pairs)));
+                }
             }
         }
         if !pairs.is_empty() {
@@ -97,14 +96,6 @@ impl AdaptiveMergeIndex {
             run_size,
             total_len,
             stats,
-        }
-    }
-
-    /// Build from an `Int64` base column with the default run size.
-    pub fn from_column(column: &Column) -> Self {
-        match column.as_i64() {
-            Some(c) => Self::from_keys(&c.to_contiguous(), DEFAULT_RUN_SIZE),
-            None => Self::from_keys(&[], DEFAULT_RUN_SIZE),
         }
     }
 
@@ -201,6 +192,31 @@ impl AdaptiveMergeIndex {
         let accounted: usize =
             self.final_index.len() + self.runs.iter().map(SortedRun::len).sum::<usize>();
         runs_ok && self.final_index.check_invariants() && accounted == self.total_len
+    }
+}
+
+impl AdaptiveIndex for AdaptiveMergeIndex {
+    fn len(&self) -> usize {
+        self.total_len
+    }
+    fn query_range(&mut self, low: Key, high: Key) -> QueryOutput {
+        QueryOutput::from_row_ids(AdaptiveMergeIndex::query_range(self, low, high).into_rowids())
+    }
+    fn effort(&self) -> u64 {
+        self.stats.total_effort()
+    }
+    fn auxiliary_bytes(&self) -> usize {
+        self.total_len * PAIR_BYTES
+    }
+    fn pieces(&self) -> usize {
+        // unmerged runs plus the growing final index
+        self.active_run_count() + 1
+    }
+    fn is_adaptive(&self) -> bool {
+        true
+    }
+    fn is_converged(&self) -> bool {
+        AdaptiveMergeIndex::is_converged(self)
     }
 }
 
@@ -335,13 +351,18 @@ mod tests {
     }
 
     #[test]
-    fn from_column_dispatch() {
-        let c = Column::from_i64(vec![3, 1, 2]);
-        let mut idx = AdaptiveMergeIndex::from_column(&c);
-        assert_eq!(idx.count_range(2, 4), 2);
-        let f = Column::from_f64(vec![1.0]);
-        let idx2 = AdaptiveMergeIndex::from_column(&f);
-        assert!(idx2.is_empty());
+    fn from_chunks_matches_from_keys() {
+        let data: Vec<Key> = (0..300).map(|i| (i * 7919) % 300).collect();
+        // chunk ends fall inside runs
+        let (head, tail) = data.split_at(101);
+        let mut chunked = AdaptiveMergeIndex::from_chunks(&[head, &[], tail], 64);
+        let mut flat = AdaptiveMergeIndex::from_keys(&data, 64);
+        assert_eq!(chunked.len(), 300);
+        assert_eq!(chunked.active_run_count(), flat.active_run_count());
+        assert_eq!(chunked.query_range(50, 150), flat.query_range(50, 150));
+        assert_eq!(chunked.stats(), flat.stats());
+        assert!(chunked.verify_integrity());
+        assert!(AdaptiveMergeIndex::from_chunks(&[], 64).is_empty());
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //!
 //! The seed's `strategies_agree.rs` compares result *cardinalities*. This
 //! suite is stricter: for seeded random workloads, every strategy — cracking,
-//! adaptive merging, all six hybrids, and the full-scan baseline among them —
+//! adaptive merging, all nine hybrids, and the full-scan baseline among them —
 //! must return the *identical set of base-column positions* for every query,
 //! and those positions must select exactly the qualifying keys. Any drift in
 //! how a strategy maps reorganized tuples back to row ids shows up here long
@@ -13,19 +13,12 @@ use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 
-/// Every strategy the kernel can build, with the defaults plus each hybrid
-/// algorithm explicitly (the defaults only include crack-sort).
+/// Every strategy the kernel can build: the defaults, with each of the nine
+/// hybrid algorithms in place of the one the defaults include.
 fn all_strategies() -> Vec<StrategyKind> {
     let mut kinds = StrategyKind::all_defaults();
-    for algorithm in [
-        HybridKind::CrackCrack,
-        HybridKind::CrackRadix,
-        HybridKind::SortSort,
-        HybridKind::SortRadix,
-        HybridKind::RadixRadix,
-    ] {
-        kinds.push(StrategyKind::Hybrid { algorithm });
-    }
+    kinds.retain(|kind| !matches!(kind, StrategyKind::Hybrid { .. }));
+    kinds.extend(HybridKind::all().map(|algorithm| StrategyKind::Hybrid { algorithm }));
     kinds
 }
 
@@ -95,20 +88,20 @@ fn every_strategy_returns_identical_position_sets_on_random_workloads() {
         let mut rng = StdRng::seed_from_u64(seed);
         let (keys, ranges) = random_column_and_queries(&mut rng, 3_000, 60);
 
-        let mut indexes: Vec<Box<dyn AdaptiveIndex + Send>> = all_strategies()
-            .iter()
-            .map(|kind| kind.build(&keys))
+        let mut indexes: Vec<(StrategyKind, Box<dyn AdaptiveIndex + Send>)> = all_strategies()
+            .into_iter()
+            .map(|kind| (kind, kind.build(&keys)))
             .collect();
 
         for &(low, high) in &ranges {
             let expected = reference_positions(&keys, low, high);
-            for index in &mut indexes {
+            for (kind, index) in &mut indexes {
                 let got = index.query_range(low, high).into_positions().into_vec();
                 assert_eq!(
                     got,
                     expected,
                     "{} diverged from the scan reference on [{low}, {high}) with seed {seed}",
-                    index.name(),
+                    kind.label(),
                 );
             }
         }
@@ -129,7 +122,7 @@ fn returned_positions_select_exactly_the_qualifying_keys() {
                 assert!(
                     key >= low && key < high,
                     "{} returned position {position} (key {key}) outside [{low}, {high})",
-                    index.name(),
+                    kind.label(),
                 );
             }
         }

@@ -45,7 +45,7 @@ proptest! {
     fn cracking_matches_reference_and_keeps_invariants(
         (data, queries) in data_and_queries()
     ) {
-        let mut index: CrackedIndex = CrackedIndex::from_keys(&data);
+        let mut index = CrackedIndex::from_keys(&data);
         for (a, b) in queries {
             let (low, high) = if a <= b { (a, b) } else { (b, a) };
             let got = sorted(index.query_range(low, high).keys().to_vec());
@@ -190,7 +190,7 @@ proptest! {
         seed in 0u64..1000,
     ) {
         use adaptive_indexing::cracking::stochastic::{StochasticCrackedIndex, StochasticVariant};
-        let mut plain: CrackedIndex = CrackedIndex::from_keys(&data);
+        let mut plain = CrackedIndex::from_keys(&data);
         let mut stochastic = StochasticCrackedIndex::from_keys(
             &data,
             StochasticVariant::DataDrivenRandom,

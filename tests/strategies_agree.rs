@@ -42,18 +42,16 @@ fn all_strategies_agree_on_skewed_and_sequential_workloads() {
         WorkloadKind::Point,
     ] {
         let workload = QueryWorkload::generate(workload_kind, 80, 0, 257, 0.05, 5);
+        let hybrids = HybridKind::all().map(|algorithm| StrategyKind::Hybrid { algorithm });
         for kind in [
             StrategyKind::FullScan,
             StrategyKind::Cracking,
             StrategyKind::StochasticCracking,
             StrategyKind::AdaptiveMerging { run_size: 1024 },
-            StrategyKind::Hybrid {
-                algorithm: HybridKind::CrackSort,
-            },
-            StrategyKind::Hybrid {
-                algorithm: HybridKind::RadixRadix,
-            },
-        ] {
+        ]
+        .into_iter()
+        .chain(hybrids)
+        {
             let mut index = kind.build(&keys);
             for q in workload.iter() {
                 assert_eq!(
