@@ -465,7 +465,7 @@ fn main() {
     assert_eq!(
         wire_served,
         server.stats().queries_served,
-        "STATS opcode and Server::stats() diverged"
+        "INTROSPECT(Stats) and Server::stats() diverged"
     );
     assert_eq!(
         wire_served, sustained.completed,

@@ -20,9 +20,9 @@
 //! 3. **Sampling is cheap enough to leave on** — the same workload timed
 //!    with tracing disabled and at the default 1/64 rate; the sampled run
 //!    must stay within generous measurement noise of the disabled one.
-//! 4. **The wire serves it** — a `METRICS` frame returns parseable
-//!    Prometheus text exposition and a `TRACES` frame returns the sampled
-//!    ring, both over a live socket.
+//! 4. **The wire serves it** — an `INTROSPECT(Metrics)` frame returns
+//!    parseable Prometheus text exposition and `INTROSPECT(Traces)` the
+//!    sampled ring, both over a live socket.
 
 use aidx_bench::HarnessConfig;
 use aidx_columnstore::column::Column;
@@ -270,7 +270,7 @@ fn phase_wire(db: &Database) {
         "sanitized counter family"
     );
     assert!(
-        text.contains("server_metrics_ns"),
+        text.contains("server_introspect_ns"),
         "the scrape itself is instrumented"
     );
 

@@ -17,7 +17,7 @@
 //!    [`AlertAction::RefreshIndex`] fires and rebuilds the column under
 //!    stochastic cracking, and the *windowed* per-query refinement effort
 //!    measurably collapses afterward — the closed loop, no operator.
-//! 3. **The wire serves the story** — `ALERTS` and `HISTORY` frames
+//! 3. **The wire serves the story** — `INTROSPECT(Alerts|History)` frames
 //!    round-trip the exact engine-side journal and delta ring over a live
 //!    socket, and the scrape exposes `aidx_alert_firing` /
 //!    `aidx_index_health` gauges.

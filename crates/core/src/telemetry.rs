@@ -224,15 +224,3 @@ pub struct TelemetrySnapshot {
     /// jobs), `wal.*` (durability, present only on durable databases).
     pub metrics: Snapshot,
 }
-
-impl TelemetrySnapshot {
-    /// Human-readable multi-line render of every metric.
-    pub fn render_text(&self) -> String {
-        let mut out = format!(
-            "telemetry {}\n",
-            if self.enabled { "enabled" } else { "disabled" }
-        );
-        out.push_str(&self.metrics.render_text());
-        out
-    }
-}

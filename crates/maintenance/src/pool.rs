@@ -236,6 +236,14 @@ impl WorkerPool {
     }
 }
 
+impl Default for WorkerPool {
+    /// A serial pool (one thread, none spawned): the safe default wherever
+    /// the caller has not opted into parallelism.
+    fn default() -> Self {
+        WorkerPool::new(1)
+    }
+}
+
 /// A raw pointer that may cross thread boundaries (the disjoint-slot writes
 /// are justified at the use site).
 struct SendPtr<T>(*mut T);
@@ -387,6 +395,14 @@ mod tests {
         assert_eq!(ran_on, vec![caller], "single task runs inline");
         assert!(pool.run(0, |i| i).is_empty());
         assert_eq!(WorkerPool::new(0).threads(), 1, "clamped to 1");
+    }
+
+    #[test]
+    fn pool_metadata() {
+        assert!(!WorkerPool::new(2).is_serial());
+        let serial = WorkerPool::default();
+        assert_eq!(serial.threads(), 1);
+        assert!(serial.workers.is_empty(), "the default pool spawns nothing");
     }
 
     #[test]

@@ -1,26 +1,16 @@
-//! The query engine's fork/join pool, backed by persistent workers.
+//! The query engine's fork/join pool and the stripe decomposition every
+//! operator in this crate shares.
 //!
 //! [`ThreadPool::run`] is the one primitive everything in this crate (and
 //! the kernel above it) builds on: execute `tasks` independent closures and
 //! return their results **in task order**, regardless of which worker ran
-//! which task. Workers claim task indexes from a shared atomic counter, so
-//! load balances dynamically (a worker that drew a cheap task immediately
-//! claims the next one), yet the merged output is deterministic because
-//! results are slotted by task index, never by completion order.
-//!
-//! The pool started life on [`std::thread::scope`], paying a spawn per
-//! fork/join region; it is now a thin facade over the **persistent**
-//! [`aidx_maintenance::WorkerPool`] — `threads - 1` workers are spawned once
-//! and parked between regions, the submitting thread participates as the
-//! final worker, and thread identities are stable across regions. That is
-//! the standing-pool-of-cores design Alvarez et al. motivate for multi-core
-//! adaptive indexing, and it lets query execution and background
-//! maintenance share one set of workers. Serial configurations
-//! (`threads == 1`) and single-task calls spawn nothing and run inline,
-//! which keeps the default execution path byte-identical to the serial
-//! kernel.
-
-use aidx_maintenance::WorkerPool;
+//! which task. The pool is [`aidx_maintenance::WorkerPool`] itself —
+//! `threads - 1` persistent workers parked between regions, the submitting
+//! thread participating as the final worker — so query execution and
+//! background maintenance share one set of workers. Serial configurations
+//! (`threads == 1`, the [`Default`]) and single-task calls spawn nothing
+//! and run inline, which keeps the default execution path byte-identical to
+//! the serial kernel.
 
 /// A fork/join execution context with a fixed worker budget.
 ///
@@ -31,67 +21,7 @@ use aidx_maintenance::WorkerPool;
 /// let squares = pool.run(8, |i| i * i);
 /// assert_eq!(squares, vec![0, 1, 4, 9, 16, 25, 36, 49]);
 /// ```
-#[derive(Debug)]
-pub struct ThreadPool {
-    /// The persistent workers; `None` for a serial pool, which spawns no
-    /// threads at all.
-    workers: Option<WorkerPool>,
-    threads: usize,
-}
-
-impl ThreadPool {
-    /// A pool of `threads` persistent workers shared by every fork/join
-    /// region (clamped to at least 1; 1 means fully inline, serial
-    /// execution and spawns no threads).
-    pub fn new(threads: usize) -> Self {
-        let threads = threads.max(1);
-        ThreadPool {
-            workers: (threads > 1).then(|| WorkerPool::new(threads)),
-            threads,
-        }
-    }
-
-    /// The worker budget.
-    pub fn threads(&self) -> usize {
-        self.threads
-    }
-
-    /// True when this pool never forks (every `run` executes inline).
-    pub fn is_serial(&self) -> bool {
-        self.threads == 1
-    }
-
-    /// Execute `f(0) .. f(tasks - 1)` across the pool's workers and return
-    /// the results in task-index order.
-    ///
-    /// Scheduling is dynamic (workers pull the next unclaimed index), the
-    /// output is deterministic (slot `i` always holds `f(i)`). With a serial
-    /// pool, a single task, or zero tasks, everything runs inline on the
-    /// calling thread; a region submitted while the pool is busy with
-    /// another region (or nested inside a pool task) also runs inline, so
-    /// forks always make progress and can never deadlock on the pool.
-    ///
-    /// # Panics
-    /// Propagates a panic from any task after the whole region has finished.
-    pub fn run<R, F>(&self, tasks: usize, f: F) -> Vec<R>
-    where
-        R: Send,
-        F: Fn(usize) -> R + Sync,
-    {
-        match &self.workers {
-            None => (0..tasks).map(f).collect(),
-            Some(pool) => pool.run(tasks, f),
-        }
-    }
-}
-
-impl Default for ThreadPool {
-    /// A serial pool (one thread): the safe default everywhere the caller
-    /// has not opted into parallelism.
-    fn default() -> Self {
-        ThreadPool::new(1)
-    }
-}
+pub use aidx_maintenance::WorkerPool as ThreadPool;
 
 /// How many work stripes to cut per pool worker when fanning a sequence of
 /// items (chunks, pieces) out as tasks. A little oversubscription lets the
@@ -126,57 +56,6 @@ pub fn stripe_bounds(item_count: usize, workers: usize) -> Vec<(usize, usize)> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::{AtomicU64, Ordering};
-
-    #[test]
-    fn results_are_in_task_order_at_any_parallelism() {
-        for threads in [1, 2, 3, 4, 8] {
-            let pool = ThreadPool::new(threads);
-            let out = pool.run(37, |i| i as u64 * 3);
-            assert_eq!(out, (0..37).map(|i| i * 3).collect::<Vec<u64>>());
-        }
-    }
-
-    #[test]
-    fn zero_and_single_task_run_inline() {
-        let pool = ThreadPool::new(8);
-        assert!(pool.run(0, |_| 1).is_empty());
-        assert_eq!(pool.run(1, |i| i + 41), vec![41]);
-    }
-
-    #[test]
-    fn every_task_runs_exactly_once() {
-        let counter = AtomicU64::new(0);
-        let pool = ThreadPool::new(4);
-        let out = pool.run(1000, |i| {
-            counter.fetch_add(1, Ordering::Relaxed);
-            i
-        });
-        assert_eq!(counter.load(Ordering::Relaxed), 1000);
-        assert_eq!(out.len(), 1000);
-        assert!(out.iter().enumerate().all(|(i, &v)| i == v));
-    }
-
-    #[test]
-    fn pool_metadata() {
-        assert_eq!(ThreadPool::new(0).threads(), 1, "clamped to 1");
-        assert!(ThreadPool::new(1).is_serial());
-        assert!(!ThreadPool::new(2).is_serial());
-        assert!(ThreadPool::default().is_serial());
-    }
-
-    #[test]
-    fn uneven_task_durations_still_merge_deterministically() {
-        let pool = ThreadPool::new(4);
-        let out = pool.run(64, |i| {
-            // make early tasks slow so late tasks finish first
-            if i < 4 {
-                std::thread::sleep(std::time::Duration::from_millis(2));
-            }
-            i * i
-        });
-        assert_eq!(out, (0..64).map(|i| i * i).collect::<Vec<usize>>());
-    }
 
     #[test]
     fn stripe_bounds_partition_the_item_range() {
@@ -191,41 +70,5 @@ mod tests {
             }
             assert_eq!(covered, items, "stripes cover every item");
         }
-    }
-
-    #[test]
-    fn fork_join_regions_reuse_the_same_persistent_threads() {
-        use std::collections::HashSet;
-        use std::sync::Mutex;
-        let pool = ThreadPool::new(4);
-        let observe = || {
-            let ids = Mutex::new(HashSet::new());
-            pool.run(64, |_| {
-                ids.lock().unwrap().insert(std::thread::current().id());
-                std::thread::sleep(std::time::Duration::from_micros(200));
-            });
-            ids.into_inner().unwrap()
-        };
-        let first = observe();
-        for _ in 0..4 {
-            assert!(
-                observe().is_subset(&first),
-                "regions must be served by the same parked workers"
-            );
-        }
-    }
-
-    #[test]
-    fn worker_panics_propagate() {
-        let pool = ThreadPool::new(2);
-        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            pool.run(8, |i| {
-                if i == 5 {
-                    panic!("task failure");
-                }
-                i
-            })
-        }));
-        assert!(result.is_err());
     }
 }

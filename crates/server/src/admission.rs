@@ -80,8 +80,8 @@ impl Drop for AdmissionPermit<'_> {
 ///
 /// The registry is the *single* source for server-side metrics: both
 /// [`crate::Server::stats`] (via [`ServerCounters::snapshot`]) and the
-/// `STATS` wire opcode (via [`ServerCounters::registry_snapshot`]) read the
-/// same instruments, so the two views cannot drift apart.
+/// `INTROSPECT` stats surface (via [`ServerCounters::registry_snapshot`])
+/// read the same instruments, so the two views cannot drift apart.
 #[derive(Debug)]
 pub struct ServerCounters {
     registry: Arc<Registry>,
@@ -105,17 +105,9 @@ pub struct ServerCounters {
     pub insert_ns: Arc<Histogram>,
     /// `server.batch_ns` — dispatch latency of whole `BATCH` frames.
     pub batch_ns: Arc<Histogram>,
-    /// `server.stats_ns` — dispatch latency of `STATS` frames.
-    pub stats_ns: Arc<Histogram>,
-    /// `server.metrics_ns` — dispatch latency of `METRICS` frames
-    /// (snapshot merge plus Prometheus rendering).
-    pub metrics_ns: Arc<Histogram>,
-    /// `server.traces_ns` — dispatch latency of `TRACES` frames.
-    pub traces_ns: Arc<Histogram>,
-    /// `server.alerts_ns` — dispatch latency of `ALERTS` frames.
-    pub alerts_ns: Arc<Histogram>,
-    /// `server.history_ns` — dispatch latency of `HISTORY` frames.
-    pub history_ns: Arc<Histogram>,
+    /// `server.introspect_ns` — dispatch latency of `INTROSPECT` frames,
+    /// every surface (reading the engine plus rendering the body).
+    pub introspect_ns: Arc<Histogram>,
 }
 
 impl Default for ServerCounters {
@@ -129,7 +121,7 @@ impl ServerCounters {
     /// the *engine's* registry here, which is what closes the loop: the
     /// engine's reporter then sees `server.requests_shed` (and friends) in
     /// its per-interval deltas, so an alert rule on the shed rate actually
-    /// observes the front-end, and one `STATS`/`METRICS` sweep covers both
+    /// observes the front-end, and one `INTROSPECT` sweep covers both
     /// halves without any merging.
     pub fn on_registry(registry: Arc<Registry>) -> Self {
         ServerCounters {
@@ -142,11 +134,7 @@ impl ServerCounters {
             query_ns: registry.histogram("server.query_ns"),
             insert_ns: registry.histogram("server.insert_ns"),
             batch_ns: registry.histogram("server.batch_ns"),
-            stats_ns: registry.histogram("server.stats_ns"),
-            metrics_ns: registry.histogram("server.metrics_ns"),
-            traces_ns: registry.histogram("server.traces_ns"),
-            alerts_ns: registry.histogram("server.alerts_ns"),
-            history_ns: registry.histogram("server.history_ns"),
+            introspect_ns: registry.histogram("server.introspect_ns"),
             registry,
         }
     }
@@ -163,7 +151,7 @@ impl ServerCounters {
     }
 
     /// Every `server.*` metric (counters and latency histograms) as a
-    /// mergeable [`Snapshot`] — the server's half of a `STATS` reply.
+    /// mergeable [`Snapshot`] — the server's half of the stats surface.
     pub fn registry_snapshot(&self) -> Snapshot {
         self.registry.snapshot()
     }

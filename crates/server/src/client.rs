@@ -10,11 +10,12 @@
 
 use crate::error::ClientError;
 use crate::protocol::{
-    read_frame, write_frame, BatchItem, Reply, Request, WireError, WireResult,
+    read_frame, write_frame, BatchItem, Reply, Request, Surface, WireError, WireResult,
     DEFAULT_MAX_FRAME_BYTES,
 };
 use aidx_columnstore::types::Value;
 use aidx_core::Query;
+use aidx_telemetry::{AlertEvent, AlertStatus, QueryTrace, Snapshot, SnapshotDelta};
 use std::io::BufReader;
 use std::net::{TcpStream, ToSocketAddrs};
 use std::time::Duration;
@@ -114,63 +115,38 @@ impl Client {
     /// `maintenance.*`, and `wal.*` metric from the served database plus the
     /// `server.*` request counters and per-opcode latency histograms. Never
     /// shed by admission control — it stays answerable during overload.
-    pub fn stats(&mut self) -> Result<aidx_telemetry::Snapshot, ClientError> {
-        match self.roundtrip(&Request::Stats)? {
-            Reply::Stats(snapshot) => Ok(snapshot),
-            other => Err(unexpected(other, "stats snapshot")),
-        }
+    pub fn stats(&mut self) -> Result<Snapshot, ClientError> {
+        Ok(serde_json::from_str(&self.introspect(Surface::Stats)?)?)
     }
 
     /// Fetch the same merged snapshot rendered as Prometheus text
     /// exposition format — the scrape endpoint in wire form. Never shed by
     /// admission control.
     pub fn metrics_text(&mut self) -> Result<String, ClientError> {
-        match self.roundtrip(&Request::Metrics)? {
-            Reply::MetricsText(text) => Ok(text),
-            other => Err(unexpected(other, "metrics text")),
-        }
+        self.introspect(Surface::Metrics)
     }
 
     /// Fetch the engine's recent sampled query traces (the trace-sampler
     /// ring, oldest first). Never shed by admission control.
-    pub fn traces(&mut self) -> Result<Vec<aidx_telemetry::QueryTrace>, ClientError> {
-        match self.roundtrip(&Request::Traces)? {
-            Reply::Traces(traces) => Ok(traces),
-            other => Err(unexpected(other, "trace list")),
-        }
+    pub fn traces(&mut self) -> Result<Vec<QueryTrace>, ClientError> {
+        Ok(serde_json::from_str(&self.introspect(Surface::Traces)?)?)
     }
 
     /// Fetch the engine's alerting surfaces: the current per-rule
-    /// [`aidx_telemetry::AlertStatus`] list plus the journaled
-    /// [`aidx_telemetry::AlertEvent`] transitions (oldest first). Both are
-    /// empty when the served database was built without
-    /// [`aidx_core::DatabaseBuilder::alerts`]. Never shed by admission
-    /// control — active alerts are exactly what an operator polls during an
-    /// incident.
-    pub fn alerts(
-        &mut self,
-    ) -> Result<
-        (
-            Vec<aidx_telemetry::AlertStatus>,
-            Vec<aidx_telemetry::AlertEvent>,
-        ),
-        ClientError,
-    > {
-        match self.roundtrip(&Request::Alerts)? {
-            Reply::Alerts { status, events } => Ok((status, events)),
-            other => Err(unexpected(other, "alert surfaces")),
-        }
+    /// [`AlertStatus`] list plus the journaled [`AlertEvent`] transitions
+    /// (oldest first). Both are empty when the served database was built
+    /// without [`aidx_core::DatabaseBuilder::alerts`]. Never shed by
+    /// admission control — active alerts are exactly what an operator polls
+    /// during an incident.
+    pub fn alerts(&mut self) -> Result<(Vec<AlertStatus>, Vec<AlertEvent>), ClientError> {
+        Ok(serde_json::from_str(&self.introspect(Surface::Alerts)?)?)
     }
 
-    /// Fetch the engine reporter's retained per-interval
-    /// [`aidx_telemetry::SnapshotDelta`] ring (oldest first) — the rate
-    /// history behind `STATS`, in wire form. Never shed by admission
-    /// control.
-    pub fn history(&mut self) -> Result<Vec<aidx_telemetry::SnapshotDelta>, ClientError> {
-        match self.roundtrip(&Request::History)? {
-            Reply::History(deltas) => Ok(deltas),
-            other => Err(unexpected(other, "rate history")),
-        }
+    /// Fetch the engine reporter's retained per-interval [`SnapshotDelta`]
+    /// ring (oldest first) — the rate history behind [`Client::stats`].
+    /// Never shed by admission control.
+    pub fn history(&mut self) -> Result<Vec<SnapshotDelta>, ClientError> {
+        Ok(serde_json::from_str(&self.introspect(Surface::History)?)?)
     }
 
     /// Append one row (one value per column, in schema order); returns the
@@ -183,6 +159,14 @@ impl Client {
         match self.roundtrip(&request)? {
             Reply::Inserted { row_id } => Ok(row_id),
             other => Err(unexpected(other, "insert acknowledgement")),
+        }
+    }
+
+    /// Read one operator surface's reply body.
+    fn introspect(&mut self, surface: Surface) -> Result<String, ClientError> {
+        match self.roundtrip(&Request::Introspect(surface))? {
+            Reply::Introspection(body) => Ok(body),
+            other => Err(unexpected(other, "introspection")),
         }
     }
 
@@ -214,12 +198,16 @@ fn unexpected(reply: Reply, expected: &'static str) -> ClientError {
 mod tests {
     use super::*;
     use crate::config::ServerConfig;
-    use crate::protocol::ErrorCode;
+    use crate::protocol::{ErrorCode, FrameError};
     use crate::server::Server;
     use aidx_columnstore::column::Column;
     use aidx_columnstore::table::Table;
     use aidx_core::{
         Aggregation, AlertCondition, AlertConfig, AlertRule, AlertState, Database, StrategyKind,
+    };
+    use aidx_telemetry::{
+        AlertEventKind, CounterDelta, CounterSnapshot, GaugeDelta, GaugeSnapshot,
+        HistogramSnapshot, SpanEvent,
     };
 
     fn served_db() -> (Server, Database) {
@@ -348,9 +336,9 @@ mod tests {
             text.contains("engine_query_ns_bucket{le=\"+Inf\"} 1"),
             "{text}"
         );
-        // the METRICS dispatch itself is timed
+        // the scrape itself is timed
         let snapshot = client.stats().unwrap();
-        assert_eq!(snapshot.histogram("server.metrics_ns").unwrap().count, 1);
+        assert_eq!(snapshot.histogram("server.introspect_ns").unwrap().count, 1);
         server.shutdown();
     }
 
@@ -426,10 +414,9 @@ mod tests {
             .counters
             .iter()
             .any(|c| c.name == "server.queries_served" && c.delta > 0)));
-        // the new dispatch arms are themselves timed
+        // the four reads above are themselves timed
         let snapshot = client.stats().unwrap();
-        assert!(snapshot.histogram("server.alerts_ns").unwrap().count >= 2);
-        assert!(snapshot.histogram("server.history_ns").unwrap().count >= 2);
+        assert_eq!(snapshot.histogram("server.introspect_ns").unwrap().count, 4);
         server.shutdown();
     }
 
@@ -489,5 +476,192 @@ mod tests {
             ),
             "{err:?}"
         );
+    }
+
+    fn sample_snapshot() -> Snapshot {
+        Snapshot {
+            counters: vec![CounterSnapshot {
+                name: "engine.queries_served".into(),
+                value: 42,
+            }],
+            gauges: vec![GaugeSnapshot {
+                name: "server.connections".into(),
+                value: -1,
+            }],
+            histograms: vec![HistogramSnapshot {
+                name: "server.query_ns".into(),
+                count: 3,
+                sum: u64::MAX, // where `HistogramSnapshot::merge` saturates
+                buckets: vec![0, 1, 2],
+            }],
+        }
+    }
+
+    fn sample_trace() -> QueryTrace {
+        QueryTrace {
+            events: vec![
+                SpanEvent::Plan {
+                    driver_column: Some("ts".into()),
+                    estimated_selectivity: 0.125,
+                    residual_predicates: 1,
+                },
+                SpanEvent::IndexProbe {
+                    column: "ts".into(),
+                    strategy: "cracking".into(),
+                    probes: 2,
+                    pieces_before: 3,
+                    pieces_after: 7,
+                    effort_delta: 4096,
+                    rebuilt: true,
+                    lagging_scan: false,
+                },
+                SpanEvent::ZoneMapPrune {
+                    chunks_scanned: 2,
+                    chunks_pruned: 6,
+                },
+                SpanEvent::ResidualFilter {
+                    column: "kind".into(),
+                    candidates_in: 100,
+                    rows_out: 20,
+                },
+                SpanEvent::Materialize {
+                    rows: 20,
+                    aggregated: true,
+                },
+            ],
+            elapsed_ns: 123_456,
+        }
+    }
+
+    fn sample_alerts() -> (Vec<AlertStatus>, Vec<AlertEvent>) {
+        let status = AlertStatus {
+            rule: "shed-spike".into(),
+            state: AlertState::Firing,
+            consecutive_breaches: 3,
+            healthy_intervals: 0,
+            observed: "server.requests_shed rate 120.0/s > 50.0/s".into(),
+            times_fired: 2,
+        };
+        let event = AlertEvent {
+            rule: "column-stalled".into(),
+            kind: AlertEventKind::Firing,
+            tick: 9,
+            observed: "naïve ★ \"verdict\"\n".into(),
+            columns: vec!["t.o_key".into(), "t.o_value".into()],
+        };
+        (vec![status], vec![event])
+    }
+
+    fn sample_history() -> Vec<SnapshotDelta> {
+        vec![SnapshotDelta {
+            interval_ns: 1_000_000,
+            counters: vec![CounterDelta {
+                name: "engine.queries_served".into(),
+                delta: 42,
+            }],
+            gauges: vec![GaugeDelta {
+                name: "server.connections".into(),
+                level: -3,
+                delta: i64::MIN,
+            }],
+            histograms: vec![HistogramSnapshot::empty("engine.query_ns")],
+        }]
+    }
+
+    const SAMPLE_METRICS_TEXT: &str = "# TYPE engine_queries_served counter\n\
+                                       engine_queries_served 1\n\
+                                       aidx_alert_firing{rule=\"naïve\"} 2\n";
+
+    /// What a client makes of an introspection reply: every strict prefix
+    /// of the frame is a typed frame error, and every single-bit flip is a
+    /// typed error, of the frame or of the body, or a body that reads as a
+    /// different value — never a panic, never a corruption that goes
+    /// unnoticed.
+    fn assert_cuts_and_flips_are_typed<T: PartialEq + std::fmt::Debug>(
+        value: T,
+        body: String,
+        parse: impl Fn(&str) -> Result<T, serde_json::Error>,
+    ) {
+        assert_eq!(parse(&body).unwrap(), value, "the body round-trips");
+        let encoded = Reply::Introspection(body).encode();
+        for cut in 0..encoded.len() {
+            let err = Reply::decode(&encoded[..cut]).unwrap_err();
+            assert!(
+                matches!(
+                    err,
+                    FrameError::Truncated | FrameError::CountOverflow { .. }
+                ),
+                "cut at {cut}: {err:?}"
+            );
+        }
+        for at in 0..encoded.len() {
+            for bit in 0..8 {
+                let mut hostile = encoded.clone();
+                hostile[at] ^= 1 << bit;
+                if let Ok(Reply::Introspection(body)) = Reply::decode(&hostile) {
+                    if let Ok(read) = parse(&body) {
+                        assert_ne!(read, value, "bit {bit} of byte {at} flipped unnoticed");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn hostile_introspection_replies_are_typed_errors_for_every_surface() {
+        use serde_json::{from_str, to_string};
+        for surface in [
+            Surface::Stats,
+            Surface::Metrics,
+            Surface::Traces,
+            Surface::Alerts,
+            Surface::History,
+        ] {
+            match surface {
+                Surface::Stats => {
+                    let body = to_string(&sample_snapshot()).unwrap();
+                    assert_cuts_and_flips_are_typed(sample_snapshot(), body, from_str::<Snapshot>);
+                }
+                Surface::Metrics => {
+                    let text = SAMPLE_METRICS_TEXT.to_owned();
+                    assert_cuts_and_flips_are_typed(text.clone(), text, |body| Ok(body.to_owned()));
+                }
+                Surface::Traces => {
+                    let traces = vec![sample_trace()];
+                    let body = to_string(&traces).unwrap();
+                    assert_cuts_and_flips_are_typed(traces, body, from_str::<Vec<QueryTrace>>);
+                }
+                Surface::Alerts => {
+                    let body = to_string(&sample_alerts()).unwrap();
+                    assert_cuts_and_flips_are_typed(sample_alerts(), body, from_str);
+                }
+                Surface::History => {
+                    let body = to_string(&sample_history()).unwrap();
+                    assert_cuts_and_flips_are_typed(sample_history(), body, from_str);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn bodies_that_are_not_their_surfaces_json_are_typed_client_errors() {
+        // a peer that answers every request with the same non-JSON body
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let peer = std::thread::spawn(move || {
+            let (mut stream, _) = listener.accept().unwrap();
+            let reply = Reply::Introspection("[[[".into()).encode();
+            while let Ok(Some(_)) = read_frame(&mut stream, DEFAULT_MAX_FRAME_BYTES) {
+                write_frame(&mut stream, &reply).unwrap();
+            }
+        });
+        let mut client = Client::connect(addr).unwrap();
+        assert!(matches!(client.stats(), Err(ClientError::Json(_))));
+        assert!(matches!(client.traces(), Err(ClientError::Json(_))));
+        assert!(matches!(client.alerts(), Err(ClientError::Json(_))));
+        assert!(matches!(client.history(), Err(ClientError::Json(_))));
+        assert_eq!(client.metrics_text().unwrap(), "[[[", "text is any text");
+        drop(client);
+        peer.join().unwrap();
     }
 }

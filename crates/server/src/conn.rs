@@ -21,11 +21,11 @@
 
 use crate::error::wire_error_from;
 use crate::protocol::{
-    alert_state_tag, read_frame, write_frame, BatchItem, ErrorCode, FrameError, FrameReadError,
-    Reply, Request, WireError, WireResult,
+    read_frame, write_frame, BatchItem, ErrorCode, FrameError, FrameReadError, Reply, Request,
+    Surface, WireError, WireResult,
 };
 use crate::server::Shared;
-use aidx_core::{Query, Session};
+use aidx_core::{Database, Query, Session};
 use aidx_telemetry::{render_labeled_gauge, LabeledSample};
 use std::io::{BufReader, BufWriter};
 use std::net::TcpStream;
@@ -149,87 +149,66 @@ fn dispatch(shared: &Shared, session: &Session, payload: &[u8]) -> Reply {
             shared.counters.batch_ns.record_duration(started.elapsed());
             Reply::Batch(items)
         }
-        // STATS is never shed: it is the tool an operator reaches for
-        // *during* overload, it does no engine work, and its cost is one
-        // registry sweep — shedding it would blind exactly the person
-        // trying to diagnose the shedding.
-        Request::Stats => {
+        // INTROSPECT is never shed: it is the tool an operator reaches for
+        // *during* overload, and it does no engine work — shedding it would
+        // blind exactly the person trying to diagnose the shedding.
+        Request::Introspect(surface) => {
             let started = Instant::now();
-            // the server's counters live on the engine's registry (see
-            // `Server::start`), so one engine snapshot already carries both
-            // `engine.*` and `server.*` — merging a second registry sweep
-            // here would double-count every server instrument
-            let snapshot = shared.db.telemetry().metrics;
-            shared.counters.stats_ns.record_duration(started.elapsed());
-            Reply::Stats(snapshot)
-        }
-        // METRICS and TRACES share STATS's exemption: they are the scrape
-        // and diagnosis endpoints an operator leans on during overload, and
-        // neither does engine work.
-        Request::Metrics => {
-            let started = Instant::now();
-            let mut text = shared.db.telemetry().metrics.render_prometheus();
-            text.push_str(&render_labeled_gauge(
-                "aidx_alert_firing",
-                "Alert rule state: 0 idle, 1 pending, 2 firing.",
-                &shared
-                    .db
-                    .alert_status()
-                    .iter()
-                    .map(|status| LabeledSample {
-                        labels: vec![("rule".into(), status.rule.clone())],
-                        value: f64::from(alert_state_tag(status.state)),
-                    })
-                    .collect::<Vec<_>>(),
-            ));
-            text.push_str(&render_labeled_gauge(
-                "aidx_index_health",
-                "Per-column health verdict: 0 converging, 1 converged, 2 stalled, 3 regressing.",
-                &shared
-                    .db
-                    .index_health()
-                    .iter()
-                    .map(|health| LabeledSample {
-                        labels: vec![
-                            ("table".into(), health.column.table().to_string()),
-                            ("column".into(), health.column.column().to_string()),
-                        ],
-                        value: f64::from(health.verdict.code()),
-                    })
-                    .collect::<Vec<_>>(),
-            ));
+            let body = introspect(&shared.db, surface);
             shared
                 .counters
-                .metrics_ns
+                .introspect_ns
                 .record_duration(started.elapsed());
-            Reply::MetricsText(text)
-        }
-        Request::Traces => {
-            let started = Instant::now();
-            let traces = shared.db.recent_traces();
-            shared.counters.traces_ns.record_duration(started.elapsed());
-            Reply::Traces(traces)
-        }
-        // ALERTS and HISTORY extend the same exemption: during an incident
-        // the active alerts and the recent rate history are precisely what
-        // the operator (or a supervising process) is polling for.
-        Request::Alerts => {
-            let started = Instant::now();
-            let status = shared.db.alert_status();
-            let events = shared.db.alert_events();
-            shared.counters.alerts_ns.record_duration(started.elapsed());
-            Reply::Alerts { status, events }
-        }
-        Request::History => {
-            let started = Instant::now();
-            let deltas = shared.db.recent_reports();
-            shared
-                .counters
-                .history_ns
-                .record_duration(started.elapsed());
-            Reply::History(deltas)
+            Reply::Introspection(body)
         }
     }
+}
+
+/// One surface's reply body: Prometheus text for [`Surface::Metrics`], the
+/// JSON of the engine's own value for every other surface. The server's
+/// counters live on the engine's registry (see `Server::start`), so the
+/// engine snapshot already carries both `engine.*` and `server.*`.
+fn introspect(db: &Database, surface: Surface) -> String {
+    let json = match surface {
+        Surface::Stats => serde_json::to_string(&db.telemetry().metrics),
+        Surface::Metrics => return prometheus_text(db),
+        Surface::Traces => serde_json::to_string(&db.recent_traces()),
+        Surface::Alerts => serde_json::to_string(&(db.alert_status(), db.alert_events())),
+        Surface::History => serde_json::to_string(&db.recent_reports()),
+    };
+    json.expect("telemetry values have no map keys, so JSON encoding cannot fail")
+}
+
+/// The engine snapshot as Prometheus text, plus one labeled gauge per alert
+/// rule and per indexed column.
+fn prometheus_text(db: &Database) -> String {
+    let mut text = db.telemetry().metrics.render_prometheus();
+    text.push_str(&render_labeled_gauge(
+        "aidx_alert_firing",
+        "Alert rule state: 0 idle, 1 pending, 2 firing.",
+        &db.alert_status()
+            .iter()
+            .map(|status| LabeledSample {
+                labels: vec![("rule".into(), status.rule.clone())],
+                value: f64::from(status.state.code()),
+            })
+            .collect::<Vec<_>>(),
+    ));
+    text.push_str(&render_labeled_gauge(
+        "aidx_index_health",
+        "Per-column health verdict: 0 converging, 1 converged, 2 stalled, 3 regressing.",
+        &db.index_health()
+            .iter()
+            .map(|health| LabeledSample {
+                labels: vec![
+                    ("table".into(), health.column.table().to_string()),
+                    ("column".into(), health.column.column().to_string()),
+                ],
+                value: f64::from(health.verdict.code()),
+            })
+            .collect::<Vec<_>>(),
+    ));
+    text
 }
 
 fn run_query(shared: &Shared, session: &Session, query: &Query) -> Result<WireResult, WireError> {

@@ -81,6 +81,8 @@ pub enum ClientError {
         /// What the client was waiting for.
         expected: &'static str,
     },
+    /// An introspection reply's body is not the JSON its surface promises.
+    Json(serde_json::Error),
 }
 
 impl fmt::Display for ClientError {
@@ -96,6 +98,7 @@ impl fmt::Display for ClientError {
             ClientError::UnexpectedReply { expected } => {
                 write!(f, "unexpected reply (expected {expected})")
             }
+            ClientError::Json(e) => write!(f, "client body error: {e}"),
         }
     }
 }
@@ -106,6 +109,7 @@ impl std::error::Error for ClientError {
             ClientError::Io(e) => Some(e),
             ClientError::Frame(e) => Some(e),
             ClientError::Server(e) => Some(e),
+            ClientError::Json(e) => Some(e),
             _ => None,
         }
     }
@@ -120,6 +124,12 @@ impl From<io::Error> for ClientError {
 impl From<FrameError> for ClientError {
     fn from(e: FrameError) -> Self {
         ClientError::Frame(e)
+    }
+}
+
+impl From<serde_json::Error> for ClientError {
+    fn from(e: serde_json::Error) -> Self {
+        ClientError::Json(e)
     }
 }
 
@@ -207,5 +217,7 @@ mod tests {
         assert!(matches!(e, ClientError::Frame(_)));
         let e = ClientError::UnexpectedReply { expected: "pong" };
         assert!(e.to_string().contains("pong"));
+        let e = ClientError::from(serde_json::from_str::<u64>("[").unwrap_err());
+        assert!(e.to_string().contains("body") && std::error::Error::source(&e).is_some());
     }
 }

@@ -12,9 +12,9 @@
 //!
 //! * [`protocol`] — a compact length-prefixed binary protocol
 //!   (PING/QUERY/INSERT/BATCH request frames plus the never-shed
-//!   observability opcodes STATS/METRICS/TRACES/ALERTS/HISTORY; typed
-//!   reply frames including structured errors and an explicit OVERLOADED
-//!   shed signal).
+//!   INTROSPECT, whose surface byte picks stats, metrics, traces, alerts
+//!   or history; typed reply frames including structured errors and an
+//!   explicit OVERLOADED shed signal).
 //!   Every decoder is total: hostile bytes produce typed errors, never
 //!   panics or unbounded allocations.
 //! * [`Server`] — a bounded acceptor plus one connection worker (and one
@@ -50,5 +50,5 @@ pub use admission::{AdmissionGate, ServerStats};
 pub use client::{BatchOutcome, Client};
 pub use config::ServerConfig;
 pub use error::{ClientError, ServerError};
-pub use protocol::{ErrorCode, Reply, Request, WireError, WireResult};
+pub use protocol::{ErrorCode, Reply, Request, Surface, WireError, WireResult};
 pub use server::Server;

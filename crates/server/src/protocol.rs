@@ -14,13 +14,16 @@
 //! typed [`FrameError`], never a panic or an out-of-bounds read, and
 //! length/count fields are validated against the actual remaining payload
 //! before any allocation is sized from them.
+//!
+//! The operator surfaces share one request, [`Request::Introspect`], and
+//! one reply, [`Reply::Introspection`], whose body is text: Prometheus
+//! exposition for [`Surface::Metrics`], and for every other surface the
+//! JSON that the telemetry types' own serde derive writes. This module
+//! frames that text; it does not restate how a trace or a snapshot is
+//! encoded.
 
 use aidx_columnstore::types::{RowId, Value};
 use aidx_core::{Aggregation, Predicate, Query, QueryResult};
-use aidx_telemetry::{
-    AlertEvent, AlertEventKind, AlertState, AlertStatus, CounterDelta, CounterSnapshot, GaugeDelta,
-    GaugeSnapshot, HistogramSnapshot, QueryTrace, Snapshot, SnapshotDelta, SpanEvent,
-};
 use std::fmt;
 use std::io::{self, Read, Write};
 
@@ -37,11 +40,7 @@ const OP_PING: u8 = 0x01;
 const OP_QUERY: u8 = 0x02;
 const OP_INSERT: u8 = 0x03;
 const OP_BATCH: u8 = 0x04;
-const OP_STATS: u8 = 0x05;
-const OP_METRICS: u8 = 0x06;
-const OP_TRACES: u8 = 0x07;
-const OP_ALERTS: u8 = 0x08;
-const OP_HISTORY: u8 = 0x09;
+const OP_INTROSPECT: u8 = 0x05;
 
 // Reply opcodes (server → client).
 const OP_PONG: u8 = 0x81;
@@ -50,18 +49,7 @@ const OP_ERROR: u8 = 0x83;
 const OP_OVERLOADED: u8 = 0x84;
 const OP_INSERTED: u8 = 0x85;
 const OP_BATCH_RESULT: u8 = 0x86;
-const OP_STATS_RESULT: u8 = 0x87;
-const OP_METRICS_TEXT: u8 = 0x88;
-const OP_TRACES_RESULT: u8 = 0x89;
-const OP_ALERTS_RESULT: u8 = 0x8A;
-const OP_HISTORY_RESULT: u8 = 0x8B;
-
-// Span-event tags inside a TRACES reply.
-const SPAN_PLAN: u8 = 0;
-const SPAN_INDEX_PROBE: u8 = 1;
-const SPAN_ZONE_MAP_PRUNE: u8 = 2;
-const SPAN_RESIDUAL_FILTER: u8 = 3;
-const SPAN_MATERIALIZE: u8 = 4;
+const OP_INTROSPECTION: u8 = 0x87;
 
 /// Why a payload failed to decode.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -217,28 +205,52 @@ pub enum Request {
     /// per-request overhead; answered with [`Reply::Batch`] (per-query
     /// results) or [`Reply::Overloaded`] for the whole batch.
     Batch(Vec<Query>),
-    /// Fetch the merged telemetry snapshot (engine metrics plus the
-    /// server's own `server.*` metrics); answered with [`Reply::Stats`].
-    /// Never shed by admission control — an operator must be able to see a
-    /// saturated server.
-    Stats,
-    /// Fetch the same merged snapshot rendered as Prometheus text
-    /// exposition format; answered with [`Reply::MetricsText`]. Like
-    /// [`Request::Stats`], never shed.
-    Metrics,
-    /// Fetch the engine's recent sampled query traces (the trace-sampler
-    /// ring, oldest first); answered with [`Reply::Traces`]. Like
-    /// [`Request::Stats`], never shed.
-    Traces,
-    /// Fetch the alert engine's per-rule live states plus its bounded
-    /// event journal; answered with [`Reply::Alerts`] (both empty when the
-    /// database was built without alerting). Like [`Request::Stats`],
-    /// never shed — alerts exist precisely to be readable under duress.
-    Alerts,
-    /// Fetch the reporter's retained rate history (the delta ring, oldest
-    /// first); answered with [`Reply::History`]. Like [`Request::Stats`],
-    /// never shed.
-    History,
+    /// Read one operator [`Surface`]; answered with
+    /// [`Reply::Introspection`]. Never shed by admission control — an
+    /// operator must be able to see a saturated server.
+    Introspect(Surface),
+}
+
+/// Which operator view a [`Request::Introspect`] reads, and what the
+/// [`Reply::Introspection`] body holds.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[repr(u8)]
+pub enum Surface {
+    /// JSON of an `aidx_telemetry::Snapshot`: every engine and server
+    /// metric at one point in time.
+    Stats = 0,
+    /// The same snapshot as Prometheus text exposition, plus the labeled
+    /// alert-state and index-health gauges.
+    Metrics = 1,
+    /// JSON of a `Vec<aidx_telemetry::QueryTrace>`: the sampled trace ring,
+    /// oldest first.
+    Traces = 2,
+    /// JSON of a `(Vec<aidx_telemetry::AlertStatus>,
+    /// Vec<aidx_telemetry::AlertEvent>)`: per-rule live states in rule
+    /// order, then the event journal oldest first (both empty when the
+    /// database was built without alerting).
+    Alerts = 3,
+    /// JSON of a `Vec<aidx_telemetry::SnapshotDelta>`: the reporter's
+    /// retained rate history, oldest first.
+    History = 4,
+}
+
+impl Surface {
+    fn from_tag(tag: u8) -> Result<Surface, FrameError> {
+        Ok(match tag {
+            0 => Surface::Stats,
+            1 => Surface::Metrics,
+            2 => Surface::Traces,
+            3 => Surface::Alerts,
+            4 => Surface::History,
+            tag => {
+                return Err(FrameError::UnknownTag {
+                    what: "introspection surface",
+                    tag,
+                })
+            }
+        })
+    }
 }
 
 /// A server → client message.
@@ -267,26 +279,9 @@ pub enum Reply {
     },
     /// Per-query outcomes of a [`Request::Batch`], in request order.
     Batch(Vec<BatchItem>),
-    /// Answer to [`Request::Stats`]: every engine and server metric at one
-    /// point in time (counter/gauge/histogram triples, sorted by name).
-    Stats(Snapshot),
-    /// Answer to [`Request::Metrics`]: the merged snapshot rendered as
-    /// Prometheus text exposition format, ready to proxy to a scraper.
-    MetricsText(String),
-    /// Answer to [`Request::Traces`]: recent sampled query traces, oldest
-    /// first.
-    Traces(Vec<QueryTrace>),
-    /// Answer to [`Request::Alerts`]: per-rule live states (rule order)
-    /// plus the event journal (oldest first).
-    Alerts {
-        /// One live status per configured rule.
-        status: Vec<AlertStatus>,
-        /// The journal: every recorded state transition, oldest first.
-        events: Vec<AlertEvent>,
-    },
-    /// Answer to [`Request::History`]: the reporter's retained snapshot
-    /// deltas, oldest first.
-    History(Vec<SnapshotDelta>),
+    /// Answer to [`Request::Introspect`]: the surface's body, in the format
+    /// its [`Surface`] variant names.
+    Introspection(String),
 }
 
 /// One query's outcome inside a [`Reply::Batch`].
@@ -461,159 +456,6 @@ fn put_wire_error(buf: &mut Vec<u8>, error: &WireError) {
     put_str(buf, &error.message);
 }
 
-fn put_snapshot(buf: &mut Vec<u8>, snapshot: &Snapshot) {
-    put_u32(buf, snapshot.counters.len() as u32);
-    for counter in &snapshot.counters {
-        put_str(buf, &counter.name);
-        put_u64(buf, counter.value);
-    }
-    put_u32(buf, snapshot.gauges.len() as u32);
-    for gauge in &snapshot.gauges {
-        put_str(buf, &gauge.name);
-        put_i64(buf, gauge.value);
-    }
-    put_u32(buf, snapshot.histograms.len() as u32);
-    for histogram in &snapshot.histograms {
-        put_str(buf, &histogram.name);
-        put_u64(buf, histogram.count);
-        put_u64(buf, histogram.sum);
-        put_u32(buf, histogram.buckets.len() as u32);
-        for &bucket in &histogram.buckets {
-            put_u64(buf, bucket);
-        }
-    }
-}
-
-pub(crate) fn alert_state_tag(state: AlertState) -> u8 {
-    match state {
-        AlertState::Idle => 0,
-        AlertState::Pending => 1,
-        AlertState::Firing => 2,
-    }
-}
-
-fn alert_event_kind_tag(kind: AlertEventKind) -> u8 {
-    match kind {
-        AlertEventKind::Pending => 0,
-        AlertEventKind::Firing => 1,
-        AlertEventKind::Resolved => 2,
-        AlertEventKind::Cancelled => 3,
-    }
-}
-
-fn put_alert_status(buf: &mut Vec<u8>, status: &AlertStatus) {
-    put_str(buf, &status.rule);
-    put_u8(buf, alert_state_tag(status.state));
-    put_u32(buf, status.consecutive_breaches);
-    put_u32(buf, status.healthy_intervals);
-    put_str(buf, &status.observed);
-    put_u64(buf, status.times_fired);
-}
-
-fn put_alert_event(buf: &mut Vec<u8>, event: &AlertEvent) {
-    put_str(buf, &event.rule);
-    put_u8(buf, alert_event_kind_tag(event.kind));
-    put_u64(buf, event.tick);
-    put_str(buf, &event.observed);
-    put_u32(buf, event.columns.len() as u32);
-    for column in &event.columns {
-        put_str(buf, column);
-    }
-}
-
-fn put_delta(buf: &mut Vec<u8>, delta: &SnapshotDelta) {
-    put_u64(buf, delta.interval_ns);
-    put_u32(buf, delta.counters.len() as u32);
-    for counter in &delta.counters {
-        put_str(buf, &counter.name);
-        put_u64(buf, counter.delta);
-    }
-    put_u32(buf, delta.gauges.len() as u32);
-    for gauge in &delta.gauges {
-        put_str(buf, &gauge.name);
-        put_i64(buf, gauge.level);
-        put_i64(buf, gauge.delta);
-    }
-    put_u32(buf, delta.histograms.len() as u32);
-    for histogram in &delta.histograms {
-        put_str(buf, &histogram.name);
-        put_u64(buf, histogram.count);
-        put_u64(buf, histogram.sum);
-        put_u32(buf, histogram.buckets.len() as u32);
-        for &bucket in &histogram.buckets {
-            put_u64(buf, bucket);
-        }
-    }
-}
-
-fn put_trace(buf: &mut Vec<u8>, trace: &QueryTrace) {
-    put_u64(buf, trace.elapsed_ns);
-    put_u32(buf, trace.events.len() as u32);
-    for event in &trace.events {
-        match event {
-            SpanEvent::Plan {
-                driver_column,
-                estimated_selectivity,
-                residual_predicates,
-            } => {
-                put_u8(buf, SPAN_PLAN);
-                match driver_column {
-                    None => put_u8(buf, 0),
-                    Some(column) => {
-                        put_u8(buf, 1);
-                        put_str(buf, column);
-                    }
-                }
-                put_u64(buf, estimated_selectivity.to_bits());
-                put_u64(buf, *residual_predicates);
-            }
-            SpanEvent::IndexProbe {
-                column,
-                strategy,
-                probes,
-                pieces_before,
-                pieces_after,
-                effort_delta,
-                rebuilt,
-                lagging_scan,
-            } => {
-                put_u8(buf, SPAN_INDEX_PROBE);
-                put_str(buf, column);
-                put_str(buf, strategy);
-                put_u64(buf, *probes);
-                put_u64(buf, *pieces_before);
-                put_u64(buf, *pieces_after);
-                put_u64(buf, *effort_delta);
-                put_u8(buf, u8::from(*rebuilt));
-                put_u8(buf, u8::from(*lagging_scan));
-            }
-            SpanEvent::ZoneMapPrune {
-                chunks_scanned,
-                chunks_pruned,
-            } => {
-                put_u8(buf, SPAN_ZONE_MAP_PRUNE);
-                put_u64(buf, *chunks_scanned);
-                put_u64(buf, *chunks_pruned);
-            }
-            SpanEvent::ResidualFilter {
-                column,
-                candidates_in,
-                rows_out,
-            } => {
-                put_u8(buf, SPAN_RESIDUAL_FILTER);
-                put_str(buf, column);
-                put_u64(buf, *candidates_in);
-                put_u64(buf, *rows_out);
-            }
-            SpanEvent::Materialize { rows, aggregated } => {
-                put_u8(buf, SPAN_MATERIALIZE);
-                put_u64(buf, *rows);
-                put_u8(buf, u8::from(*aggregated));
-            }
-        }
-    }
-}
-
 impl Request {
     /// Encode this request as a frame payload (opcode + body).
     pub fn encode(&self) -> Vec<u8> {
@@ -639,11 +481,10 @@ impl Request {
                     put_query(&mut buf, query);
                 }
             }
-            Request::Stats => put_u8(&mut buf, OP_STATS),
-            Request::Metrics => put_u8(&mut buf, OP_METRICS),
-            Request::Traces => put_u8(&mut buf, OP_TRACES),
-            Request::Alerts => put_u8(&mut buf, OP_ALERTS),
-            Request::History => put_u8(&mut buf, OP_HISTORY),
+            Request::Introspect(surface) => {
+                put_u8(&mut buf, OP_INTROSPECT);
+                put_u8(&mut buf, *surface as u8);
+            }
         }
         buf
     }
@@ -672,11 +513,7 @@ impl Request {
                 }
                 Request::Batch(queries)
             }
-            OP_STATS => Request::Stats,
-            OP_METRICS => Request::Metrics,
-            OP_TRACES => Request::Traces,
-            OP_ALERTS => Request::Alerts,
-            OP_HISTORY => Request::History,
+            OP_INTROSPECT => Request::Introspect(Surface::from_tag(r.take_u8()?)?),
             tag => {
                 return Err(FrameError::UnknownTag {
                     what: "request opcode",
@@ -728,38 +565,9 @@ impl Reply {
                     }
                 }
             }
-            Reply::Stats(snapshot) => {
-                put_u8(&mut buf, OP_STATS_RESULT);
-                put_snapshot(&mut buf, snapshot);
-            }
-            Reply::MetricsText(text) => {
-                put_u8(&mut buf, OP_METRICS_TEXT);
-                put_str(&mut buf, text);
-            }
-            Reply::Traces(traces) => {
-                put_u8(&mut buf, OP_TRACES_RESULT);
-                put_u32(&mut buf, traces.len() as u32);
-                for trace in traces {
-                    put_trace(&mut buf, trace);
-                }
-            }
-            Reply::Alerts { status, events } => {
-                put_u8(&mut buf, OP_ALERTS_RESULT);
-                put_u32(&mut buf, status.len() as u32);
-                for s in status {
-                    put_alert_status(&mut buf, s);
-                }
-                put_u32(&mut buf, events.len() as u32);
-                for event in events {
-                    put_alert_event(&mut buf, event);
-                }
-            }
-            Reply::History(deltas) => {
-                put_u8(&mut buf, OP_HISTORY_RESULT);
-                put_u32(&mut buf, deltas.len() as u32);
-                for delta in deltas {
-                    put_delta(&mut buf, delta);
-                }
+            Reply::Introspection(body) => {
+                put_u8(&mut buf, OP_INTROSPECTION);
+                put_str(&mut buf, body);
             }
         }
         buf
@@ -797,44 +605,7 @@ impl Reply {
                 }
                 Reply::Batch(items)
             }
-            OP_STATS_RESULT => Reply::Stats(take_snapshot(&mut r)?),
-            OP_METRICS_TEXT => Reply::MetricsText(r.take_str()?),
-            OP_TRACES_RESULT => {
-                // minimum encoded trace: 8-byte elapsed + 4-byte event count
-                let count = r.take_count("trace", 12)?;
-                let mut traces = Vec::with_capacity(count);
-                for _ in 0..count {
-                    traces.push(take_trace(&mut r)?);
-                }
-                Reply::Traces(traces)
-            }
-            OP_ALERTS_RESULT => {
-                // minimum encoded status: two 4-byte string prefixes +
-                // 1-byte state + two 4-byte streak counts + 8-byte fired
-                let status_len = r.take_count("alert status", 25)?;
-                let mut status = Vec::with_capacity(status_len);
-                for _ in 0..status_len {
-                    status.push(take_alert_status(&mut r)?);
-                }
-                // minimum encoded event: two string prefixes + 1-byte kind
-                // + 8-byte tick + 4-byte column count
-                let events_len = r.take_count("alert event", 21)?;
-                let mut events = Vec::with_capacity(events_len);
-                for _ in 0..events_len {
-                    events.push(take_alert_event(&mut r)?);
-                }
-                Reply::Alerts { status, events }
-            }
-            OP_HISTORY_RESULT => {
-                // minimum encoded delta: 8-byte interval + three 4-byte
-                // section counts
-                let count = r.take_count("history delta", 20)?;
-                let mut deltas = Vec::with_capacity(count);
-                for _ in 0..count {
-                    deltas.push(take_delta(&mut r)?);
-                }
-                Reply::History(deltas)
-            }
+            OP_INTROSPECTION => Reply::Introspection(r.take_str()?),
             tag => {
                 return Err(FrameError::UnknownTag {
                     what: "reply opcode",
@@ -1051,211 +822,6 @@ fn take_wire_error(r: &mut Reader<'_>) -> Result<WireError, FrameError> {
     Ok(WireError { code, message })
 }
 
-fn take_snapshot(r: &mut Reader<'_>) -> Result<Snapshot, FrameError> {
-    // minimum encoded sizes: counter = 4-byte name prefix + 8-byte value,
-    // gauge likewise, histogram = name prefix + count + sum + bucket count
-    let counters_len = r.take_count("counter", 12)?;
-    let mut counters = Vec::with_capacity(counters_len);
-    for _ in 0..counters_len {
-        counters.push(CounterSnapshot {
-            name: r.take_str()?,
-            value: r.take_u64()?,
-        });
-    }
-    let gauges_len = r.take_count("gauge", 12)?;
-    let mut gauges = Vec::with_capacity(gauges_len);
-    for _ in 0..gauges_len {
-        gauges.push(GaugeSnapshot {
-            name: r.take_str()?,
-            value: r.take_i64()?,
-        });
-    }
-    let histograms_len = r.take_count("histogram", 24)?;
-    let mut histograms = Vec::with_capacity(histograms_len);
-    for _ in 0..histograms_len {
-        let name = r.take_str()?;
-        let count = r.take_u64()?;
-        let sum = r.take_u64()?;
-        let buckets_len = r.take_count("histogram bucket", 8)?;
-        let mut buckets = Vec::with_capacity(buckets_len);
-        for _ in 0..buckets_len {
-            buckets.push(r.take_u64()?);
-        }
-        histograms.push(HistogramSnapshot {
-            name,
-            count,
-            sum,
-            buckets,
-        });
-    }
-    Ok(Snapshot {
-        counters,
-        gauges,
-        histograms,
-    })
-}
-
-fn take_alert_status(r: &mut Reader<'_>) -> Result<AlertStatus, FrameError> {
-    let rule = r.take_str()?;
-    let state = match r.take_u8()? {
-        0 => AlertState::Idle,
-        1 => AlertState::Pending,
-        2 => AlertState::Firing,
-        tag => {
-            return Err(FrameError::UnknownTag {
-                what: "alert state",
-                tag,
-            })
-        }
-    };
-    Ok(AlertStatus {
-        rule,
-        state,
-        consecutive_breaches: r.take_u32()?,
-        healthy_intervals: r.take_u32()?,
-        observed: r.take_str()?,
-        times_fired: r.take_u64()?,
-    })
-}
-
-fn take_alert_event(r: &mut Reader<'_>) -> Result<AlertEvent, FrameError> {
-    let rule = r.take_str()?;
-    let kind = match r.take_u8()? {
-        0 => AlertEventKind::Pending,
-        1 => AlertEventKind::Firing,
-        2 => AlertEventKind::Resolved,
-        3 => AlertEventKind::Cancelled,
-        tag => {
-            return Err(FrameError::UnknownTag {
-                what: "alert event kind",
-                tag,
-            })
-        }
-    };
-    let tick = r.take_u64()?;
-    let observed = r.take_str()?;
-    // minimum encoded column: its 4-byte string length prefix
-    let columns_len = r.take_count("alert column", 4)?;
-    let mut columns = Vec::with_capacity(columns_len);
-    for _ in 0..columns_len {
-        columns.push(r.take_str()?);
-    }
-    Ok(AlertEvent {
-        rule,
-        kind,
-        tick,
-        observed,
-        columns,
-    })
-}
-
-fn take_delta(r: &mut Reader<'_>) -> Result<SnapshotDelta, FrameError> {
-    let interval_ns = r.take_u64()?;
-    // minimum encoded counter delta: 4-byte name prefix + 8-byte delta
-    let counters_len = r.take_count("counter delta", 12)?;
-    let mut counters = Vec::with_capacity(counters_len);
-    for _ in 0..counters_len {
-        counters.push(CounterDelta {
-            name: r.take_str()?,
-            delta: r.take_u64()?,
-        });
-    }
-    // minimum encoded gauge delta: name prefix + level + delta
-    let gauges_len = r.take_count("gauge delta", 20)?;
-    let mut gauges = Vec::with_capacity(gauges_len);
-    for _ in 0..gauges_len {
-        gauges.push(GaugeDelta {
-            name: r.take_str()?,
-            level: r.take_i64()?,
-            delta: r.take_i64()?,
-        });
-    }
-    // windowed histograms share the cumulative snapshot's encoding
-    let histograms_len = r.take_count("windowed histogram", 24)?;
-    let mut histograms = Vec::with_capacity(histograms_len);
-    for _ in 0..histograms_len {
-        let name = r.take_str()?;
-        let count = r.take_u64()?;
-        let sum = r.take_u64()?;
-        let buckets_len = r.take_count("windowed histogram bucket", 8)?;
-        let mut buckets = Vec::with_capacity(buckets_len);
-        for _ in 0..buckets_len {
-            buckets.push(r.take_u64()?);
-        }
-        histograms.push(HistogramSnapshot {
-            name,
-            count,
-            sum,
-            buckets,
-        });
-    }
-    Ok(SnapshotDelta {
-        interval_ns,
-        counters,
-        gauges,
-        histograms,
-    })
-}
-
-fn take_bool(r: &mut Reader<'_>, what: &'static str) -> Result<bool, FrameError> {
-    match r.take_u8()? {
-        0 => Ok(false),
-        1 => Ok(true),
-        tag => Err(FrameError::UnknownTag { what, tag }),
-    }
-}
-
-fn take_trace(r: &mut Reader<'_>) -> Result<QueryTrace, FrameError> {
-    let elapsed_ns = r.take_u64()?;
-    // minimum encoded span event: 1-byte tag + 8-byte rows + 1-byte flag
-    // (Materialize, the smallest variant)
-    let events_len = r.take_count("span event", 10)?;
-    let mut events = Vec::with_capacity(events_len);
-    for _ in 0..events_len {
-        let event = match r.take_u8()? {
-            SPAN_PLAN => SpanEvent::Plan {
-                driver_column: match take_bool(r, "driver column presence")? {
-                    false => None,
-                    true => Some(r.take_str()?),
-                },
-                estimated_selectivity: f64::from_bits(r.take_u64()?),
-                residual_predicates: r.take_u64()?,
-            },
-            SPAN_INDEX_PROBE => SpanEvent::IndexProbe {
-                column: r.take_str()?,
-                strategy: r.take_str()?,
-                probes: r.take_u64()?,
-                pieces_before: r.take_u64()?,
-                pieces_after: r.take_u64()?,
-                effort_delta: r.take_u64()?,
-                rebuilt: take_bool(r, "rebuilt flag")?,
-                lagging_scan: take_bool(r, "lagging-scan flag")?,
-            },
-            SPAN_ZONE_MAP_PRUNE => SpanEvent::ZoneMapPrune {
-                chunks_scanned: r.take_u64()?,
-                chunks_pruned: r.take_u64()?,
-            },
-            SPAN_RESIDUAL_FILTER => SpanEvent::ResidualFilter {
-                column: r.take_str()?,
-                candidates_in: r.take_u64()?,
-                rows_out: r.take_u64()?,
-            },
-            SPAN_MATERIALIZE => SpanEvent::Materialize {
-                rows: r.take_u64()?,
-                aggregated: take_bool(r, "aggregated flag")?,
-            },
-            tag => {
-                return Err(FrameError::UnknownTag {
-                    what: "span event",
-                    tag,
-                })
-            }
-        };
-        events.push(event);
-    }
-    Ok(QueryTrace { events, elapsed_ns })
-}
-
 // ---------------------------------------------------------------------------
 // Frame I/O
 // ---------------------------------------------------------------------------
@@ -1344,6 +910,7 @@ pub fn read_frame(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use aidx_telemetry::{QueryTrace, SpanEvent};
 
     fn sample_query() -> Query {
         Query::table("orders")
@@ -1354,26 +921,48 @@ mod tests {
             .aggregate(Aggregation::Sum, "o_key")
     }
 
+    fn hex(bytes: &[u8]) -> String {
+        bytes.iter().map(|b| format!("{b:02x}")).collect()
+    }
+
+    // The data-path pins are the bytes the encoder wrote before the operator
+    // surfaces were folded into INTROSPECT: those codecs must not move.
     #[test]
     fn request_roundtrips() {
+        let insert = Request::Insert {
+            table: "orders".into(),
+            values: vec![
+                Value::Int64(-7),
+                Value::Float64(2.5),
+                Value::Utf8("naïve".into()),
+                Value::Null,
+            ],
+        };
         let requests = [
-            Request::Ping,
-            Request::Query(sample_query()),
-            Request::Query(Query::table("t")),
-            Request::Insert {
-                table: "orders".into(),
-                values: vec![
-                    Value::Int64(-7),
-                    Value::Float64(2.5),
-                    Value::Utf8("naïve".into()),
-                    Value::Null,
-                ],
-            },
-            Request::Batch(vec![sample_query(), Query::table("t").point("a", 1)]),
-            Request::Batch(Vec::new()),
+            (Request::Ping, "01"),
+            (
+                Request::Query(sample_query()),
+                "02060000006f7264657273030000050000006f5f6b65790a00000000000000f4010000000000\
+                 0001080000006f5f726567696f6e030000000000000002060000006f5f6b696e640300000001\
+                 00000000000000040000000000000009000000000000000200050000006f5f6b657907000000\
+                 6f5f6c6162656c02050000006f5f6b6579",
+            ),
+            (Request::Query(Query::table("t")), "0201000000740000000000"),
+            (
+                insert,
+                "03060000006f72646572730400000001f9ffffffffffffff02000000000000044003060000006e\
+                 61c3af766500",
+            ),
+            (
+                Request::Batch(vec![Query::table("t").point("a", 1)]),
+                "0401000000010000007401000101000000610100000000000000000000",
+            ),
+            (Request::Batch(Vec::new()), "0400000000"),
+            (Request::Introspect(Surface::History), "0504"),
         ];
-        for request in requests {
+        for (request, pinned) in requests {
             let encoded = request.encode();
+            assert_eq!(hex(&encoded), pinned, "{request:?}");
             assert_eq!(Request::decode(&encoded).unwrap(), request, "{request:?}");
         }
     }
@@ -1389,435 +978,107 @@ mod tests {
             ],
         };
         let replies = [
-            Reply::Pong,
-            Reply::Result(result.clone()),
-            Reply::Result(WireResult::default()),
-            Reply::Error(WireError::new(ErrorCode::Planner, "no driver")),
-            Reply::Overloaded {
-                in_flight: 64,
-                budget: 64,
-            },
-            Reply::Inserted { row_id: 123 },
-            Reply::Batch(vec![
-                BatchItem::Result(result),
-                BatchItem::Error(WireError::new(ErrorCode::Store, "unknown table")),
-            ]),
+            (Reply::Pong, "81"),
+            (
+                Reply::Result(result),
+                "820300000000000000050000001100000001012a0000000000000002000000020001010000000000\
+                 0000030100000061020001020000000000000000",
+            ),
+            (Reply::Result(WireResult::default()), "82000000000000000000"),
+            (
+                Reply::Error(WireError::new(ErrorCode::Planner, "no driver")),
+                "831200090000006e6f20647269766572",
+            ),
+            (
+                Reply::Overloaded {
+                    in_flight: 64,
+                    budget: 64,
+                },
+                "844000000040000000",
+            ),
+            (Reply::Inserted { row_id: 123 }, "857b00000000000000"),
+            (
+                Reply::Batch(vec![
+                    BatchItem::Result(WireResult::default()),
+                    BatchItem::Error(WireError::new(ErrorCode::Store, "unknown table")),
+                ]),
+                "8602000000000000000000000000000110000d000000756e6b6e6f776e207461626c65",
+            ),
+            (Reply::Introspection(String::new()), "8700000000"),
+            (Reply::Introspection("[1]".into()), "87030000005b315d"),
         ];
-        for reply in replies {
+        for (reply, pinned) in replies {
             let encoded = reply.encode();
+            assert_eq!(hex(&encoded), pinned, "{reply:?}");
             assert_eq!(Reply::decode(&encoded).unwrap(), reply, "{reply:?}");
         }
     }
 
-    fn sample_snapshot() -> Snapshot {
-        Snapshot {
-            counters: vec![
-                CounterSnapshot {
-                    name: "engine.queries_served".into(),
-                    value: 42,
-                },
-                CounterSnapshot {
-                    name: "server.requests_shed".into(),
-                    value: 0,
-                },
-            ],
-            gauges: vec![GaugeSnapshot {
-                name: "server.connections".into(),
-                value: -1,
-            }],
-            histograms: vec![HistogramSnapshot {
-                name: "server.request_ns".into(),
-                count: 3,
-                sum: 3000,
-                buckets: vec![0, 1, 2],
-            }],
-        }
+    /// `INTROSPECT` is the opcode plus one surface byte; the reply frames
+    /// the body as one string, whatever the surface.
+    fn assert_surface_roundtrips(surface: Surface, tag: u8, body: &str) {
+        let request = Request::Introspect(surface);
+        assert_eq!(request.encode(), [OP_INTROSPECT, tag]);
+        assert_eq!(Request::decode(&request.encode()).unwrap(), request);
+        let reply = Reply::Introspection(body.into());
+        assert_eq!(Reply::decode(&reply.encode()).unwrap(), reply);
     }
 
     #[test]
     fn stats_request_and_reply_roundtrip() {
-        let request = Request::Stats;
-        assert_eq!(Request::decode(&request.encode()).unwrap(), request);
-        for reply in [
-            Reply::Stats(sample_snapshot()),
-            Reply::Stats(Snapshot::default()),
-        ] {
-            let encoded = reply.encode();
-            assert_eq!(Reply::decode(&encoded).unwrap(), reply, "{reply:?}");
-        }
-    }
-
-    #[test]
-    fn truncated_stats_replies_are_typed_errors() {
-        let encoded = Reply::Stats(sample_snapshot()).encode();
-        for cut in [1, 5, 20, encoded.len() - 1] {
-            let err = Reply::decode(&encoded[..cut]).unwrap_err();
-            assert!(
-                matches!(
-                    err,
-                    FrameError::Truncated | FrameError::CountOverflow { .. }
-                ),
-                "cut at {cut}: {err:?}"
-            );
-        }
-        // a histogram claiming 4 billion buckets in a tiny payload
-        let mut buf = vec![OP_STATS_RESULT];
-        put_u32(&mut buf, 0); // counters
-        put_u32(&mut buf, 0); // gauges
-        put_u32(&mut buf, 1); // histograms
-        put_str(&mut buf, "h");
-        put_u64(&mut buf, 1);
-        put_u64(&mut buf, 1);
-        put_u32(&mut buf, u32::MAX); // hostile bucket count
-        let err = Reply::decode(&buf).unwrap_err();
-        assert!(matches!(err, FrameError::CountOverflow { .. }), "{err:?}");
-    }
-
-    fn sample_trace() -> QueryTrace {
-        QueryTrace {
-            events: vec![
-                SpanEvent::Plan {
-                    driver_column: Some("ts".into()),
-                    estimated_selectivity: 0.125,
-                    residual_predicates: 1,
-                },
-                SpanEvent::IndexProbe {
-                    column: "ts".into(),
-                    strategy: "cracking".into(),
-                    probes: 2,
-                    pieces_before: 3,
-                    pieces_after: 7,
-                    effort_delta: 4096,
-                    rebuilt: true,
-                    lagging_scan: false,
-                },
-                SpanEvent::ZoneMapPrune {
-                    chunks_scanned: 2,
-                    chunks_pruned: 6,
-                },
-                SpanEvent::ResidualFilter {
-                    column: "kind".into(),
-                    candidates_in: 100,
-                    rows_out: 20,
-                },
-                SpanEvent::Materialize {
-                    rows: 20,
-                    aggregated: true,
-                },
-            ],
-            elapsed_ns: 123_456,
-        }
+        let body = r#"{"counters":[{"name":"server.queries_served","value":1}]}"#;
+        assert_surface_roundtrips(Surface::Stats, 0, body);
     }
 
     #[test]
     fn metrics_and_traces_requests_and_replies_roundtrip() {
-        for request in [Request::Metrics, Request::Traces] {
-            assert_eq!(Request::decode(&request.encode()).unwrap(), request);
-        }
-        let planless = QueryTrace {
-            events: vec![SpanEvent::Plan {
-                driver_column: None,
-                estimated_selectivity: 1.0,
-                residual_predicates: 0,
-            }],
-            elapsed_ns: 7,
-        };
-        let replies = [
-            Reply::MetricsText(String::new()),
-            Reply::MetricsText("# TYPE engine_queries_served counter\nnaïve 1\n".into()),
-            Reply::Traces(Vec::new()),
-            Reply::Traces(vec![sample_trace(), planless]),
-        ];
-        for reply in replies {
-            let encoded = reply.encode();
-            assert_eq!(Reply::decode(&encoded).unwrap(), reply, "{reply:?}");
-        }
+        let text = "# TYPE engine_queries_served counter\nnaïve 1\n";
+        assert_surface_roundtrips(Surface::Metrics, 1, text);
+        assert_surface_roundtrips(Surface::Traces, 2, "[]");
     }
 
-    #[test]
-    fn truncated_traces_replies_are_typed_errors() {
-        let encoded = Reply::Traces(vec![sample_trace()]).encode();
-        for cut in 1..encoded.len() {
-            let err = Reply::decode(&encoded[..cut]).unwrap_err();
-            assert!(
-                matches!(
-                    err,
-                    FrameError::Truncated | FrameError::CountOverflow { .. }
-                ),
-                "cut at {cut}: {err:?}"
-            );
-        }
-        // a reply claiming 4 billion traces in a tiny payload
-        let mut buf = vec![OP_TRACES_RESULT];
-        put_u32(&mut buf, u32::MAX);
-        let err = Reply::decode(&buf).unwrap_err();
-        assert!(matches!(err, FrameError::CountOverflow { .. }), "{err:?}");
-        // one trace claiming 4 billion span events
-        let mut buf = vec![OP_TRACES_RESULT];
-        put_u32(&mut buf, 1);
-        put_u64(&mut buf, 0); // elapsed_ns
-        put_u32(&mut buf, u32::MAX); // hostile event count
-        let err = Reply::decode(&buf).unwrap_err();
-        assert!(matches!(err, FrameError::CountOverflow { .. }), "{err:?}");
-    }
-
-    #[test]
-    fn hostile_span_tags_and_flags_are_typed_errors() {
-        // an unknown span-event tag
-        let mut buf = vec![OP_TRACES_RESULT];
-        put_u32(&mut buf, 1);
-        put_u64(&mut buf, 0);
-        put_u32(&mut buf, 1);
-        put_u8(&mut buf, 9);
-        buf.extend_from_slice(&[0u8; 16]); // satisfy the per-event size floor
-        assert!(matches!(
-            Reply::decode(&buf).unwrap_err(),
-            FrameError::UnknownTag {
-                what: "span event",
-                tag: 9
-            }
-        ));
-        // a Materialize whose aggregated flag is neither 0 nor 1
-        let mut buf = vec![OP_TRACES_RESULT];
-        put_u32(&mut buf, 1);
-        put_u64(&mut buf, 0);
-        put_u32(&mut buf, 1);
-        put_u8(&mut buf, SPAN_MATERIALIZE);
-        put_u64(&mut buf, 5);
-        put_u8(&mut buf, 2);
-        assert!(matches!(
-            Reply::decode(&buf).unwrap_err(),
-            FrameError::UnknownTag {
-                what: "aggregated flag",
-                tag: 2
-            }
-        ));
-    }
-
+    /// The planner clamps the estimate to `[0, 1]`, so it is never NaN;
+    /// every finite value crosses the wire bit for bit.
     #[test]
     fn trace_floats_roundtrip_bit_exactly() {
-        for v in [0.0f64, -0.0, f64::NAN, 1.5e-300] {
-            let reply = Reply::Traces(vec![QueryTrace {
-                events: vec![SpanEvent::Plan {
-                    driver_column: None,
-                    estimated_selectivity: v,
-                    residual_predicates: 0,
-                }],
+        let tiny = f64::from_bits(1);
+        for v in [
+            0.0f64,
+            -0.0,
+            0.1,
+            1.5e-300,
+            tiny,
+            f64::MIN_POSITIVE,
+            f64::MAX,
+        ] {
+            let plan = SpanEvent::Plan {
+                driver_column: None,
+                estimated_selectivity: v,
+                residual_predicates: 0,
+            };
+            let traces = vec![QueryTrace {
+                events: vec![plan],
                 elapsed_ns: 1,
-            }]);
-            let decoded = Reply::decode(&reply.encode()).unwrap();
-            match decoded {
-                Reply::Traces(traces) => match &traces[0].events[0] {
-                    SpanEvent::Plan {
-                        estimated_selectivity,
-                        ..
-                    } => assert_eq!(estimated_selectivity.to_bits(), v.to_bits()),
-                    other => panic!("{other:?}"),
-                },
+            }];
+            let reply = Reply::Introspection(serde_json::to_string(&traces).unwrap());
+            let Reply::Introspection(body) = Reply::decode(&reply.encode()).unwrap() else {
+                panic!("not an introspection reply");
+            };
+            let back: Vec<QueryTrace> = serde_json::from_str(&body).unwrap();
+            match &back[0].events[0] {
+                SpanEvent::Plan {
+                    estimated_selectivity,
+                    ..
+                } => assert_eq!(estimated_selectivity.to_bits(), v.to_bits(), "{v:e}"),
                 other => panic!("{other:?}"),
             }
         }
     }
 
-    fn sample_alerts_reply() -> Reply {
-        Reply::Alerts {
-            status: vec![
-                AlertStatus {
-                    rule: "shed-spike".into(),
-                    state: AlertState::Firing,
-                    consecutive_breaches: 3,
-                    healthy_intervals: 0,
-                    observed: "server.requests_shed rate 120.0/s > 50.0/s".into(),
-                    times_fired: 2,
-                },
-                AlertStatus {
-                    rule: "column-stalled".into(),
-                    state: AlertState::Idle,
-                    consecutive_breaches: 0,
-                    healthy_intervals: 0,
-                    observed: String::new(),
-                    times_fired: 0,
-                },
-            ],
-            events: vec![
-                AlertEvent {
-                    rule: "shed-spike".into(),
-                    kind: AlertEventKind::Pending,
-                    tick: 4,
-                    observed: "naïve ★ evidence".into(),
-                    columns: vec![],
-                },
-                AlertEvent {
-                    rule: "column-stalled".into(),
-                    kind: AlertEventKind::Firing,
-                    tick: 9,
-                    observed: "verdict stalled".into(),
-                    columns: vec!["t.o_key".into(), "t.o_value".into()],
-                },
-            ],
-        }
-    }
-
-    fn sample_history_reply() -> Reply {
-        Reply::History(vec![
-            SnapshotDelta {
-                interval_ns: 1_000_000,
-                counters: vec![CounterDelta {
-                    name: "engine.queries_served".into(),
-                    delta: 42,
-                }],
-                gauges: vec![GaugeDelta {
-                    name: "server.connections".into(),
-                    level: -3,
-                    delta: i64::MIN,
-                }],
-                histograms: vec![HistogramSnapshot {
-                    name: "engine.query_ns".into(),
-                    count: 42,
-                    sum: 123_456,
-                    buckets: vec![0, 7, 35],
-                }],
-            },
-            SnapshotDelta {
-                interval_ns: 0,
-                counters: vec![],
-                gauges: vec![],
-                histograms: vec![],
-            },
-        ])
-    }
-
     #[test]
     fn alerts_and_history_requests_and_replies_roundtrip() {
-        for request in [Request::Alerts, Request::History] {
-            assert_eq!(Request::decode(&request.encode()).unwrap(), request);
-        }
-        let empty = Reply::Alerts {
-            status: vec![],
-            events: vec![],
-        };
-        for reply in [
-            sample_alerts_reply(),
-            empty,
-            sample_history_reply(),
-            Reply::History(Vec::new()),
-        ] {
-            let encoded = reply.encode();
-            assert_eq!(Reply::decode(&encoded).unwrap(), reply, "{reply:?}");
-        }
-    }
-
-    #[test]
-    fn truncated_alerts_replies_are_typed_errors_at_every_cut() {
-        let encoded = sample_alerts_reply().encode();
-        for cut in 1..encoded.len() {
-            let err = Reply::decode(&encoded[..cut]).unwrap_err();
-            assert!(
-                matches!(
-                    err,
-                    FrameError::Truncated | FrameError::CountOverflow { .. }
-                ),
-                "cut at {cut}: {err:?}"
-            );
-        }
-        // hostile status count in a tiny payload
-        let mut buf = vec![OP_ALERTS_RESULT];
-        put_u32(&mut buf, u32::MAX);
-        let err = Reply::decode(&buf).unwrap_err();
-        assert!(matches!(err, FrameError::CountOverflow { .. }), "{err:?}");
-        // hostile event count after a valid empty status section
-        let mut buf = vec![OP_ALERTS_RESULT];
-        put_u32(&mut buf, 0);
-        put_u32(&mut buf, u32::MAX);
-        let err = Reply::decode(&buf).unwrap_err();
-        assert!(matches!(err, FrameError::CountOverflow { .. }), "{err:?}");
-        // hostile per-event column count
-        let mut buf = vec![OP_ALERTS_RESULT];
-        put_u32(&mut buf, 0);
-        put_u32(&mut buf, 1);
-        put_str(&mut buf, "r");
-        put_u8(&mut buf, 0);
-        put_u64(&mut buf, 1);
-        put_str(&mut buf, "");
-        put_u32(&mut buf, u32::MAX);
-        let err = Reply::decode(&buf).unwrap_err();
-        assert!(matches!(err, FrameError::CountOverflow { .. }), "{err:?}");
-    }
-
-    #[test]
-    fn hostile_alert_tags_are_typed_errors() {
-        // an unknown state tag inside a status
-        let mut buf = vec![OP_ALERTS_RESULT];
-        put_u32(&mut buf, 1);
-        put_str(&mut buf, "r");
-        put_u8(&mut buf, 7);
-        buf.extend_from_slice(&[0u8; 20]); // satisfy the size floor
-        assert!(matches!(
-            Reply::decode(&buf).unwrap_err(),
-            FrameError::UnknownTag {
-                what: "alert state",
-                tag: 7
-            }
-        ));
-        // an unknown event-kind tag
-        let mut buf = vec![OP_ALERTS_RESULT];
-        put_u32(&mut buf, 0);
-        put_u32(&mut buf, 1);
-        put_str(&mut buf, "r");
-        put_u8(&mut buf, 9);
-        buf.extend_from_slice(&[0u8; 16]);
-        assert!(matches!(
-            Reply::decode(&buf).unwrap_err(),
-            FrameError::UnknownTag {
-                what: "alert event kind",
-                tag: 9
-            }
-        ));
-    }
-
-    #[test]
-    fn truncated_history_replies_are_typed_errors_at_every_cut() {
-        let encoded = sample_history_reply().encode();
-        for cut in 1..encoded.len() {
-            let err = Reply::decode(&encoded[..cut]).unwrap_err();
-            assert!(
-                matches!(
-                    err,
-                    FrameError::Truncated | FrameError::CountOverflow { .. }
-                ),
-                "cut at {cut}: {err:?}"
-            );
-        }
-        // hostile delta count
-        let mut buf = vec![OP_HISTORY_RESULT];
-        put_u32(&mut buf, u32::MAX);
-        let err = Reply::decode(&buf).unwrap_err();
-        assert!(matches!(err, FrameError::CountOverflow { .. }), "{err:?}");
-        // one delta claiming 4 billion counters
-        let mut buf = vec![OP_HISTORY_RESULT];
-        put_u32(&mut buf, 1);
-        put_u64(&mut buf, 0); // interval_ns
-        put_u32(&mut buf, u32::MAX); // hostile counter count
-        let err = Reply::decode(&buf).unwrap_err();
-        assert!(matches!(err, FrameError::CountOverflow { .. }), "{err:?}");
-        // valid counters, hostile windowed-histogram bucket count
-        let mut buf = vec![OP_HISTORY_RESULT];
-        put_u32(&mut buf, 1);
-        put_u64(&mut buf, 0);
-        put_u32(&mut buf, 0); // counters
-        put_u32(&mut buf, 0); // gauges
-        put_u32(&mut buf, 1); // histograms
-        put_str(&mut buf, "h");
-        put_u64(&mut buf, 1);
-        put_u64(&mut buf, 1);
-        put_u32(&mut buf, u32::MAX); // hostile bucket count
-        let err = Reply::decode(&buf).unwrap_err();
-        assert!(matches!(err, FrameError::CountOverflow { .. }), "{err:?}");
-        // trailing garbage after a well-formed empty history
-        let mut buf = vec![OP_HISTORY_RESULT];
-        put_u32(&mut buf, 0);
-        buf.push(0);
-        assert_eq!(Reply::decode(&buf).unwrap_err(), FrameError::TrailingBytes);
+        assert_surface_roundtrips(Surface::Alerts, 3, "[[],[]]");
+        assert_surface_roundtrips(Surface::History, 4, "[]");
     }
 
     #[test]
@@ -1839,24 +1100,34 @@ mod tests {
             Request::decode(&padded).unwrap_err(),
             FrameError::TrailingBytes
         );
+        // an INTROSPECT without its surface byte, and one a byte too long
+        let err = Request::decode(&[OP_INTROSPECT]).unwrap_err();
+        assert_eq!(err, FrameError::Truncated);
+        let err = Request::decode(&[OP_INTROSPECT, 0, 0]).unwrap_err();
+        assert_eq!(err, FrameError::TrailingBytes);
     }
 
     #[test]
     fn unknown_tags_are_typed_errors() {
-        assert!(matches!(
-            Request::decode(&[0x7f]).unwrap_err(),
-            FrameError::UnknownTag {
-                what: "request opcode",
-                tag: 0x7f
-            }
-        ));
-        assert!(matches!(
-            Reply::decode(&[0x01]).unwrap_err(),
-            FrameError::UnknownTag {
-                what: "reply opcode",
-                ..
-            }
-        ));
+        // the retired per-surface opcodes included
+        for tag in [0x7f, 0x06, 0x07, 0x08, 0x09] {
+            let err = Request::decode(&[tag]).unwrap_err();
+            let what = "request opcode";
+            assert_eq!(err, FrameError::UnknownTag { what, tag });
+        }
+        for tag in [0x01, 0x88, 0x89, 0x8A, 0x8B] {
+            let err = Reply::decode(&[tag]).unwrap_err();
+            assert_eq!(
+                err,
+                FrameError::UnknownTag {
+                    what: "reply opcode",
+                    tag
+                }
+            );
+        }
+        let err = Request::decode(&[OP_INTROSPECT, 5]).unwrap_err();
+        let what = "introspection surface";
+        assert_eq!(err, FrameError::UnknownTag { what, tag: 5 });
         // a QUERY whose predicate tag is garbage
         let mut buf = vec![OP_QUERY];
         put_str(&mut buf, "t");

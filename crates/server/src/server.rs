@@ -101,7 +101,7 @@ impl Server {
         // instrument the server on the *engine's* registry: the engine's
         // reporter (and therefore its alert rules, e.g. the default
         // shed-spike rule) then observes `server.*` counters in its
-        // per-interval deltas, and one STATS/METRICS sweep covers both
+        // per-interval deltas, and one INTROSPECT sweep covers both
         // halves of the stack
         let counters = ServerCounters::on_registry(db.metrics_registry());
         let shared = Arc::new(Shared {

@@ -295,6 +295,19 @@ pub enum AlertState {
     Firing,
 }
 
+impl AlertState {
+    /// Stable numeric code for metric exports (the value of the
+    /// `aidx_alert_firing{rule}` Prometheus gauge): 0 idle, 1 pending,
+    /// 2 firing.
+    pub fn code(&self) -> u8 {
+        match self {
+            AlertState::Idle => 0,
+            AlertState::Pending => 1,
+            AlertState::Firing => 2,
+        }
+    }
+}
+
 impl fmt::Display for AlertState {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(match self {

@@ -23,7 +23,7 @@
 //!   on the unsampled path) feeding a recent-trace ring and a slowest-K
 //!   reservoir, so a production server always has traces on hand.
 //! * [`Snapshot::render_prometheus`] — Prometheus text exposition of any
-//!   snapshot, for scrape-based monitoring via the server's `METRICS`
+//!   snapshot, for scrape-based monitoring via the server's `INTROSPECT`
 //!   opcode.
 //! * [`AlertEngine`] / [`AlertRule`] — detection over the reporter's
 //!   signal: declarative rules (counter rate, gauge level, windowed

@@ -3,7 +3,6 @@
 
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
-use std::fmt::Write as _;
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
@@ -322,52 +321,6 @@ impl Snapshot {
         self.gauges.sort_by(|a, b| a.name.cmp(&b.name));
         self.histograms.sort_by(|a, b| a.name.cmp(&b.name));
     }
-
-    /// Human-readable multi-line render (the `STATS` debug view):
-    /// counters and gauges one per line, histograms with count/mean/p50/
-    /// p90/p99. Latency metrics (named `*_ns`) render in adaptive units.
-    ///
-    /// Output is deterministic: each section is rendered in name order even
-    /// when the snapshot itself was assembled out of order (hand-built or
-    /// merged snapshots), so successive renders diff cleanly.
-    pub fn render_text(&self) -> String {
-        let mut out = String::new();
-        let mut counters: Vec<_> = self.counters.iter().collect();
-        counters.sort_by(|a, b| a.name.cmp(&b.name));
-        let mut gauges: Vec<_> = self.gauges.iter().collect();
-        gauges.sort_by(|a, b| a.name.cmp(&b.name));
-        let mut histograms: Vec<_> = self.histograms.iter().collect();
-        histograms.sort_by(|a, b| a.name.cmp(&b.name));
-        for c in counters {
-            let _ = writeln!(out, "{:<44} {}", c.name, c.value);
-        }
-        for g in gauges {
-            let _ = writeln!(out, "{:<44} {}", g.name, g.value);
-        }
-        for h in histograms {
-            let nanos = h.name.ends_with("_ns");
-            let scaled = |v: u64| {
-                if nanos {
-                    format_ns(v)
-                } else {
-                    v.to_string()
-                }
-            };
-            let _ = writeln!(
-                out,
-                "{:<44} count={} mean={} p50={} p90={} p99={}",
-                h.name,
-                h.count,
-                h.mean()
-                    .map(|m| scaled(m as u64))
-                    .unwrap_or_else(|| "-".into()),
-                h.p50().map(scaled).unwrap_or_else(|| "-".into()),
-                h.p90().map(scaled).unwrap_or_else(|| "-".into()),
-                h.p99().map(scaled).unwrap_or_else(|| "-".into()),
-            );
-        }
-        out
-    }
 }
 
 /// Render a nanosecond reading with an adaptive unit.
@@ -590,18 +543,6 @@ mod tests {
     }
 
     #[test]
-    fn render_text_mentions_every_metric() {
-        let registry = Registry::new();
-        registry.counter("engine.queries_served").add(9);
-        registry.histogram("server.query_ns").record(2_000_000);
-        let text = registry.snapshot().render_text();
-        assert!(text.contains("engine.queries_served"));
-        assert!(text.contains("9"));
-        assert!(text.contains("server.query_ns"));
-        assert!(text.contains("ms"), "latency rendered with a unit: {text}");
-    }
-
-    #[test]
     fn approx_mean_is_truncating_sum_over_count() {
         let h = Histogram::new();
         h.record(10);
@@ -624,48 +565,6 @@ mod tests {
                 "strictly under 2x: {reported} vs {true_value}"
             );
         }
-    }
-
-    #[test]
-    fn render_text_is_deterministic_for_unsorted_snapshots() {
-        // hand-assemble a snapshot in reverse name order; render must not
-        // depend on insertion order
-        let unsorted = Snapshot {
-            counters: vec![
-                CounterSnapshot {
-                    name: "z.counter".into(),
-                    value: 2,
-                },
-                CounterSnapshot {
-                    name: "a.counter".into(),
-                    value: 1,
-                },
-            ],
-            gauges: vec![
-                GaugeSnapshot {
-                    name: "z.gauge".into(),
-                    value: -1,
-                },
-                GaugeSnapshot {
-                    name: "a.gauge".into(),
-                    value: 5,
-                },
-            ],
-            histograms: vec![
-                HistogramSnapshot::empty("z.hist"),
-                HistogramSnapshot::empty("a.hist"),
-            ],
-        };
-        let mut sorted = unsorted.clone();
-        sorted.counters.sort_by(|a, b| a.name.cmp(&b.name));
-        sorted.gauges.sort_by(|a, b| a.name.cmp(&b.name));
-        sorted.histograms.sort_by(|a, b| a.name.cmp(&b.name));
-        assert_ne!(unsorted.counters, sorted.counters, "fixture is unsorted");
-        assert_eq!(unsorted.render_text(), sorted.render_text());
-        let text = unsorted.render_text();
-        let a_pos = text.find("a.counter").unwrap();
-        let z_pos = text.find("z.counter").unwrap();
-        assert!(a_pos < z_pos, "sections render in name order");
     }
 
     #[test]

@@ -9,6 +9,7 @@
 use adaptive_indexing::columnstore::{Column, Table, Value};
 use adaptive_indexing::server::protocol::{read_frame, write_frame, Reply};
 use adaptive_indexing::server::{Client, ClientError, ErrorCode, Server, ServerConfig, WireResult};
+use adaptive_indexing::telemetry::Snapshot;
 use adaptive_indexing::{Aggregation, Database, Query, StrategyKind};
 use std::io::Write as _;
 use std::net::TcpStream;
@@ -337,20 +338,24 @@ fn stats_snapshot_is_monotone_across_reads() {
 fn malformed_stats_request_gets_typed_error() {
     let (server, _db) = served(ServerConfig::localhost());
     let mut stream = TcpStream::connect(server.local_addr()).unwrap();
-    // a STATS opcode with trailing garbage: the request is fixed-size, so
-    // extra bytes are a malformed frame, answered without closing
-    write_frame(&mut stream, &[0x05, 0xAA, 0xBB]).unwrap();
-    match raw_reply(&mut stream).unwrap() {
-        Some(Reply::Error(e)) => assert_eq!(e.code, ErrorCode::Malformed),
-        other => panic!("expected a typed malformed error, got {other:?}"),
-    }
-    // the same connection still answers a well-formed STATS
-    write_frame(&mut stream, &[0x05]).unwrap();
-    match raw_reply(&mut stream).unwrap() {
-        Some(Reply::Stats(snapshot)) => {
-            assert_eq!(snapshot.counter("server.errors_sent"), Some(1));
+    // an INTROSPECT naming an unknown surface, then the stats surface with trailing
+    // garbage: framing is intact, so each is a malformed frame, answered
+    // without closing
+    for payload in [&[0x05, 0xAA][..], &[0x05, 0x00, 0xBB]] {
+        write_frame(&mut stream, payload).unwrap();
+        match raw_reply(&mut stream).unwrap() {
+            Some(Reply::Error(e)) => assert_eq!(e.code, ErrorCode::Malformed),
+            other => panic!("expected a typed malformed error, got {other:?}"),
         }
-        other => panic!("expected a stats reply, got {other:?}"),
+    }
+    // the same connection still answers a well-formed INTROSPECT(stats)
+    write_frame(&mut stream, &[0x05, 0x00]).unwrap();
+    match raw_reply(&mut stream).unwrap() {
+        Some(Reply::Introspection(body)) => {
+            let snapshot: Snapshot = serde_json::from_str(&body).unwrap();
+            assert_eq!(snapshot.counter("server.errors_sent"), Some(2));
+        }
+        other => panic!("expected an introspection reply, got {other:?}"),
     }
     server.shutdown();
 }
@@ -389,8 +394,7 @@ fn metrics_and_traces_roundtrip_over_a_live_socket() {
 
     // both dispatches are instrumented; the next scrape sees them
     let snapshot = client.stats().unwrap();
-    assert_eq!(snapshot.histogram("server.metrics_ns").unwrap().count, 1);
-    assert_eq!(snapshot.histogram("server.traces_ns").unwrap().count, 1);
+    assert_eq!(snapshot.histogram("server.introspect_ns").unwrap().count, 2);
     server.shutdown();
 }
 
@@ -398,26 +402,26 @@ fn metrics_and_traces_roundtrip_over_a_live_socket() {
 fn malformed_metrics_and_traces_requests_get_typed_errors() {
     let (server, _db) = served(ServerConfig::localhost());
     let mut stream = TcpStream::connect(server.local_addr()).unwrap();
-    // METRICS and TRACES requests are fixed-size opcodes: trailing bytes
-    // are malformed frames, answered without closing the connection
-    for opcode in [0x06u8, 0x07] {
-        write_frame(&mut stream, &[opcode, 0xAA]).unwrap();
+    // the retired per-surface opcodes 0x06..=0x09 are unknown opcodes,
+    // answered without closing
+    for opcode in [0x06u8, 0x07, 0x08, 0x09] {
+        write_frame(&mut stream, &[opcode]).unwrap();
         match raw_reply(&mut stream).unwrap() {
-            Some(Reply::Error(e)) => assert_eq!(e.code, ErrorCode::Malformed),
-            other => panic!("expected a typed malformed error, got {other:?}"),
+            Some(Reply::Error(e)) => assert_eq!(e.code, ErrorCode::UnknownOpcode),
+            other => panic!("expected a typed unknown-opcode error, got {other:?}"),
         }
     }
-    // the same connection still answers the well-formed forms
-    write_frame(&mut stream, &[0x06]).unwrap();
+    // the same connection still answers INTROSPECT
+    write_frame(&mut stream, &[0x05, 0x01]).unwrap();
     match raw_reply(&mut stream).unwrap() {
-        Some(Reply::MetricsText(text)) => {
-            assert!(text.contains("server_errors_sent 2\n"), "{text}");
+        Some(Reply::Introspection(text)) => {
+            assert!(text.contains("server_errors_sent 4\n"), "{text}");
         }
         other => panic!("expected a metrics-text reply, got {other:?}"),
     }
-    write_frame(&mut stream, &[0x07]).unwrap();
+    write_frame(&mut stream, &[0x05, 0x02]).unwrap();
     match raw_reply(&mut stream).unwrap() {
-        Some(Reply::Traces(traces)) => assert!(traces.is_empty(), "no queries ran"),
+        Some(Reply::Introspection(body)) => assert_eq!(body, "[]", "no queries ran"),
         other => panic!("expected a traces reply, got {other:?}"),
     }
     server.shutdown();
