@@ -30,7 +30,7 @@
 //! What a caller can observe is unchanged: `positions()` is always strictly
 //! ascending, and `rows()` streams in that order.
 
-use aidx_columnstore::column::ColumnCursor;
+use aidx_columnstore::column::{Column, ColumnCursor};
 use aidx_columnstore::ops::select::PruneStats;
 use aidx_columnstore::position::PositionList;
 use aidx_columnstore::table::Table;
@@ -197,20 +197,22 @@ impl QueryResult {
         };
         RowIter {
             positions: positions.iter(),
-            // Both indexes were validated when the result was assembled:
-            // `projected` against the schema, the selection against the
-            // snapshot's row count.
-            columns: self
-                .projected
-                .iter()
-                .map(|&column_index| {
-                    self.table
-                        .column_at(column_index)
-                        .expect("QueryResult invariant: projection validated")
-                        .cursor()
-                })
-                .collect(),
+            columns: self.projected_columns().map(Column::cursor).collect(),
         }
+    }
+
+    /// The snapshot's projected columns, in projection order: what
+    /// [`Self::rows`] reads, for a consumer that gathers the projected values
+    /// column by column at [`Self::positions`] (see [`Column::gather`])
+    /// instead of row by row.
+    pub fn projected_columns(&self) -> impl ExactSizeIterator<Item = &Column> + '_ {
+        // validated against the schema when the result was assembled, as the
+        // selection was against the snapshot's row count
+        self.projected.iter().map(|&column_index| {
+            self.table
+                .column_at(column_index)
+                .expect("QueryResult invariant: projection validated")
+        })
     }
 
     /// Materialize every projected row (convenience over [`Self::rows`]).
@@ -278,7 +280,6 @@ impl<'a> IntoIterator for &'a QueryResult {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use aidx_columnstore::column::Column;
 
     fn snapshot() -> Arc<Table> {
         Arc::new(
@@ -318,6 +319,18 @@ mod tests {
         // re-creating the iterator replays the rows
         assert_eq!(result.collect_rows().len(), 2);
         assert_eq!((&result).into_iter().count(), 2);
+        // the same columns, for a consumer that gathers column by column
+        let gathered: Vec<Vec<Value>> = result
+            .projected_columns()
+            .map(|column| column.gather(result.positions()).unwrap())
+            .collect();
+        assert_eq!(
+            gathered,
+            [
+                vec![Value::Utf8("b".into()), Value::Utf8("d".into())],
+                vec![Value::Int64(20), Value::Int64(40)],
+            ]
+        );
     }
 
     #[test]

@@ -10,8 +10,8 @@
 
 use crate::error::ClientError;
 use crate::protocol::{
-    read_frame, write_frame, BatchItem, Reply, Request, Surface, WireError, WireResult,
-    DEFAULT_MAX_FRAME_BYTES,
+    put_batch_request, put_insert_request, put_query_request, read_frame_into, send_frame,
+    BatchItem, Reply, Request, Surface, WireError, WireResult, DEFAULT_MAX_FRAME_BYTES,
 };
 use aidx_columnstore::types::Value;
 use aidx_core::Query;
@@ -21,11 +21,25 @@ use std::net::{TcpStream, ToSocketAddrs};
 use std::time::Duration;
 
 /// A blocking client connection to an [`crate::Server`].
-#[derive(Debug)]
 pub struct Client {
     reader: BufReader<TcpStream>,
     writer: TcpStream,
     max_frame_bytes: usize,
+    /// The outgoing frame, reused by every request.
+    request: Vec<u8>,
+    /// The latest reply's payload, reused by every reply.
+    reply: Vec<u8>,
+}
+
+impl std::fmt::Debug for Client {
+    // the buffers are left out: the reply one can hold megabytes
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Client")
+            .field("reader", &self.reader)
+            .field("writer", &self.writer)
+            .field("max_frame_bytes", &self.max_frame_bytes)
+            .finish_non_exhaustive()
+    }
 }
 
 /// Per-query outcome of [`Client::batch`].
@@ -41,6 +55,8 @@ impl Client {
             reader: BufReader::new(stream),
             writer,
             max_frame_bytes: DEFAULT_MAX_FRAME_BYTES,
+            request: Vec::new(),
+            reply: Vec::new(),
         })
     }
 
@@ -57,7 +73,7 @@ impl Client {
 
     /// Liveness probe.
     pub fn ping(&mut self) -> Result<(), ClientError> {
-        match self.roundtrip(&Request::Ping)? {
+        match self.roundtrip(|buf| Request::Ping.encode_into(buf))? {
             Reply::Pong => Ok(()),
             other => Err(unexpected(other, "pong")),
         }
@@ -67,7 +83,7 @@ impl Client {
     /// [`ClientError::Overloaded`]; a typed engine failure as
     /// [`ClientError::Server`].
     pub fn query(&mut self, query: &Query) -> Result<WireResult, ClientError> {
-        match self.roundtrip(&Request::Query(query.clone()))? {
+        match self.roundtrip(|buf| put_query_request(buf, query))? {
             Reply::Result(result) => Ok(result),
             other => Err(unexpected(other, "query result")),
         }
@@ -99,7 +115,7 @@ impl Client {
     /// one reply frame). Per-query engine failures come back in-position;
     /// a shed rejects the whole batch as [`ClientError::Overloaded`].
     pub fn batch(&mut self, queries: &[Query]) -> Result<BatchOutcome, ClientError> {
-        match self.roundtrip(&Request::Batch(queries.to_vec()))? {
+        match self.roundtrip(|buf| put_batch_request(buf, queries))? {
             Reply::Batch(items) => Ok(items
                 .into_iter()
                 .map(|item| match item {
@@ -152,11 +168,7 @@ impl Client {
     /// Append one row (one value per column, in schema order); returns the
     /// assigned row id.
     pub fn insert(&mut self, table: &str, values: &[Value]) -> Result<u64, ClientError> {
-        let request = Request::Insert {
-            table: table.to_owned(),
-            values: values.to_vec(),
-        };
-        match self.roundtrip(&request)? {
+        match self.roundtrip(|buf| put_insert_request(buf, table, values))? {
             Reply::Inserted { row_id } => Ok(row_id),
             other => Err(unexpected(other, "insert acknowledgement")),
         }
@@ -164,19 +176,20 @@ impl Client {
 
     /// Read one operator surface's reply body.
     fn introspect(&mut self, surface: Surface) -> Result<String, ClientError> {
-        match self.roundtrip(&Request::Introspect(surface))? {
+        match self.roundtrip(|buf| Request::Introspect(surface).encode_into(buf))? {
             Reply::Introspection(body) => Ok(body),
             other => Err(unexpected(other, "introspection")),
         }
     }
 
-    /// Send one request frame and read exactly one reply frame.
-    fn roundtrip(&mut self, request: &Request) -> Result<Reply, ClientError> {
-        write_frame(&mut self.writer, &request.encode()).map_err(ClientError::Io)?;
-        let payload =
-            read_frame(&mut self.reader, self.max_frame_bytes)?.ok_or(ClientError::Disconnected)?;
-        let reply = Reply::decode(&payload)?;
-        match reply {
+    /// Send one request frame, whose payload `encode` writes, and read
+    /// exactly one reply frame.
+    fn roundtrip(&mut self, encode: impl FnOnce(&mut Vec<u8>)) -> Result<Reply, ClientError> {
+        send_frame(&mut self.writer, &mut self.request, encode).map_err(ClientError::Io)?;
+        if !read_frame_into(&mut self.reader, self.max_frame_bytes, &mut self.reply)? {
+            return Err(ClientError::Disconnected);
+        }
+        match Reply::decode(&self.reply)? {
             Reply::Error(error) => Err(ClientError::Server(error)),
             Reply::Overloaded { in_flight, budget } => {
                 Err(ClientError::Overloaded { in_flight, budget })
@@ -198,7 +211,7 @@ fn unexpected(reply: Reply, expected: &'static str) -> ClientError {
 mod tests {
     use super::*;
     use crate::config::ServerConfig;
-    use crate::protocol::{ErrorCode, FrameError};
+    use crate::protocol::{read_frame, write_frame, ErrorCode};
     use crate::server::Server;
     use aidx_columnstore::column::Column;
     use aidx_columnstore::table::Table;
@@ -235,9 +248,13 @@ mod tests {
             .project(["ts", "kind"])
             .aggregate(Aggregation::Count, "ts");
         let over_the_wire = client.query(&query).unwrap();
-        let embedded = WireResult::from_query_result(&db.session().execute(&query).unwrap());
+        let result = db.session().execute(&query).unwrap();
+        let embedded = WireResult::from_query_result(&result);
         assert_eq!(over_the_wire, embedded);
         assert_eq!(over_the_wire.encoded(), embedded.encoded());
+        // row by row, the rows the embedded session streams
+        assert_eq!(over_the_wire.rows.len(), 20);
+        assert!(over_the_wire.rows.iter().eq(result.rows()));
         server.shutdown();
     }
 
@@ -582,29 +599,14 @@ mod tests {
         body: String,
         parse: impl Fn(&str) -> Result<T, serde_json::Error>,
     ) {
-        assert_eq!(parse(&body).unwrap(), value, "the body round-trips");
         let encoded = Reply::Introspection(body).encode();
-        for cut in 0..encoded.len() {
-            let err = Reply::decode(&encoded[..cut]).unwrap_err();
-            assert!(
-                matches!(
-                    err,
-                    FrameError::Truncated | FrameError::CountOverflow { .. }
-                ),
-                "cut at {cut}: {err:?}"
-            );
-        }
-        for at in 0..encoded.len() {
-            for bit in 0..8 {
-                let mut hostile = encoded.clone();
-                hostile[at] ^= 1 << bit;
-                if let Ok(Reply::Introspection(body)) = Reply::decode(&hostile) {
-                    if let Ok(read) = parse(&body) {
-                        assert_ne!(read, value, "bit {bit} of byte {at} flipped unnoticed");
-                    }
-                }
+        let bits = (0..8).map(|bit| 1u8 << bit);
+        crate::protocol::tests::assert_cuts_and_flips_are_typed(&value, &encoded, bits, |reply| {
+            match reply {
+                Reply::Introspection(body) => parse(&body).ok(),
+                _ => None,
             }
-        }
+        });
     }
 
     #[test]

@@ -21,13 +21,13 @@
 
 use crate::error::wire_error_from;
 use crate::protocol::{
-    read_frame, write_frame, BatchItem, ErrorCode, FrameError, FrameReadError, Reply, Request,
+    read_frame_into, send_frame, BatchItem, ErrorCode, FrameError, FrameReadError, Reply, Request,
     Surface, WireError, WireResult,
 };
 use crate::server::Shared;
 use aidx_core::{Database, Query, Session};
 use aidx_telemetry::{render_labeled_gauge, LabeledSample};
-use std::io::{BufReader, BufWriter};
+use std::io::BufReader;
 use std::net::TcpStream;
 use std::sync::atomic::Ordering;
 use std::time::Instant;
@@ -37,38 +37,36 @@ use std::time::Instant;
 pub(crate) fn serve(shared: &Shared, conn_id: u64, stream: TcpStream) {
     let session = shared.db.session();
     let max_frame = shared.config.max_frame_bytes;
-    // split the socket: buffered reads for framing, buffered writes flushed
-    // once per reply
-    if let Ok(write_half) = stream.try_clone() {
+    // split the socket: buffered reads for framing; each reply is encoded
+    // whole into one buffer and leaves in one write
+    if let Ok(mut writer) = stream.try_clone() {
         let mut reader = BufReader::new(stream);
-        let mut writer = BufWriter::new(write_half);
+        let (mut request, mut frame) = (Vec::new(), Vec::new());
         loop {
-            let payload = match read_frame(&mut reader, max_frame) {
-                Ok(Some(payload)) => payload,
+            let (reply, last) = match read_frame_into(&mut reader, max_frame, &mut request) {
                 // clean EOF between frames, or mid-frame disconnect / socket
                 // shutdown: nothing to reply to either way
-                Ok(None) | Err(FrameReadError::Io(_)) => break,
+                Ok(false) | Err(FrameReadError::Io(_)) => break,
                 Err(FrameReadError::Oversized { announced, max }) => {
+                    shared.counters.errors_sent.incr();
                     let reply = Reply::Error(WireError::new(
                         ErrorCode::Oversized,
                         format!("frame payload of {announced} bytes exceeds cap {max}"),
                     ));
-                    shared.counters.errors_sent.incr();
-                    let _ = write_frame(&mut writer, &reply.encode());
-                    break; // unread payload: resynchronization is impossible
+                    (reply, true) // unread payload: resynchronization is impossible
                 }
+                Ok(true) if shared.shutdown.load(Ordering::SeqCst) => {
+                    let reply = Reply::Error(WireError::new(
+                        ErrorCode::ShuttingDown,
+                        "server is shutting down",
+                    ));
+                    (reply, true)
+                }
+                Ok(true) => (dispatch(shared, &session, &request), false),
             };
-            if shared.shutdown.load(Ordering::SeqCst) {
-                let reply = Reply::Error(WireError::new(
-                    ErrorCode::ShuttingDown,
-                    "server is shutting down",
-                ));
-                let _ = write_frame(&mut writer, &reply.encode());
+            // a failed write means the client went away mid-reply
+            if send_frame(&mut writer, &mut frame, |buf| reply.encode_into(buf)).is_err() || last {
                 break;
-            }
-            let reply = dispatch(shared, &session, &payload);
-            if write_frame(&mut writer, &reply.encode()).is_err() {
-                break; // client went away mid-reply
             }
         }
     }

@@ -50,5 +50,5 @@ pub use admission::{AdmissionGate, ServerStats};
 pub use client::{BatchOutcome, Client};
 pub use config::ServerConfig;
 pub use error::{ClientError, ServerError};
-pub use protocol::{ErrorCode, Reply, Request, Surface, WireError, WireResult};
+pub use protocol::{ErrorCode, Reply, Request, Rows, Surface, WireError, WireResult};
 pub use server::Server;

@@ -22,6 +22,8 @@
 //! frames that text; it does not restate how a trace or a snapshot is
 //! encoded.
 
+use aidx_columnstore::column::Column;
+use aidx_columnstore::position::PositionList;
 use aidx_columnstore::types::{RowId, Value};
 use aidx_core::{Aggregation, Predicate, Query, QueryResult};
 use std::fmt;
@@ -75,6 +77,15 @@ pub enum FrameError {
         /// The claimed element count.
         count: u64,
     },
+    /// A result row whose arity differs from the first row's, or a first
+    /// row of arity zero: every row of a result has the projection's arity,
+    /// and a result that projects nothing carries no rows.
+    RowArity {
+        /// Index of the offending row.
+        row: u32,
+        /// The arity it announced.
+        arity: u16,
+    },
 }
 
 impl fmt::Display for FrameError {
@@ -89,6 +100,10 @@ impl fmt::Display for FrameError {
             FrameError::CountOverflow { what, count } => {
                 write!(f, "{what} count {count} exceeds the payload")
             }
+            FrameError::RowArity { row, arity } => write!(
+                f,
+                "row {row} has arity {arity}: the rows of a result share one non-zero arity"
+            ),
         }
     }
 }
@@ -307,16 +322,18 @@ pub struct WireResult {
     /// The aggregate value, when the query requested one.
     pub aggregate: Option<Value>,
     /// The projected rows (empty when the query projected no columns).
-    pub rows: Vec<Vec<Value>>,
+    pub rows: Rows,
 }
 
 impl WireResult {
-    /// Materialize an engine result for the wire.
+    /// Materialize an engine result for the wire: the positions in one copy,
+    /// and each projected column gathered once at those positions.
     pub fn from_query_result(result: &QueryResult) -> Self {
+        let positions = result.positions();
         WireResult {
-            positions: result.positions().as_slice().to_vec(),
+            positions: positions.as_slice().to_vec(),
             aggregate: result.aggregate().cloned(),
-            rows: result.collect_rows(),
+            rows: Rows::gather(result.projected_columns(), positions),
         }
     }
 
@@ -331,6 +348,105 @@ impl WireResult {
         let mut buf = Vec::new();
         put_result(&mut buf, self);
         buf
+    }
+
+    /// Exact length of [`Self::encoded`].
+    fn encoded_len(&self) -> usize {
+        let aggregate = self.aggregate.as_ref().map_or(0, value_len);
+        let rows = self.rows.len() * 2 + self.rows.values.iter().map(value_len).sum::<usize>();
+        4 + self.positions.len() * 4 + 1 + aggregate + 4 + rows
+    }
+}
+
+/// The projected rows of a [`WireResult`], held flat: the values of row 0 in
+/// projection order, then those of row 1, and so on. Every row has the same
+/// arity, so a row is a slice of the one vector and nothing is allocated per
+/// row. An empty store has arity 0, whatever the projection.
+#[derive(Debug, Clone, PartialEq, Default)]
+pub struct Rows {
+    arity: usize,
+    values: Vec<Value>,
+}
+
+impl Rows {
+    /// Rows of `arity` values each, from their values laid out row after
+    /// row.
+    ///
+    /// # Panics
+    ///
+    /// When `values` is not a whole number of rows: its length is not a
+    /// multiple of `arity`, or `arity` is 0 and `values` is not empty.
+    pub fn new(arity: usize, values: Vec<Value>) -> Rows {
+        if values.is_empty() {
+            return Rows::default();
+        }
+        assert!(
+            values.len().is_multiple_of(arity),
+            "{} values are not rows of arity {arity}",
+            values.len()
+        );
+        Rows { arity, values }
+    }
+
+    /// The values of `columns` at `positions`, one gather per column, laid
+    /// out row after row.
+    fn gather<'a>(
+        columns: impl ExactSizeIterator<Item = &'a Column>,
+        positions: &PositionList,
+    ) -> Rows {
+        let arity = columns.len();
+        let mut gathered = columns.map(|column| {
+            column
+                .gather(positions)
+                .expect("QueryResult invariant: positions lie inside the snapshot")
+        });
+        match arity {
+            0 => Rows::default(),
+            // the gathered column is already the row-after-row layout
+            1 => Rows::new(1, gathered.next().expect("one projected column")),
+            _ => {
+                let mut gathered: Vec<_> = gathered.map(Vec::into_iter).collect();
+                let mut values = Vec::with_capacity(arity * positions.len());
+                for _ in 0..positions.len() {
+                    values.extend(gathered.iter_mut().map(|column| {
+                        column
+                            .next()
+                            .expect("a gather yields one value per position")
+                    }));
+                }
+                Rows::new(arity, values)
+            }
+        }
+    }
+
+    /// Number of rows.
+    pub fn len(&self) -> usize {
+        self.values.len().checked_div(self.arity).unwrap_or(0)
+    }
+
+    /// True when there are no rows.
+    pub fn is_empty(&self) -> bool {
+        self.values.is_empty()
+    }
+
+    /// Values per row (0 when there are no rows).
+    pub fn arity(&self) -> usize {
+        self.arity
+    }
+
+    /// The rows in order, each a slice of [`Self::arity`] values.
+    pub fn iter(&self) -> std::slice::ChunksExact<'_, Value> {
+        // an empty store yields no chunk at any width; 0 is not a width
+        self.values.chunks_exact(self.arity.max(1))
+    }
+}
+
+impl<'a> IntoIterator for &'a Rows {
+    type Item = &'a [Value];
+    type IntoIter = std::slice::ChunksExact<'a, Value>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.iter()
     }
 }
 
@@ -361,6 +477,24 @@ fn put_i64(buf: &mut Vec<u8>, v: i64) {
 fn put_str(buf: &mut Vec<u8>, s: &str) {
     put_u32(buf, s.len() as u32);
     buf.extend_from_slice(s.as_bytes());
+}
+
+/// `values` as one little-endian run.
+fn put_u32s(buf: &mut Vec<u8>, values: &[u32]) {
+    let start = buf.len();
+    buf.resize(start + 4 * values.len(), 0);
+    for (bytes, value) in buf[start..].chunks_exact_mut(4).zip(values) {
+        bytes.copy_from_slice(&value.to_le_bytes());
+    }
+}
+
+/// Encoded length of one [`put_value`].
+fn value_len(value: &Value) -> usize {
+    match value {
+        Value::Null => 1,
+        Value::Int64(_) | Value::Float64(_) => 9,
+        Value::Utf8(s) => 5 + s.len(),
+    }
 }
 
 fn put_value(buf: &mut Vec<u8>, value: &Value) {
@@ -431,10 +565,9 @@ fn aggregation_tag(aggregation: Aggregation) -> u8 {
 }
 
 fn put_result(buf: &mut Vec<u8>, result: &WireResult) {
+    buf.reserve(result.encoded_len());
     put_u32(buf, result.positions.len() as u32);
-    for &position in &result.positions {
-        put_u32(buf, position);
-    }
+    put_u32s(buf, &result.positions);
     match &result.aggregate {
         None => put_u8(buf, 0),
         Some(value) => {
@@ -443,8 +576,9 @@ fn put_result(buf: &mut Vec<u8>, result: &WireResult) {
         }
     }
     put_u32(buf, result.rows.len() as u32);
+    let arity = (result.rows.arity() as u16).to_le_bytes();
     for row in &result.rows {
-        put_u16(buf, row.len() as u16);
+        buf.extend_from_slice(&arity);
         for value in row {
             put_value(buf, value);
         }
@@ -456,36 +590,50 @@ fn put_wire_error(buf: &mut Vec<u8>, error: &WireError) {
     put_str(buf, &error.message);
 }
 
+/// The payload of [`Request::Query`] for a borrowed query.
+pub(crate) fn put_query_request(buf: &mut Vec<u8>, query: &Query) {
+    put_u8(buf, OP_QUERY);
+    put_query(buf, query);
+}
+
+/// The payload of [`Request::Insert`] for a borrowed row.
+pub(crate) fn put_insert_request(buf: &mut Vec<u8>, table: &str, values: &[Value]) {
+    put_u8(buf, OP_INSERT);
+    put_str(buf, table);
+    put_u32(buf, values.len() as u32);
+    for value in values {
+        put_value(buf, value);
+    }
+}
+
+/// The payload of [`Request::Batch`] for borrowed queries.
+pub(crate) fn put_batch_request(buf: &mut Vec<u8>, queries: &[Query]) {
+    put_u8(buf, OP_BATCH);
+    put_u32(buf, queries.len() as u32);
+    for query in queries {
+        put_query(buf, query);
+    }
+}
+
 impl Request {
+    /// Append this request's frame payload (opcode + body) to `buf`.
+    pub fn encode_into(&self, buf: &mut Vec<u8>) {
+        match self {
+            Request::Ping => put_u8(buf, OP_PING),
+            Request::Query(query) => put_query_request(buf, query),
+            Request::Insert { table, values } => put_insert_request(buf, table, values),
+            Request::Batch(queries) => put_batch_request(buf, queries),
+            Request::Introspect(surface) => {
+                put_u8(buf, OP_INTROSPECT);
+                put_u8(buf, *surface as u8);
+            }
+        }
+    }
+
     /// Encode this request as a frame payload (opcode + body).
     pub fn encode(&self) -> Vec<u8> {
         let mut buf = Vec::new();
-        match self {
-            Request::Ping => put_u8(&mut buf, OP_PING),
-            Request::Query(query) => {
-                put_u8(&mut buf, OP_QUERY);
-                put_query(&mut buf, query);
-            }
-            Request::Insert { table, values } => {
-                put_u8(&mut buf, OP_INSERT);
-                put_str(&mut buf, table);
-                put_u32(&mut buf, values.len() as u32);
-                for value in values {
-                    put_value(&mut buf, value);
-                }
-            }
-            Request::Batch(queries) => {
-                put_u8(&mut buf, OP_BATCH);
-                put_u32(&mut buf, queries.len() as u32);
-                for query in queries {
-                    put_query(&mut buf, query);
-                }
-            }
-            Request::Introspect(surface) => {
-                put_u8(&mut buf, OP_INTROSPECT);
-                put_u8(&mut buf, *surface as u8);
-            }
-        }
+        self.encode_into(&mut buf);
         buf
     }
 
@@ -527,49 +675,54 @@ impl Request {
 }
 
 impl Reply {
-    /// Encode this reply as a frame payload (opcode + body).
-    pub fn encode(&self) -> Vec<u8> {
-        let mut buf = Vec::new();
+    /// Append this reply's frame payload (opcode + body) to `buf`.
+    pub fn encode_into(&self, buf: &mut Vec<u8>) {
         match self {
-            Reply::Pong => put_u8(&mut buf, OP_PONG),
+            Reply::Pong => put_u8(buf, OP_PONG),
             Reply::Result(result) => {
-                put_u8(&mut buf, OP_RESULT);
-                put_result(&mut buf, result);
+                put_u8(buf, OP_RESULT);
+                put_result(buf, result);
             }
             Reply::Error(error) => {
-                put_u8(&mut buf, OP_ERROR);
-                put_wire_error(&mut buf, error);
+                put_u8(buf, OP_ERROR);
+                put_wire_error(buf, error);
             }
             Reply::Overloaded { in_flight, budget } => {
-                put_u8(&mut buf, OP_OVERLOADED);
-                put_u32(&mut buf, *in_flight);
-                put_u32(&mut buf, *budget);
+                put_u8(buf, OP_OVERLOADED);
+                put_u32(buf, *in_flight);
+                put_u32(buf, *budget);
             }
             Reply::Inserted { row_id } => {
-                put_u8(&mut buf, OP_INSERTED);
-                put_u64(&mut buf, *row_id);
+                put_u8(buf, OP_INSERTED);
+                put_u64(buf, *row_id);
             }
             Reply::Batch(items) => {
-                put_u8(&mut buf, OP_BATCH_RESULT);
-                put_u32(&mut buf, items.len() as u32);
+                put_u8(buf, OP_BATCH_RESULT);
+                put_u32(buf, items.len() as u32);
                 for item in items {
                     match item {
                         BatchItem::Result(result) => {
-                            put_u8(&mut buf, 0);
-                            put_result(&mut buf, result);
+                            put_u8(buf, 0);
+                            put_result(buf, result);
                         }
                         BatchItem::Error(error) => {
-                            put_u8(&mut buf, 1);
-                            put_wire_error(&mut buf, error);
+                            put_u8(buf, 1);
+                            put_wire_error(buf, error);
                         }
                     }
                 }
             }
             Reply::Introspection(body) => {
-                put_u8(&mut buf, OP_INTROSPECTION);
-                put_str(&mut buf, body);
+                put_u8(buf, OP_INTROSPECTION);
+                put_str(buf, body);
             }
         }
+    }
+
+    /// Encode this reply as a frame payload (opcode + body).
+    pub fn encode(&self) -> Vec<u8> {
+        let mut buf = Vec::new();
+        self.encode_into(&mut buf);
         buf
     }
 
@@ -784,10 +937,11 @@ fn take_query(r: &mut Reader<'_>) -> Result<Query, FrameError> {
 
 fn take_result(r: &mut Reader<'_>) -> Result<WireResult, FrameError> {
     let positions_len = r.take_count("position", 4)?;
-    let mut positions = Vec::with_capacity(positions_len);
-    for _ in 0..positions_len {
-        positions.push(r.take_u32()? as RowId);
-    }
+    let positions = r
+        .take(4 * positions_len)?
+        .chunks_exact(4)
+        .map(|bytes| RowId::from_le_bytes(bytes.try_into().expect("chunks of four bytes")))
+        .collect();
     let aggregate = match r.take_u8()? {
         0 => None,
         1 => Some(take_value(r)?),
@@ -798,21 +952,48 @@ fn take_result(r: &mut Reader<'_>) -> Result<WireResult, FrameError> {
             })
         }
     };
-    let rows_len = r.take_count("row", 2)?;
-    let mut rows = Vec::with_capacity(rows_len);
-    for _ in 0..rows_len {
-        let arity = r.take_u16()? as usize;
-        let mut row = Vec::with_capacity(arity.min(r.remaining()));
-        for _ in 0..arity {
-            row.push(take_value(r)?);
-        }
-        rows.push(row);
-    }
     Ok(WireResult {
         positions,
         aggregate,
-        rows,
+        rows: take_rows(r)?,
     })
+}
+
+/// A row count, then each row as its arity and its values: the arity is the
+/// first row's for every row, and the value count is bounded by the payload
+/// before anything is reserved for it.
+fn take_rows(r: &mut Reader<'_>) -> Result<Rows, FrameError> {
+    let len = r.take_count("row", 2)?;
+    if len == 0 {
+        return Ok(Rows::default());
+    }
+    let arity = r.take_u16()?;
+    if arity == 0 {
+        return Err(FrameError::RowArity { row: 0, arity });
+    }
+    // at least one tag byte per value, and an arity before every later row
+    let count = len as u64 * u64::from(arity);
+    if count + (len as u64 - 1) * 2 > r.remaining() as u64 {
+        let what = "row value";
+        return Err(FrameError::CountOverflow { what, count });
+    }
+    let mut values = Vec::with_capacity(count as usize);
+    for row in 0..len {
+        if row > 0 {
+            let announced = r.take_u16()?;
+            if announced != arity {
+                let row = row as u32;
+                return Err(FrameError::RowArity {
+                    row,
+                    arity: announced,
+                });
+            }
+        }
+        for _ in 0..arity {
+            values.push(take_value(r)?);
+        }
+    }
+    Ok(Rows::new(usize::from(arity), values))
 }
 
 fn take_wire_error(r: &mut Reader<'_>) -> Result<WireError, FrameError> {
@@ -862,13 +1043,34 @@ impl From<io::Error> for FrameReadError {
     }
 }
 
-/// Write one frame: header plus payload.
-pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> io::Result<()> {
-    let len = u32::try_from(payload.len())
+/// Write one frame in a single `write_all`: `buf` is cleared and gets a
+/// placeholder header, `encode` appends the payload, and the header is then
+/// patched with the payload's length. `buf` is the caller's to reuse, so a
+/// connection that sends many frames allocates for none of them once it has
+/// grown to the largest.
+///
+/// One write per frame matters on a socket: a header and a payload written
+/// apart can leave as two segments, the second held back until the peer
+/// acknowledges the first.
+pub fn send_frame(
+    w: &mut impl Write,
+    buf: &mut Vec<u8>,
+    encode: impl FnOnce(&mut Vec<u8>),
+) -> io::Result<()> {
+    buf.clear();
+    buf.extend_from_slice(&[0; FRAME_HEADER_BYTES]);
+    encode(buf);
+    let len = u32::try_from(buf.len() - FRAME_HEADER_BYTES)
         .map_err(|_| io::Error::new(io::ErrorKind::InvalidInput, "frame payload exceeds u32"))?;
-    w.write_all(&len.to_le_bytes())?;
-    w.write_all(payload)?;
+    buf[..FRAME_HEADER_BYTES].copy_from_slice(&len.to_le_bytes());
+    w.write_all(buf)?;
     w.flush()
+}
+
+/// Write one frame carrying `payload` (see [`send_frame`]).
+pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> io::Result<()> {
+    let mut buf = Vec::with_capacity(FRAME_HEADER_BYTES + payload.len());
+    send_frame(w, &mut buf, |buf| buf.extend_from_slice(payload))
 }
 
 /// Read one frame's payload. Returns `Ok(None)` on a clean EOF *at a frame
@@ -878,12 +1080,24 @@ pub fn read_frame(
     r: &mut impl Read,
     max_payload: usize,
 ) -> Result<Option<Vec<u8>>, FrameReadError> {
+    let mut payload = Vec::new();
+    Ok(read_frame_into(r, max_payload, &mut payload)?.then_some(payload))
+}
+
+/// [`read_frame`] into the caller's reusable `payload` buffer, which holds
+/// exactly the payload afterwards. Returns `Ok(false)` on a clean EOF at a
+/// frame boundary.
+pub fn read_frame_into(
+    r: &mut impl Read,
+    max_payload: usize,
+    payload: &mut Vec<u8>,
+) -> Result<bool, FrameReadError> {
     let mut header = [0u8; FRAME_HEADER_BYTES];
     // hand-rolled read_exact for the header so a boundary EOF is clean
     let mut filled = 0;
     while filled < header.len() {
         match r.read(&mut header[filled..]) {
-            Ok(0) if filled == 0 => return Ok(None),
+            Ok(0) if filled == 0 => return Ok(false),
             Ok(0) => {
                 return Err(FrameReadError::Io(io::Error::new(
                     io::ErrorKind::UnexpectedEof,
@@ -902,15 +1116,19 @@ pub fn read_frame(
             max: max_payload,
         });
     }
-    let mut payload = vec![0u8; len];
-    r.read_exact(&mut payload)?;
-    Ok(Some(payload))
+    payload.clear();
+    payload.resize(len, 0);
+    r.read_exact(payload)?;
+    Ok(true)
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use aidx_columnstore::table::Table;
+    use aidx_core::{Database, StrategyKind};
     use aidx_telemetry::{QueryTrace, SpanEvent};
+    use proptest::prelude::*;
 
     fn sample_query() -> Query {
         Query::table("orders")
@@ -972,10 +1190,15 @@ mod tests {
         let result = WireResult {
             positions: vec![0, 5, 17],
             aggregate: Some(Value::Int64(42)),
-            rows: vec![
-                vec![Value::Int64(1), Value::Utf8("a".into())],
-                vec![Value::Int64(2), Value::Null],
-            ],
+            rows: Rows::new(
+                2,
+                vec![
+                    Value::Int64(1),
+                    Value::Utf8("a".into()),
+                    Value::Int64(2),
+                    Value::Null,
+                ],
+            ),
         };
         let replies = [
             (Reply::Pong, "81"),
@@ -1180,6 +1403,32 @@ mod tests {
         assert_eq!(read_frame(&mut cursor, 1024).unwrap(), Some(payload));
         assert_eq!(read_frame(&mut cursor, 1024).unwrap(), None, "clean eof");
 
+        // a frame is one write, from a buffer the next frame reuses
+        struct Writes(Vec<Vec<u8>>);
+        impl Write for Writes {
+            fn write(&mut self, bytes: &[u8]) -> io::Result<usize> {
+                self.0.push(bytes.to_vec());
+                Ok(bytes.len())
+            }
+            fn flush(&mut self) -> io::Result<()> {
+                Ok(())
+            }
+        }
+        let (mut writes, mut buf) = (Writes(Vec::new()), Vec::new());
+        let reply = Reply::Introspection("x".repeat(100));
+        send_frame(&mut writes, &mut buf, |buf| reply.encode_into(buf)).unwrap();
+        let capacity = buf.capacity();
+        send_frame(&mut writes, &mut buf, |buf| Reply::Pong.encode_into(buf)).unwrap();
+        assert_eq!(buf.capacity(), capacity, "reused, not reallocated");
+        assert_eq!(writes.0.len(), 2, "one write per frame");
+        let mut cursor = io::Cursor::new(writes.0.concat());
+        let mut payload = Vec::new();
+        assert!(read_frame_into(&mut cursor, 1024, &mut payload).unwrap());
+        assert_eq!(Reply::decode(&payload).unwrap(), reply);
+        assert!(read_frame_into(&mut cursor, 1024, &mut payload).unwrap());
+        assert_eq!(payload, [OP_PONG], "the buffer holds exactly the payload");
+        assert!(!read_frame_into(&mut cursor, 1024, &mut payload).unwrap());
+
         // oversized header: payload is not read
         let mut wire = Vec::new();
         wire.extend_from_slice(&1_000_000u32.to_le_bytes());
@@ -1235,9 +1484,8 @@ mod tests {
     fn float_values_roundtrip_bit_exactly() {
         for v in [0.0f64, -0.0, f64::INFINITY, f64::NAN, 1.5e-300] {
             let reply = Reply::Result(WireResult {
-                positions: vec![],
                 aggregate: Some(Value::Float64(v)),
-                rows: vec![],
+                ..WireResult::default()
             });
             let decoded = Reply::decode(&reply.encode()).unwrap();
             match decoded {
@@ -1248,5 +1496,207 @@ mod tests {
                 other => panic!("{other:?}"),
             }
         }
+    }
+
+    /// The row-at-a-time encoder the flat one replaced: one `Vec` per row
+    /// from `QueryResult::collect_rows`, one call per field. The column
+    /// gather and the bulk encode must write exactly its bytes.
+    fn reference_encoding(result: &QueryResult) -> Vec<u8> {
+        let positions = result.positions().as_slice();
+        let rows: Vec<Vec<Value>> = result.collect_rows();
+        let mut buf = Vec::new();
+        put_u32(&mut buf, positions.len() as u32);
+        for &position in positions {
+            put_u32(&mut buf, position);
+        }
+        match result.aggregate() {
+            None => put_u8(&mut buf, 0),
+            Some(value) => {
+                put_u8(&mut buf, 1);
+                put_value(&mut buf, value);
+            }
+        }
+        put_u32(&mut buf, rows.len() as u32);
+        for row in &rows {
+            put_u16(&mut buf, row.len() as u16);
+            for value in row {
+                put_value(&mut buf, value);
+            }
+        }
+        buf
+    }
+
+    const LABELS: [&str; 4] = ["", "a", "naïve", "ü ★ \"q\""];
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn flat_results_encode_the_row_at_a_time_bytes(
+            (rows, stride, offset) in (0i64..400, 1i64..50, 0i64..1_000),
+            (low, width) in (-10i64..400, 0i64..150),
+            projected in prop::collection::vec(0usize..3, 0..4),
+            aggregation in 0u8..6,
+        ) {
+            let keys: Vec<i64> = (0..rows).map(|i| (i * stride + offset) % 401).collect();
+            let floats = keys.iter().map(|&k| k as f64 * 0.25 - 7.5).collect();
+            let labels: Vec<&str> = keys.iter().map(|&k| LABELS[k as usize % 4]).collect();
+            let db = Database::new(StrategyKind::Cracking);
+            let table = Table::from_columns(vec![
+                ("k", Column::from_i64(keys)),
+                ("f", Column::from_f64(floats)),
+                ("s", Column::from_strs(&labels)),
+            ])
+            .unwrap();
+            db.create_table("t", table).unwrap();
+            let names = ["k", "f", "s"];
+            let mut query = Query::table("t").range("k", low, low + width);
+            if !projected.is_empty() {
+                query = query.project(projected.iter().map(|&c| names[c]));
+            }
+            query = match aggregation {
+                0 => query,
+                1 => query.aggregate(Aggregation::Count, names[projected.len() % 3]),
+                2 => query.aggregate(Aggregation::Sum, "k"),
+                3 => query.aggregate(Aggregation::Min, "k"),
+                4 => query.aggregate(Aggregation::Max, "k"),
+                _ => query.aggregate(Aggregation::Avg, "k"),
+            };
+            let result = db.session().execute(&query).unwrap();
+            let wire = WireResult::from_query_result(&result);
+            prop_assert_eq!(wire.encoded(), reference_encoding(&result), "{:?}", query);
+            prop_assert_eq!(wire.rows.len(), result.rows().len());
+            prop_assert!(wire.rows.iter().eq(result.rows()), "{:?}", query);
+            let decoded = Reply::decode(&Reply::Result(wire.clone()).encode()).unwrap();
+            prop_assert_eq!(decoded, Reply::Result(wire));
+        }
+    }
+
+    /// A `RESULT` payload with no positions and no aggregate, whose row
+    /// section is `rows`, zero-padded to `total` bytes.
+    fn result_frame(rows: &[u8], total: usize) -> Vec<u8> {
+        let mut frame = vec![OP_RESULT];
+        put_u32(&mut frame, 0);
+        put_u8(&mut frame, 0);
+        frame.extend_from_slice(rows);
+        frame.resize(total.max(frame.len()), 0);
+        frame
+    }
+
+    #[test]
+    fn hostile_row_counts_are_bounded_before_anything_is_reserved() {
+        // 60 000 rows of arity 65 535 in a 200-byte frame: the row count
+        // alone overflows it
+        let mut rows = Vec::new();
+        put_u32(&mut rows, 60_000);
+        put_u16(&mut rows, u16::MAX);
+        let err = Reply::decode(&result_frame(&rows, 200)).unwrap_err();
+        let (what, count) = ("row", 60_000);
+        assert_eq!(err, FrameError::CountOverflow { what, count });
+        // 50 rows fit two bytes each, but not 50 x 65 535 values
+        let mut rows = Vec::new();
+        put_u32(&mut rows, 50);
+        put_u16(&mut rows, u16::MAX);
+        let err = Reply::decode(&result_frame(&rows, 200)).unwrap_err();
+        let (what, count) = ("row value", 50 * 65_535);
+        assert_eq!(err, FrameError::CountOverflow { what, count });
+        assert!(err.to_string().contains("3276750"), "{err}");
+    }
+
+    #[test]
+    fn ragged_and_zero_arity_rows_are_typed_errors() {
+        // row 1 announces two values where row 0 had one
+        let mut rows = Vec::new();
+        put_u32(&mut rows, 2);
+        put_u16(&mut rows, 1);
+        put_value(&mut rows, &Value::Int64(7));
+        put_u16(&mut rows, 2);
+        put_value(&mut rows, &Value::Int64(8));
+        put_value(&mut rows, &Value::Null);
+        let err = Reply::decode(&result_frame(&rows, 0)).unwrap_err();
+        assert_eq!(err, FrameError::RowArity { row: 1, arity: 2 });
+        assert!(err.to_string().contains("row 1 has arity 2"), "{err}");
+        // three rows of no values: a result that projects nothing has no rows
+        let mut rows = Vec::new();
+        put_u32(&mut rows, 3);
+        for _ in 0..3 {
+            put_u16(&mut rows, 0);
+        }
+        let err = Reply::decode(&result_frame(&rows, 0)).unwrap_err();
+        assert_eq!(err, FrameError::RowArity { row: 0, arity: 0 });
+        // inside a batch, too
+        let mut frame = vec![OP_BATCH_RESULT];
+        put_u32(&mut frame, 1);
+        put_u8(&mut frame, 0);
+        frame.extend_from_slice(&result_frame(&rows, 0)[1..]);
+        let err = Reply::decode(&frame).unwrap_err();
+        assert_eq!(err, FrameError::RowArity { row: 0, arity: 0 });
+    }
+
+    #[test]
+    fn rows_are_a_flat_store_of_equal_arity() {
+        let rows = Rows::new(3, (0..6).map(Value::Int64).collect());
+        assert_eq!((rows.len(), rows.arity(), rows.is_empty()), (2, 3, false));
+        let read: Vec<&[Value]> = rows.iter().collect();
+        assert_eq!(read[1], [Value::Int64(3), Value::Int64(4), Value::Int64(5)]);
+        assert_eq!((&rows).into_iter().count(), 2);
+        // no rows: arity 0, whatever the projection
+        assert_eq!(Rows::new(3, Vec::new()), Rows::default());
+        assert_eq!(Rows::default().iter().count(), 0);
+        assert_eq!(Rows::default().len(), 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "3 values are not rows of arity 2")]
+    fn rows_reject_values_that_are_not_whole_rows() {
+        Rows::new(2, vec![Value::Null; 3]);
+    }
+
+    /// What a client makes of a hostile reply: every strict prefix of
+    /// `encoded` is a typed frame error, and every flip of one byte by one of
+    /// `masks` is a typed error, of the frame or of what `read` makes of the
+    /// decoded reply, or reads as a value other than `value` — never a panic,
+    /// never a corruption that goes unnoticed.
+    pub(crate) fn assert_cuts_and_flips_are_typed<T: PartialEq + fmt::Debug>(
+        value: &T,
+        encoded: &[u8],
+        masks: impl Iterator<Item = u8> + Clone,
+        read: impl Fn(Reply) -> Option<T>,
+    ) {
+        let decoded = Reply::decode(encoded).ok().and_then(&read);
+        assert_eq!(decoded.as_ref(), Some(value), "the frame round-trips");
+        for cut in 0..encoded.len() {
+            let err = Reply::decode(&encoded[..cut]).unwrap_err();
+            assert!(
+                matches!(
+                    err,
+                    FrameError::Truncated | FrameError::CountOverflow { .. }
+                ),
+                "cut at {cut}: {err:?}"
+            );
+        }
+        let mut hostile = encoded.to_vec();
+        for at in 0..encoded.len() {
+            for mask in masks.clone() {
+                hostile[at] ^= mask;
+                if let Some(read) = Reply::decode(&hostile).ok().and_then(&read) {
+                    assert_ne!(&read, value, "byte {at} ^ {mask:#04x} went unnoticed");
+                }
+                hostile[at] ^= mask;
+            }
+        }
+    }
+
+    #[test]
+    fn every_cut_and_byte_flip_of_a_three_column_reply_is_typed() {
+        let values = [(1, 2.5, "naïve"), (-7, -1.25, ""), (i64::MAX, 1e300, "ü ★")]
+            .into_iter()
+            .flat_map(|(k, f, s)| [Value::Int64(k), Value::Float64(f), Value::Utf8(s.into())]);
+        let reply = Reply::Result(WireResult {
+            positions: vec![3, 9, 70_000],
+            aggregate: Some(Value::Float64(0.75)),
+            rows: Rows::new(3, values.collect()),
+        });
+        assert_cuts_and_flips_are_typed(&reply, &reply.encode(), 1..=u8::MAX, Some);
     }
 }

@@ -198,6 +198,9 @@ fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>) {
         if shared.shutdown.load(Ordering::SeqCst) {
             return; // the throwaway unblock connection, or a late arrival
         }
+        // request/reply traffic: a reply's tail must not wait for the ACK of
+        // its head
+        stream.set_nodelay(true).ok();
         // connection cap: reject *with a typed reply*, never queue silently.
         // Only this thread increments `active`, so load+store is race-free.
         if shared.active.load(Ordering::Acquire) >= shared.config.max_connections {
