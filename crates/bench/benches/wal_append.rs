@@ -6,12 +6,21 @@
 //! is between the no-WAL baseline and `OnSeal`/`EveryN` (encode + buffered
 //! write, no fsync on the hot path) versus `Always` (one fsync per batch),
 //! which shows why group commit and deferred sync exist.
+//!
+//! The `crc32` group measures the checksum every frame and checkpoint file
+//! carries: the slice-by-16 kernel in `aidx_wal::crc` beside the
+//! byte-at-a-time loop it replaced (kept here, as `crack_kernels` keeps the
+//! crack loops), at a small frame, an `ingest_mixed` 64-row frame (850 B), a
+//! page and a 2.5 MiB checkpoint table file. Small inputs repeat inside one
+//! sample so every sample checksums about 1 MiB; compare the two kernels at
+//! one size.
 
 use aidx_columnstore::column::Column;
 use aidx_columnstore::table::Table;
 use aidx_columnstore::types::Value;
 use aidx_core::strategy::StrategyKind;
 use aidx_core::{Database, DurabilityConfig, FsyncPolicy};
+use aidx_wal::crc::crc32;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 use std::path::PathBuf;
@@ -100,5 +109,64 @@ fn bench_wal_append(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_wal_append);
+/// The byte-at-a-time loop `crc32` was until it became slice-by-16: kept
+/// here as the baseline the kernel is measured against.
+fn crc32_bytewise(bytes: &[u8]) -> u32 {
+    const TABLE: [u32; 256] = {
+        let mut table = [0u32; 256];
+        let mut i = 0;
+        while i < 256 {
+            let mut crc = i as u32;
+            let mut bit = 0;
+            while bit < 8 {
+                crc = if crc & 1 != 0 {
+                    (crc >> 1) ^ 0xEDB8_8320
+                } else {
+                    crc >> 1
+                };
+                bit += 1;
+            }
+            table[i] = crc;
+            i += 1;
+        }
+        table
+    };
+    let mut crc = !0u32;
+    for &b in bytes {
+        crc = (crc >> 8) ^ TABLE[((crc ^ b as u32) & 0xFF) as usize];
+    }
+    !crc
+}
+
+type Kernel = fn(&[u8]) -> u32;
+
+fn bench_crc32(c: &mut Criterion) {
+    const SAMPLE_BYTES: usize = 1 << 20;
+    let mut group = c.benchmark_group("crc32");
+    group.sample_size(20);
+    for (label, len) in [
+        ("64B", 64),
+        ("850B", 850),
+        ("4KiB", 4096),
+        ("2.5MiB", 5 << 19),
+    ] {
+        let bytes: Vec<u8> = (0..len as u32)
+            .map(|i| (i.wrapping_mul(2_654_435_761) >> 24) as u8)
+            .collect();
+        assert_eq!(crc32(&bytes), crc32_bytewise(&bytes), "{label}");
+        let reps = (SAMPLE_BYTES / len).max(1);
+        let id = format!("{label}x{reps}");
+        for (name, kernel) in [
+            ("slice_by_16", crc32 as Kernel),
+            ("bytewise", crc32_bytewise),
+        ] {
+            group.bench_function(BenchmarkId::new(name, &id), |b| {
+                b.iter(|| (0..reps).fold(0u32, |acc, _| acc ^ kernel(black_box(&bytes))));
+            });
+        }
+    }
+    group.finish();
+}
+
+criterion_group!(benches, bench_wal_append, bench_crc32);
 criterion_main!(benches);

@@ -592,9 +592,9 @@ impl Database {
                     }) {
                         Ok((_, requested)) => {
                             catalog.drop_table(name);
-                            // a drop changes what the next checkpoint must
-                            // cover even though it carries no rows
-                            durability.note_layout_change();
+                            // the dropped rows stay on disk until a
+                            // checkpoint without the table supersedes them
+                            durability.note_drop();
                             (true, requested)
                         }
                         Err(_) => (false, None),
@@ -780,7 +780,7 @@ impl Database {
     /// is nothing to cover yet, and [`AidxError::Config`] when the database
     /// is not durable. The background maintenance scheduler runs the same
     /// protocol on its own once enough rows accumulate
-    /// ([`DurabilityConfig::checkpoint_after_rows`]) or the layout changes.
+    /// ([`DurabilityConfig::checkpoint_after_rows`]) or a table is dropped.
     pub fn checkpoint(&self) -> AidxResult<Option<CheckpointReport>> {
         if self.inner.durability.is_none() {
             return Err(AidxError::config(

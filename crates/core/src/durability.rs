@@ -15,9 +15,14 @@
 //! * **Atomic capture.** A checkpoint captures `(tables, epochs, next_epoch,
 //!   last LSN)` under one catalog read lock, which excludes writers — so the
 //!   manifest describes a state that actually existed at one LSN, and log
-//!   truncation up to that LSN is exact. Compaction writes no log records
-//!   (it is layout-only), but it *does* flag the checkpoint job so the next
-//!   checkpoint re-snapshots the compacted layout.
+//!   truncation up to that LSN is exact.
+//! * **Layout is disposable.** Compaction writes no log records and arms no
+//!   checkpoint: it changes structure, never contents, so like an index its
+//!   result is re-derived rather than persisted eagerly. A checkpoint
+//!   records whatever layout it captures, fragments included, and
+//!   maintenance after recovery compacts them again in memory; the log
+//!   suffix replays without live snapshots, so it comes back in full chunks.
+//!   Only row volume and table drops arm the checkpoint job.
 //! * **Data only.** Neither the log nor a checkpoint ever contains adaptive
 //!   index state: indexes re-derive from queries, so recovery replays data
 //!   and restarts with zero indexes — the cheap-recovery payoff of cracking.
@@ -47,11 +52,11 @@ pub(crate) struct DurabilityState {
     /// Rows appended since the last completed checkpoint: the volume-based
     /// checkpoint trigger.
     pub(crate) rows_since_checkpoint: AtomicU64,
-    /// Compactions published since the last completed checkpoint: the
-    /// layout-based checkpoint trigger. A checkpoint written from a stale
-    /// layout would be *correct* (same rows) but would re-fragment on
-    /// recovery, so the checkpoint job re-snapshots after compaction.
-    pub(crate) layout_changes: AtomicU64,
+    /// Tables dropped since the last completed checkpoint: the drop-based
+    /// checkpoint trigger. A dropped table's rows stay on disk, in the last
+    /// checkpoint or the log, until a checkpoint without it supersedes them,
+    /// so a drop arms one to reclaim the space.
+    pub(crate) drops_since_checkpoint: AtomicU64,
     /// LSN the latest completed checkpoint covers (0 = none yet).
     pub(crate) last_checkpoint_lsn: AtomicU64,
     /// Sequence number of the latest completed checkpoint.
@@ -82,16 +87,15 @@ impl DurabilityState {
             .fetch_add(rows, Ordering::Relaxed);
     }
 
-    /// Record a layout-affecting change (compaction publish, table drop)
-    /// that the next checkpoint must re-snapshot.
-    pub(crate) fn note_layout_change(&self) {
-        self.layout_changes.fetch_add(1, Ordering::Relaxed);
+    /// Record a table drop (arms the checkpoint that reclaims its bytes).
+    pub(crate) fn note_drop(&self) {
+        self.drops_since_checkpoint.fetch_add(1, Ordering::Relaxed);
     }
 
     /// True when the background job should checkpoint now.
     pub(crate) fn wants_checkpoint(&self) -> bool {
         self.rows_since_checkpoint.load(Ordering::Relaxed) >= self.config.checkpoint_after_rows
-            || self.layout_changes.load(Ordering::Relaxed) > 0
+            || self.drops_since_checkpoint.load(Ordering::Relaxed) > 0
     }
 
     /// Log `rows` bound for `table` as chunked `Append` records (call under
@@ -111,11 +115,7 @@ impl DurabilityState {
         let mut sync_lsn = None;
         let mut logged = 0usize;
         for chunk in rows.chunks(ROWS_PER_APPEND_RECORD) {
-            let record = WalRecord::Append {
-                table: table.to_owned(),
-                rows: chunk.to_vec(),
-            };
-            match self.wal.append(&record) {
+            match self.wal.append_rows(table, chunk) {
                 Ok((_, requested)) => {
                     sync_lsn = requested.or(sync_lsn);
                     logged += chunk.len();
@@ -231,11 +231,7 @@ pub(crate) fn open_durable(
             let rows = table_rows(table);
             rows_pending += rows.len() as u64;
             for chunk in rows.chunks(ROWS_PER_APPEND_RECORD) {
-                wal.append(&WalRecord::Append {
-                    table: name.clone(),
-                    rows: chunk.to_vec(),
-                })
-                .map_err(AidxError::from)?;
+                wal.append_rows(&name, chunk).map_err(AidxError::from)?;
             }
         }
         if wal.last_lsn().is_some() {
@@ -247,7 +243,7 @@ pub(crate) fn open_durable(
             config,
             wal,
             rows_since_checkpoint: AtomicU64::new(rows_pending),
-            layout_changes: AtomicU64::new(0),
+            drops_since_checkpoint: AtomicU64::new(0),
             last_checkpoint_lsn: AtomicU64::new(ckpt_lsn),
             checkpoint_seq: AtomicU64::new(ckpt_seq),
             checkpoint_lock: Mutex::new(()),
@@ -330,7 +326,7 @@ pub(crate) fn run_checkpoint(inner: &DbInner) -> AidxResult<Option<CheckpointRep
     // capture atomically: the catalog read lock excludes every writer, and
     // writers log before applying, so `wal.last_lsn()` read under this lock
     // is exactly the log position describing `tables`
-    let (tables, next_epoch, lsn, rows_drained, layout_drained) = {
+    let (tables, next_epoch, lsn, rows_drained, drops_drained) = {
         let catalog = inner.catalog.read();
         let mut tables = Vec::with_capacity(catalog.len());
         for name in catalog.table_names() {
@@ -348,7 +344,7 @@ pub(crate) fn run_checkpoint(inner: &DbInner) -> AidxResult<Option<CheckpointRep
             catalog.next_epoch(),
             durability.wal.last_lsn().unwrap_or(0),
             durability.rows_since_checkpoint.load(Ordering::Relaxed),
-            durability.layout_changes.load(Ordering::Relaxed),
+            durability.drops_since_checkpoint.load(Ordering::Relaxed),
         )
     };
     if lsn == 0 && tables.is_empty() {
@@ -374,8 +370,8 @@ pub(crate) fn run_checkpoint(inner: &DbInner) -> AidxResult<Option<CheckpointRep
         .rows_since_checkpoint
         .fetch_sub(rows_drained, Ordering::Relaxed);
     durability
-        .layout_changes
-        .fetch_sub(layout_drained, Ordering::Relaxed);
+        .drops_since_checkpoint
+        .fetch_sub(drops_drained, Ordering::Relaxed);
     // strictly after the manifest is durable: a crash between the two leaves
     // a complete checkpoint plus a log it re-covers, which replays to the
     // same state

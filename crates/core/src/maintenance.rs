@@ -365,12 +365,6 @@ impl MaintenanceJob for CompactionJob {
                 .indexes_reconciled
                 .fetch_add(reconciled as u64, Ordering::Relaxed);
             units += rows_merged;
-            if let Some(durability) = &inner.durability {
-                // compaction is layout-only and writes no log records, but
-                // the next checkpoint must re-snapshot the merged layout or
-                // recovery would resurrect the fragments
-                durability.note_layout_change();
-            }
             // budget-truncated plans leave fragments for a later slice; we
             // still hold the write lock, so the table we just published
             // cannot have been dropped (degrade-don't-die regardless)
@@ -403,8 +397,11 @@ impl MaintenanceJob for CompactionJob {
 /// Job (c): background checkpointing for durable databases.
 ///
 /// Triggered by volume (rows logged since the last checkpoint reaching
-/// [`aidx_wal::DurabilityConfig::checkpoint_after_rows`]) or by layout
-/// changes (a compaction publish or table drop). A checkpoint is
+/// [`aidx_wal::DurabilityConfig::checkpoint_after_rows`]) or by a table
+/// drop, whose rows only a new checkpoint lets the disk give back.
+/// Compaction does not trigger it: a re-layout moves no row, so the next
+/// volume checkpoint records whatever layout it finds, and fragments it
+/// captures are compacted again after recovery. A checkpoint is
 /// all-or-nothing, so like an oversized index rebuild it may overrun the
 /// slice budget rather than never run; failures are counted and retried on
 /// a later tick — the log keeps the uncovered suffix, so a failed
@@ -433,7 +430,7 @@ impl MaintenanceJob for CheckpointJob {
         let outcome = match crate::durability::run_checkpoint(&inner) {
             Ok(_) => TickOutcome {
                 // count the drained rows as this slice's work (at least one
-                // unit, so layout-triggered checkpoints register as progress)
+                // unit, so drop-triggered checkpoints register as progress)
                 units: usize::try_from(pending.max(1)).unwrap_or(usize::MAX),
                 done: !durability.wants_checkpoint(),
             },

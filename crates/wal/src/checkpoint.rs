@@ -535,6 +535,46 @@ mod tests {
             .collect()
     }
 
+    /// The table file of `sample_table(3, 2)`: `k Int64`, `price Float64`,
+    /// `label Utf8`, each one sealed two-row chunk and a one-row tail.
+    const PINNED_TABLE_FILE: &str = concat!(
+        "4149445854424c3103000000010000006b000500000070726963650105000000",
+        "6c6162656c020300000000000000020000000000000001000000020000000000",
+        "0000000000000000000003000000000000000600000000000000010000000200",
+        "0000000000000000000000000000000000000000e03f000000000000f03f0100",
+        "0000020000000000000000000000010000000200000003000000070000006c61",
+        "62656c2d30070000006c6162656c2d31070000006c6162656c2d322073ba14",
+    );
+
+    /// The manifest of that checkpoint: LSN 42, next epoch 7, `orders` at
+    /// epoch 5 in `t0.tbl`.
+    const PINNED_MANIFEST: &str = concat!(
+        "41494458434b50312a0000000000000007000000000000000100000006000000",
+        "6f726465727305000000000000000600000074302e74626cc9f398f2",
+    );
+
+    fn hex(bytes: &[u8]) -> String {
+        bytes.iter().map(|b| format!("{b:02x}")).collect()
+    }
+
+    /// A three-column table file and its manifest, byte for byte as every
+    /// checkpoint written so far holds them. A change to either string is a
+    /// format change: a checkpoint written before it would no longer load.
+    #[test]
+    fn table_file_and_manifest_bytes_are_pinned() {
+        let dir = TempDir::new();
+        // one sealed two-row chunk and a one-row tail per column
+        let entry = CheckpointTable {
+            name: "orders".into(),
+            epoch: 5,
+            table: Arc::new(sample_table(3, 2)),
+        };
+        let ckpt = write_checkpoint(&dir.0, 1, 42, 7, &[entry]).unwrap();
+        let read = |file: &str| hex(&fs::read(ckpt.join(file)).unwrap());
+        assert_eq!(read("t0.tbl"), PINNED_TABLE_FILE);
+        assert_eq!(read(MANIFEST_NAME), PINNED_MANIFEST);
+    }
+
     #[test]
     fn checkpoint_round_trip_preserves_rows_layout_and_epochs() {
         let dir = TempDir::new();

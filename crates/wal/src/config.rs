@@ -35,8 +35,8 @@ pub struct DurabilityConfig {
     /// When appends are flushed to stable storage.
     pub fsync: FsyncPolicy,
     /// Background checkpoint trigger: snapshot once this many rows have been
-    /// appended since the last checkpoint (layout changes from compaction
-    /// also trigger one regardless of this count).
+    /// appended since the last checkpoint (a table drop also triggers one
+    /// regardless of this count; compaction never does).
     pub checkpoint_after_rows: u64,
 }
 

@@ -20,7 +20,8 @@
 
 use crate::config::FsyncPolicy;
 use crate::error::{WalError, WalResult};
-use crate::record::{decode_frame, encode_frame, WalRecord};
+use crate::record::{decode_frame, encode_body, put_append_body, put_frame, WalRecord};
+use aidx_columnstore::types::Value;
 use aidx_telemetry::{Histogram, Registry};
 use std::fs::{self, File, OpenOptions};
 use std::io::Write;
@@ -181,6 +182,8 @@ struct WalInner {
     appends_since_sync: u32,
     /// rows since the last sync decision (for `OnSeal`)
     rows_since_sync: u64,
+    /// the frame being appended, reused so an append allocates nothing
+    frame: Vec<u8>,
 }
 
 struct Stats {
@@ -304,6 +307,7 @@ impl Wal {
                 next_lsn,
                 appends_since_sync: 0,
                 rows_since_sync: 0,
+                frame: Vec::new(),
             }),
             // everything already on disk at open is considered durable
             last_written_lsn: AtomicU64::new(if last == 0 { NO_LSN } else { last }),
@@ -334,17 +338,36 @@ impl Wal {
     /// policy wants durability now — the caller should pass it to
     /// [`Wal::sync_to`] *after* releasing its own locks.
     pub fn append(&self, record: &WalRecord) -> WalResult<(u64, Option<u64>)> {
-        let clock = self.telemetry.as_ref().and_then(WalTelemetry::clock);
         let rows = match record {
             WalRecord::Append { rows, .. } => rows.len() as u64,
             _ => 0,
         };
-        let mut inner = self.inner.lock().expect("wal lock poisoned");
+        self.append_frame(rows, |out| encode_body(record, out))
+    }
+
+    /// Append the `Append` record of `rows` to `table`, encoded straight
+    /// from the borrowed rows: the same bytes as [`Wal::append`] of a
+    /// [`WalRecord::Append`] holding them, without first copying every row
+    /// into one.
+    pub fn append_rows(&self, table: &str, rows: &[Vec<Value>]) -> WalResult<(u64, Option<u64>)> {
+        self.append_frame(rows.len() as u64, |out| put_append_body(out, table, rows))
+    }
+
+    /// Encode one frame into the reused buffer under the append lock, write
+    /// it, and apply the fsync policy; `rows` feeds the row counters.
+    fn append_frame(
+        &self,
+        rows: u64,
+        body: impl FnOnce(&mut Vec<u8>),
+    ) -> WalResult<(u64, Option<u64>)> {
+        let clock = self.telemetry.as_ref().and_then(WalTelemetry::clock);
+        let mut guard = self.inner.lock().expect("wal lock poisoned");
+        let inner = &mut *guard;
         let lsn = inner.next_lsn;
-        let frame = encode_frame(record, lsn);
+        put_frame(&mut inner.frame, lsn, body);
         inner
             .file
-            .write_all(&frame)
+            .write_all(&inner.frame)
             .map_err(|e| WalError::io(format!("append to {}", inner.path.display()), &e))?;
         inner.next_lsn = lsn + 1;
         inner.appends_since_sync += 1;
@@ -358,7 +381,7 @@ impl Wal {
             inner.appends_since_sync = 0;
             inner.rows_since_sync = 0;
         }
-        drop(inner);
+        drop(guard);
         self.last_written_lsn.store(lsn, Ordering::Release);
         self.stats.records_appended.fetch_add(1, Ordering::Relaxed);
         self.stats.rows_appended.fetch_add(rows, Ordering::Relaxed);
@@ -475,7 +498,6 @@ impl Wal {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use aidx_columnstore::types::Value;
     use std::sync::atomic::AtomicU32;
 
     static DIR_SEQ: AtomicU32 = AtomicU32::new(0);

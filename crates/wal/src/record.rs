@@ -215,7 +215,21 @@ pub(crate) fn data_type_from_tag(tag: u8, offset: u64) -> WalResult<DataType> {
 // ---------------------------------------------------------------------------
 // record body codec
 
-fn encode_body(record: &WalRecord, out: &mut Vec<u8>) {
+/// Write the body of an `Append` of borrowed `rows` to `table`: the one
+/// encoder behind both [`WalRecord::Append`] and [`crate::Wal::append_rows`].
+pub(crate) fn put_append_body(out: &mut Vec<u8>, table: &str, rows: &[Vec<Value>]) {
+    out.push(KIND_APPEND);
+    put_str(out, table);
+    put_u32(out, rows.len() as u32);
+    for row in rows {
+        put_u32(out, row.len() as u32);
+        for value in row {
+            put_value(out, value);
+        }
+    }
+}
+
+pub(crate) fn encode_body(record: &WalRecord, out: &mut Vec<u8>) {
     match record {
         WalRecord::CreateTable { name, fields } => {
             out.push(KIND_CREATE_TABLE);
@@ -230,17 +244,7 @@ fn encode_body(record: &WalRecord, out: &mut Vec<u8>) {
             out.push(KIND_DROP_TABLE);
             put_str(out, name);
         }
-        WalRecord::Append { table, rows } => {
-            out.push(KIND_APPEND);
-            put_str(out, table);
-            put_u32(out, rows.len() as u32);
-            for row in rows {
-                put_u32(out, row.len() as u32);
-                for value in row {
-                    put_value(out, value);
-                }
-            }
-        }
+        WalRecord::Append { table, rows } => put_append_body(out, table, rows),
     }
 }
 
@@ -294,16 +298,29 @@ fn decode_body(reader: &mut Reader<'_>) -> WalResult<WalRecord> {
 // ---------------------------------------------------------------------------
 // framing
 
+/// Bytes of the frame header: payload length, then payload checksum.
+const FRAME_HEADER_BYTES: usize = 8;
+
+/// Encode one frame into `out`, replacing its contents: a header
+/// placeholder, the LSN, the record body `body` appends, then the length
+/// and checksum patched in place. The payload is written once, where it
+/// will be written to the log from.
+pub(crate) fn put_frame(out: &mut Vec<u8>, lsn: u64, body: impl FnOnce(&mut Vec<u8>)) {
+    out.clear();
+    out.extend_from_slice(&[0; FRAME_HEADER_BYTES]);
+    put_u64(out, lsn);
+    body(out);
+    let length = (out.len() - FRAME_HEADER_BYTES) as u32;
+    let crc = crc32(&out[FRAME_HEADER_BYTES..]);
+    out[..4].copy_from_slice(&length.to_le_bytes());
+    out[4..FRAME_HEADER_BYTES].copy_from_slice(&crc.to_le_bytes());
+}
+
 /// Encode one record (with its log sequence number) as a complete frame:
 /// length prefix, payload checksum, payload.
 pub fn encode_frame(record: &WalRecord, lsn: u64) -> Vec<u8> {
-    let mut payload = Vec::with_capacity(64);
-    put_u64(&mut payload, lsn);
-    encode_body(record, &mut payload);
-    let mut frame = Vec::with_capacity(payload.len() + 8);
-    put_u32(&mut frame, payload.len() as u32);
-    put_u32(&mut frame, crc32(&payload));
-    frame.extend_from_slice(&payload);
+    let mut frame = Vec::with_capacity(64);
+    put_frame(&mut frame, lsn, |out| encode_body(record, out));
     frame
 }
 
@@ -443,6 +460,40 @@ mod tests {
             decode_frame(&frame),
             Err(WalError::Corrupt { .. })
         ));
+    }
+
+    /// A `CreateTable` frame at LSN 1000: `orders(k Int64, price Float64,
+    /// label Utf8)`.
+    const PINNED_CREATE_TABLE: &str = concat!(
+        "3100000074731b1fe80300000000000001060000006f72646572730300000001",
+        "0000006b0005000000707269636501050000006c6162656c02",
+    );
+
+    /// A `DropTable` frame at LSN 1001: `tmp`.
+    const PINNED_DROP_TABLE: &str = "100000003bf662e5e9030000000000000203000000746d70";
+
+    /// An `Append` frame at LSN 1002: two rows of `Int64`, `Float64`, `Utf8`
+    /// and `Null` values.
+    const PINNED_APPEND: &str = concat!(
+        "4d000000372e1923ea0300000000000003060000006f72646572730200000003",
+        "00000000f9ffffffffffffff010000000000000440020400000072c3b6770300",
+        "000000ffffffffffffff7f01000000000000f87f03",
+    );
+
+    fn hex(bytes: &[u8]) -> String {
+        bytes.iter().map(|b| format!("{b:02x}")).collect()
+    }
+
+    /// One frame per record kind, byte for byte as every log written so far
+    /// holds it. A change to any of these strings is a format change: a log
+    /// written before it would no longer replay.
+    #[test]
+    fn frame_bytes_are_pinned() {
+        let pinned = [PINNED_CREATE_TABLE, PINNED_DROP_TABLE, PINNED_APPEND];
+        for (i, (record, expected)) in sample_records().iter().zip(pinned).enumerate() {
+            let frame = hex(&encode_frame(record, 1000 + i as u64));
+            assert_eq!(frame, expected, "{record:?}");
+        }
     }
 
     #[test]

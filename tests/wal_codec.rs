@@ -7,8 +7,35 @@
 //! never hand back a *different* record than the one that was logged.
 
 use adaptive_indexing::columnstore::types::{DataType, Value};
-use adaptive_indexing::wal::{decode_frame, encode_frame, WalRecord};
+use adaptive_indexing::wal::{decode_frame, encode_frame, FsyncPolicy, Wal, WalRecord};
 use proptest::prelude::*;
+use std::fs;
+use std::sync::atomic::{AtomicU32, Ordering};
+
+static DIR_SEQ: AtomicU32 = AtomicU32::new(0);
+
+/// The bytes a fresh log holds after `append` of `record` and then
+/// `append_rows` of its table and rows, plus an empty batch.
+fn logged_bytes(table: &str, rows: &[Vec<Value>], record: &WalRecord) -> Vec<u8> {
+    let dir = std::env::temp_dir().join(format!(
+        "aidx-wal-codec-{}-{}",
+        std::process::id(),
+        DIR_SEQ.fetch_add(1, Ordering::Relaxed)
+    ));
+    let wal = Wal::open(&dir, FsyncPolicy::OnSeal, 1024).expect("a fresh log directory opens");
+    wal.append(record).expect("append");
+    wal.append_rows(table, rows).expect("append_rows");
+    wal.append_rows(table, &[]).expect("empty append_rows");
+    drop(wal);
+    let mut files: Vec<_> = fs::read_dir(&dir)
+        .expect("log directory")
+        .map(|entry| entry.expect("entry").path())
+        .collect();
+    assert_eq!(files.len(), 1, "one log file: {files:?}");
+    let bytes = fs::read(files.pop().expect("one file")).expect("log file");
+    fs::remove_dir_all(&dir).expect("remove the log directory");
+    bytes
+}
 
 /// Map a raw integer onto a `Value`, cycling through every variant so
 /// arbitrary rows exercise all four value tags in the codec.
@@ -139,6 +166,24 @@ proptest! {
                 prop_assert!(got == record && got_lsn == lsn, "decoded a different record");
             }
         }
+    }
+
+    // Logging borrowed rows writes exactly the bytes of logging the owned
+    // record that holds them, and an empty batch is the empty `Append`.
+    #[test]
+    fn borrowed_rows_log_the_bytes_of_the_owned_record(
+        raw in prop::collection::vec(i64::MIN..i64::MAX, 0..48),
+        cols in 1usize..5,
+    ) {
+        let record = record_from(2, &raw, cols);
+        let WalRecord::Append { table, rows } = &record else {
+            unreachable!("kind 2 is an append");
+        };
+        let empty = WalRecord::Append { table: table.clone(), rows: Vec::new() };
+        let mut expected = encode_frame(&record, 1);
+        expected.extend_from_slice(&encode_frame(&record, 2));
+        expected.extend_from_slice(&encode_frame(&empty, 3));
+        prop_assert_eq!(logged_bytes(table, rows, &record), expected);
     }
 
     // Arbitrary byte soup never panics the decoder: it is torn, corrupt, or

@@ -452,53 +452,138 @@ fn every_fsync_policy_recovers_the_full_history() {
     }
 }
 
+/// Sealed-chunk lengths of `column` in the current snapshot of `table`.
+fn chunk_lens(db: &Database, table: &str, column: &str) -> Vec<usize> {
+    db.table_snapshot(table)
+        .unwrap()
+        .column(column)
+        .unwrap()
+        .sealed_chunk_lens()
+}
+
+/// Append `n` rows one at a time, each under a live snapshot: every insert
+/// seals the tail early, fragmenting the columns far beyond the ideal chunk
+/// count.
+fn churn(db: &Database, first: i64, n: i64) {
+    let session = db.session();
+    for i in first..first + n {
+        let _snapshot = db.table_snapshot("orders").unwrap();
+        session
+            .insert_row("orders", &[Value::Int64(10_000 + i), Value::Int64(i)])
+            .unwrap();
+    }
+}
+
 #[test]
-fn compacted_layout_survives_checkpoint_and_recovery() {
+fn compacted_layout_survives_recovery() {
     let tmp = TempDir::new("compact");
     let reference = {
         let db = durable_builder(tmp.path(), StrategyKind::Cracking, FsyncPolicy::OnSeal)
             .try_build()
             .unwrap();
         db.create_table("orders", orders_table(256)).unwrap();
-        let session = db.session();
-        // churn under live snapshots: every insert seals the tail early,
-        // fragmenting the columns far beyond the ideal chunk count
-        for i in 0..128 {
-            let _snapshot = db.table_snapshot("orders").unwrap();
-            session
-                .insert_row("orders", &[Value::Int64(10_000 + i), Value::Int64(i)])
-                .unwrap();
-        }
+        churn(&db, 0, 128);
         let report = db.compact();
         assert!(report.rows_merged > 0);
-        // the layout change armed the checkpoint trigger, and the compact()
-        // loop runs maintenance to completion — including the checkpoint job
+        // a re-layout moves no row: it arms no checkpoint, and the compact()
+        // loop, which runs every maintenance job to completion, writes none
         let stats = db.maintenance_stats();
-        assert!(
-            stats.checkpoints_written >= 1,
-            "compaction must trigger a layout checkpoint: {stats:?}"
+        assert_eq!(
+            stats.checkpoints_written, 0,
+            "compaction must not trigger a checkpoint: {stats:?}"
         );
         query_battery(&db, "orders")
+    };
+
+    // the log replays without live snapshots, so the rows come back in
+    // full chunks
+    let db = durable_builder(tmp.path(), StrategyKind::Cracking, FsyncPolicy::OnSeal)
+        .try_build()
+        .unwrap();
+    assert_eq!(db.row_count("orders").unwrap(), 384);
+    let chunks = chunk_lens(&db, "orders", "o_key").len();
+    let ideal = 384usize.div_ceil(64);
+    assert!(
+        chunks <= 2 * ideal,
+        "recovery must not resurrect the fragments ({chunks} chunks vs ideal {ideal})"
+    );
+    assert_eq!(query_battery(&db, "orders"), reference);
+}
+
+#[test]
+fn checkpointed_fragments_are_restored_exactly_then_compacted_in_memory() {
+    let tmp = TempDir::new("ckpt-fragments");
+    let (reference, checkpointed) = {
+        let db = durable_builder(tmp.path(), StrategyKind::Cracking, FsyncPolicy::OnSeal)
+            .try_build()
+            .unwrap();
+        db.create_table("orders", orders_table(256)).unwrap();
+        churn(&db, 0, 64);
+        // mid-churn: the checkpoint captures the fragments as they are
+        let checkpointed = chunk_lens(&db, "orders", "o_key");
+        assert!(checkpointed.iter().any(|&len| len < 64));
+        db.checkpoint().unwrap().expect("state to cover");
+        churn(&db, 64, 64);
+        (query_battery(&db, "orders"), checkpointed)
     };
 
     let db = durable_builder(tmp.path(), StrategyKind::Cracking, FsyncPolicy::OnSeal)
         .try_build()
         .unwrap();
     assert_eq!(db.row_count("orders").unwrap(), 384);
-    let snapshot = db.table_snapshot("orders").unwrap();
-    let chunks = snapshot
-        .column("o_key")
-        .unwrap()
-        .as_i64()
-        .unwrap()
-        .sealed_chunk_count();
-    let ideal = 384usize.div_ceil(64);
-    assert!(
-        chunks <= 2 * ideal,
-        "recovery must restore the compacted layout, not the fragments \
-         ({chunks} chunks vs ideal {ideal})"
-    );
+    for column in ["o_key", "o_value"] {
+        let restored = chunk_lens(&db, "orders", column);
+        // the checkpoint's undersized chunks, exactly, then the replayed
+        // suffix in full chunks
+        assert_eq!(
+            restored[..checkpointed.len()],
+            checkpointed[..],
+            "{column}: the checkpointed layout is restored as written"
+        );
+        assert!(
+            restored[checkpointed.len()..].iter().all(|&len| len == 64),
+            "{column}: the replayed suffix seals full chunks: {restored:?}"
+        );
+    }
     assert_eq!(query_battery(&db, "orders"), reference);
+
+    // one tick compacts the restored fragments in memory, and checkpoints
+    // nothing for it
+    let before = db.maintenance_stats();
+    assert!(db.maintenance_tick() > 0);
+    let after = db.maintenance_stats();
+    assert!(after.rows_compacted > before.rows_compacted);
+    assert_eq!(after.checkpoints_written, before.checkpoints_written);
+    let chunks = chunk_lens(&db, "orders", "o_key").len();
+    let ideal = 384usize.div_ceil(64);
+    assert!(chunks <= 2 * ideal, "{chunks} chunks vs ideal {ideal}");
+    assert_eq!(query_battery(&db, "orders"), reference);
+}
+
+#[test]
+fn drop_table_arms_exactly_one_checkpoint() {
+    let tmp = TempDir::new("drop-ckpt");
+    let db = durable_builder(tmp.path(), StrategyKind::Cracking, FsyncPolicy::OnSeal)
+        .try_build()
+        .unwrap();
+    db.create_table("keep", orders_table(64)).unwrap();
+    db.create_table("doomed", orders_table(32)).unwrap();
+    // below the volume trigger, a tick checkpoints nothing
+    db.maintenance_tick();
+    assert_eq!(db.maintenance_stats().checkpoints_written, 0);
+    assert!(db.drop_table("doomed"));
+    db.maintenance_tick();
+    assert_eq!(db.maintenance_stats().checkpoints_written, 1);
+    // the checkpoint drained the trigger
+    db.maintenance_tick();
+    assert_eq!(db.maintenance_stats().checkpoints_written, 1);
+    drop(db);
+
+    let db = durable_builder(tmp.path(), StrategyKind::Cracking, FsyncPolicy::OnSeal)
+        .try_build()
+        .unwrap();
+    assert_eq!(db.table_names(), vec!["keep".to_owned()]);
+    assert_eq!(db.row_count("keep").unwrap(), 64);
 }
 
 #[test]
