@@ -1,12 +1,14 @@
 //! Criterion benchmark for the parallel engine: chunk-parallel cold scans
-//! and partition-parallel adaptive index builds vs. the serial kernel.
+//! vs. the serial kernel, and the first-touch index build at each worker
+//! count.
 //!
 //! Matrix: {scan, index-build} × parallelism {1, 2, 4}. The scan case runs
 //! the `ParallelScan` operator over a multi-chunk, zone-mapped segment of
-//! shuffled keys (no pruning possible — every chunk is read); the build case
-//! measures the facade's lazy first-touch index construction, which at
-//! parallelism > 1 is a domain scatter plus per-partition builds fanned out
-//! across the pool. Speedups flatten at the machine's core count.
+//! shuffled keys (no pruning possible — every chunk is read); speedups
+//! flatten at the machine's core count. The build case measures the
+//! facade's lazy first-touch index construction, which builds the column's
+//! one index on the querying thread at every worker count: it should read
+//! the same at every parallelism.
 
 use aidx_columnstore::column::Column;
 use aidx_columnstore::ops::select::Predicate;
@@ -66,7 +68,7 @@ fn bench_parallel_index_build(c: &mut Criterion) {
                 let session = db.session();
                 let column = ColumnId::new("data", "k");
                 b.iter(|| {
-                    // drop + query = a true cold scatter/build every iteration
+                    // drop + query = a true cold build every iteration
                     db.index_manager().drop_index(&column);
                     black_box(
                         session

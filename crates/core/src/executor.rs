@@ -17,8 +17,9 @@
 //!    its column, creating the index lazily on first touch. The index
 //!    answers with the row ids of its piece **as they stand** — distinct,
 //!    in piece order — and the drive step passes them on untouched: an
-//!    `InSet` driver concatenates its per-key answers, a partitioned index
-//!    its per-partition answers, and nobody sorts.
+//!    `InSet` driver concatenates its per-key answers, and nobody sorts.
+//!    The column has this one index at every worker count; the pool only
+//!    fans out the scans and filters around it.
 //! 3. **Filter** — apply every remaining predicate as a residual,
 //!    late-materialized filter over the qualifying positions, and compute
 //!    the optional aggregate. These are the consumers that read positions

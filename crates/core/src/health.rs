@@ -233,7 +233,6 @@ mod tests {
             effort,
             auxiliary_bytes: 0,
             converged,
-            partitions: 1,
         }
     }
 

@@ -101,7 +101,6 @@ pub mod executor;
 pub mod health;
 pub mod maintenance;
 pub mod manager;
-pub mod partitioned;
 pub mod query;
 pub mod result;
 pub mod session;
@@ -119,9 +118,8 @@ pub mod prelude {
     pub use crate::health::{HealthVerdict, IndexHealth};
     pub use crate::maintenance::CompactionReport;
     pub use crate::manager::{ColumnId, IndexManager, KeySource};
-    pub use crate::partitioned::PartitionedIndex;
     pub use crate::query::{Aggregation, Predicate, Query};
-    pub use crate::result::{QueryResult, RowIter};
+    pub use crate::result::{QueryResult, RowIter, Rows};
     pub use crate::session::{QueryBuilder, QueryProfile, Session};
     pub use crate::strategy::{AdaptiveIndex, QueryOutput, StrategyKind, StrategyTuning};
     pub use crate::telemetry::TelemetrySnapshot;
@@ -151,9 +149,8 @@ pub use executor::QueryPlan;
 pub use health::{HealthVerdict, IndexHealth};
 pub use maintenance::CompactionReport;
 pub use manager::{ColumnId, IndexManager, KeySource, ProbeTrace};
-pub use partitioned::PartitionedIndex;
 pub use query::{Aggregation, Predicate, Query};
-pub use result::{QueryResult, RowIter};
+pub use result::{QueryResult, RowIter, Rows};
 pub use session::{QueryBuilder, QueryProfile, Session};
 pub use strategy::{AdaptiveIndex, QueryOutput, StrategyKind, StrategyTuning};
 pub use telemetry::TelemetrySnapshot;

@@ -9,8 +9,12 @@
 //! adaptive kernel serializes cracking per column, and we mirror that with a
 //! per-manager mutex around the registry plus exclusive access per index
 //! while a query reorganizes it.
+//!
+//! A column has exactly one index at every worker count: the manager's pool
+//! only fans out the scans that answer lagging snapshots. Readers of one
+//! column therefore serialise on its latch whatever the parallelism, and
+//! the first query builds the index on its own thread.
 
-use crate::partitioned::{PartitionedIndex, PARTITIONS_PER_WORKER};
 use crate::strategy::{AdaptiveIndex, QueryOutput, StrategyKind, StrategyTuning};
 use aidx_columnstore::ops::select as columnstore_select;
 use aidx_columnstore::segment::Segment;
@@ -185,9 +189,6 @@ pub struct IndexInfo {
     pub auxiliary_bytes: usize,
     /// Whether the strategy reports convergence.
     pub converged: bool,
-    /// Number of value-range partitions the index is split into (1 for the
-    /// serial, single-index form).
-    pub partitions: usize,
 }
 
 /// What one routed probe did to its column's index — filled by
@@ -247,42 +248,8 @@ impl ProbeTrace {
     }
 }
 
-/// The physical form of one column's index: a single strategy index (the
-/// serial path, and the only form at parallelism 1) or a range-partitioned
-/// set of strategy indexes refined partition-parallel.
-enum IndexBody {
-    Single(Box<dyn AdaptiveIndex + Send>),
-    Partitioned(Arc<PartitionedIndex>),
-}
-
-impl IndexBody {
-    fn len(&self) -> usize {
-        match self {
-            IndexBody::Single(index) => index.len(),
-            IndexBody::Partitioned(partitioned) => partitioned.len(),
-        }
-    }
-}
-
-/// `(effort, pieces)` of a body — the probe-trace bracket reading. For a
-/// partitioned body this locks each partition briefly; only traced probes
-/// pay it.
-fn body_measurements(body: &IndexBody) -> (u64, u64) {
-    match body {
-        IndexBody::Single(index) => (index.effort(), index.pieces() as u64),
-        IndexBody::Partitioned(partitioned) => (partitioned.effort(), partitioned.pieces() as u64),
-    }
-}
-
-fn body_pieces(body: &IndexBody) -> u64 {
-    match body {
-        IndexBody::Single(index) => index.pieces() as u64,
-        IndexBody::Partitioned(partitioned) => partitioned.pieces() as u64,
-    }
-}
-
 struct ManagedIndex {
-    body: IndexBody,
+    body: Box<dyn AdaptiveIndex + Send>,
     kind: StrategyKind,
     /// Epoch of the table incarnation the index was built from (0 for
     /// standalone, catalog-free use).
@@ -294,9 +261,8 @@ struct ManagedIndex {
 pub struct IndexManager {
     default_strategy: StrategyKind,
     tuning: StrategyTuning,
-    /// Fork/join workers for parallel scans, partition scatters and
-    /// partition-parallel refinement. A serial pool (the default) keeps
-    /// every path inline and single-index, exactly the pre-parallel kernel.
+    /// Fork/join workers for the chunk-parallel scans that answer lagging
+    /// snapshots. A serial pool (the default) keeps every path inline.
     pool: Arc<ThreadPool>,
     indexes: Mutex<HashMap<ColumnId, Arc<Mutex<ManagedIndex>>>>,
 }
@@ -328,8 +294,9 @@ impl IndexManager {
     }
 
     /// Create a manager that executes on `pool`: with more than one worker,
-    /// lazily built indexes become range-partitioned ([`PartitionedIndex`])
-    /// and scan fallbacks go chunk-parallel; with a serial pool this is
+    /// scan fallbacks go chunk-parallel. Every column still gets exactly one
+    /// index, built and refined under that column's latch, so the indexes
+    /// are the same at every worker count; with a serial pool this is
     /// exactly [`IndexManager::with_tuning`].
     pub fn with_tuning_and_pool(
         default_strategy: StrategyKind,
@@ -451,7 +418,7 @@ impl IndexManager {
                 .entry(column.clone())
                 .or_insert_with(|| {
                     Arc::new(Mutex::new(ManagedIndex {
-                        body: IndexBody::Single(strategy.build_from(&[], None, &self.tuning)),
+                        body: strategy.build_from(&[], None, &self.tuning),
                         kind: strategy,
                         epoch,
                         queries: 0,
@@ -491,12 +458,12 @@ impl IndexManager {
         // baseline is effort 0 at the fresh body's piece count. The cuts a
         // cracking kind made while building are this query's work as well:
         // its count starts from the one piece of an uncracked column
-        let cut_while_building = self.pool.is_serial() && managed.kind.cracks_while_building();
+        let cut_while_building = managed.kind.cracks_while_building();
         let before = probe.as_ref().map(|_| {
+            let pieces = managed.body.pieces() as u64;
             if !rebuilt {
-                return body_measurements(&managed.body);
+                return (managed.body.effort(), pieces);
             }
-            let pieces = body_pieces(&managed.body);
             (
                 0,
                 if cut_while_building {
@@ -506,71 +473,29 @@ impl IndexManager {
                 },
             )
         });
-        match &mut managed.body {
-            IndexBody::Single(index) => {
-                let output = index.query_range(low, high);
-                if let (Some(p), Some(before)) = (probe, before) {
-                    p.observe(
-                        strategy_label,
-                        before,
-                        (index.effort(), index.pieces() as u64),
-                        rebuilt,
-                    );
-                }
-                output
-            }
-            IndexBody::Partitioned(partitioned) => {
-                // fan out *after* releasing the per-column registry entry, so
-                // concurrent queries refine disjoint partitions in parallel
-                // under the partition latches alone; clamping to the
-                // snapshot's length keeps racing absorbed appends invisible
-                let partitioned = Arc::clone(partitioned);
-                let snapshot_len = keys.len();
-                drop(managed);
-                let output = partitioned.query_range(&self.pool, low, high, snapshot_len);
-                if let (Some(p), Some(before)) = (probe, before) {
-                    p.observe(
-                        strategy_label,
-                        before,
-                        (partitioned.effort(), partitioned.pieces() as u64),
-                        rebuilt,
-                    );
-                }
-                output
-            }
+        let index = &mut managed.body;
+        let output = index.query_range(low, high);
+        if let (Some(p), Some(before)) = (probe, before) {
+            p.observe(
+                strategy_label,
+                before,
+                (index.effort(), index.pieces() as u64),
+                rebuilt,
+            );
         }
+        output
     }
 
-    /// Build a column's physical index from a snapshot view: a single
-    /// strategy index on the serial pool (read chunk by chunk out of a
-    /// multi-chunk segment — no transient contiguous copy — and built for
-    /// `first_query`, see [`StrategyKind::build_from`]), or a
-    /// range-partitioned index built partition-parallel when the pool has
-    /// workers to feed.
+    /// Build a column's index from a snapshot view, read chunk by chunk out
+    /// of a multi-chunk segment (no transient contiguous copy) and built for
+    /// `first_query` (see [`StrategyKind::build_from`]).
     fn build_body(
         &self,
         kind: StrategyKind,
         keys: &KeySource<'_>,
         first_query: Option<(Key, Key)>,
-    ) -> IndexBody {
-        if self.pool.is_serial() {
-            return IndexBody::Single(kind.build_from(&keys.chunks(), first_query, &self.tuning));
-        }
-        let partition_count = self.pool.threads() * PARTITIONS_PER_WORKER;
-        let scattered = match keys {
-            KeySource::Flat(slice) => {
-                aidx_parallel::partition_keys(&self.pool, slice, partition_count)
-            }
-            KeySource::Segmented(segment) => {
-                aidx_parallel::partition_segment(&self.pool, segment, partition_count)
-            }
-        };
-        IndexBody::Partitioned(Arc::new(PartitionedIndex::build(
-            &self.pool,
-            scattered.into_parts(),
-            kind,
-            &self.tuning,
-        )))
+    ) -> Box<dyn AdaptiveIndex + Send> {
+        kind.build_from(&keys.chunks(), first_query, &self.tuning)
     }
 
     /// Stage the insertion of row `rowid` (holding `key`) into a column's
@@ -615,14 +540,7 @@ impl IndexManager {
             return false;
         };
         let keys = keys.get(covered as usize..).unwrap_or(&[]);
-        match &mut managed.body {
-            IndexBody::Single(index) => index.insert_batch(keys),
-            IndexBody::Partitioned(partitioned) => {
-                let first = first_rowid + covered;
-                (keys.iter().zip(first..))
-                    .all(|(&key, rowid)| partitioned.insert(key, rowid as RowId))
-            }
-        }
+        managed.body.insert_batch(keys)
     }
 
     /// Replace a column's index with a freshly built one of the given
@@ -760,7 +678,7 @@ impl IndexManager {
                 .or_insert_with(|| {
                     Arc::new(Mutex::new(ManagedIndex {
                         // placeholder swapped out below under the entry lock
-                        body: IndexBody::Single(StrategyKind::FullScan.build(&[])),
+                        body: StrategyKind::FullScan.build(&[]),
                         kind: StrategyKind::FullScan,
                         epoch,
                         queries: 0,
@@ -813,28 +731,15 @@ impl IndexManager {
             .iter()
             .map(|(column, entry)| {
                 let managed = entry.lock();
-                let strategy = managed.kind.label();
-                match &managed.body {
-                    IndexBody::Single(index) => IndexInfo {
-                        column: column.clone(),
-                        strategy,
-                        tuples: index.len(),
-                        queries: managed.queries,
-                        effort: index.effort(),
-                        auxiliary_bytes: index.auxiliary_bytes(),
-                        converged: index.is_converged(),
-                        partitions: 1,
-                    },
-                    IndexBody::Partitioned(partitioned) => IndexInfo {
-                        column: column.clone(),
-                        strategy,
-                        tuples: partitioned.len(),
-                        queries: managed.queries,
-                        effort: partitioned.effort(),
-                        auxiliary_bytes: partitioned.auxiliary_bytes(),
-                        converged: partitioned.is_converged(),
-                        partitions: partitioned.partition_count(),
-                    },
+                let index = &managed.body;
+                IndexInfo {
+                    column: column.clone(),
+                    strategy: managed.kind.label(),
+                    tuples: index.len(),
+                    queries: managed.queries,
+                    effort: index.effort(),
+                    auxiliary_bytes: index.auxiliary_bytes(),
+                    converged: index.is_converged(),
                 }
             })
             .collect();
@@ -1231,7 +1136,7 @@ mod tests {
     }
 
     #[test]
-    fn parallel_managers_build_partitioned_indexes_with_identical_answers() {
+    fn parallel_managers_build_the_serial_index_with_identical_answers() {
         let data = keys(8000);
         let segment = Segment::from_vec_with_capacity(data.clone(), 256);
         let serial = IndexManager::new(StrategyKind::Cracking);
@@ -1257,23 +1162,18 @@ mod tests {
             );
             assert_eq!(a.into_positions(), b.into_positions(), "query {q}");
         }
-        assert_eq!(serial.describe()[0].partitions, 1);
-        assert!(parallel.describe()[0].partitions > 1, "range-partitioned");
-        assert_eq!(serial.describe()[0].tuples, parallel.describe()[0].tuples);
-        assert_eq!(
-            serial.describe()[0].strategy,
-            parallel.describe()[0].strategy
-        );
+        // one index per column at any worker count: the same effort, memory
+        // and convergence as the serial run's
+        assert_eq!(serial.describe(), parallel.describe());
     }
 
     #[test]
-    fn partitioned_indexes_absorb_inserts_and_guard_continuity() {
+    fn parallel_managers_absorb_inserts_and_guard_continuity() {
         let data = keys(1000);
         let manager = parallel_manager(StrategyKind::UpdatableCracking, 4);
         let column = ColumnId::new("t", "a");
         let _ =
             manager.query_range_snapshot(&column, &data, 7, 0, 10, StrategyKind::UpdatableCracking);
-        assert!(manager.describe()[0].partitions > 1);
         // wrong epoch and rowid gaps are rejected exactly like the serial path
         assert!(!manager.insert_at(&column, 5, 1000, 8));
         assert!(!manager.insert_at(&column, 5, 1002, 7));

@@ -1,12 +1,14 @@
-//! Query results: a compact summary plus a streaming row iterator.
+//! Query results: a compact summary plus the projected rows, gathered once.
 //!
-//! The seed executor materialized every projected row into a
-//! `Vec<Vec<Value>>` before returning. [`QueryResult`] instead carries the
-//! qualifying row ids and a point-in-time snapshot of the table
-//! (`Arc<Table>`); projected rows are reconstructed lazily, one at a time,
-//! by [`RowIter`] — late materialization all the way to the client, and the
-//! snapshot stays valid even while other sessions keep appending to the
-//! table.
+//! [`QueryResult`] carries the qualifying row ids and a point-in-time
+//! snapshot of the table (`Arc<Table>`), which stays valid even while other
+//! sessions keep appending to the table. Tuples are reconstructed late and
+//! once: the first [`QueryResult::rows`] read gathers each projected column
+//! at the qualifying positions into one flat [`Rows`] store — the layout the
+//! server's wire form already uses — and every row the result yields, then
+//! or later, is a slice of that store. A result that is only counted,
+//! aggregated or asked for positions never gathers anything; one read
+//! through `rows()` holds `arity × rows` values until it is dropped.
 //!
 //! # Ordering contract
 //!
@@ -20,7 +22,9 @@
 //!   and never order anything;
 //! * the first [`QueryResult::positions`] or [`QueryResult::rows`] call
 //!   orders the row ids once (O(rows), radix — see
-//!   [`PositionList::from_distinct`]) and every later call is O(1);
+//!   [`PositionList::from_distinct`]) and every later call is O(1); the
+//!   first `rows()` call also gathers the projection, and later calls
+//!   re-read the gathered store;
 //! * when the executor already had to order them (a residual filter or a
 //!   positional aggregate ran), nothing is left to do.
 //!
@@ -28,9 +32,9 @@
 //! vector the index produced and keeps the ordered list in its place.
 //!
 //! What a caller can observe is unchanged: `positions()` is always strictly
-//! ascending, and `rows()` streams in that order.
+//! ascending, and `rows()` yields the rows in that order.
 
-use aidx_columnstore::column::{Column, ColumnCursor};
+use aidx_columnstore::column::Column;
 use aidx_columnstore::ops::select::PruneStats;
 use aidx_columnstore::position::PositionList;
 use aidx_columnstore::table::Table;
@@ -135,6 +139,8 @@ pub struct QueryResult {
     projected: Vec<usize>,
     aggregate: Option<Value>,
     prune: PruneStats,
+    /// The projected rows, gathered by the first [`Self::rows`] read.
+    rows: OnceLock<Rows>,
 }
 
 impl QueryResult {
@@ -159,6 +165,7 @@ impl QueryResult {
             projected,
             aggregate,
             prune,
+            rows: OnceLock::new(),
         }
     }
 
@@ -186,25 +193,24 @@ impl QueryResult {
         self.aggregate.as_ref()
     }
 
-    /// Stream the projected rows in ascending position order. Each item is
-    /// one row, with values in projection order. Returns an empty iterator
-    /// (and orders nothing) when the query projected no columns.
+    /// The projected rows in ascending position order, each a slice of its
+    /// values in projection order. The first call gathers the projection
+    /// into one [`Rows`] store (see [`Rows::gather`]); later calls re-read
+    /// it. Yields nothing (and orders nothing) when the query projected no
+    /// columns.
     pub fn rows(&self) -> RowIter<'_> {
-        let positions = if self.projected.is_empty() {
-            &[]
-        } else {
-            self.positions().as_slice()
-        };
-        RowIter {
-            positions: positions.iter(),
-            columns: self.projected_columns().map(Column::cursor).collect(),
-        }
+        let rows = self.rows.get_or_init(|| {
+            if self.projected.is_empty() {
+                return Rows::default();
+            }
+            Rows::gather(self.projected_columns(), self.positions())
+        });
+        RowIter(rows.iter())
     }
 
     /// The snapshot's projected columns, in projection order: what
-    /// [`Self::rows`] reads, for a consumer that gathers the projected values
-    /// column by column at [`Self::positions`] (see [`Column::gather`])
-    /// instead of row by row.
+    /// [`Self::rows`] gathers at [`Self::positions`], for a consumer that
+    /// wants a copy of its own (see [`Rows::gather`]).
     pub fn projected_columns(&self) -> impl ExactSizeIterator<Item = &Column> + '_ {
         // validated against the schema when the result was assembled, as the
         // selection was against the snapshot's row count
@@ -215,9 +221,9 @@ impl QueryResult {
         })
     }
 
-    /// Materialize every projected row (convenience over [`Self::rows`]).
+    /// Copy every projected row out (convenience over [`Self::rows`]).
     pub fn collect_rows(&self) -> Vec<Vec<Value>> {
-        self.rows().collect()
+        self.rows().map(<[Value]>::to_vec).collect()
     }
 
     /// The table snapshot this result reads from.
@@ -234,42 +240,28 @@ impl QueryResult {
     }
 }
 
-/// A streaming iterator over the projected rows of a [`QueryResult`].
-///
-/// Rows are reconstructed on demand from the result's table snapshot; no
-/// intermediate row buffer is built. Positions ascend, so each projected
-/// column is read through a cursor that resolves a chunk once per run of
-/// rows inside it, not once per cell. The iterator is cheap to create and
-/// can be re-created from the result any number of times.
+/// The projected rows of a [`QueryResult`] (see [`QueryResult::rows`]):
+/// slices of the result's gathered [`Rows`] store, in ascending position
+/// order. Nothing is allocated per row.
 #[derive(Debug, Clone)]
-pub struct RowIter<'a> {
-    positions: std::slice::Iter<'a, RowId>,
-    /// One reader per projected column, in projection order.
-    columns: Vec<ColumnCursor<'a>>,
-}
+pub struct RowIter<'a>(std::slice::ChunksExact<'a, Value>);
 
-impl Iterator for RowIter<'_> {
-    type Item = Vec<Value>;
+impl<'a> Iterator for RowIter<'a> {
+    type Item = &'a [Value];
 
     fn next(&mut self) -> Option<Self::Item> {
-        let position = *self.positions.next()?;
-        Some(
-            self.columns
-                .iter_mut()
-                .map(|column| column.value_at(position))
-                .collect(),
-        )
+        self.0.next()
     }
 
     fn size_hint(&self) -> (usize, Option<usize>) {
-        self.positions.size_hint()
+        self.0.size_hint()
     }
 }
 
 impl ExactSizeIterator for RowIter<'_> {}
 
 impl<'a> IntoIterator for &'a QueryResult {
-    type Item = Vec<Value>;
+    type Item = &'a [Value];
     type IntoIter = RowIter<'a>;
 
     fn into_iter(self) -> Self::IntoIter {
@@ -277,9 +269,115 @@ impl<'a> IntoIterator for &'a QueryResult {
     }
 }
 
+/// Projected rows held flat: the values of row 0 in projection order, then
+/// those of row 1, and so on. Every row has the same arity, so a row is a
+/// slice of the one vector and nothing is allocated per row. An empty store
+/// has arity 0, whatever the projection.
+///
+/// A [`QueryResult`] gathers its projection into one of these on its first
+/// [`QueryResult::rows`] read, and the server's wire form carries one.
+#[derive(Debug, Clone, PartialEq, Default)]
+pub struct Rows {
+    arity: usize,
+    values: Vec<Value>,
+}
+
+impl Rows {
+    /// Rows of `arity` values each, from their values laid out row after
+    /// row.
+    ///
+    /// # Panics
+    ///
+    /// When `values` is not a whole number of rows: its length is not a
+    /// multiple of `arity`, or `arity` is 0 and `values` is not empty.
+    pub fn new(arity: usize, values: Vec<Value>) -> Rows {
+        if values.is_empty() {
+            return Rows::default();
+        }
+        assert!(
+            values.len().is_multiple_of(arity),
+            "{} values are not rows of arity {arity}",
+            values.len()
+        );
+        Rows { arity, values }
+    }
+
+    /// The values of `columns` at `positions`, one gather per column (see
+    /// [`Column::gather`]), laid out row after row.
+    ///
+    /// # Panics
+    ///
+    /// When a position lies outside a column; a [`QueryResult`]'s positions
+    /// always lie inside its snapshot.
+    pub fn gather<'a>(
+        columns: impl ExactSizeIterator<Item = &'a Column>,
+        positions: &PositionList,
+    ) -> Rows {
+        let arity = columns.len();
+        let mut gathered = columns.map(|column| {
+            column
+                .gather(positions)
+                .expect("QueryResult invariant: positions lie inside the snapshot")
+        });
+        match arity {
+            0 => Rows::default(),
+            // the gathered column is already the row-after-row layout
+            1 => Rows::new(1, gathered.next().expect("one projected column")),
+            _ => {
+                let mut gathered: Vec<_> = gathered.map(Vec::into_iter).collect();
+                let mut values = Vec::with_capacity(arity * positions.len());
+                for _ in 0..positions.len() {
+                    values.extend(gathered.iter_mut().map(|column| {
+                        column
+                            .next()
+                            .expect("a gather yields one value per position")
+                    }));
+                }
+                Rows::new(arity, values)
+            }
+        }
+    }
+
+    /// Number of rows.
+    pub fn len(&self) -> usize {
+        self.values.len().checked_div(self.arity).unwrap_or(0)
+    }
+
+    /// True when there are no rows.
+    pub fn is_empty(&self) -> bool {
+        self.values.is_empty()
+    }
+
+    /// Values per row (0 when there are no rows).
+    pub fn arity(&self) -> usize {
+        self.arity
+    }
+
+    /// Every value, row after row.
+    pub fn values(&self) -> &[Value] {
+        &self.values
+    }
+
+    /// The rows in order, each a slice of [`Self::arity`] values.
+    pub fn iter(&self) -> std::slice::ChunksExact<'_, Value> {
+        // an empty store yields no chunk at any width; 0 is not a width
+        self.values.chunks_exact(self.arity.max(1))
+    }
+}
+
+impl<'a> IntoIterator for &'a Rows {
+    type Item = &'a [Value];
+    type IntoIter = std::slice::ChunksExact<'a, Value>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.iter()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn snapshot() -> Arc<Table> {
         Arc::new(
@@ -308,15 +406,21 @@ mod tests {
         assert_eq!(iter.len(), 2);
         assert_eq!(
             iter.next(),
-            Some(vec![Value::Utf8("b".into()), Value::Int64(20)])
+            Some(&[Value::Utf8("b".into()), Value::Int64(20)][..])
         );
         assert_eq!(iter.len(), 1);
         assert_eq!(
             iter.next(),
-            Some(vec![Value::Utf8("d".into()), Value::Int64(40)])
+            Some(&[Value::Utf8("d".into()), Value::Int64(40)][..])
         );
         assert_eq!(iter.next(), None);
-        // re-creating the iterator replays the rows
+        // re-creating the iterator re-reads the one gathered store
+        let gathered = result.rows.get().expect("gathered by the first read");
+        assert_eq!((gathered.len(), gathered.arity()), (2, 2));
+        assert!(std::ptr::eq(
+            result.rows().next().unwrap(),
+            &gathered.values()[..2]
+        ));
         assert_eq!(result.collect_rows().len(), 2);
         assert_eq!((&result).into_iter().count(), 2);
         // the same columns, for a consumer that gathers column by column
@@ -347,6 +451,10 @@ mod tests {
         assert_eq!(result.rows().count(), 0);
         assert_eq!(result.rows().size_hint(), (0, Some(0)));
         assert!(result.selection.ordered.get().is_none(), "nothing read it");
+        assert!(
+            result.rows.get().is_some_and(Rows::is_empty),
+            "nor gathered"
+        );
         // a clone taken before the first ordered read orders on its own
         let clone = result.clone();
         assert_eq!(clone.positions().as_slice(), &[0, 1, 2]);
@@ -356,6 +464,85 @@ mod tests {
         let late = clone.clone();
         assert_eq!(late.row_count(), 3);
         assert_eq!(late.positions(), clone.positions());
+    }
+
+    const LABELS: [&str; 4] = ["", "a", "naïve", "ü ★"];
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn rows_equal_a_per_cell_reference(
+            (len, capacity, salt) in (0usize..300, 1usize..64, 0u32..1_000),
+            keep in prop::collection::vec(0u8..3, 0..300),
+            projected in prop::collection::vec(0usize..3, 0..4),
+            ordered in 0u8..2,
+        ) {
+            let ints: Vec<i64> = (0..len as i64).map(|i| i * 7 - 300).collect();
+            let floats = ints.iter().map(|&i| i as f64 * 0.25).collect();
+            let labels: Vec<&str> = (0..len).map(|i| LABELS[i * 5 % 4]).collect();
+            let table = Arc::new(
+                Table::from_columns(vec![
+                    ("i", Column::from_i64(ints).with_segment_capacity(capacity)),
+                    ("f", Column::from_f64(floats).with_segment_capacity(capacity)),
+                    ("s", Column::from_strs(&labels).with_segment_capacity(capacity)),
+                ])
+                .unwrap(),
+            );
+            let positions: Vec<RowId> = (0..len as RowId)
+                .filter(|&p| keep.get(p as usize) == Some(&0))
+                .collect();
+            let selection = if ordered == 1 {
+                Selection::Ordered(PositionList::from_sorted_vec(positions.clone()))
+            } else {
+                let mut produced = positions.clone();
+                produced.sort_by_key(|&p| (p ^ salt).wrapping_mul(2_654_435_761));
+                Selection::AsProduced(produced)
+            };
+            let result = QueryResult::new(
+                Arc::clone(&table),
+                selection,
+                projected.clone(),
+                None,
+                PruneStats::default(),
+            );
+            let expected: Vec<Vec<Value>> = match projected.is_empty() {
+                true => Vec::new(),
+                false => positions
+                    .iter()
+                    .map(|&p| {
+                        let cell = |c| table.column_at(c).unwrap().value_at(p as usize).unwrap();
+                        projected.iter().map(|&c| cell(c)).collect()
+                    })
+                    .collect(),
+            };
+            let before = result.clone();
+            prop_assert_eq!(result.rows().len(), expected.len());
+            prop_assert_eq!(result.collect_rows(), expected.clone());
+            let after = result.clone();
+            prop_assert_eq!(before.collect_rows(), expected.clone());
+            prop_assert_eq!(after.collect_rows(), expected);
+        }
+    }
+
+    #[test]
+    fn rows_are_a_flat_store_of_equal_arity() {
+        let rows = Rows::new(3, (0..6).map(Value::Int64).collect());
+        assert_eq!((rows.len(), rows.arity(), rows.is_empty()), (2, 3, false));
+        let read: Vec<&[Value]> = rows.iter().collect();
+        assert_eq!(read[1], [Value::Int64(3), Value::Int64(4), Value::Int64(5)]);
+        assert_eq!((&rows).into_iter().count(), 2);
+        assert_eq!(rows.values().len(), 6);
+        // no rows: arity 0, whatever the projection
+        assert_eq!(Rows::new(3, Vec::new()), Rows::default());
+        assert_eq!(Rows::default().iter().count(), 0);
+        assert_eq!(Rows::default().len(), 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "3 values are not rows of arity 2")]
+    fn rows_reject_values_that_are_not_whole_rows() {
+        Rows::new(2, vec![Value::Null; 3]);
     }
 
     #[test]

@@ -3,10 +3,10 @@
 //! The parallel query-execution subsystem: everything the kernel needs to
 //! use more than one core, built exclusively on `std` scoped threads.
 //!
-//! The EDBT 2012 tutorial's adaptive-indexing kernels are single-threaded;
-//! two follow-up papers show how to parallelize them without giving up their
-//! "queries build the index" economics, and this crate provides the
-//! primitives for both:
+//! The EDBT 2012 tutorial's adaptive-indexing kernels are single-threaded.
+//! Every column keeps exactly one adaptive index at any worker count (the
+//! kernel's `IndexManager` builds and refines it under the column's latch);
+//! what runs on more than one core is the work around it:
 //!
 //! * **Chunk-parallel scans** (module [`scan`]) — the segment layer stores
 //!   every column as zone-mapped chunks, so a scan fans contiguous chunk
@@ -14,15 +14,6 @@
 //!   pruning statistics in stripe order. The merged result is byte-identical
 //!   to the serial scan at every worker count, because both run the same
 //!   per-chunk kernel and stripe order is position order.
-//! * **Range partitioning** (module [`partition`]) — the data-parallel
-//!   preparation step of partition-parallel adaptive indexing (Alvarez et
-//!   al.): cut the key domain into near-equal value ranges and scatter
-//!   `(key, rowid)` pairs to their owning partitions. Each partition is then
-//!   indexed independently, queries touch only the partitions their bounds
-//!   overlap, and concurrent refinement needs only a cheap per-partition
-//!   latch (Graefe et al., *Concurrency Control for Adaptive Indexing*) —
-//!   the kernel's `IndexManager` builds its partitioned indexes on top of
-//!   this.
 //! * **The fork/join pool** (module [`pool`]) — fork/join regions with
 //!   dynamic task claiming and deterministic, task-ordered result merging,
 //!   executed on the **persistent** worker pool from `aidx-maintenance`
@@ -52,12 +43,8 @@
 
 #![deny(missing_docs)]
 
-pub mod partition;
 pub mod pool;
 pub mod scan;
 
-pub use partition::{
-    partition_keys, partition_of, partition_segment, partition_span, PartitionData, RangePartitions,
-};
 pub use pool::ThreadPool;
 pub use scan::{parallel_filter_positions, parallel_scan_select, parallel_scan_where};

@@ -22,9 +22,8 @@
 //! frames that text; it does not restate how a trace or a snapshot is
 //! encoded.
 
-use aidx_columnstore::column::Column;
-use aidx_columnstore::position::PositionList;
 use aidx_columnstore::types::{RowId, Value};
+pub use aidx_core::Rows;
 use aidx_core::{Aggregation, Predicate, Query, QueryResult};
 use std::fmt;
 use std::io::{self, Read, Write};
@@ -353,100 +352,8 @@ impl WireResult {
     /// Exact length of [`Self::encoded`].
     fn encoded_len(&self) -> usize {
         let aggregate = self.aggregate.as_ref().map_or(0, value_len);
-        let rows = self.rows.len() * 2 + self.rows.values.iter().map(value_len).sum::<usize>();
+        let rows = self.rows.len() * 2 + self.rows.values().iter().map(value_len).sum::<usize>();
         4 + self.positions.len() * 4 + 1 + aggregate + 4 + rows
-    }
-}
-
-/// The projected rows of a [`WireResult`], held flat: the values of row 0 in
-/// projection order, then those of row 1, and so on. Every row has the same
-/// arity, so a row is a slice of the one vector and nothing is allocated per
-/// row. An empty store has arity 0, whatever the projection.
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct Rows {
-    arity: usize,
-    values: Vec<Value>,
-}
-
-impl Rows {
-    /// Rows of `arity` values each, from their values laid out row after
-    /// row.
-    ///
-    /// # Panics
-    ///
-    /// When `values` is not a whole number of rows: its length is not a
-    /// multiple of `arity`, or `arity` is 0 and `values` is not empty.
-    pub fn new(arity: usize, values: Vec<Value>) -> Rows {
-        if values.is_empty() {
-            return Rows::default();
-        }
-        assert!(
-            values.len().is_multiple_of(arity),
-            "{} values are not rows of arity {arity}",
-            values.len()
-        );
-        Rows { arity, values }
-    }
-
-    /// The values of `columns` at `positions`, one gather per column, laid
-    /// out row after row.
-    fn gather<'a>(
-        columns: impl ExactSizeIterator<Item = &'a Column>,
-        positions: &PositionList,
-    ) -> Rows {
-        let arity = columns.len();
-        let mut gathered = columns.map(|column| {
-            column
-                .gather(positions)
-                .expect("QueryResult invariant: positions lie inside the snapshot")
-        });
-        match arity {
-            0 => Rows::default(),
-            // the gathered column is already the row-after-row layout
-            1 => Rows::new(1, gathered.next().expect("one projected column")),
-            _ => {
-                let mut gathered: Vec<_> = gathered.map(Vec::into_iter).collect();
-                let mut values = Vec::with_capacity(arity * positions.len());
-                for _ in 0..positions.len() {
-                    values.extend(gathered.iter_mut().map(|column| {
-                        column
-                            .next()
-                            .expect("a gather yields one value per position")
-                    }));
-                }
-                Rows::new(arity, values)
-            }
-        }
-    }
-
-    /// Number of rows.
-    pub fn len(&self) -> usize {
-        self.values.len().checked_div(self.arity).unwrap_or(0)
-    }
-
-    /// True when there are no rows.
-    pub fn is_empty(&self) -> bool {
-        self.values.is_empty()
-    }
-
-    /// Values per row (0 when there are no rows).
-    pub fn arity(&self) -> usize {
-        self.arity
-    }
-
-    /// The rows in order, each a slice of [`Self::arity`] values.
-    pub fn iter(&self) -> std::slice::ChunksExact<'_, Value> {
-        // an empty store yields no chunk at any width; 0 is not a width
-        self.values.chunks_exact(self.arity.max(1))
-    }
-}
-
-impl<'a> IntoIterator for &'a Rows {
-    type Item = &'a [Value];
-    type IntoIter = std::slice::ChunksExact<'a, Value>;
-
-    fn into_iter(self) -> Self::IntoIter {
-        self.iter()
     }
 }
 
@@ -1125,6 +1032,7 @@ pub fn read_frame_into(
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
+    use aidx_columnstore::column::Column;
     use aidx_columnstore::table::Table;
     use aidx_core::{Database, StrategyKind};
     use aidx_telemetry::{QueryTrace, SpanEvent};
@@ -1631,25 +1539,6 @@ pub(crate) mod tests {
         frame.extend_from_slice(&result_frame(&rows, 0)[1..]);
         let err = Reply::decode(&frame).unwrap_err();
         assert_eq!(err, FrameError::RowArity { row: 0, arity: 0 });
-    }
-
-    #[test]
-    fn rows_are_a_flat_store_of_equal_arity() {
-        let rows = Rows::new(3, (0..6).map(Value::Int64).collect());
-        assert_eq!((rows.len(), rows.arity(), rows.is_empty()), (2, 3, false));
-        let read: Vec<&[Value]> = rows.iter().collect();
-        assert_eq!(read[1], [Value::Int64(3), Value::Int64(4), Value::Int64(5)]);
-        assert_eq!((&rows).into_iter().count(), 2);
-        // no rows: arity 0, whatever the projection
-        assert_eq!(Rows::new(3, Vec::new()), Rows::default());
-        assert_eq!(Rows::default().iter().count(), 0);
-        assert_eq!(Rows::default().len(), 0);
-    }
-
-    #[test]
-    #[should_panic(expected = "3 values are not rows of arity 2")]
-    fn rows_reject_values_that_are_not_whole_rows() {
-        Rows::new(2, vec![Value::Null; 3]);
     }
 
     /// What a client makes of a hostile reply: every strict prefix of

@@ -385,7 +385,7 @@ fn first_touch_answers_like_a_scan_for_every_query_shape() {
 
 /// Batches land inside the domain of a column the queries have already cut
 /// into many pieces, so every merge ripples through the pieces above its
-/// keys — on one worker (one index) and on two (one index per partition).
+/// keys — on one worker and on two (the same one index per column).
 /// Between batches every answer is the scan's, and the index is never
 /// dropped and rebuilt to get there.
 #[test]

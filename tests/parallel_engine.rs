@@ -1,16 +1,19 @@
 //! End-to-end tests for the parallel query engine.
 //!
 //! The parallel engine's contract is *pure speedup*: chunk-parallel scans
-//! and partition-parallel adaptive index refinement must produce exactly the
-//! position sets the serial kernel produces — same seed, same answers, at
-//! any `parallelism`, under any thread interleaving. These tests pin that
-//! contract at the facade level:
+//! and residual filters must produce exactly the position sets the serial
+//! kernel produces — same seed, same answers, at any `parallelism`, under
+//! any thread interleaving — and every column keeps the one adaptive index
+//! the serial kernel builds. These tests pin that contract at the facade
+//! level:
 //!
 //! * serial/parallel agreement against a scan reference across strategies;
 //! * byte-identical determinism across `parallelism` 1, 2, 4, 8;
+//! * the same index statistics and the same traced first probe at any
+//!   `parallelism`;
 //! * a multi-threaded stress race where many sessions refine the same
-//!   partitioned indexes concurrently (with a writer appending rows
-//!   mid-flight) and every answer is checked against the reference;
+//!   shared index concurrently (with a writer appending rows mid-flight)
+//!   and every answer is checked against the reference;
 //! * identical zone-map pruning statistics from both engines.
 
 use adaptive_indexing::core::prelude::*;
@@ -91,12 +94,6 @@ fn parallel_engines_agree_with_the_scan_reference_across_strategies() {
                     "{strategy:?} parallelism={parallelism} [{low},{high})"
                 );
             }
-            let stats = db.index_stats();
-            assert_eq!(
-                stats[0].partitions > 1,
-                parallelism > 1,
-                "partitioned form engages exactly when parallel ({strategy:?})"
-            );
         }
     }
 }
@@ -130,8 +127,51 @@ fn same_seed_produces_byte_identical_results_at_any_parallelism() {
     assert_eq!(run(4), run(4));
 }
 
+/// The `IndexProbe` a traced query reports:
+/// `(pieces_before, pieces_after, effort_delta)`.
+fn traced_probe(session: &Session, query: &Query) -> (u64, u64, u64) {
+    let profile = session.explain_profile(query).unwrap();
+    let probe = profile.trace.events.iter().find_map(|event| match event {
+        SpanEvent::IndexProbe {
+            pieces_before,
+            pieces_after,
+            effort_delta,
+            ..
+        } => Some((*pieces_before, *pieces_after, *effort_delta)),
+        _ => None,
+    });
+    probe.expect("a range query probes the index")
+}
+
 #[test]
-fn concurrent_sessions_stress_partition_parallel_refinement() {
+fn the_same_index_at_any_worker_count() {
+    let keys = generate_keys(ROWS, DataDistribution::UniformPermutation, SEED);
+    let bounds = query_bounds(SEED ^ 0xF00D, 30);
+    let query = |(low, high): (i64, i64)| Query::table("events").range("k", low, high);
+    for strategy in STRATEGIES {
+        let run = |parallelism: usize| {
+            let db = build_db(&keys, strategy, parallelism);
+            let session = db.session();
+            let first = traced_probe(&session, &query(bounds[0]));
+            for &bound in &bounds[1..] {
+                session.execute(&query(bound)).unwrap();
+            }
+            (first, db.index_stats(), db.total_auxiliary_bytes())
+        };
+        let (serial_first, serial_stats, serial_aux) = run(1);
+        assert_eq!(serial_stats.len(), 1, "{strategy:?}");
+        for parallelism in [2usize, 4, 8] {
+            let (first, stats, aux) = run(parallelism);
+            let context = format!("{strategy:?} parallelism={parallelism}");
+            assert_eq!(first, serial_first, "traced first probe, {context}");
+            assert_eq!(stats, serial_stats, "index stats, {context}");
+            assert_eq!(aux, serial_aux, "auxiliary bytes, {context}");
+        }
+    }
+}
+
+#[test]
+fn concurrent_sessions_stress_the_shared_index_at_four_workers() {
     let keys = generate_keys(ROWS, DataDistribution::UniformPermutation, SEED);
     for strategy in STRATEGIES {
         let db = build_db(&keys, strategy, 4);

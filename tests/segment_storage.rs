@@ -16,8 +16,8 @@ fn seeded_db(initial: &[i64], segment_capacity: usize, strategy: StrategyKind) -
     seeded_db_with_workers(initial, segment_capacity, strategy, 1)
 }
 
-/// [`seeded_db`] on `workers` pool threads: more than one makes every lazily
-/// built index range-partitioned.
+/// [`seeded_db`] on `workers` pool threads: more than one fans scans and
+/// residual filters out across chunks; every column keeps one index.
 fn seeded_db_with_workers(
     initial: &[i64],
     segment_capacity: usize,
@@ -146,8 +146,7 @@ proptest! {
 
     // Random interleavings of batch inserts and queries of every driver
     // shape must agree *exactly* with a flat `Vec` reference model — for
-    // every strategy, as a single index and range-partitioned over two
-    // workers, with tiny chunk sizes that force many chunk boundaries. An
+    // every strategy, on one worker and on two, with tiny chunk sizes that force many chunk boundaries. An
     // index answers with row ids in piece order and the result orders them
     // on the first ordered read, so the count is checked before and after
     // that read, and the positions and the streamed rows against the
