@@ -2,7 +2,7 @@
 
 use crate::column::Column;
 use crate::position::PositionList;
-use crate::types::Key;
+use crate::types::{Key, RowId};
 
 /// The result of a numeric aggregation.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -56,27 +56,52 @@ pub fn aggregate_keys(keys: &[Key]) -> Aggregate {
     agg
 }
 
-/// Aggregate the values of a key column at the given positions
-/// (chunk-at-a-time gather over the backing segment).
+/// Aggregate the values of a key column at the given positions, read
+/// through one cursor over the backing segment (the current chunk is
+/// resolved once per run of positions, not per row; nothing is collected).
 pub fn aggregate_at(column: &Column, positions: &PositionList) -> Aggregate {
     let mut agg = Aggregate::empty();
     if let Some(c) = column.as_i64() {
-        for v in c.gather_positions(positions.as_slice()) {
-            agg.accumulate(v);
+        let mut cursor = c.cursor();
+        for &p in positions.as_slice() {
+            agg.accumulate(cursor.value(p));
+        }
+    }
+    agg
+}
+
+/// Aggregate the values of a key column at distinct row ids in any order —
+/// an adaptive index's answer as it produced it. The ids are grouped by
+/// chunk ([`crate::segment::Segment::group_by_chunk`]) and each group is folded over its
+/// chunk's values, so nothing is ordered; `SUM`, `MIN`, `MAX` and `COUNT`
+/// do not depend on the order they fold in.
+pub fn aggregate_row_ids(column: &Column, row_ids: &[RowId]) -> Aggregate {
+    let mut agg = Aggregate::empty();
+    if let Some(c) = column.as_i64() {
+        let groups = c.group_by_chunk(row_ids);
+        for span in groups.spans() {
+            let chunk = c.chunk(span.chunk);
+            for &p in groups.group(span) {
+                agg.accumulate(chunk.values[(p - chunk.base) as usize]);
+            }
         }
     }
     agg
 }
 
 /// Sum of key values at the given positions (common fast path in the
-/// experiment harnesses: queries are `SELECT SUM(b) WHERE a BETWEEN ...`).
+/// experiment harnesses: queries are `SELECT SUM(b) WHERE a BETWEEN ...`),
+/// read through one cursor like [`aggregate_at`].
 pub fn sum_at(column: &Column, positions: &PositionList) -> i128 {
     match column.as_i64() {
-        Some(c) => c
-            .gather_positions(positions.as_slice())
-            .into_iter()
-            .map(|v| v as i128)
-            .sum(),
+        Some(c) => {
+            let mut cursor = c.cursor();
+            positions
+                .as_slice()
+                .iter()
+                .map(|&p| cursor.value(p) as i128)
+                .sum()
+        }
         None => 0,
     }
 }
@@ -134,10 +159,31 @@ mod tests {
     }
 
     #[test]
+    fn every_order_of_the_same_ids_aggregates_alike() {
+        // four chunks of 16 and a tail; a per-row reference beside both the
+        // ordered and the as-produced path
+        let values: Vec<Key> = (0..70).map(|i| (i * 37 % 71) - 35).collect();
+        let c = Column::from_i64(values.clone()).with_segment_capacity(16);
+        let ascending: Vec<RowId> = (0..70).filter(|i| i % 3 != 1).collect();
+        let produced: Vec<RowId> = ascending.iter().rev().copied().collect();
+        let mut reference = Aggregate::empty();
+        for &p in &ascending {
+            reference.accumulate(values[p as usize]);
+        }
+        let ordered = PositionList::from_sorted_vec(ascending.clone());
+        assert_eq!(aggregate_at(&c, &ordered), reference);
+        assert_eq!(aggregate_row_ids(&c, &produced), reference);
+        assert_eq!(aggregate_row_ids(&c, &ascending), reference);
+        assert_eq!(sum_at(&c, &ordered), reference.sum);
+        assert_eq!(aggregate_row_ids(&c, &[]), Aggregate::empty());
+    }
+
+    #[test]
     fn aggregate_at_wrong_type() {
         let c = Column::from_f64(vec![1.0]);
         let p = PositionList::from_vec(vec![0]);
         assert_eq!(aggregate_at(&c, &p).count, 0);
+        assert_eq!(aggregate_row_ids(&c, &[0]).count, 0);
         assert_eq!(sum_at(&c, &p), 0);
     }
 

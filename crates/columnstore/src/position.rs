@@ -14,9 +14,19 @@
 //! walk each chunk once. Adaptive indexes, on the other hand, hand out the
 //! row ids of a cracked piece in whatever order the piece holds them, and
 //! ordering them is the single most expensive step of a converged probe.
-//! That step therefore happens in exactly one routine —
-//! [`PositionList::from_distinct`] — and only in front of a consumer that
-//! reads positions in order; counting never pays for it.
+//! So ids are ordered as late and as few as possible, by one routine
+//! (`order_row_ids`, a radix sort with a comparison-sort branch for small
+//! inputs) reached two ways:
+//!
+//! * [`PositionList::from_distinct`] orders a whole answer, for a reader
+//!   that wants every id in order and filtered none out;
+//! * [`ChunkGroups::into_positions`](crate::segment::ChunkGroups::into_positions)
+//!   orders the survivors of a residual filter, one chunk's group at a time
+//!   — the ids were grouped by chunk (a counting scatter, not a sort) before
+//!   any filter ran, so the groups already ascend and only the few dozen
+//!   ids inside each one are sorted.
+//!
+//! Counting and aggregating never pay for either.
 
 use crate::types::RowId;
 
@@ -51,8 +61,10 @@ const DIGITS: usize = RowId::BITS.div_ceil(DIGIT_BITS) as usize;
 /// snapshot's row count — and not the width of [`RowId`]. Already ascending
 /// input (a scan strategy's answer) returns after one comparison pass, a
 /// thirteenth of the radix passes; on a cracked piece that pass stops at the
-/// first descent.
-fn order_row_ids(ids: &mut Vec<RowId>) {
+/// first descent. Inputs of at most `SMALL_SORT` ids — one chunk's group
+/// of a filtered selection, typically a few dozen — take the comparison
+/// sort.
+pub(crate) fn order_row_ids(ids: &mut [RowId]) {
     if ids.windows(2).all(|w| w[0] <= w[1]) {
         return;
     }
@@ -95,8 +107,9 @@ fn order_row_ids(ids: &mut Vec<RowId>) {
         }
         in_scratch = !in_scratch;
     }
+    // an even number of passes (two for row ids below 4 M) ends in `ids`
     if in_scratch {
-        *ids = scratch;
+        ids.copy_from_slice(&scratch);
     }
 }
 

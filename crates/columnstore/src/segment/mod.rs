@@ -37,9 +37,11 @@
 //! has to re-learn row identity.
 
 mod chunk;
+mod group;
 mod zone;
 
 pub use chunk::{ChunkView, SealedChunk};
+pub use group::{ChunkGroups, ChunkSpan};
 pub use zone::ZoneMap;
 
 use crate::types::RowId;
@@ -233,21 +235,48 @@ impl<T: Copy + PartialOrd + std::fmt::Debug> Segment<T> {
         }
     }
 
+    /// Number of chunks [`Segment::chunks`] yields: the sealed chunks, plus
+    /// the tail when it holds rows.
+    pub fn chunk_count(&self) -> usize {
+        self.sealed.len() + usize::from(!self.tail.is_empty())
+    }
+
+    /// The chunk [`Segment::chunks`] yields at `index`; panics when there is
+    /// none.
+    pub fn chunk(&self, index: usize) -> ChunkView<'_, T> {
+        match self.sealed.get(index) {
+            Some(chunk) => ChunkView {
+                base: self.bases[index],
+                values: chunk.values(),
+                zone: *chunk.zone(),
+                sealed: true,
+            },
+            None => {
+                assert!(
+                    index == self.sealed.len() && !self.tail.is_empty(),
+                    "chunk {index} out of bounds"
+                );
+                self.tail_view()
+            }
+        }
+    }
+
+    /// The tail as a chunk view (empty values when the tail is empty).
+    fn tail_view(&self) -> ChunkView<'_, T> {
+        ChunkView {
+            base: self.sealed_rows as RowId,
+            values: self.tail.as_slice(),
+            zone: self.tail_zone,
+            sealed: false,
+        }
+    }
+
     /// Iterate over every chunk in position order: the sealed chunks first,
     /// then (when non-empty) the tail. Each view carries the chunk's global
     /// base position and zone map, so operators can prune and scan
     /// chunk-at-a-time.
     pub fn chunks(&self) -> impl Iterator<Item = ChunkView<'_, T>> + '_ {
-        let tail_view = if self.tail.is_empty() {
-            None
-        } else {
-            Some(ChunkView {
-                base: self.sealed_rows as RowId,
-                values: self.tail.as_slice(),
-                zone: self.tail_zone,
-                sealed: false,
-            })
-        };
+        let tail_view = (!self.tail.is_empty()).then(|| self.tail_view());
         self.sealed
             .iter()
             .zip(self.bases.iter())
@@ -324,12 +353,7 @@ impl<T: Copy + PartialOrd + std::fmt::Debug> Segment<T> {
                 sealed: true,
             }
         } else {
-            ChunkView {
-                base: self.sealed_rows as RowId,
-                values: self.tail.as_slice(),
-                zone: self.tail_zone,
-                sealed: false,
-            }
+            self.tail_view()
         }
     }
 

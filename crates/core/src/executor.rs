@@ -21,15 +21,21 @@
 //!    The column has this one index at every worker count; the pool only
 //!    fans out the scans and filters around it.
 //! 3. **Filter** — apply every remaining predicate as a residual,
-//!    late-materialized filter over the qualifying positions, and compute
-//!    the optional aggregate. These are the consumers that read positions
-//!    in order (chunk-at-a-time filtering, positional gathers), so this is
-//!    where the executor orders the selection — once, through
-//!    [`PositionList::from_distinct`], and only if such a consumer actually
-//!    runs. `COUNT`, the hotness credit and the telemetry counters need a
-//!    length, not an order.
+//!    late-materialized filter over the qualifying positions, chunk by
+//!    chunk, and compute the optional aggregate. The driver's answer is
+//!    grouped by the chunk holding each row id
+//!    ([`Segment::group_by_chunk`]: one counting pass, one scatter — no
+//!    sort). The residuals whose zone maps decide the largest share of
+//!    their column's chunks run first, then the more selective by
+//!    estimate, then query order. Each residual reads a chunk's zone map
+//!    before its values: a chunk that cannot match drops its group unread,
+//!    a chunk that matches throughout keeps it unread, and only the rest
+//!    run the predicated filter loop. The survivors are ordered last, each
+//!    group in place, into the ascending [`PositionList`]. Aggregates fold
+//!    over chunk groups too and never order; `COUNT`, the hotness credit
+//!    and the telemetry counters need a length, not an order.
 //!
-//! A selection no consumer ordered travels into the [`QueryResult`] as
+//! A selection no residual filtered travels into the [`QueryResult`] as
 //! produced; the result orders it on the first `positions()` / `rows()`
 //! read, and `row_count()` never does. A converged single-predicate count
 //! therefore costs two cut lookups plus a copy of the answer.
@@ -45,9 +51,9 @@ use crate::strategy::StrategyKind;
 use crate::telemetry::EngineTelemetry;
 use aidx_columnstore::error::ColumnStoreError;
 use aidx_columnstore::ops::aggregate;
-use aidx_columnstore::ops::select::PruneStats;
+use aidx_columnstore::ops::select::{PruneStats, ZoneDecision};
 use aidx_columnstore::position::PositionList;
-use aidx_columnstore::segment::Segment;
+use aidx_columnstore::segment::{ChunkGroups, Segment};
 use aidx_columnstore::table::Table;
 use aidx_columnstore::types::{DataType, Key, RowId, Value};
 use aidx_telemetry::{SpanEvent, TraceRecorder};
@@ -61,8 +67,10 @@ pub struct QueryPlan {
     /// query has no predicates, or the driver bypasses the index for an
     /// edge case the index cannot express).
     pub driver_column: Option<String>,
-    /// Columns filtered as residual, late-materialized predicates, in
-    /// application order.
+    /// Columns filtered as residual, late-materialized predicates, in the
+    /// order they run: the residuals whose zone maps decide the largest
+    /// share of their column's chunks first, then the more selective by
+    /// estimate, then query order.
     pub residual_columns: Vec<String>,
 }
 
@@ -241,39 +249,102 @@ fn scan_segment(
     )
 }
 
-/// Retain only the positions whose value in `segment` satisfies `predicate`
-/// (the residual, late-materialized filter step), chunk-at-a-time: a chunk
-/// whose zone map cannot satisfy the predicate rejects all its candidate
-/// positions without reading a single value, and chunks holding no
-/// candidates are never visited at all (and appear in neither statistic).
-/// Populated chunks fan out across the manager's fork/join pool; a serial
-/// pool runs the same per-chunk kernel inline, so position sets and
-/// statistics are byte-identical at any worker count.
-fn filter_residual(
+/// Order in which the residual predicates (every bound predicate but the
+/// driver) run: the ones whose zone maps decide the largest share of their
+/// column's chunks first — those drop or keep whole chunks unread, so the
+/// residuals that must read values see fewer candidates — then the more
+/// selective by estimate, then query order. The shares cost one walk over
+/// the chunk headers per residual, taken only when there are at least two
+/// to order. `plan_on_snapshot` reports this order and execution runs it.
+fn residual_order(bound: &[BoundPredicate<'_>], driver: Option<usize>) -> Vec<usize> {
+    let residuals: Vec<usize> = (0..bound.len()).filter(|&i| Some(i) != driver).collect();
+    if residuals.len() < 2 {
+        return residuals;
+    }
+    let mut keyed: Vec<(f64, usize)> = residuals
+        .into_iter()
+        .map(|i| (undecided_share(bound[i].segment, bound[i].predicate), i))
+        .collect();
+    // stable: equal keys keep query order
+    keyed.sort_by(|(a_share, a), (b_share, b)| {
+        a_share
+            .total_cmp(b_share)
+            .then_with(|| bound[*a].selectivity.total_cmp(&bound[*b].selectivity))
+    });
+    keyed.into_iter().map(|(_, i)| i).collect()
+}
+
+/// Fraction of `segment`'s chunks whose zone map decides `predicate`
+/// neither way (0.0 for a segment without chunks).
+fn undecided_share(segment: &Segment<Key>, predicate: &Predicate) -> f64 {
+    let undecided = segment
+        .chunks()
+        .filter(|chunk| predicate.zone_decision(&chunk.zone) == ZoneDecision::Undecided)
+        .count();
+    undecided as f64 / segment.chunk_count().max(1) as f64
+}
+
+/// Apply the residual predicates, in order, to a non-empty selection: the
+/// residual filter step. The selection is grouped by chunk once and each
+/// residual filters group by group ([`aidx_parallel::parallel_filter_groups`]
+/// on the manager's pool — byte-identical positions and statistics at every
+/// worker count); a residual over a column cut into different chunks
+/// regroups first. Once nothing survives, the remaining residuals are
+/// skipped. The survivors come back ordered, group by group.
+fn filter_residuals(
     manager: &IndexManager,
-    positions: &PositionList,
-    segment: &Segment<Key>,
-    predicate: &Predicate,
-) -> (PositionList, PruneStats) {
-    aidx_parallel::parallel_filter_positions(
-        manager.pool(),
-        segment,
-        positions,
-        |zone| predicate.zone_may_match(zone),
-        |v| predicate.matches(v),
-    )
+    selection: &Selection,
+    residuals: &[&BoundPredicate<'_>],
+    prune: &mut PruneStats,
+    mut trace: Option<&mut TraceRecorder>,
+) -> PositionList {
+    let mut grouped: Option<(ChunkGroups<'_>, &Segment<Key>)> = None;
+    for residual in residuals {
+        let segment = residual.segment;
+        let groups = match grouped.take() {
+            None => match selection {
+                Selection::AsProduced(row_ids) => segment.group_by_chunk(row_ids),
+                Selection::Ordered(positions) => segment.group_positions(positions),
+            },
+            Some((groups, grouped_by)) => segment.regroup(groups, grouped_by),
+        };
+        let predicate = residual.predicate;
+        let (kept, stats) = aidx_parallel::parallel_filter_groups(
+            manager.pool(),
+            segment,
+            &groups,
+            |zone| predicate.zone_decision(zone),
+            |v| predicate.matches(v),
+        );
+        *prune += stats;
+        if let Some(recorder) = trace.as_deref_mut() {
+            recorder.record(SpanEvent::ResidualFilter {
+                column: predicate.column().to_owned(),
+                candidates_in: groups.len() as u64,
+                rows_out: kept.len() as u64,
+            });
+        }
+        let emptied = kept.is_empty();
+        grouped = Some((kept, segment));
+        if emptied {
+            break;
+        }
+    }
+    grouped.map_or_else(PositionList::new, |(groups, _)| groups.into_positions())
 }
 
 /// Compute the requested aggregate over the selected rows. `COUNT` reads the
-/// selection's length; every other aggregate gathers by position and orders
-/// the selection first.
+/// selection's length; every other aggregate folds the column's values at
+/// the selected rows — an ordered selection through one cursor, an
+/// as-produced one over its chunk groups — and leaves the selection as it
+/// is: nothing here orders.
 ///
 /// `COUNT` of an empty set is `Some(Int64(0))`; `SUM`, `MIN`, `MAX` and
 /// `AVG` of an empty set are `None` (never a sentinel or a garbage value).
 /// A `SUM` that does not fit `i64` is a typed [`AidxError::AggregateOverflow`].
 fn compute_aggregate(
     table: &Table,
-    selection: &mut Selection,
+    selection: &Selection,
     aggregation: Aggregation,
     column_name: &str,
 ) -> AidxResult<Option<Value>> {
@@ -289,7 +360,10 @@ fn compute_aggregate(
         }
         .into());
     }
-    let agg = aggregate::aggregate_at(column, selection.order());
+    let agg = match selection {
+        Selection::AsProduced(row_ids) => aggregate::aggregate_row_ids(column, row_ids),
+        Selection::Ordered(positions) => aggregate::aggregate_at(column, positions),
+    };
     if agg.count == 0 {
         return Ok(None);
     }
@@ -334,11 +408,9 @@ pub(crate) fn plan_on_snapshot(
     let driver = choose_driver(&bound);
     Ok(QueryPlan {
         driver_column: driver.map(|i| bound[i].predicate.column().to_owned()),
-        residual_columns: bound
-            .iter()
-            .enumerate()
-            .filter(|(i, _)| Some(*i) != driver)
-            .map(|(_, b)| b.predicate.column().to_owned())
+        residual_columns: residual_order(&bound, driver)
+            .into_iter()
+            .map(|i| bound[i].predicate.column().to_owned())
             .collect(),
     })
 }
@@ -444,26 +516,19 @@ pub(crate) fn execute_on_snapshot(
         });
     }
 
-    for (i, residual) in bound.iter().enumerate() {
-        if Some(i) == driver || selection.is_empty() {
-            continue;
-        }
-        let candidates_in = selection.len() as u64;
-        let (filtered, stats) = filter_residual(
+    let residuals: Vec<&BoundPredicate<'_>> = residual_order(&bound, driver)
+        .into_iter()
+        .map(|i| &bound[i])
+        .collect();
+    if !residuals.is_empty() && !selection.is_empty() {
+        let survivors = filter_residuals(
             manager,
-            selection.order(),
-            residual.segment,
-            residual.predicate,
+            &selection,
+            &residuals,
+            &mut prune,
+            trace.as_deref_mut(),
         );
-        selection = Selection::Ordered(filtered);
-        prune.merge(stats);
-        if let Some(recorder) = trace.as_deref_mut() {
-            recorder.record(SpanEvent::ResidualFilter {
-                column: residual.predicate.column().to_owned(),
-                candidates_in,
-                rows_out: selection.len() as u64,
-            });
-        }
+        selection = Selection::Ordered(survivors);
     }
 
     if let (Some(hotness), Some(i)) = (hotness, driver) {
@@ -477,7 +542,7 @@ pub(crate) fn execute_on_snapshot(
     let aggregate_value = match query.aggregation() {
         None => None,
         Some((aggregation, column)) => {
-            compute_aggregate(&snapshot, &mut selection, aggregation, column)?
+            compute_aggregate(&snapshot, &selection, aggregation, column)?
         }
     };
 
@@ -716,9 +781,11 @@ mod tests {
         );
         let manager = IndexManager::new(StrategyKind::Cracking);
         // driver: the point predicate on r (a twentieth of its domain);
-        // residual: the range on sorted k (a tenth of its domain), which
-        // only chunk [30,40) can satisfy
-        let query = Query::table("t").range("k", 30, 40).point("r", 13);
+        // residual: the range on sorted k (a quarter of its domain). Chunk
+        // [30,40) lies wholly inside [30,55) and is kept unread, chunk
+        // [50,60) straddles the high bound and is read, and the candidates'
+        // other chunks cannot match
+        let query = Query::table("t").range("k", 30, 55).point("r", 13);
         let result = execute_on_snapshot(
             Arc::clone(&table),
             1,
@@ -730,17 +797,139 @@ mod tests {
             None,
         )
         .unwrap();
-        // correctness: k in [30,40) and k % 20 == 13 => 33
-        assert_eq!(result.positions().as_slice(), &[33]);
+        // correctness: k in [30,55) and k % 20 == 13 => 33, 53
+        assert_eq!(result.positions().as_slice(), &[33, 53]);
         let stats = result.prune_stats();
         assert!(
             stats.chunks_pruned > 0,
-            "chunks outside [30,40) must be skipped: {stats:?}"
+            "chunks outside [30,55) must be skipped: {stats:?}"
         );
         assert_eq!(
             stats.chunks_scanned, 1,
-            "only the chunk covering [30,40) is read: {stats:?}"
+            "only the chunk straddling 55 is read: {stats:?}"
         );
+        assert_eq!(
+            stats.chunks_pruned, 4,
+            "three chunks outside the range and one inside it: {stats:?}"
+        );
+    }
+
+    /// `filter_project`'s shape at a small scale: `k` a permutation (the
+    /// driver), `a` spread over a small domain in every chunk, `b` ascending.
+    fn fact_table() -> Arc<Table> {
+        let n: Key = 2_000;
+        Arc::new(
+            Table::from_columns(vec![
+                (
+                    "k",
+                    Column::from_i64((0..n).map(|i| i * 7_919 % n).collect()),
+                ),
+                (
+                    "a",
+                    Column::from_i64((0..n).map(|i| (i * 31 + 7) % 100).collect()),
+                ),
+                ("b", Column::from_i64((0..n).collect())),
+            ])
+            .unwrap()
+            .with_segment_capacity(100),
+        )
+    }
+
+    #[test]
+    fn residuals_run_in_the_planned_order_zone_decided_first() {
+        let table = fact_table();
+        let manager = IndexManager::new(StrategyKind::Cracking);
+        // in query order `a` comes first, but every chunk of `a` straddles
+        // its range while all but two chunks of `b` lie inside or outside
+        // [550, 1550): `b` runs first
+        let query = Query::table("t")
+            .range("k", 0, 100)
+            .range("a", 10, 40)
+            .range("b", 550, 1_550);
+        let plan = plan_on_snapshot(&table, &manager, &query).unwrap();
+        assert_eq!(plan.driver_column.as_deref(), Some("k"));
+        assert_eq!(plan.residual_columns, vec!["b".to_owned(), "a".to_owned()]);
+        let mut recorder = TraceRecorder::new();
+        let result = execute_on_snapshot(
+            Arc::clone(&table),
+            1,
+            &manager,
+            &query,
+            StrategyKind::Cracking,
+            None,
+            None,
+            Some(&mut recorder),
+        )
+        .unwrap();
+        let traced: Vec<String> = recorder
+            .finish()
+            .events
+            .into_iter()
+            .filter_map(|event| match event {
+                SpanEvent::ResidualFilter { column, .. } => Some(column),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(traced, plan.residual_columns, "plan = execution");
+        let column = |name: &str| table.column(name).unwrap().as_i64().unwrap().to_vec();
+        let (k, a, b) = (column("k"), column("a"), column("b"));
+        let expected: Vec<RowId> = (0..k.len())
+            .filter(|&i| k[i] < 100 && (10..40).contains(&a[i]) && (550..1_550).contains(&b[i]))
+            .map(|i| i as RowId)
+            .collect();
+        assert_eq!(result.positions().as_slice(), expected.as_slice());
+        // one residual: nothing to order, the plan keeps it
+        let query = Query::table("t").range("k", 0, 100).range("a", 10, 40);
+        let plan = plan_on_snapshot(&table, &manager, &query).unwrap();
+        assert_eq!(plan.residual_columns, vec!["a".to_owned()]);
+    }
+
+    #[test]
+    fn aggregates_agree_as_produced_and_ordered() {
+        let table = fact_table();
+        let b = table.column("b").unwrap().as_i64().unwrap().to_vec();
+        let k = table.column("k").unwrap().as_i64().unwrap().to_vec();
+        let selected: Vec<Key> = (0..k.len()).filter(|&i| k[i] < 300).map(|i| b[i]).collect();
+        let sum: i128 = selected.iter().map(|&v| v as i128).sum();
+        for (aggregation, expected) in [
+            (Aggregation::Count, Value::Int64(selected.len() as i64)),
+            (Aggregation::Sum, Value::Int64(sum as i64)),
+            (
+                Aggregation::Min,
+                Value::Int64(*selected.iter().min().unwrap()),
+            ),
+            (
+                Aggregation::Max,
+                Value::Int64(*selected.iter().max().unwrap()),
+            ),
+            (
+                Aggregation::Avg,
+                Value::Float64(sum as f64 / selected.len() as f64),
+            ),
+        ] {
+            let manager = IndexManager::new(StrategyKind::Cracking);
+            // the driver's answer as produced, and the same rows after a
+            // residual that keeps them all (and so orders them)
+            let produced = Query::table("t")
+                .range("k", 0, 300)
+                .aggregate(aggregation, "b");
+            let ordered = produced.clone().range("a", Key::MIN, Key::MAX);
+            for query in [produced, ordered] {
+                let result = execute_on_snapshot(
+                    Arc::clone(&table),
+                    1,
+                    &manager,
+                    &query,
+                    StrategyKind::Cracking,
+                    None,
+                    None,
+                    None,
+                )
+                .unwrap();
+                assert_eq!(result.aggregate(), Some(&expected), "{query:?}");
+                assert_eq!(result.row_count(), selected.len());
+            }
+        }
     }
 
     #[test]

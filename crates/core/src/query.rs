@@ -13,6 +13,7 @@
 //! query (or deriving a [`crate::manager::ColumnId`] from it on every
 //! execution) is a reference-count bump, not a heap copy.
 
+use aidx_columnstore::ops::select::ZoneDecision;
 use aidx_columnstore::segment::ZoneMap;
 use aidx_columnstore::types::Key;
 use std::sync::Arc;
@@ -139,6 +140,40 @@ impl Predicate {
         }
     }
 
+    /// Whether every value a chunk with the given zone map can hold
+    /// satisfies the predicate. `true` is a proof — the executor keeps such a
+    /// chunk's candidates without reading a value; `false` only means the
+    /// chunk must be checked. An empty zone never covers.
+    ///
+    /// * range: `low <= min && max < high`;
+    /// * point: `min == max == key`;
+    /// * in-set: only a single-key zone (`min == max`) whose key is a member.
+    #[inline]
+    pub fn zone_covers(&self, zone: &ZoneMap<Key>) -> bool {
+        let (Some(min), Some(max)) = (zone.min(), zone.max()) else {
+            return false;
+        };
+        match self {
+            Predicate::Range { low, high, .. } => *low <= min && max < *high,
+            Predicate::Point { key, .. } => min == *key && max == *key,
+            Predicate::InSet { keys, .. } => min == max && keys.binary_search(&min).is_ok(),
+        }
+    }
+
+    /// What a chunk's zone map decides for this predicate: no value matches
+    /// ([`Predicate::zone_may_match`] is `false`), every value matches
+    /// ([`Predicate::zone_covers`]), or neither.
+    #[inline]
+    pub fn zone_decision(&self, zone: &ZoneMap<Key>) -> ZoneDecision {
+        if !self.zone_may_match(zone) {
+            ZoneDecision::NoneMatch
+        } else if self.zone_covers(zone) {
+            ZoneDecision::AllMatch
+        } else {
+            ZoneDecision::Undecided
+        }
+    }
+
     /// Estimated number of distinct key values this predicate admits — the
     /// planner's selectivity proxy (smaller = more selective).
     pub(crate) fn estimated_width(&self) -> u128 {
@@ -259,6 +294,45 @@ impl Query {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn zone_covers_only_what_it_can_prove() {
+        let zone = |values: &[Key]| ZoneMap::from_values(values);
+        let empty: ZoneMap<Key> = ZoneMap::empty();
+        for predicate in [
+            Predicate::range("a", Key::MIN, Key::MAX),
+            Predicate::point("a", 5),
+            Predicate::in_set("a", [5]),
+        ] {
+            assert!(!predicate.zone_covers(&empty), "{predicate:?}");
+            assert_eq!(predicate.zone_decision(&empty), ZoneDecision::NoneMatch);
+        }
+        // range: the high bound is exclusive, so `max == high` is not covered
+        let r = Predicate::range("a", 10, 20);
+        assert!(r.zone_covers(&zone(&[10, 19])));
+        assert!(!r.zone_covers(&zone(&[10, 20])), "max == high");
+        assert!(!r.zone_covers(&zone(&[9, 15])), "min below low");
+        assert_eq!(r.zone_decision(&zone(&[12, 13])), ZoneDecision::AllMatch);
+        assert_eq!(r.zone_decision(&zone(&[15, 25])), ZoneDecision::Undecided);
+        assert_eq!(r.zone_decision(&zone(&[20, 25])), ZoneDecision::NoneMatch);
+        // the widest range covers everything below Key::MAX, never Key::MAX
+        let all = Predicate::range("a", Key::MIN, Key::MAX);
+        assert!(all.zone_covers(&zone(&[Key::MIN, Key::MAX - 1])));
+        assert!(!all.zone_covers(&zone(&[0, Key::MAX])));
+        // point: only a single-key zone of that key
+        let p = Predicate::point("a", 7);
+        assert!(p.zone_covers(&zone(&[7, 7])));
+        assert!(!p.zone_covers(&zone(&[7, 8])));
+        assert!(!p.zone_covers(&zone(&[6])));
+        assert!(Predicate::point("a", Key::MAX).zone_covers(&zone(&[Key::MAX])));
+        // in-set: a single-key zone whose key is a member, never a wider one
+        // even when every key in it is a member
+        let s = Predicate::in_set("a", [3, 4, 5]);
+        assert!(s.zone_covers(&zone(&[4])));
+        assert!(!s.zone_covers(&zone(&[6])));
+        assert!(!s.zone_covers(&zone(&[3, 5])));
+        assert_eq!(s.zone_decision(&zone(&[3, 5])), ZoneDecision::Undecided);
+    }
 
     #[test]
     fn predicate_matches() {

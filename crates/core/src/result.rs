@@ -14,8 +14,16 @@
 //!
 //! An adaptive index answers with the row ids of a cracked piece in piece
 //! order, and putting them in row-id order is the one per-row cost a
-//! converged query has left. A result therefore keeps the row ids as the
-//! executor left them and orders them **on the first ordered read**:
+//! converged query has left. Nothing orders them before it must:
+//!
+//! * the executor's residual filters group them by chunk instead of sorting
+//!   them, and order only the survivors, each chunk's group in place (see
+//!   [`ChunkGroups::into_positions`](aidx_columnstore::segment::ChunkGroups::into_positions));
+//!   its aggregates fold over chunk groups and order nothing;
+//! * a result whose query ran no residual keeps the row ids as the index
+//!   produced them and orders them **on the first ordered read**.
+//!
+//! So for a result:
 //!
 //! * [`QueryResult::row_count`], [`QueryResult::is_empty`],
 //!   [`QueryResult::aggregate`] and [`QueryResult::prune_stats`] are O(1)
@@ -25,8 +33,8 @@
 //!   [`PositionList::from_distinct`]) and every later call is O(1); the
 //!   first `rows()` call also gathers the projection, and later calls
 //!   re-read the gathered store;
-//! * when the executor already had to order them (a residual filter or a
-//!   positional aggregate ran), nothing is left to do.
+//! * when a residual filter ran, its survivors arrive ordered and nothing
+//!   is left to do.
 //!
 //! A result holds its row ids once: the first ordered read consumes the
 //! vector the index produced and keeps the ordered list in its place.
@@ -48,8 +56,8 @@ use std::sync::{Arc, OnceLock};
 pub(crate) enum Selection {
     /// As the index produced them: distinct, in any order.
     AsProduced(Vec<RowId>),
-    /// Already ascending, because a scan emitted them or a consumer inside
-    /// the executor needed order.
+    /// Already ascending, because a scan emitted them or the residual
+    /// filters ordered their survivors.
     Ordered(PositionList),
 }
 
@@ -65,19 +73,6 @@ impl Selection {
     /// True when no row is selected.
     pub(crate) fn is_empty(&self) -> bool {
         self.len() == 0
-    }
-
-    /// Put the selected rows in ascending order (in place, once) for a
-    /// consumer that reads positions in order — the executor's only call of
-    /// the ordering routine, [`PositionList::from_distinct`].
-    pub(crate) fn order(&mut self) -> &PositionList {
-        if let Selection::AsProduced(row_ids) = self {
-            *self = Selection::Ordered(PositionList::from_distinct(std::mem::take(row_ids)));
-        }
-        let Selection::Ordered(positions) = self else {
-            unreachable!("ordered above");
-        };
-        positions
     }
 }
 

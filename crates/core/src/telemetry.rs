@@ -42,9 +42,10 @@ pub(crate) struct EngineTelemetry {
     /// `engine.index.lagging_scans` — probes answered by a snapshot scan
     /// because the reader lagged the index.
     pub(crate) lagging_scans: Arc<Counter>,
-    /// `engine.prune.chunks_scanned` — sealed chunks actually read.
+    /// `engine.prune.chunks_scanned` — chunks whose values were read.
     pub(crate) chunks_scanned: Arc<Counter>,
-    /// `engine.prune.chunks_pruned` — chunks skipped by zone maps.
+    /// `engine.prune.chunks_pruned` — chunks decided by their zone map
+    /// without a read (skipped, or kept whole by a residual filter).
     pub(crate) chunks_pruned: Arc<Counter>,
     /// `engine.rows_materialized` — qualifying rows across all queries.
     pub(crate) rows_materialized: Arc<Counter>,

@@ -21,11 +21,14 @@
 //!   stable). `ThreadPool::new(1)` is the identity: everything runs inline
 //!   and no thread is ever spawned, which is how the serial kernel stays
 //!   the default code path.
-//! * **Chunk-parallel residual filtering** ([`parallel_filter_positions`])
-//!   — the late-materialization filter step of a conjunctive query, fanned
-//!   across the pool with the same per-chunk kernel the serial executor
-//!   uses, so serial and parallel residual filtering produce byte-identical
-//!   position sets and pruning statistics.
+//! * **Chunk-parallel residual filtering** ([`parallel_filter_groups`],
+//!   and [`parallel_filter_positions`] for ascending candidates) — the
+//!   late-materialization filter step of a conjunctive query over candidates
+//!   grouped by chunk: each group's zone map drops or keeps it whole where
+//!   it can, and the rest run a predicated loop. Groups fan out across the
+//!   pool in chunk stripes through the same per-group kernel the serial
+//!   executor uses, so serial and parallel residual filtering produce
+//!   byte-identical survivors and pruning statistics.
 //!
 //! ## Example: a chunk-parallel zone-pruned scan
 //!
@@ -47,4 +50,6 @@ pub mod pool;
 pub mod scan;
 
 pub use pool::ThreadPool;
-pub use scan::{parallel_filter_positions, parallel_scan_select, parallel_scan_where};
+pub use scan::{
+    parallel_filter_groups, parallel_filter_positions, parallel_scan_select, parallel_scan_where,
+};

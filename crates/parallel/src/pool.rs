@@ -32,9 +32,9 @@ pub const STRIPES_PER_WORKER: usize = 4;
 
 /// Cut `item_count` items into at most `workers * STRIPES_PER_WORKER`
 /// contiguous, near-equal stripes, returned as half-open `(begin, end)`
-/// index ranges in item order. Both the chunk-parallel scan and the
-/// range-partition scatter stripe through this one function, so their work
-/// decomposition can never drift apart.
+/// index ranges in item order. The chunk-parallel scan (over chunks) and
+/// the grouped residual filter (over chunk groups) both stripe through this
+/// one function, so their work decomposition can never drift apart.
 pub fn stripe_bounds(item_count: usize, workers: usize) -> Vec<(usize, usize)> {
     if item_count == 0 {
         return Vec::new();

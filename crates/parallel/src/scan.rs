@@ -13,10 +13,10 @@
 
 use crate::pool::{stripe_bounds, ThreadPool};
 use aidx_columnstore::ops::select::{
-    filter_chunk_positions, scan_chunk_where, scan_segment_where, Predicate, PruneStats,
+    filter_chunk_group, scan_chunk_where, scan_segment_where, Predicate, PruneStats, ZoneDecision,
 };
 use aidx_columnstore::position::PositionList;
-use aidx_columnstore::segment::{ChunkView, Segment, ZoneMap};
+use aidx_columnstore::segment::{ChunkGroups, ChunkSpan, Segment, ZoneMap};
 use aidx_columnstore::types::{Key, RowId};
 
 /// Positions of every value in `segment` satisfying `matches`, scanned
@@ -75,19 +75,16 @@ pub fn parallel_scan_select(
 
 /// Retain only the candidate `positions` whose value in `segment` satisfies
 /// `matches` — the residual, late-materialized filter step of a conjunctive
-/// query — fanned chunk-parallel across `pool`.
+/// query over an ascending candidate list — fanned chunk-parallel across
+/// `pool`.
 ///
-/// The global (ascending) candidate list is first split into per-chunk
-/// slices; chunks holding no candidates are never visited (and appear in
-/// neither statistic). Each populated chunk is then filtered with the same
-/// per-chunk kernel the serial executor path uses
-/// ([`aidx_columnstore::ops::select::filter_chunk_positions`]): a chunk
-/// whose zone map cannot satisfy the predicate rejects all its candidates
-/// without reading a value. Populated chunks are striped across the pool's
-/// workers and per-stripe results concatenated in stripe order — ascending
-/// position order — so the output positions and statistics are
-/// byte-identical to the serial filter at any worker count (a serial pool
-/// runs the same loop inline).
+/// The candidates are split at the chunk bounds
+/// ([`Segment::group_positions`]), filtered by [`parallel_filter_groups`]
+/// with a zone decision that only ever prunes (a chunk whose zone map cannot
+/// satisfy the predicate rejects its candidates unread), and returned as an
+/// ascending list. Chunks holding no candidates are never visited and appear
+/// in neither statistic; positions and statistics are byte-identical at any
+/// worker count.
 pub fn parallel_filter_positions(
     pool: &ThreadPool,
     segment: &Segment<Key>,
@@ -95,65 +92,69 @@ pub fn parallel_filter_positions(
     zone_may_match: impl Fn(&ZoneMap<Key>) -> bool + Sync,
     matches: impl Fn(Key) -> bool + Sync,
 ) -> (PositionList, PruneStats) {
-    let pos = positions.as_slice();
-    // split the ascending candidate list by chunk bounds: one (chunk,
-    // candidates) pair per chunk that holds at least one candidate
-    let mut populated: Vec<(ChunkView<'_, Key>, &[RowId])> = Vec::new();
-    let mut i = 0;
-    for chunk in segment.chunks() {
-        if i >= pos.len() {
-            break;
-        }
-        let end = chunk.end();
-        if pos[i] >= end {
-            continue;
-        }
-        let mut j = i;
-        while j < pos.len() && pos[j] < end {
-            j += 1;
-        }
-        populated.push((chunk, &pos[i..j]));
-        i = j;
-    }
-    if pool.is_serial() || populated.len() <= 1 {
-        let mut out: Vec<RowId> = Vec::with_capacity(pos.len());
+    let groups = segment.group_positions(positions);
+    let decide = |zone: &ZoneMap<Key>| ZoneDecision::pruning(zone_may_match(zone));
+    let (kept, stats) = parallel_filter_groups(pool, segment, &groups, decide, matches);
+    (kept.into_positions(), stats)
+}
+
+/// Filter row ids grouped by `segment`'s chunks, one group at a time:
+/// `decide` reads each group's zone map first, so a chunk it proves empty
+/// is dropped and a chunk it proves full is kept, both unread; every other
+/// group runs the predicated per-chunk loop. The kernel is
+/// [`aidx_columnstore::ops::select::filter_chunk_group`], shared with every
+/// serial caller.
+///
+/// Groups fan out across the pool in contiguous stripes of chunks, and the
+/// per-stripe survivors are appended in stripe order, so the returned
+/// groups (still in ascending chunk order, each in candidate order) and the
+/// statistics are byte-identical at every worker count. A serial pool, or a
+/// single group, runs inline.
+///
+/// `groups` must have been grouped by `segment`'s chunk layout
+/// ([`Segment::regroup`] carries them over when it differs).
+pub fn parallel_filter_groups(
+    pool: &ThreadPool,
+    segment: &Segment<Key>,
+    groups: &ChunkGroups<'_>,
+    decide: impl Fn(&ZoneMap<Key>) -> ZoneDecision + Sync,
+    matches: impl Fn(Key) -> bool + Sync,
+) -> (ChunkGroups<'static>, PruneStats) {
+    let filter = |spans: &[ChunkSpan]| {
+        let candidates = spans.last().map_or(0, |l| l.end) - spans.first().map_or(0, |f| f.start);
+        let mut kept = ChunkGroups::with_capacity(candidates);
         let mut stats = PruneStats::default();
-        for (chunk, candidates) in &populated {
-            filter_chunk_positions(
-                chunk,
-                candidates,
-                &zone_may_match,
-                &matches,
-                &mut out,
-                &mut stats,
-            );
+        for span in spans {
+            let chunk = segment.chunk(span.chunk);
+            kept.push_group(span.chunk, |out| {
+                filter_chunk_group(
+                    &chunk,
+                    groups.group(span),
+                    &decide,
+                    &matches,
+                    out,
+                    &mut stats,
+                )
+            });
         }
-        return (PositionList::from_sorted_vec(out), stats);
+        (kept, stats)
+    };
+    let spans = groups.spans();
+    if pool.is_serial() || spans.len() <= 1 {
+        return filter(spans);
     }
-    let stripes = stripe_bounds(populated.len(), pool.threads());
+    let stripes = stripe_bounds(spans.len(), pool.threads());
     let per_stripe = pool.run(stripes.len(), |s| {
         let (begin, end) = stripes[s];
-        let mut out: Vec<RowId> = Vec::new();
-        let mut stats = PruneStats::default();
-        for (chunk, candidates) in &populated[begin..end] {
-            filter_chunk_positions(
-                chunk,
-                candidates,
-                &zone_may_match,
-                &matches,
-                &mut out,
-                &mut stats,
-            );
-        }
-        (out, stats)
+        filter(&spans[begin..end])
     });
-    let mut out: Vec<RowId> = Vec::with_capacity(per_stripe.iter().map(|(p, _)| p.len()).sum());
+    let mut kept = ChunkGroups::with_capacity(per_stripe.iter().map(|(k, _)| k.len()).sum());
     let mut stats = PruneStats::default();
-    for (stripe_positions, stripe_stats) in per_stripe {
-        out.extend_from_slice(&stripe_positions);
+    for (stripe_kept, stripe_stats) in per_stripe {
+        kept.append(stripe_kept);
         stats += stripe_stats;
     }
-    (PositionList::from_sorted_vec(out), stats)
+    (kept, stats)
 }
 
 #[cfg(test)]
@@ -227,6 +228,45 @@ mod tests {
             );
             assert_eq!(par_pos, serial_pos, "{threads} threads");
             assert_eq!(par_stats, serial_stats, "{threads} threads");
+        }
+    }
+
+    #[test]
+    fn grouped_filter_is_identical_at_every_worker_count() {
+        // ascending values in chunks of 64: a range covers some chunks,
+        // misses most and straddles two
+        let seg = Segment::from_vec_with_capacity((0..10_000).collect(), 64);
+        let produced: Vec<RowId> = (0..10_000u32)
+            .map(|i| i * 7_919 % 10_000)
+            .step_by(3)
+            .collect();
+        let groups = seg.group_by_chunk(&produced);
+        let (low, high) = (2_030, 4_100);
+        let decide = |zone: &ZoneMap<Key>| match (zone.min(), zone.max()) {
+            (Some(min), Some(max)) if low <= min && max < high => ZoneDecision::AllMatch,
+            (Some(min), Some(max)) if max < low || min >= high => ZoneDecision::NoneMatch,
+            _ => ZoneDecision::Undecided,
+        };
+        let matches = |v: Key| (low..high).contains(&v);
+        let (serial, serial_stats) =
+            parallel_filter_groups(&ThreadPool::new(1), &seg, &groups, decide, matches);
+        let mut expected: Vec<RowId> = produced
+            .iter()
+            .copied()
+            .filter(|&p| matches(seg.value(p as usize)))
+            .collect();
+        expected.sort_unstable();
+        assert_eq!(
+            serial.clone().into_positions().as_slice(),
+            expected.as_slice()
+        );
+        assert_eq!(serial_stats.chunks_scanned, 2, "the two straddling chunks");
+        assert_eq!(serial_stats.chunks_total(), groups.spans().len());
+        for threads in [2, 4, 8] {
+            let (kept, stats) =
+                parallel_filter_groups(&ThreadPool::new(threads), &seg, &groups, decide, matches);
+            assert_eq!(kept, serial, "{threads} threads");
+            assert_eq!(stats, serial_stats, "{threads} threads");
         }
     }
 

@@ -51,9 +51,11 @@ pub enum SpanEvent {
     },
     /// Zone-map pruning over the chunked storage layer.
     ZoneMapPrune {
-        /// Sealed chunks whose values were actually read.
+        /// Chunks whose values were actually read.
         chunks_scanned: u64,
-        /// Chunks skipped because their zone map proved them empty.
+        /// Chunks decided by their zone map without a read: skipped because
+        /// no value can match (or, in a residual filter, kept whole because
+        /// every value matches).
         chunks_pruned: u64,
     },
     /// One residual predicate filtered the candidate positions.

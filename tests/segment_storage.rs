@@ -6,7 +6,7 @@
 
 use adaptive_indexing::columnstore::segment::Segment;
 use adaptive_indexing::columnstore::Value;
-use adaptive_indexing::{Database, Predicate, Query, StrategyKind};
+use adaptive_indexing::{Aggregation, Database, Predicate, Query, StrategyKind};
 use proptest::prelude::*;
 use std::sync::Arc;
 
@@ -264,5 +264,172 @@ proptest! {
         }
         prop_assert_eq!(segment.min(), values.iter().copied().min());
         prop_assert_eq!(segment.max(), values.iter().copied().max());
+    }
+}
+
+/// The reference's reading of a predicate.
+type RowTest = Box<dyn Fn(i64) -> bool>;
+
+/// One predicate of a generated conjunction: the facade predicate and the
+/// reference's reading of it.
+fn generated_predicate(column: &'static str, shape: u8, x: i64, y: i64) -> (Predicate, RowTest) {
+    let (low, high) = if x <= y { (x, y) } else { (y, x) };
+    match shape {
+        // a random range: covers, straddles or misses chunks of the
+        // ascending column depending on where it falls
+        0 | 1 => (
+            Predicate::range(column, low, high),
+            Box::new(move |v| v >= low && v < high),
+        ),
+        2 => (
+            Predicate::range(column, i64::MIN, high),
+            Box::new(move |v| v < high),
+        ),
+        3 => (
+            Predicate::range(column, low, i64::MAX),
+            Box::new(move |v| v >= low && v < i64::MAX),
+        ),
+        4 => (
+            Predicate::range(column, i64::MIN, i64::MAX),
+            Box::new(|v| v < i64::MAX),
+        ),
+        5 => (Predicate::point(column, x), Box::new(move |v| v == x)),
+        6 => (
+            Predicate::in_set(column, [x, y]),
+            Box::new(move |v| v == x || v == y),
+        ),
+        // beyond every value: zone maps drop every group
+        _ => (
+            Predicate::range(column, 1_000 + low, 2_000 + high),
+            Box::new(move |v| v >= 1_000 + low && v < 2_000 + high),
+        ),
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(40))]
+
+    // The residual stage — group the driver's answer by chunk, let zone maps
+    // decide whole chunks, filter the rest, order the survivors — must equal
+    // a per-row reference for conjunctions of one to three residuals over
+    // columns chunked alike, fragmented alike (appends under a live
+    // snapshot) and fragmented differently per column (so residuals regroup
+    // between columns), at one, two and four workers; and the pruning
+    // statistics must not depend on the worker count.
+    #[test]
+    fn residual_stage_matches_a_per_row_reference(
+        rows in prop::collection::vec((-40i64..40, 0i64..3, -40i64..40), 0..200),
+        conjunctions in prop::collection::vec(
+            prop::collection::vec((0usize..3, 0u8..8, -45i64..45, -45i64..45), 1..5),
+            1..8,
+        ),
+        capacity in 2usize..20,
+        layout in 0u8..3,
+        salt in 0usize..7,
+    ) {
+        // k: random; b: ascending in steps of 0..3 (runs of equal values
+        // give single-key zones); a: random
+        let k: Vec<i64> = rows.iter().map(|r| r.0).collect();
+        let mut b: Vec<i64> = Vec::with_capacity(rows.len());
+        let mut next = -40;
+        for r in &rows {
+            b.push(next);
+            next += r.1;
+        }
+        let a: Vec<i64> = rows.iter().map(|r| r.2).collect();
+        let columns: [(&'static str, &Vec<i64>); 3] = [("k", &k), ("a", &a), ("b", &b)];
+        // layout 2: each column sealed early at its own rows
+        let column = |c: usize, values: &[i64]| {
+            let mut column = adaptive_indexing::columnstore::Column::from_i64(Vec::new())
+                .with_segment_capacity(capacity);
+            for (i, &v) in values.iter().enumerate() {
+                column.push_value("", &Value::Int64(v)).unwrap();
+                if layout == 2 && (i * (c + 2) + salt).is_multiple_of(5) {
+                    column.seal_tail();
+                }
+            }
+            column
+        };
+        // layout 1 appends the last third a row at a time under a live
+        // snapshot, so every column's tail is sealed early at the same rows
+        let preloaded = if layout == 1 { rows.len() * 2 / 3 } else { rows.len() };
+        let mut dbs = Vec::new();
+        for workers in [1, 2, 4] {
+            let db = Database::builder()
+                .segment_capacity(capacity)
+                .parallelism(workers)
+                .try_build()
+                .expect("valid configuration");
+            let table = adaptive_indexing::columnstore::Table::from_columns(
+                columns
+                    .iter()
+                    .enumerate()
+                    .map(|(c, (name, values))| (*name, column(c, &values[..preloaded])))
+                    .collect(),
+            )
+            .unwrap();
+            db.create_table("t", table).unwrap();
+            let session = db.session();
+            for i in preloaded..rows.len() {
+                let _held = db.table_snapshot("t").unwrap();
+                let row: Vec<Value> = columns.iter().map(|(_, v)| Value::Int64(v[i])).collect();
+                session.insert_rows("t", &[row]).unwrap();
+            }
+            dbs.push((workers, db));
+        }
+        if layout != 0 && rows.len() > 3 * capacity {
+            let snapshot = dbs[0].1.table_snapshot("t").unwrap();
+            let fragmented: usize = columns
+                .iter()
+                .map(|(name, _)| snapshot.column(name).unwrap().fragmented_chunk_count())
+                .sum();
+            prop_assert!(fragmented > 0, "layout {} fragments a column", layout);
+        }
+
+        for conjunction in conjunctions {
+            let mut query = Query::table("t");
+            let mut tests: Vec<(usize, RowTest)> = Vec::new();
+            for &(c, shape, x, y) in &conjunction {
+                let (predicate, test) = generated_predicate(columns[c].0, shape, x, y);
+                query = query.filter(predicate);
+                tests.push((c, test));
+            }
+            let expected: Vec<u32> = (0..rows.len())
+                .filter(|&i| tests.iter().all(|(c, test)| test(columns[*c].1[i])))
+                .map(|i| i as u32)
+                .collect();
+            let expected_rows: Vec<Vec<Value>> = expected
+                .iter()
+                .map(|&i| columns.iter().map(|(_, v)| Value::Int64(v[i as usize])).collect())
+                .collect();
+            let selected_a: Vec<i64> = expected.iter().map(|&i| a[i as usize]).collect();
+            let sum: i128 = selected_a.iter().map(|&v| v as i128).sum();
+            let expected_aggregates = [
+                (Aggregation::Count, Some(Value::Int64(selected_a.len() as i64))),
+                (Aggregation::Sum, (!selected_a.is_empty()).then_some(Value::Int64(sum as i64))),
+                (Aggregation::Min, selected_a.iter().min().map(|&v| Value::Int64(v))),
+                (Aggregation::Max, selected_a.iter().max().map(|&v| Value::Int64(v))),
+                (
+                    Aggregation::Avg,
+                    (!selected_a.is_empty())
+                        .then(|| Value::Float64(sum as f64 / selected_a.len() as f64)),
+                ),
+            ];
+            let mut stats = Vec::new();
+            for (workers, db) in &dbs {
+                let session = db.session();
+                let context = format!("{workers} worker(s), layout {layout}, {query:?}");
+                let result = session.execute(&query.clone().project(["k", "a", "b"])).unwrap();
+                prop_assert_eq!(result.row_count(), expected.len(), "{}", context);
+                prop_assert_eq!(result.positions().as_slice(), expected.as_slice(), "{}", context);
+                prop_assert_eq!(&result.collect_rows(), &expected_rows, "{}", context);
+                stats.push(result.prune_stats());
+                for (aggregation, value) in &expected_aggregates {
+                    let result = session.execute(&query.clone().aggregate(*aggregation, "a")).unwrap();
+                    prop_assert_eq!(result.aggregate(), value.as_ref(), "{:?} {}", aggregation, context);
+                }
+            }
+            prop_assert!(stats.windows(2).all(|w| w[0] == w[1]), "{:?} for {:?}", stats, query);
+        }
     }
 }
