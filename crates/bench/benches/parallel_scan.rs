@@ -23,13 +23,13 @@
 //! stages must return the same positions.
 
 use aidx_columnstore::column::Column;
-use aidx_columnstore::ops::select::{Predicate, ZoneDecision};
+use aidx_columnstore::ops::select::Predicate;
 use aidx_columnstore::position::PositionList;
-use aidx_columnstore::segment::{Segment, ZoneMap};
+use aidx_columnstore::segment::Segment;
 use aidx_columnstore::table::Table;
 use aidx_columnstore::types::{Key, RowId};
 use aidx_core::strategy::StrategyKind;
-use aidx_core::{ColumnId, Database, IndexManager};
+use aidx_core::{ColumnId, Database, IndexManager, Predicate as Residual};
 use aidx_parallel::{
     parallel_filter_groups, parallel_filter_positions, parallel_scan_select, ThreadPool,
 };
@@ -104,35 +104,13 @@ fn bench_parallel_index_build(c: &mut Criterion) {
 /// Row ids the residual stage starts from.
 const STAGE_IDS: usize = 50_000;
 
-/// A range residual: the zone decision the executor makes for it, and its
-/// per-value test.
-struct RangeResidual {
-    low: Key,
-    high: Key,
-}
-
-impl RangeResidual {
-    fn decide(&self, zone: &ZoneMap<Key>) -> ZoneDecision {
-        match (zone.min(), zone.max()) {
-            (Some(min), Some(max)) if max < self.low || min >= self.high => ZoneDecision::NoneMatch,
-            (Some(min), Some(max)) if self.low <= min && max < self.high => ZoneDecision::AllMatch,
-            (Some(_), Some(_)) => ZoneDecision::Undecided,
-            _ => ZoneDecision::NoneMatch,
-        }
-    }
-
-    fn matches(&self, v: Key) -> bool {
-        self.low <= v && v < self.high
-    }
-}
-
 /// The residual step as it was: order every driver id, then filter each
 /// residual in query order over the ascending list. Kept as the reference
 /// the grouped stage is measured against.
 fn order_then_filter(
     pool: &ThreadPool,
     ids: &[RowId],
-    residuals: &[(&Segment<Key>, &RangeResidual)],
+    residuals: &[(&Segment<Key>, &Residual)],
 ) -> PositionList {
     let mut positions = PositionList::from_distinct(ids.to_vec());
     for (segment, residual) in residuals {
@@ -140,7 +118,7 @@ fn order_then_filter(
             pool,
             segment,
             &positions,
-            |zone| residual.decide(zone) != ZoneDecision::NoneMatch,
+            |zone| residual.zone_may_match(zone),
             |v| residual.matches(v),
         )
         .0;
@@ -153,7 +131,7 @@ fn order_then_filter(
 fn grouped_stage(
     pool: &ThreadPool,
     ids: &[RowId],
-    residuals: &[(&Segment<Key>, &RangeResidual)],
+    residuals: &[(&Segment<Key>, &Residual)],
 ) -> PositionList {
     let (first, _) = residuals[0];
     let mut groups = first.group_by_chunk(ids);
@@ -164,7 +142,7 @@ fn grouped_stage(
             pool,
             segment,
             &regrouped,
-            |zone| residual.decide(zone),
+            |zone| residual.zone_decision(zone),
             |v| residual.matches(v),
         )
         .0;
@@ -176,14 +154,8 @@ fn grouped_stage(
 fn bench_residual_stage(c: &mut Criterion) {
     let random = Segment::from_vec((0..ROWS as Key).map(|i| (i * 7_919 + 13) % 1_000).collect());
     let clustered = Segment::from_vec((0..ROWS as Key).collect());
-    let random_30 = RangeResidual {
-        low: 300,
-        high: 600,
-    };
-    let clustered_50 = RangeResidual {
-        low: ROWS as Key / 4,
-        high: ROWS as Key * 3 / 4,
-    };
+    let random_30 = Residual::range("a", 300, 600);
+    let clustered_50 = Residual::range("b", ROWS as Key / 4, ROWS as Key * 3 / 4);
     // the driver's answer as a cracked index produces it: the row ids of a
     // 5 % piece of a shuffled key column, in piece order, after a few
     // hundred queries have cracked the column

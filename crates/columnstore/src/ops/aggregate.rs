@@ -60,30 +60,20 @@ pub fn aggregate_keys(keys: &[Key]) -> Aggregate {
 /// through one cursor over the backing segment (the current chunk is
 /// resolved once per run of positions, not per row; nothing is collected).
 pub fn aggregate_at(column: &Column, positions: &PositionList) -> Aggregate {
-    let mut agg = Aggregate::empty();
-    if let Some(c) = column.as_i64() {
-        let mut cursor = c.cursor();
-        for &p in positions.as_slice() {
-            agg.accumulate(cursor.value(p));
-        }
-    }
-    agg
+    aggregate_row_ids(column, positions.as_slice())
 }
 
 /// Aggregate the values of a key column at distinct row ids in any order —
-/// an adaptive index's answer as it produced it. The ids are grouped by
-/// chunk ([`crate::segment::Segment::group_by_chunk`]) and each group is folded over its
-/// chunk's values, so nothing is ordered; `SUM`, `MIN`, `MAX` and `COUNT`
-/// do not depend on the order they fold in.
+/// ascending positions, or an adaptive index's answer as it produced it —
+/// through the cursor [`aggregate_at`] reads with. The cursor finds the
+/// right chunk at any position, so nothing is ordered; `SUM`, `MIN`, `MAX`
+/// and `COUNT` do not depend on the order they fold in.
 pub fn aggregate_row_ids(column: &Column, row_ids: &[RowId]) -> Aggregate {
     let mut agg = Aggregate::empty();
     if let Some(c) = column.as_i64() {
-        let groups = c.group_by_chunk(row_ids);
-        for span in groups.spans() {
-            let chunk = c.chunk(span.chunk);
-            for &p in groups.group(span) {
-                agg.accumulate(chunk.values[(p - chunk.base) as usize]);
-            }
+        let mut cursor = c.cursor();
+        for &p in row_ids {
+            agg.accumulate(cursor.value(p));
         }
     }
     agg

@@ -345,13 +345,7 @@ impl<T: Copy + PartialOrd + std::fmt::Debug> Segment<T> {
     /// The chunk view containing global position `p` (panics out of bounds).
     fn chunk_containing(&self, p: RowId) -> ChunkView<'_, T> {
         if (p as usize) < self.sealed_rows {
-            let chunk = self.sealed_chunk_index(p as usize);
-            ChunkView {
-                base: self.bases[chunk],
-                values: self.sealed[chunk].values(),
-                zone: *self.sealed[chunk].zone(),
-                sealed: true,
-            }
+            self.chunk(self.sealed_chunk_index(p as usize))
         } else {
             self.tail_view()
         }

@@ -32,8 +32,9 @@
 //!    a chunk that matches throughout keeps it unread, and only the rest
 //!    run the predicated filter loop. The survivors are ordered last, each
 //!    group in place, into the ascending [`PositionList`]. Aggregates fold
-//!    over chunk groups too and never order; `COUNT`, the hotness credit
-//!    and the telemetry counters need a length, not an order.
+//!    through one cursor in the order the ids are held and never order;
+//!    `COUNT`, the hotness credit and the telemetry counters need a length,
+//!    not an order.
 //!
 //! A selection no residual filtered travels into the [`QueryResult`] as
 //! produced; the result orders it on the first `positions()` / `rows()`
@@ -302,10 +303,7 @@ fn filter_residuals(
     for residual in residuals {
         let segment = residual.segment;
         let groups = match grouped.take() {
-            None => match selection {
-                Selection::AsProduced(row_ids) => segment.group_by_chunk(row_ids),
-                Selection::Ordered(positions) => segment.group_positions(positions),
-            },
+            None => segment.group_by_chunk(selection.row_ids()),
             Some((groups, grouped_by)) => segment.regroup(groups, grouped_by),
         };
         let predicate = residual.predicate;
@@ -335,9 +333,8 @@ fn filter_residuals(
 
 /// Compute the requested aggregate over the selected rows. `COUNT` reads the
 /// selection's length; every other aggregate folds the column's values at
-/// the selected rows — an ordered selection through one cursor, an
-/// as-produced one over its chunk groups — and leaves the selection as it
-/// is: nothing here orders.
+/// the selected rows through one cursor, in the order the selection holds
+/// them, and leaves the selection as it is: nothing here orders.
 ///
 /// `COUNT` of an empty set is `Some(Int64(0))`; `SUM`, `MIN`, `MAX` and
 /// `AVG` of an empty set are `None` (never a sentinel or a garbage value).
@@ -360,10 +357,7 @@ fn compute_aggregate(
         }
         .into());
     }
-    let agg = match selection {
-        Selection::AsProduced(row_ids) => aggregate::aggregate_row_ids(column, row_ids),
-        Selection::Ordered(positions) => aggregate::aggregate_at(column, positions),
-    };
+    let agg = aggregate::aggregate_row_ids(column, selection.row_ids());
     if agg.count == 0 {
         return Ok(None);
     }

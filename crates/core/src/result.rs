@@ -19,7 +19,7 @@
 //! * the executor's residual filters group them by chunk instead of sorting
 //!   them, and order only the survivors, each chunk's group in place (see
 //!   [`ChunkGroups::into_positions`](aidx_columnstore::segment::ChunkGroups::into_positions));
-//!   its aggregates fold over chunk groups and order nothing;
+//!   its aggregates fold in the order the ids are held and order nothing;
 //! * a result whose query ran no residual keeps the row ids as the index
 //!   produced them and orders them **on the first ordered read**.
 //!
@@ -62,12 +62,17 @@ pub(crate) enum Selection {
 }
 
 impl Selection {
+    /// The selected row ids, in the order they are held.
+    pub(crate) fn row_ids(&self) -> &[RowId] {
+        match self {
+            Selection::AsProduced(row_ids) => row_ids,
+            Selection::Ordered(positions) => positions.as_slice(),
+        }
+    }
+
     /// Number of selected rows.
     pub(crate) fn len(&self) -> usize {
-        match self {
-            Selection::AsProduced(row_ids) => row_ids.len(),
-            Selection::Ordered(positions) => positions.len(),
-        }
+        self.row_ids().len()
     }
 
     /// True when no row is selected.

@@ -79,7 +79,7 @@ pub fn parallel_scan_select(
 /// `pool`.
 ///
 /// The candidates are split at the chunk bounds
-/// ([`Segment::group_positions`]), filtered by [`parallel_filter_groups`]
+/// ([`Segment::group_by_chunk`]), filtered by [`parallel_filter_groups`]
 /// with a zone decision that only ever prunes (a chunk whose zone map cannot
 /// satisfy the predicate rejects its candidates unread), and returned as an
 /// ascending list. Chunks holding no candidates are never visited and appear
@@ -92,7 +92,7 @@ pub fn parallel_filter_positions(
     zone_may_match: impl Fn(&ZoneMap<Key>) -> bool + Sync,
     matches: impl Fn(Key) -> bool + Sync,
 ) -> (PositionList, PruneStats) {
-    let groups = segment.group_positions(positions);
+    let groups = segment.group_by_chunk(positions.as_slice());
     let decide = |zone: &ZoneMap<Key>| ZoneDecision::pruning(zone_may_match(zone));
     let (kept, stats) = parallel_filter_groups(pool, segment, &groups, decide, matches);
     (kept.into_positions(), stats)
