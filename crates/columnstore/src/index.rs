@@ -72,6 +72,12 @@ impl QueryOutput {
 ///   against a longer snapshot. Only [`Self::insert`] grows it, by one.
 /// * **Effort.** [`Self::effort`] never decreases; the difference across a
 ///   query is the work that query caused.
+/// * **Views.** A strategy whose answer lies between two cuts may answer a
+///   count without copying it ([`Self::count_range`]) and hand out the row
+///   ids later, when someone reads them, without reorganizing anything
+///   ([`Self::read_range`]). Refinement moves tuples within pieces but never
+///   across a cut, so an answer named by its two cuts names the same tuples
+///   however far the index cracks on.
 pub trait AdaptiveIndex {
     /// Number of indexed tuples.
     fn len(&self) -> usize;
@@ -84,6 +90,36 @@ pub trait AdaptiveIndex {
     /// Answer the half-open range query `[low, high)`, performing whatever
     /// adaptive reorganization the strategy calls for as a side effect.
     fn query_range(&mut self, low: Key, high: Key) -> QueryOutput;
+
+    /// Count the tuples of `[low, high)`: the same reorganization, effort
+    /// and pieces as [`Self::query_range`], then the distance between the
+    /// answer's two cuts. Their row ids are appended to `out`, in the order
+    /// the index holds them, only when there are fewer than `copy_below`;
+    /// a larger answer is not copied. Once it returns `Some`,
+    /// [`Self::read_range`] on the same bounds reads those tuples — plus any
+    /// the index absorbed since — or declines; it never reads others.
+    /// `None` — the default — from strategies that cannot count without
+    /// producing the row ids; they have done nothing, and the caller asks
+    /// [`Self::query_range`] instead.
+    fn count_range(
+        &mut self,
+        _low: Key,
+        _high: Key,
+        _copy_below: usize,
+        _out: &mut Vec<RowId>,
+    ) -> Option<usize> {
+        None
+    }
+
+    /// Append the row ids of `[low, high)` to `out`, in the order the index
+    /// holds them, when the index already holds the answer in place — for a
+    /// cracking index, when both bounds are cuts or lie outside its value
+    /// domain. Nothing is reorganized, no query is counted and no effort is
+    /// added. Returns `false` and leaves `out` untouched otherwise; the
+    /// default always does.
+    fn read_range(&self, _low: Key, _high: Key, _out: &mut Vec<RowId>) -> bool {
+        false
+    }
 
     /// Cumulative machine-independent work performed so far (initialization
     /// plus per-query overhead plus answering).

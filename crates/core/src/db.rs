@@ -1334,6 +1334,66 @@ mod tests {
     }
 
     #[test]
+    fn deferred_reads_copy_only_from_an_index_of_their_own_version() {
+        use crate::{Query, QueryResult};
+        let db = Database::builder()
+            .default_strategy(StrategyKind::UpdatableCracking)
+            .try_build()
+            .unwrap();
+        // large enough that the answers below are deferred, not copied
+        let n = 8_192;
+        db.create_table("t", orders_table(n)).unwrap();
+        let session = db.session();
+        let column = crate::manager::ColumnId::new("t", "o_key");
+        // the per-row answer over the snapshot a result ran on
+        let scanned = |result: &QueryResult, low: i64, high: i64| -> Vec<u32> {
+            let keys = result.snapshot().column("o_key").unwrap().as_i64().unwrap();
+            let keys = keys.to_vec();
+            (0..keys.len() as u32)
+                .filter(|&i| (low..high).contains(&keys[i as usize]))
+                .collect()
+        };
+
+        // an index that absorbed a row since the snapshot: the read drops it
+        let wide = Query::table("t").range("o_key", -1, n + 1);
+        let older = session.execute(&wide).unwrap();
+        session
+            .insert_row("t", &[Value::Int64(5), Value::Int64(10)])
+            .unwrap();
+        let newer = session.execute(&wide).unwrap();
+        assert!(older.is_deferred() && newer.is_deferred());
+        let (epoch, covered) = db.inner.manager.index_version(&column).unwrap();
+        assert_eq!(covered, n as usize + 1);
+        assert_eq!(older.positions().as_slice(), scanned(&older, -1, n + 1));
+
+        // a remediation from a snapshot older than the index shrinks it
+        // below the snapshot of a held answer: that answer scans
+        let keys = older.snapshot().column("o_key").unwrap().as_i64().unwrap();
+        let manager = &db.inner.manager;
+        assert!(manager.remediate_index(&column, keys, epoch, StrategyKind::Cracking));
+        assert_eq!(newer.positions().as_slice(), scanned(&newer, -1, n + 1));
+
+        // a structural rewrite re-stamps the same entry with other keys,
+        // cut at the same bounds: the held answer scans its own snapshot
+        let narrow = Query::table("t").range("o_key", 0, n / 2);
+        let held = session.execute(&narrow).unwrap();
+        assert!(held.is_deferred());
+        {
+            let mut catalog = db.inner.catalog.write();
+            let table = catalog.table_mut("t").unwrap();
+            let reversed = Column::from_i64((0..=n).map(|k| n - k).collect());
+            *table = table.replace_columns(vec![(0, reversed)]);
+        }
+        let rewritten = session.execute(&narrow).unwrap();
+        assert_eq!(held.positions().as_slice(), scanned(&held, 0, n / 2));
+        assert_eq!(
+            rewritten.positions().as_slice(),
+            scanned(&rewritten, 0, n / 2)
+        );
+        assert_ne!(held.positions(), rewritten.positions());
+    }
+
+    #[test]
     fn index_refresh_rebuilds_indexes_larger_than_the_tick_budget() {
         // regression: an all-or-nothing index rebuild bigger than
         // budget_rows_per_tick must still happen (first item of a slice may

@@ -38,16 +38,25 @@
 //!
 //! A selection no residual filtered travels into the [`QueryResult`] as
 //! produced; the result orders it on the first `positions()` / `rows()`
-//! read, and `row_count()` never does. A converged single-predicate count
-//! therefore costs two cut lookups plus a copy of the answer.
+//! read, and `row_count()` never does. When nothing reads the driver's row
+//! ids while the query runs — its one predicate is a `Range` or `Point`, and
+//! no aggregate but `COUNT` folds them — the drive step only counts: an
+//! index that counts from its cuts (cracking, updatable cracking) copies
+//! nothing, and the result holds the answer as a view — the count, the
+//! bounds, the snapshot's epoch and a weak handle on the column's index
+//! entry — until its first ordered read copies the row ids from between the
+//! cuts. A converged single-predicate count therefore costs two cut
+//! lookups. An answer of fewer than 4 096 ids (`EAGER_COPY_BELOW`) is
+//! copied by the probe at once, as is every answer of another strategy or
+//! another query shape.
 //!
 //! The engine operates on a point-in-time snapshot (`Arc<Table>`) taken by
 //! the session, so concurrent writers never invalidate a running query.
 
 use crate::error::{AidxError, AidxResult};
-use crate::manager::{ColumnId, IndexManager, ProbeTrace};
+use crate::manager::{ColumnId, Counted, IndexManager, ProbeTrace};
 use crate::query::{Aggregation, Predicate, Query};
-use crate::result::{QueryResult, Selection};
+use crate::result::{Answer, DeferredRange, QueryResult, Selection};
 use crate::strategy::StrategyKind;
 use crate::telemetry::EngineTelemetry;
 use aidx_columnstore::error::ColumnStoreError;
@@ -84,6 +93,8 @@ struct BoundPredicate<'a> {
     /// (see [`estimated_selectivity`]); 1.0 when the query has nothing to
     /// rank.
     selectivity: f64,
+    /// The column has an index (`false` when the query has nothing to
+    /// rank).
     indexed: bool,
 }
 
@@ -116,15 +127,19 @@ fn bind_predicates<'a>(
                 expected: DataType::Int64,
                 found: Some(column.data_type()),
             })?;
-        let indexed = manager.has_index(&ColumnId::new(query.table_arc(), predicate.column_arc()));
+        // only a ranking breaks ties on it: a single predicate costs no
+        // registry lookup here, just the one its probe makes
+        let (selectivity, indexed) = match ranked {
+            true => (
+                estimated_selectivity(segment, predicate),
+                manager.has_index(&ColumnId::new(query.table_arc(), predicate.column_arc())),
+            ),
+            false => (1.0, false),
+        };
         bound.push(BoundPredicate {
             predicate,
             segment,
-            selectivity: if ranked {
-                estimated_selectivity(segment, predicate)
-            } else {
-                1.0
-            },
+            selectivity,
             indexed,
         });
     }
@@ -154,7 +169,11 @@ fn choose_driver(bound: &[BoundPredicate<'_>]) -> Option<usize> {
 ///
 /// Index answers are passed on as produced (distinct row ids, piece order);
 /// only the scan fallbacks, which emit positions in order, come back
-/// [`Selection::Ordered`].
+/// [`Selection::Ordered`]. With `defer` — nothing reads the row ids while
+/// the query runs — a `Range` or `Point` driver only counts: an index that
+/// counts from its cuts comes back [`Answer::Counted`] (unless the answer
+/// is small enough to copy at once), and its row ids are copied by the
+/// result's first ordered read, if any.
 #[allow(clippy::too_many_arguments)]
 fn drive(
     manager: &IndexManager,
@@ -163,9 +182,10 @@ fn drive(
     epoch: u64,
     predicate: &Predicate,
     strategy: StrategyKind,
+    defer: bool,
     prune: &mut PruneStats,
     mut probe: Option<&mut ProbeTrace>,
-) -> Selection {
+) -> Answer {
     // short-circuit at the first overlapping chunk: the common in-domain
     // query pays O(1)-ish here, and only a provably empty query walks (and
     // records) every zone map
@@ -180,18 +200,26 @@ fn drive(
     }
     if !any_overlap {
         prune.chunks_pruned += pruned_chunks;
-        return Selection::Ordered(PositionList::new());
+        return Selection::Ordered(PositionList::new()).into();
     }
-    let mut probe_index = |low: Key, high: Key| {
-        manager.query_range_probed(
-            &column_id,
-            segment,
-            epoch,
-            low,
-            high,
-            strategy,
-            probe.as_deref_mut(),
-        )
+    let probe_index = |low: Key, high: Key, probe: Option<&mut ProbeTrace>| {
+        manager.query_range_probed(&column_id, segment, epoch, low, high, strategy, probe)
+    };
+    let answer = |low: Key, high: Key, probe: Option<&mut ProbeTrace>| {
+        if !defer {
+            return Selection::AsProduced(probe_index(low, high, probe).into_row_ids()).into();
+        }
+        match manager.count_range_probed(&column_id, segment, epoch, low, high, strategy, probe) {
+            Counted::Cut { count, index } => Answer::Counted(DeferredRange {
+                count,
+                column: predicate.column_arc(),
+                low,
+                high,
+                epoch,
+                index,
+            }),
+            Counted::Rows(output) => Selection::AsProduced(output.into_row_ids()).into(),
+        }
     };
     // `Key::MAX` cannot be the low end of a half-open range; that one key is
     // answered with a direct (zone-pruned) scan of the snapshot.
@@ -203,14 +231,14 @@ fn drive(
     match predicate {
         Predicate::Range { low, high, .. } => {
             if low >= high {
-                Selection::Ordered(PositionList::new())
+                Selection::Ordered(PositionList::new()).into()
             } else {
-                Selection::AsProduced(probe_index(*low, *high).into_row_ids())
+                answer(*low, *high, probe)
             }
         }
         Predicate::Point { key, .. } => match key.checked_add(1) {
-            Some(next) => Selection::AsProduced(probe_index(*key, next).into_row_ids()),
-            None => Selection::Ordered(scan_key_max()),
+            Some(next) => answer(*key, next, probe),
+            None => Selection::Ordered(scan_key_max()).into(),
         },
         Predicate::InSet { keys: set, .. } => {
             // distinct keys have disjoint answers, so concatenating them
@@ -223,11 +251,12 @@ fn drive(
                     continue;
                 }
                 match key.checked_add(1) {
-                    Some(next) => row_ids.extend_from_slice(probe_index(key, next).row_ids()),
+                    Some(next) => row_ids
+                        .extend_from_slice(probe_index(key, next, probe.as_deref_mut()).row_ids()),
                     None => row_ids.extend_from_slice(scan_key_max().as_slice()),
                 }
             }
-            Selection::AsProduced(row_ids)
+            Selection::AsProduced(row_ids).into()
         }
     }
 }
@@ -473,8 +502,14 @@ pub(crate) fn execute_on_snapshot(
     // a trace recorder, or the enabled metrics registry
     let mut probe = (metrics.is_some() || trace.is_some()).then(ProbeTrace::default);
     let mut prune = PruneStats::default();
-    let mut selection = match driver {
-        None => Selection::Ordered(PositionList::from_range(0, snapshot.row_count() as RowId)),
+    // nothing reads the driver's row ids while the query runs: no residual
+    // filters them and no aggregate but COUNT folds them
+    let defer =
+        bound.len() == 1 && matches!(query.aggregation(), None | Some((Aggregation::Count, _)));
+    let mut answer = match driver {
+        None => {
+            Selection::Ordered(PositionList::from_range(0, snapshot.row_count() as RowId)).into()
+        }
         Some(i) => {
             let column_id = ColumnId::new(query.table_arc(), bound[i].predicate.column_arc());
             drive(
@@ -484,6 +519,7 @@ pub(crate) fn execute_on_snapshot(
                 epoch,
                 bound[i].predicate,
                 strategy,
+                defer,
                 &mut prune,
                 probe.as_mut(),
             )
@@ -514,15 +550,15 @@ pub(crate) fn execute_on_snapshot(
         .into_iter()
         .map(|i| &bound[i])
         .collect();
-    if !residuals.is_empty() && !selection.is_empty() {
+    if !residuals.is_empty() && !answer.is_empty() {
         let survivors = filter_residuals(
             manager,
-            &selection,
+            &answer.into_selection(&snapshot),
             &residuals,
             &mut prune,
             trace.as_deref_mut(),
         );
-        selection = Selection::Ordered(survivors);
+        answer = Selection::Ordered(survivors).into();
     }
 
     if let (Some(hotness), Some(i)) = (hotness, driver) {
@@ -535,14 +571,19 @@ pub(crate) fn execute_on_snapshot(
 
     let aggregate_value = match query.aggregation() {
         None => None,
+        // the answer's length: a counted answer stays uncopied
+        Some((Aggregation::Count, _)) => Some(Value::Int64(answer.len() as i64)),
         Some((aggregation, column)) => {
-            compute_aggregate(&snapshot, &selection, aggregation, column)?
+            let selection = answer.into_selection(&snapshot);
+            let value = compute_aggregate(&snapshot, &selection, aggregation, column)?;
+            answer = selection.into();
+            value
         }
     };
 
     if let Some(recorder) = trace {
         recorder.record(SpanEvent::Materialize {
-            rows: selection.len() as u64,
+            rows: answer.len() as u64,
             aggregated: aggregate_value.is_some(),
         });
     }
@@ -553,7 +594,7 @@ pub(crate) fn execute_on_snapshot(
         }
         t.chunks_scanned.add(prune.chunks_scanned as u64);
         t.chunks_pruned.add(prune.chunks_pruned as u64);
-        t.rows_materialized.add(selection.len() as u64);
+        t.rows_materialized.add(answer.len() as u64);
         if let Some(p) = &probe {
             t.refinement_effort.add(p.effort_delta);
             if p.rebuilt {
@@ -567,7 +608,7 @@ pub(crate) fn execute_on_snapshot(
 
     Ok(QueryResult::new(
         snapshot,
-        selection,
+        answer,
         projected,
         aggregate_value,
         prune,
@@ -658,6 +699,72 @@ mod tests {
         let _ = manager.query_range(&ColumnId::new("t", "r"), &keys, 0, 2);
         let plan = plan_on_snapshot(&table, &manager, &query).unwrap();
         assert_eq!(plan.driver_column.as_deref(), Some("r"));
+    }
+
+    #[test]
+    fn only_large_answers_nobody_reads_while_executing_are_deferred() {
+        // k: a permutation of 0..10 000, r: k % 2
+        let n: Key = 10_000;
+        let k: Vec<Key> = (0..n).map(|i| i * 7_919 % n).collect();
+        let r: Vec<Key> = k.iter().map(|&v| v % 2).collect();
+        let table = Arc::new(
+            Table::from_columns(vec![
+                ("k", Column::from_i64(k.clone())),
+                ("r", Column::from_i64(r.clone())),
+            ])
+            .unwrap(),
+        );
+        let range = || Query::table("t").range("k", 1_000, 6_000);
+        let count = range().aggregate(Aggregation::Count, "r");
+        let sum = range().aggregate(Aggregation::Sum, "r");
+        for (strategy, query, deferred) in [
+            (StrategyKind::Cracking, range(), true),
+            (
+                StrategyKind::Cracking,
+                Query::table("t").point("r", 1),
+                true,
+            ),
+            (StrategyKind::Cracking, count, true),
+            (StrategyKind::UpdatableCracking, range(), true),
+            // fewer ids than `EAGER_COPY_BELOW`: copied by the probe
+            (
+                StrategyKind::Cracking,
+                Query::table("t").range("k", 10, 30),
+                false,
+            ),
+            (StrategyKind::Cracking, sum, false),
+            (StrategyKind::Cracking, range().point("r", 1), false),
+            (
+                StrategyKind::Cracking,
+                Query::table("t").in_set("r", [0, 1]),
+                false,
+            ),
+            (StrategyKind::FullSort, range(), false),
+        ] {
+            let manager = IndexManager::new(strategy);
+            let result = execute_on_snapshot(
+                Arc::clone(&table),
+                1,
+                &manager,
+                &query,
+                strategy,
+                None,
+                None,
+                None,
+            )
+            .unwrap();
+            assert_eq!(result.is_deferred(), deferred, "{strategy:?} {query:?}");
+            let expected: Vec<RowId> = (0..k.len())
+                .filter(|&i| {
+                    let value = |p: &Predicate| if p.column() == "k" { k[i] } else { r[i] };
+                    query.predicates().iter().all(|p| p.matches(value(p)))
+                })
+                .map(|i| i as RowId)
+                .collect();
+            assert_eq!(result.row_count(), expected.len());
+            assert_eq!(result.positions().as_slice(), expected.as_slice());
+            assert!(!result.is_deferred(), "read once");
+        }
     }
 
     #[test]

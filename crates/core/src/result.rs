@@ -10,6 +10,15 @@
 //! aggregated or asked for positions never gathers anything; one read
 //! through `rows()` holds `arity × rows` values until it is dropped.
 //!
+//! A result may not hold its row ids at all yet. A query whose one
+//! predicate is a `Range` or `Point` and that reads no row id while it runs
+//! (no residual, no aggregate but `COUNT`) is answered, on a cracking index,
+//! by a count from the answer's two cuts; unless the answer is small enough
+//! for the probe to copy at once (under 4 096 ids, `EAGER_COPY_BELOW`), the
+//! result keeps the bounds, the snapshot's epoch and a weak handle on the
+//! column's index entry, and copies the row ids on its first ordered read
+//! (see the contract below).
+//!
 //! # Ordering contract
 //!
 //! An adaptive index answers with the row ids of a cracked piece in piece
@@ -21,32 +30,47 @@
 //!   [`ChunkGroups::into_positions`](aidx_columnstore::segment::ChunkGroups::into_positions));
 //!   its aggregates fold in the order the ids are held and order nothing;
 //! * a result whose query ran no residual keeps the row ids as the index
-//!   produced them and orders them **on the first ordered read**.
+//!   produced them — or, when they were only counted, the range that names
+//!   them — and orders them **on the first ordered read**.
 //!
 //! So for a result:
 //!
 //! * [`QueryResult::row_count`], [`QueryResult::is_empty`],
 //!   [`QueryResult::aggregate`] and [`QueryResult::prune_stats`] are O(1)
-//!   and never order anything;
+//!   and never copy or order anything;
 //! * the first [`QueryResult::positions`] or [`QueryResult::rows`] call
 //!   orders the row ids once (O(rows), radix — see
 //!   [`PositionList::from_distinct`]) and every later call is O(1); the
 //!   first `rows()` call also gathers the projection, and later calls
 //!   re-read the gathered store;
+//! * for a counted-only answer, that first call copies the row ids first:
+//!   while the column's index entry still covers the snapshot (the same
+//!   table epoch, at least as many rows), it takes the column's latch once
+//!   and copies them from between the two cuts — dropping the rows the
+//!   index absorbed after the snapshot when some of them fall in the range
+//!   — without cracking, rebuilding, counting a query or adding effort
+//!   (cracking moves tuples within pieces, never across a cut, so the cuts
+//!   still name the same tuples). When the index moved on — dropped,
+//!   rebuilt from another snapshot, re-stamped by a compaction or a new
+//!   table incarnation — or its cuts hold another number of ids than were
+//!   counted, it scans the snapshot instead, zone-pruned chunk by chunk.
+//!   Either way it reads exactly the rows the query counted;
 //! * when a residual filter ran, its survivors arrive ordered and nothing
 //!   is left to do.
 //!
 //! A result holds its row ids once: the first ordered read consumes the
-//! vector the index produced and keeps the ordered list in its place.
+//! vector the index produced (or the range) and keeps the ordered list in
+//! its place.
 //!
 //! What a caller can observe is unchanged: `positions()` is always strictly
 //! ascending, and `rows()` yields the rows in that order.
 
+use crate::manager::{IndexHandle, KeySource};
 use aidx_columnstore::column::Column;
 use aidx_columnstore::ops::select::PruneStats;
 use aidx_columnstore::position::PositionList;
 use aidx_columnstore::table::Table;
-use aidx_columnstore::types::{RowId, Value};
+use aidx_columnstore::types::{Key, RowId, Value};
 use parking_lot::Mutex;
 use std::sync::{Arc, OnceLock};
 
@@ -74,10 +98,92 @@ impl Selection {
     pub(crate) fn len(&self) -> usize {
         self.row_ids().len()
     }
+}
 
-    /// True when no row is selected.
+/// A query's answer as the executor hands it to its result: the row ids,
+/// or — when nothing read them while the query ran — perhaps only their
+/// count and the range that names them.
+#[derive(Debug, Clone)]
+pub(crate) enum Answer {
+    /// The row ids themselves.
+    Held(Selection),
+    /// Counted from the index's cuts; no row id copied yet.
+    Counted(DeferredRange),
+}
+
+impl Answer {
+    /// Number of qualifying rows.
+    pub(crate) fn len(&self) -> usize {
+        match self {
+            Answer::Held(selection) => selection.len(),
+            Answer::Counted(range) => range.count,
+        }
+    }
+
+    /// True when no row qualifies.
     pub(crate) fn is_empty(&self) -> bool {
         self.len() == 0
+    }
+
+    /// The row ids, copying a counted answer's from `snapshot` (the one it
+    /// was counted on) now.
+    pub(crate) fn into_selection(self, snapshot: &Table) -> Selection {
+        match self {
+            Answer::Held(selection) => selection,
+            Answer::Counted(range) => Selection::Ordered(range.read(snapshot)),
+        }
+    }
+}
+
+impl From<Selection> for Answer {
+    fn from(selection: Selection) -> Self {
+        Answer::Held(selection)
+    }
+}
+
+/// The answer of a single-range driver, named by its bounds: counted from
+/// the two cuts of the column's index, its row ids read when someone asks.
+#[derive(Debug, Clone)]
+pub(crate) struct DeferredRange {
+    /// Number of qualifying rows, counted at execute time.
+    pub(crate) count: usize,
+    /// The driver column.
+    pub(crate) column: Arc<str>,
+    pub(crate) low: Key,
+    pub(crate) high: Key,
+    /// Epoch of the table incarnation the snapshot belongs to.
+    pub(crate) epoch: u64,
+    /// The column's index entry, as the counting probe found it.
+    pub(crate) index: IndexHandle,
+}
+
+impl DeferredRange {
+    /// The answer's row ids ascending, among the rows of `snapshot` (the
+    /// one the range was counted on). While the index entry still covers
+    /// the snapshot, they are copied from between its cuts — at most one
+    /// latch and one copy, never a refinement, a rebuild or a counted query.
+    /// An index that moved on (rebuilt, re-stamped, dropped), or cuts that
+    /// hold another number of ids than were counted, leave a zone-pruned
+    /// scan of the snapshot.
+    fn read(&self, snapshot: &Table) -> PositionList {
+        let rows = snapshot.row_count();
+        if let Some(row_ids) = self
+            .index
+            .read_range(self.epoch, rows, self.low, self.high, self.count)
+        {
+            // a strategy whose cuts no longer name what it counted falls
+            // back to the scan below
+            debug_assert_eq!(row_ids.len(), self.count, "the cuts moved");
+            if row_ids.len() == self.count {
+                return PositionList::from_distinct(row_ids);
+            }
+        }
+        let keys = snapshot
+            .column(&self.column)
+            .ok()
+            .and_then(Column::as_i64)
+            .expect("QueryResult invariant: the driver column holds keys");
+        KeySource::Segmented(keys).scan_range(self.low, self.high)
     }
 }
 
@@ -86,45 +192,54 @@ impl Selection {
 #[derive(Debug)]
 struct LazyPositions {
     len: usize,
-    /// The row ids in the order the index produced them; the first ordered
-    /// read takes them.
-    produced: Mutex<Option<Vec<RowId>>>,
+    /// The row ids in the order the index produced them, or the range that
+    /// names them; the first ordered read takes it.
+    unordered: Mutex<Option<Answer>>,
     ordered: OnceLock<PositionList>,
 }
 
 impl LazyPositions {
-    fn new(selection: Selection) -> Self {
-        let len = selection.len();
-        let (produced, ordered) = match selection {
-            Selection::AsProduced(row_ids) => (Some(row_ids), OnceLock::new()),
-            Selection::Ordered(positions) => (None, OnceLock::from(positions)),
+    fn new(answer: Answer) -> Self {
+        let len = answer.len();
+        let (unordered, ordered) = match answer {
+            Answer::Held(Selection::Ordered(positions)) => (None, OnceLock::from(positions)),
+            unordered => (Some(unordered), OnceLock::new()),
         };
         LazyPositions {
             len,
-            produced: Mutex::new(produced),
+            unordered: Mutex::new(unordered),
             ordered,
         }
     }
 
-    /// The row ids ascending; the first call orders them in the vector the
-    /// index produced — the result's one call of the ordering routine,
-    /// [`PositionList::from_distinct`].
-    fn ordered(&self) -> &PositionList {
+    /// The row ids ascending. The first call orders the vector the index
+    /// produced — the result's one call of the ordering routine,
+    /// [`PositionList::from_distinct`] — or reads a counted range from
+    /// `snapshot` first.
+    fn ordered(&self, snapshot: &Table) -> &PositionList {
         self.ordered.get_or_init(|| {
-            let row_ids = self.produced.lock().take();
-            PositionList::from_distinct(row_ids.expect("taken by the one ordered read that runs"))
+            let unordered = self.unordered.lock().take();
+            match unordered
+                .expect("taken by the one ordered read that runs")
+                .into_selection(snapshot)
+            {
+                Selection::AsProduced(row_ids) => PositionList::from_distinct(row_ids),
+                Selection::Ordered(positions) => positions,
+            }
         })
     }
 }
 
 impl Clone for LazyPositions {
     fn clone(&self) -> Self {
-        let produced = self.produced.lock().clone();
-        LazyPositions::new(match produced {
-            Some(row_ids) => Selection::AsProduced(row_ids),
+        let unordered = self.unordered.lock().clone();
+        LazyPositions::new(unordered.unwrap_or_else(|| {
             // taken: ordered, or being ordered by a read this one waits for
-            None => Selection::Ordered(self.ordered().clone()),
-        })
+            let ordered = self
+                .ordered
+                .get_or_init(|| unreachable!("the ordered read panicked"));
+            Answer::Held(Selection::Ordered(ordered.clone()))
+        }))
     }
 }
 
@@ -149,19 +264,22 @@ impl QueryResult {
     /// that invariant) can build one.
     pub(crate) fn new(
         table: Arc<Table>,
-        selection: Selection,
+        answer: impl Into<Answer>,
         projected: Vec<usize>,
         aggregate: Option<Value>,
         prune: PruneStats,
     ) -> Self {
-        debug_assert!(match &selection {
-            Selection::AsProduced(row_ids) => row_ids.iter().max().copied(),
-            Selection::Ordered(positions) => positions.as_slice().last().copied(),
+        let answer = answer.into();
+        debug_assert!(match &answer {
+            Answer::Held(Selection::AsProduced(row_ids)) => row_ids.iter().max().copied(),
+            Answer::Held(Selection::Ordered(positions)) => positions.as_slice().last().copied(),
+            // no ids yet: its first read checks them against its count
+            Answer::Counted(_) => None,
         }
         .is_none_or(|p| (p as usize) < table.row_count()));
         QueryResult {
             table,
-            selection: LazyPositions::new(selection),
+            selection: LazyPositions::new(answer),
             projected,
             aggregate,
             prune,
@@ -183,7 +301,7 @@ impl QueryResult {
     /// ascending. The first call may order the row ids (O(rows)); later
     /// calls are O(1).
     pub fn positions(&self) -> &PositionList {
-        self.selection.ordered()
+        self.selection.ordered(&self.table)
     }
 
     /// The aggregate value, when the query requested one. `None` either
@@ -237,6 +355,14 @@ impl QueryResult {
     /// chunk-granular and is not counted here.
     pub fn prune_stats(&self) -> PruneStats {
         self.prune
+    }
+}
+
+#[cfg(test)]
+impl QueryResult {
+    /// The answer is a [`DeferredRange`] nobody has read yet.
+    pub(crate) fn is_deferred(&self) -> bool {
+        matches!(*self.selection.unordered.lock(), Some(Answer::Counted(_)))
     }
 }
 
@@ -459,7 +585,7 @@ mod tests {
         let clone = result.clone();
         assert_eq!(clone.positions().as_slice(), &[0, 1, 2]);
         assert!(result.selection.ordered.get().is_none());
-        assert!(clone.selection.produced.lock().is_none(), "held once");
+        assert!(clone.selection.unordered.lock().is_none(), "held once");
         // and one taken after it copies the ordered list
         let late = clone.clone();
         assert_eq!(late.row_count(), 3);

@@ -47,7 +47,8 @@ pub(crate) struct EngineTelemetry {
     /// `engine.prune.chunks_pruned` — chunks decided by their zone map
     /// without a read (skipped, or kept whole by a residual filter).
     pub(crate) chunks_pruned: Arc<Counter>,
-    /// `engine.rows_materialized` — qualifying rows across all queries.
+    /// `engine.rows_materialized` — qualifying rows across all queries,
+    /// whether their row ids were copied or only counted from the cuts.
     pub(crate) rows_materialized: Arc<Counter>,
     /// `maintenance.compaction_ns` — chunk-compaction job slice durations.
     pub(crate) compaction_ns: Arc<Histogram>,

@@ -290,20 +290,10 @@ impl CrackedIndex {
     /// necessary, and return its position. Exposed within the crate so that
     /// stochastic cracking and the hybrids can introduce auxiliary cuts.
     pub(crate) fn ensure_cut(&mut self, key: Key) -> usize {
-        let len = self.column.len();
-        if len == 0 {
-            return 0;
-        }
-        // Domain short-circuits avoid full-piece passes for out-of-range keys.
-        if key <= self.min_value {
-            return 0;
-        }
-        if key > self.max_value {
-            return len;
-        }
-        if let Some(position) = self.cuts.exact(key) {
+        if let Some(position) = self.known_position(key) {
             return position;
         }
+        let len = self.column.len();
         let begin = self.cuts.floor(key).map_or(0, |(_, p)| p);
         let end = self.cuts.ceiling(key).map_or(len, |(_, p)| p);
         let (values, rowids) = self.column.pair_slices_mut();
@@ -326,11 +316,7 @@ impl CrackedIndex {
         // Fast path: both bounds land in the same piece and neither is known
         // yet — a single three-way crack handles the whole query (this is the
         // common case for the first queries on a column).
-        let low_known =
-            low <= self.min_value || low > self.max_value || self.cuts.exact(low).is_some();
-        let high_known =
-            high <= self.min_value || high > self.max_value || self.cuts.exact(high).is_some();
-        if !low_known && !high_known {
+        if self.known_position(low).is_none() && self.known_position(high).is_none() {
             let low_piece = self.piece_bounds_for(low);
             let high_piece = self.piece_bounds_for(high);
             if low_piece == high_piece {
@@ -362,6 +348,34 @@ impl CrackedIndex {
     /// is also a query and therefore also advice).
     pub fn count_range(&mut self, low: Key, high: Key) -> usize {
         self.query_range(low, high).len()
+    }
+
+    /// The position where `key` cuts the column, when it needs no crack: an
+    /// empty column, a key outside the value domain (these short-circuits
+    /// spare out-of-range keys a full-piece pass), or an existing cut.
+    fn known_position(&self, key: Key) -> Option<usize> {
+        if self.column.is_empty() || key <= self.min_value {
+            return Some(0);
+        }
+        if key > self.max_value {
+            return Some(self.column.len());
+        }
+        self.cuts.exact(key)
+    }
+
+    /// The positions `[begin, end)` holding the answer of `[low, high)` when
+    /// the column already holds it in place — both bounds need no crack —
+    /// found without cracking or recording anything. After
+    /// [`Self::query_range`] on the same bounds this is always `Some`, and
+    /// later queries keep it so: a crack adds cuts but never moves a tuple
+    /// across one. (A merged insertion that widens the value domain may
+    /// turn a short-circuited bound into one that needs a crack.)
+    pub(crate) fn cut_bounds(&self, low: Key, high: Key) -> Option<(usize, usize)> {
+        if low >= high {
+            return Some((0, 0));
+        }
+        let begin = self.known_position(low)?;
+        Some((begin, self.known_position(high)?.max(begin)))
     }
 
     /// The piece `[begin, end)` that `key` currently falls into.
@@ -442,6 +456,26 @@ impl AdaptiveIndex for CrackedIndex {
     fn query_range(&mut self, low: Key, high: Key) -> QueryOutput {
         QueryOutput::from_row_ids(CrackedIndex::query_range(self, low, high).rowids().to_vec())
     }
+    fn count_range(
+        &mut self,
+        low: Key,
+        high: Key,
+        copy_below: usize,
+        out: &mut Vec<RowId>,
+    ) -> Option<usize> {
+        let answer = CrackedIndex::query_range(self, low, high);
+        if answer.len() < copy_below {
+            out.extend_from_slice(answer.rowids());
+        }
+        Some(answer.len())
+    }
+    fn read_range(&self, low: Key, high: Key, out: &mut Vec<RowId>) -> bool {
+        let Some((begin, end)) = self.cut_bounds(low, high) else {
+            return false;
+        };
+        out.extend_from_slice(&self.column.rowids()[begin..end]);
+        true
+    }
     fn effort(&self) -> u64 {
         self.stats.total_effort()
     }
@@ -488,6 +522,50 @@ mod tests {
         assert_eq!(r.len(), 0);
         assert_eq!(idx.piece_count(), 0);
         assert!(idx.verify_integrity());
+    }
+
+    #[test]
+    fn counted_answers_read_back_from_their_cuts_without_effort() {
+        let data: Vec<Key> = (0..1000).map(|i| (i * 7919) % 1000).collect();
+        let mut idx = CrackedIndex::from_keys(&data);
+        let mut reference = idx.clone();
+        let mut out = Vec::new();
+        assert!(
+            !AdaptiveIndex::read_range(&idx, 300, 400, &mut out),
+            "not cut yet"
+        );
+        assert!(out.is_empty());
+        // counting cracks and accounts exactly like answering
+        let count = AdaptiveIndex::count_range(&mut idx, 300, 400, 100, &mut out);
+        assert!(out.is_empty(), "100 ids are not fewer than 100");
+        let answer = AdaptiveIndex::query_range(&mut reference, 300, 400);
+        assert_eq!(count, Some(answer.count()));
+        assert_eq!(idx.stats(), reference.stats());
+        // with room for one more, the count copies the piece it found
+        let mut copier = CrackedIndex::from_keys(&data);
+        let mut copied = Vec::new();
+        let copied_count = AdaptiveIndex::count_range(&mut copier, 300, 400, 101, &mut copied);
+        assert_eq!(copied_count, count);
+        assert_eq!(copied, answer.row_ids());
+        assert_eq!(copier.stats(), reference.stats());
+        // further cracks inside and around the range leave its tuples put
+        for (low, high) in [(320, 350), (250, 310), (390, 700)] {
+            idx.query_range(low, high);
+        }
+        let effort = AdaptiveIndex::effort(&idx);
+        assert!(AdaptiveIndex::read_range(&idx, 300, 400, &mut out));
+        assert_eq!(AdaptiveIndex::effort(&idx), effort, "a read is no query");
+        out.sort_unstable();
+        let expected: Vec<RowId> = (0..data.len())
+            .filter(|&i| (300..400).contains(&data[i]))
+            .map(|i| i as RowId)
+            .collect();
+        assert_eq!(out, expected);
+        // bounds outside the value domain need no cut
+        out.clear();
+        assert!(AdaptiveIndex::read_range(&idx, -5, 2_000, &mut out));
+        assert_eq!(out.len(), data.len());
+        assert_eq!(idx.cut_bounds(7, 7), Some((0, 0)));
     }
 
     #[test]

@@ -36,7 +36,7 @@
 
 use crate::cracker_column::CrackerColumn;
 use crate::index::VisitOrder;
-use crate::selection::{CrackedIndex, CONVERGED_PIECE_LEN};
+use crate::selection::{CrackedIndex, RangeResult, CONVERGED_PIECE_LEN};
 use crate::stats::CrackStats;
 use aidx_columnstore::index::{AdaptiveIndex, QueryOutput};
 use aidx_columnstore::types::{Key, RowId};
@@ -87,6 +87,41 @@ type PendingArea = BTreeSet<(Key, RowId)>;
 /// empty or inverted range (which `BTreeSet::range` would panic on).
 fn pending_in(area: &PendingArea, low: Key, high: Key) -> impl Iterator<Item = &(Key, RowId)> {
     area.range((low, RowId::MIN)..(high.max(low), RowId::MIN))
+}
+
+/// Append the answer of `[low, high)` to `rowids`, and its keys to `keys`
+/// when asked: the cracked `piece` less the tuples pending deletion, then
+/// the tuples pending insertion inside the range.
+fn collect_answer(
+    piece: &RangeResult<'_>,
+    inserts: &PendingArea,
+    deletes: &PendingArea,
+    low: Key,
+    high: Key,
+    rowids: &mut Vec<RowId>,
+    mut keys: Option<&mut Vec<Key>>,
+) {
+    if pending_in(deletes, low, high).next().is_none() {
+        rowids.extend_from_slice(piece.rowids());
+        if let Some(keys) = keys.as_deref_mut() {
+            keys.extend_from_slice(piece.keys());
+        }
+    } else {
+        for (&key, &rowid) in piece.keys().iter().zip(piece.rowids()) {
+            if !deletes.contains(&(key, rowid)) {
+                rowids.push(rowid);
+                if let Some(keys) = keys.as_deref_mut() {
+                    keys.push(key);
+                }
+            }
+        }
+    }
+    for &(key, rowid) in pending_in(inserts, low, high) {
+        rowids.push(rowid);
+        if let Some(keys) = keys.as_deref_mut() {
+            keys.push(key);
+        }
+    }
 }
 
 /// Take the first `budget` tuples of [`pending_in`] out of `area`.
@@ -230,44 +265,41 @@ impl UpdatableCrackedIndex {
     /// bounds, less the pending deletions and plus the pending insertions
     /// inside the range. Merges and cracks like any query; copies nothing.
     pub fn count_range(&mut self, low: Key, high: Key) -> usize {
+        self.count_and_copy(low, high, 0, &mut Vec::new())
+    }
+
+    /// [`Self::count_range`], appending the row ids to `out` as
+    /// [`Self::query_rowids`] returns them when there are fewer than
+    /// `copy_below`.
+    fn count_and_copy(
+        &mut self,
+        low: Key,
+        high: Key,
+        copy_below: usize,
+        out: &mut Vec<RowId>,
+    ) -> usize {
         self.merge_for_query(low, high);
+        let piece = self.index.query_range(low, high);
         // a pending deletion names a tuple of the cracker column, once
-        self.index.query_range(low, high).len()
-            - pending_in(&self.pending_deletes, low, high).count()
-            + pending_in(&self.pending_inserts, low, high).count()
+        let count = piece.len() - pending_in(&self.pending_deletes, low, high).count()
+            + pending_in(&self.pending_inserts, low, high).count();
+        if count < copy_below {
+            out.reserve(count);
+            let (inserts, deletes) = (&self.pending_inserts, &self.pending_deletes);
+            collect_answer(&piece, inserts, deletes, low, high, out, None);
+        }
+        count
     }
 
     /// The row ids of `[low, high)` — and, for a caller that asks, the keys
     /// parallel to them. Remaining pending deletions mask indexed tuples;
     /// remaining pending insertions contribute extra ones.
-    fn answer(&mut self, low: Key, high: Key, mut keys: Option<&mut Vec<Key>>) -> Vec<RowId> {
+    fn answer(&mut self, low: Key, high: Key, keys: Option<&mut Vec<Key>>) -> Vec<RowId> {
         self.merge_for_query(low, high);
-        let result = self.index.query_range(low, high);
-        let mut rowids = Vec::with_capacity(result.len());
-        if pending_in(&self.pending_deletes, low, high)
-            .next()
-            .is_none()
-        {
-            rowids.extend_from_slice(result.rowids());
-            if let Some(keys) = keys.as_deref_mut() {
-                keys.extend_from_slice(result.keys());
-            }
-        } else {
-            for (&key, &rowid) in result.keys().iter().zip(result.rowids()) {
-                if !self.pending_deletes.contains(&(key, rowid)) {
-                    rowids.push(rowid);
-                    if let Some(keys) = keys.as_deref_mut() {
-                        keys.push(key);
-                    }
-                }
-            }
-        }
-        for &(key, rowid) in pending_in(&self.pending_inserts, low, high) {
-            rowids.push(rowid);
-            if let Some(keys) = keys.as_deref_mut() {
-                keys.push(key);
-            }
-        }
+        let piece = self.index.query_range(low, high);
+        let mut rowids = Vec::with_capacity(piece.len());
+        let (inserts, deletes) = (&self.pending_inserts, &self.pending_deletes);
+        collect_answer(&piece, inserts, deletes, low, high, &mut rowids, keys);
         rowids
     }
 
@@ -388,6 +420,31 @@ impl AdaptiveIndex for UpdatableCrackedIndex {
     fn query_range(&mut self, low: Key, high: Key) -> QueryOutput {
         QueryOutput::from_row_ids(self.query_rowids(low, high))
     }
+    fn count_range(
+        &mut self,
+        low: Key,
+        high: Key,
+        copy_below: usize,
+        out: &mut Vec<RowId>,
+    ) -> Option<usize> {
+        Some(self.count_and_copy(low, high, copy_below, out))
+    }
+    /// The piece between the two cuts plus the pending insertions inside
+    /// the range; `false` while a pending deletion falls inside it.
+    fn read_range(&self, low: Key, high: Key, out: &mut Vec<RowId>) -> bool {
+        if pending_in(&self.pending_deletes, low, high)
+            .next()
+            .is_some()
+        {
+            return false;
+        }
+        let Some((begin, end)) = self.index.cut_bounds(low, high) else {
+            return false;
+        };
+        out.extend_from_slice(&self.index.column().rowids()[begin..end]);
+        out.extend(pending_in(&self.pending_inserts, low, high).map(|&(_, rowid)| rowid));
+        true
+    }
     fn effort(&self) -> u64 {
         self.stats().total_effort()
     }
@@ -472,6 +529,45 @@ mod tests {
             let answer = idx.query_range(40, 70);
             assert_eq!(sorted(answer.keys.clone()), vec![42, 50, 60], "{policy:?}");
             assert!(idx.verify_integrity(), "{policy:?}");
+        }
+    }
+
+    #[test]
+    fn counted_answers_read_back_with_their_pending_tuples() {
+        for policy in policies() {
+            let mut keys: Vec<Key> = (0..200).map(|i| (i * 7) % 200).collect();
+            let mut idx = UpdatableCrackedIndex::from_keys(&keys, policy);
+            for key in [45, 60, 61, 150] {
+                idx.insert(key);
+                keys.push(key);
+            }
+            let mut out = Vec::new();
+            let count = AdaptiveIndex::count_range(&mut idx, 40, 70, 33, &mut out);
+            assert_eq!(count, Some(30 + 3), "{policy:?}");
+            assert!(out.is_empty(), "{policy:?}: 33 ids are not fewer than 33");
+            let effort = AdaptiveIndex::effort(&idx);
+            assert!(
+                AdaptiveIndex::read_range(&idx, 40, 70, &mut out),
+                "{policy:?}"
+            );
+            assert_eq!(AdaptiveIndex::effort(&idx), effort, "a read is no query");
+            let read = sorted(out.iter().map(|&rowid| keys[rowid as usize]).collect());
+            assert_eq!(
+                read,
+                sorted((40..70).chain([45, 60, 61]).collect()),
+                "{policy:?}"
+            );
+            // a pending deletion inside the range leaves the read to the caller
+            let rowid = keys.iter().position(|&k| k == 50).unwrap() as RowId;
+            assert!(idx.delete(50, rowid));
+            out.clear();
+            let masked = AdaptiveIndex::read_range(&idx, 40, 70, &mut out);
+            assert!(!masked && out.is_empty(), "{policy:?}");
+            // with room for them, the count copies what a query answers
+            let mut answering = idx.clone();
+            let count = AdaptiveIndex::count_range(&mut idx, 40, 70, 64, &mut out);
+            assert_eq!(count, Some(30 + 3 - 1), "{policy:?}");
+            assert_eq!(out, answering.query_rowids(40, 70), "{policy:?}");
         }
     }
 
