@@ -1,10 +1,11 @@
 //! Criterion benchmark for the update path: queries beside a stream of
-//! insertions, on `UpdatableCrackedIndex` and on the routine it replaced.
+//! insertions, on `CrackedIndex` and on the routine it replaced.
 //!
 //! The replay is the `ingest_mixed` ledger workload stripped of everything
 //! but the index — a 250 000-key permutation, 1 020 batches of 64 staged
-//! insertions, four random 250-wide range queries after each batch — under
-//! each merge policy and two key distributions:
+//! insertions, four random 250-wide range queries after each batch, each
+//! merging the staged tuples inside its range — under two key
+//! distributions:
 //!
 //! * `ascending_above`: every inserted key is larger than every stored one
 //!   (what the ledger inserts). No piece lies above a merged tuple, so the
@@ -13,8 +14,8 @@
 //!   (no ledger workload has them). By the end some 4 000 pieces lie above
 //!   an average merged tuple, so the cost that shows is the ripple.
 //!
-//! `batched` is the library: ordered pending areas, one descending pass over
-//! the pieces above the smallest due key per query. `per_tuple` is what it
+//! `batched` is the library: an ordered pending area, one descending pass
+//! over the pieces above the smallest due key per query. `per_tuple` is what it
 //! replaced, kept here as the baseline: pending tuples in a `Vec` walked
 //! twice per query, and one ripple per merged tuple that copies every cut
 //! out of the cracker index, filters, sorts, and inserts each downstream
@@ -26,8 +27,7 @@
 use aidx_columnstore::types::{Key, RowId};
 use aidx_cracking::crack::{crack_in_two, PivotSide};
 use aidx_cracking::index::BTreeCutIndex;
-use aidx_cracking::updates::{MergePolicy, UpdatableCrackedIndex};
-use aidx_cracking::CrackerColumn;
+use aidx_cracking::{CrackedIndex, CrackerColumn};
 use aidx_workloads::data::{generate_keys, DataDistribution};
 use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion};
 use std::time::{Duration, Instant};
@@ -37,15 +37,6 @@ const BATCHES: usize = 1_020;
 const BATCH_ROWS: usize = 64;
 const QUERIES_PER_BATCH: usize = 4;
 const QUERY_WIDTH: Key = 250;
-
-const POLICIES: [(&str, MergePolicy); 3] = [
-    ("merge_completely", MergePolicy::MergeCompletely),
-    (
-        "merge_gradually_128",
-        MergePolicy::MergeGradually { batch: 128 },
-    ),
-    ("merge_ripple", MergePolicy::MergeRipple),
-];
 
 #[derive(Clone, Copy)]
 enum InsertedKeys {
@@ -72,12 +63,12 @@ trait Subject {
     fn query(&mut self, low: Key, high: Key) -> usize;
 }
 
-impl Subject for UpdatableCrackedIndex {
+impl Subject for CrackedIndex {
     fn stage(&mut self, key: Key) {
         self.insert(key);
     }
     fn query(&mut self, low: Key, high: Key) -> usize {
-        self.query_rowids(low, high).len()
+        self.query_range(low, high).rowids().to_vec().len()
     }
 }
 
@@ -87,19 +78,17 @@ struct PerTupleIndex {
     cuts: BTreeCutIndex,
     min: Key,
     max: Key,
-    policy: MergePolicy,
     pending: Vec<(Key, RowId)>,
     next_rowid: RowId,
 }
 
 impl PerTupleIndex {
-    fn new(keys: &[Key], policy: MergePolicy) -> Self {
+    fn new(keys: &[Key]) -> Self {
         PerTupleIndex {
             column: CrackerColumn::from_keys(keys),
             cuts: BTreeCutIndex::new(),
             min: keys.iter().copied().min().unwrap_or(0),
             max: keys.iter().copied().max().unwrap_or(0),
-            policy,
             pending: Vec::new(),
             next_rowid: keys.len() as RowId,
         }
@@ -149,22 +138,11 @@ impl PerTupleIndex {
     }
 
     fn merge_for_query(&mut self, low: Key, high: Key) {
-        let budget = match self.policy {
-            MergePolicy::MergeCompletely => {
-                for (key, rowid) in std::mem::take(&mut self.pending) {
-                    self.ripple_insert(key, rowid);
-                }
-                return;
-            }
-            MergePolicy::MergeGradually { batch } => batch,
-            MergePolicy::MergeRipple => usize::MAX,
-        };
-        let (mut merged, mut i) = (0, 0);
-        while i < self.pending.len() && merged < budget {
+        let mut i = 0;
+        while i < self.pending.len() {
             if (low..high).contains(&self.pending[i].0) {
                 let (key, rowid) = self.pending.swap_remove(i);
                 self.ripple_insert(key, rowid);
-                merged += 1;
             } else {
                 i += 1;
             }
@@ -241,31 +219,26 @@ fn bench_update_merge(c: &mut Criterion) {
     ] {
         let mut group = c.benchmark_group(group_name);
         group.sample_size(3);
-        for (policy_name, policy) in POLICIES {
-            let batched = || UpdatableCrackedIndex::from_keys(&keys, policy);
-            let per_tuple = || PerTupleIndex::new(&keys, policy);
-            group.bench_function(BenchmarkId::new("batched", policy_name), |b| {
-                b.iter_batched(
-                    batched,
-                    |mut s| replay(&mut s, inserted),
-                    BatchSize::LargeInput,
-                )
-            });
-            group.bench_function(BenchmarkId::new("per_tuple", policy_name), |b| {
-                b.iter_batched(
-                    per_tuple,
-                    |mut s| replay(&mut s, inserted),
-                    BatchSize::LargeInput,
-                )
-            });
-            let label = |name: &str| format!("{group_name}/{name}/{policy_name}");
-            let new = report(&label("batched"), &mut batched(), inserted);
-            let old = report(&label("per_tuple"), &mut per_tuple(), inserted);
-            assert_eq!(
-                new, old,
-                "{group_name}/{policy_name}: the two paths disagree"
-            );
-        }
+        let batched = || CrackedIndex::from_keys(&keys);
+        let per_tuple = || PerTupleIndex::new(&keys);
+        group.bench_function(BenchmarkId::new("batched", "merge_ripple"), |b| {
+            b.iter_batched(
+                batched,
+                |mut s| replay(&mut s, inserted),
+                BatchSize::LargeInput,
+            )
+        });
+        group.bench_function(BenchmarkId::new("per_tuple", "merge_ripple"), |b| {
+            b.iter_batched(
+                per_tuple,
+                |mut s| replay(&mut s, inserted),
+                BatchSize::LargeInput,
+            )
+        });
+        let label = |name: &str| format!("{group_name}/{name}/merge_ripple");
+        let new = report(&label("batched"), &mut batched(), inserted);
+        let old = report(&label("per_tuple"), &mut per_tuple(), inserted);
+        assert_eq!(new, old, "{group_name}: the two paths disagree");
         group.finish();
     }
 }

@@ -24,7 +24,6 @@ use aidx_columnstore::error::ColumnStoreError;
 use aidx_columnstore::segment::DEFAULT_SEGMENT_CAPACITY;
 use aidx_columnstore::table::Table;
 use aidx_columnstore::types::RowId;
-use aidx_cracking::updates::MergePolicy;
 use aidx_maintenance::{MaintenanceConfig, MaintenanceStatsSnapshot};
 use aidx_telemetry::{AlertConfig, AlertEvent, AlertStatus, QueryTrace, Registry, SnapshotDelta};
 use aidx_wal::{DurabilityConfig, WalRecord, WalStatsSnapshot, WalTelemetry};
@@ -70,8 +69,8 @@ impl DbInner {
 ///
 /// Besides the indexing strategy, the builder exposes the storage and
 /// index-construction knobs: the segment capacity (rows per sealed chunk of
-/// every table registered with the database), the updatable-cracking merge
-/// policy, and the hybrid partition sizing. Invalid settings surface as
+/// every table registered with the database) and the hybrid partition
+/// sizing. Invalid settings surface as
 /// [`AidxError::Config`] from [`DatabaseBuilder::try_build`].
 ///
 /// ```
@@ -181,13 +180,6 @@ impl DatabaseBuilder {
     /// chunks mean less per-chunk bookkeeping on scans.
     pub fn segment_capacity(mut self, rows_per_chunk: usize) -> Self {
         self.segment_capacity = rows_per_chunk;
-        self
-    }
-
-    /// How updatable-cracking indexes merge pending inserts during queries
-    /// (defaults to [`MergePolicy::MergeRipple`]).
-    pub fn merge_policy(mut self, policy: MergePolicy) -> Self {
-        self.tuning.merge_policy = policy;
         self
     }
 
@@ -311,12 +303,6 @@ impl DatabaseBuilder {
             return Err(AidxError::config(
                 "hybrid_radix_bits",
                 "must be between 1 and 16",
-            ));
-        }
-        if let MergePolicy::MergeGradually { batch: 0 } = self.tuning.merge_policy {
-            return Err(AidxError::config(
-                "merge_policy",
-                "MergeGradually batch must be at least 1",
             ));
         }
         if let StrategyKind::AdaptiveMerging { run_size: 0 } = self.default_strategy {
@@ -664,8 +650,8 @@ impl Database {
         self.inner.manager.parallelism()
     }
 
-    /// The index-construction tuning (merge policy, hybrid sizing) applied
-    /// to lazily built indexes.
+    /// The index-construction tuning (hybrid sizing) applied to lazily built
+    /// indexes.
     pub fn strategy_tuning(&self) -> &StrategyTuning {
         self.inner.manager.tuning()
     }
@@ -1057,17 +1043,12 @@ mod tests {
         let err = Database::builder().hybrid_radix_bits(17).try_build();
         assert!(matches!(err, Err(AidxError::Config { .. })));
         let err = Database::builder()
-            .merge_policy(MergePolicy::MergeGradually { batch: 0 })
-            .try_build();
-        assert!(matches!(err, Err(AidxError::Config { .. })));
-        let err = Database::builder()
             .default_strategy(StrategyKind::AdaptiveMerging { run_size: 0 })
             .try_build();
         assert!(matches!(err, Err(AidxError::Config { .. })));
         assert!(Database::builder()
             .segment_capacity(1)
             .hybrid_radix_bits(16)
-            .merge_policy(MergePolicy::MergeCompletely)
             .try_build()
             .is_ok());
     }
@@ -1082,17 +1063,12 @@ mod tests {
     fn builder_exposes_storage_and_tuning_knobs() {
         let db = Database::builder()
             .segment_capacity(128)
-            .merge_policy(MergePolicy::MergeGradually { batch: 7 })
             .hybrid_partition_size(1 << 10)
             .hybrid_radix_bits(8)
             .try_build()
             .unwrap();
         assert_eq!(db.segment_capacity(), 128);
         let tuning = db.strategy_tuning();
-        assert_eq!(
-            tuning.merge_policy,
-            MergePolicy::MergeGradually { batch: 7 }
-        );
         assert_eq!(tuning.hybrid_partition_size, 1 << 10);
         assert_eq!(tuning.hybrid_radix_bits, 8);
         // registered tables are re-chunked to the configured capacity

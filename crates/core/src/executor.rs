@@ -41,14 +41,14 @@
 //! read, and `row_count()` never does. When nothing reads the driver's row
 //! ids while the query runs — its one predicate is a `Range` or `Point`, and
 //! no aggregate but `COUNT` folds them — the drive step only counts: an
-//! index that counts from its cuts (cracking, updatable cracking) copies
-//! nothing, and the result holds the answer as a view — the count, the
-//! bounds, the snapshot's epoch and a weak handle on the column's index
-//! entry — until its first ordered read copies the row ids from between the
-//! cuts. A converged single-predicate count therefore costs two cut
-//! lookups. An answer of fewer than 4 096 ids (`EAGER_COPY_BELOW`) is
-//! copied by the probe at once, as is every answer of another strategy or
-//! another query shape.
+//! index that counts from its cuts (cracking) copies nothing, and the
+//! result holds the answer as a view — the count, the bounds, the
+//! snapshot's epoch and a weak handle on the column's index entry — until
+//! its first ordered read copies the row ids from between the cuts. A
+//! converged single-predicate count therefore costs two cut lookups. An
+//! answer of fewer than 4 096 ids (`EAGER_COPY_BELOW`) is copied by the
+//! probe at once, as is every answer of another strategy or another query
+//! shape.
 //!
 //! The engine operates on a point-in-time snapshot (`Arc<Table>`) taken by
 //! the session, so concurrent writers never invalidate a running query.

@@ -125,7 +125,6 @@ pub mod prelude {
     pub use crate::telemetry::TelemetrySnapshot;
     pub use crate::tuner::{AutoTuner, TuningPolicy};
     pub use aidx_columnstore::prelude::*;
-    pub use aidx_cracking::updates::MergePolicy;
     pub use aidx_maintenance::{MaintenanceConfig, MaintenanceStatsSnapshot};
     pub use aidx_parallel::ThreadPool;
     pub use aidx_telemetry::{

@@ -371,8 +371,8 @@ impl IndexManager {
         IndexManager::with_tuning(default_strategy, StrategyTuning::default())
     }
 
-    /// Create a manager with explicit construction tuning (merge policy,
-    /// hybrid sizing) for the indexes it builds lazily.
+    /// Create a manager with explicit construction tuning (hybrid sizing)
+    /// for the indexes it builds lazily.
     pub fn with_tuning(default_strategy: StrategyKind, tuning: StrategyTuning) -> Self {
         IndexManager::with_tuning_and_pool(
             default_strategy,
@@ -1136,18 +1136,18 @@ mod tests {
 
     #[test]
     fn stale_index_is_rebuilt_when_the_snapshot_grows() {
-        let manager = IndexManager::new(StrategyKind::Cracking);
+        let manager = IndexManager::new(StrategyKind::FullSort);
         let mut data = keys(1000);
         let column = ColumnId::new("t", "a");
         let out = manager.query_range(&column, &data, 0, 10);
         assert_eq!(out.count(), 10);
-        // the base column grows; the plain cracking index cannot absorb it
+        // the base column grows; the full index cannot absorb it
         data.push(5);
         let out = manager.query_range(&column, &data, 0, 10);
         assert_eq!(out.count(), 11, "rebuilt from the newer snapshot");
         let info = manager.describe();
         assert_eq!(info[0].tuples, 1001);
-        assert_eq!(info[0].strategy, "cracking", "rebuild keeps the kind");
+        assert_eq!(info[0].strategy, "full-sort", "rebuild keeps the kind");
     }
 
     #[test]
@@ -1190,7 +1190,7 @@ mod tests {
         assert!(!manager.insert_at(&column, 5, 100, 0), "no index yet");
         let _ = manager.query_range(&column, &data, 0, 10);
         assert!(manager.insert_at(&column, 5, 100, 0));
-        let plain = IndexManager::new(StrategyKind::Cracking);
+        let plain = IndexManager::new(StrategyKind::FullSort);
         let _ = plain.query_range(&column, &data, 0, 10);
         assert!(!plain.insert_at(&column, 5, 100, 0));
     }

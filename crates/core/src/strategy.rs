@@ -13,7 +13,6 @@ use aidx_columnstore::types::Key;
 use aidx_cracking::partial::PartialCrackedIndex;
 use aidx_cracking::selection::CrackedIndex;
 use aidx_cracking::stochastic::{StochasticCrackedIndex, StochasticVariant};
-use aidx_cracking::updates::{MergePolicy, UpdatableCrackedIndex};
 use aidx_hybrids::HybridIndex;
 use aidx_merging::AdaptiveMergeIndex;
 use serde::{Deserialize, Serialize};
@@ -29,11 +28,13 @@ pub enum StrategyKind {
     FullScan,
     /// Offline full index: sort everything up front.
     FullSort,
-    /// Database cracking (selection cracking).
+    /// Database cracking (selection cracking), absorbing inserts by
+    /// merge-ripple.
     Cracking,
     /// Stochastic cracking (DDC auxiliary cracks).
     StochasticCracking,
-    /// Database cracking with adaptive update support (merge-ripple).
+    /// The same index as [`StrategyKind::Cracking`], under its own label:
+    /// an alias kept for callers that still name it.
     UpdatableCracking,
     /// Partial cracking under a storage budget (bytes).
     PartialCracking {
@@ -61,14 +62,11 @@ pub enum StrategyKind {
 ///
 /// The [`StrategyKind`] enum names *which* technique to use; this struct
 /// carries the parameters that used to be hardcoded at the build site — the
-/// updatable-cracking merge policy and the hybrid partition sizing — so the
-/// facade ([`crate::DatabaseBuilder`]) can expose them. Parameters that are
-/// part of a kind's identity (e.g. the adaptive-merging run size) stay on
-/// the kind.
+/// hybrid partition sizing — so the facade ([`crate::DatabaseBuilder`]) can
+/// expose them. Parameters that are part of a kind's identity (e.g. the
+/// adaptive-merging run size) stay on the kind.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct StrategyTuning {
-    /// How updatable cracking merges pending inserts during queries.
-    pub merge_policy: MergePolicy,
     /// Tuples per initial partition for the hybrid crack/sort/radix
     /// algorithms.
     pub hybrid_partition_size: usize,
@@ -79,7 +77,6 @@ pub struct StrategyTuning {
 impl Default for StrategyTuning {
     fn default() -> Self {
         StrategyTuning {
-            merge_policy: MergePolicy::MergeRipple,
             hybrid_partition_size: 1 << 14,
             hybrid_radix_bits: 6,
         }
@@ -136,11 +133,12 @@ impl StrategyKind {
     /// part of the kind itself, for the query `first_query` that found the
     /// column unindexed, if one did.
     ///
-    /// [`StrategyKind::Cracking`] and [`StrategyKind::UpdatableCracking`]
-    /// crack on that query's `[low, high)` while they copy (see
-    /// [`CrackedIndex::from_chunks`]); the caller still asks the query
-    /// afterwards, and it finds its piece in place. Every other kind builds
-    /// the index it always builds and `first_query` changes nothing.
+    /// [`StrategyKind::Cracking`] (and its alias
+    /// [`StrategyKind::UpdatableCracking`]) cracks on that query's
+    /// `[low, high)` while it copies (see [`CrackedIndex::from_chunks`]); the
+    /// caller still asks the query afterwards, and it finds its piece in
+    /// place. Every other kind builds the index it always builds and
+    /// `first_query` changes nothing.
     pub fn build_from(
         &self,
         chunks: &[&[Key]],
@@ -150,17 +148,14 @@ impl StrategyKind {
         match *self {
             StrategyKind::FullScan => Box::new(FullScanIndex::from_chunks(chunks)),
             StrategyKind::FullSort => Box::new(FullSortIndex::from_chunks(chunks)),
-            StrategyKind::Cracking => Box::new(CrackedIndex::from_chunks(chunks, first_query)),
+            StrategyKind::Cracking | StrategyKind::UpdatableCracking => {
+                Box::new(CrackedIndex::from_chunks(chunks, first_query))
+            }
             StrategyKind::StochasticCracking => Box::new(StochasticCrackedIndex::from_chunks(
                 chunks,
                 StochasticVariant::DataDrivenCenter,
                 1 << 12,
                 0xA1D0,
-            )),
-            StrategyKind::UpdatableCracking => Box::new(UpdatableCrackedIndex::from_chunks(
-                chunks,
-                first_query,
-                tuning.merge_policy,
             )),
             StrategyKind::PartialCracking { budget_bytes } => {
                 Box::new(PartialCrackedIndex::from_chunks(chunks, budget_bytes))
@@ -312,22 +307,36 @@ mod tests {
     #[test]
     fn insert_supported_only_by_updatable_strategies() {
         let keys = test_keys(100);
-        let mut updatable = StrategyKind::UpdatableCracking.build(&keys);
-        let before = updatable.auxiliary_bytes();
-        assert!(updatable.insert(42));
-        assert_eq!(updatable.len(), 101);
-        assert!(updatable.insert_batch(&[7, 7, -1]));
-        assert_eq!(updatable.len(), 104);
-        // staged tuples are auxiliary memory before the merge as after it
-        let staged = std::mem::size_of::<(Key, RowId)>();
-        assert_eq!(updatable.auxiliary_bytes(), before + 4 * staged);
-        assert_eq!(updatable.query_range(Key::MIN, Key::MAX).count(), 104);
-        let merged = std::mem::size_of::<Key>() + std::mem::size_of::<RowId>();
-        assert_eq!(updatable.auxiliary_bytes(), before + 4 * merged);
-        let mut plain = StrategyKind::Cracking.build(&keys);
-        assert!(!plain.insert(42));
-        assert!(!plain.insert_batch(&[42]));
-        assert_eq!(plain.len(), 100);
+        for kind in StrategyKind::all_defaults() {
+            let mut index = kind.build(&keys);
+            let absorbs = matches!(
+                kind,
+                StrategyKind::Cracking
+                    | StrategyKind::UpdatableCracking
+                    | StrategyKind::StochasticCracking
+            );
+            assert_eq!(index.insert(42), absorbs, "{}", kind.label());
+            if !absorbs {
+                assert!(!index.insert_batch(&[42]), "{}", kind.label());
+                assert_eq!(index.len(), 100, "{}", kind.label());
+                continue;
+            }
+            let before = index.auxiliary_bytes();
+            assert_eq!(index.len(), 101);
+            assert!(index.insert_batch(&[7, 7, -1]));
+            assert_eq!(index.len(), 104);
+            // staged tuples are auxiliary memory before the merge as after it
+            let staged = std::mem::size_of::<(Key, RowId)>();
+            assert_eq!(index.auxiliary_bytes(), before + 3 * staged);
+            assert_eq!(index.query_range(Key::MIN, Key::MAX).count(), 104);
+            let merged = std::mem::size_of::<Key>() + std::mem::size_of::<RowId>();
+            assert_eq!(
+                index.auxiliary_bytes(),
+                before + 4 * merged - staged,
+                "{}",
+                kind.label()
+            );
+        }
     }
 
     #[test]
@@ -363,34 +372,24 @@ mod tests {
     fn build_with_honors_tuning() {
         let keys = test_keys(2000);
         let tuning = StrategyTuning {
-            merge_policy: MergePolicy::MergeCompletely,
             hybrid_partition_size: 256,
             hybrid_radix_bits: 4,
         };
         // tuned builds answer exactly like default builds
-        for kind in [
-            StrategyKind::UpdatableCracking,
-            StrategyKind::Hybrid {
-                algorithm: HybridKind::CrackRadix,
-            },
-        ] {
-            let mut tuned = kind.build_from(&[&keys], None, &tuning);
-            let mut default = kind.build(&keys);
-            for q in 0..20 {
-                let low = (q * 97) % 1800;
-                assert_eq!(
-                    tuned.query_range(low, low + 100).count(),
-                    default.query_range(low, low + 100).count(),
-                    "{} query {q}",
-                    kind.label()
-                );
-            }
+        let kind = StrategyKind::Hybrid {
+            algorithm: HybridKind::CrackRadix,
+        };
+        let mut tuned = kind.build_from(&[&keys], None, &tuning);
+        let mut default = kind.build(&keys);
+        for q in 0..20 {
+            let low = (q * 97) % 1800;
+            assert_eq!(
+                tuned.query_range(low, low + 100).count(),
+                default.query_range(low, low + 100).count(),
+                "query {q}"
+            );
         }
         assert_eq!(StrategyTuning::default().hybrid_radix_bits, 6);
-        assert_eq!(
-            StrategyTuning::default().merge_policy,
-            MergePolicy::MergeRipple
-        );
     }
 
     #[test]

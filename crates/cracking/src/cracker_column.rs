@@ -59,7 +59,7 @@ impl CrackerColumn {
         (column, placed)
     }
 
-    /// Build directly from parallel vectors (used by updates and hybrids).
+    /// Build directly from parallel vectors (used by partial cracking).
     ///
     /// # Panics
     /// Panics if the vectors have different lengths.
@@ -117,7 +117,7 @@ impl CrackerColumn {
         self.rowids[position]
     }
 
-    /// Append one pair at the end (used by the update merge paths).
+    /// Append one pair at the end (used by the insert merge).
     pub fn push(&mut self, value: Key, rowid: RowId) {
         self.values.push(value);
         self.rowids.push(rowid);

@@ -1,6 +1,5 @@
 //! The cracker index, backed by `std::collections::BTreeMap`.
 
-use super::VisitOrder;
 use aidx_columnstore::types::Key;
 use std::collections::BTreeMap;
 use std::ops::Bound;
@@ -50,11 +49,6 @@ impl BTreeCutIndex {
             .map(|(&k, &p)| (k, p))
     }
 
-    /// The smallest cut with `cut.key > key`, if any.
-    pub fn successor(&self, key: Key) -> Option<(Key, usize)> {
-        self.ceiling(key.checked_add(1)?)
-    }
-
     /// Remove the cut at exactly `key`, returning its position.
     pub fn remove(&mut self, key: Key) -> Option<usize> {
         self.cuts.remove(&key)
@@ -91,24 +85,16 @@ impl BTreeCutIndex {
         }
     }
 
-    /// Call `visit` on every cut whose key is `> key`, in `order`, with the
-    /// position open to change. The update paths move the boundaries of the
-    /// pieces above a merged tuple this way, in one walk of the part of the
-    /// index that holds them; positions must stay non-decreasing in key
-    /// order once the walk is over.
-    pub fn visit_above<F: FnMut(Key, &mut usize)>(
-        &mut self,
-        key: Key,
-        order: VisitOrder,
-        mut visit: F,
-    ) {
-        let above = self
-            .cuts
-            .range_mut((Bound::Excluded(key), Bound::Unbounded));
-        match order {
-            VisitOrder::Ascending => above.for_each(|(&k, position)| visit(k, position)),
-            VisitOrder::Descending => above.rev().for_each(|(&k, position)| visit(k, position)),
-        }
+    /// Call `visit` on every cut whose key is `> key`, highest key first,
+    /// with the position open to change. The insert merge moves the
+    /// boundaries of the pieces above the merged tuples this way, in one
+    /// walk of the part of the index that holds them; positions must stay
+    /// non-decreasing in key order once the walk is over.
+    pub fn visit_above<F: FnMut(Key, &mut usize)>(&mut self, key: Key, mut visit: F) {
+        self.cuts
+            .range_mut((Bound::Excluded(key), Bound::Unbounded))
+            .rev()
+            .for_each(|(&k, position)| visit(k, position));
     }
 
     /// Number of pieces the cuts induce over a column of `len` values

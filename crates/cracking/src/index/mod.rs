@@ -13,15 +13,6 @@ pub mod btree;
 
 pub use btree::BTreeCutIndex;
 
-/// The order in which [`BTreeCutIndex::visit_above`] hands out cuts.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum VisitOrder {
-    /// Lowest key first.
-    Ascending,
-    /// Highest key first.
-    Descending,
-}
-
 /// The contract of the cut index, and a cross-check against an independent
 /// model.
 #[cfg(test)]
@@ -86,9 +77,6 @@ mod trait_tests {
         assert_eq!(idx.ceiling(31), None);
         assert_eq!(idx.ceiling(-5), Some((5, 1)));
 
-        assert_eq!(idx.successor(20), Some((30, 9)));
-        assert_eq!(idx.successor(30), None);
-
         assert_eq!(idx.cuts(), vec![(5, 1), (10, 3), (20, 7), (30, 9)]);
         assert!(idx.check_consistency(12));
 
@@ -106,30 +94,29 @@ mod trait_tests {
         assert_eq!(idx.exact(5), Some(0));
         assert_eq!(idx.exact(10), Some(3));
 
-        // ranged visit: cuts are (5, 0), (10, 3), (20, 8), (30, 10)
-        let visited = |idx: &mut BTreeCutIndex, key: Key, order: VisitOrder| {
+        // ranged visit, highest first: cuts are (5, 0), (10, 3), (20, 8), (30, 10)
+        let visited = |idx: &mut BTreeCutIndex, key: Key| {
             let mut seen = Vec::new();
-            idx.visit_above(key, order, |k, position| seen.push((k, *position)));
+            idx.visit_above(key, |k, position| seen.push((k, *position)));
             seen
         };
         let all = vec![(5, 0), (10, 3), (20, 8), (30, 10)];
         let reversed: Vec<_> = all.iter().rev().copied().collect();
         // below all
-        assert_eq!(visited(&mut idx, Key::MIN, VisitOrder::Ascending), all);
-        assert_eq!(visited(&mut idx, 4, VisitOrder::Descending), reversed);
+        assert_eq!(visited(&mut idx, Key::MIN), reversed);
+        assert_eq!(visited(&mut idx, 4), reversed);
         // between two cuts, and equal to one (strictly above either way)
-        assert_eq!(visited(&mut idx, 7, VisitOrder::Ascending), all[1..]);
-        assert_eq!(visited(&mut idx, 10, VisitOrder::Ascending), all[2..]);
-        assert_eq!(visited(&mut idx, 10, VisitOrder::Descending), reversed[..2]);
+        assert_eq!(visited(&mut idx, 7), reversed[..3]);
+        assert_eq!(visited(&mut idx, 10), reversed[..2]);
         // at or above the highest
-        assert_eq!(visited(&mut idx, 30, VisitOrder::Descending), vec![]);
-        assert_eq!(visited(&mut idx, Key::MAX, VisitOrder::Ascending), vec![]);
+        assert_eq!(visited(&mut idx, 30), vec![]);
+        assert_eq!(visited(&mut idx, Key::MAX), vec![]);
         // positions edited in the callback stick, and only those visited
-        idx.visit_above(10, VisitOrder::Descending, |_, position| *position += 5);
-        idx.visit_above(5, VisitOrder::Ascending, |_, position| *position -= 1);
+        idx.visit_above(10, |_, position| *position += 5);
+        idx.visit_above(5, |_, position| *position -= 1);
         assert_eq!(idx.cuts(), vec![(5, 0), (10, 2), (20, 12), (30, 14)]);
-        idx.visit_above(5, VisitOrder::Ascending, |_, position| *position += 1);
-        idx.visit_above(10, VisitOrder::Descending, |_, position| *position -= 5);
+        idx.visit_above(5, |_, position| *position += 1);
+        idx.visit_above(10, |_, position| *position -= 5);
         assert_eq!(idx.cuts(), all);
 
         // remove
@@ -169,22 +156,14 @@ mod trait_tests {
                     assert_eq!(a.remove(key), b.remove(key));
                 }
                 3 => {
-                    let order = if next() % 2 == 0 {
-                        VisitOrder::Ascending
-                    } else {
-                        VisitOrder::Descending
-                    };
                     let delta = (next() % 7) as usize;
                     // the model says which cuts lie above `key`, and moves them
                     let above = |&&(k, _): &&(Key, usize)| k > key;
-                    let mut expected: Vec<(Key, usize)> =
-                        b.0.iter().filter(above).copied().collect();
-                    if order == VisitOrder::Descending {
-                        expected.reverse();
-                    }
+                    let expected: Vec<(Key, usize)> =
+                        b.0.iter().rev().filter(above).copied().collect();
                     (b.0.iter_mut().filter(|(k, _)| *k > key)).for_each(|(_, p)| *p += delta);
                     let mut seen = Vec::new();
-                    a.visit_above(key, order, |k, position| {
+                    a.visit_above(key, |k, position| {
                         seen.push((k, *position));
                         *position += delta;
                     });

@@ -23,21 +23,21 @@
 //! * [`index`] — the cracker index: the catalog of piece boundaries, on a
 //!   `BTreeMap`.
 //! * [`selection`] — [`selection::CrackedIndex`], the selection-cracking
-//!   adaptive index: answers range queries and cracks as a side effect.
+//!   adaptive index: answers range queries and cracks as a side effect, and
+//!   absorbs insertions, staged and merged by the queries that need them
+//!   (merge-ripple).
 //! * [`stochastic`] — stochastic cracking (DDC / DDR / MDD1R style auxiliary
 //!   cracks) for robustness against adversarial (e.g. sequential) workloads.
-//! * [`updates`] — adaptive updates: pending insert/delete staging areas and
-//!   the merge-ripple / merge-gradually / merge-completely strategies.
 //! * [`partial`] — partial cracking under a storage budget.
 //! * [`sideways`] — sideways cracking: cracker maps, map sets and adaptive
 //!   alignment for multi-column queries and late tuple reconstruction.
 //! * [`stats`] — instrumentation shared by all of the above.
 //!
-//! The four indexes a kernel can hold — [`selection::CrackedIndex`],
-//! [`stochastic::StochasticCrackedIndex`],
-//! [`updates::UpdatableCrackedIndex`] and [`partial::PartialCrackedIndex`] —
-//! implement `aidx_columnstore::index::AdaptiveIndex` here, beside their own
-//! richer inherent interfaces.
+//! The three indexes a kernel can hold — [`selection::CrackedIndex`],
+//! [`stochastic::StochasticCrackedIndex`] and
+//! [`partial::PartialCrackedIndex`] — implement
+//! `aidx_columnstore::index::AdaptiveIndex` here, beside their own richer
+//! inherent interfaces.
 //!
 //! ## Quick example
 //!
@@ -67,7 +67,6 @@ pub mod selection;
 pub mod sideways;
 pub mod stats;
 pub mod stochastic;
-pub mod updates;
 
 pub use cracker_column::CrackerColumn;
 pub use selection::{CrackedIndex, RangeResult};

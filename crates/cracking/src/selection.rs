@@ -7,6 +7,19 @@
 //! contiguously. Queries over already-learned bounds degrade gracefully into
 //! pure index lookups with zero reorganization (the "overhead disappears when
 //! a range has been fully optimized" property the tutorial highlights).
+//!
+//! # Insertions
+//!
+//! Insertions follow the same adaptive philosophy (Idreos, Kersten,
+//! Manegold — SIGMOD 2007): [`CrackedIndex::insert`] only stages a tuple in
+//! a pending area ordered by `(key, row id)`, O(log pending). A query merges
+//! exactly the staged tuples inside its range before it cracks, with the
+//! *ripple*: one descending pass over the pieces above the smallest merged
+//! key, in which each piece moves at most as many tuples from its front to
+//! just past its end as tuples are merged below it, and has its cut moved
+//! in place — O(pieces above + merged) piece visits, not a shift of the
+//! column's tail. Tuples outside every queried range stay staged, and the
+//! answer stays one contiguous piece.
 
 use crate::crack::{crack_in_three, crack_in_two_counted, CrackTouch, PivotSide};
 use crate::cracker_column::CrackerColumn;
@@ -15,6 +28,7 @@ use crate::stats::CrackStats;
 use aidx_columnstore::index::{AdaptiveIndex, QueryOutput};
 use aidx_columnstore::ops::select::Predicate;
 use aidx_columnstore::types::{Key, RowId};
+use std::collections::BTreeSet;
 
 /// Description of one piece of the cracker column.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -80,14 +94,26 @@ impl<'a> RangeResult<'a> {
     }
 }
 
-/// A selection-cracking adaptive index over one key column.
+/// Staged insertions, in `(key, row id)` order.
+type PendingArea = BTreeSet<(Key, RowId)>;
+
+/// The tuples of `area` with a key in `[low, high)`, ascending; none for an
+/// empty or inverted range (which `BTreeSet::range` would panic on).
+fn pending_in(area: &PendingArea, low: Key, high: Key) -> impl Iterator<Item = &(Key, RowId)> {
+    area.range((low, RowId::MIN)..(high.max(low), RowId::MIN))
+}
+
+/// A selection-cracking adaptive index over one key column, absorbing
+/// insertions (see the module docs).
 #[derive(Debug, Clone, Default)]
 pub struct CrackedIndex {
     column: CrackerColumn,
     cuts: BTreeCutIndex,
     stats: CrackStats,
+    /// Cached over the cracker column, not the pending area.
     min_value: Key,
     max_value: Key,
+    pending: PendingArea,
 }
 
 impl CrackedIndex {
@@ -143,10 +169,11 @@ impl CrackedIndex {
             stats,
             min_value,
             max_value,
+            pending: PendingArea::new(),
         }
     }
 
-    /// Build from an existing cracker column (used by updates and hybrids).
+    /// Build from an existing cracker column (used by partial cracking).
     pub fn from_cracker_column(column: CrackerColumn) -> Self {
         let (min_value, max_value) = min_max(column.values());
         let mut stats = CrackStats::new();
@@ -157,37 +184,88 @@ impl CrackedIndex {
             stats,
             min_value,
             max_value,
+            pending: PendingArea::new(),
         }
     }
 
-    /// Number of indexed tuples.
+    /// Number of tuples, the staged insertions included.
     pub fn len(&self) -> usize {
-        self.column.len()
+        self.column.len() + self.pending.len()
     }
 
-    /// True when the index holds no tuples.
+    /// True when the index holds no tuples, staged or merged.
     pub fn is_empty(&self) -> bool {
-        self.column.is_empty()
+        self.len() == 0
     }
 
-    /// The underlying cracker column.
+    /// The underlying cracker column (merged tuples only).
     pub fn column(&self) -> &CrackerColumn {
         &self.column
     }
 
-    /// Mutable access to the cracker column *and* cut index together — used
-    /// by the update strategies in [`crate::updates`], which must keep the
-    /// two consistent.
-    pub(crate) fn parts_mut(
-        &mut self,
-    ) -> (&mut CrackerColumn, &mut BTreeCutIndex, &mut CrackStats) {
-        (&mut self.column, &mut self.cuts, &mut self.stats)
+    /// Number of insertions staged and not merged yet.
+    pub fn pending_count(&self) -> usize {
+        self.pending.len()
     }
 
-    /// Widen the cached min/max over `lowest..=highest`, the extremes of a
-    /// batch an update just merged into the cracker column (`was_empty`:
-    /// the column held nothing before it) — O(1), so a merge never rescans.
-    pub(crate) fn widen_min_max(&mut self, lowest: Key, highest: Key, was_empty: bool) {
+    /// Stage an insertion of `key`; returns the row id assigned to it, which
+    /// continues the row ids the index holds (the base column's `0..n`).
+    pub fn insert(&mut self, key: Key) -> RowId {
+        let rowid = self.len() as RowId;
+        self.pending.insert((key, rowid));
+        rowid
+    }
+
+    /// Merge the staged tuples of `[low, high)` into the cracker column.
+    fn merge_pending(&mut self, low: Key, high: Key) {
+        let due: Vec<(Key, RowId)> = pending_in(&self.pending, low, high).copied().collect();
+        for tuple in &due {
+            self.pending.remove(tuple);
+        }
+        self.merge_inserts(&due);
+    }
+
+    /// Merge `due` — tuples ascending by key — into the cracker column with
+    /// one ripple: append a slot per tuple, then walk the pieces above the
+    /// smallest due key from the top down. A piece that `below` due tuples
+    /// sit under has to start `below` slots later, so it moves that many
+    /// tuples (all of them, if it is shorter) from its front to just past
+    /// its end — free, because everything above has moved already — and the
+    /// due tuples that belong to it are written behind them.
+    fn merge_inserts(&mut self, due: &[(Key, RowId)]) {
+        let (Some(&(lowest, _)), Some(&(highest, _))) = (due.first(), due.last()) else {
+            return;
+        };
+        let was_empty = self.column.is_empty();
+        // the end, before the merge, of the piece being placed
+        let mut end = self.column.len();
+        for &(key, rowid) in due {
+            self.column.push(key, rowid);
+        }
+        let (values, rowids) = self.column.pair_slices_mut();
+        let place =
+            |values: &mut [Key], rowids: &mut [RowId], at: usize, tuples: &[(Key, RowId)]| {
+                for (slot, &(key, rowid)) in tuples.iter().enumerate() {
+                    values[at + slot] = key;
+                    rowids[at + slot] = rowid;
+                }
+            };
+        // `due[..unplaced]` sit below the upper bound of that piece
+        let mut unplaced = due.len();
+        self.cuts.visit_above(lowest, |cut_key, position| {
+            let begin = *position;
+            let below = due[..unplaced].partition_point(|&(key, _)| key < cut_key);
+            let moved = below.min(end - begin);
+            values.copy_within(begin..begin + moved, end + below - moved);
+            rowids.copy_within(begin..begin + moved, end + below - moved);
+            place(values, rowids, end + below, &due[below..unplaced]);
+            *position = begin + below;
+            end = begin;
+            unplaced = below;
+        });
+        place(values, rowids, end, &due[..unplaced]);
+        self.stats.record_merge(due.len());
+        // O(1): a merge never rescans for the column's extremes
         if was_empty {
             (self.min_value, self.max_value) = (lowest, highest);
         } else {
@@ -196,35 +274,12 @@ impl CrackedIndex {
         }
     }
 
-    /// Where the tuple `(key, rowid)` sits in the cracker column, if it is
-    /// there: a scan of the one piece `key` falls into.
-    pub(crate) fn position_of(&self, key: Key, rowid: RowId) -> Option<usize> {
-        let begin = self.cuts.floor(key).map_or(0, |(_, p)| p);
-        let end = self
-            .cuts
-            .successor(key)
-            .map_or(self.column.len(), |(_, p)| p);
-        let values = self.column.values_in(begin, end);
-        let rowids = &self.column.rowids()[begin..end];
-        (values.iter().zip(rowids))
-            .position(|(&v, &r)| v == key && r == rowid)
-            .map(|offset| begin + offset)
-    }
-
-    /// Recompute the cached min/max after `key` left the cracker column: a
-    /// rescan, but only when the key was one of the extremes.
-    pub(crate) fn narrow_min_max(&mut self, key: Key) {
-        if key == self.min_value || key == self.max_value {
-            (self.min_value, self.max_value) = min_max(self.column.values());
-        }
-    }
-
-    /// Smallest indexed key (undefined for an empty index).
+    /// Smallest merged key (undefined for an empty cracker column).
     pub fn min_value(&self) -> Key {
         self.min_value
     }
 
-    /// Largest indexed key (undefined for an empty index).
+    /// Largest merged key (undefined for an empty cracker column).
     pub fn max_value(&self) -> Key {
         self.max_value
     }
@@ -303,11 +358,12 @@ impl CrackedIndex {
         split
     }
 
-    /// Answer the half-open range query `[low, high)` adaptively: crack the
-    /// touched pieces, record the new cuts, and return the (now contiguous)
-    /// qualifying tuples.
+    /// Answer the half-open range query `[low, high)` adaptively: merge the
+    /// staged tuples inside it, crack the touched pieces, record the new
+    /// cuts, and return the (now contiguous) qualifying tuples.
     pub fn query_range(&mut self, low: Key, high: Key) -> RangeResult<'_> {
         self.stats.record_query();
+        self.merge_pending(low, high);
         let len = self.column.len();
         if len == 0 || low >= high {
             return self.result(0, 0);
@@ -363,13 +419,14 @@ impl CrackedIndex {
         self.cuts.exact(key)
     }
 
-    /// The positions `[begin, end)` holding the answer of `[low, high)` when
-    /// the column already holds it in place — both bounds need no crack —
-    /// found without cracking or recording anything. After
-    /// [`Self::query_range`] on the same bounds this is always `Some`, and
-    /// later queries keep it so: a crack adds cuts but never moves a tuple
-    /// across one. (A merged insertion that widens the value domain may
-    /// turn a short-circuited bound into one that needs a crack.)
+    /// The positions `[begin, end)` holding the merged part of the answer
+    /// of `[low, high)` when the column already holds it in place — both
+    /// bounds need no crack — found without cracking or recording anything.
+    /// After [`Self::query_range`] on the same bounds this is always `Some`,
+    /// and later queries keep it so: a crack adds cuts but never moves a
+    /// tuple across one, and a merge moves cuts with the tuples. (A merged
+    /// insertion that widens the value domain may turn a short-circuited
+    /// bound into one that needs a crack.)
     pub(crate) fn cut_bounds(&self, low: Key, high: Key) -> Option<(usize, usize)> {
         if low >= high {
             return Some((0, 0));
@@ -451,7 +508,7 @@ pub(crate) const CONVERGED_PIECE_LEN: usize = 1 << 10;
 
 impl AdaptiveIndex for CrackedIndex {
     fn len(&self) -> usize {
-        self.column.len()
+        CrackedIndex::len(self)
     }
     fn query_range(&mut self, low: Key, high: Key) -> QueryOutput {
         QueryOutput::from_row_ids(CrackedIndex::query_range(self, low, high).rowids().to_vec())
@@ -469,18 +526,21 @@ impl AdaptiveIndex for CrackedIndex {
         }
         Some(answer.len())
     }
+    /// The piece between the two cuts plus the staged insertions inside
+    /// the range.
     fn read_range(&self, low: Key, high: Key, out: &mut Vec<RowId>) -> bool {
         let Some((begin, end)) = self.cut_bounds(low, high) else {
             return false;
         };
         out.extend_from_slice(&self.column.rowids()[begin..end]);
+        out.extend(pending_in(&self.pending, low, high).map(|&(_, rowid)| rowid));
         true
     }
     fn effort(&self) -> u64 {
         self.stats.total_effort()
     }
     fn auxiliary_bytes(&self) -> usize {
-        self.column.byte_size()
+        self.column.byte_size() + self.pending.len() * std::mem::size_of::<(Key, RowId)>()
     }
     fn pieces(&self) -> usize {
         self.piece_count()
@@ -490,6 +550,10 @@ impl AdaptiveIndex for CrackedIndex {
     }
     fn is_converged(&self) -> bool {
         CrackedIndex::is_converged(self, CONVERGED_PIECE_LEN)
+    }
+    fn insert(&mut self, key: Key) -> bool {
+        CrackedIndex::insert(self, key);
+        true
     }
 }
 
@@ -758,6 +822,188 @@ mod tests {
         assert_eq!(idx.stats().queries, 1);
         assert!(idx.stats().elements_scanned >= 10);
         assert!(idx.stats().total_effort() > 0);
+    }
+
+    /// Sorted keys of the staged tuples and the merged ones together.
+    fn all_keys(idx: &CrackedIndex) -> Vec<Key> {
+        let staged = idx.pending.iter().map(|&(key, _)| key);
+        let mut keys: Vec<Key> = idx.column.values().iter().copied().chain(staged).collect();
+        keys.sort_unstable();
+        keys
+    }
+
+    #[test]
+    fn insert_then_query_sees_new_tuples() {
+        let mut idx = CrackedIndex::from_keys(&[10, 50, 90]);
+        assert_eq!(idx.insert(42), 3);
+        assert_eq!(idx.insert(60), 4);
+        assert_eq!(idx.pending_count(), 2);
+        assert_eq!(sorted_keys(&idx.query_range(40, 70)), vec![42, 50, 60]);
+        assert_eq!(idx.pending_count(), 0);
+        assert!(idx.verify_integrity());
+    }
+
+    #[test]
+    fn counted_answers_read_back_with_their_pending_tuples() {
+        let mut keys: Vec<Key> = (0..200).map(|i| (i * 7) % 200).collect();
+        let mut idx = CrackedIndex::from_keys(&keys);
+        for key in [45, 60, 61, 150] {
+            idx.insert(key);
+            keys.push(key);
+        }
+        let mut out = Vec::new();
+        let count = AdaptiveIndex::count_range(&mut idx, 40, 70, 33, &mut out);
+        assert_eq!(count, Some(30 + 3));
+        assert!(out.is_empty(), "33 ids are not fewer than 33");
+        // staged after the count, inside the range and outside it
+        for key in [50, 69, 70] {
+            idx.insert(key);
+            keys.push(key);
+        }
+        let effort = AdaptiveIndex::effort(&idx);
+        assert!(AdaptiveIndex::read_range(&idx, 40, 70, &mut out));
+        assert_eq!(AdaptiveIndex::effort(&idx), effort, "a read is no query");
+        let read = |out: &[RowId]| {
+            let mut read: Vec<Key> = out.iter().map(|&rowid| keys[rowid as usize]).collect();
+            read.sort_unstable();
+            read
+        };
+        let mut expected: Vec<Key> = (40..70).chain([45, 50, 60, 61, 69]).collect();
+        expected.sort_unstable();
+        assert_eq!(read(&out), expected);
+        // with room for them, the count copies what a query answers
+        let mut answering = idx.clone();
+        out.clear();
+        let count = AdaptiveIndex::count_range(&mut idx, 40, 70, 64, &mut out);
+        assert_eq!(count, Some(30 + 5));
+        assert_eq!(out, answering.query_range(40, 70).rowids());
+        assert_eq!(read(&out), expected);
+    }
+
+    #[test]
+    fn merge_ripple_only_merges_in_range_tuples() {
+        let data: Vec<Key> = (0..100).collect();
+        let mut idx = CrackedIndex::from_keys(&data);
+        // establish some pieces first
+        let _ = idx.query_range(20, 40);
+        let _ = idx.query_range(60, 80);
+        idx.insert(25); // inside a future query range
+        idx.insert(70); // outside it
+        assert!(idx.query_range(20, 40).keys().contains(&25));
+        assert_eq!(idx.pending_count(), 1, "70 stays pending");
+        assert_eq!(idx.stats().elements_merged, 1);
+        assert!(idx.verify_integrity());
+        // the merged tuple is physically in the cracker column now
+        assert!(idx.column().values().contains(&25));
+        assert_eq!(idx.column().len(), 101);
+    }
+
+    #[test]
+    fn ripple_insert_preserves_piece_invariants() {
+        let data: Vec<Key> = (0..200).rev().collect();
+        let mut idx = CrackedIndex::from_keys(&data);
+        // crack into several pieces
+        let _ = idx.query_range(50, 100);
+        let _ = idx.query_range(120, 160);
+        let pieces_before = idx.piece_count();
+        // insert values hitting different pieces
+        for &v in &[10, 55, 110, 130, 190] {
+            idx.insert(v);
+        }
+        assert_eq!(idx.query_range(0, 300).len(), 205);
+        assert_eq!(idx.piece_count(), pieces_before);
+        assert!(idx.verify_integrity());
+        assert_eq!(idx.len(), 205);
+        assert_eq!(idx.pending_count(), 0);
+    }
+
+    #[test]
+    fn interleaved_updates_and_queries_match_model() {
+        let initial: Vec<Key> = (0..500).map(|i| (i * 71) % 500).collect();
+        let mut idx = CrackedIndex::from_keys(&initial);
+        // the model: a flat list of (key, row id) pairs
+        let mut model: Vec<(Key, RowId)> = initial.iter().copied().zip(0..).collect();
+        let mut state: u64 = 0xDEADBEEF;
+        let mut next = move || {
+            state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
+            (state >> 33) as Key
+        };
+        for step in 0..300 {
+            if step % 3 == 0 {
+                let key = next() % 600;
+                model.push((key, idx.insert(key)));
+                continue;
+            }
+            let (a, b) = (next() % 600, next() % 600);
+            let (low, high) = (a.min(b), a.max(b));
+            let mut expected: Vec<(Key, RowId)> = (model.iter().copied())
+                .filter(|&(key, _)| key >= low && key < high)
+                .collect();
+            expected.sort_unstable();
+            let answer = idx.query_range(low, high);
+            let mut got: Vec<(Key, RowId)> = (answer.keys().iter().copied())
+                .zip(answer.rowids().iter().copied())
+                .collect();
+            got.sort_unstable();
+            assert_eq!(got, expected, "[{low}, {high})");
+            assert_eq!(idx.count_range(low, high), expected.len());
+        }
+        assert!(idx.verify_integrity());
+        assert_eq!(idx.len(), model.len());
+        let mut keys: Vec<Key> = model.iter().map(|&(key, _)| key).collect();
+        keys.sort_unstable();
+        assert_eq!(all_keys(&idx), keys, "no tuple lost or doubled");
+    }
+
+    #[test]
+    fn min_max_follow_merged_inserts() {
+        let data: Vec<Key> = (10..20).collect();
+        let mut idx = CrackedIndex::from_keys(&data);
+        let domain = |idx: &CrackedIndex| {
+            let values = idx.column().values();
+            (*values.iter().min().unwrap(), *values.iter().max().unwrap())
+        };
+        let cached = |idx: &CrackedIndex| (idx.min_value(), idx.max_value());
+
+        // inserts beyond both ends of the domain widen the cached bounds
+        idx.insert(-5);
+        idx.insert(99);
+        assert_eq!(cached(&idx), (10, 19), "staged tuples are not merged ones");
+        assert_eq!(idx.count_range(-100, 100), 12);
+        assert_eq!(idx.pending_count(), 0);
+        assert_eq!(cached(&idx), (-5, 99));
+        assert_eq!(cached(&idx), domain(&idx));
+        // the short-circuits keyed on them still find the new extremes
+        assert_eq!(idx.count_range(-5, -4), 1);
+        assert_eq!(idx.count_range(99, 100), 1);
+
+        // an interior insert leaves them alone
+        idx.insert(15);
+        assert_eq!(idx.count_range(-100, 100), 13);
+        assert_eq!(cached(&idx), (-5, 99));
+        assert!(idx.verify_integrity());
+
+        // an index that starts empty takes its first key as both bounds
+        let mut idx = CrackedIndex::from_keys(&[]);
+        idx.insert(-7);
+        assert_eq!(idx.count_range(-10, 0), 1);
+        assert_eq!(cached(&idx), (-7, -7));
+    }
+
+    #[test]
+    fn len_and_empty_reflect_pending_state() {
+        let mut idx = CrackedIndex::from_keys(&[]);
+        assert!(idx.is_empty());
+        assert_eq!(idx.insert(5), 0);
+        assert_eq!(idx.len(), 1);
+        assert!(!idx.is_empty());
+        assert!(idx.column().is_empty(), "staged, not merged");
+        assert_eq!(AdaptiveIndex::len(&idx), 1);
+        let mut idx = CrackedIndex::from_keys(&[1, 2, 3]);
+        assert!(AdaptiveIndex::insert_batch(&mut idx, &[4, 0]));
+        assert_eq!(AdaptiveIndex::len(&idx), 5);
+        assert_eq!(idx.count_range(0, 1), 1);
+        assert_eq!((idx.len(), idx.pending_count()), (5, 1));
     }
 
     #[test]

@@ -78,7 +78,7 @@ impl StochasticCrackedIndex {
         }
     }
 
-    /// Number of indexed tuples.
+    /// Number of tuples, the staged insertions included.
     pub fn len(&self) -> usize {
         self.inner.len()
     }
@@ -211,7 +211,7 @@ impl AdaptiveIndex for StochasticCrackedIndex {
         self.stats().total_effort()
     }
     fn auxiliary_bytes(&self) -> usize {
-        self.inner.column().byte_size()
+        AdaptiveIndex::auxiliary_bytes(&self.inner)
     }
     fn pieces(&self) -> usize {
         self.piece_count()
@@ -221,6 +221,12 @@ impl AdaptiveIndex for StochasticCrackedIndex {
     }
     fn is_converged(&self) -> bool {
         self.largest_piece() <= CONVERGED_PIECE_LEN
+    }
+    /// Staged in the inner index ([`CrackedIndex::insert`]): auxiliary
+    /// cracks only add cuts, and the merge moves every cut with its tuples.
+    fn insert(&mut self, key: Key) -> bool {
+        self.inner.insert(key);
+        true
     }
 }
 
@@ -327,6 +333,33 @@ mod tests {
         assert_eq!(idx.count_range(0, 100), 3);
         assert!(idx.inner().stats().queries >= 2);
         assert_eq!(idx.stats().queries, idx.inner().stats().queries);
+    }
+
+    #[test]
+    fn inserts_merge_through_auxiliary_cracks() {
+        let mut data = skewed_data(4000);
+        let mut idx =
+            StochasticCrackedIndex::from_keys(&data, StochasticVariant::DataDrivenCenter, 64, 5);
+        for q in 0..40 {
+            let low = (q * 97) % 3900;
+            let _ = idx.query_range(low, low + 100);
+        }
+        let pieces = idx.piece_count();
+        for q in 0..60 {
+            let key = (q * 131) % 4500 - 200;
+            assert!(AdaptiveIndex::insert(&mut idx, key));
+            data.push(key);
+            let low = (q * 53) % 3900;
+            let mut got = idx.query_range(low, low + 150).keys().to_vec();
+            got.sort_unstable();
+            assert_eq!(got, reference(&data, low, low + 150));
+        }
+        assert_eq!(AdaptiveIndex::len(&idx), data.len());
+        assert!(idx.piece_count() >= pieces, "absorbed, not rebuilt");
+        assert!(idx.verify_integrity());
+        let mut all = idx.query_range(Key::MIN, Key::MAX).keys().to_vec();
+        all.sort_unstable();
+        assert_eq!(all, reference(&data, Key::MIN, Key::MAX));
     }
 
     #[test]

@@ -74,8 +74,9 @@ fn main() {
         }));
     }
 
-    // the writer races the readers; cracking cannot absorb inserts, so each
-    // batch invalidates the learned structure and queries lazily rebuild it
+    // the writer races the readers; the cracking index stages each insert
+    // and the readers' queries merge the ones inside their ranges, so the
+    // learned structure survives the whole race
     let writer = db.session();
     let writer_handle = thread::spawn(move || {
         for i in 0..1000i64 {

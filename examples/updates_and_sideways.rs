@@ -6,10 +6,10 @@
 //! ```
 //!
 //! Part 1 interleaves insertions with range queries through the
-//! `Database`/`Session` facade — update-capable indexes absorb the inserts,
-//! others are dropped and lazily rebuilt — and then drills into the three
-//! merge policies of "Updating a Cracked Database" on the raw index, the
-//! knob below the facade's `StrategyKind::UpdatableCracking`.
+//! `Database`/`Session` facade — a cracking index absorbs the inserts, a
+//! full index is dropped and lazily rebuilt — and then runs the same stream
+//! on the raw cracked index, to show what merge-ripple ("Updating a Cracked
+//! Database") leaves pending: only tuples no query has asked for yet.
 //!
 //! Part 2 runs the sideways-cracking scenario: `SELECT B, C WHERE low <= A <
 //! high`. The naive plan (crack A, then fetch B and C through late
@@ -19,8 +19,8 @@
 //! selection attribute are compared against it.
 
 use adaptive_indexing::columnstore::{Column, Table, Value};
+use adaptive_indexing::cracking::selection::CrackedIndex;
 use adaptive_indexing::cracking::sideways::MapSet;
-use adaptive_indexing::cracking::updates::{MergePolicy, UpdatableCrackedIndex};
 use adaptive_indexing::workloads::data::{
     generate_keys, generate_multi_column_table, DataDistribution,
 };
@@ -45,8 +45,8 @@ fn updates_part() {
 
     // -- through the facade: queries and inserts on the same session -------
     for (label, strategy) in [
-        ("updatable cracking", StrategyKind::UpdatableCracking),
-        ("plain cracking", StrategyKind::Cracking),
+        ("cracking", StrategyKind::Cracking),
+        ("full sort", StrategyKind::FullSort),
     ] {
         let db = Database::builder().default_strategy(strategy).build();
         db.create_table(
@@ -76,9 +76,9 @@ fn updates_part() {
             checksum += result.row_count() as u64;
         }
         std::hint::black_box(checksum);
-        // an update-capable index absorbs inserts and survives the whole
-        // run; a plain cracking index is dropped on every insert batch, so
-        // its queries-since-last-(re)build counter stays small
+        // a cracking index absorbs inserts and survives the whole run; a
+        // full index is dropped on every insert batch, so its
+        // queries-since-last-(re)build counter stays small
         let since_rebuild = db.index_stats().first().map_or(0, |info| info.queries);
         println!(
             "facade / {:<20} total {:>10}  rows at end {:>9}  queries since last index rebuild {}",
@@ -89,45 +89,31 @@ fn updates_part() {
         );
     }
 
-    // -- below the facade: the merge-policy knob ---------------------------
-    println!(
-        "\n{:<20} {:>12} {:>16} {:>18} {:>14}",
-        "merge policy", "total time", "pending at end", "merged during run", "pieces"
-    );
-    for (label, policy) in [
-        ("merge-completely", MergePolicy::MergeCompletely),
-        (
-            "merge-gradually(32)",
-            MergePolicy::MergeGradually { batch: 32 },
-        ),
-        ("merge-ripple", MergePolicy::MergeRipple),
-    ] {
-        let mut index = UpdatableCrackedIndex::from_keys(&keys, policy);
-        let mut next_value = n as i64;
-        let start = Instant::now();
-        let mut checksum = 0u64;
-        for (i, q) in workload.iter().enumerate() {
-            if i % 10 == 0 {
-                for _ in 0..10 {
-                    index.insert(next_value % n as i64);
-                    next_value += 7;
-                }
+    // -- below the facade: what the ripple merged and what it left --------
+    let mut index = CrackedIndex::from_keys(&keys);
+    let mut next_value = n as i64;
+    let start = Instant::now();
+    let mut checksum = 0u64;
+    for (i, q) in workload.iter().enumerate() {
+        if i % 10 == 0 {
+            for _ in 0..10 {
+                index.insert(next_value % n as i64);
+                next_value += 7;
             }
-            checksum += index.query_range(q.low, q.high).len() as u64;
         }
-        std::hint::black_box(checksum);
-        println!(
-            "{:<20} {:>12} {:>16} {:>18} {:>14}",
-            label,
-            format!("{:.2?}", start.elapsed()),
-            index.pending_insert_count(),
-            index.merged_insert_count(),
-            index.piece_count()
-        );
+        checksum += index.query_range(q.low, q.high).len() as u64;
     }
+    std::hint::black_box(checksum);
     println!(
-        "\nmerge-completely drains everything on the first query after a batch \
-         (spiky latency); ripple merges only what each query's range needs."
+        "\nraw index / merge-ripple  total {:>10}  merged {}  pending at end {}  pieces {}",
+        format!("{:.2?}", start.elapsed()),
+        index.stats().elements_merged,
+        index.pending_count(),
+        index.piece_count()
+    );
+    println!(
+        "each query merges only the pending tuples its range covers; \
+         the rest wait for a query that needs them."
     );
 }
 

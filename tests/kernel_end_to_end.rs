@@ -446,3 +446,78 @@ fn in_domain_insert_batches_merge_into_a_converged_updatable_column() {
         assert_eq!(info.queries, 200 + 30 * 2 + 6, "{workers} workers");
     }
 }
+
+/// One insert into a converged column, then the same query again, for every
+/// strategy: the cracking kinds merge the row into the index they have —
+/// the traced probe reports no rebuild and no fewer pieces — while every
+/// other kind still drops its index and rebuilds it from the grown column.
+/// Every answer is the scan's either way.
+#[test]
+fn an_insert_into_a_converged_column_is_absorbed_by_the_cracking_kinds() {
+    let rows: i64 = 5000;
+    let keys: Vec<i64> = (0..rows).map(|i| (i * 7919) % rows).collect();
+    let scan = |model: &[i64], low: i64, high: i64| -> Vec<RowId> {
+        (0..model.len() as RowId)
+            .filter(|&p| (low..high).contains(&model[p as usize]))
+            .collect()
+    };
+    for strategy in StrategyKind::all_defaults() {
+        let label = strategy.label();
+        let absorbs = matches!(
+            strategy,
+            StrategyKind::Cracking
+                | StrategyKind::UpdatableCracking
+                | StrategyKind::StochasticCracking
+        );
+        let db = Database::builder()
+            .default_strategy(strategy)
+            .parallelism(1)
+            .build();
+        db.create_table(
+            "t",
+            Table::from_columns(vec![("k", Column::from_i64(keys.clone()))]).unwrap(),
+        )
+        .unwrap();
+        let session = db.session();
+        let mut model = keys.clone();
+        for q in 0..300 {
+            let low = (q * 613) % rows;
+            let result = session.query("t").range("k", low, low + 50).execute();
+            let positions = result.unwrap().positions().as_slice().to_vec();
+            assert_eq!(positions, scan(&model, low, low + 50), "{label}: query {q}");
+        }
+        if absorbs {
+            assert!(db.index_stats()[0].converged, "{label}");
+        }
+        // (rebuilt, pieces_before, pieces_after) of the traced probe
+        let probe = |model: &[i64]| {
+            let query = Query::table("t").range("k", 1000, 1100);
+            let profile = session.explain_profile(&query).unwrap();
+            let positions = profile.result.positions().as_slice().to_vec();
+            assert_eq!(positions, scan(model, 1000, 1100), "{label}");
+            let probe = profile.trace.events.iter().find_map(|event| match event {
+                SpanEvent::IndexProbe {
+                    rebuilt,
+                    pieces_before,
+                    pieces_after,
+                    ..
+                } => Some((*rebuilt, *pieces_before, *pieces_after)),
+                _ => None,
+            });
+            probe.expect("a range query probes the index")
+        };
+        let (rebuilt, _, converged_pieces) = probe(&model);
+        assert!(!rebuilt, "{label}");
+
+        let row = session.insert_row("t", &[Value::Int64(1050)]).unwrap();
+        assert_eq!(row, rows as RowId, "{label}");
+        model.push(1050);
+        let (rebuilt, pieces_before, pieces_after) = probe(&model);
+        assert_eq!(rebuilt, !absorbs, "{label}");
+        if absorbs {
+            assert!(pieces_before >= converged_pieces, "{label}");
+            assert!(pieces_after >= converged_pieces, "{label}");
+            assert_eq!(db.index_stats()[0].tuples, model.len(), "{label}");
+        }
+    }
+}
