@@ -67,9 +67,10 @@ impl QueryOutput {
 ///   `[low, high)`, as base-column row ids — each once, in any order.
 ///   Reorganizing as a side effect never changes an answer.
 /// * **Version.** [`Self::len`] counts the base-column rows the index
-///   covers. Base columns are append-only, so the kernel reads it as a
-///   version number: an index of length `m` covers rows `0..m`, and is stale
-///   against a longer snapshot. Only [`Self::insert`] grows it, by one.
+///   covers. Base columns are append-only, so an index of length `m` covers
+///   the prefix `0..m` of a column of `n >= m` rows, and rows `m..n` are a
+///   suffix the kernel answers by scanning them. Only
+///   [`Self::insert_batch`] grows it, by the rows it absorbs.
 /// * **Effort.** [`Self::effort`] never decreases; the difference across a
 ///   query is the work that query caused.
 /// * **Views.** A strategy whose answer lies between two cuts may answer a
@@ -145,15 +146,10 @@ pub trait AdaptiveIndex {
     /// so far" (full indexes are converged from the start; scans never are).
     fn is_converged(&self) -> bool;
 
-    /// Stage an insertion of `key`. Strategies without update support return
-    /// `false` (the kernel then falls back to rebuilding).
-    fn insert(&mut self, _key: Key) -> bool {
+    /// Stage the rows `len()..` holding `keys`, in order, and return `true`;
+    /// the default refuses and stages nothing, and the rows stay a suffix
+    /// the kernel scans.
+    fn insert_batch(&mut self, _keys: &[Key]) -> bool {
         false
-    }
-
-    /// Stage insertions of `keys`, in order. `false` as soon as one is
-    /// refused; the index is then of no further use to the caller.
-    fn insert_batch(&mut self, keys: &[Key]) -> bool {
-        keys.iter().all(|&key| self.insert(key))
     }
 }

@@ -1409,6 +1409,43 @@ mod tests {
     }
 
     #[test]
+    fn a_refresh_between_a_writers_append_and_its_catch_up_keeps_the_index() {
+        // a writer appends under the catalog lock and catches the index up
+        // after; a maintenance tick in between finds the index one row short
+        // and must absorb the row, not rebuild the converged column
+        let db = Database::new(StrategyKind::Cracking);
+        db.create_table("t", orders_table(4000)).unwrap();
+        let session = db.session();
+        for q in 0..100 {
+            let low = (q * 613) % 3900;
+            session
+                .query("t")
+                .range("o_key", low, low + 40)
+                .execute()
+                .unwrap();
+        }
+        let column = crate::manager::ColumnId::new("t", "o_key");
+        let (epoch, covered) = db.inner.manager.index_version(&column).unwrap();
+        let queries = db.index_stats()[0].queries;
+        db.inner
+            .catalog
+            .write()
+            .append_row("t", &[Value::Int64(17), Value::Int64(34)])
+            .unwrap();
+        db.maintenance_tick();
+        assert_eq!(db.maintenance_stats().indexes_refreshed, 0);
+        assert_eq!(db.index_stats()[0].queries, queries, "not rebuilt");
+        assert_eq!(
+            db.inner.manager.index_version(&column),
+            Some((epoch, covered + 1)),
+            "the index covers the row"
+        );
+        let result = session.query("t").range("o_key", 17, 18).execute().unwrap();
+        assert_eq!(result.row_count(), 2);
+        assert_eq!(result.positions().as_slice().last(), Some(&4000));
+    }
+
+    #[test]
     fn background_maintenance_compacts_without_explicit_calls() {
         let db = Database::builder()
             .segment_capacity(32)

@@ -844,8 +844,9 @@ mod tests {
             Query::table("t").in_set("k", [7, 9]),
             Query::table("t").range("k", 7, 10),
         ] {
-            let keys: Vec<Key> = (0..100).collect();
-            let table = Arc::new(Table::from_columns(vec![("k", Column::from_i64(keys))]).unwrap());
+            let mut keys: Vec<Key> = (0..100).collect();
+            let table =
+                Arc::new(Table::from_columns(vec![("k", Column::from_i64(keys.clone()))]).unwrap());
             let manager = IndexManager::new(StrategyKind::UpdatableCracking);
             let result = execute_on_snapshot(
                 table,
@@ -859,10 +860,11 @@ mod tests {
             )
             .unwrap();
             assert!(!result.is_empty());
-            // absorbing the next row only succeeds if the index was
+            // catching up with the next row only succeeds if the index was
             // registered under the snapshot's epoch
+            keys.push(100);
             assert!(
-                manager.insert_at(&ColumnId::new("t", "k"), 100, 100, 5),
+                manager.catch_up(&ColumnId::new("t", "k"), &keys, 5),
                 "index not registered under epoch 5 for {query:?}"
             );
         }

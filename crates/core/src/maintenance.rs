@@ -16,11 +16,14 @@
 //!   because compaction preserves every row's global position, the table's
 //!   adaptive indexes are immediately **reconciled** onto the new epoch
 //!   instead of being discarded.
-//! * `IndexRefreshJob` — **index reconciliation.** An index dropped behind
-//!   its base column (an insert a non-updatable strategy could not absorb,
-//!   a structural epoch bump) normally makes the *next query* pay the full
-//!   rebuild. This job re-derives stale indexes between queries, hottest
-//!   columns first, with exactly the query path's version guards.
+//! * `IndexRefreshJob` — **index reconciliation.** An index covers a prefix
+//!   of its column. One left behind by a structural epoch bump makes the
+//!   *next query* pay the full rebuild, and the rows past the end of one
+//!   that cannot absorb inserts make every query scan them. This job
+//!   catches indexes up between queries, hottest columns first, with the
+//!   query path's catch-up step and version guards: it rebuilds only an
+//!   index of an older epoch or one that catch-up cannot bring level, and
+//!   never one that absorbs inserts.
 //!
 //! Both jobs hold only a [`Weak`] reference to the database internals, so a
 //! background maintenance thread can never keep a dropped database alive.
@@ -495,7 +498,8 @@ impl MaintenanceJob for ReporterJob {
     }
 }
 
-/// Job (b): background re-derivation of stale adaptive indexes.
+/// Job (b): background catch-up of adaptive indexes that lag their column
+/// ([`crate::IndexManager::refresh_index`]).
 struct IndexRefreshJob {
     db: Weak<DbInner>,
 }
@@ -535,8 +539,8 @@ impl MaintenanceJob for IndexRefreshJob {
             }
             if rows > remaining && units > 0 {
                 // a rebuild is all-or-nothing; this slice already did work,
-                // so defer the big one to the next slice, where it runs as
-                // the first (budget-overrunning) item
+                // so defer the possible big one to the next slice, where it
+                // runs as the first (budget-overrunning) item
                 done = false;
                 continue;
             }

@@ -17,7 +17,7 @@
 
 use crate::strategy::{AdaptiveIndex, QueryOutput, StrategyKind, StrategyTuning};
 use aidx_columnstore::ops::select as columnstore_select;
-use aidx_columnstore::segment::Segment;
+use aidx_columnstore::segment::{Segment, ZoneMap, DEFAULT_SEGMENT_CAPACITY};
 use aidx_columnstore::types::{Key, RowId};
 use aidx_parallel::ThreadPool;
 use parking_lot::Mutex;
@@ -146,16 +146,53 @@ impl KeySource<'_> {
         }
     }
 
-    /// The keys at positions `start..`, copied.
-    fn values_from(&self, start: usize) -> Vec<Key> {
+    /// The keys at positions `start..` where they lie, in position order:
+    /// one run of a flat view, or one per chunk of a segment, found from
+    /// its end.
+    fn runs_from(&self, start: usize) -> Vec<Run<'_>> {
         match self {
-            KeySource::Flat(keys) => keys[start..].to_vec(),
+            KeySource::Flat(keys) => vec![(start, &keys[start..], None)],
             KeySource::Segmented(segment) => {
-                (start..segment.len()).map(|p| segment.value(p)).collect()
+                let count = segment.chunk_count();
+                let mut first = count;
+                while first > 0 && segment.chunk(first - 1).end() as usize > start {
+                    first -= 1;
+                }
+                (first..count)
+                    .map(|i| {
+                        let chunk = segment.chunk(i);
+                        let skip = start.saturating_sub(chunk.base as usize);
+                        (
+                            chunk.base as usize + skip,
+                            &chunk.values[skip..],
+                            Some(chunk.zone),
+                        )
+                    })
+                    .collect()
             }
         }
     }
+
+    /// Append the positions `start..` whose key lies in `[low, high)` to
+    /// `out`, in order, skipping a chunk whose zone map rules the range out.
+    fn scan_range_from(&self, start: usize, low: Key, high: Key, out: &mut Vec<RowId>) {
+        for (first, run, zone) in self.runs_from(start) {
+            if zone.is_some_and(|zone| !zone.may_contain_range(low, high)) {
+                continue;
+            }
+            out.extend(
+                (first..)
+                    .zip(run)
+                    .filter(|&(_, &key)| key >= low && key < high)
+                    .map(|(position, _)| position as RowId),
+            );
+        }
+    }
 }
+
+/// Keys at consecutive positions: the first one's position, the keys, and
+/// the zone map of the chunk they lie in (none for a flat view).
+type Run<'a> = (usize, &'a [Key], Option<ZoneMap<Key>>);
 
 impl<'a> From<&'a [Key]> for KeySource<'a> {
     fn from(keys: &'a [Key]) -> Self {
@@ -188,7 +225,8 @@ pub struct IndexInfo {
     pub column: ColumnId,
     /// Strategy label.
     pub strategy: &'static str,
-    /// Number of indexed tuples.
+    /// Number of rows the index covers: a prefix of its column, after which
+    /// any rows it has not absorbed are a suffix its queries scan.
     pub tuples: usize,
     /// Queries answered by the current index build (resets when the index
     /// is rebuilt from a newer snapshot or another table incarnation).
@@ -336,6 +374,15 @@ impl IndexHandle {
     }
 }
 
+/// The most rows a probe answers by scanning past the end of its index
+/// before it folds them in by rebuilding: a 64th of the snapshot, and never
+/// less than one default chunk.
+fn suffix_bound(rows: usize) -> usize {
+    (rows / 64).max(DEFAULT_SEGMENT_CAPACITY)
+}
+
+/// One column's index. It covers a prefix `0..body.len()` of its epoch's
+/// column; the rows after it are a suffix that probes scan.
 struct ManagedIndex {
     body: Box<dyn AdaptiveIndex + Send>,
     kind: StrategyKind,
@@ -343,6 +390,29 @@ struct ManagedIndex {
     /// standalone, catalog-free use).
     epoch: u64,
     queries: u64,
+}
+
+impl ManagedIndex {
+    /// Bring the index up to `keys`, a snapshot of the table incarnation
+    /// `epoch`: an index that absorbs inserts stages the rows it does not
+    /// cover yet, any other leaves them as a suffix. Returns `true` when the
+    /// index covers every row of the snapshot. An index of another epoch is
+    /// left alone, and one that covers no rows — never built from this
+    /// column — is built, not caught up.
+    fn catch_up(&mut self, keys: &KeySource<'_>, epoch: u64) -> bool {
+        if self.epoch != epoch {
+            return false;
+        }
+        let covered = self.body.len();
+        if (1..keys.len()).contains(&covered) {
+            for (_, run, _) in keys.runs_from(covered) {
+                if !self.body.insert_batch(run) {
+                    break;
+                }
+            }
+        }
+        self.body.len() >= keys.len()
+    }
 }
 
 /// A registry of adaptive indexes, one per (table, column).
@@ -455,22 +525,20 @@ impl IndexManager {
     /// or chunked segment) and `epoch` identifies the table incarnation it
     /// was taken from.
     ///
-    /// Base columns are append-only within an epoch, so the tuple count is a
-    /// version number: an index holding `m` tuples (same epoch) indexes
-    /// exactly the first `m` rows. Three cases follow:
+    /// Base columns are append-only within an epoch, so an index holding `m`
+    /// tuples (same epoch) covers exactly the first `m` rows. The cases:
     ///
-    /// * index and snapshot agree (same epoch, same count) — answer through
-    ///   the index, reorganizing it adaptively;
-    /// * the snapshot is *older* than the index (same epoch, fewer rows) —
-    ///   answer with a scan of the snapshot (zone-map pruned for segments)
-    ///   and leave the index alone, so a lagging reader never destroys
-    ///   structure learned from newer data;
-    /// * the index holds fewer rows than the snapshot (same epoch) — a
-    ///   writer appended rows it has not absorbed yet: an update-capable
-    ///   index absorbs them now, as the writer would, and answers;
-    /// * the index is stale (older epoch, or fewer rows than the snapshot
-    ///   and a strategy that cannot absorb them) — rebuild it from the
-    ///   snapshot, then answer through it.
+    /// * the snapshot is *older* than the index (same epoch, fewer rows, or
+    ///   an older epoch) — answer with a scan of the snapshot (zone-map
+    ///   pruned for segments) and leave the index alone, so a lagging reader
+    ///   never destroys structure learned from newer data;
+    /// * otherwise the index catches up with the snapshot first (an index
+    ///   that absorbs inserts stages the rows it lacks) and answers,
+    ///   reorganizing adaptively; rows it still lacks are a suffix, scanned
+    ///   zone-pruned and added to its answer;
+    /// * the index is rebuilt from the snapshot first when it belongs to
+    ///   another epoch, covers no rows yet, or its suffix is longer than
+    ///   `max(n / 64, DEFAULT_SEGMENT_CAPACITY)` rows of the `n`.
     pub fn query_range_snapshot<'a>(
         &self,
         column: &ColumnId,
@@ -557,8 +625,9 @@ impl IndexManager {
     /// The routing both probes share (see
     /// [`IndexManager::query_range_snapshot`]): find or register the
     /// column's entry, serve a lagging snapshot with `scanned` over a scan,
-    /// rebuild a stale index, then let `answer` probe the index under the
-    /// column's latch, measuring into `probe`.
+    /// catch the index up or rebuild it, then let `answer` probe the index
+    /// under the column's latch, measuring into `probe` — or, when a suffix
+    /// is left, hand the index's answer plus the suffix's to `scanned`.
     #[allow(clippy::too_many_arguments)]
     fn route<R>(
         &self,
@@ -572,27 +641,10 @@ impl IndexManager {
         scanned: impl FnOnce(Vec<RowId>) -> R,
         answer: impl FnOnce(&mut (dyn AdaptiveIndex + Send), &Arc<Mutex<ManagedIndex>>) -> R,
     ) -> R {
-        // First touch registers a cheap empty placeholder so the O(n)-or-
-        // worse index construction never runs under the global registry
-        // lock; the version guard below then builds the real index under
-        // this column's own lock (the placeholder's zero length can never
-        // be "newer" than a snapshot, so the lagging branch ignores it).
-        let entry = {
-            let mut registry = self.indexes.lock();
-            registry
-                .entry(column.clone())
-                .or_insert_with(|| {
-                    Arc::new(Mutex::new(ManagedIndex {
-                        body: strategy.build_from(&[], None, &self.tuning),
-                        kind: strategy,
-                        epoch,
-                        queries: 0,
-                    }))
-                })
-                .clone()
-        };
+        let entry = self.register(column, strategy, epoch);
         let mut managed = entry.lock();
-        if managed.epoch > epoch || (managed.epoch == epoch && keys.len() < managed.body.len()) {
+        let rows = keys.len();
+        if managed.epoch > epoch || (managed.epoch == epoch && rows < managed.body.len()) {
             // lagging reader — an older epoch (epochs are monotonic) or an
             // older prefix of the same epoch: serve its snapshot with a scan
             // (chunk-parallel for segmented views) and never downgrade the
@@ -603,26 +655,19 @@ impl IndexManager {
             drop(managed);
             return scanned(keys.scan_range_with_pool(low, high, &self.pool).into_vec());
         }
-        // A writer appends its rows to the table before it takes this latch
-        // to absorb them, so a snapshot may already hold rows the index has
-        // not seen. Absorb them here, as the writer is about to (it then
-        // finds them covered), rather than rebuild the column for a few
-        // rows; a strategy that cannot absorb still rebuilds below. The
-        // first-touch placeholder holds no rows: it is built, not caught up.
-        let covered = managed.body.len();
-        if managed.epoch == epoch && (1..keys.len()).contains(&covered) {
-            managed.body.insert_batch(&keys.values_from(covered));
-        }
+        // a writer that found this latch held left its rows to the next
+        // query, and a strategy that cannot absorb them keeps a suffix
         let mut rebuilt = false;
-        if managed.epoch != epoch || managed.body.len() != keys.len() {
-            let kind = managed.kind;
-            // the build is this query's doing, so it is done for this query:
-            // a cracking kind cracks on [low, high) while it copies, and the
-            // probe below finds its piece in place
-            managed.body = self.build_body(kind, &keys, Some((low, high)));
-            managed.epoch = epoch;
-            managed.queries = 0;
-            rebuilt = true;
+        if !managed.catch_up(&keys, epoch) {
+            let covered = managed.body.len();
+            if managed.epoch != epoch || covered == 0 || rows - covered > suffix_bound(rows) {
+                // the build is this query's doing, so it is done for this
+                // query: a cracking kind cracks on [low, high) while it
+                // copies, and the probe below finds its piece in place
+                let kind = managed.kind;
+                self.rebuild(&mut managed, kind, &keys, epoch, Some((low, high)));
+                rebuilt = true;
+            }
         }
         managed.queries += 1;
         let strategy_label = managed.kind.label();
@@ -647,7 +692,14 @@ impl IndexManager {
             )
         });
         let index = &mut managed.body;
-        let output = answer(index.as_mut(), &entry);
+        let covered = index.len();
+        let output = if covered < rows {
+            let mut row_ids = index.query_range(low, high).into_row_ids();
+            keys.scan_range_from(covered, low, high, &mut row_ids);
+            scanned(row_ids)
+        } else {
+            answer(index.as_mut(), &entry)
+        };
         if let (Some(p), Some(before)) = (probe, before) {
             p.observe(
                 strategy_label,
@@ -659,79 +711,75 @@ impl IndexManager {
         output
     }
 
-    /// Build a column's index from a snapshot view, read chunk by chunk out
-    /// of a multi-chunk segment (no transient contiguous copy) and built for
-    /// `first_query` (see [`StrategyKind::build_from`]).
-    fn build_body(
-        &self,
-        kind: StrategyKind,
-        keys: &KeySource<'_>,
-        first_query: Option<(Key, Key)>,
-    ) -> Box<dyn AdaptiveIndex + Send> {
-        kind.build_from(&keys.chunks(), first_query, &self.tuning)
-    }
-
-    /// Stage the insertion of row `rowid` (holding `key`) into a column's
-    /// index: [`Self::insert_batch_at`] for one row.
-    pub fn insert_at(&self, column: &ColumnId, key: Key, rowid: u64, epoch: u64) -> bool {
-        self.insert_batch_at(column, rowid, epoch, &[key])
-    }
-
-    /// Stage the insertion of rows `first_rowid..` (holding `keys`, in row
-    /// order) into a column's index, for a table incarnation identified by
-    /// `epoch` — one registry lookup and one column latch for the batch.
-    ///
-    /// Returns `true` when the index now covers the rows: either it absorbed
-    /// them (update-capable strategy, and the index was exactly at the
-    /// preceding version), or a query whose snapshot already held them
-    /// absorbed them or rebuilt the index first.
-    /// Returns `false` when the column is not indexed, the index belongs to
-    /// a different epoch, the strategy cannot absorb inserts, or rows are
-    /// missing in between — callers should then drop the index so it
-    /// rebuilds lazily from a complete snapshot; it may have absorbed part
-    /// of the batch.
-    pub fn insert_batch_at(
+    /// The column's entry, registered first if there is none: a cheap
+    /// empty placeholder of `strategy`, so the O(n)-or-worse index
+    /// construction never runs under the global registry lock but under the
+    /// column's own latch. It covers no rows, so it is never "newer" than a
+    /// snapshot, and it is built, never caught up.
+    fn register(
         &self,
         column: &ColumnId,
-        first_rowid: u64,
+        strategy: StrategyKind,
         epoch: u64,
-        keys: &[Key],
-    ) -> bool {
-        let entry = {
-            let registry = self.indexes.lock();
-            registry.get(column).cloned()
-        };
-        let Some(entry) = entry else {
-            return false;
-        };
-        let mut managed = entry.lock();
-        if managed.epoch != epoch {
-            return false;
-        }
-        // a query on a newer snapshot already absorbed the first of them,
-        // or rebuilt the index from it
-        let Some(covered) = (managed.body.len() as u64).checked_sub(first_rowid) else {
-            // rows missing between the index and this batch
-            return false;
-        };
-        let keys = keys.get(covered as usize..).unwrap_or(&[]);
-        managed.body.insert_batch(keys)
+    ) -> Arc<Mutex<ManagedIndex>> {
+        let mut registry = self.indexes.lock();
+        let entry = registry.entry(column.clone()).or_insert_with(|| {
+            Arc::new(Mutex::new(ManagedIndex {
+                body: strategy.build_from(&[], None, &self.tuning),
+                kind: strategy,
+                epoch,
+                queries: 0,
+            }))
+        });
+        Arc::clone(entry)
     }
 
-    /// Replace a column's index with a freshly built one of the given
-    /// strategy (the auto-tuner calls this when it changes its mind).
-    pub fn rebuild(&self, column: &ColumnId, keys: &[Key], strategy: StrategyKind) {
-        let body = self.build_body(strategy, &KeySource::Flat(keys), None);
-        let mut registry = self.indexes.lock();
-        registry.insert(
-            column.clone(),
-            Arc::new(Mutex::new(ManagedIndex {
-                body,
-                kind: strategy,
-                epoch: 0,
-                queries: 0,
-            })),
-        );
+    /// Replace `managed` with an index of `kind` built from a snapshot view
+    /// of `epoch`, read chunk by chunk out of a multi-chunk segment (no
+    /// transient contiguous copy) and built for `first_query` (see
+    /// [`StrategyKind::build_from`]); its query count restarts.
+    fn rebuild(
+        &self,
+        managed: &mut ManagedIndex,
+        kind: StrategyKind,
+        keys: &KeySource<'_>,
+        epoch: u64,
+        first_query: Option<(Key, Key)>,
+    ) {
+        let body = kind.build_from(&keys.chunks(), first_query, &self.tuning);
+        *managed = ManagedIndex {
+            body,
+            kind,
+            epoch,
+            queries: 0,
+        };
+    }
+
+    /// Bring a column's index up to `keys`, its column in the table
+    /// incarnation `epoch` just after a writer's append: an index that
+    /// absorbs inserts stages the rows it lacks, any other keeps them as a
+    /// suffix its probes scan. Never drops or rebuilds an index, and never
+    /// waits for the latch — a query holding it leaves the rows to the next
+    /// query — so a writer may call it under the catalog's write lock.
+    /// `true` when the index covers `keys`.
+    pub fn catch_up<'a>(
+        &self,
+        column: &ColumnId,
+        keys: impl Into<KeySource<'a>>,
+        epoch: u64,
+    ) -> bool {
+        let Some(entry) = self.entry(column) else {
+            return false;
+        };
+        let caught_up = entry
+            .try_lock()
+            .is_some_and(|mut managed| managed.catch_up(&keys.into(), epoch));
+        caught_up
+    }
+
+    /// The entry registered for a column, if any.
+    fn entry(&self, column: &ColumnId) -> Option<Arc<Mutex<ManagedIndex>>> {
+        self.indexes.lock().get(column).cloned()
     }
 
     /// Drop a column's index; returns `true` if one existed.
@@ -778,23 +826,21 @@ impl IndexManager {
     /// registered (the staleness observation background reconciliation
     /// plans over).
     pub fn index_version(&self, column: &ColumnId) -> Option<(u64, usize)> {
-        let entry = {
-            let registry = self.indexes.lock();
-            registry.get(column).cloned()
-        }?;
+        let entry = self.entry(column)?;
         let managed = entry.lock();
         Some((managed.epoch, managed.body.len()))
     }
 
-    /// Rebuild a column's index from a current snapshot view **iff** it is
-    /// stale (older epoch, or fewer tuples than the snapshot at the same
-    /// epoch); returns `true` when a rebuild happened.
+    /// Catch a column's index up with a current snapshot view, and rebuild
+    /// it iff that leaves it behind: it belongs to an older epoch, or it
+    /// cannot absorb the rows past its end (see [`IndexManager::catch_up`]).
+    /// Returns `true` when a rebuild happened.
     ///
-    /// This is background index *re-derivation*: when an insert dropped a
-    /// non-updatable index, or a structural epoch bump invalidated one, the
-    /// next query pays the full rebuild on its critical path. The
-    /// maintenance scheduler calls this between queries instead, with the
-    /// same guards as the query path — a fresher index (or a newer epoch)
+    /// This is background index *re-derivation*: a structural epoch bump, or
+    /// a suffix of rows a strategy cannot absorb, otherwise makes the next
+    /// queries pay — a rebuild, or a scan of the suffix. The maintenance
+    /// scheduler calls this between queries instead. An index that absorbs
+    /// inserts is never rebuilt for them, a fresher index (or a newer epoch)
     /// is never downgraded, and an up-to-date index is left untouched.
     pub fn refresh_index<'a>(
         &self,
@@ -803,21 +849,15 @@ impl IndexManager {
         epoch: u64,
     ) -> bool {
         let keys = keys.into();
-        let entry = {
-            let registry = self.indexes.lock();
-            match registry.get(column) {
-                Some(entry) => entry.clone(),
-                None => return false,
-            }
+        let Some(entry) = self.entry(column) else {
+            return false;
         };
         let mut managed = entry.lock();
-        if managed.epoch > epoch || (managed.epoch == epoch && keys.len() <= managed.body.len()) {
+        if managed.epoch > epoch || managed.catch_up(&keys, epoch) {
             return false;
         }
         let kind = managed.kind;
-        managed.body = self.build_body(kind, &keys, None);
-        managed.epoch = epoch;
-        managed.queries = 0;
+        self.rebuild(&mut managed, kind, &keys, epoch, None);
         true
     }
 
@@ -845,49 +885,14 @@ impl IndexManager {
         epoch: u64,
         strategy: StrategyKind,
     ) -> bool {
-        let keys = keys.into();
-        let entry = {
-            let mut registry = self.indexes.lock();
-            registry
-                .entry(column.clone())
-                .or_insert_with(|| {
-                    Arc::new(Mutex::new(ManagedIndex {
-                        // placeholder swapped out below under the entry lock
-                        body: StrategyKind::FullScan.build(&[]),
-                        kind: StrategyKind::FullScan,
-                        epoch,
-                        queries: 0,
-                    }))
-                })
-                .clone()
-        };
-        // build outside the registry lock (only this entry is held), with
         // the same never-downgrade epoch guard as the query path
+        let entry = self.register(column, strategy, epoch);
         let mut managed = entry.lock();
         if managed.epoch > epoch {
             return false;
         }
-        managed.body = self.build_body(strategy, &keys, None);
-        managed.kind = strategy;
-        managed.epoch = epoch;
-        managed.queries = 0;
+        self.rebuild(&mut managed, strategy, &keys.into(), epoch, None);
         true
-    }
-
-    /// Drop a column's index only if it belongs to `epoch` or an older
-    /// incarnation. Writers use this when index maintenance fails: an index
-    /// registered for a *newer* incarnation of the table (the name was
-    /// dropped and re-created while the writer was in flight) is left
-    /// untouched, because it correctly covers data this writer never saw.
-    pub fn drop_index_if_stale(&self, column: &ColumnId, epoch: u64) -> bool {
-        let mut registry = self.indexes.lock();
-        if let Some(entry) = registry.get(column) {
-            if entry.lock().epoch <= epoch {
-                registry.remove(column);
-                return true;
-            }
-        }
-        false
     }
 
     /// Drop every index belonging to `table` (used when the table itself is
@@ -993,7 +998,7 @@ mod tests {
         assert_eq!(out.count(), 100);
         assert_eq!(manager.describe()[0].strategy, "adaptive-merging");
         // rebuild switches strategies
-        manager.rebuild(&column, &data, StrategyKind::FullSort);
+        assert!(manager.remediate_index(&column, &data, 0, StrategyKind::FullSort));
         assert_eq!(manager.describe()[0].strategy, "full-sort");
         let out = manager.query_range(&column, &data, 0, 100);
         assert_eq!(out.count(), 100);
@@ -1135,19 +1140,41 @@ mod tests {
     }
 
     #[test]
-    fn stale_index_is_rebuilt_when_the_snapshot_grows() {
+    fn a_full_sort_index_scans_its_suffix_and_rebuilds_once_past_the_bound() {
         let manager = IndexManager::new(StrategyKind::FullSort);
-        let mut data = keys(1000);
         let column = ColumnId::new("t", "a");
-        let out = manager.query_range(&column, &data, 0, 10);
-        assert_eq!(out.count(), 10);
-        // the base column grows; the full index cannot absorb it
-        data.push(5);
-        let out = manager.query_range(&column, &data, 0, 10);
-        assert_eq!(out.count(), 11, "rebuilt from the newer snapshot");
+        let mut data = keys(1000);
+        let probe = |data: &[Key]| {
+            // chunks of 256: the suffix spans several, most ruled out by
+            // their zone maps
+            let segment = Segment::from_vec_with_capacity(data.to_vec(), 256);
+            let mut probe = ProbeTrace::default();
+            let kind = StrategyKind::FullSort;
+            let out =
+                manager.query_range_probed(&column, &segment, 0, 0, 10, kind, Some(&mut probe));
+            let mut row_ids = out.into_row_ids();
+            row_ids.sort_unstable();
+            let scanned = scan_positions(data, |key| (0..10).contains(&key));
+            assert_eq!(row_ids, scanned.as_slice(), "{} rows", data.len());
+            probe.rebuilt
+        };
+        assert!(probe(&data), "the first touch builds");
+        // the index cannot absorb the rows appended after it: they are a
+        // suffix every probe scans, up to the bound
+        let mut rebuilds = 0;
+        for step in 0..80 {
+            let behind = data.len() - manager.describe()[0].tuples;
+            assert!(behind <= suffix_bound(data.len()), "step {step}");
+            data.extend((0..64).map(|i| if i % 7 == 0 { i % 10 } else { 5_000 + i }));
+            if probe(&data) {
+                rebuilds += 1;
+                assert!(data.len() - 1000 > suffix_bound(data.len()), "step {step}");
+            }
+        }
+        assert_eq!(rebuilds, 1, "folded in exactly once");
         let info = manager.describe();
-        assert_eq!(info[0].tuples, 1001);
         assert_eq!(info[0].strategy, "full-sort", "rebuild keeps the kind");
+        assert!(info[0].tuples > 1000 + DEFAULT_SEGMENT_CAPACITY);
     }
 
     #[test]
@@ -1164,7 +1191,7 @@ mod tests {
         let _ = ahead.query_range(&column, &data, 0, 10);
         let _ = behind.query_range(&column, &data, 0, 10);
         data.extend(appended);
-        assert!(behind.insert_batch_at(&column, 1000, 0, &appended));
+        assert!(behind.catch_up(&column, &data, 0));
         let probe = |manager: &IndexManager| {
             let mut probe = ProbeTrace::default();
             let kind = StrategyKind::UpdatableCracking;
@@ -1177,7 +1204,7 @@ mod tests {
         assert!(!traced.rebuilt);
         assert_eq!((row_ids, traced), probe(&behind));
         // the writer then finds its rows covered, and nothing is doubled
-        assert!(ahead.insert_batch_at(&column, 1000, 0, &appended));
+        assert!(ahead.catch_up(&column, &data, 0));
         assert_eq!(ahead.describe(), behind.describe());
         assert_eq!(ahead.query_range(&column, &data, 0, 10).count(), 12);
     }
@@ -1185,45 +1212,46 @@ mod tests {
     #[test]
     fn insert_routes_to_updatable_indexes_only() {
         let manager = IndexManager::new(StrategyKind::UpdatableCracking);
-        let data = keys(100);
+        let mut data = keys(100);
         let column = ColumnId::new("t", "a");
-        assert!(!manager.insert_at(&column, 5, 100, 0), "no index yet");
+        assert!(!manager.catch_up(&column, &data, 0), "no index yet");
         let _ = manager.query_range(&column, &data, 0, 10);
-        assert!(manager.insert_at(&column, 5, 100, 0));
         let plain = IndexManager::new(StrategyKind::FullSort);
         let _ = plain.query_range(&column, &data, 0, 10);
-        assert!(!plain.insert_at(&column, 5, 100, 0));
+        data.push(5);
+        assert!(manager.catch_up(&column, &data, 0));
+        assert_eq!(manager.index_version(&column), Some((0, 101)));
+        // an index that cannot absorb keeps the row as a suffix
+        assert!(!plain.catch_up(&column, &data, 0));
+        assert_eq!(plain.index_version(&column), Some((0, 100)));
+        assert_eq!(plain.query_range(&column, &data, 5, 6).count(), 2);
     }
 
     #[test]
-    fn insert_at_guards_rowid_continuity_and_epoch() {
+    fn catch_up_guards_the_epoch_and_never_doubles_a_row() {
         let manager = IndexManager::new(StrategyKind::UpdatableCracking);
-        let data = keys(100);
+        let mut data = keys(100);
         let column = ColumnId::new("t", "a");
         let _ =
             manager.query_range_snapshot(&column, &data, 7, 0, 10, StrategyKind::UpdatableCracking);
+        data.extend([5, 1, 2]);
         // wrong epoch: the index belongs to another table incarnation
-        assert!(!manager.insert_at(&column, 5, 100, 8));
-        // gap: rows 100..102 were never indexed
-        assert!(!manager.insert_at(&column, 5, 102, 7));
-        // exact continuation: absorbed
-        assert!(manager.insert_at(&column, 5, 100, 7));
-        assert_eq!(manager.describe()[0].tuples, 101);
-        // already covered by the index (e.g. a rebuild raced ahead): no-op ok
-        assert!(manager.insert_at(&column, 5, 50, 7));
-        assert_eq!(manager.describe()[0].tuples, 101);
-
-        // a batch is held to the same guard, once, at its first row
-        assert!(!manager.insert_batch_at(&column, 101, 8, &[1, 2]));
-        assert!(!manager.insert_batch_at(&column, 102, 7, &[1, 2]));
-        assert!(manager.insert_batch_at(&column, 101, 7, &[1, 2]));
-        assert_eq!(manager.describe()[0].tuples, 103);
-        // rows a rebuild already covers are skipped, the rest absorbed
-        assert!(manager.insert_batch_at(&column, 101, 7, &[1, 2, 3]));
-        assert_eq!(manager.describe()[0].tuples, 104);
-        assert!(manager.insert_batch_at(&column, 90, 7, &[1, 2, 3]));
-        assert!(manager.insert_batch_at(&column, 104, 7, &[]));
-        assert_eq!(manager.describe()[0].tuples, 104);
+        assert!(!manager.catch_up(&column, &data, 8));
+        assert_eq!(manager.index_version(&column), Some((7, 100)));
+        // its own epoch: every row past its end is staged at once
+        assert!(manager.catch_up(&column, &data, 7));
+        assert_eq!(manager.index_version(&column), Some((7, 103)));
+        // a writer whose snapshot lags (it came second) finds its rows
+        // covered, and a repeat stages nothing
+        assert!(manager.catch_up(&column, &data[..101], 7));
+        assert!(manager.catch_up(&column, &data, 7));
+        assert_eq!(manager.index_version(&column), Some((7, 103)));
+        let out =
+            manager.query_range_snapshot(&column, &data, 7, 0, 10, StrategyKind::UpdatableCracking);
+        let mut row_ids = out.into_row_ids();
+        row_ids.sort_unstable();
+        let scanned = scan_positions(&data, |key| (0..10).contains(&key));
+        assert_eq!(row_ids, scanned.as_slice());
     }
 
     #[test]
@@ -1262,21 +1290,6 @@ mod tests {
             1000,
             "epoch-4 index not replaced by epoch-3 data"
         );
-    }
-
-    #[test]
-    fn drop_index_if_stale_spares_newer_incarnations() {
-        let manager = IndexManager::new(StrategyKind::Cracking);
-        let data = keys(100);
-        let column = ColumnId::new("t", "a");
-        let _ = manager.query_range_snapshot(&column, &data, 5, 0, 10, StrategyKind::Cracking);
-        // a lagging writer (epoch 4) must not drop the epoch-5 index
-        assert!(!manager.drop_index_if_stale(&column, 4));
-        assert!(manager.has_index(&column));
-        // the owning (or a newer) epoch may drop it
-        assert!(manager.drop_index_if_stale(&column, 5));
-        assert!(!manager.has_index(&column));
-        assert!(!manager.drop_index_if_stale(&column, 5), "already gone");
     }
 
     #[test]
@@ -1329,11 +1342,18 @@ mod tests {
         let shorter = &data[..500];
         assert!(!manager.refresh_index(&column, shorter, 3));
         assert_eq!(manager.index_version(&column), Some((3, 1000)));
-        // grown base column at the same epoch: rebuilt
+        // grown base column at the same epoch: absorbed, not rebuilt
         let mut grown = data.clone();
         grown.push(7);
-        assert!(manager.refresh_index(&column, &grown, 3));
+        assert!(!manager.refresh_index(&column, &grown, 3));
         assert_eq!(manager.index_version(&column), Some((3, 1001)));
+        assert_eq!(manager.describe()[0].queries, 1, "the index kept counting");
+        // an index that cannot absorb has its suffix folded in
+        let plain = IndexManager::new(StrategyKind::FullSort);
+        let _ = plain.query_range_snapshot(&column, &data, 3, 0, 10, StrategyKind::FullSort);
+        assert!(plain.refresh_index(&column, &grown, 3));
+        assert_eq!(plain.index_version(&column), Some((3, 1001)));
+        assert!(!plain.refresh_index(&column, &grown, 3));
         // newer epoch: rebuilt; older epoch: refused
         assert!(manager.refresh_index(&column, &data, 4));
         assert_eq!(manager.index_version(&column), Some((4, 1000)));
@@ -1429,18 +1449,17 @@ mod tests {
         let column = ColumnId::new("t", "a");
         let _ =
             manager.query_range_snapshot(&column, &data, 7, 0, 10, StrategyKind::UpdatableCracking);
-        // wrong epoch and rowid gaps are rejected exactly like the serial path
-        assert!(!manager.insert_at(&column, 5, 1000, 8));
-        assert!(!manager.insert_at(&column, 5, 1002, 7));
-        assert!(manager.insert_at(&column, 5, 1000, 7), "exact continuation");
+        // a wrong epoch is refused exactly like on the serial path
+        let mut grown = data.clone();
+        grown.push(5);
+        assert!(!manager.catch_up(&column, &grown, 8));
+        assert!(manager.catch_up(&column, &grown, 7));
         assert_eq!(manager.describe()[0].tuples, 1001);
         let out =
             manager.query_range_snapshot(&column, &data, 7, 5, 6, StrategyKind::UpdatableCracking);
         // the 1000-row snapshot must not see the absorbed row 1000
         assert!(out.row_ids().iter().all(|&p| p < 1000));
         // a fresh snapshot containing the row does see it
-        let mut grown = data.clone();
-        grown.push(5);
         let out =
             manager.query_range_snapshot(&column, &grown, 7, 5, 6, StrategyKind::UpdatableCracking);
         assert!(out.row_ids().contains(&1000));

@@ -191,113 +191,54 @@ impl Session {
         executor::plan_on_snapshot(&snapshot, &self.inner.manager, query)
     }
 
-    /// Append a row to `table` (one value per column, in schema order) and
-    /// keep the adaptive indexes consistent: update-capable indexes absorb
-    /// the insert; others are dropped so they rebuild lazily on the next
-    /// query — correct answers at the cost of losing learned structure,
-    /// exactly the trade-off the updates paper motivates.
+    /// Append a row to `table` (one value per column, in schema order):
+    /// [`Session::insert_rows`] with one row. Returns its row id.
+    pub fn insert_row(&self, table_name: &str, values: &[Value]) -> AidxResult<RowId> {
+        self.insert_rows(table_name, &[values.to_vec()])
+    }
+
+    /// Append rows to `table` and catch its adaptive indexes up: one that
+    /// absorbs inserts stages the rows; any other keeps them as a suffix its
+    /// queries scan, until a query or the refresh job folds the suffix in.
+    /// No writer drops an index. Returns the row id of the first row.
     ///
-    /// The append goes through [`aidx_columnstore::catalog::Catalog::append_row`],
-    /// the catalog's append-only path: if a snapshot is alive, copy-on-write
+    /// Every row is validated against the schema before anything is logged
+    /// or applied; then one write-lock acquisition appends them through the
+    /// catalog's append-only path: if a snapshot is alive, copy-on-write
     /// clones only the segment tails (all sealed chunks stay shared), the
     /// table keeps its structural epoch, and only the append sub-version
     /// advances — so the index layer sees "same table, newer rows", never a
     /// potential drop/re-create.
     ///
-    /// The catalog write lock is held only for the append itself; index
-    /// maintenance runs afterwards under the per-column index locks, so one
-    /// slow reorganization never stalls sessions on other tables. The
-    /// manager's rowid/epoch continuity guard keeps racing inserts safe: an
-    /// index that cannot prove it covers every row up to this one is dropped
-    /// instead of updated.
+    /// The indexes catch up from the table the rows were appended to, still
+    /// under the write lock, so no snapshot outlives the append to make the
+    /// next writer's append copy its tail. A column whose latch a query
+    /// holds is skipped rather than waited for — one slow reorganization
+    /// never stalls the writer, and with it every session — because an index
+    /// covers a prefix of its column: the next query on that column catches
+    /// it up from its own snapshot.
     ///
-    /// With durability configured, the row is written to the log *before*
-    /// the catalog applies it (still under the write lock, so the log order
-    /// is the apply order); an I/O error means the row reached neither the
-    /// log nor memory. The fsync the policy may require happens after the
-    /// lock is released, so concurrent committers share one physical flush.
-    pub fn insert_row(&self, table_name: &str, values: &[Value]) -> AidxResult<RowId> {
-        let clock = self.inner.telemetry.clock();
-        let (row_id, epoch, column_names, sync_lsn) = {
-            let mut catalog = self.inner.catalog.write();
-            let epoch = catalog.table_epoch(table_name)?;
-            let sync_lsn = match &self.inner.durability {
-                Some(durability) => {
-                    // validate first: a row the catalog would reject must
-                    // not reach the log, or replay would diverge
-                    catalog.table(table_name)?.validate_row(values)?;
-                    durability
-                        .log_append(table_name, &[values.to_vec()])
-                        .map_err(|(_, error)| error)?
-                }
-                None => None,
-            };
-            let row_id = catalog.append_row(table_name, values)?;
-            let column_names: Vec<Arc<str>> = catalog
-                .table(table_name)?
-                .schema()
-                .fields()
-                .iter()
-                .map(|f| Arc::from(f.name()))
-                .collect();
-            (row_id, epoch, column_names, sync_lsn)
-        };
-        if let Some(durability) = &self.inner.durability {
-            durability.sync_if_requested(sync_lsn)?;
-        }
-        for (i, name) in column_names.into_iter().enumerate() {
-            let column_id = ColumnId::new(table_name, name);
-            if !self.inner.manager.has_index(&column_id) {
-                continue;
-            }
-            let covered = values[i]
-                .as_i64()
-                .map(|key| {
-                    self.inner
-                        .manager
-                        .insert_at(&column_id, key, row_id as u64, epoch)
-                })
-                .unwrap_or(false);
-            if !covered {
-                // only drop an index of this (or an older) incarnation; one
-                // registered for a newer re-created table stays untouched
-                self.inner.manager.drop_index_if_stale(&column_id, epoch);
-            }
-        }
-        if let Some(started) = clock {
-            self.inner.telemetry.rows_inserted.incr();
-            self.inner
-                .telemetry
-                .insert_ns
-                .record_duration(started.elapsed());
-        }
-        Ok(row_id)
-    }
-
-    /// Append many rows to `table` in one call: one write-lock acquisition,
-    /// one chunked batch of log records (when durable), and at most one
-    /// fsync for the whole batch — the bulk-load shape of
-    /// [`Session::insert_row`]. Index maintenance mirrors the single-row
-    /// path per inserted row. Returns the row id of the first inserted row.
-    ///
-    /// Every row is validated against the schema before anything is logged
-    /// or applied. If the log fails partway through (durable databases
-    /// only), the rows already logged are applied to memory — so the
-    /// running process agrees with what a crash-recovery replay would
-    /// rebuild — and the error is returned.
+    /// With durability configured, the rows are written to the log, as one
+    /// chunked batch of records, *before* the catalog applies them (still
+    /// under the write lock, so the log order is the apply order). If the
+    /// log fails partway through, the rows already logged are applied to
+    /// memory — so the running process agrees with what a crash-recovery
+    /// replay would rebuild — and the error is returned; a single row thus
+    /// reaches either both or neither. The fsync the policy may require
+    /// happens after the lock is released, so concurrent committers share
+    /// one physical flush.
     pub fn insert_rows(&self, table_name: &str, rows: &[Vec<Value>]) -> AidxResult<RowId> {
         let clock = self.inner.telemetry.clock();
-        let (start_row, epoch, column_names, sync_lsn, applied) = {
+        let (start_row, sync_lsn) = {
             let mut catalog = self.inner.catalog.write();
-            let epoch = catalog.table_epoch(table_name)?;
             let table = catalog.table(table_name)?;
             for row in rows {
                 table.validate_row(row)?;
             }
             let start_row = table.row_count() as RowId;
-            let (sync_lsn, applied) = match &self.inner.durability {
+            let sync_lsn = match &self.inner.durability {
                 Some(durability) => match durability.log_append(table_name, rows) {
-                    Ok(sync_lsn) => (sync_lsn, rows.len()),
+                    Ok(sync_lsn) => sync_lsn,
                     Err((logged, error)) => {
                         catalog
                             .append_rows(table_name, &rows[..logged])
@@ -306,39 +247,23 @@ impl Session {
                         return Err(error);
                     }
                 },
-                None => (None, rows.len()),
+                None => None,
             };
             catalog
                 .append_rows(table_name, rows)
                 .expect("rows were validated above");
-            let column_names: Vec<Arc<str>> = catalog
-                .table(table_name)?
-                .schema()
-                .fields()
-                .iter()
-                .map(|f| Arc::from(f.name()))
-                .collect();
-            (start_row, epoch, column_names, sync_lsn, applied)
+            let (table, epoch) = (catalog.table(table_name)?, catalog.table_epoch(table_name)?);
+            let name: Arc<str> = Arc::from(table_name);
+            for (i, field) in table.schema().fields().iter().enumerate() {
+                if let Some(keys) = table.column_at(i).and_then(|c| c.as_i64()) {
+                    let column_id = ColumnId::new(name.clone(), field.name());
+                    self.inner.manager.catch_up(&column_id, keys, epoch);
+                }
+            }
+            (start_row, sync_lsn)
         };
-        debug_assert_eq!(applied, rows.len());
         if let Some(durability) = &self.inner.durability {
             durability.sync_if_requested(sync_lsn)?;
-        }
-        let manager = &self.inner.manager;
-        let table: Arc<str> = Arc::from(table_name);
-        for (i, name) in column_names.into_iter().enumerate() {
-            let column_id = ColumnId::new(table.clone(), name);
-            if !manager.has_index(&column_id) {
-                continue;
-            }
-            // a value that is no key cannot be absorbed: the index is dropped
-            let keys: Option<Vec<Key>> = rows.iter().map(|row| row[i].as_i64()).collect();
-            let covered = keys.is_some_and(|keys| {
-                manager.insert_batch_at(&column_id, start_row as u64, epoch, &keys)
-            });
-            if !covered {
-                manager.drop_index_if_stale(&column_id, epoch);
-            }
         }
         if let Some(started) = clock {
             self.inner.telemetry.rows_inserted.add(rows.len() as u64);

@@ -551,8 +551,10 @@ impl AdaptiveIndex for CrackedIndex {
     fn is_converged(&self) -> bool {
         CrackedIndex::is_converged(self, CONVERGED_PIECE_LEN)
     }
-    fn insert(&mut self, key: Key) -> bool {
-        CrackedIndex::insert(self, key);
+    fn insert_batch(&mut self, keys: &[Key]) -> bool {
+        for &key in keys {
+            CrackedIndex::insert(self, key);
+        }
         true
     }
 }

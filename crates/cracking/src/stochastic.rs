@@ -224,9 +224,8 @@ impl AdaptiveIndex for StochasticCrackedIndex {
     }
     /// Staged in the inner index ([`CrackedIndex::insert`]): auxiliary
     /// cracks only add cuts, and the merge moves every cut with its tuples.
-    fn insert(&mut self, key: Key) -> bool {
-        self.inner.insert(key);
-        true
+    fn insert_batch(&mut self, keys: &[Key]) -> bool {
+        self.inner.insert_batch(keys)
     }
 }
 
@@ -347,7 +346,7 @@ mod tests {
         let pieces = idx.piece_count();
         for q in 0..60 {
             let key = (q * 131) % 4500 - 200;
-            assert!(AdaptiveIndex::insert(&mut idx, key));
+            assert!(idx.insert_batch(&[key]));
             data.push(key);
             let low = (q * 53) % 3900;
             let mut got = idx.query_range(low, low + 150).keys().to_vec();

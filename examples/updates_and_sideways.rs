@@ -7,9 +7,10 @@
 //!
 //! Part 1 interleaves insertions with range queries through the
 //! `Database`/`Session` facade — a cracking index absorbs the inserts, a
-//! full index is dropped and lazily rebuilt — and then runs the same stream
-//! on the raw cracked index, to show what merge-ripple ("Updating a Cracked
-//! Database") leaves pending: only tuples no query has asked for yet.
+//! full index scans the rows appended after its build — and then runs the
+//! same stream on the raw cracked index, to show what merge-ripple
+//! ("Updating a Cracked Database") leaves pending: only tuples no query has
+//! asked for yet.
 //!
 //! Part 2 runs the sideways-cracking scenario: `SELECT B, C WHERE low <= A <
 //! high`. The naive plan (crack A, then fetch B and C through late
@@ -76,9 +77,9 @@ fn updates_part() {
             checksum += result.row_count() as u64;
         }
         std::hint::black_box(checksum);
-        // a cracking index absorbs inserts and survives the whole run; a
-        // full index is dropped on every insert batch, so its
-        // queries-since-last-(re)build counter stays small
+        // a cracking index absorbs inserts; a full index keeps covering the
+        // rows it was built from and scans the ones appended since, until
+        // they pass max(n / 64, one chunk). Both survive the whole run
         let since_rebuild = db.index_stats().first().map_or(0, |info| info.queries);
         println!(
             "facade / {:<20} total {:>10}  rows at end {:>9}  queries since last index rebuild {}",

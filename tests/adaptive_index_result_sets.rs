@@ -144,12 +144,12 @@ fn updatable_cracking_agrees_with_a_mutable_model_under_inserts() {
         if i % 3 == 0 {
             let key = rng.gen_range(-1_500i64..1_500);
             assert!(
-                updatable.insert(key),
+                updatable.insert_batch(&[key]),
                 "updatable-cracking rejected insert of {key}",
             );
             live.push(key);
             assert!(
-                !scan.insert(key),
+                !scan.insert_batch(&[key]),
                 "full-scan claims update support it does not implement",
             );
         }

@@ -10,7 +10,7 @@
 use adaptive_indexing::core::prelude::*;
 use adaptive_indexing::workloads::data::{generate_keys, DataDistribution};
 use adaptive_indexing::Database;
-use std::sync::Arc;
+use std::sync::{Arc, Barrier};
 use std::thread;
 
 const ROWS: usize = 40_000;
@@ -175,4 +175,84 @@ fn concurrent_readers_and_writer_stay_consistent() {
         .unwrap()
         .row_count();
     assert_eq!(final_count, ROWS + 200);
+}
+
+/// Two writers append to a converged cracking column at once. The later of
+/// the two may reach the index first; it then covers both writers' rows,
+/// and the other finds its row covered. No writer drops the index, and the
+/// next query neither rebuilds it nor misses a row.
+#[test]
+fn racing_writers_keep_the_converged_index() {
+    const BASE: usize = 200_000;
+    const WRITERS: usize = 2;
+    const INSERTS_PER_WRITER: usize = 20_000;
+    let keys = generate_keys(BASE, DataDistribution::UniformPermutation, 77);
+    let db = Database::builder()
+        .default_strategy(StrategyKind::Cracking)
+        .build();
+    db.create_table(
+        "t",
+        Table::from_columns(vec![("k", Column::from_i64(keys))]).unwrap(),
+    )
+    .unwrap();
+    let session = db.session();
+    for q in 0..200i64 {
+        let low = (q * 7_919) % (BASE as i64 - 2_000);
+        session
+            .query("t")
+            .range("k", low, low + 2_000)
+            .execute()
+            .unwrap();
+    }
+    // both writers start together, so their appends interleave throughout
+    let start = Arc::new(Barrier::new(WRITERS));
+    let handles: Vec<_> = (0..WRITERS)
+        .map(|w| {
+            let session = db.session();
+            let start = Arc::clone(&start);
+            thread::spawn(move || {
+                start.wait();
+                for i in 0..INSERTS_PER_WRITER {
+                    let key = ((i * 7_919 + w * 104_729) % (BASE + 10_000)) as i64;
+                    session.insert_row("t", &[Value::Int64(key)]).unwrap();
+                }
+            })
+        })
+        .collect();
+    for handle in handles {
+        handle.join().expect("writer panicked");
+    }
+    let rows = BASE + WRITERS * INSERTS_PER_WRITER;
+    assert_eq!(db.indexed_column_count(), 1, "a writer dropped the index");
+    let snapshot = db.table_snapshot("t").unwrap();
+    let model = snapshot.column("k").unwrap().as_i64().unwrap().to_vec();
+    assert_eq!(model.len(), rows);
+    // no writer held a snapshot while the other appended, so no append had
+    // to copy and seal a tail chunk
+    assert_eq!(snapshot.column("k").unwrap().fragmented_chunk_count(), 0);
+    let scan = |low: i64, high: i64| -> Vec<u32> {
+        (0..rows as u32)
+            .filter(|&p| (low..high).contains(&model[p as usize]))
+            .collect()
+    };
+    let profile = session
+        .explain_profile(&Query::table("t").range("k", 5_000, 9_000))
+        .unwrap();
+    assert_eq!(profile.result.positions().as_slice(), scan(5_000, 9_000));
+    let rebuilt = profile.trace.events.iter().find_map(|event| match event {
+        SpanEvent::IndexProbe { rebuilt, .. } => Some(*rebuilt),
+        _ => None,
+    });
+    assert_eq!(rebuilt, Some(false), "the next query rebuilt the index");
+    let info = &db.index_stats()[0];
+    assert_eq!(info.queries, 201, "the index kept counting its queries");
+    assert_eq!(info.tuples, rows);
+    for (low, high) in [(0, 1_000), (150_000, 160_500), (199_000, 215_000)] {
+        let result = session.query("t").range("k", low, high).execute().unwrap();
+        assert_eq!(
+            result.positions().as_slice(),
+            scan(low, high),
+            "[{low}, {high})"
+        );
+    }
 }

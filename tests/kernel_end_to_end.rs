@@ -448,12 +448,13 @@ fn in_domain_insert_batches_merge_into_a_converged_updatable_column() {
 }
 
 /// One insert into a converged column, then the same query again, for every
-/// strategy: the cracking kinds merge the row into the index they have —
-/// the traced probe reports no rebuild and no fewer pieces — while every
-/// other kind still drops its index and rebuilds it from the grown column.
-/// Every answer is the scan's either way.
+/// strategy: no kind rebuilds. The cracking kinds merge the row into the
+/// index they have; every other kind keeps covering the rows it was built
+/// from and scans the one row past its end. The traced probe reports no
+/// rebuild and the pieces the converged column had, and every answer is the
+/// scan's.
 #[test]
-fn an_insert_into_a_converged_column_is_absorbed_by_the_cracking_kinds() {
+fn an_insert_into_a_converged_column_never_rebuilds_its_index() {
     let rows: i64 = 5000;
     let keys: Vec<i64> = (0..rows).map(|i| (i * 7919) % rows).collect();
     let scan = |model: &[i64], low: i64, high: i64| -> Vec<RowId> {
@@ -508,16 +509,18 @@ fn an_insert_into_a_converged_column_is_absorbed_by_the_cracking_kinds() {
         };
         let (rebuilt, _, converged_pieces) = probe(&model);
         assert!(!rebuilt, "{label}");
+        let queries = db.index_stats()[0].queries;
 
         let row = session.insert_row("t", &[Value::Int64(1050)]).unwrap();
         assert_eq!(row, rows as RowId, "{label}");
         model.push(1050);
         let (rebuilt, pieces_before, pieces_after) = probe(&model);
-        assert_eq!(rebuilt, !absorbs, "{label}");
-        if absorbs {
-            assert!(pieces_before >= converged_pieces, "{label}");
-            assert!(pieces_after >= converged_pieces, "{label}");
-            assert_eq!(db.index_stats()[0].tuples, model.len(), "{label}");
-        }
+        assert!(!rebuilt, "{label}");
+        assert_eq!(pieces_before, converged_pieces, "{label}");
+        assert!(pieces_after >= converged_pieces, "{label}");
+        let info = &db.index_stats()[0];
+        assert_eq!(info.queries, queries + 1, "{label}");
+        // the index covers the row, or leaves it as the suffix it scans
+        assert_eq!(info.tuples, model.len() - usize::from(!absorbs), "{label}");
     }
 }
