@@ -10,6 +10,7 @@
 
 use crate::cost::CostModel;
 use aidx_columnstore::types::Key;
+use aidx_cracking::CrackerColumn;
 use std::collections::BTreeMap;
 
 /// One observed (or anticipated) query in the sample workload.
@@ -147,7 +148,8 @@ impl OfflineAdvisor {
                 build_index: false,
                 estimated_benefit: benefit,
                 estimated_build_cost: build_cost,
-                estimated_bytes: profile.row_count * 12,
+                estimated_bytes: profile.row_count
+                    * CrackerColumn::tuple_bytes(profile.min, profile.max),
             });
         }
         recommendations.sort_by(|a, b| {
@@ -225,8 +227,9 @@ mod tests {
             WorkloadSample::new("hot", 1000, 2000, 500),
             WorkloadSample::new("cold", 5000, 6000, 400),
         ];
-        // budget fits only one 100k-row index (12 bytes per entry)
-        let recommended = advisor.recommended_columns(&workload, 100_000 * 12);
+        // budget fits only one 100k-row index (8 bytes per entry: each
+        // column's keys span less than 2^32)
+        let recommended = advisor.recommended_columns(&workload, 100_000 * 8);
         assert_eq!(recommended.len(), 1);
         assert_eq!(
             recommended[0], "hot",

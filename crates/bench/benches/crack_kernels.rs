@@ -10,8 +10,15 @@
 //! loop is ahead by more than noise, hence no threshold), and
 //! `crack_in_three` is two of them rather than one Dutch-flag pass (compare
 //! `crack_in_three/two_cracks/..` with `crack_in_three/dutch_flag/..`).
+//!
+//! The kernels are generic over the key width a cracker column stores:
+//! `block` and `two_cracks` run on `i64` keys, `block_u32` and
+//! `two_cracks_u32` on the same keys as `u32` offsets, and `first_touch`
+//! builds a narrow column (`fused`, the keys' own domain) beside a wide one
+//! (`fused_wide`, told the domain is all of `i64`).
 
 use aidx_cracking::crack::{crack_in_three, crack_in_two, PivotSide};
+use aidx_cracking::cracker_column::key_domain;
 use aidx_cracking::selection::CrackedIndex;
 use aidx_merging::run::SortedRun;
 use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion};
@@ -32,6 +39,13 @@ fn make_pairs(n: usize) -> (Vec<i64>, Vec<u32>) {
         values.swap(i, (state >> 33) as usize % (i + 1));
     }
     (values, (0..n as u32).collect())
+}
+
+/// The same keys as `u32` offsets from zero.
+fn narrow(values: &[i64]) -> Vec<u32> {
+    (values.iter())
+        .map(|&key| u32::try_from(key).expect("bench keys are below 2^32"))
+        .collect()
 }
 
 /// The two-sided loop `crack_in_two` was until it became a block partition:
@@ -88,6 +102,7 @@ fn bench_crack_in_two(c: &mut Criterion) {
     let mut group = c.benchmark_group("crack_in_two");
     for &n in &SIZES {
         let (values, rowids) = make_pairs(n);
+        let offsets = narrow(&values);
         for percent in PIVOT_PERCENTS {
             let pivot = (n * percent / 100) as i64;
             let id = format!("{n}/p{percent:02}");
@@ -96,6 +111,16 @@ fn bench_crack_in_two(c: &mut Criterion) {
                     || (values.clone(), rowids.clone()),
                     |(mut values, mut rowids)| {
                         crack_in_two(&mut values, &mut rowids, 0, n, pivot, PivotSide::Left)
+                    },
+                    BatchSize::LargeInput,
+                );
+            });
+            group.bench_function(BenchmarkId::new("block_u32", &id), |b| {
+                b.iter_batched(
+                    || (offsets.clone(), rowids.clone()),
+                    |(mut offsets, mut rowids)| {
+                        let pivot = pivot as u32;
+                        crack_in_two(&mut offsets, &mut rowids, 0, n, pivot, PivotSide::Left)
                     },
                     BatchSize::LargeInput,
                 );
@@ -116,6 +141,7 @@ fn bench_crack_in_three(c: &mut Criterion) {
     let mut group = c.benchmark_group("crack_in_three");
     for &n in &SIZES {
         let (values, rowids) = make_pairs(n);
+        let offsets = narrow(&values);
         // a range 1 % of the piece wide, at its bottom, middle and top
         for percent in [1, 50, 98] {
             let low = (n * percent / 100) as i64;
@@ -126,6 +152,17 @@ fn bench_crack_in_three(c: &mut Criterion) {
                     || (values.clone(), rowids.clone()),
                     |(mut values, mut rowids)| {
                         let split = crack_in_three(&mut values, &mut rowids, 0, n, low, high);
+                        split.high_split - split.low_split
+                    },
+                    BatchSize::LargeInput,
+                );
+            });
+            group.bench_function(BenchmarkId::new("two_cracks_u32", &id), |b| {
+                b.iter_batched(
+                    || (offsets.clone(), rowids.clone()),
+                    |(mut offsets, mut rowids)| {
+                        let (low, high) = (low as u32, high as u32);
+                        let split = crack_in_three(&mut offsets, &mut rowids, 0, n, low, high);
                         split.high_split - split.low_split
                     },
                     BatchSize::LargeInput,
@@ -154,27 +191,34 @@ fn bench_first_touch(c: &mut Criterion) {
     for n in [1usize << 20, 1 << 22] {
         let (values, _) = make_pairs(n);
         let chunks: Vec<&[i64]> = values.chunks(4096).collect();
+        let domain = key_domain(&values);
         let low = (n / 2) as i64;
         let high = low + (n / 100) as i64;
-        // partition while copying, then read the answer's piece
-        group.bench_function(BenchmarkId::new("fused", n), |b| {
-            b.iter(|| {
-                let mut index = CrackedIndex::from_chunks(&chunks, Some((low, high)));
-                let answer = index.query_range(low, high).len();
-                (index, answer)
-            })
-        });
+        // partition while copying, then read the answer's piece: 8-byte
+        // tuples, and 12-byte ones
+        for (name, domain) in [
+            ("fused", domain),
+            ("fused_wide", Some((i64::MIN, i64::MAX))),
+        ] {
+            group.bench_function(BenchmarkId::new(name, n), |b| {
+                b.iter(|| {
+                    let mut index = CrackedIndex::from_chunks(&chunks, domain, Some((low, high)));
+                    let answer = index.query_range(low, high).len();
+                    (index, answer)
+                })
+            });
+        }
         // copy, then crack the copy in place
         group.bench_function(BenchmarkId::new("copy_then_crack", n), |b| {
             b.iter(|| {
-                let mut index = CrackedIndex::from_chunks(&chunks, None);
+                let mut index = CrackedIndex::from_chunks(&chunks, domain, None);
                 let answer = index.query_range(low, high).len();
                 (index, answer)
             })
         });
         // the copy alone, and the scan a first query replaces
         group.bench_function(BenchmarkId::new("copy", n), |b| {
-            b.iter(|| CrackedIndex::from_chunks(&chunks, None))
+            b.iter(|| CrackedIndex::from_chunks(&chunks, domain, None))
         });
         group.bench_function(BenchmarkId::new("scan_count", n), |b| {
             b.iter(|| values.iter().filter(|&&v| v >= low && v < high).count())

@@ -25,7 +25,6 @@
 //! the per-query median and 99th percentile from one more.
 
 use aidx_columnstore::types::{Key, RowId};
-use aidx_cracking::crack::{crack_in_two, PivotSide};
 use aidx_cracking::index::BTreeCutIndex;
 use aidx_cracking::{CrackedIndex, CrackerColumn};
 use aidx_workloads::data::{generate_keys, DataDistribution};
@@ -108,8 +107,7 @@ impl PerTupleIndex {
         }
         let begin = self.cuts.floor(key).map_or(0, |(_, p)| p);
         let end = self.cuts.ceiling(key).map_or(len, |(_, p)| p);
-        let (values, rowids) = self.column.pair_slices_mut();
-        let split = crack_in_two(values, rowids, begin, end, key, PivotSide::Left);
+        let (split, _) = self.column.crack_in_two(begin, end, key);
         self.cuts.insert(key, split);
         split
     }
@@ -122,7 +120,7 @@ impl PerTupleIndex {
             .filter(|&(k, _)| k > key)
             .collect();
         downstream.sort_unstable_by_key(|&(k, _)| std::cmp::Reverse(k));
-        self.column.push(0, 0);
+        self.column.push(key, rowid);
         let mut hole = self.column.len() - 1;
         for (cut_key, cut_pos) in downstream {
             if cut_pos < hole {

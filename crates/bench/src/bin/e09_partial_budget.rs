@@ -5,6 +5,7 @@
 use aidx_bench::HarnessConfig;
 use aidx_cracking::partial::PartialCrackedIndex;
 use aidx_cracking::selection::CrackedIndex;
+use aidx_cracking::CrackerColumn;
 use aidx_workloads::data::{generate_keys, DataDistribution};
 use aidx_workloads::query::{QueryWorkload, WorkloadKind};
 use std::time::Instant;
@@ -33,7 +34,7 @@ fn main() {
         config.seed + 10,
     );
 
-    let full_copy_bytes = rows * 12;
+    let full_copy_bytes = rows * CrackerColumn::tuple_bytes(0, rows as i64);
     let budgets = [
         ("1%", full_copy_bytes / 100),
         ("5%", full_copy_bytes / 20),

@@ -782,6 +782,75 @@ mod tests {
     }
 
     #[test]
+    fn hand_built_in_sets_with_unsorted_or_repeated_keys_answer_like_a_scan() {
+        // k: 0..100, r: k % 10
+        let k: Vec<Key> = (0..100).collect();
+        let r: Vec<Key> = k.iter().map(|&v| v % 10).collect();
+        let table = Arc::new(
+            Table::from_columns(vec![
+                ("k", Column::from_i64(k.clone())),
+                ("r", Column::from_i64(r.clone())),
+            ])
+            .unwrap(),
+        );
+        let in_set = |column: &str, keys: &[Key]| Predicate::InSet {
+            column: column.into(),
+            keys: keys.into(),
+        };
+        let evens = [9, 1, 4, 2, 6, 8];
+        for (query, driver, expected) in [
+            // the set drives
+            (
+                Query::table("t").filter(in_set("k", &[7, 3, 7])),
+                "k",
+                vec![3, 7],
+            ),
+            (
+                Query::table("t").filter(in_set("r", &evens)),
+                "r",
+                (0..100).filter(|i| evens.contains(&(i % 10))).collect(),
+            ),
+            // a range drives, and the set filters what it found
+            (
+                Query::table("t")
+                    .range("k", 0, 30)
+                    .filter(in_set("r", &evens)),
+                "k",
+                (0..30).filter(|i| evens.contains(&(i % 10))).collect(),
+            ),
+            (
+                Query::table("t")
+                    .point("k", 7)
+                    .filter(in_set("k", &[7, 3, 7])),
+                "k",
+                vec![7],
+            ),
+        ] {
+            let manager = IndexManager::new(StrategyKind::Cracking);
+            let plan = plan_on_snapshot(&table, &manager, &query).unwrap();
+            assert_eq!(plan.driver_column.as_deref(), Some(driver), "{query:?}");
+            let result = execute_on_snapshot(
+                Arc::clone(&table),
+                1,
+                &manager,
+                &query,
+                StrategyKind::Cracking,
+                None,
+                None,
+                None,
+            )
+            .unwrap();
+            let expected: Vec<RowId> = expected.into_iter().map(|i: Key| i as RowId).collect();
+            assert_eq!(
+                result.positions().as_slice(),
+                expected.as_slice(),
+                "{query:?}"
+            );
+            assert_eq!(result.row_count(), expected.len(), "{query:?}");
+        }
+    }
+
+    #[test]
     fn no_predicates_selects_every_row() {
         let result = run(&Query::table("t")).unwrap();
         assert_eq!(result.row_count(), 100);

@@ -19,6 +19,7 @@ use crate::strategy::{AdaptiveIndex, QueryOutput, StrategyKind, StrategyTuning};
 use aidx_columnstore::ops::select as columnstore_select;
 use aidx_columnstore::segment::{Segment, ZoneMap, DEFAULT_SEGMENT_CAPACITY};
 use aidx_columnstore::types::{Key, RowId};
+use aidx_cracking::cracker_column::key_domain;
 use aidx_parallel::ThreadPool;
 use parking_lot::Mutex;
 use std::collections::HashMap;
@@ -143,6 +144,16 @@ impl KeySource<'_> {
         match self {
             KeySource::Flat(keys) => vec![keys],
             KeySource::Segmented(segment) => segment.chunks().map(|chunk| chunk.values).collect(),
+        }
+    }
+
+    /// The smallest and largest key (`None` when there are none), which
+    /// decides a cracker column's width: a segment's zone maps give it by
+    /// walking chunk headers, a flat view pays one pass over its keys.
+    fn domain(&self) -> Option<(Key, Key)> {
+        match self {
+            KeySource::Flat(keys) => key_domain(keys),
+            KeySource::Segmented(segment) => segment.min().zip(segment.max()),
         }
     }
 
@@ -725,7 +736,7 @@ impl IndexManager {
         let mut registry = self.indexes.lock();
         let entry = registry.entry(column.clone()).or_insert_with(|| {
             Arc::new(Mutex::new(ManagedIndex {
-                body: strategy.build_from(&[], None, &self.tuning),
+                body: strategy.build_from(&[], None, None, &self.tuning),
                 kind: strategy,
                 epoch,
                 queries: 0,
@@ -736,8 +747,9 @@ impl IndexManager {
 
     /// Replace `managed` with an index of `kind` built from a snapshot view
     /// of `epoch`, read chunk by chunk out of a multi-chunk segment (no
-    /// transient contiguous copy) and built for `first_query` (see
-    /// [`StrategyKind::build_from`]); its query count restarts.
+    /// transient contiguous copy), over the key domain its zone maps give,
+    /// and built for `first_query` (see [`StrategyKind::build_from`]); its
+    /// query count restarts.
     fn rebuild(
         &self,
         managed: &mut ManagedIndex,
@@ -746,7 +758,7 @@ impl IndexManager {
         epoch: u64,
         first_query: Option<(Key, Key)>,
     ) {
-        let body = kind.build_from(&keys.chunks(), first_query, &self.tuning);
+        let body = kind.build_from(&keys.chunks(), keys.domain(), first_query, &self.tuning);
         *managed = ManagedIndex {
             body,
             kind,

@@ -54,8 +54,13 @@ pub enum Predicate {
         /// The matched key.
         key: Key,
     },
-    /// Membership `column IN keys`. The key set is sorted and deduplicated
-    /// at construction so matching is a binary search.
+    /// Membership `column IN keys`.
+    ///
+    /// Invariant: `keys` is sorted and duplicate-free, so matching is a
+    /// binary search and a driver probes each key once.
+    /// [`Predicate::in_set`] builds it so, and [`Query::filter`], which every
+    /// predicate of a query passes through, sorts and deduplicates the keys
+    /// of a variant built by hand.
     InSet {
         /// Column the predicate applies to.
         column: Arc<str>,
@@ -90,6 +95,17 @@ impl Predicate {
         Predicate::InSet {
             column: column.into(),
             keys: keys.into(),
+        }
+    }
+
+    /// The predicate with its invariants restored: a hand-built `InSet`'s
+    /// keys sorted and deduplicated, as [`Predicate::in_set`] leaves them.
+    fn canonical(self) -> Self {
+        match self {
+            Predicate::InSet { column, keys } if !keys.is_sorted_by(|a, b| a < b) => {
+                Predicate::in_set(column, keys.iter().copied())
+            }
+            other => other,
         }
     }
 
@@ -229,7 +245,7 @@ impl Query {
 
     /// Add an arbitrary predicate to the conjunction.
     pub fn filter(mut self, predicate: Predicate) -> Self {
-        self.predicates.push(predicate);
+        self.predicates.push(predicate.canonical());
         self
     }
 
@@ -354,6 +370,16 @@ mod tests {
             _ => unreachable!(),
         }
         assert_eq!(s.estimated_width(), 3);
+    }
+
+    #[test]
+    fn filter_canonicalises_hand_built_in_sets() {
+        let hand_built = Predicate::InSet {
+            column: "a".into(),
+            keys: [9, 1, 9, 4].into(),
+        };
+        let query = Query::table("t").filter(hand_built);
+        assert_eq!(query.predicates(), &[Predicate::in_set("a", [1, 4, 9])]);
     }
 
     #[test]

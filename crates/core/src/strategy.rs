@@ -10,6 +10,7 @@
 
 use aidx_baselines::{FullScanIndex, FullSortIndex, OnlineIndexTuner, SoftIndexTuner};
 use aidx_columnstore::types::Key;
+use aidx_cracking::cracker_column::key_domain;
 use aidx_cracking::partial::PartialCrackedIndex;
 use aidx_cracking::selection::CrackedIndex;
 use aidx_cracking::stochastic::{StochasticCrackedIndex, StochasticVariant};
@@ -122,16 +123,31 @@ impl StrategyKind {
 
     /// Build an index of this kind over a dense key slice with default
     /// tuning and no query to build for: [`StrategyKind::build_from`] over
-    /// one chunk.
+    /// one chunk. A kind that stores a cracker column first pays one pass
+    /// over the keys for their domain; the others never read it.
     pub fn build(&self, keys: &[Key]) -> Box<dyn AdaptiveIndex + Send> {
-        self.build_from(&[keys], None, &StrategyTuning::default())
+        let cracker_column = matches!(
+            self,
+            StrategyKind::Cracking
+                | StrategyKind::UpdatableCracking
+                | StrategyKind::StochasticCracking
+        );
+        let domain = if cracker_column {
+            key_domain(keys)
+        } else {
+            None
+        };
+        self.build_from(&[keys], domain, None, &StrategyTuning::default())
     }
 
     /// Build an index of this kind over a base column stored as `chunks` —
     /// the one slice of a flat column, a segment's sealed chunks and tail,
     /// read where they lie — using `tuning` for the parameters that are not
     /// part of the kind itself, for the query `first_query` that found the
-    /// column unindexed, if one did.
+    /// column unindexed, if one did. `domain` holds every key (`None` for
+    /// none); it decides the width of a cracker column's keys (see
+    /// [`aidx_cracking::cracker_column`]), and the kinds that store no
+    /// cracker column ignore it.
     ///
     /// [`StrategyKind::Cracking`] (and its alias
     /// [`StrategyKind::UpdatableCracking`]) cracks on that query's
@@ -142,6 +158,7 @@ impl StrategyKind {
     pub fn build_from(
         &self,
         chunks: &[&[Key]],
+        domain: Option<(Key, Key)>,
         first_query: Option<(Key, Key)>,
         tuning: &StrategyTuning,
     ) -> Box<dyn AdaptiveIndex + Send> {
@@ -149,10 +166,11 @@ impl StrategyKind {
             StrategyKind::FullScan => Box::new(FullScanIndex::from_chunks(chunks)),
             StrategyKind::FullSort => Box::new(FullSortIndex::from_chunks(chunks)),
             StrategyKind::Cracking | StrategyKind::UpdatableCracking => {
-                Box::new(CrackedIndex::from_chunks(chunks, first_query))
+                Box::new(CrackedIndex::from_chunks(chunks, domain, first_query))
             }
             StrategyKind::StochasticCracking => Box::new(StochasticCrackedIndex::from_chunks(
                 chunks,
+                domain,
                 StochasticVariant::DataDrivenCenter,
                 1 << 12,
                 0xA1D0,
@@ -306,36 +324,41 @@ mod tests {
 
     #[test]
     fn insert_supported_only_by_updatable_strategies() {
-        let keys = test_keys(100);
-        for kind in StrategyKind::all_defaults() {
-            let mut index = kind.build(&keys);
-            let absorbs = matches!(
-                kind,
-                StrategyKind::Cracking
-                    | StrategyKind::UpdatableCracking
-                    | StrategyKind::StochasticCracking
-            );
-            assert_eq!(index.insert_batch(&[42]), absorbs, "{}", kind.label());
-            if !absorbs {
-                // a refusal stages nothing
-                assert_eq!(index.len(), 100, "{}", kind.label());
-                continue;
+        // keys spanning less than 2^32 make 8-byte cracker tuples, keys
+        // spanning all of `i64` 12-byte ones
+        let narrow = test_keys(100);
+        let mut wide = test_keys(100);
+        (wide[0], wide[1]) = (Key::MIN, Key::MAX - 1);
+        for (keys, merged) in [(narrow, 4 + 4), (wide, 8 + 4)] {
+            for kind in StrategyKind::all_defaults() {
+                let mut index = kind.build(&keys);
+                let absorbs = matches!(
+                    kind,
+                    StrategyKind::Cracking
+                        | StrategyKind::UpdatableCracking
+                        | StrategyKind::StochasticCracking
+                );
+                assert_eq!(index.insert_batch(&[42]), absorbs, "{}", kind.label());
+                if !absorbs {
+                    // a refusal stages nothing
+                    assert_eq!(index.len(), 100, "{}", kind.label());
+                    continue;
+                }
+                let before = index.auxiliary_bytes();
+                assert_eq!(index.len(), 101);
+                assert!(index.insert_batch(&[7, 7, -1]));
+                assert_eq!(index.len(), 104);
+                // staged tuples are auxiliary memory before the merge as after it
+                let staged = std::mem::size_of::<(Key, RowId)>();
+                assert_eq!(index.auxiliary_bytes(), before + 3 * staged);
+                assert_eq!(index.query_range(Key::MIN, Key::MAX).count(), 104);
+                assert_eq!(
+                    index.auxiliary_bytes(),
+                    before + 4 * merged - staged,
+                    "{}",
+                    kind.label()
+                );
             }
-            let before = index.auxiliary_bytes();
-            assert_eq!(index.len(), 101);
-            assert!(index.insert_batch(&[7, 7, -1]));
-            assert_eq!(index.len(), 104);
-            // staged tuples are auxiliary memory before the merge as after it
-            let staged = std::mem::size_of::<(Key, RowId)>();
-            assert_eq!(index.auxiliary_bytes(), before + 3 * staged);
-            assert_eq!(index.query_range(Key::MIN, Key::MAX).count(), 104);
-            let merged = std::mem::size_of::<Key>() + std::mem::size_of::<RowId>();
-            assert_eq!(
-                index.auxiliary_bytes(),
-                before + 4 * merged - staged,
-                "{}",
-                kind.label()
-            );
         }
     }
 
@@ -379,7 +402,7 @@ mod tests {
         let kind = StrategyKind::Hybrid {
             algorithm: HybridKind::CrackRadix,
         };
-        let mut tuned = kind.build_from(&[&keys], None, &tuning);
+        let mut tuned = kind.build_from(&[&keys], key_domain(&keys), None, &tuning);
         let mut default = kind.build(&keys);
         for q in 0..20 {
             let low = (q * 97) % 1800;
@@ -410,8 +433,9 @@ mod tests {
         for kind in all_kinds() {
             // built for no query, and for the one that is asked first
             for first_query in [None, Some(queries[0])] {
-                let mut from_slice = kind.build_from(&[&keys], None, &tuning);
-                let mut from_segment = kind.build_from(&chunks, first_query, &tuning);
+                let mut from_slice = kind.build_from(&[&keys], key_domain(&keys), None, &tuning);
+                let domain = segment.min().zip(segment.max());
+                let mut from_segment = kind.build_from(&chunks, domain, first_query, &tuning);
                 assert_eq!(from_segment.len(), from_slice.len(), "{}", kind.label());
                 for (q, &(low, high)) in queries.iter().enumerate() {
                     assert_eq!(

@@ -37,6 +37,8 @@
 
 use crate::strategy::StrategyKind;
 use aidx_baselines::cost::CostModel;
+use aidx_columnstore::types::Key;
+use aidx_cracking::CrackerColumn;
 use serde::{Deserialize, Serialize};
 
 /// Workload knowledge available when the tuner makes a decision.
@@ -161,8 +163,10 @@ impl AutoTuner {
             };
         }
 
-        // 2. Storage-constrained columns fall back to partial cracking.
-        let full_copy_bytes = n * 12;
+        // 2. Storage-constrained columns fall back to partial cracking. The
+        //    profile does not know the key domain, so the copy is sized at
+        //    the widest a cracker column's tuples can be.
+        let full_copy_bytes = n * CrackerColumn::tuple_bytes(Key::MIN, Key::MAX);
         if profile.storage_budget_bytes < full_copy_bytes {
             return TuningDecision {
                 strategy: StrategyKind::PartialCracking {

@@ -8,6 +8,11 @@
 //! none of them branches on a key: comparisons feed cursor arithmetic
 //! instead.
 //!
+//! Each kernel is one source over a [`CrackKey`]: `i64` keys as they are, or
+//! `u32` offsets from a base key, the narrow form a cracker column stores
+//! when its keys span less than 2^32 (see [`crate::cracker_column`]). An
+//! offset compares like the key it stands for, so the kernels never decode.
+//!
 //! * [`crack_in_two`] is a block partition (Edelkamp and Weiss,
 //!   "BlockQuicksort"; the scheme `sort_unstable` used for years): it
 //!   classifies [`BLOCK`] keys from each end of the piece into two small
@@ -26,6 +31,62 @@
 //!   cracks the upper side on the other bound.
 
 use aidx_columnstore::types::{Key, RowId};
+use std::fmt::Debug;
+
+/// A key type the kernels crack: a [`Key`] stored as an offset from a base
+/// key. `i64` holds every key (at base 0); `u32` holds the keys of a frame
+/// `[base, base + u32::MAX]`, in 4 bytes instead of 8.
+pub trait CrackKey: Copy + Ord + Default + Debug + Send + Sync + 'static {
+    /// The next larger key; `None` for the largest.
+    fn successor(self) -> Option<Self>;
+    /// `key` as an offset from `base`, when the type can hold it.
+    fn encode(key: Key, base: Key) -> Option<Self>;
+    /// [`Self::encode`] of a key known to encode, because both ends of a
+    /// range holding it do (offsets are monotone in the key), without the
+    /// check: exact for such a key, and meaningless for any other.
+    fn encode_within(key: Key, base: Key) -> Self;
+    /// The key this offset from `base` stands for.
+    fn decode(self, base: Key) -> Key;
+}
+
+impl CrackKey for i64 {
+    #[inline]
+    fn successor(self) -> Option<Self> {
+        self.checked_add(1)
+    }
+    #[inline]
+    fn encode(key: Key, base: Key) -> Option<Self> {
+        key.checked_sub(base)
+    }
+    #[inline]
+    fn encode_within(key: Key, base: Key) -> Self {
+        key.wrapping_sub(base)
+    }
+    #[inline]
+    fn decode(self, base: Key) -> Key {
+        self + base
+    }
+}
+
+impl CrackKey for u32 {
+    #[inline]
+    fn successor(self) -> Option<Self> {
+        self.checked_add(1)
+    }
+    #[inline]
+    fn encode(key: Key, base: Key) -> Option<Self> {
+        u32::try_from(i128::from(key) - i128::from(base)).ok()
+    }
+    #[inline]
+    fn encode_within(key: Key, base: Key) -> Self {
+        // the low 32 bits of the difference, which is all of it in range
+        key.wrapping_sub(base) as u32
+    }
+    #[inline]
+    fn decode(self, base: Key) -> Key {
+        base + Key::from(self)
+    }
+}
 
 /// Result of a [`crack_in_two`] call: the first position of the right
 /// partition (every value in `[begin, split)` is `< pivot` when
@@ -57,7 +118,7 @@ pub struct CrackTouch {
 }
 
 #[inline]
-fn swap_pair(values: &mut [Key], rowids: &mut [RowId], a: usize, b: usize) {
+fn swap_pair<K: CrackKey>(values: &mut [K], rowids: &mut [RowId], a: usize, b: usize) {
     values.swap(a, b);
     rowids.swap(a, b);
 }
@@ -78,24 +139,24 @@ pub const BLOCK: usize = 128;
 /// `values[begin..split] < pivot <= values[split..end]`.
 ///
 /// A block partition: no allocation, and no branch on a key.
-pub fn crack_in_two(
-    values: &mut [Key],
+pub fn crack_in_two<K: CrackKey>(
+    values: &mut [K],
     rowids: &mut [RowId],
     begin: usize,
     end: usize,
-    pivot: Key,
+    pivot: K,
     side: PivotSide,
 ) -> SplitPosition {
     crack_in_two_counted(values, rowids, begin, end, pivot, side).0
 }
 
 /// [`crack_in_two`] that also reports how much data it touched.
-pub fn crack_in_two_counted(
-    values: &mut [Key],
+pub fn crack_in_two_counted<K: CrackKey>(
+    values: &mut [K],
     rowids: &mut [RowId],
     begin: usize,
     end: usize,
-    pivot: Key,
+    pivot: K,
     side: PivotSide,
 ) -> (SplitPosition, CrackTouch) {
     debug_assert!(begin <= end && end <= values.len());
@@ -106,10 +167,10 @@ pub fn crack_in_two_counted(
         swapped: 0,
     };
     // `<= pivot` is `< pivot + 1`, so one strict comparison serves both
-    // sides; no key is above `Key::MAX`, and then nothing has to move
+    // sides; no key is above the largest, and then nothing has to move
     let bound = match side {
         PivotSide::Left => pivot,
-        PivotSide::Right => match pivot.checked_add(1) {
+        PivotSide::Right => match pivot.successor() {
             Some(bound) => bound,
             None => return (end, touch),
         },
@@ -129,7 +190,11 @@ pub fn crack_in_two_counted(
 /// as many pairs as both buffers hold. The last round sizes its blocks to
 /// what is left, and the misplaced keys one side may still hold afterwards
 /// are swapped to the boundary.
-fn partition_in_blocks(values: &mut [Key], rowids: &mut [RowId], bound: Key) -> (usize, usize) {
+fn partition_in_blocks<K: CrackKey>(
+    values: &mut [K],
+    rowids: &mut [RowId],
+    bound: K,
+) -> (usize, usize) {
     // unclassified keys live in [left, right)
     let mut left = 0;
     let mut right = values.len();
@@ -247,13 +312,13 @@ pub struct ThreeWaySplit {
 /// Used when both bounds of a range query fall into the same piece. Two
 /// [`crack_in_two`]s: on `low` over the piece, then on `high` over what
 /// landed at or above `low`.
-pub fn crack_in_three(
-    values: &mut [Key],
+pub fn crack_in_three<K: CrackKey>(
+    values: &mut [K],
     rowids: &mut [RowId],
     begin: usize,
     end: usize,
-    low: Key,
-    high: Key,
+    low: K,
+    high: K,
 ) -> ThreeWaySplit {
     debug_assert!(low <= high);
     let (low_split, below) = crack_in_two_counted(values, rowids, begin, end, low, PivotSide::Left);
@@ -283,29 +348,33 @@ pub struct ChunkPartition {
 }
 
 /// Build a cracker column out of place: copy the keys of `chunks`, in order,
-/// into `values`, writing each key's position in that order beside it in
-/// `rowids` — and, given the `[low, high)` of the query that caused the
-/// copy, leave the pairs partitioned as
-/// `< low | low <= v < high | >= high`.
+/// into `values` as offsets from `base` ([`CrackKey::encode`]), writing each
+/// key's position in that order beside it in `rowids` — and, given the
+/// `[low, high)` of the query that caused the copy, leave the pairs
+/// partitioned as `< low | low <= v < high | >= high`.
 ///
 /// One sequential read of the source and one write of the column. With
 /// bounds, each pair is written from one of two cursors, the comparison with
 /// `low` choosing which: keys below `low` fill the column from the front,
 /// the others from the back, and the cursors meet at the first cut — so
 /// there is nothing to count beforehand. What landed at or above `low` is
-/// then cracked on `high` in place ([`crack_in_two`]); for the narrow range
-/// of a typical query that pivot sits at the very bottom of its piece and
-/// next to nothing moves. Without bounds each chunk is copied whole. The
-/// smallest and largest key are picked up on the way, while a chunk is in
-/// cache for its placement anyway.
+/// then cracked on `high` in place ([`crack_in_two`]), unless `high` lies
+/// outside the keys; for the narrow range of a typical query that pivot sits
+/// at the very bottom of its piece and next to nothing moves. Without bounds
+/// each chunk is copied whole. The smallest and largest key are picked up on
+/// the way, and each chunk's two are what checks that all of its keys
+/// encoded (offsets are monotone in the key): a chunk whose extremes have no
+/// offset panics before anything reads what it wrote.
 ///
 /// # Panics
 /// Panics if `values` and `rowids` are not both exactly as long as the
-/// chunks together, or if `low > high`.
-pub fn partition_chunks(
+/// chunks together, if `low > high`, or if a key has no offset from `base`
+/// in `K`.
+pub fn partition_chunks<K: CrackKey>(
     chunks: &[&[Key]],
     bounds: Option<(Key, Key)>,
-    values: &mut [Key],
+    base: Key,
+    values: &mut [K],
     rowids: &mut [RowId],
 ) -> ChunkPartition {
     let len = chunks.iter().map(|chunk| chunk.len()).sum::<usize>();
@@ -321,18 +390,19 @@ pub fn partition_chunks(
     let (mut min, mut max) = (Key::MAX, Key::MIN);
     let mut next_id: RowId = 0;
     for chunk in chunks {
-        for &key in *chunk {
-            min = min.min(key);
-            max = max.max(key);
-        }
+        let (mut chunk_min, mut chunk_max) = (Key::MAX, Key::MIN);
+        // checked for the whole chunk by its extremes, below
+        let encode = |key: Key| K::encode_within(key, base);
         let ids = next_id..next_id + chunk.len() as RowId;
         match bounds {
             Some((low, _)) => {
                 for (&key, id) in chunk.iter().zip(ids) {
+                    chunk_min = chunk_min.min(key);
+                    chunk_max = chunk_max.max(key);
                     let below = usize::from(key < low);
                     // `front` for a key below `low`, `back - 1` for the rest
                     let at = (back - 1) - (below.wrapping_neg() & (back - 1 - front));
-                    values[at] = key;
+                    values[at] = encode(key);
                     rowids[at] = id;
                     front += below;
                     back -= 1 - below;
@@ -340,19 +410,33 @@ pub fn partition_chunks(
             }
             None => {
                 let at = front..front + chunk.len();
-                values[at.clone()].copy_from_slice(chunk);
+                for (slot, &key) in values[at.clone()].iter_mut().zip(*chunk) {
+                    chunk_min = chunk_min.min(key);
+                    chunk_max = chunk_max.max(key);
+                    *slot = encode(key);
+                }
                 for (slot, id) in rowids[at].iter_mut().zip(ids) {
                     *slot = id;
                 }
                 front += chunk.len();
             }
         }
+        assert!(
+            chunk.is_empty()
+                || K::encode(chunk_min, base).is_some() && K::encode(chunk_max, base).is_some(),
+            "key outside the cracker column's frame"
+        );
+        (min, max) = (min.min(chunk_min), max.max(chunk_max));
         next_id += chunk.len() as RowId;
     }
     debug_assert_eq!(front, back);
 
     let (low_split, high_split, swapped) = match bounds {
+        // no key is below `high`, or every key is: nothing to crack
+        Some((_, high)) if high <= min => (front, front, 0),
+        Some((_, high)) if high > max => (front, len, 0),
         Some((_, high)) => {
+            let high = K::encode(high, base).expect("a bound between two keys encodes");
             let (high_split, touch) =
                 crack_in_two_counted(values, rowids, front, len, high, PivotSide::Left);
             (front, high_split, touch.swapped)
@@ -369,7 +453,7 @@ pub fn partition_chunks(
 
 /// Verify (in debug builds and tests) that a slice is correctly partitioned
 /// around a pivot. Returns `true` when the partition invariant holds.
-pub fn is_partitioned(values: &[Key], split: usize, pivot: Key, side: PivotSide) -> bool {
+pub fn is_partitioned<K: CrackKey>(values: &[K], split: usize, pivot: K, side: PivotSide) -> bool {
     let left_ok = values[..split].iter().all(|&v| match side {
         PivotSide::Left => v < pivot,
         PivotSide::Right => v <= pivot,
@@ -538,9 +622,10 @@ mod tests {
 
     #[test]
     fn is_partitioned_detects_violations() {
-        assert!(is_partitioned(&[1, 2, 9, 8], 2, 5, PivotSide::Left));
-        assert!(!is_partitioned(&[1, 9, 2, 8], 2, 5, PivotSide::Left));
-        assert!(is_partitioned(&[5, 1, 9], 2, 5, PivotSide::Right));
-        assert!(!is_partitioned(&[6, 1, 9], 2, 5, PivotSide::Right));
+        assert!(is_partitioned(&[1, 2, 9, 8], 2, 5i64, PivotSide::Left));
+        assert!(!is_partitioned(&[1, 9, 2, 8], 2, 5i64, PivotSide::Left));
+        assert!(is_partitioned(&[5, 1, 9], 2, 5i64, PivotSide::Right));
+        assert!(!is_partitioned(&[6, 1, 9], 2, 5i64, PivotSide::Right));
+        assert!(is_partitioned(&[1, 2, 9], 2, 5u32, PivotSide::Left));
     }
 }

@@ -7,55 +7,150 @@
 //! as two parallel dense vectors, plus the low-level accessors the adaptive
 //! indexes need.
 //!
+//! The keys are stored in the narrowest form that holds them. When the
+//! column's keys span less than 2^32 — the largest minus the smallest fits a
+//! `u32` — each is stored as a `u32` offset from a *frame base*, and a tuple
+//! is 8 bytes (4 of key, 4 of row id); otherwise keys stay `i64` and a tuple
+//! is 12 bytes. The frame is centred on the keys' `[min, max]`, so keys
+//! inserted up to about 2^31 away from them still fit; an insertion outside
+//! the frame [`widens`](CrackerColumn::widen) the column to `i64` once. Offsets
+//! order like the keys they stand for, so the crack kernels run on them as
+//! they are ([`crate::crack::CrackKey`]); keys and bounds are encoded where
+//! they meet the arrays, and every accessor speaks [`Key`].
+//!
 //! The copy is made once, by [`CrackerColumn::from_chunks`], straight out of
 //! the slices the base column is stored in: one read of the source and one
 //! write of the two arrays, with the row ids written beside the keys rather
-//! than materialized first and the key domain noted on the way. Told the
+//! than materialized first and the key domain noted on the way. The width is
+//! chosen before that pass, from a domain the caller already knows (a
+//! segment's zone maps), not from another pass over the keys. Told the
 //! bounds of the selection that triggered it, the copy is also that
 //! selection's crack — the first query pays for one pass over the column,
 //! not for a copy and then a crack of the copy.
 
-use crate::crack::{partition_chunks, ChunkPartition};
+use crate::crack::{
+    crack_in_three, crack_in_two_counted, partition_chunks, ChunkPartition, CrackKey, CrackTouch,
+    PivotSide, ThreeWaySplit,
+};
 use aidx_columnstore::column::FixedColumn;
 use aidx_columnstore::types::{Key, RowId};
+use std::ops::Range;
+
+/// The stored keys, at either width.
+#[derive(Debug, Clone, PartialEq)]
+enum Stored {
+    /// Offsets from the column's frame base.
+    Narrow(Vec<u32>),
+    /// The keys themselves (the frame base is 0).
+    Wide(Vec<Key>),
+}
+
+/// Evaluate `$body` with `$keys` bound to the stored key vector, whichever
+/// its width: one generic source, instantiated per width.
+macro_rules! with_keys {
+    ($stored:expr, $keys:ident => $body:expr) => {
+        match $stored {
+            Stored::Narrow($keys) => $body,
+            Stored::Wide($keys) => $body,
+        }
+    };
+}
+
+/// The base of a `u32` frame centred on the keys `[min, max]`, or `None`
+/// when their span does not fit one. Computed in `i128`, and kept inside the
+/// `i64` domain so that every offset decodes.
+fn narrow_base(min: Key, max: Key) -> Option<Key> {
+    let slack = i128::from(u32::MAX) - (i128::from(max) - i128::from(min));
+    if slack < 0 {
+        return None;
+    }
+    let highest = i128::from(Key::MAX) - i128::from(u32::MAX);
+    let base = (i128::from(min) - slack / 2).clamp(i128::from(Key::MIN), highest);
+    Key::try_from(base).ok()
+}
+
+/// The smallest and largest of `keys` (`None` when there are none): the
+/// domain to build a cracker column of a flat slice for, at the price of one
+/// pass.
+pub fn key_domain(keys: &[Key]) -> Option<(Key, Key)> {
+    let min = keys.iter().copied().min()?;
+    Some((min, keys.iter().copied().max()?))
+}
 
 /// A pair column `(values, row ids)` that cracking physically reorganizes.
 ///
-/// Invariant: `values.len() == rowids.len()`, and `rowids[i]` is the position
-/// in the *base* column where `values[i]` came from. The pair arrays are kept
-/// parallel through every reorganization.
-#[derive(Debug, Clone, Default, PartialEq)]
+/// Invariant: the key and row id arrays are equally long, and `rowid(i)` is
+/// the position in the *base* column where `value(i)` came from. The pair
+/// arrays are kept parallel through every reorganization.
+#[derive(Debug, Clone, PartialEq)]
 pub struct CrackerColumn {
-    values: Vec<Key>,
+    /// The key a stored offset of zero stands for.
+    base: Key,
+    keys: Stored,
     rowids: Vec<RowId>,
 }
 
+impl Default for CrackerColumn {
+    fn default() -> Self {
+        Self::empty(None)
+    }
+}
+
 impl CrackerColumn {
-    /// Create an empty cracker column.
+    /// Create an empty cracker column (narrow, its frame centred on 0).
     pub fn new() -> Self {
         Self::default()
     }
 
+    /// An empty column, narrow when `domain` — a range holding every key it
+    /// will store — fits a frame.
+    fn empty(domain: Option<(Key, Key)>) -> Self {
+        let (min, max) = domain.unwrap_or((0, 0));
+        match narrow_base(min, max) {
+            Some(base) => CrackerColumn {
+                base,
+                keys: Stored::Narrow(Vec::new()),
+                rowids: Vec::new(),
+            },
+            None => CrackerColumn {
+                base: 0,
+                keys: Stored::Wide(Vec::new()),
+                rowids: Vec::new(),
+            },
+        }
+    }
+
     /// Copy a dense key slice into a cracker column (row ids become the
     /// original positions `0..n`): [`Self::from_chunks`] over one chunk, with
-    /// no query to partition for.
+    /// no query to partition for, after one pass for the key domain.
     pub fn from_keys(keys: &[Key]) -> Self {
-        Self::from_chunks(&[keys], None).0
+        Self::from_chunks(&[keys], key_domain(keys), None).0
     }
 
     /// Build the cracker column of a base column stored as `chunks` (row
     /// ids become the positions `0..n` in chunk order), allocating the two
-    /// arrays zeroed and nothing else. With the `[low, high)` of the query
-    /// that triggered the build, the pairs land partitioned around it — see
+    /// arrays zeroed and nothing else. `domain` is a range holding every key
+    /// (a segment's zone maps give it; `None` for no keys): the column is
+    /// narrow when it fits a frame. With the `[low, high)` of the query that
+    /// triggered the build, the pairs land partitioned around it — see
     /// [`partition_chunks`], whose report of the two split positions and the
     /// key domain is returned beside the column.
-    pub fn from_chunks(chunks: &[&[Key]], bounds: Option<(Key, Key)>) -> (Self, ChunkPartition) {
+    ///
+    /// # Panics
+    /// Panics if a key lies outside `domain`'s frame.
+    pub fn from_chunks(
+        chunks: &[&[Key]],
+        domain: Option<(Key, Key)>,
+        bounds: Option<(Key, Key)>,
+    ) -> (Self, ChunkPartition) {
         let len = chunks.iter().map(|chunk| chunk.len()).sum();
-        let mut column = CrackerColumn {
-            values: vec![0; len],
-            rowids: vec![0; len],
-        };
-        let placed = partition_chunks(chunks, bounds, &mut column.values, &mut column.rowids);
+        let mut column = Self::empty(domain);
+        column.rowids = vec![0; len];
+        let base = column.base;
+        let placed = with_keys!(&mut column.keys, keys => {
+            *keys = vec![Default::default(); len];
+            partition_chunks(chunks, bounds, base, keys, &mut column.rowids)
+        });
         (column, placed)
     }
 
@@ -69,7 +164,18 @@ impl CrackerColumn {
             rowids.len(),
             "cracker column pair arrays must stay parallel"
         );
-        CrackerColumn { values, rowids }
+        let mut column = Self::empty(key_domain(&values));
+        let base = column.base;
+        match &mut column.keys {
+            Stored::Narrow(offsets) => {
+                *offsets = (values.iter())
+                    .map(|&key| CrackKey::encode(key, base).expect("the frame holds the keys"))
+                    .collect();
+            }
+            Stored::Wide(keys) => *keys = values,
+        }
+        column.rowids = rowids;
+        column
     }
 
     /// Build from an existing `FixedColumn`.
@@ -79,18 +185,39 @@ impl CrackerColumn {
 
     /// Number of pairs.
     pub fn len(&self) -> usize {
-        self.values.len()
+        self.rowids.len()
     }
 
     /// True when the column holds no pairs.
     pub fn is_empty(&self) -> bool {
-        self.values.is_empty()
+        self.rowids.is_empty()
     }
 
-    /// The key values.
-    #[inline]
-    pub fn values(&self) -> &[Key] {
-        &self.values
+    /// True when keys are stored as `u32` offsets (8-byte tuples), false
+    /// when they are stored as `i64` (12-byte tuples).
+    pub fn is_narrow(&self) -> bool {
+        matches!(self.keys, Stored::Narrow(_))
+    }
+
+    /// Bytes per stored key: 4 narrow, 8 wide.
+    pub fn key_bytes(&self) -> usize {
+        match self.keys {
+            Stored::Narrow(_) => std::mem::size_of::<u32>(),
+            Stored::Wide(_) => std::mem::size_of::<Key>(),
+        }
+    }
+
+    /// Bytes per `(key, row id)` tuple of a cracker column over keys in
+    /// `[min, max]`: 8 when their span fits a frame, 12 otherwise. Sizing
+    /// an index before building it reads this; pass `Key::MIN, Key::MAX`
+    /// for a domain nobody knows.
+    pub fn tuple_bytes(min: Key, max: Key) -> usize {
+        Self::empty(Some((min, max))).key_bytes() + std::mem::size_of::<RowId>()
+    }
+
+    /// The key values, decoded, in column order.
+    pub fn values(&self) -> impl ExactSizeIterator<Item = Key> + '_ {
+        (0..self.len()).map(|position| self.value(position))
     }
 
     /// The row ids parallel to [`Self::values`].
@@ -99,16 +226,10 @@ impl CrackerColumn {
         &self.rowids
     }
 
-    /// Mutable access to both parallel arrays (the crack kernels need both).
-    #[inline]
-    pub fn pair_slices_mut(&mut self) -> (&mut [Key], &mut [RowId]) {
-        (&mut self.values, &mut self.rowids)
-    }
-
     /// The key value at `position`.
     #[inline]
     pub fn value(&self, position: usize) -> Key {
-        self.values[position]
+        with_keys!(&self.keys, keys => keys[position].decode(self.base))
     }
 
     /// The row id at `position`.
@@ -117,73 +238,103 @@ impl CrackerColumn {
         self.rowids[position]
     }
 
+    /// Whether `key` can be stored without widening the column.
+    pub fn fits(&self, key: Key) -> bool {
+        match self.keys {
+            Stored::Narrow(_) => <u32 as CrackKey>::encode(key, self.base).is_some(),
+            Stored::Wide(_) => true,
+        }
+    }
+
+    /// Re-encode a narrow column's keys as `i64`, in column order, so that
+    /// any key fits; every position, and so every cut over the column, stays
+    /// as it was. O(n) for a narrow column, nothing for a wide one.
+    pub fn widen(&mut self) {
+        if let Stored::Narrow(offsets) = &self.keys {
+            let keys = offsets
+                .iter()
+                .map(|offset| offset.decode(self.base))
+                .collect();
+            (self.base, self.keys) = (0, Stored::Wide(keys));
+        }
+    }
+
     /// Append one pair at the end (used by the insert merge).
+    ///
+    /// # Panics
+    /// Panics if `value` does not [`fit`](Self::fits): widen first.
     pub fn push(&mut self, value: Key, rowid: RowId) {
-        self.values.push(value);
+        let base = self.base;
+        with_keys!(&mut self.keys, keys => {
+            keys.push(CrackKey::encode(value, base).expect("widen before storing this key"))
+        });
         self.rowids.push(rowid);
     }
 
     /// Overwrite the pair at `position`.
+    ///
+    /// # Panics
+    /// Panics if `value` does not [`fit`](Self::fits): widen first.
     pub fn set(&mut self, position: usize, value: Key, rowid: RowId) {
-        self.values[position] = value;
+        let base = self.base;
+        with_keys!(&mut self.keys, keys => {
+            keys[position] = CrackKey::encode(value, base).expect("widen before storing this key")
+        });
         self.rowids[position] = rowid;
     }
 
-    /// Swap two pairs.
-    pub fn swap(&mut self, a: usize, b: usize) {
-        self.values.swap(a, b);
-        self.rowids.swap(a, b);
+    /// Copy the pairs of `source` to start at `to` (the ranges may overlap),
+    /// as `slice::copy_within` does on each array.
+    pub fn copy_within(&mut self, source: Range<usize>, to: usize) {
+        with_keys!(&mut self.keys, keys => keys.copy_within(source.clone(), to));
+        self.rowids.copy_within(source, to);
     }
 
-    /// Remove the last pair and return it.
-    pub fn pop(&mut self) -> Option<(Key, RowId)> {
-        match (self.values.pop(), self.rowids.pop()) {
-            (Some(v), Some(r)) => Some((v, r)),
-            _ => None,
-        }
+    /// Partition `[begin, end)` in place into `< pivot | >= pivot`
+    /// ([`crate::crack::crack_in_two`]) and return the split with what the
+    /// crack touched.
+    ///
+    /// # Panics
+    /// Panics unless `pivot` [fits](Self::fits): the cracker index cracks
+    /// only on bounds between its keys.
+    pub fn crack_in_two(&mut self, begin: usize, end: usize, pivot: Key) -> (usize, CrackTouch) {
+        let base = self.base;
+        let rowids = &mut self.rowids;
+        with_keys!(&mut self.keys, keys => {
+            let pivot = CrackKey::encode(pivot, base).expect("a bound between two keys");
+            crack_in_two_counted(keys, rowids, begin, end, pivot, PivotSide::Left)
+        })
     }
 
-    /// Truncate to `len` pairs.
-    pub fn truncate(&mut self, len: usize) {
-        self.values.truncate(len);
-        self.rowids.truncate(len);
+    /// Partition `[begin, end)` in place into
+    /// `< low | low <= v < high | >= high` ([`crate::crack::crack_in_three`]).
+    ///
+    /// # Panics
+    /// Panics unless both bounds [fit](Self::fits).
+    pub fn crack_in_three(
+        &mut self,
+        begin: usize,
+        end: usize,
+        low: Key,
+        high: Key,
+    ) -> ThreeWaySplit {
+        let base = self.base;
+        let rowids = &mut self.rowids;
+        with_keys!(&mut self.keys, keys => {
+            let encode = |bound| CrackKey::encode(bound, base).expect("a bound between two keys");
+            crack_in_three(keys, rowids, begin, end, encode(low), encode(high))
+        })
     }
 
-    /// Sort a sub-range `[begin, end)` of the column by value (used when a
-    /// piece is promoted to "sorted" state, e.g. by adaptive merging hybrids
-    /// or when a piece shrinks below the sort threshold).
-    pub fn sort_range(&mut self, begin: usize, end: usize) {
-        let mut paired: Vec<(Key, RowId)> = self.values[begin..end]
-            .iter()
-            .copied()
-            .zip(self.rowids[begin..end].iter().copied())
-            .collect();
-        paired.sort_unstable_by_key(|&(v, _)| v);
-        for (i, (v, r)) in paired.into_iter().enumerate() {
-            self.values[begin + i] = v;
-            self.rowids[begin + i] = r;
-        }
-    }
-
-    /// Whether the sub-range `[begin, end)` is sorted by value.
-    pub fn is_sorted_range(&self, begin: usize, end: usize) -> bool {
-        self.values[begin..end].windows(2).all(|w| w[0] <= w[1])
-    }
-
-    /// The values in `[begin, end)`.
-    pub fn values_in(&self, begin: usize, end: usize) -> &[Key] {
-        &self.values[begin..end]
-    }
-
-    /// Approximate memory footprint in bytes (8 bytes per key + 4 per row id).
+    /// Memory footprint in bytes: 4 or 8 bytes per key (narrow or wide) and
+    /// 4 per row id.
     pub fn byte_size(&self) -> usize {
-        self.values.len() * std::mem::size_of::<Key>()
-            + self.rowids.len() * std::mem::size_of::<RowId>()
+        self.len() * (self.key_bytes() + std::mem::size_of::<RowId>())
     }
 
     /// Check the parallel-array invariant (useful in tests and debug builds).
     pub fn check_invariants(&self) -> bool {
-        self.values.len() == self.rowids.len()
+        with_keys!(&self.keys, keys => keys.len() == self.rowids.len())
     }
 }
 
@@ -191,11 +342,15 @@ impl CrackerColumn {
 mod tests {
     use super::*;
 
+    fn values(c: &CrackerColumn) -> Vec<Key> {
+        c.values().collect()
+    }
+
     #[test]
     fn from_keys_assigns_dense_rowids() {
         let c = CrackerColumn::from_keys(&[30, 10, 20]);
         assert_eq!(c.len(), 3);
-        assert_eq!(c.values(), &[30, 10, 20]);
+        assert_eq!(values(&c), [30, 10, 20]);
         assert_eq!(c.rowids(), &[0, 1, 2]);
         assert!(c.check_invariants());
         assert!(!c.is_empty());
@@ -217,57 +372,83 @@ mod tests {
     }
 
     #[test]
-    fn push_set_swap_pop_truncate() {
+    fn push_set_and_copy_within() {
         let mut c = CrackerColumn::new();
         c.push(5, 0);
         c.push(7, 1);
         c.set(0, 6, 9);
         assert_eq!(c.value(0), 6);
         assert_eq!(c.rowid(0), 9);
-        c.swap(0, 1);
-        assert_eq!(c.value(0), 7);
-        assert_eq!(c.pop(), Some((6, 9)));
-        assert_eq!(c.len(), 1);
-        c.truncate(0);
-        assert!(c.is_empty());
-        assert_eq!(c.pop(), None);
-    }
-
-    #[test]
-    fn sort_range_sorts_only_that_range() {
-        let mut c = CrackerColumn::from_keys(&[9, 5, 3, 8, 1]);
-        c.sort_range(1, 4);
-        assert_eq!(c.values(), &[9, 3, 5, 8, 1]);
-        assert!(c.is_sorted_range(1, 4));
-        assert!(!c.is_sorted_range(0, 5));
-        // row ids still point at the original values
-        for i in 0..c.len() {
-            assert_eq!([9, 5, 3, 8, 1][c.rowid(i) as usize], c.value(i));
-        }
-    }
-
-    #[test]
-    fn values_in_borrows_the_range() {
-        let c = CrackerColumn::from_keys(&[40, 10, 30, 20]);
-        assert_eq!(c.values_in(1, 3), &[10, 30]);
+        c.push(8, 2);
+        c.copy_within(0..2, 1);
+        assert_eq!(values(&c), [6, 6, 7]);
+        assert_eq!(c.rowids(), &[9, 9, 1]);
     }
 
     #[test]
     fn byte_size_accounts_for_both_arrays() {
-        let c = CrackerColumn::from_keys(&[1, 2, 3, 4]);
-        assert_eq!(c.byte_size(), 4 * (8 + 4));
+        let narrow = CrackerColumn::from_keys(&[1, 2, 3, 4]);
+        assert!(narrow.is_narrow());
+        assert_eq!(narrow.byte_size(), 4 * (4 + 4));
+        let wide = CrackerColumn::from_keys(&[Key::MIN, 2, 3, Key::MAX]);
+        assert!(!wide.is_narrow());
+        assert_eq!(wide.byte_size(), 4 * (8 + 4));
+        assert_eq!(CrackerColumn::tuple_bytes(1, 4), 4 + 4);
+        assert_eq!(CrackerColumn::tuple_bytes(Key::MIN, Key::MAX), 8 + 4);
     }
 
     #[test]
-    fn pair_slices_mut_allows_in_place_cracking() {
-        let mut c = CrackerColumn::from_keys(&[9, 1, 8, 2]);
-        {
-            let (values, rowids) = c.pair_slices_mut();
-            let split =
-                crate::crack::crack_in_two(values, rowids, 0, 4, 5, crate::crack::PivotSide::Left);
-            assert_eq!(split, 2);
+    fn the_frame_is_centred_and_fits_spans_up_to_u32_max() {
+        let span = Key::from(u32::MAX);
+        for (min, max, narrow) in [
+            (0, 0, true),
+            (-7, span - 7, true),
+            (-7, span - 6, false),
+            (Key::MIN, Key::MIN + span, true),
+            (Key::MAX - span, Key::MAX, true),
+            (Key::MIN, Key::MAX, false),
+        ] {
+            let c = CrackerColumn::from_keys(&[max, min]);
+            assert_eq!(c.is_narrow(), narrow, "[{min}, {max}]");
+            assert_eq!(values(&c), [max, min], "[{min}, {max}]");
         }
-        assert!(c.values()[..2].iter().all(|&v| v < 5));
+        // about 2^31 of room on either side of the keys
+        let c = CrackerColumn::from_keys(&[100, 200]);
+        let half = 1 << 31;
+        assert!(c.fits(150 - half + 1) && c.fits(150 + half - 1));
+        assert!(!c.fits(150 - half - 100) && !c.fits(150 + half + 100));
+        assert!(!c.fits(Key::MIN) && !c.fits(Key::MAX));
+    }
+
+    #[test]
+    fn widening_keeps_every_pair_in_place() {
+        let mut c = CrackerColumn::from_keys(&[9, -4, 6, 1]);
+        let (split, _) = c.crack_in_two(0, 4, 5);
+        assert_eq!(split, 2);
+        let before: Vec<(Key, RowId)> = c.values().zip(c.rowids().iter().copied()).collect();
+        c.widen();
+        assert!(!c.is_narrow() && c.fits(Key::MAX));
+        c.widen();
+        let after: Vec<(Key, RowId)> = c.values().zip(c.rowids().iter().copied()).collect();
+        assert_eq!(before, after);
+        c.push(Key::MAX, 4);
+        assert_eq!(c.value(4), Key::MAX);
+    }
+
+    #[test]
+    fn cracks_take_bounds_as_keys() {
+        let mut c = CrackerColumn::from_keys(&[9, 1, 8, 2]);
+        let (split, touch) = c.crack_in_two(0, 4, 5);
+        assert_eq!((split, touch.compared), (2, 4));
+        assert!(values(&c)[..2].iter().all(|&v| v < 5));
         assert!(c.check_invariants());
+        let three = c.crack_in_three(0, 4, 2, 9);
+        assert_eq!((three.low_split, three.high_split), (1, 3));
+    }
+
+    #[test]
+    #[should_panic(expected = "between two keys")]
+    fn a_pivot_outside_the_frame_is_refused() {
+        CrackerColumn::from_keys(&[9, 1, 8, 2]).crack_in_two(0, 4, Key::MAX);
     }
 }

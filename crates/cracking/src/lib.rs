@@ -18,8 +18,13 @@
 //!
 //! * [`crack`] — the partition kernels: crack-in-two / crack-in-three in
 //!   place, and the out-of-place partition that builds a cracker column from
-//!   the base column's chunks.
-//! * [`cracker_column`] — the (value, row-id) pair column that gets cracked.
+//!   the base column's chunks; one source over [`crack::CrackKey`] (`u32`
+//!   offsets or `i64` keys).
+//! * [`cracker_column`] — the (value, row-id) pair column that gets cracked:
+//!   8 bytes a pair when the keys span less than 2^32 (a `u32` offset from
+//!   a frame base centred on the keys), 12 bytes (an `i64` key) otherwise.
+//!   An insertion outside the frame widens the column once; cuts, pieces
+//!   and effort are the same at both widths.
 //! * [`index`] — the cracker index: the catalog of piece boundaries, on a
 //!   `BTreeMap`.
 //! * [`selection`] — [`selection::CrackedIndex`], the selection-cracking
@@ -49,7 +54,7 @@
 //!
 //! // "select * where 5 <= key < 15" — answers the query AND cracks the column
 //! let result = index.query_range(5, 15);
-//! let mut keys = result.keys().to_vec();
+//! let mut keys = result.keys();
 //! keys.sort_unstable();
 //! assert_eq!(keys, vec![7, 9, 12, 13]);
 //!

@@ -178,7 +178,7 @@ impl PartialCrackedIndex {
             if fragment.low < high && fragment.high > low {
                 fragment.last_used = clock;
                 let result = fragment.index.query_range(low, high);
-                answer.keys.extend_from_slice(result.keys());
+                answer.keys.extend(result.keys());
                 answer.rowids.extend_from_slice(result.rowids());
             }
         }
@@ -269,7 +269,10 @@ impl AdaptiveIndex for PartialCrackedIndex {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use aidx_columnstore::types::PAIR_BYTES;
+
+    /// Bytes per fragment tuple: a fragment's keys span far less than 2^32,
+    /// so its cracker column is narrow.
+    const TUPLE_BYTES: usize = 8;
 
     fn reference(data: &[Key], low: Key, high: Key) -> Vec<Key> {
         let mut v: Vec<Key> = data
@@ -324,8 +327,9 @@ mod tests {
         let covered = idx.covered_ranges();
         assert!(covered.contains(&(100, 200)));
         assert!(covered.contains(&(5000, 5100)));
+        assert_eq!(idx.fragment_bytes(), 200 * TUPLE_BYTES);
         // the fragments hold only ~200 of the 10 000 tuples
-        assert!(idx.fragment_bytes() < data.len() * PAIR_BYTES / 10);
+        assert!(idx.fragment_bytes() < data.len() * TUPLE_BYTES / 10);
     }
 
     #[test]
@@ -348,7 +352,7 @@ mod tests {
     fn budget_forces_evictions_but_answers_stay_correct() {
         let data = test_data(20_000);
         // budget fits only ~2 fragments of 1000 tuples
-        let budget = 2 * 1000 * PAIR_BYTES;
+        let budget = 2 * 1000 * TUPLE_BYTES;
         let mut idx = PartialCrackedIndex::new(&data, budget);
         for q in 0..30 {
             let low = (q * 633) % 18_000;
@@ -356,7 +360,7 @@ mod tests {
             let got = sorted(idx.query_range(low, high).keys);
             assert_eq!(got, reference(&data, low, high));
             assert!(
-                idx.fragment_bytes() <= budget + 1000 * PAIR_BYTES,
+                idx.fragment_bytes() <= budget + 1000 * TUPLE_BYTES,
                 "fragments stay near the budget"
             );
         }
@@ -406,7 +410,7 @@ mod tests {
     fn effort_is_monotone_across_evictions() {
         let data = test_data(2000);
         // room for the one wide fragment and nothing beside it
-        let mut idx = PartialCrackedIndex::new(&data, 1500 * PAIR_BYTES);
+        let mut idx = PartialCrackedIndex::new(&data, 1500 * TUPLE_BYTES);
         let _ = idx.query_range(0, 1500);
         for low in [100, 400, 700, 1000] {
             let _ = idx.query_range(low, low + 200);

@@ -20,9 +20,14 @@
 //! in place — O(pieces above + merged) piece visits, not a shift of the
 //! column's tail. Tuples outside every queried range stay staged, and the
 //! answer stays one contiguous piece.
+//!
+//! An insertion whose key lies outside a narrow cracker column's frame
+//! widens the column first ([`CrackerColumn::widen`]): once, O(n), counted in
+//! [`CrackStats::widenings`], and with every cut and piece kept. The width
+//! is a storage detail: cuts, pieces and effort are the same at both.
 
-use crate::crack::{crack_in_three, crack_in_two_counted, CrackTouch, PivotSide};
-use crate::cracker_column::CrackerColumn;
+use crate::crack::CrackTouch;
+use crate::cracker_column::{key_domain, CrackerColumn};
 use crate::index::BTreeCutIndex;
 use crate::stats::CrackStats;
 use aidx_columnstore::index::{AdaptiveIndex, QueryOutput};
@@ -58,16 +63,19 @@ impl Piece {
 /// The contiguous region of the cracker column answering a range query.
 #[derive(Debug)]
 pub struct RangeResult<'a> {
-    values: &'a [Key],
-    rowids: &'a [RowId],
+    column: &'a CrackerColumn,
     begin: usize,
     end: usize,
 }
 
 impl<'a> RangeResult<'a> {
-    /// Qualifying key values (unordered within the range).
-    pub fn keys(&self) -> &'a [Key] {
-        &self.values[self.begin..self.end]
+    /// Qualifying key values (unordered within the range), decoded into a
+    /// fresh vector: a consumer that needs only positions reads
+    /// [`Self::rowids`], which costs no copy.
+    pub fn keys(&self) -> Vec<Key> {
+        (self.begin..self.end)
+            .map(|i| self.column.value(i))
+            .collect()
     }
 
     /// Row ids (positions in the base column) of the qualifying tuples,
@@ -75,7 +83,7 @@ impl<'a> RangeResult<'a> {
     /// that gathers by position orders them first
     /// (`PositionList::from_distinct`); a consumer that counts never does.
     pub fn rowids(&self) -> &'a [RowId] {
-        &self.rowids[self.begin..self.end]
+        &self.column.rowids()[self.begin..self.end]
     }
 
     /// Number of qualifying tuples.
@@ -122,13 +130,15 @@ impl CrackedIndex {
     /// account for it explicitly): [`Self::from_chunks`] over one chunk,
     /// with no query to crack for.
     pub fn from_keys(keys: &[Key]) -> Self {
-        Self::from_chunks(&[keys], None)
+        Self::from_chunks(&[keys], key_domain(keys), None)
     }
 
-    /// Build the index from a base column stored as `chunks` — and, given
-    /// the `[low, high)` of the query that triggers the build, crack on it
-    /// in the same pass ([`CrackerColumn::from_chunks`]), so the first query
-    /// costs one read of the base column and one write of the copy.
+    /// Build the index from a base column stored as `chunks` whose keys lie
+    /// in `domain` (`None` for no keys), which decides the cracker column's
+    /// width — and, given the `[low, high)` of the query that triggers the
+    /// build, crack on it in the same pass ([`CrackerColumn::from_chunks`]),
+    /// so the first query costs one read of the base column and one write of
+    /// the copy.
     ///
     /// The index is then exactly what [`Self::from_keys`] followed by
     /// `query_range(low, high)` leaves, up to the order of pairs within a
@@ -138,9 +148,13 @@ impl CrackedIndex {
     /// crack-in-two that query would have run. It is not yet a query:
     /// `query_range(low, high)` afterwards finds both cuts in place and
     /// only reads the answer. An empty or inverted range builds uncracked.
-    pub fn from_chunks(chunks: &[&[Key]], first_query: Option<(Key, Key)>) -> Self {
+    pub fn from_chunks(
+        chunks: &[&[Key]],
+        domain: Option<(Key, Key)>,
+        first_query: Option<(Key, Key)>,
+    ) -> Self {
         let bounds = first_query.filter(|(low, high)| low < high);
-        let (column, placed) = CrackerColumn::from_chunks(chunks, bounds);
+        let (column, placed) = CrackerColumn::from_chunks(chunks, domain, bounds);
         let (min_value, max_value) = placed.min_max.unwrap_or((0, 0));
         let mut stats = CrackStats::new();
         stats.record_copy(column.len());
@@ -175,7 +189,10 @@ impl CrackedIndex {
 
     /// Build from an existing cracker column (used by partial cracking).
     pub fn from_cracker_column(column: CrackerColumn) -> Self {
-        let (min_value, max_value) = min_max(column.values());
+        let (min_value, max_value) = (
+            column.values().min().unwrap_or(0),
+            column.values().max().unwrap_or(0),
+        );
         let mut stats = CrackStats::new();
         stats.record_copy(column.len());
         CrackedIndex {
@@ -209,8 +226,14 @@ impl CrackedIndex {
     }
 
     /// Stage an insertion of `key`; returns the row id assigned to it, which
-    /// continues the row ids the index holds (the base column's `0..n`).
+    /// continues the row ids the index holds (the base column's `0..n`). A
+    /// key outside a narrow column's frame widens the column first, so every
+    /// staged key can be merged.
     pub fn insert(&mut self, key: Key) -> RowId {
+        if !self.column.fits(key) {
+            self.column.widen();
+            self.stats.record_widen(self.column.len());
+        }
         let rowid = self.len() as RowId;
         self.pending.insert((key, rowid));
         rowid
@@ -242,28 +265,25 @@ impl CrackedIndex {
         for &(key, rowid) in due {
             self.column.push(key, rowid);
         }
-        let (values, rowids) = self.column.pair_slices_mut();
-        let place =
-            |values: &mut [Key], rowids: &mut [RowId], at: usize, tuples: &[(Key, RowId)]| {
-                for (slot, &(key, rowid)) in tuples.iter().enumerate() {
-                    values[at + slot] = key;
-                    rowids[at + slot] = rowid;
-                }
-            };
+        let column = &mut self.column;
+        let place = |column: &mut CrackerColumn, at: usize, tuples: &[(Key, RowId)]| {
+            for (slot, &(key, rowid)) in tuples.iter().enumerate() {
+                column.set(at + slot, key, rowid);
+            }
+        };
         // `due[..unplaced]` sit below the upper bound of that piece
         let mut unplaced = due.len();
         self.cuts.visit_above(lowest, |cut_key, position| {
             let begin = *position;
             let below = due[..unplaced].partition_point(|&(key, _)| key < cut_key);
             let moved = below.min(end - begin);
-            values.copy_within(begin..begin + moved, end + below - moved);
-            rowids.copy_within(begin..begin + moved, end + below - moved);
-            place(values, rowids, end + below, &due[below..unplaced]);
+            column.copy_within(begin..begin + moved, end + below - moved);
+            place(column, end + below, &due[below..unplaced]);
             *position = begin + below;
             end = begin;
             unplaced = below;
         });
-        place(values, rowids, end, &due[..unplaced]);
+        place(column, end, &due[..unplaced]);
         self.stats.record_merge(due.len());
         // O(1): a merge never rescans for the column's extremes
         if was_empty {
@@ -351,8 +371,7 @@ impl CrackedIndex {
         let len = self.column.len();
         let begin = self.cuts.floor(key).map_or(0, |(_, p)| p);
         let end = self.cuts.ceiling(key).map_or(len, |(_, p)| p);
-        let (values, rowids) = self.column.pair_slices_mut();
-        let (split, touch) = crack_in_two_counted(values, rowids, begin, end, key, PivotSide::Left);
+        let (split, touch) = self.column.crack_in_two(begin, end, key);
         self.stats.record_crack_in_two(touch);
         self.cuts.insert(key, split);
         split
@@ -377,8 +396,7 @@ impl CrackedIndex {
             let high_piece = self.piece_bounds_for(high);
             if low_piece == high_piece {
                 let (begin, end) = low_piece;
-                let (values, rowids) = self.column.pair_slices_mut();
-                let split = crack_in_three(values, rowids, begin, end, low, high);
+                let split = self.column.crack_in_three(begin, end, low, high);
                 self.stats.record_crack_in_three(split.touch);
                 self.cuts.insert(low, split.low_split);
                 self.cuts.insert(high, split.high_split);
@@ -445,8 +463,7 @@ impl CrackedIndex {
 
     fn result(&self, begin: usize, end: usize) -> RangeResult<'_> {
         RangeResult {
-            values: self.column.values(),
-            rowids: self.column.rowids(),
+            column: &self.column,
             begin,
             end,
         }
@@ -471,34 +488,15 @@ impl CrackedIndex {
         if !self.cuts.check_consistency(self.column.len()) {
             return false;
         }
-        for piece in self.pieces() {
-            let values = self.column.values_in(piece.begin, piece.end);
-            if let Some(low) = piece.low {
-                if values.iter().any(|&v| v < low) {
-                    return false;
-                }
-            }
-            if let Some(high) = piece.high {
-                if values.iter().any(|&v| v >= high) {
-                    return false;
-                }
-            }
-        }
-        true
-    }
-}
-
-fn min_max(keys: &[Key]) -> (Key, Key) {
-    let mut min = Key::MAX;
-    let mut max = Key::MIN;
-    for &k in keys {
-        min = min.min(k);
-        max = max.max(k);
-    }
-    if keys.is_empty() {
-        (0, 0)
-    } else {
-        (min, max)
+        // every key of a piece within its bounds, and every staged key fits
+        let pieces_hold = self.pieces().iter().all(|piece| {
+            (piece.begin..piece.end)
+                .map(|i| self.column.value(i))
+                .all(|v| {
+                    piece.low.is_none_or(|low| v >= low) && piece.high.is_none_or(|high| v < high)
+                })
+        });
+        pieces_hold && self.pending.iter().all(|&(key, _)| self.column.fits(key))
     }
 }
 
@@ -574,7 +572,7 @@ mod tests {
     }
 
     fn sorted_keys(result: &RangeResult<'_>) -> Vec<Key> {
-        let mut v = result.keys().to_vec();
+        let mut v = result.keys();
         v.sort_unstable();
         v
     }
@@ -675,7 +673,7 @@ mod tests {
         let data = vec![50, 10, 40, 20, 30];
         let mut idx = CrackedIndex::from_keys(&data);
         let r = idx.query_range(15, 45);
-        for (&v, &rid) in r.keys().iter().zip(r.rowids()) {
+        for (v, &rid) in r.keys().into_iter().zip(r.rowids()) {
             assert_eq!(data[rid as usize], v);
         }
         assert_eq!(r.rowids().len(), 3);
@@ -829,7 +827,7 @@ mod tests {
     /// Sorted keys of the staged tuples and the merged ones together.
     fn all_keys(idx: &CrackedIndex) -> Vec<Key> {
         let staged = idx.pending.iter().map(|&(key, _)| key);
-        let mut keys: Vec<Key> = idx.column.values().iter().copied().chain(staged).collect();
+        let mut keys: Vec<Key> = idx.column.values().chain(staged).collect();
         keys.sort_unstable();
         keys
     }
@@ -896,7 +894,7 @@ mod tests {
         assert_eq!(idx.stats().elements_merged, 1);
         assert!(idx.verify_integrity());
         // the merged tuple is physically in the cracker column now
-        assert!(idx.column().values().contains(&25));
+        assert!(idx.column().values().any(|key| key == 25));
         assert_eq!(idx.column().len(), 101);
     }
 
@@ -943,7 +941,7 @@ mod tests {
                 .collect();
             expected.sort_unstable();
             let answer = idx.query_range(low, high);
-            let mut got: Vec<(Key, RowId)> = (answer.keys().iter().copied())
+            let mut got: Vec<(Key, RowId)> = (answer.keys().into_iter())
                 .zip(answer.rowids().iter().copied())
                 .collect();
             got.sort_unstable();
@@ -962,8 +960,8 @@ mod tests {
         let data: Vec<Key> = (10..20).collect();
         let mut idx = CrackedIndex::from_keys(&data);
         let domain = |idx: &CrackedIndex| {
-            let values = idx.column().values();
-            (*values.iter().min().unwrap(), *values.iter().max().unwrap())
+            let values = || idx.column().values();
+            (values().min().unwrap(), values().max().unwrap())
         };
         let cached = |idx: &CrackedIndex| (idx.min_value(), idx.max_value());
 

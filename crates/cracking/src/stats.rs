@@ -28,6 +28,12 @@ pub struct CrackStats {
     pub elements_scanned: u64,
     /// Number of pieces sorted outright (hybrid sort/radix steps).
     pub pieces_sorted: u64,
+    /// Number of times a narrow cracker column was re-encoded with `i64`
+    /// keys to take an insertion outside its frame.
+    pub widenings: u64,
+    /// Total pairs re-encoded by those widenings. A storage detail, like the
+    /// width itself: not part of [`Self::total_effort`].
+    pub elements_widened: u64,
 }
 
 impl CrackStats {
@@ -63,6 +69,12 @@ impl CrackStats {
     /// Record merging `n` pairs (update merging, adaptive merging steps).
     pub fn record_merge(&mut self, n: usize) {
         self.elements_merged += n as u64;
+    }
+
+    /// Record widening a cracker column of `n` pairs.
+    pub fn record_widen(&mut self, n: usize) {
+        self.widenings += 1;
+        self.elements_widened += n as u64;
     }
 
     /// Record scanning `n` elements to answer a query.
@@ -103,6 +115,8 @@ impl CrackStats {
         self.elements_merged += other.elements_merged;
         self.elements_scanned += other.elements_scanned;
         self.pieces_sorted += other.pieces_sorted;
+        self.widenings += other.widenings;
+        self.elements_widened += other.elements_widened;
     }
 }
 

@@ -17,6 +17,7 @@
 //!   performs exactly one random auxiliary crack per query on the largest
 //!   piece the query touches.
 
+use crate::cracker_column::key_domain;
 use crate::selection::{CrackedIndex, Piece, RangeResult, CONVERGED_PIECE_LEN};
 use crate::stats::CrackStats;
 use aidx_columnstore::index::{AdaptiveIndex, QueryOutput};
@@ -58,19 +59,21 @@ impl StochasticCrackedIndex {
         piece_threshold: usize,
         seed: u64,
     ) -> Self {
-        Self::from_chunks(&[keys], variant, piece_threshold, seed)
+        Self::from_chunks(&[keys], key_domain(keys), variant, piece_threshold, seed)
     }
 
-    /// Build from a base column stored as `chunks`, copied chunk by chunk
+    /// Build from a base column stored as `chunks` whose keys lie in
+    /// `domain` (see [`CrackedIndex::from_chunks`]), copied chunk by chunk
     /// into the inner cracked index.
     pub fn from_chunks(
         chunks: &[&[Key]],
+        domain: Option<(Key, Key)>,
         variant: StochasticVariant,
         piece_threshold: usize,
         seed: u64,
     ) -> Self {
         StochasticCrackedIndex {
-            inner: CrackedIndex::from_chunks(chunks, None),
+            inner: CrackedIndex::from_chunks(chunks, domain, None),
             variant,
             piece_threshold: piece_threshold.max(2),
             rng: StdRng::seed_from_u64(seed),
@@ -259,7 +262,7 @@ mod tests {
             for q in 0..50 {
                 let low = (q * 53) % 2500;
                 let high = low + 100;
-                let mut got = idx.query_range(low, high).keys().to_vec();
+                let mut got = idx.query_range(low, high).keys();
                 got.sort_unstable();
                 assert_eq!(got, reference(&data, low, high), "variant {variant:?}");
             }
@@ -349,14 +352,14 @@ mod tests {
             assert!(idx.insert_batch(&[key]));
             data.push(key);
             let low = (q * 53) % 3900;
-            let mut got = idx.query_range(low, low + 150).keys().to_vec();
+            let mut got = idx.query_range(low, low + 150).keys();
             got.sort_unstable();
             assert_eq!(got, reference(&data, low, low + 150));
         }
         assert_eq!(AdaptiveIndex::len(&idx), data.len());
         assert!(idx.piece_count() >= pieces, "absorbed, not rebuilt");
         assert!(idx.verify_integrity());
-        let mut all = idx.query_range(Key::MIN, Key::MAX).keys().to_vec();
+        let mut all = idx.query_range(Key::MIN, Key::MAX).keys();
         all.sort_unstable();
         assert_eq!(all, reference(&data, Key::MIN, Key::MAX));
     }

@@ -32,7 +32,7 @@ fn sorted<T: Ord>(mut items: Vec<T>) -> Vec<T> {
 /// The tuples physically in the cracker column.
 fn column_pairs(index: &CrackedIndex) -> Vec<Pair> {
     let column = index.column();
-    let values = column.values().iter().copied();
+    let values = column.values();
     sorted(values.zip(column.rowids().iter().copied()).collect())
 }
 
@@ -110,8 +110,7 @@ impl Harness {
         let answer = self.index.query_range(low, high);
         let pairs = answer
             .keys()
-            .iter()
-            .copied()
+            .into_iter()
             .zip(answer.rowids().iter().copied());
         assert_eq!(sorted(pairs.collect()), expected, "{context}");
 
@@ -190,10 +189,7 @@ fn an_index_that_starts_empty_takes_any_first_batch() {
     assert_eq!(rowids, (0..keys.len() as RowId).collect::<Vec<_>>());
     // `Key::MAX` lies outside every half-open range
     assert_eq!(index.count_range(Key::MIN, Key::MAX), 5);
-    assert_eq!(
-        sorted(index.query_range(-3, 6).keys().to_vec()),
-        [-3, 0, 5, 5]
-    );
+    assert_eq!(sorted(index.query_range(-3, 6).keys()), [-3, 0, 5, 5]);
     assert_eq!(index.len(), 6);
     assert_eq!(index.pending_count(), 1);
     assert!(index.verify_integrity());
