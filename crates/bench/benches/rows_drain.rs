@@ -5,9 +5,11 @@
 //! shape. The `rows_drain` group reports three numbers:
 //!
 //! * `first` — the first `QueryResult::rows` read of a fresh result: one
-//!   column-at-a-time gather into the result's flat row store, then a walk
-//!   over its row slices;
-//! * `again` — a later read of the same result, which re-reads that store;
+//!   typed gather per column into the result's `Rows` store (a `Vec<i64>`
+//!   each), the one pass that lays those cells out as `Value`s row after
+//!   row, then a walk over its row slices;
+//! * `again` — a later read of the same result, which re-reads those
+//!   `Value`s;
 //! * `row_at_a_time` — the loop `rows()` replaced: one cursor per projected
 //!   column and one `Vec` per row (kept here, as `crack_kernels` keeps the
 //!   crack loops it replaced).

@@ -119,7 +119,7 @@ pub mod prelude {
     pub use crate::maintenance::CompactionReport;
     pub use crate::manager::{ColumnId, IndexManager, KeySource};
     pub use crate::query::{Aggregation, Predicate, Query};
-    pub use crate::result::{QueryResult, RowIter, Rows};
+    pub use crate::result::{Cells, QueryResult, RowIter, Rows};
     pub use crate::session::{QueryBuilder, QueryProfile, Session};
     pub use crate::strategy::{AdaptiveIndex, QueryOutput, StrategyKind, StrategyTuning};
     pub use crate::telemetry::TelemetrySnapshot;
@@ -149,7 +149,7 @@ pub use health::{HealthVerdict, IndexHealth};
 pub use maintenance::CompactionReport;
 pub use manager::{ColumnId, IndexManager, KeySource, ProbeTrace};
 pub use query::{Aggregation, Predicate, Query};
-pub use result::{QueryResult, RowIter, Rows};
+pub use result::{Cells, QueryResult, RowIter, Rows};
 pub use session::{QueryBuilder, QueryProfile, Session};
 pub use strategy::{AdaptiveIndex, QueryOutput, StrategyKind, StrategyTuning};
 pub use telemetry::TelemetrySnapshot;

@@ -4,11 +4,16 @@
 //! snapshot of the table (`Arc<Table>`), which stays valid even while other
 //! sessions keep appending to the table. Tuples are reconstructed late and
 //! once: the first [`QueryResult::rows`] read gathers each projected column
-//! at the qualifying positions into one flat [`Rows`] store — the layout the
-//! server's wire form already uses — and every row the result yields, then
-//! or later, is a slice of that store. A result that is only counted,
-//! aggregated or asked for positions never gathers anything; one read
-//! through `rows()` holds `arity × rows` values until it is dropped.
+//! at the qualifying positions into a [`Rows`] store held column by column
+//! and typed — a `Vec<i64>` or `Vec<f64>` per fixed-width column, one
+//! [`Value`] per cell only for `Utf8` and mixed columns ([`Cells`]). The
+//! server's reply carries that store, and its codec reads and writes it
+//! without building a `Value`. Row iteration does build them: the first
+//! row read lays the cells out as `Value`s, row after row, once, and every
+//! row the result yields, then or later, is a slice of them. A result that
+//! is only counted, aggregated or asked for positions never gathers
+//! anything; one read through `rows()` holds the typed columns and
+//! `arity × rows` values until it is dropped.
 //!
 //! A result may not hold its row ids at all yet. A query whose one
 //! predicate is a `Range` or `Point` and that reads no row id while it runs
@@ -67,10 +72,11 @@
 
 use crate::manager::{IndexHandle, KeySource};
 use aidx_columnstore::column::Column;
+use aidx_columnstore::ops::project::{fetch_f64, fetch_i64};
 use aidx_columnstore::ops::select::PruneStats;
 use aidx_columnstore::position::PositionList;
 use aidx_columnstore::table::Table;
-use aidx_columnstore::types::{Key, RowId, Value};
+use aidx_columnstore::types::{DataType, Key, RowId, Value};
 use parking_lot::Mutex;
 use std::sync::{Arc, OnceLock};
 
@@ -313,8 +319,9 @@ impl QueryResult {
 
     /// The projected rows in ascending position order, each a slice of its
     /// values in projection order. The first call gathers the projection
-    /// into one [`Rows`] store (see [`Rows::gather`]); later calls re-read
-    /// it. Yields nothing (and orders nothing) when the query projected no
+    /// into one [`Rows`] store (see [`Rows::gather`]) and lays its cells out
+    /// as [`Value`]s (see [`Rows::values`]); later calls re-read them. Yields
+    /// nothing (and orders nothing) when the query projected no
     /// columns.
     pub fn rows(&self) -> RowIter<'_> {
         let rows = self.rows.get_or_init(|| {
@@ -367,8 +374,8 @@ impl QueryResult {
 }
 
 /// The projected rows of a [`QueryResult`] (see [`QueryResult::rows`]):
-/// slices of the result's gathered [`Rows`] store, in ascending position
-/// order. Nothing is allocated per row.
+/// slices of the `Value`s of the result's gathered [`Rows`] store, in
+/// ascending position order. Nothing is allocated per row.
 #[derive(Debug, Clone)]
 pub struct RowIter<'a>(std::slice::ChunksExact<'a, Value>);
 
@@ -395,17 +402,33 @@ impl<'a> IntoIterator for &'a QueryResult {
     }
 }
 
-/// Projected rows held flat: the values of row 0 in projection order, then
-/// those of row 1, and so on. Every row has the same arity, so a row is a
-/// slice of the one vector and nothing is allocated per row. An empty store
-/// has arity 0, whatever the projection.
+/// Projected rows held column by column, each column typed: one `Vec<i64>`
+/// or `Vec<f64>` when every cell of the column has that type, one
+/// [`Value`] per cell otherwise (see [`Cells`]). Every column holds one cell
+/// per row. An empty store has arity 0, whatever the projection.
 ///
 /// A [`QueryResult`] gathers its projection into one of these on its first
-/// [`QueryResult::rows`] read, and the server's wire form carries one.
-#[derive(Debug, Clone, PartialEq, Default)]
+/// [`QueryResult::rows`] read, and the server's wire form carries one, whose
+/// encoder and decoder read and write the typed columns directly.
+///
+/// Rows are read as slices of [`Value`]s ([`Self::values`], [`Self::iter`],
+/// `for row in &rows`). Those `Value`s are built on the first such read,
+/// row after row in one vector, and kept: a store that is only counted,
+/// encoded or compared never builds them.
+#[derive(Debug, Clone, Default)]
 pub struct Rows {
-    arity: usize,
-    values: Vec<Value>,
+    len: usize,
+    columns: Vec<Cells>,
+    /// The cells as `Value`s, row after row; built by the first row read.
+    values: OnceLock<Vec<Value>>,
+}
+
+/// Two stores are equal when their columns are: the canonical form of
+/// [`Cells`] makes that the same as comparing them cell by cell.
+impl PartialEq for Rows {
+    fn eq(&self, other: &Rows) -> bool {
+        self.len == other.len && self.columns == other.columns
+    }
 }
 
 impl Rows {
@@ -425,11 +448,46 @@ impl Rows {
             "{} values are not rows of arity {arity}",
             values.len()
         );
-        Rows { arity, values }
+        let len = values.len() / arity;
+        let mut values = values.into_iter();
+        let mut columns = Vec::with_capacity(arity);
+        columns.extend(
+            values
+                .by_ref()
+                .take(arity)
+                .map(|first| Cells::starting_with(first, len)),
+        );
+        for (at, value) in values.enumerate() {
+            columns[at % arity].push(value);
+        }
+        Rows::from_columns(columns)
     }
 
-    /// The values of `columns` at `positions`, one gather per column (see
-    /// [`Column::gather`]), laid out row after row.
+    /// Rows from their columns, each holding one cell per row; a `Values`
+    /// column whose cells all have one fixed-width type is stored typed.
+    ///
+    /// # Panics
+    ///
+    /// When the columns hold different numbers of cells.
+    pub fn from_columns(columns: Vec<Cells>) -> Rows {
+        let len = columns.first().map_or(0, Cells::len);
+        assert!(
+            columns.iter().all(|column| column.len() == len),
+            "columns of different lengths"
+        );
+        if len == 0 {
+            return Rows::default();
+        }
+        Rows {
+            len,
+            columns: columns.into_iter().map(Cells::canonical).collect(),
+            values: OnceLock::new(),
+        }
+    }
+
+    /// The values of `columns` at `positions`, one gather per column: into
+    /// a `Vec<i64>` or `Vec<f64>` for an `Int64` or `Float64` column, one
+    /// [`Value`] per cell for a `Utf8` one.
     ///
     /// # Panics
     ///
@@ -439,55 +497,69 @@ impl Rows {
         columns: impl ExactSizeIterator<Item = &'a Column>,
         positions: &PositionList,
     ) -> Rows {
-        let arity = columns.len();
-        let mut gathered = columns.map(|column| {
-            column
-                .gather(positions)
-                .expect("QueryResult invariant: positions lie inside the snapshot")
-        });
-        match arity {
-            0 => Rows::default(),
-            // the gathered column is already the row-after-row layout
-            1 => Rows::new(1, gathered.next().expect("one projected column")),
-            _ => {
-                let mut gathered: Vec<_> = gathered.map(Vec::into_iter).collect();
-                let mut values = Vec::with_capacity(arity * positions.len());
-                for _ in 0..positions.len() {
-                    values.extend(gathered.iter_mut().map(|column| {
-                        column
-                            .next()
-                            .expect("a gather yields one value per position")
-                    }));
-                }
-                Rows::new(arity, values)
-            }
+        if columns.len() == 0 || positions.is_empty() {
+            return Rows::default();
+        }
+        Rows {
+            len: positions.len(),
+            columns: columns
+                .map(|column| Cells::gather(column, positions))
+                .collect(),
+            values: OnceLock::new(),
         }
     }
 
     /// Number of rows.
     pub fn len(&self) -> usize {
-        self.values.len().checked_div(self.arity).unwrap_or(0)
+        self.len
     }
 
     /// True when there are no rows.
     pub fn is_empty(&self) -> bool {
-        self.values.is_empty()
+        self.len == 0
     }
 
     /// Values per row (0 when there are no rows).
     pub fn arity(&self) -> usize {
-        self.arity
+        self.columns.len()
     }
 
-    /// Every value, row after row.
+    /// The columns, in projection order, each holding one cell per row.
+    pub fn columns(&self) -> &[Cells] {
+        &self.columns
+    }
+
+    /// Every value, row after row. The first call builds them from the
+    /// columns, one [`Value`] per cell; later calls re-read them.
     pub fn values(&self) -> &[Value] {
-        &self.values
+        self.values.get_or_init(|| {
+            // column by column, each column's cells into its slot of every
+            // row: one loop per column type, not a match per cell
+            let arity = self.arity();
+            let mut values = vec![Value::Null; self.len * arity];
+            for (at, column) in self.columns.iter().enumerate() {
+                let rows = values.chunks_exact_mut(arity);
+                match column {
+                    Cells::Int64(cells) => rows
+                        .zip(cells)
+                        .for_each(|(row, &v)| row[at] = Value::Int64(v)),
+                    Cells::Float64(cells) => rows
+                        .zip(cells)
+                        .for_each(|(row, &v)| row[at] = Value::Float64(v)),
+                    Cells::Values(cells) => {
+                        rows.zip(cells).for_each(|(row, v)| row[at] = v.clone())
+                    }
+                }
+            }
+            values
+        })
     }
 
-    /// The rows in order, each a slice of [`Self::arity`] values.
+    /// The rows in order, each a slice of [`Self::arity`] values (built as
+    /// [`Self::values`] builds them).
     pub fn iter(&self) -> std::slice::ChunksExact<'_, Value> {
         // an empty store yields no chunk at any width; 0 is not a width
-        self.values.chunks_exact(self.arity.max(1))
+        self.values().chunks_exact(self.arity().max(1))
     }
 }
 
@@ -497,6 +569,126 @@ impl<'a> IntoIterator for &'a Rows {
 
     fn into_iter(self) -> Self::IntoIter {
         self.iter()
+    }
+}
+
+/// One column of a [`Rows`] store, in canonical form: `Int64` or `Float64`
+/// exactly when every cell has that type, `Values` otherwise (`Utf8` cells,
+/// `Null`s, or a mix of types).
+///
+/// A column is built cell by cell with [`Cells::starting_with`] and
+/// [`Cells::push`], which keep that form: it starts typed from its first
+/// cell, and turns into `Values` at the first cell of another type.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Cells {
+    /// Every cell is an `Int64`.
+    Int64(Vec<i64>),
+    /// Every cell is a `Float64`.
+    Float64(Vec<f64>),
+    /// One [`Value`] per cell.
+    Values(Vec<Value>),
+}
+
+impl Cells {
+    /// A column whose first cell is `first`, with room for `capacity`
+    /// cells: typed when `first` is an `Int64` or a `Float64`.
+    pub fn starting_with(first: Value, capacity: usize) -> Cells {
+        let mut cells = match first {
+            Value::Int64(_) => Cells::Int64(Vec::with_capacity(capacity)),
+            Value::Float64(_) => Cells::Float64(Vec::with_capacity(capacity)),
+            Value::Utf8(_) | Value::Null => Cells::Values(Vec::with_capacity(capacity)),
+        };
+        cells.push(first);
+        cells
+    }
+
+    /// Append a cell. A typed column that `value` does not fit turns into
+    /// `Values` first.
+    #[inline]
+    pub fn push(&mut self, value: Value) {
+        match self {
+            Cells::Int64(cells) => {
+                if let Value::Int64(v) = value {
+                    return cells.push(v);
+                }
+            }
+            Cells::Float64(cells) => {
+                if let Value::Float64(v) = value {
+                    return cells.push(v);
+                }
+            }
+            Cells::Values(cells) => return cells.push(value),
+        }
+        self.degrade().push(value);
+    }
+
+    /// The cells as `Value`s, from now on.
+    #[cold]
+    fn degrade(&mut self) -> &mut Vec<Value> {
+        fn values<T>(cells: Vec<T>, value: fn(T) -> Value) -> Vec<Value> {
+            let mut values = Vec::with_capacity(cells.capacity());
+            values.extend(cells.into_iter().map(value));
+            values
+        }
+        let values = match std::mem::replace(self, Cells::Values(Vec::new())) {
+            Cells::Int64(cells) => values(cells, Value::Int64),
+            Cells::Float64(cells) => values(cells, Value::Float64),
+            Cells::Values(cells) => cells,
+        };
+        *self = Cells::Values(values);
+        let Cells::Values(values) = self else {
+            unreachable!("just stored")
+        };
+        values
+    }
+
+    /// The canonical form of these cells: typed when every cell of a
+    /// `Values` column has one fixed-width type.
+    fn canonical(self) -> Cells {
+        let uniform = |values: &[Value]| match values.first() {
+            Some(Value::Int64(_)) => values.iter().all(|v| matches!(v, Value::Int64(_))),
+            Some(Value::Float64(_)) => values.iter().all(|v| matches!(v, Value::Float64(_))),
+            _ => false,
+        };
+        match self {
+            Cells::Values(values) if uniform(&values) => {
+                let mut values = values.into_iter();
+                let first = values.next().expect("a uniform column has a first cell");
+                let mut cells = Cells::starting_with(first, values.len() + 1);
+                values.for_each(|value| cells.push(value));
+                cells
+            }
+            canonical => canonical,
+        }
+    }
+
+    /// The values of `column` at `positions`: a typed gather for `Int64` and
+    /// `Float64` columns ([`fetch_i64`], [`fetch_f64`]), one `Value` per cell
+    /// for `Utf8`. Panics when a position lies outside the column.
+    fn gather(column: &Column, positions: &PositionList) -> Cells {
+        match column.data_type() {
+            DataType::Int64 => Cells::Int64(fetch_i64(column, positions)),
+            DataType::Float64 => Cells::Float64(fetch_f64(column, positions)),
+            DataType::Utf8 => Cells::Values(
+                column
+                    .gather(positions)
+                    .expect("QueryResult invariant: positions lie inside the snapshot"),
+            ),
+        }
+    }
+
+    /// Number of cells.
+    pub fn len(&self) -> usize {
+        match self {
+            Cells::Int64(cells) => cells.len(),
+            Cells::Float64(cells) => cells.len(),
+            Cells::Values(cells) => cells.len(),
+        }
+    }
+
+    /// True when the column holds no cell.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
     }
 }
 
@@ -652,17 +844,101 @@ mod tests {
     }
 
     #[test]
-    fn rows_are_a_flat_store_of_equal_arity() {
+    fn rows_are_typed_columns_of_equal_length() {
         let rows = Rows::new(3, (0..6).map(Value::Int64).collect());
         assert_eq!((rows.len(), rows.arity(), rows.is_empty()), (2, 3, false));
+        assert_eq!(
+            rows.columns(),
+            [
+                Cells::Int64(vec![0, 3]),
+                Cells::Int64(vec![1, 4]),
+                Cells::Int64(vec![2, 5]),
+            ]
+        );
+        assert!(rows.values.get().is_none(), "nothing read a row yet");
         let read: Vec<&[Value]> = rows.iter().collect();
         assert_eq!(read[1], [Value::Int64(3), Value::Int64(4), Value::Int64(5)]);
         assert_eq!((&rows).into_iter().count(), 2);
         assert_eq!(rows.values().len(), 6);
+        // the view is built once, and is no part of equality
+        assert_eq!(rows.values().as_ptr(), rows.iter().next().unwrap().as_ptr());
+        assert_eq!(rows, Rows::new(3, (0..6).map(Value::Int64).collect()));
         // no rows: arity 0, whatever the projection
         assert_eq!(Rows::new(3, Vec::new()), Rows::default());
         assert_eq!(Rows::default().iter().count(), 0);
         assert_eq!(Rows::default().len(), 0);
+        assert_eq!(
+            Rows::from_columns(vec![Cells::Int64(Vec::new())]),
+            Rows::default()
+        );
+    }
+
+    #[test]
+    fn a_column_is_typed_exactly_when_every_cell_has_its_type() {
+        let utf8 = || Value::Utf8("x".into());
+        let rows = Rows::new(
+            5,
+            vec![
+                // row 0
+                Value::Int64(1),
+                Value::Float64(f64::NAN),
+                Value::Int64(2),
+                Value::Null,
+                utf8(),
+                // row 1
+                Value::Int64(3),
+                Value::Float64(-0.0),
+                Value::Null,
+                Value::Int64(4),
+                utf8(),
+            ],
+        );
+        let [Cells::Int64(ints), Cells::Float64(floats), Cells::Values(degraded), Cells::Values(started), Cells::Values(strings)] =
+            rows.columns()
+        else {
+            panic!("{:?}", rows.columns());
+        };
+        assert_eq!(ints, &[1, 3]);
+        assert_eq!(
+            floats.iter().map(|f| f.to_bits()).collect::<Vec<_>>(),
+            [f64::NAN.to_bits(), (-0.0f64).to_bits()]
+        );
+        assert_eq!(degraded, &[Value::Int64(2), Value::Null]);
+        assert_eq!(started, &[Value::Null, Value::Int64(4)]);
+        assert_eq!(strings, &[utf8(), utf8()]);
+        // columns handed over as `Value`s are stored in the same form
+        let handed = Rows::from_columns(vec![
+            Cells::Values(vec![Value::Int64(1), Value::Int64(3)]),
+            Cells::Values(vec![Value::Float64(0.5), Value::Float64(1.5)]),
+            Cells::Values(vec![Value::Int64(2), Value::Null]),
+        ]);
+        assert_eq!(
+            handed.columns(),
+            [
+                Cells::Int64(vec![1, 3]),
+                Cells::Float64(vec![0.5, 1.5]),
+                Cells::Values(vec![Value::Int64(2), Value::Null]),
+            ]
+        );
+        // a typed column that meets another type keeps every earlier cell
+        let mut cells = Cells::starting_with(Value::Float64(0.25), 1);
+        cells.push(Value::Float64(0.5));
+        cells.push(Value::Int64(7));
+        assert_eq!(
+            cells,
+            Cells::Values(vec![
+                Value::Float64(0.25),
+                Value::Float64(0.5),
+                Value::Int64(7)
+            ])
+        );
+        assert_eq!(cells.len(), 3);
+    }
+
+    #[test]
+    #[should_panic(expected = "columns of different lengths")]
+    fn rows_reject_columns_of_different_lengths() {
+        Rows::from_columns(vec![Cells::Int64(vec![1]), Cells::Float64(Vec::new())]);
     }
 
     #[test]

@@ -264,30 +264,25 @@ fn partition_in_blocks<K: CrackKey>(
     }
 
     // everything is classified, and at most one block still names misplaced
-    // keys: they trade places with that block's far end, outermost first
-    swapped += (left_to - left_from) + (right_to - right_from);
+    // keys: they trade places with that block's far end, outermost first. A
+    // key already at the far end swaps with itself, which moves nothing and
+    // is not counted
     let below = if left_from < left_to {
         while left_from < left_to {
             left_to -= 1;
             right -= 1;
-            swap_pair(
-                values,
-                rowids,
-                left + usize::from(left_offsets[left_to]),
-                right,
-            );
+            let misplaced = left + usize::from(left_offsets[left_to]);
+            swap_pair(values, rowids, misplaced, right);
+            swapped += usize::from(misplaced != right);
         }
         right
     } else {
         // the left block is spent: `left` is where the right block starts
         while right_from < right_to {
             right_to -= 1;
-            swap_pair(
-                values,
-                rowids,
-                left,
-                right - 1 - usize::from(right_offsets[right_to]),
-            );
+            let misplaced = right - 1 - usize::from(right_offsets[right_to]);
+            swap_pair(values, rowids, left, misplaced);
+            swapped += usize::from(misplaced != left);
             left += 1;
         }
         left

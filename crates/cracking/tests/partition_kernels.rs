@@ -314,6 +314,25 @@ proptest! {
     }
 }
 
+/// A piece whose keys all lie on one side of the bound is already
+/// partitioned: no row id moves, and no swap is reported.
+#[test]
+fn a_piece_on_one_side_of_the_bound_reports_no_swaps() {
+    for len in [1_000, 100_000] {
+        let keys: Vec<Key> = (0..len as Key).collect();
+        for (pivot, below) in [(-1, 0), (len as Key, len)] {
+            let (mut values, mut ids) = (keys.clone(), (0..len as RowId).collect::<Vec<_>>());
+            let (split, touch) =
+                crack_in_two_counted(&mut values, &mut ids, 0, len, pivot, PivotSide::Left);
+            assert_eq!(split, below, "{len} keys, pivot {pivot}");
+            assert_eq!(touch.swapped, 0, "{len} keys, pivot {pivot}");
+            assert_eq!(touch.compared, len);
+            assert!(ids.iter().copied().eq(0..len as RowId), "a row id moved");
+            assert_eq!(values, keys);
+        }
+    }
+}
+
 /// The shapes a sampled case is unlikely to hit exactly.
 #[test]
 fn edge_pieces_and_extreme_bounds() {

@@ -23,8 +23,8 @@
 //! encoded.
 
 use aidx_columnstore::types::{RowId, Value};
-pub use aidx_core::Rows;
 use aidx_core::{Aggregation, Predicate, Query, QueryResult};
+pub use aidx_core::{Cells, Rows};
 use std::fmt;
 use std::io::{self, Read, Write};
 
@@ -326,7 +326,8 @@ pub struct WireResult {
 
 impl WireResult {
     /// Materialize an engine result for the wire: the positions in one copy,
-    /// and each projected column gathered once at those positions.
+    /// and each projected column gathered once, typed, at those positions
+    /// (see [`Rows::gather`]).
     pub fn from_query_result(result: &QueryResult) -> Self {
         let positions = result.positions();
         WireResult {
@@ -352,8 +353,14 @@ impl WireResult {
     /// Exact length of [`Self::encoded`].
     fn encoded_len(&self) -> usize {
         let aggregate = self.aggregate.as_ref().map_or(0, value_len);
-        let rows = self.rows.len() * 2 + self.rows.values().iter().map(value_len).sum::<usize>();
-        4 + self.positions.len() * 4 + 1 + aggregate + 4 + rows
+        let cells: usize = (self.rows.columns().iter())
+            .map(|column| match column {
+                Cells::Int64(cells) => cells.len() * 9,
+                Cells::Float64(cells) => cells.len() * 9,
+                Cells::Values(cells) => cells.iter().map(value_len).sum(),
+            })
+            .sum();
+        4 + self.positions.len() * 4 + 1 + aggregate + 4 + self.rows.len() * 2 + cells
     }
 }
 
@@ -404,22 +411,40 @@ fn value_len(value: &Value) -> usize {
     }
 }
 
+// Value tags: each encoded value is its tag, then its payload.
+const TAG_NULL: u8 = 0;
+const TAG_INT64: u8 = 1;
+const TAG_FLOAT64: u8 = 2;
+const TAG_UTF8: u8 = 3;
+
 fn put_value(buf: &mut Vec<u8>, value: &Value) {
     match value {
-        Value::Null => put_u8(buf, 0),
-        Value::Int64(v) => {
-            put_u8(buf, 1);
-            put_i64(buf, *v);
-        }
-        Value::Float64(v) => {
-            put_u8(buf, 2);
-            put_u64(buf, v.to_bits());
-        }
+        Value::Null => put_u8(buf, TAG_NULL),
+        Value::Int64(v) => put_i64_value(buf, *v),
+        Value::Float64(v) => put_f64_value(buf, *v),
         Value::Utf8(s) => {
-            put_u8(buf, 3);
+            put_u8(buf, TAG_UTF8);
             put_str(buf, s);
         }
     }
+}
+
+/// A fixed-width value: its tag and its eight payload bytes, in one write.
+#[inline]
+fn put_fixed_value(buf: &mut Vec<u8>, tag: u8, payload: [u8; 8]) {
+    let mut cell = [tag; 9];
+    cell[1..].copy_from_slice(&payload);
+    buf.extend_from_slice(&cell);
+}
+
+#[inline]
+fn put_i64_value(buf: &mut Vec<u8>, v: i64) {
+    put_fixed_value(buf, TAG_INT64, v.to_le_bytes());
+}
+
+#[inline]
+fn put_f64_value(buf: &mut Vec<u8>, v: f64) {
+    put_fixed_value(buf, TAG_FLOAT64, v.to_bits().to_le_bytes());
 }
 
 fn put_query(buf: &mut Vec<u8>, query: &Query) {
@@ -482,12 +507,24 @@ fn put_result(buf: &mut Vec<u8>, result: &WireResult) {
             put_value(buf, value);
         }
     }
-    put_u32(buf, result.rows.len() as u32);
-    let arity = (result.rows.arity() as u16).to_le_bytes();
-    for row in &result.rows {
+    put_rows(buf, &result.rows);
+}
+
+/// The row section: a row count, then each row as its `u16` arity and its
+/// cells, each a tag and a payload (see [`put_value`]). The cells come
+/// straight from the typed columns: an `Int64` or `Float64` cell is written
+/// from its `i64` or `f64`, and no `Value` is built for it.
+fn put_rows(buf: &mut Vec<u8>, rows: &Rows) {
+    put_u32(buf, rows.len() as u32);
+    let arity = (rows.arity() as u16).to_le_bytes();
+    for row in 0..rows.len() {
         buf.extend_from_slice(&arity);
-        for value in row {
-            put_value(buf, value);
+        for column in rows.columns() {
+            match column {
+                Cells::Int64(cells) => put_i64_value(buf, cells[row]),
+                Cells::Float64(cells) => put_f64_value(buf, cells[row]),
+                Cells::Values(cells) => put_value(buf, &cells[row]),
+            }
         }
     }
 }
@@ -726,6 +763,19 @@ impl<'a> Reader<'a> {
         Ok(i64::from_le_bytes(self.take(8)?.try_into().unwrap()))
     }
 
+    /// The payload of a fixed-width value, when the next value is one with
+    /// `tag`; otherwise nothing is read.
+    #[inline]
+    fn take_fixed(&mut self, tag: u8) -> Option<[u8; 8]> {
+        match self.bytes.get(self.offset..self.offset + 9) {
+            Some([next, payload @ ..]) if *next == tag => {
+                self.offset += 9;
+                payload.try_into().ok()
+            }
+            _ => None,
+        }
+    }
+
     fn take_str(&mut self) -> Result<String, FrameError> {
         let len = self.take_u32()? as usize;
         if len > self.remaining() {
@@ -767,12 +817,13 @@ impl<'a> Reader<'a> {
     }
 }
 
+#[inline]
 fn take_value(r: &mut Reader<'_>) -> Result<Value, FrameError> {
     match r.take_u8()? {
-        0 => Ok(Value::Null),
-        1 => Ok(Value::Int64(r.take_i64()?)),
-        2 => Ok(Value::Float64(f64::from_bits(r.take_u64()?))),
-        3 => Ok(Value::Utf8(r.take_str()?)),
+        TAG_NULL => Ok(Value::Null),
+        TAG_INT64 => Ok(Value::Int64(r.take_i64()?)),
+        TAG_FLOAT64 => Ok(Value::Float64(f64::from_bits(r.take_u64()?))),
+        TAG_UTF8 => Ok(Value::Utf8(r.take_str()?)),
         tag => Err(FrameError::UnknownTag { what: "value", tag }),
     }
 }
@@ -868,7 +919,9 @@ fn take_result(r: &mut Reader<'_>) -> Result<WireResult, FrameError> {
 
 /// A row count, then each row as its arity and its values: the arity is the
 /// first row's for every row, and the value count is bounded by the payload
-/// before anything is reserved for it.
+/// before anything is reserved for it. Each column starts typed from its
+/// cell in the first row (see [`Cells::starting_with`]) and is read into
+/// that type until a cell of another type turns it into `Values`.
 fn take_rows(r: &mut Reader<'_>) -> Result<Rows, FrameError> {
     let len = r.take_count("row", 2)?;
     if len == 0 {
@@ -884,23 +937,41 @@ fn take_rows(r: &mut Reader<'_>) -> Result<Rows, FrameError> {
         let what = "row value";
         return Err(FrameError::CountOverflow { what, count });
     }
-    let mut values = Vec::with_capacity(count as usize);
-    for row in 0..len {
-        if row > 0 {
-            let announced = r.take_u16()?;
-            if announced != arity {
-                let row = row as u32;
-                return Err(FrameError::RowArity {
-                    row,
-                    arity: announced,
-                });
-            }
+    let mut columns = Vec::with_capacity(usize::from(arity));
+    for _ in 0..arity {
+        columns.push(Cells::starting_with(take_value(r)?, len));
+    }
+    for row in 1..len {
+        let announced = r.take_u16()?;
+        if announced != arity {
+            let row = row as u32;
+            return Err(FrameError::RowArity {
+                row,
+                arity: announced,
+            });
         }
-        for _ in 0..arity {
-            values.push(take_value(r)?);
+        for column in &mut columns {
+            // a cell of the column's type is read in one step; any other is
+            // read as a value, and the column becomes `Values`
+            match column {
+                Cells::Int64(cells) => {
+                    if let Some(payload) = r.take_fixed(TAG_INT64) {
+                        cells.push(i64::from_le_bytes(payload));
+                        continue;
+                    }
+                }
+                Cells::Float64(cells) => {
+                    if let Some(payload) = r.take_fixed(TAG_FLOAT64) {
+                        cells.push(f64::from_bits(u64::from_le_bytes(payload)));
+                        continue;
+                    }
+                }
+                Cells::Values(_) => {}
+            }
+            column.push(take_value(r)?);
         }
     }
-    Ok(Rows::new(usize::from(arity), values))
+    Ok(Rows::from_columns(columns))
 }
 
 fn take_wire_error(r: &mut Reader<'_>) -> Result<WireError, FrameError> {
@@ -1478,6 +1549,107 @@ pub(crate) mod tests {
             let decoded = Reply::decode(&Reply::Result(wire.clone()).encode()).unwrap();
             prop_assert_eq!(decoded, Reply::Result(wire));
         }
+    }
+
+    /// A cell's tag, payload bits and string.
+    type CellBits = (u8, u64, Option<String>);
+
+    /// A cell as bits that compare: a `Float64` by its bit pattern, so NaN
+    /// equals itself and -0.0 differs from 0.0.
+    fn cell_bits(value: Value) -> CellBits {
+        match value {
+            Value::Null => (0, 0, None),
+            Value::Int64(v) => (1, v as u64, None),
+            Value::Float64(v) => (2, v.to_bits(), None),
+            Value::Utf8(s) => (3, 0, Some(s)),
+        }
+    }
+
+    /// Each column's form and its cells' bits.
+    fn column_bits(rows: &Rows) -> Vec<(&'static str, Vec<CellBits>)> {
+        (rows.columns().iter())
+            .map(|column| match column {
+                Cells::Int64(cells) => {
+                    let bits = cells.iter().map(|&v| cell_bits(Value::Int64(v)));
+                    ("Int64", bits.collect())
+                }
+                Cells::Float64(cells) => {
+                    let bits = cells.iter().map(|&v| cell_bits(Value::Float64(v)));
+                    ("Float64", bits.collect())
+                }
+                Cells::Values(cells) => ("Values", cells.iter().cloned().map(cell_bits).collect()),
+            })
+            .collect()
+    }
+
+    /// The rows' cells as bits, read row by row.
+    fn row_bits(rows: &Rows) -> Vec<Vec<CellBits>> {
+        (rows.iter())
+            .map(|row| row.iter().cloned().map(cell_bits).collect())
+            .collect()
+    }
+
+    #[test]
+    fn mixed_and_special_float_columns_round_trip_in_canonical_form() {
+        let utf8 = |s: &str| Value::Utf8(s.into());
+        // an Int64 column that meets a Null and then a Utf8; a Float64
+        // column of NaN, -0.0 and the infinities; a column that starts with a
+        // Null; a Float64 column that meets an Int64 in its last row
+        let rows = [
+            [
+                Value::Int64(7),
+                Value::Float64(f64::NAN),
+                Value::Null,
+                Value::Float64(0.5),
+            ],
+            [
+                Value::Null,
+                Value::Float64(-0.0),
+                Value::Int64(1),
+                Value::Float64(-2.0),
+            ],
+            [
+                utf8("naïve"),
+                Value::Float64(f64::INFINITY),
+                Value::Int64(2),
+                Value::Float64(0.0),
+            ],
+            [
+                Value::Int64(-1),
+                Value::Float64(f64::NEG_INFINITY),
+                utf8(""),
+                Value::Int64(3),
+            ],
+        ];
+        let built = Rows::new(4, rows.iter().flatten().cloned().collect());
+        let reply = Reply::Result(WireResult {
+            positions: vec![0, 1, 2, 3],
+            aggregate: None,
+            rows: built.clone(),
+        });
+        let bytes = reply.encode();
+        let Reply::Result(decoded) = Reply::decode(&bytes).unwrap() else {
+            panic!("a result");
+        };
+        assert_eq!(hex(&Reply::Result(decoded.clone()).encode()), hex(&bytes));
+        // the same canonical columns, cell for cell, whichever way built
+        let forms: Vec<&str> = column_bits(&built).iter().map(|c| c.0).collect();
+        assert_eq!(forms, ["Values", "Float64", "Values", "Values"]);
+        assert_eq!(column_bits(&decoded.rows), column_bits(&built));
+        // and the same rows, read row by row
+        let expected = row_bits(&Rows::new(4, rows.iter().flatten().cloned().collect()));
+        assert_eq!(row_bits(&decoded.rows), expected);
+        assert_eq!(row_bits(&built), expected);
+        // without the NaN, plain equality agrees
+        let mut finite = rows.clone();
+        finite[0][1] = Value::Float64(1.0);
+        let finite = Rows::new(4, finite.iter().flatten().cloned().collect());
+        let wire = WireResult {
+            rows: finite,
+            ..WireResult::default()
+        };
+        let decoded = Reply::decode(&Reply::Result(wire.clone()).encode()).unwrap();
+        assert_eq!(decoded, Reply::Result(wire));
     }
 
     /// A `RESULT` payload with no positions and no aggregate, whose row

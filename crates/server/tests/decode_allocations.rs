@@ -6,7 +6,7 @@
 //! allocator.
 
 use aidx_server::protocol::FrameError;
-use aidx_server::Reply;
+use aidx_server::{Cells, Reply};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
@@ -65,7 +65,7 @@ fn hostile_row_counts_are_refused_before_anything_is_reserved() {
 
 #[test]
 fn an_honest_reply_allocates_nothing_per_row() {
-    // 1 000 rows of one `Int64`: one vector of positions, one of values
+    // 1 000 rows of one `Int64`: one vector of positions, one of keys
     let mut frame = vec![0x82];
     frame.extend_from_slice(&1_000u32.to_le_bytes());
     for position in 0..1_000u32 {
@@ -85,6 +85,12 @@ fn an_honest_reply_allocates_nothing_per_row() {
         panic!("a result");
     };
     assert_eq!((result.positions.len(), result.rows.len()), (1_000, 1_000));
-    let exact = 1_000 * 4 + 1_000 * std::mem::size_of::<aidx_columnstore::types::Value>();
-    assert_eq!(reserved, exact, "one vector of positions, one of values");
+    assert!(matches!(result.rows.columns(), [Cells::Int64(keys)] if keys.len() == 1_000));
+    // the keys as `i64`s, not one 24-byte `Value` each, and the one-entry
+    // vector that holds the column
+    let exact = 1_000 * 4 + 1_000 * 8 + std::mem::size_of::<Cells>();
+    assert_eq!(
+        reserved, exact,
+        "one vector of positions, one of keys, one of columns"
+    );
 }
