@@ -20,7 +20,7 @@
 use aidx_cracking::crack::{crack_in_three, crack_in_two, PivotSide};
 use aidx_cracking::cracker_column::key_domain;
 use aidx_cracking::selection::CrackedIndex;
-use aidx_merging::run::SortedRun;
+use aidx_hybrids::run::SortedRun;
 use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion};
 use std::hint::black_box;
 

@@ -1,8 +1,11 @@
 //! E6 — Hybrid adaptive indexing (PVLDB 2011): the initialization/convergence
 //! trade-off across the hybrid crack/sort/radix algorithms, plus plain
 //! cracking, adaptive merging and a full sort as the endpoints of the design
-//! space. Also serves as the crack-in-two vs. crack-in-three /
-//! organization-choice ablation called out in DESIGN.md.
+//! space. Adaptive merging *is* Hybrid Sort-Sort: the `adaptive-merging` row
+//! builds the same index as `hybrid-sort-sort`, with runs of 64 K tuples
+//! instead of the hybrids' 16 K partitions. Also serves as the crack-in-two
+//! vs. crack-in-three / organization-choice ablation called out in
+//! DESIGN.md.
 
 use aidx_bench::{assert_checksums_match, run_strategy_facade, HarnessConfig, StrategyRun};
 use aidx_core::strategy::{HybridKind, StrategyKind};

@@ -27,7 +27,7 @@
 //!   result iterators are built on.
 //!
 //! The crate deliberately contains *no* indexing: it is the substrate on which
-//! `aidx-cracking`, `aidx-merging`, `aidx-hybrids` and `aidx-baselines` build.
+//! `aidx-cracking`, `aidx-hybrids` and `aidx-baselines` build.
 //! It does hold the interface they share — [`index::AdaptiveIndex`] and its
 //! answer type [`index::QueryOutput`] — beside the [`types::Key`] and
 //! [`types::RowId`] it is written in.

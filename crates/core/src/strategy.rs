@@ -15,7 +15,6 @@ use aidx_cracking::partial::PartialCrackedIndex;
 use aidx_cracking::selection::CrackedIndex;
 use aidx_cracking::stochastic::{StochasticCrackedIndex, StochasticVariant};
 use aidx_hybrids::HybridIndex;
-use aidx_merging::AdaptiveMergeIndex;
 use serde::{Deserialize, Serialize};
 
 pub use aidx_columnstore::index::{AdaptiveIndex, QueryOutput};
@@ -178,9 +177,12 @@ impl StrategyKind {
             StrategyKind::PartialCracking { budget_bytes } => {
                 Box::new(PartialCrackedIndex::from_chunks(chunks, budget_bytes))
             }
-            StrategyKind::AdaptiveMerging { run_size } => {
-                Box::new(AdaptiveMergeIndex::from_chunks(chunks, run_size))
-            }
+            StrategyKind::AdaptiveMerging { run_size } => Box::new(HybridIndex::from_chunks(
+                chunks,
+                HybridKind::SortSort,
+                run_size,
+                tuning.hybrid_radix_bits,
+            )),
             StrategyKind::Hybrid { algorithm } => Box::new(HybridIndex::from_chunks(
                 chunks,
                 algorithm,

@@ -361,6 +361,31 @@ impl CrackedIndex {
         pieces
     }
 
+    /// The piece of [`Self::pieces`] that starts at the greatest cut at or
+    /// below `key`, found with two lookups in the cut index instead of a
+    /// listing of every piece. It holds `key` unless `key` is `Key::MAX` and
+    /// the piece is the last one, whose open upper bound (`high: None`)
+    /// reads as an exclusive `Key::MAX`.
+    #[inline]
+    pub(crate) fn piece_at(&self, key: Key) -> Piece {
+        let (low, begin) = self
+            .cuts
+            .floor(key)
+            .map_or((None, 0), |(cut, position)| (Some(cut), position));
+        let (high, end) = key
+            .checked_add(1)
+            .and_then(|above| self.cuts.ceiling(above))
+            .map_or((None, self.column.len()), |(cut, position)| {
+                (Some(cut), position)
+            });
+        Piece {
+            begin,
+            end,
+            low,
+            high,
+        }
+    }
+
     /// Ensure a cut exists exactly at `key`, cracking the containing piece if
     /// necessary, and return its position. Exposed within the crate so that
     /// stochastic cracking and the hybrids can introduce auxiliary cuts.

@@ -156,12 +156,16 @@ mod tests {
         s.record_sort(1024);
         assert_eq!(s.pieces_sorted, 1);
         assert_eq!(s.elements_compared, 1024 * 10);
+    }
+
+    #[test]
+    fn sort_of_tiny_inputs() {
         let mut t = CrackStats::new();
         t.record_sort(0);
         assert_eq!(t.elements_compared, 0);
-        let mut u = CrackStats::new();
-        u.record_sort(1);
-        assert_eq!(u.elements_compared, 1);
+        t.record_sort(1);
+        assert_eq!(t.pieces_sorted, 2);
+        assert_eq!(t.elements_compared, 1);
     }
 
     #[test]

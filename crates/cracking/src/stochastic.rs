@@ -139,19 +139,23 @@ impl StochasticCrackedIndex {
         }
     }
 
-    /// Pieces that the query bounds fall into and that exceed the threshold.
+    /// Pieces that the query bounds fall into and that exceed the threshold:
+    /// the piece holding `low` and the one holding `high`, each looked up
+    /// in the cut index, in ascending order and without repeats. A piece
+    /// holds a bound below its upper key bound; an open upper bound reads
+    /// as `Key::MAX`, so a bound of `Key::MAX` falls into no piece.
     fn oversized_touched_pieces(&self, low: Key, high: Key) -> Vec<Piece> {
-        self.inner
-            .pieces()
-            .into_iter()
-            .filter(|p| {
-                let p_low = p.low.unwrap_or(Key::MIN);
-                let p_high = p.high.unwrap_or(Key::MAX);
-                let contains_low = p_low <= low && low < p_high;
-                let contains_high = p_high > high && high >= p_low;
-                p.len() > self.piece_threshold && (contains_low || contains_high)
-            })
-            .collect()
+        let mut touched: Vec<Piece> = Vec::with_capacity(2);
+        for bound in [low, high] {
+            let piece = self.inner.piece_at(bound);
+            if bound < piece.high.unwrap_or(Key::MAX)
+                && piece.len() > self.piece_threshold
+                && touched.last() != Some(&piece)
+            {
+                touched.push(piece);
+            }
+        }
+        touched
     }
 
     /// Perform the auxiliary cracks mandated by the configured variant, then
@@ -160,28 +164,34 @@ impl StochasticCrackedIndex {
     pub fn query_range(&mut self, low: Key, high: Key) -> RangeResult<'_> {
         if !self.inner.is_empty() && low < high {
             let touched = self.oversized_touched_pieces(low, high);
-            match self.variant {
-                StochasticVariant::DataDrivenCenter => {
-                    for piece in &touched {
-                        let pivot = self.piece_midpoint(piece);
-                        self.auxiliary_crack(pivot);
-                    }
+            self.crack_touched(&touched);
+        }
+        self.inner.query_range(low, high)
+    }
+
+    /// The auxiliary cracks of the configured variant in the `touched`
+    /// pieces.
+    fn crack_touched(&mut self, touched: &[Piece]) {
+        match self.variant {
+            StochasticVariant::DataDrivenCenter => {
+                for piece in touched {
+                    let pivot = self.piece_midpoint(piece);
+                    self.auxiliary_crack(pivot);
                 }
-                StochasticVariant::DataDrivenRandom => {
-                    for piece in &touched {
-                        let pivot = self.piece_random_pivot(piece);
-                        self.auxiliary_crack(pivot);
-                    }
+            }
+            StochasticVariant::DataDrivenRandom => {
+                for piece in touched {
+                    let pivot = self.piece_random_pivot(piece);
+                    self.auxiliary_crack(pivot);
                 }
-                StochasticVariant::MaterializedDataDrivenRandom => {
-                    if let Some(piece) = touched.iter().max_by_key(|p| p.len()) {
-                        let pivot = self.piece_random_pivot(piece);
-                        self.auxiliary_crack(pivot);
-                    }
+            }
+            StochasticVariant::MaterializedDataDrivenRandom => {
+                if let Some(piece) = touched.iter().max_by_key(|p| p.len()) {
+                    let pivot = self.piece_random_pivot(piece);
+                    self.auxiliary_crack(pivot);
                 }
             }
         }
-        self.inner.query_range(low, high)
     }
 
     /// Count of qualifying tuples for `[low, high)`.
@@ -375,5 +385,73 @@ mod tests {
         );
         let _ = idx.query_range(10, 20);
         assert_eq!(idx.auxiliary_cracks(), 0);
+    }
+
+    /// The touched-piece filter before the cut-index lookup: every piece
+    /// listed, kept when it is oversized and holds either bound.
+    fn listed_touched_pieces(idx: &StochasticCrackedIndex, low: Key, high: Key) -> Vec<Piece> {
+        idx.inner
+            .pieces()
+            .into_iter()
+            .filter(|p| {
+                let p_low = p.low.unwrap_or(Key::MIN);
+                let p_high = p.high.unwrap_or(Key::MAX);
+                let contains_low = p_low <= low && low < p_high;
+                let contains_high = p_high > high && high >= p_low;
+                p.len() > idx.piece_threshold && (contains_low || contains_high)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn looked_up_pieces_crack_like_the_listed_ones() {
+        let n: Key = 6000;
+        let data = skewed_data(n as usize);
+        let sequential: Vec<(Key, Key)> = (0..n / 100).map(|i| (i * 100, i * 100 + 100)).collect();
+        // open and extreme bounds while the pieces at the domain's ends are
+        // still large, uniform ranges, then the extremes again
+        let mut random: Vec<(Key, Key)> = vec![(1000, 2000), (0, Key::MAX), (Key::MIN, 10)];
+        random.extend((0..80).map(|q| {
+            let low = (q * 7919) % (n + 400) - 200;
+            (low, low + 1 + (q * 131) % 900)
+        }));
+        random.extend([
+            (Key::MIN, 10),
+            (n - 10, Key::MAX),
+            (Key::MIN, Key::MAX),
+            (n, Key::MAX),
+        ]);
+        for variant in [
+            StochasticVariant::DataDrivenCenter,
+            StochasticVariant::DataDrivenRandom,
+            StochasticVariant::MaterializedDataDrivenRandom,
+        ] {
+            for (name, queries) in [("sequential", &sequential), ("random", &random)] {
+                let mut looked_up = StochasticCrackedIndex::from_keys(&data, variant, 64, 11);
+                let mut listed = looked_up.clone();
+                for (q, &(low, high)) in queries.iter().enumerate() {
+                    assert_eq!(
+                        looked_up.oversized_touched_pieces(low, high),
+                        listed_touched_pieces(&listed, low, high),
+                        "{variant:?} {name} q{q}"
+                    );
+                    let got = looked_up.query_range(low, high).len();
+                    let touched = listed_touched_pieces(&listed, low, high);
+                    listed.crack_touched(&touched);
+                    assert_eq!(listed.inner.query_range(low, high).len(), got);
+                    assert_eq!(
+                        looked_up.auxiliary_cracks(),
+                        listed.auxiliary_cracks(),
+                        "{variant:?} {name} q{q}"
+                    );
+                    assert_eq!(
+                        looked_up.piece_count(),
+                        listed.piece_count(),
+                        "{variant:?} {name} q{q}"
+                    );
+                }
+                assert!(looked_up.auxiliary_cracks() > 0, "{variant:?} {name}");
+            }
+        }
     }
 }

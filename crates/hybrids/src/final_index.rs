@@ -1,8 +1,9 @@
-//! The final index: the sorted structure that accumulates every merged range.
+//! The sorted final index: the structure a sort-final hybrid accumulates
+//! every merged range in.
 //!
-//! Conceptually this is the "final partition" of a partitioned B-tree: once a
-//! key range has been merged out of the runs it lives here and is queried at
-//! index cost. The implementation keeps one *sorted segment per merged value
+//! Conceptually this is the "final partition" of a partitioned B-tree, the
+//! final index of adaptive merging: once a key range has been merged out of
+//! the initial partitions it lives here and is queried at index cost. The implementation keeps one *sorted segment per merged value
 //! interval* in a `BTreeMap` keyed by the interval's lower bound; overlapping
 //! intervals are coalesced on insert. This gives:
 //!
@@ -49,16 +50,11 @@ impl SortedRangeIndex {
         self.len == 0
     }
 
-    /// Number of disjoint segments.
-    pub fn segment_count(&self) -> usize {
-        self.segments.len()
-    }
-
     /// Insert a batch of pairs whose keys all lie in the covered interval
     /// `[low, high)`. The batch need not be sorted; it must not contain keys
-    /// that are already stored (the adaptive-merging protocol guarantees this:
-    /// a covered interval is drained from every run the first time it is
-    /// queried).
+    /// that are already stored (the hybrid protocol guarantees this: a
+    /// covered interval is drained from every initial partition the first
+    /// time it is queried).
     pub fn insert_range(&mut self, low: Key, high: Key, mut pairs: Vec<(Key, RowId)>) {
         if high <= low {
             return;
@@ -66,10 +62,12 @@ impl SortedRangeIndex {
         pairs.sort_unstable();
         self.len += pairs.len();
 
-        // Collect existing segments overlapping (or touching) [low, high).
+        // Collect existing segments overlapping (or touching) [low, high),
+        // from the one at or below `low` on.
+        let first = self.first_segment(low);
         let overlapping: Vec<Key> = self
             .segments
-            .range(..=high)
+            .range(first..=high)
             .filter(|(&seg_low, segment)| seg_low <= high && segment.high >= low)
             .map(|(&seg_low, _)| seg_low)
             .collect();
@@ -97,59 +95,49 @@ impl SortedRangeIndex {
         );
     }
 
-    /// Whether the interval `[low, high)` is fully covered by merged
-    /// segments (i.e. a query over it needs no run access at all).
-    pub fn covers(&self, low: Key, high: Key) -> bool {
-        if high <= low {
-            return true;
-        }
-        let mut cursor = low;
-        for (&seg_low, segment) in self.segments.range(..high) {
-            if segment.high < cursor || seg_low > cursor {
-                continue;
-            }
-            cursor = cursor.max(segment.high);
-            if cursor >= high {
-                return true;
-            }
-        }
-        cursor >= high
-    }
-
     /// Collect every stored pair with key in `[low, high)`, in sorted key
     /// order.
     pub fn query_range(&self, low: Key, high: Key) -> (Vec<Key>, Vec<RowId>) {
         let mut keys = Vec::new();
         let mut rowids = Vec::new();
-        if high <= low {
-            return (keys, rowids);
-        }
-        for (_, segment) in self.segments.range(..high) {
-            if segment.keys.is_empty() {
-                continue;
-            }
-            let begin = segment.keys.partition_point(|&k| k < low);
-            let end = segment.keys.partition_point(|&k| k < high);
-            if begin < end {
-                keys.extend_from_slice(&segment.keys[begin..end]);
-                rowids.extend_from_slice(&segment.rowids[begin..end]);
-            }
+        for (segment_keys, segment_rowids) in self.slices(low, high) {
+            keys.extend_from_slice(segment_keys);
+            rowids.extend_from_slice(segment_rowids);
         }
         (keys, rowids)
     }
 
-    /// Count the stored pairs with key in `[low, high)` without copying them.
-    pub fn count_range(&self, low: Key, high: Key) -> usize {
-        if high <= low {
-            return 0;
+    /// The row ids of [`Self::query_range`], without copying the keys.
+    pub fn query_rowids(&self, low: Key, high: Key) -> Vec<RowId> {
+        let mut rowids = Vec::new();
+        for (_, segment_rowids) in self.slices(low, high) {
+            rowids.extend_from_slice(segment_rowids);
         }
-        let mut count = 0;
-        for (_, segment) in self.segments.range(..high) {
-            let begin = segment.keys.partition_point(|&k| k < low);
-            let end = segment.keys.partition_point(|&k| k < high);
-            count += end - begin;
-        }
-        count
+        rowids
+    }
+
+    /// The stored pairs with key in `[low, high)`, as one pair of parallel
+    /// slices per segment that holds any, in key order. The walk starts at
+    /// the segment at or below `low`: segments are disjoint, so none before
+    /// it can hold a key of the range.
+    fn slices(&self, low: Key, high: Key) -> impl Iterator<Item = (&[Key], &[RowId])> {
+        let first = self.first_segment(low);
+        self.segments
+            .range(first..high.max(first))
+            .filter_map(move |(_, segment)| {
+                let begin = segment.keys.partition_point(|&k| k < low);
+                let end = segment.keys.partition_point(|&k| k < high);
+                (begin < end).then(|| (&segment.keys[begin..end], &segment.rowids[begin..end]))
+            })
+    }
+
+    /// The lower bound of the segment at or below `key`, or `key` when none
+    /// is.
+    fn first_segment(&self, key: Key) -> Key {
+        self.segments
+            .range(..=key)
+            .next_back()
+            .map_or(key, |(&seg_low, _)| seg_low)
     }
 
     /// Structural invariants: segments are disjoint, ordered, internally
@@ -225,11 +213,11 @@ mod tests {
         assert!(index.is_empty());
         index.insert_range(10, 20, pairs(10..20));
         assert_eq!(index.len(), 10);
-        assert_eq!(index.segment_count(), 1);
+        assert_eq!(index.segments.len(), 1);
         let (keys, rowids) = index.query_range(12, 15);
         assert_eq!(keys, vec![12, 13, 14]);
         assert_eq!(rowids, vec![12, 13, 14]);
-        assert_eq!(index.count_range(12, 15), 3);
+        assert_eq!(index.query_rowids(12, 15), rowids);
         assert!(index.check_invariants());
     }
 
@@ -238,26 +226,13 @@ mod tests {
         let mut index = SortedRangeIndex::new();
         index.insert_range(0, 10, pairs(0..10));
         index.insert_range(20, 30, pairs(20..30));
-        assert_eq!(index.segment_count(), 2);
+        assert_eq!(index.segments.len(), 2);
         index.insert_range(5, 25, pairs(10..20));
-        assert_eq!(index.segment_count(), 1, "overlapping ranges coalesce");
+        assert_eq!(index.segments.len(), 1, "overlapping ranges coalesce");
         assert_eq!(index.len(), 30);
         let (keys, _) = index.query_range(0, 30);
         assert_eq!(keys, (0..30).collect::<Vec<Key>>());
         assert!(index.check_invariants());
-    }
-
-    #[test]
-    fn covers_tracks_the_merged_intervals() {
-        let mut index = SortedRangeIndex::new();
-        assert!(index.covers(5, 5), "empty interval is trivially covered");
-        assert!(!index.covers(0, 1));
-        index.insert_range(10, 20, pairs(10..20));
-        index.insert_range(20, 30, pairs(20..30));
-        assert!(index.covers(12, 28));
-        assert!(index.covers(10, 30));
-        assert!(!index.covers(5, 15));
-        assert!(!index.covers(25, 35));
     }
 
     #[test]
@@ -274,7 +249,7 @@ mod tests {
         index.insert_range(10, 20, pairs(10..20));
         assert!(index.query_range(30, 40).0.is_empty());
         assert!(index.query_range(20, 10).0.is_empty());
-        assert_eq!(index.count_range(20, 10), 0);
+        assert!(index.query_rowids(20, 10).is_empty());
         index.insert_range(5, 5, pairs(0..0));
         assert_eq!(index.len(), 10, "empty interval insert is a no-op");
     }
@@ -304,5 +279,18 @@ mod tests {
         let (keys, _) = index.query_range(Key::MIN, Key::MAX);
         assert_eq!(keys.len(), inserted);
         assert!(keys.windows(2).all(|w| w[0] < w[1]));
+        // a sub-range starting inside a segment or between two comes back
+        // exactly, in order
+        for low in (0..10_500).step_by(97) {
+            let high = low + 313;
+            let expected: Vec<Key> = keys
+                .iter()
+                .copied()
+                .filter(|&k| k >= low && k < high)
+                .collect();
+            let (got, rowids) = index.query_range(low, high);
+            assert_eq!(got, expected, "[{low},{high})");
+            assert_eq!(index.query_rowids(low, high), rowids);
+        }
     }
 }

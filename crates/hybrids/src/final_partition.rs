@@ -5,9 +5,9 @@
 //! over already-seen ranges are — the convergence side of the
 //! initialization-vs-convergence trade-off.
 
+use crate::final_index::SortedRangeIndex;
 use aidx_columnstore::types::{Key, RowId};
 use aidx_cracking::stats::CrackStats;
-use aidx_merging::final_index::SortedRangeIndex;
 
 /// How the final partition is organized.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -76,12 +76,36 @@ impl FinalPartition {
         }
     }
 
-    /// Collect every tuple with key in `[low, high)`.
-    pub fn query_range(&self, low: Key, high: Key, stats: &mut CrackStats) -> Vec<(Key, RowId)> {
+    /// Collect every tuple with key in `[low, high)`, as parallel keys and
+    /// row ids (in key order for the sort organization).
+    pub fn query_range(
+        &self,
+        low: Key,
+        high: Key,
+        stats: &mut CrackStats,
+    ) -> (Vec<Key>, Vec<RowId>) {
         match self {
-            FinalPartition::Crack(f) => f.query_range(low, high, stats),
-            FinalPartition::Sort(f) => f.query_range(low, high, stats),
-            FinalPartition::Radix(f) => f.query_range(low, high, stats),
+            FinalPartition::Crack(f) => f.query_range(low, high, stats).into_iter().unzip(),
+            FinalPartition::Sort(f) => {
+                let (keys, rowids) = f.index.query_range(low, high);
+                stats.record_scan(keys.len());
+                (keys, rowids)
+            }
+            FinalPartition::Radix(f) => f.query_range(low, high, stats).into_iter().unzip(),
+        }
+    }
+
+    /// The row ids of [`Self::query_range`], without collecting the keys.
+    pub fn query_rowids(&self, low: Key, high: Key, stats: &mut CrackStats) -> Vec<RowId> {
+        let rowids_of = |pairs: Vec<(Key, RowId)>| pairs.into_iter().map(|(_, r)| r).collect();
+        match self {
+            FinalPartition::Crack(f) => rowids_of(f.query_range(low, high, stats)),
+            FinalPartition::Sort(f) => {
+                let rowids = f.index.query_rowids(low, high);
+                stats.record_scan(rowids.len());
+                rowids
+            }
+            FinalPartition::Radix(f) => rowids_of(f.query_range(low, high, stats)),
         }
     }
 
@@ -166,6 +190,8 @@ impl SortFinal {
         self.index.len()
     }
 
+    /// Sort the batch into the index. The source that extracted it has
+    /// already counted it as merged; the sort is this final's own work.
     fn insert_range(
         &mut self,
         low: Key,
@@ -174,14 +200,7 @@ impl SortFinal {
         stats: &mut CrackStats,
     ) {
         stats.record_sort(pairs.len());
-        stats.record_merge(pairs.len());
         self.index.insert_range(low, high, pairs);
-    }
-
-    fn query_range(&self, low: Key, high: Key, stats: &mut CrackStats) -> Vec<(Key, RowId)> {
-        let (keys, rowids) = self.index.query_range(low, high);
-        stats.record_scan(keys.len());
-        keys.into_iter().zip(rowids).collect()
     }
 
     fn check_invariants(&self) -> bool {
@@ -284,10 +303,9 @@ mod tests {
             .collect()
     }
 
-    fn sorted_keys(pairs: &[(Key, RowId)]) -> Vec<Key> {
-        let mut v: Vec<Key> = pairs.iter().map(|&(k, _)| k).collect();
-        v.sort_unstable();
-        v
+    fn sorted_keys((mut keys, _): (Vec<Key>, Vec<RowId>)) -> Vec<Key> {
+        keys.sort_unstable();
+        keys
     }
 
     #[test]
@@ -300,8 +318,9 @@ mod tests {
             part.insert_range(500, 600, pairs_in(500, 600, 1), &mut stats);
             assert_eq!(part.len(), 200);
             let got = part.query_range(150, 550, &mut stats);
+            assert_eq!(part.query_rowids(150, 550, &mut stats), got.1, "{org:?}");
             let expected: Vec<Key> = (150..200).chain(500..550).collect();
-            assert_eq!(sorted_keys(&got), expected, "{org:?}");
+            assert_eq!(sorted_keys(got), expected, "{org:?}");
             assert!(part.check_invariants(), "{org:?}");
         }
     }
@@ -317,8 +336,8 @@ mod tests {
             // new sub-range
             part.insert_range(250, 400, pairs_in(300, 400, 1), &mut stats);
             assert_eq!(part.len(), 300);
-            let got = part.query_range(100, 400, &mut stats);
-            assert_eq!(got.len(), 300, "{org:?}");
+            let (keys, _) = part.query_range(100, 400, &mut stats);
+            assert_eq!(keys.len(), 300, "{org:?}");
             assert!(part.check_invariants(), "{org:?}");
         }
     }
@@ -328,10 +347,11 @@ mod tests {
         for org in all_organizations() {
             let mut stats = CrackStats::new();
             let mut part = FinalPartition::new(org, (0, 100), 3);
-            assert!(part.query_range(0, 100, &mut stats).is_empty());
+            assert!(part.query_range(0, 100, &mut stats).0.is_empty());
             part.insert_range(10, 20, pairs_in(10, 20, 1), &mut stats);
-            assert!(part.query_range(30, 40, &mut stats).is_empty(), "{org:?}");
-            assert!(part.query_range(20, 10, &mut stats).is_empty(), "{org:?}");
+            assert!(part.query_range(30, 40, &mut stats).0.is_empty(), "{org:?}");
+            assert!(part.query_range(20, 10, &mut stats).0.is_empty(), "{org:?}");
+            assert!(part.query_rowids(20, 10, &mut stats).is_empty(), "{org:?}");
         }
     }
 
@@ -362,8 +382,7 @@ mod tests {
         let mut part = FinalPartition::new(FinalOrganization::Sort, (0, 1000), 4);
         part.insert_range(0, 100, vec![(90, 0), (10, 1), (50, 2)], &mut stats);
         part.insert_range(100, 200, vec![(150, 3), (110, 4)], &mut stats);
-        let got = part.query_range(0, 200, &mut stats);
-        let keys: Vec<Key> = got.iter().map(|&(k, _)| k).collect();
+        let (keys, _) = part.query_range(0, 200, &mut stats);
         assert_eq!(keys, vec![10, 50, 90, 110, 150]);
     }
 
@@ -375,7 +394,7 @@ mod tests {
         part.insert_range(0, 300, vec![(50, 0), (150, 1), (250, 2)], &mut stats);
         assert_eq!(part.len(), 3);
         let got = part.query_range(0, 300, &mut stats);
-        assert_eq!(sorted_keys(&got), vec![50, 150, 250]);
+        assert_eq!(sorted_keys(got), vec![50, 150, 250]);
         assert!(part.check_invariants());
     }
 

@@ -6,6 +6,7 @@ use aidx_columnstore::index::{AdaptiveIndex, QueryOutput};
 use aidx_columnstore::types::{Key, RowId, PAIR_BYTES};
 use aidx_cracking::stats::CrackStats;
 use serde::{Deserialize, Serialize};
+use std::collections::BTreeMap;
 
 /// The named hybrid algorithms of the PVLDB 2011 paper, spelled as
 /// (initial-partition organization, final-partition organization).
@@ -17,7 +18,19 @@ pub enum HybridAlgorithm {
     CrackSort,
     /// Hybrid Crack-Radix: lazy initial partitions, radix-clustered final.
     CrackRadix,
-    /// Hybrid Sort-Sort: adaptive merging expressed in this framework.
+    /// Hybrid Sort-Sort: adaptive merging (sorted runs, a final index of
+    /// sorted merged ranges).
+    ///
+    /// ```
+    /// use aidx_hybrids::{HybridAlgorithm, HybridIndex};
+    ///
+    /// let data = vec![13, 16, 4, 9, 2, 12, 7, 1, 19, 3];
+    /// // runs of 4, sorted up front
+    /// let mut index = HybridIndex::from_keys(&data, HybridAlgorithm::SortSort, 4, 4);
+    /// let result = index.query_range(5, 15);
+    /// assert_eq!(result.keys, vec![7, 9, 12, 13]); // sorted: they come from the final index
+    /// assert_eq!(index.finalized_len(), 4);
+    /// ```
     SortSort,
     /// Hybrid Sort-Radix.
     SortRadix,
@@ -133,6 +146,9 @@ pub struct HybridIndex {
     algorithm: HybridAlgorithm,
     sources: Vec<SourcePartition>,
     final_partition: FinalPartition,
+    /// The key intervals earlier queries have drained from every source,
+    /// coalesced: `low -> high` for each disjoint `[low, high)`.
+    drained: BTreeMap<Key, Key>,
     total_len: usize,
     stats: CrackStats,
 }
@@ -208,6 +224,7 @@ impl HybridIndex {
                 (domain_low, domain_high),
                 radix_bits,
             ),
+            drained: BTreeMap::new(),
             total_len,
             stats,
         }
@@ -252,11 +269,28 @@ impl HybridIndex {
     /// every initial partition that may hold it, move the extracted tuples
     /// into the final partition, and answer from the final partition.
     pub fn query_range(&mut self, low: Key, high: Key) -> HybridQueryAnswer {
-        self.stats.record_query();
-        if low >= high || self.total_len == 0 {
+        if !self.merge_range(low, high) {
             return HybridQueryAnswer::default();
         }
+        let (keys, rowids) = self.final_partition.query_range(low, high, &mut self.stats);
+        HybridQueryAnswer { keys, rowids }
+    }
 
+    /// Move every tuple of `[low, high)` still in a source into the final
+    /// partition, unless earlier queries have drained that interval already:
+    /// every source organization removes all of a range's tuples when it
+    /// extracts the range, so a drained interval is empty in every source.
+    /// The interval is recorded as drained even when nothing qualified.
+    /// Returns false when the query can hold no tuple.
+    fn merge_range(&mut self, low: Key, high: Key) -> bool {
+        self.stats.record_query();
+        if low >= high || self.total_len == 0 {
+            return false;
+        }
+        let floor = self.drained.range(..=low).next_back();
+        if floor.is_some_and(|(_, &drained_high)| drained_high >= high) {
+            return true;
+        }
         let mut extracted: Vec<(Key, RowId)> = Vec::new();
         for source in &mut self.sources {
             if source.is_empty() || !source.overlaps(low, high) {
@@ -269,16 +303,20 @@ impl HybridIndex {
                 .insert_range(low, high, extracted, &mut self.stats);
         }
 
-        let pairs = self.final_partition.query_range(low, high, &mut self.stats);
-        let mut answer = HybridQueryAnswer {
-            keys: Vec::with_capacity(pairs.len()),
-            rowids: Vec::with_capacity(pairs.len()),
-        };
-        for (k, r) in pairs {
-            answer.keys.push(k);
-            answer.rowids.push(r);
+        // coalesce [low, high) with the drained intervals it overlaps or
+        // touches: the one at or below `low`, then those starting in it
+        let (mut new_low, mut new_high) = (low, high);
+        if let Some((&drained_low, &drained_high)) = floor {
+            if drained_high >= low {
+                new_low = drained_low;
+            }
         }
-        answer
+        while let Some((&drained_low, &drained_high)) = self.drained.range(new_low..=high).next() {
+            self.drained.remove(&drained_low);
+            new_high = new_high.max(drained_high);
+        }
+        self.drained.insert(new_low, new_high);
+        true
     }
 
     /// Count the qualifying tuples of `[low, high)`.
@@ -301,7 +339,13 @@ impl AdaptiveIndex for HybridIndex {
         self.total_len
     }
     fn query_range(&mut self, low: Key, high: Key) -> QueryOutput {
-        QueryOutput::from_row_ids(HybridIndex::query_range(self, low, high).rowids)
+        let rowids = if self.merge_range(low, high) {
+            self.final_partition
+                .query_rowids(low, high, &mut self.stats)
+        } else {
+            Vec::new()
+        };
+        QueryOutput::from_row_ids(rowids)
     }
     fn effort(&self) -> u64 {
         self.stats.total_effort()
@@ -446,7 +490,7 @@ mod tests {
 
     #[test]
     fn empty_and_degenerate_inputs() {
-        for algorithm in [HybridAlgorithm::CrackSort, HybridAlgorithm::RadixRadix] {
+        for algorithm in HybridAlgorithm::all() {
             let mut idx = HybridIndex::from_keys(&[], algorithm, 64, 4);
             assert!(idx.is_empty());
             assert!(idx.query_range(0, 10).is_empty());
@@ -510,5 +554,239 @@ mod tests {
             let _ = idx.query_range(0, 2048);
             assert_eq!(idx.pieces(), 1, "{algorithm:?}");
         }
+    }
+
+    #[test]
+    fn merged_tuples_are_counted_once() {
+        let data = test_data(3000);
+        for algorithm in HybridAlgorithm::all() {
+            let mut idx = HybridIndex::from_keys(&data, algorithm, 256, 4);
+            for &(low, high) in &[(100, 900), (500, 1500), (0, 400), (200, 300), (0, 3000)] {
+                let merged = idx.stats().elements_merged;
+                let finalized = idx.finalized_len();
+                let _ = idx.query_range(low, high);
+                assert_eq!(
+                    idx.stats().elements_merged - merged,
+                    (idx.finalized_len() - finalized) as u64,
+                    "{algorithm:?} [{low},{high})"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn duplicates_survive_merging() {
+        let data = vec![5, 5, 5, 1, 9, 5];
+        for algorithm in HybridAlgorithm::all() {
+            let mut idx = HybridIndex::from_keys(&data, algorithm, 2, 4);
+            assert_eq!(idx.count_range(5, 6), 4, "{algorithm:?}");
+            assert_eq!(idx.count_range(0, 100), 6, "{algorithm:?}");
+            assert!(idx.verify_integrity(), "{algorithm:?}");
+        }
+    }
+
+    #[test]
+    fn partition_size_one_degenerates_to_single_tuple_partitions() {
+        let data = vec![4, 3, 2, 1];
+        for algorithm in HybridAlgorithm::all() {
+            let mut idx = HybridIndex::from_keys(&data, algorithm, 1, 4);
+            assert_eq!(idx.active_source_count(), 4, "{algorithm:?}");
+            let mut keys = idx.query_range(2, 4).keys;
+            keys.sort_unstable();
+            assert_eq!(keys, vec![2, 3], "{algorithm:?}");
+            assert_eq!(idx.active_source_count(), 2, "{algorithm:?}");
+            assert!(idx.verify_integrity(), "{algorithm:?}");
+        }
+    }
+
+    #[test]
+    fn full_domain_query_converges_immediately() {
+        let data = test_data(1000);
+        for algorithm in HybridAlgorithm::all() {
+            let mut idx = HybridIndex::from_keys(&data, algorithm, 100, 4);
+            assert_eq!(idx.query_range(Key::MIN, Key::MAX).len(), 1000);
+            assert!(idx.is_converged(), "{algorithm:?}");
+            assert_eq!(idx.active_source_count(), 0, "{algorithm:?}");
+            assert_eq!(idx.query_range(10, 20).len(), 10, "{algorithm:?}");
+            assert!(idx.verify_integrity(), "{algorithm:?}");
+        }
+    }
+
+    #[test]
+    fn overlapping_queries_never_lose_or_duplicate_tuples() {
+        let data = test_data(3000);
+        let queries = [(100, 900), (500, 1500), (0, 400), (1400, 2999), (0, 3000)];
+        for algorithm in HybridAlgorithm::all() {
+            let mut idx = HybridIndex::from_keys(&data, algorithm, 300, 4);
+            for &(low, high) in &queries {
+                let mut got = idx.query_range(low, high).keys;
+                got.sort_unstable();
+                assert_eq!(
+                    got,
+                    reference(&data, low, high),
+                    "{algorithm:?} [{low},{high})"
+                );
+                assert!(idx.verify_integrity(), "{algorithm:?}");
+            }
+            assert!(idx.is_converged(), "{algorithm:?}");
+            assert_eq!(
+                idx.drained.len(),
+                1,
+                "{algorithm:?}: one coalesced interval"
+            );
+        }
+    }
+
+    #[test]
+    fn drained_intervals_coalesce() {
+        let mut idx = HybridIndex::from_keys(&test_data(100), HybridAlgorithm::SortSort, 16, 4);
+        for &(low, high) in &[(10, 20), (30, 40), (50, 60), (20, 25), (5, 8), (35, 55)] {
+            let _ = idx.query_range(low, high);
+        }
+        let drained: Vec<(Key, Key)> = idx.drained.iter().map(|(&l, &h)| (l, h)).collect();
+        assert_eq!(drained, vec![(5, 8), (10, 25), (30, 60)]);
+        let _ = idx.query_range(8, 10);
+        let _ = idx.query_range(Key::MIN, 1);
+        let drained: Vec<(Key, Key)> = idx.drained.iter().map(|(&l, &h)| (l, h)).collect();
+        assert_eq!(drained, vec![(Key::MIN, 1), (5, 25), (30, 60)]);
+    }
+
+    #[test]
+    fn covered_ranges_probe_no_source() {
+        let data = test_data(2000);
+        for algorithm in HybridAlgorithm::all() {
+            let mut idx = HybridIndex::from_keys(&data, algorithm, 256, 4);
+            let first = idx.query_range(100, 500).len();
+            // an empty range beyond the data is drained too
+            assert!(idx.query_range(5000, 6000).is_empty(), "{algorithm:?}");
+            // a sentinel source holding keys of both drained intervals: a
+            // query that probes the sources would move them to the final
+            let mut scratch = CrackStats::new();
+            idx.sources.push(SourcePartition::new(
+                algorithm.source_organization(),
+                vec![(250, 9_000), (5500, 9_001)],
+                4,
+                &mut scratch,
+            ));
+            let merged = idx.stats().elements_merged;
+            let finalized = idx.finalized_len();
+            for &(low, high) in &[(100, 500), (200, 300), (5000, 6000), (5200, 5800)] {
+                let answer = idx.query_range(low, high);
+                assert!(
+                    !answer.rowids.contains(&9_000) && !answer.rowids.contains(&9_001),
+                    "{algorithm:?} [{low},{high}) probed a source"
+                );
+            }
+            assert_eq!(idx.query_range(100, 500).len(), first, "{algorithm:?}");
+            assert_eq!(idx.stats().elements_merged, merged, "{algorithm:?}");
+            assert_eq!(idx.finalized_len(), finalized, "{algorithm:?}");
+        }
+    }
+}
+
+/// Adaptive merging is [`HybridAlgorithm::SortSort`] with the run size as
+/// its partition size: these check the properties adaptive merging promises
+/// (sorted runs charged up front, answers in key order from the final index,
+/// convergence once every run is drained) on that configuration.
+#[cfg(test)]
+mod adaptive_merging_tests {
+    use super::*;
+
+    const MERGING: HybridAlgorithm = HybridAlgorithm::SortSort;
+
+    fn reference(data: &[Key], low: Key, high: Key) -> Vec<Key> {
+        let mut v: Vec<Key> = data
+            .iter()
+            .copied()
+            .filter(|&x| x >= low && x < high)
+            .collect();
+        v.sort_unstable();
+        v
+    }
+
+    fn test_data(n: usize) -> Vec<Key> {
+        (0..n as Key).map(|i| (i * 75431) % n as Key).collect()
+    }
+
+    #[test]
+    fn run_generation_splits_and_sorts() {
+        let data = test_data(1000);
+        let idx = HybridIndex::from_keys(&data, MERGING, 128, 4);
+        assert_eq!(idx.len(), 1000);
+        assert_eq!(idx.active_source_count(), 8); // ceil(1000/128)
+        assert_eq!(idx.finalized_len(), 0);
+        assert!(!idx.is_converged());
+        assert_eq!(idx.stats().pieces_sorted, 8, "every run is sorted up front");
+        assert_eq!(idx.stats().elements_copied, 1000);
+        assert!(idx.verify_integrity());
+    }
+
+    #[test]
+    fn answers_match_reference_over_many_queries() {
+        let data = test_data(5000);
+        let mut idx = HybridIndex::from_keys(&data, MERGING, 512, 4);
+        for q in 0..100 {
+            let low = (q * 131) % 4500;
+            let high = low + 200;
+            // in key order: the answer comes from the sorted final index
+            let got = idx.query_range(low, high).keys;
+            assert_eq!(got, reference(&data, low, high), "q{q}");
+            assert!(idx.verify_integrity());
+        }
+    }
+
+    #[test]
+    fn convergence_after_covering_workload() {
+        let data = test_data(4096);
+        let mut idx = HybridIndex::from_keys(&data, MERGING, 512, 4);
+        let mut low = 0;
+        while low < 4096 {
+            let _ = idx.query_range(low, low + 256);
+            low += 256;
+        }
+        assert!(idx.is_converged());
+        assert_eq!(idx.finalized_len(), 4096);
+        assert!(idx.verify_integrity());
+    }
+
+    #[test]
+    fn empty_and_degenerate_queries() {
+        let mut idx = HybridIndex::from_keys(&[], MERGING, 64, 4);
+        assert!(idx.is_empty());
+        assert!(idx.query_range(0, 10).is_empty());
+        assert!(idx.is_converged(), "empty index is trivially converged");
+
+        let data = vec![5, 1, 9];
+        let mut idx = HybridIndex::from_keys(&data, MERGING, 2, 4);
+        assert_eq!(idx.count_range(9, 5), 0);
+        assert_eq!(idx.count_range(0, 100), 3);
+        assert_eq!(idx.query_range(0, 100).rowids.len(), 3);
+    }
+
+    #[test]
+    fn from_chunks_matches_from_keys() {
+        let data: Vec<Key> = (0..300).map(|i| (i * 7919) % 300).collect();
+        // chunk ends fall inside runs
+        let (head, tail) = data.split_at(101);
+        let mut chunked = HybridIndex::from_chunks(&[head, &[], tail], MERGING, 64, 4);
+        let mut flat = HybridIndex::from_keys(&data, MERGING, 64, 4);
+        assert_eq!(chunked.len(), 300);
+        assert_eq!(chunked.active_source_count(), flat.active_source_count());
+        assert_eq!(chunked.query_range(50, 150), flat.query_range(50, 150));
+        assert_eq!(chunked.stats(), flat.stats());
+        assert!(chunked.verify_integrity());
+        assert!(HybridIndex::from_chunks(&[], MERGING, 64, 4).is_empty());
+    }
+
+    #[test]
+    fn stats_reflect_initialization_and_merging() {
+        let data = test_data(1000);
+        let mut idx = HybridIndex::from_keys(&data, MERGING, 100, 4);
+        let init_effort = idx.stats().total_effort();
+        assert!(init_effort > 0, "run generation is charged up front");
+        let _ = idx.query_range(0, 500);
+        assert!(idx.stats().elements_merged >= 490);
+        assert!(idx.stats().total_effort() > init_effort);
+        assert_eq!(idx.stats().queries, 1);
     }
 }

@@ -15,10 +15,15 @@
 //! * how the **final partition** — the structure that accumulates every
 //!   tuple a query has asked for — is organized: again Crack, Sort or Radix.
 //!
-//! `HCC` is closest to plain cracking, `HSS` is essentially adaptive merging,
-//! and the interesting trade-offs live in between (`HCS`, `HCR`, `HRS`, ...).
-//! This crate implements all nine combinations behind one type,
-//! [`HybridIndex`], parameterized by [`HybridAlgorithm`].
+//! `HCC` is closest to plain cracking, `HSS` *is* adaptive merging (Graefe &
+//! Kuno — sorted runs generated on first touch, each query merging its key
+//! range out of them into a final index of sorted merged ranges), and the
+//! interesting trade-offs live in between (`HCS`, `HCR`, `HRS`, ...). This
+//! crate implements all nine combinations behind one type, [`HybridIndex`],
+//! parameterized by [`HybridAlgorithm`]; the kernel's adaptive-merging
+//! strategy is [`HybridAlgorithm::SortSort`] with the run size as its
+//! partition size. Every algorithm remembers the key intervals its queries
+//! have drained, so a query inside one touches no initial partition.
 //!
 //! ```
 //! use aidx_hybrids::{HybridAlgorithm, HybridIndex};
@@ -32,8 +37,10 @@
 
 #![warn(missing_docs)]
 
+pub mod final_index;
 pub mod final_partition;
 pub mod hybrid;
+pub mod run;
 pub mod source;
 
 pub use final_partition::FinalOrganization;

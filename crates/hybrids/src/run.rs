@@ -1,4 +1,5 @@
-//! Sorted runs: the initial partitions of adaptive merging.
+//! Sorted runs: the initial partitions of the sort-initialized hybrids
+//! (Hybrid Sort-Sort is adaptive merging).
 //!
 //! A run behaves like one leaf level of a partitioned B-tree: the pairs are
 //! sorted once (run generation) and later queries *extract* key ranges out of
@@ -52,26 +53,12 @@ impl SortedRun {
         self.live_len == 0
     }
 
-    /// Number of live segments (grows by at most one per extraction).
-    pub fn segment_count(&self) -> usize {
-        self.live.len()
-    }
-
     /// The still-live keys, in sorted order (materializes a copy; intended
     /// for tests and diagnostics, not the hot path).
     pub fn keys(&self) -> Vec<Key> {
         let mut out = Vec::with_capacity(self.live_len);
         for &(s, e) in &self.live {
             out.extend_from_slice(&self.keys[s..e]);
-        }
-        out
-    }
-
-    /// The row ids parallel to [`Self::keys`].
-    pub fn rowids(&self) -> Vec<RowId> {
-        let mut out = Vec::with_capacity(self.live_len);
-        for &(s, e) in &self.live {
-            out.extend_from_slice(&self.rowids[s..e]);
         }
         out
     }
@@ -207,7 +194,6 @@ mod tests {
         let r = run_from(&[9, 1, 5, 3]);
         assert_eq!(r.keys(), vec![1, 3, 5, 9]);
         assert_eq!(r.len(), 4);
-        assert_eq!(r.segment_count(), 1);
         assert!(r.check_invariants());
         assert_eq!(r.min_key(), Some(1));
         assert_eq!(r.max_key(), Some(9));
@@ -232,7 +218,7 @@ mod tests {
             vec![3, 5, 7]
         );
         assert_eq!(r.keys(), vec![1, 9]);
-        assert_eq!(r.segment_count(), 2, "the middle extraction splits the run");
+        assert_eq!(r.live.len(), 2, "the middle extraction splits the run");
         assert!(r.check_invariants());
         // row ids still identify the original positions
         for &(k, rid) in &extracted {
@@ -250,7 +236,7 @@ mod tests {
         assert_eq!(e.len(), 3);
         assert!(r.is_empty());
         assert_eq!(r.min_key(), None);
-        assert_eq!(r.segment_count(), 0);
+        assert!(r.live.is_empty());
         assert!(r.check_invariants());
     }
 

@@ -5,11 +5,11 @@
 //! that may contain qualifying tuples; how cheap that extraction is — and how
 //! much the first touch costs — depends on the partition organization.
 
+use crate::run::SortedRun;
 use aidx_columnstore::types::{Key, RowId};
 use aidx_cracking::crack::{crack_in_two_counted, PivotSide};
 use aidx_cracking::index::BTreeCutIndex;
 use aidx_cracking::stats::CrackStats;
-use aidx_merging::run::SortedRun;
 
 /// How initial partitions are organized.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]

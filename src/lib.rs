@@ -22,9 +22,10 @@
 //! (`aidx_server::Server` / `aidx_server::Client`).
 //!
 //! See the individual crates for the implementation layers:
-//! `aidx-columnstore`, `aidx-cracking`, `aidx-merging`, `aidx-hybrids`,
-//! `aidx-baselines`, `aidx-parallel`, `aidx-maintenance`, `aidx-server`,
-//! `aidx-telemetry`, `aidx-workloads`, `aidx-core`.
+//! `aidx-columnstore`, `aidx-cracking`, `aidx-hybrids` (which also holds
+//! adaptive merging, as Hybrid Sort-Sort), `aidx-baselines`, `aidx-parallel`,
+//! `aidx-maintenance`, `aidx-server`, `aidx-telemetry`, `aidx-workloads`,
+//! `aidx-core`.
 
 pub use aidx_baselines as baselines;
 pub use aidx_columnstore as columnstore;
@@ -32,7 +33,6 @@ pub use aidx_core as core;
 pub use aidx_cracking as cracking;
 pub use aidx_hybrids as hybrids;
 pub use aidx_maintenance as maintenance;
-pub use aidx_merging as merging;
 pub use aidx_parallel as parallel;
 pub use aidx_server as server;
 pub use aidx_telemetry as telemetry;
