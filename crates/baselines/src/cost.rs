@@ -1,64 +1,10 @@
-//! The shared logical cost model.
+//! The logical cost model the advisors estimate an index's worth with.
 //!
-//! The benchmark harnesses compare techniques by *machine-independent work
-//! units* (elements touched, comparisons charged) in addition to wall-clock
-//! time, following the spirit of the TPCTC 2010 adaptive-indexing benchmark:
-//! what matters is how much work each query performs on top of producing its
-//! answer, and how that overhead decays over the query sequence.
-
-/// Work-unit counters shared by the baseline indexes.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct BaselineStats {
-    /// Number of queries answered.
-    pub queries: u64,
-    /// Elements read by full scans.
-    pub elements_scanned: u64,
-    /// Comparison work charged for sorting (n log n accounting).
-    pub sort_comparisons: u64,
-    /// Binary-search probes into sorted structures.
-    pub index_probes: u64,
-    /// Elements copied while building index structures.
-    pub elements_copied: u64,
-}
-
-impl BaselineStats {
-    /// A zeroed statistics block.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Record a query.
-    pub fn record_query(&mut self) {
-        self.queries += 1;
-    }
-
-    /// Record scanning `n` elements.
-    pub fn record_scan(&mut self, n: usize) {
-        self.elements_scanned += n as u64;
-    }
-
-    /// Record sorting `n` elements.
-    pub fn record_sort(&mut self, n: usize) {
-        let log = (n.max(2) as f64).log2().ceil() as u64;
-        self.sort_comparisons += n as u64 * log;
-    }
-
-    /// Record a binary-search probe over `n` elements.
-    pub fn record_probe(&mut self, n: usize) {
-        self.index_probes += (n.max(2) as f64).log2().ceil() as u64;
-    }
-
-    /// Record copying `n` elements.
-    pub fn record_copy(&mut self, n: usize) {
-        self.elements_copied += n as u64;
-    }
-
-    /// Total machine-independent effort, comparable with the adaptive
-    /// techniques' `total_effort`.
-    pub fn total_effort(&self) -> u64 {
-        self.elements_scanned + self.sort_comparisons + self.index_probes + self.elements_copied
-    }
-}
+//! Offline what-if analysis ([`crate::offline`]) and the monitor of online
+//! tuning and soft indexes ([`crate::online`]) decide whether a full index
+//! pays for itself *before* building it, in the same machine-independent
+//! work units (elements touched, comparisons charged) the indexes record
+//! into `aidx_cracking::stats::CrackStats` once they run.
 
 /// The cost model used by the offline and online advisors to estimate the
 /// benefit of building an index before actually building it.
@@ -115,22 +61,6 @@ impl CostModel {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn stats_accumulate() {
-        let mut s = BaselineStats::new();
-        s.record_query();
-        s.record_scan(100);
-        s.record_sort(8);
-        s.record_probe(1024);
-        s.record_copy(50);
-        assert_eq!(s.queries, 1);
-        assert_eq!(s.elements_scanned, 100);
-        assert_eq!(s.sort_comparisons, 24);
-        assert_eq!(s.index_probes, 10);
-        assert_eq!(s.elements_copied, 50);
-        assert_eq!(s.total_effort(), 100 + 24 + 10 + 50);
-    }
 
     #[test]
     fn cost_model_prefers_index_for_selective_queries() {

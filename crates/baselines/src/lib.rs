@@ -16,12 +16,18 @@
 //!   live workload, accumulates the estimated benefit a hypothetical index
 //!   would have had, and builds the index once that benefit exceeds its
 //!   construction cost.
-//! * [`soft`] — soft indexes: like online tuning, but index construction
+//!
+//!   Soft indexes are the same monitor with two other settings: the
+//!   index-selection decision is taken only periodically, and construction
 //!   piggybacks on the scan of the query that triggers it (the data is
-//!   already in flight); the index is still built to completion, not
-//!   incrementally.
-//! * [`cost`] — the shared logical cost model (work-unit accounting) that
-//!   makes all of the above comparable with the adaptive techniques.
+//!   already in flight), so it counts at a discount; the index is still
+//!   built to completion, not incrementally.
+//! * [`cost`] — the logical cost model the advisors and the monitor estimate
+//!   an index's benefit with.
+//!
+//! Every index here records its effort into `aidx_cracking`'s `CrackStats`,
+//! the counter the adaptive techniques use, so their efforts compare
+//! directly.
 
 #![warn(missing_docs)]
 
@@ -29,12 +35,10 @@ pub mod cost;
 pub mod offline;
 pub mod online;
 pub mod scan;
-pub mod soft;
 pub mod sorted;
 
-pub use cost::{BaselineStats, CostModel};
+pub use cost::CostModel;
 pub use offline::{IndexRecommendation, OfflineAdvisor, WorkloadSample};
 pub use online::OnlineIndexTuner;
 pub use scan::FullScanIndex;
-pub use soft::SoftIndexTuner;
 pub use sorted::FullSortIndex;

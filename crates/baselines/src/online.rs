@@ -1,186 +1,116 @@
-//! Online index tuning (COLT-style monitor-and-create).
+//! Online index tuning and soft indexes: monitor, then build a full index.
 //!
 //! Online analysis moves the what-if paradigm into query execution: the
 //! system answers queries with scans while *monitoring* them, accumulates the
 //! estimated benefit a hypothetical index would have delivered, and triggers
-//! index construction once the accumulated benefit exceeds the construction
-//! cost. The query that crosses the threshold pays the full construction
-//! penalty — exactly the drawback the tutorial contrasts with adaptive
-//! indexing's incremental investment.
+//! index construction once the accumulated benefit pays for it. The query
+//! that crosses the threshold pays the full construction penalty — exactly
+//! the drawback the tutorial contrasts with adaptive indexing's incremental
+//! investment.
+//!
+//! Online tuning (COLT-style) and soft indexes (Lühring, Sattler, Schmidt,
+//! Schallehn — SMDB 2007) are this one monitor with two settings. Online
+//! tuning decides after every query and builds once the benefit covers the
+//! whole build cost. Soft indexes solve the index-selection problem only
+//! every `decision_period` queries, and their build piggybacks on the scan
+//! of the query that triggers it (the data is already streaming by), so the
+//! build cost counts at a discount. Neither the decision nor the
+//! construction is incremental: the index is built to completion in one go.
 
-use crate::cost::{BaselineStats, CostModel};
+use crate::cost::CostModel;
+use crate::scan::FullScanIndex;
 use crate::sorted::FullSortIndex;
 use aidx_columnstore::index::{AdaptiveIndex, QueryOutput};
-use aidx_columnstore::types::{Key, RowId, PAIR_BYTES};
+use aidx_columnstore::types::Key;
 
-/// An online index tuner over one key column.
+/// A monitor-then-build index over one key column: scans answer until the
+/// accumulated benefit of a full index pays for building it, and the
+/// [`FullSortIndex`] built then answers from there on.
 #[derive(Debug, Clone)]
 pub struct OnlineIndexTuner {
-    keys: Vec<Key>,
+    /// Answers the monitored queries, and counts them.
+    scan: FullScanIndex,
     index: Option<FullSortIndex>,
-    cost_model: CostModel,
-    /// Benefit accumulated from observed queries (work units).
+    /// Every how many monitored queries the build decision is taken.
+    decision_period: u64,
+    /// The share of the build cost the accumulated benefit must reach.
+    build_factor: f64,
+    /// Benefit accumulated from monitored queries (work units).
     accumulated_benefit: f64,
-    /// Multiplier on the build cost before construction triggers (1.0 =
-    /// build as soon as the observed benefit would have paid for the index).
-    trigger_factor: f64,
-    stats: BaselineStats,
+    /// Queries asked, degenerate ones included.
+    queries: u64,
     build_at_query: Option<u64>,
 }
 
 impl OnlineIndexTuner {
-    /// Create a tuner over a dense key slice with the default cost model and
-    /// a trigger factor of 1: [`Self::from_chunks`] over one chunk.
-    pub fn from_keys(keys: &[Key]) -> Self {
-        Self::from_chunks(&[keys])
-    }
-
-    /// Create a tuner with the default settings over a base column stored as
-    /// `chunks`.
-    pub fn from_chunks(chunks: &[&[Key]]) -> Self {
-        Self::with_settings(chunks, CostModel::default(), 1.0)
-    }
-
-    /// Create a tuner with explicit cost model and trigger factor.
-    pub fn with_settings(chunks: &[&[Key]], cost_model: CostModel, trigger_factor: f64) -> Self {
+    /// Monitor a base column stored as `chunks`, deciding after every
+    /// `decision_period`-th scan to build once the accumulated benefit
+    /// reaches `build_factor` times the build cost.
+    pub fn from_chunks(chunks: &[&[Key]], decision_period: u64, build_factor: f64) -> Self {
         OnlineIndexTuner {
-            keys: chunks.concat(),
+            scan: FullScanIndex::from_chunks(chunks),
             index: None,
-            cost_model,
+            decision_period: decision_period.max(1),
+            build_factor: build_factor.max(0.0),
             accumulated_benefit: 0.0,
-            trigger_factor: trigger_factor.max(0.0),
-            stats: BaselineStats::new(),
+            queries: 0,
             build_at_query: None,
         }
     }
 
-    /// Number of rows.
-    pub fn len(&self) -> usize {
-        self.keys.len()
-    }
-
-    /// True when no rows exist.
-    pub fn is_empty(&self) -> bool {
-        self.keys.is_empty()
-    }
-
-    /// Whether the full index has been built yet.
-    pub fn index_built(&self) -> bool {
-        self.index.is_some()
-    }
-
-    /// The query number (1-based) at which the index was built, if it was.
+    /// The query number (1-based) whose scan triggered the build, if any.
     pub fn build_at_query(&self) -> Option<u64> {
         self.build_at_query
     }
-
-    /// Benefit accumulated so far from monitoring (work units).
-    pub fn accumulated_benefit(&self) -> f64 {
-        self.accumulated_benefit
-    }
-
-    /// Accumulated work counters (scans + the index build, once it happens;
-    /// the inner index's own counters are folded in lazily via
-    /// [`Self::total_effort`]).
-    pub fn stats(&self) -> &BaselineStats {
-        &self.stats
-    }
-
-    /// Total machine-independent effort including the built index's own
-    /// bookkeeping.
-    pub fn total_effort(&self) -> u64 {
-        self.stats.total_effort()
-            + self
-                .index
-                .as_ref()
-                .map_or(0, |index| index.stats().total_effort())
-    }
-
-    /// Answer `[low, high)`; monitor, and possibly trigger index
-    /// construction first. The row ids come back distinct: ascending while
-    /// scans answer, in key order once the index does.
-    pub fn query_range(&mut self, low: Key, high: Key) -> Vec<RowId> {
-        self.stats.record_query();
-        if self.keys.is_empty() || low >= high {
-            return Vec::new();
-        }
-
-        if self.index.is_none() {
-            // monitoring: estimate what an index would have saved for this query
-            let span = (self.keys.len()).max(1);
-            let selectivity = estimate_selectivity(&self.keys, low, high);
-            self.accumulated_benefit += self.cost_model.per_query_benefit(span, selectivity);
-            let threshold = self.cost_model.index_build_cost(span) * self.trigger_factor;
-            if self.accumulated_benefit >= threshold {
-                // the crossing query pays for construction
-                self.index = Some(FullSortIndex::from_keys(&self.keys));
-                self.build_at_query = Some(self.stats.queries);
-            }
-        }
-
-        match &mut self.index {
-            Some(index) => index.query_range(low, high),
-            None => {
-                self.stats.record_scan(self.keys.len());
-                let mut out: Vec<RowId> = Vec::new();
-                for (i, &v) in self.keys.iter().enumerate() {
-                    if v >= low && v < high {
-                        out.push(i as RowId);
-                    }
-                }
-                out
-            }
-        }
-    }
-
-    /// Count the qualifying tuples of `[low, high)`.
-    pub fn count_range(&mut self, low: Key, high: Key) -> usize {
-        self.query_range(low, high).len()
-    }
-}
-
-/// Cheap sampled selectivity estimate (the monitor must not pay a full scan
-/// on top of the query's own scan).
-fn estimate_selectivity(keys: &[Key], low: Key, high: Key) -> f64 {
-    if keys.is_empty() || low >= high {
-        return 0.0;
-    }
-    let step = (keys.len() / 1024).max(1);
-    let mut sampled = 0usize;
-    let mut matching = 0usize;
-    let mut i = 0;
-    while i < keys.len() {
-        sampled += 1;
-        if keys[i] >= low && keys[i] < high {
-            matching += 1;
-        }
-        i += step;
-    }
-    matching as f64 / sampled as f64
 }
 
 impl AdaptiveIndex for OnlineIndexTuner {
     fn len(&self) -> usize {
-        self.keys.len()
+        self.scan.len()
     }
+
+    /// Answer `[low, high)`: scan and monitor, and possibly build, until the
+    /// index exists. The row ids come back distinct: ascending while scans
+    /// answer, in key order once the index does.
     fn query_range(&mut self, low: Key, high: Key) -> QueryOutput {
-        QueryOutput::from_row_ids(OnlineIndexTuner::query_range(self, low, high))
-    }
-    fn effort(&self) -> u64 {
-        self.total_effort()
-    }
-    fn auxiliary_bytes(&self) -> usize {
-        if self.index_built() {
-            self.keys.len() * PAIR_BYTES
-        } else {
-            0
+        self.queries += 1;
+        if self.scan.is_empty() || low >= high {
+            return QueryOutput::from_row_ids(Vec::new());
         }
+        if let Some(index) = &mut self.index {
+            return QueryOutput::from_row_ids(index.query_range(low, high));
+        }
+        let rows = self.scan.query_range(low, high).into_vec();
+        let n = self.scan.len();
+        let model = CostModel::default();
+        self.accumulated_benefit += model.per_query_benefit(n, rows.len() as f64 / n as f64);
+        let monitored = self.scan.stats().queries;
+        if monitored.is_multiple_of(self.decision_period)
+            && self.accumulated_benefit >= model.index_build_cost(n) * self.build_factor
+        {
+            // the crossing query pays for construction
+            self.index = Some(FullSortIndex::from_keys(self.scan.keys()));
+            self.build_at_query = Some(self.queries);
+        }
+        QueryOutput::from_row_ids(rows)
     }
+
+    fn effort(&self) -> u64 {
+        let index = self.index.as_ref();
+        self.scan.stats().total_effort() + index.map_or(0, AdaptiveIndex::effort)
+    }
+
+    fn auxiliary_bytes(&self) -> usize {
+        let index = self.index.as_ref();
+        index.map_or(0, AdaptiveIndex::auxiliary_bytes)
+    }
+
     fn is_adaptive(&self) -> bool {
         false
     }
+
     fn is_converged(&self) -> bool {
-        self.index_built()
+        self.index.is_some()
     }
 }
 
@@ -188,116 +118,130 @@ impl AdaptiveIndex for OnlineIndexTuner {
 mod tests {
     use super::*;
 
-    fn data(n: usize) -> Vec<Key> {
-        (0..n as Key).map(|i| (i * 7919) % n as Key).collect()
+    fn data(n: usize, step: Key) -> Vec<Key> {
+        (0..n as Key).map(|i| (i * step) % n as Key).collect()
+    }
+
+    /// Online tuning's settings, as `StrategyKind::OnlineTuning` builds it.
+    fn online(keys: &[Key]) -> OnlineIndexTuner {
+        OnlineIndexTuner::from_chunks(&[keys], 1, 1.0)
+    }
+
+    /// Soft indexes' build discount, at a decision period of `period`.
+    fn soft(keys: &[Key], period: u64) -> OnlineIndexTuner {
+        OnlineIndexTuner::from_chunks(&[keys], period, 0.5)
     }
 
     #[test]
     fn index_is_built_after_enough_queries() {
-        let keys = data(100_000);
-        let mut tuner = OnlineIndexTuner::from_keys(&keys);
-        assert!(!tuner.index_built());
-        let mut built_at = None;
+        let keys = data(100_000, 7919);
+        let mut tuner = online(&keys);
+        assert!(!tuner.is_converged());
         for q in 0..200 {
             let low = (q * 431) % 90_000;
+            let before = tuner.effort();
             let _ = tuner.query_range(low, low + 1000);
-            if tuner.index_built() {
-                built_at = tuner.build_at_query();
+            if tuner.is_converged() {
+                // the crossing query scans, then pays the whole build
+                let sort = FullSortIndex::from_keys(&keys).stats().total_effort();
+                assert_eq!(tuner.effort() - before, keys.len() as u64 + sort);
                 break;
             }
         }
-        assert!(
-            tuner.index_built(),
-            "selective queries must trigger the index"
-        );
-        let built_at = built_at.unwrap();
+        let built_at = tuner.build_at_query().expect("selective queries build");
         assert!(built_at > 1, "not on the very first query");
         assert!(built_at < 100, "but within a reasonable horizon");
     }
 
     #[test]
-    fn answers_correct_before_and_after_build() {
-        let keys = data(20_000);
-        let mut tuner = OnlineIndexTuner::from_keys(&keys);
-        for q in 0..100 {
-            let low = (q * 173) % 18_000;
-            let high = low + 500;
-            let got = tuner.query_range(low, high);
-            let expected = keys.iter().filter(|&&k| k >= low && k < high).count();
-            assert_eq!(got.len(), expected, "query {q}");
+    fn builds_only_at_decision_points() {
+        let keys = data(100_000, 104_729);
+        let mut tuner = soft(&keys, 10);
+        for q in 0..200 {
+            let low = (q * 379) % 90_000;
+            let _ = tuner.query_range(low, low + 500);
+            if tuner.is_converged() {
+                break;
+            }
         }
-        assert!(tuner.index_built());
+        let built_at = tuner.build_at_query().expect("a selective workload builds");
+        assert_eq!(built_at % 10, 0, "decisions happen every 10 queries");
+    }
+
+    #[test]
+    fn answers_correct_before_and_after_build() {
+        let keys = data(20_000, 7919);
+        for mut tuner in [online(&keys), soft(&keys, 5)] {
+            for q in 0..100 {
+                let low = (q * 173) % 18_000;
+                let high = low + 500;
+                let got = tuner.query_range(low, high);
+                let expected = keys.iter().filter(|&&k| k >= low && k < high).count();
+                assert_eq!(got.count(), expected, "query {q}");
+            }
+            assert!(tuner.is_converged());
+        }
+    }
+
+    #[test]
+    fn soft_index_builds_earlier_than_plain_online_tuning() {
+        // the piggyback discount halves the effective build cost, so for the
+        // same workload the soft index appears at or before the online one
+        let keys = data(80_000, 104_729);
+        let (mut soft, mut online) = (soft(&keys, 1), online(&keys));
+        for q in 0..300 {
+            let low = (q * 157) % 70_000;
+            let _ = soft.query_range(low, low + 800);
+            let _ = online.query_range(low, low + 800);
+        }
+        let soft_at = soft.build_at_query().expect("soft builds");
+        let online_at = online.build_at_query().expect("online builds");
+        assert!(soft_at <= online_at, "soft {soft_at} vs online {online_at}");
     }
 
     #[test]
     fn unselective_workload_never_builds() {
-        let keys = data(10_000);
+        let keys = data(10_000, 7919);
         // full-range queries: an index would not help, benefit stays ~0
-        let mut tuner = OnlineIndexTuner::from_keys(&keys);
-        for _ in 0..50 {
-            let _ = tuner.query_range(Key::MIN, Key::MAX);
-        }
-        assert!(!tuner.index_built());
-        assert!(tuner.accumulated_benefit() < tuner.cost_model.index_build_cost(10_000));
-    }
-
-    #[test]
-    fn trigger_factor_delays_construction() {
-        let keys = data(50_000);
-        let mut eager = OnlineIndexTuner::with_settings(&[&keys], CostModel::default(), 1.0);
-        let mut reluctant = OnlineIndexTuner::with_settings(&[&keys], CostModel::default(), 10.0);
-        for q in 0..300 {
-            let low = (q * 97) % 45_000;
-            let _ = eager.query_range(low, low + 200);
-            let _ = reluctant.query_range(low, low + 200);
-        }
-        assert!(eager.index_built());
-        match (eager.build_at_query(), reluctant.build_at_query()) {
-            (Some(e), Some(r)) => assert!(e < r, "eager {e} must build before reluctant {r}"),
-            (Some(_), None) => {} // reluctant never built: also fine
-            other => panic!("unexpected build pattern {other:?}"),
+        for mut tuner in [online(&keys), soft(&keys, 5)] {
+            for _ in 0..60 {
+                let _ = tuner.query_range(Key::MIN, Key::MAX);
+            }
+            assert!(!tuner.is_converged());
+            assert_eq!(tuner.auxiliary_bytes(), 0);
         }
     }
 
     #[test]
     fn scan_cost_disappears_after_build() {
-        let keys = data(50_000);
-        let mut tuner = OnlineIndexTuner::from_keys(&keys);
+        let keys = data(50_000, 7919);
+        let mut tuner = online(&keys);
         for q in 0..100 {
             let low = (q * 211) % 45_000;
             let _ = tuner.query_range(low, low + 100);
         }
-        assert!(tuner.index_built());
-        let scanned_before = tuner.stats().elements_scanned;
+        assert!(tuner.is_converged());
+        let before = tuner.effort();
         for q in 0..50 {
             let low = (q * 211) % 45_000;
             let _ = tuner.query_range(low, low + 100);
         }
-        assert_eq!(
-            tuner.stats().elements_scanned,
-            scanned_before,
+        assert!(
+            tuner.effort() - before < keys.len() as u64,
             "after the build no more full scans happen"
         );
-        assert!(tuner.total_effort() > 0);
     }
 
     #[test]
     fn empty_and_degenerate_inputs() {
-        let mut tuner = OnlineIndexTuner::from_keys(&[]);
-        assert!(tuner.is_empty());
-        assert!(tuner.query_range(0, 10).is_empty());
-        let mut tuner = OnlineIndexTuner::from_keys(&[5, 1, 9]);
-        assert_eq!(tuner.len(), 3);
-        assert_eq!(tuner.count_range(9, 5), 0);
-        assert_eq!(tuner.count_range(0, 10), 3);
-    }
-
-    #[test]
-    fn selectivity_estimator_reasonable() {
-        let keys: Vec<Key> = (0..100_000).collect();
-        let est = estimate_selectivity(&keys, 0, 10_000);
-        assert!((est - 0.1).abs() < 0.05, "estimate {est}");
-        assert_eq!(estimate_selectivity(&[], 0, 10), 0.0);
-        assert_eq!(estimate_selectivity(&keys, 10, 10), 0.0);
+        for period in [1, 5] {
+            let mut tuner = soft(&[], period);
+            assert!(tuner.is_empty());
+            assert!(tuner.query_range(0, 10).is_empty());
+            let mut tuner = soft(&[5, 1, 9], period);
+            assert_eq!(tuner.len(), 3);
+            assert_eq!(tuner.query_range(9, 5).count(), 0);
+            assert_eq!(tuner.query_range(0, 10).count(), 3);
+        }
     }
 }

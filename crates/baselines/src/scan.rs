@@ -1,10 +1,10 @@
 //! The no-index baseline: answer every query with a full scan.
 
-use crate::cost::BaselineStats;
 use aidx_columnstore::index::{AdaptiveIndex, QueryOutput};
 use aidx_columnstore::ops::select::Predicate;
 use aidx_columnstore::position::PositionList;
 use aidx_columnstore::types::{Key, RowId};
+use aidx_cracking::stats::CrackStats;
 
 /// A "index" that never builds anything: each range query scans the column.
 ///
@@ -14,7 +14,7 @@ use aidx_columnstore::types::{Key, RowId};
 #[derive(Debug, Clone)]
 pub struct FullScanIndex {
     keys: Vec<Key>,
-    stats: BaselineStats,
+    stats: CrackStats,
 }
 
 impl FullScanIndex {
@@ -27,7 +27,7 @@ impl FullScanIndex {
     pub fn from_chunks(chunks: &[&[Key]]) -> Self {
         FullScanIndex {
             keys: chunks.concat(),
-            stats: BaselineStats::new(),
+            stats: CrackStats::new(),
         }
     }
 
@@ -41,8 +41,13 @@ impl FullScanIndex {
         self.keys.is_empty()
     }
 
+    /// The keys, in row-id order.
+    pub fn keys(&self) -> &[Key] {
+        &self.keys
+    }
+
     /// Accumulated work counters.
-    pub fn stats(&self) -> &BaselineStats {
+    pub fn stats(&self) -> &CrackStats {
         &self.stats
     }
 

@@ -1,8 +1,8 @@
 //! The full-index baseline: a sorted copy of the column, built up front.
 
-use crate::cost::BaselineStats;
 use aidx_columnstore::index::{AdaptiveIndex, QueryOutput};
 use aidx_columnstore::types::{Key, RowId, PAIR_BYTES};
+use aidx_cracking::stats::CrackStats;
 
 /// A fully sorted (offline-built) index over one key column.
 ///
@@ -13,7 +13,7 @@ use aidx_columnstore::types::{Key, RowId, PAIR_BYTES};
 pub struct FullSortIndex {
     keys: Vec<Key>,
     rowids: Vec<RowId>,
-    stats: BaselineStats,
+    stats: CrackStats,
 }
 
 impl FullSortIndex {
@@ -32,7 +32,7 @@ impl FullSortIndex {
         for chunk in chunks {
             pairs.extend(chunk.iter().copied().zip(pairs.len() as RowId..));
         }
-        let mut stats = BaselineStats::new();
+        let mut stats = CrackStats::new();
         stats.record_copy(pairs.len());
         stats.record_sort(pairs.len());
         pairs.sort_unstable();
@@ -54,7 +54,7 @@ impl FullSortIndex {
     }
 
     /// Accumulated work counters (includes the up-front sort).
-    pub fn stats(&self) -> &BaselineStats {
+    pub fn stats(&self) -> &CrackStats {
         &self.stats
     }
 
@@ -138,7 +138,7 @@ mod tests {
         let data: Vec<Key> = (0..1024).rev().collect();
         let idx = FullSortIndex::from_keys(&data);
         assert_eq!(idx.len(), 1024);
-        assert!(idx.stats().sort_comparisons >= 1024 * 10);
+        assert!(idx.stats().elements_compared >= 1024 * 10);
         assert_eq!(idx.stats().elements_copied, 1024);
         assert!(idx.sorted_keys().windows(2).all(|w| w[0] <= w[1]));
     }

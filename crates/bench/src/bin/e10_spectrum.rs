@@ -1,11 +1,11 @@
 //! E10 — The indexing spectrum (tutorial Sections 1–2): total workload cost of
 //! offline indexing, online indexing, soft indexes, adaptive indexing and no
 //! indexing, as the workload becomes less predictable (the offline advisor's
-//! sample workload matches the real workload less and less).
+//! sample workload matches the real workload less and less). Online tuning
+//! and soft indexes are one monitor-then-build index: online tuning decides
+//! after every query, soft indexes every 10 queries at half the build cost.
 
-use aidx_baselines::{
-    FullScanIndex, FullSortIndex, OfflineAdvisor, OnlineIndexTuner, SoftIndexTuner, WorkloadSample,
-};
+use aidx_baselines::{FullScanIndex, FullSortIndex, OfflineAdvisor, WorkloadSample};
 use aidx_bench::HarnessConfig;
 use aidx_core::strategy::StrategyKind;
 use aidx_workloads::data::{generate_keys, DataDistribution};
@@ -57,30 +57,19 @@ fn main() {
             }
         })
     };
-    let online_total = {
-        let mut index = OnlineIndexTuner::from_keys(&keys[0]);
-        timed(|| {
-            for q in workload.iter() {
-                std::hint::black_box(index.query_range(q.low, q.high).len());
-            }
-        })
-    };
-    let soft_total = {
-        let mut index = SoftIndexTuner::from_keys(&keys[0], 10);
-        timed(|| {
-            for q in workload.iter() {
-                std::hint::black_box(index.query_range(q.low, q.high).len());
-            }
-        })
-    };
-    let adaptive_total = {
-        let mut index = StrategyKind::Cracking.build(&keys[0]);
+    let [online_total, soft_total, adaptive_total] = [
+        StrategyKind::OnlineTuning,
+        StrategyKind::SoftIndexes,
+        StrategyKind::Cracking,
+    ]
+    .map(|kind| {
+        let mut index = kind.build(&keys[0]);
         timed(|| {
             for q in workload.iter() {
                 std::hint::black_box(index.query_range(q.low, q.high).count());
             }
         })
-    };
+    });
 
     // offline advisor: its cost depends on which columns the sample makes it index
     let mut offline_totals = Vec::new();

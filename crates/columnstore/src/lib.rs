@@ -60,7 +60,6 @@ pub mod index;
 pub mod ops;
 pub mod position;
 pub mod segment;
-pub mod stats;
 pub mod table;
 pub mod types;
 

@@ -17,7 +17,7 @@ use crate::health::{self, IndexHealth};
 use crate::maintenance::{CompactionReport, MaintenanceState};
 use crate::manager::{IndexInfo, IndexManager};
 use crate::session::Session;
-use crate::strategy::{StrategyKind, StrategyTuning};
+use crate::strategy::StrategyKind;
 use crate::telemetry::{EngineTelemetry, ObservabilityState, TelemetrySnapshot};
 use aidx_columnstore::catalog::Catalog;
 use aidx_columnstore::error::ColumnStoreError;
@@ -67,11 +67,10 @@ impl DbInner {
 
 /// Configures and builds a [`Database`].
 ///
-/// Besides the indexing strategy, the builder exposes the storage and
-/// index-construction knobs: the segment capacity (rows per sealed chunk of
-/// every table registered with the database) and the hybrid partition
-/// sizing. Invalid settings surface as
-/// [`AidxError::Config`] from [`DatabaseBuilder::try_build`].
+/// Besides the indexing strategy, the builder exposes the storage knob: the
+/// segment capacity (rows per sealed chunk of every table registered with
+/// the database). Invalid settings surface as [`AidxError::Config`] from
+/// [`DatabaseBuilder::try_build`].
 ///
 /// ```
 /// use aidx_core::prelude::*;
@@ -89,7 +88,6 @@ pub struct DatabaseBuilder {
     default_strategy: StrategyKind,
     catalog: Catalog,
     segment_capacity: usize,
-    tuning: StrategyTuning,
     parallelism: usize,
     maintenance: MaintenanceConfig,
     durability: Option<DurabilityConfig>,
@@ -147,7 +145,6 @@ impl Default for DatabaseBuilder {
             default_strategy: StrategyKind::Cracking,
             catalog: Catalog::new(),
             segment_capacity: DEFAULT_SEGMENT_CAPACITY,
-            tuning: StrategyTuning::default(),
             parallelism: default_parallelism(),
             maintenance: MaintenanceConfig::default(),
             durability: None,
@@ -180,20 +177,6 @@ impl DatabaseBuilder {
     /// chunks mean less per-chunk bookkeeping on scans.
     pub fn segment_capacity(mut self, rows_per_chunk: usize) -> Self {
         self.segment_capacity = rows_per_chunk;
-        self
-    }
-
-    /// Tuples per initial partition for the hybrid crack/sort/radix
-    /// algorithms (defaults to 16384).
-    pub fn hybrid_partition_size(mut self, tuples: usize) -> Self {
-        self.tuning.hybrid_partition_size = tuples;
-        self
-    }
-
-    /// Radix bits for the radix-based hybrid variants (defaults to 6; must
-    /// stay in `1..=16`).
-    pub fn hybrid_radix_bits(mut self, bits: u32) -> Self {
-        self.tuning.hybrid_radix_bits = bits;
         self
     }
 
@@ -293,18 +276,6 @@ impl DatabaseBuilder {
                 format!("must not exceed the row-id domain ({})", RowId::MAX),
             ));
         }
-        if self.tuning.hybrid_partition_size == 0 {
-            return Err(AidxError::config(
-                "hybrid_partition_size",
-                "must be at least 1 tuple",
-            ));
-        }
-        if !(1..=16).contains(&self.tuning.hybrid_radix_bits) {
-            return Err(AidxError::config(
-                "hybrid_radix_bits",
-                "must be between 1 and 16",
-            ));
-        }
         if let StrategyKind::AdaptiveMerging { run_size: 0 } = self.default_strategy {
             return Err(AidxError::config(
                 "default_strategy",
@@ -380,9 +351,8 @@ impl DatabaseBuilder {
         }
         let inner = Arc::new(DbInner {
             catalog: RwLock::new(catalog),
-            manager: IndexManager::with_tuning_and_pool(
+            manager: IndexManager::with_pool(
                 self.default_strategy,
-                self.tuning,
                 Arc::new(aidx_parallel::ThreadPool::new(self.parallelism)),
             ),
             segment_capacity: self.segment_capacity,
@@ -648,12 +618,6 @@ impl Database {
     /// enables chunk-parallel scans and residual filters).
     pub fn parallelism(&self) -> usize {
         self.inner.manager.parallelism()
-    }
-
-    /// The index-construction tuning (hybrid sizing) applied to lazily built
-    /// indexes.
-    pub fn strategy_tuning(&self) -> &StrategyTuning {
-        self.inner.manager.tuning()
     }
 
     /// Bookkeeping for every adaptive index (which columns ended up indexed,
@@ -1036,21 +1000,11 @@ mod tests {
     fn builder_validates_configuration() {
         let err = Database::builder().segment_capacity(0).try_build();
         assert!(matches!(err, Err(AidxError::Config { .. })), "{err:?}");
-        let err = Database::builder().hybrid_partition_size(0).try_build();
-        assert!(matches!(err, Err(AidxError::Config { .. })));
-        let err = Database::builder().hybrid_radix_bits(0).try_build();
-        assert!(matches!(err, Err(AidxError::Config { .. })));
-        let err = Database::builder().hybrid_radix_bits(17).try_build();
-        assert!(matches!(err, Err(AidxError::Config { .. })));
         let err = Database::builder()
             .default_strategy(StrategyKind::AdaptiveMerging { run_size: 0 })
             .try_build();
         assert!(matches!(err, Err(AidxError::Config { .. })));
-        assert!(Database::builder()
-            .segment_capacity(1)
-            .hybrid_radix_bits(16)
-            .try_build()
-            .is_ok());
+        assert!(Database::builder().segment_capacity(1).try_build().is_ok());
     }
 
     #[test]
@@ -1063,14 +1017,9 @@ mod tests {
     fn builder_exposes_storage_and_tuning_knobs() {
         let db = Database::builder()
             .segment_capacity(128)
-            .hybrid_partition_size(1 << 10)
-            .hybrid_radix_bits(8)
             .try_build()
             .unwrap();
         assert_eq!(db.segment_capacity(), 128);
-        let tuning = db.strategy_tuning();
-        assert_eq!(tuning.hybrid_partition_size, 1 << 10);
-        assert_eq!(tuning.hybrid_radix_bits, 8);
         // registered tables are re-chunked to the configured capacity
         db.create_table("t", orders_table(1000)).unwrap();
         let snapshot = db.inner.catalog.read().table_arc("t").unwrap();
@@ -1084,7 +1033,7 @@ mod tests {
                 .sealed_chunk_count(),
             1000 / 128
         );
-        // queries through a tuned hybrid strategy still answer correctly
+        // queries over the re-chunked table still answer correctly
         let result = db
             .session()
             .query("t")

@@ -50,7 +50,7 @@ pub enum AidxError {
         column: String,
     },
     /// An invalid configuration value handed to [`crate::DatabaseBuilder`]
-    /// (zero segment capacity, out-of-range radix bits, ...).
+    /// (zero segment capacity, zero parallelism, ...).
     Config {
         /// The offending builder parameter.
         parameter: String,

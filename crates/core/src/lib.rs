@@ -41,9 +41,6 @@
 //!   never persisted because queries re-derive them, the cheap-recovery
 //!   property the cracking papers point out. Wired through
 //!   [`DatabaseBuilder::durability`] and [`Database::open`].
-//! * [`tuner`] — the auto-tuning policy layer: decides *which* strategy a
-//!   column should use from observed workload characteristics (the
-//!   tutorial's "towards autonomous kernels" discussion).
 //! * [`telemetry`] — engine-wide observability over the `aidx-telemetry`
 //!   lock-free registry: every layer (executor, index manager, maintenance,
 //!   WAL) records into one registry surfaced by [`Database::telemetry`],
@@ -106,7 +103,6 @@ pub mod result;
 pub mod session;
 pub mod strategy;
 pub mod telemetry;
-pub mod tuner;
 
 /// Convenient re-exports for typical kernel usage.
 pub mod prelude {
@@ -121,9 +117,8 @@ pub mod prelude {
     pub use crate::query::{Aggregation, Predicate, Query};
     pub use crate::result::{Cells, QueryResult, RowIter, Rows};
     pub use crate::session::{QueryBuilder, QueryProfile, Session};
-    pub use crate::strategy::{AdaptiveIndex, QueryOutput, StrategyKind, StrategyTuning};
+    pub use crate::strategy::{AdaptiveIndex, QueryOutput, StrategyKind};
     pub use crate::telemetry::TelemetrySnapshot;
-    pub use crate::tuner::{AutoTuner, TuningPolicy};
     pub use aidx_columnstore::prelude::*;
     pub use aidx_maintenance::{MaintenanceConfig, MaintenanceStatsSnapshot};
     pub use aidx_parallel::ThreadPool;
@@ -151,6 +146,5 @@ pub use manager::{ColumnId, IndexManager, KeySource, ProbeTrace};
 pub use query::{Aggregation, Predicate, Query};
 pub use result::{Cells, QueryResult, RowIter, Rows};
 pub use session::{QueryBuilder, QueryProfile, Session};
-pub use strategy::{AdaptiveIndex, QueryOutput, StrategyKind, StrategyTuning};
+pub use strategy::{AdaptiveIndex, QueryOutput, StrategyKind};
 pub use telemetry::TelemetrySnapshot;
-pub use tuner::{AutoTuner, TuningPolicy};

@@ -15,7 +15,7 @@
 //! column therefore serialise on its latch whatever the parallelism, and
 //! the first query builds the index on its own thread.
 
-use crate::strategy::{AdaptiveIndex, QueryOutput, StrategyKind, StrategyTuning};
+use crate::strategy::{AdaptiveIndex, QueryOutput, StrategyKind};
 use aidx_columnstore::ops::select as columnstore_select;
 use aidx_columnstore::segment::{Segment, ZoneMap, DEFAULT_SEGMENT_CAPACITY};
 use aidx_columnstore::types::{Key, RowId};
@@ -429,7 +429,6 @@ impl ManagedIndex {
 /// A registry of adaptive indexes, one per (table, column).
 pub struct IndexManager {
     default_strategy: StrategyKind,
-    tuning: StrategyTuning,
     /// Fork/join workers for the chunk-parallel scans that answer lagging
     /// snapshots. A serial pool (the default) keeps every path inline.
     pool: Arc<ThreadPool>,
@@ -447,34 +446,19 @@ impl std::fmt::Debug for IndexManager {
 
 impl IndexManager {
     /// Create a manager that builds indexes of `default_strategy` lazily,
-    /// with default construction tuning.
+    /// on a serial pool.
     pub fn new(default_strategy: StrategyKind) -> Self {
-        IndexManager::with_tuning(default_strategy, StrategyTuning::default())
-    }
-
-    /// Create a manager with explicit construction tuning (hybrid sizing)
-    /// for the indexes it builds lazily.
-    pub fn with_tuning(default_strategy: StrategyKind, tuning: StrategyTuning) -> Self {
-        IndexManager::with_tuning_and_pool(
-            default_strategy,
-            tuning,
-            Arc::new(ThreadPool::default()),
-        )
+        IndexManager::with_pool(default_strategy, Arc::new(ThreadPool::default()))
     }
 
     /// Create a manager that executes on `pool`: with more than one worker,
     /// scan fallbacks go chunk-parallel. Every column still gets exactly one
     /// index, built and refined under that column's latch, so the indexes
     /// are the same at every worker count; with a serial pool this is
-    /// exactly [`IndexManager::with_tuning`].
-    pub fn with_tuning_and_pool(
-        default_strategy: StrategyKind,
-        tuning: StrategyTuning,
-        pool: Arc<ThreadPool>,
-    ) -> Self {
+    /// exactly [`IndexManager::new`].
+    pub fn with_pool(default_strategy: StrategyKind, pool: Arc<ThreadPool>) -> Self {
         IndexManager {
             default_strategy,
-            tuning,
             pool,
             indexes: Mutex::new(HashMap::new()),
         }
@@ -493,11 +477,6 @@ impl IndexManager {
     /// The worker budget (1 = the serial kernel).
     pub fn parallelism(&self) -> usize {
         self.pool.threads()
-    }
-
-    /// The construction tuning applied to lazily built indexes.
-    pub fn tuning(&self) -> &StrategyTuning {
-        &self.tuning
     }
 
     /// Number of columns currently indexed.
@@ -736,7 +715,7 @@ impl IndexManager {
         let mut registry = self.indexes.lock();
         let entry = registry.entry(column.clone()).or_insert_with(|| {
             Arc::new(Mutex::new(ManagedIndex {
-                body: strategy.build_from(&[], None, None, &self.tuning),
+                body: strategy.build_from(&[], None, None),
                 kind: strategy,
                 epoch,
                 queries: 0,
@@ -758,7 +737,7 @@ impl IndexManager {
         epoch: u64,
         first_query: Option<(Key, Key)>,
     ) {
-        let body = kind.build_from(&keys.chunks(), keys.domain(), first_query, &self.tuning);
+        let body = kind.build_from(&keys.chunks(), keys.domain(), first_query);
         *managed = ManagedIndex {
             body,
             kind,
@@ -1021,17 +1000,13 @@ mod tests {
         let kind = StrategyKind::Hybrid {
             algorithm: crate::strategy::HybridKind::RadixSort,
         };
-        let tuning = StrategyTuning {
-            hybrid_partition_size: 256,
-            ..StrategyTuning::default()
-        };
-        let manager = IndexManager::with_tuning(kind, tuning);
-        let data = keys(2048);
-        let column = ColumnId::new("t", "a");
+        let manager = IndexManager::new(kind);
+        let data = keys(8 * aidx_hybrids::PARTITION_SIZE);
+        let (column, high) = (ColumnId::new("t", "a"), data.len() as Key);
         let mut probe = ProbeTrace::default();
         let out =
-            manager.query_range_probed(&column, &data[..], 0, 0, 2048, kind, Some(&mut probe));
-        assert_eq!(out.count(), 2048);
+            manager.query_range_probed(&column, &data[..], 0, 0, high, kind, Some(&mut probe));
+        assert_eq!(out.count(), data.len());
         assert_eq!(probe.strategy, "hybrid-radix-sort");
         assert_eq!(manager.describe()[0].strategy, "hybrid-radix-sort");
         // eight initial partitions and the final one, drained by the query
@@ -1415,11 +1390,7 @@ mod tests {
     }
 
     fn parallel_manager(strategy: StrategyKind, workers: usize) -> IndexManager {
-        IndexManager::with_tuning_and_pool(
-            strategy,
-            StrategyTuning::default(),
-            Arc::new(ThreadPool::new(workers)),
-        )
+        IndexManager::with_pool(strategy, Arc::new(ThreadPool::new(workers)))
     }
 
     #[test]

@@ -3,18 +3,18 @@
 //!
 //! Every indexing technique in the workspace — adaptive or not — implements
 //! [`AdaptiveIndex`] on its own type, in its own crate, so the index manager,
-//! the auto-tuner, the executor and the benchmark harnesses treat them
-//! interchangeably. This module names the kinds, carries their tuning, and
-//! boxes the real type; the trait and its answer type live in
+//! the executor and the benchmark harnesses treat them interchangeably. This
+//! module names the kinds, fixes their construction parameters, and boxes
+//! the real type; the trait and its answer type live in
 //! `aidx_columnstore::index` and are re-exported here.
 
-use aidx_baselines::{FullScanIndex, FullSortIndex, OnlineIndexTuner, SoftIndexTuner};
+use aidx_baselines::{FullScanIndex, FullSortIndex, OnlineIndexTuner};
 use aidx_columnstore::types::Key;
 use aidx_cracking::cracker_column::key_domain;
 use aidx_cracking::partial::PartialCrackedIndex;
 use aidx_cracking::selection::CrackedIndex;
 use aidx_cracking::stochastic::{StochasticCrackedIndex, StochasticVariant};
-use aidx_hybrids::HybridIndex;
+use aidx_hybrids::{HybridIndex, PARTITION_SIZE, RADIX_BITS};
 use serde::{Deserialize, Serialize};
 
 pub use aidx_columnstore::index::{AdaptiveIndex, QueryOutput};
@@ -57,32 +57,6 @@ pub enum StrategyKind {
     SoftIndexes,
 }
 
-/// Construction-time tuning knobs for the strategies the kernel builds
-/// lazily.
-///
-/// The [`StrategyKind`] enum names *which* technique to use; this struct
-/// carries the parameters that used to be hardcoded at the build site — the
-/// hybrid partition sizing — so the facade ([`crate::DatabaseBuilder`]) can
-/// expose them. Parameters that are part of a kind's identity (e.g. the
-/// adaptive-merging run size) stay on the kind.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct StrategyTuning {
-    /// Tuples per initial partition for the hybrid crack/sort/radix
-    /// algorithms.
-    pub hybrid_partition_size: usize,
-    /// Radix bits used by the radix-based hybrid variants.
-    pub hybrid_radix_bits: u32,
-}
-
-impl Default for StrategyTuning {
-    fn default() -> Self {
-        StrategyTuning {
-            hybrid_partition_size: 1 << 14,
-            hybrid_radix_bits: 6,
-        }
-    }
-}
-
 impl StrategyKind {
     /// Short label used in harness output and as [`crate::manager::IndexInfo`]'s
     /// strategy name.
@@ -120,10 +94,10 @@ impl StrategyKind {
         )
     }
 
-    /// Build an index of this kind over a dense key slice with default
-    /// tuning and no query to build for: [`StrategyKind::build_from`] over
-    /// one chunk. A kind that stores a cracker column first pays one pass
-    /// over the keys for their domain; the others never read it.
+    /// Build an index of this kind over a dense key slice and no query to
+    /// build for: [`StrategyKind::build_from`] over one chunk. A kind that
+    /// stores a cracker column first pays one pass over the keys for their
+    /// domain; the others never read it.
     pub fn build(&self, keys: &[Key]) -> Box<dyn AdaptiveIndex + Send> {
         let cracker_column = matches!(
             self,
@@ -136,13 +110,12 @@ impl StrategyKind {
         } else {
             None
         };
-        self.build_from(&[keys], domain, None, &StrategyTuning::default())
+        self.build_from(&[keys], domain, None)
     }
 
     /// Build an index of this kind over a base column stored as `chunks` —
     /// the one slice of a flat column, a segment's sealed chunks and tail,
-    /// read where they lie — using `tuning` for the parameters that are not
-    /// part of the kind itself, for the query `first_query` that found the
+    /// read where they lie — for the query `first_query` that found the
     /// column unindexed, if one did. `domain` holds every key (`None` for
     /// none); it decides the width of a cracker column's keys (see
     /// [`aidx_cracking::cracker_column`]), and the kinds that store no
@@ -159,7 +132,6 @@ impl StrategyKind {
         chunks: &[&[Key]],
         domain: Option<(Key, Key)>,
         first_query: Option<(Key, Key)>,
-        tuning: &StrategyTuning,
     ) -> Box<dyn AdaptiveIndex + Send> {
         match *self {
             StrategyKind::FullScan => Box::new(FullScanIndex::from_chunks(chunks)),
@@ -181,16 +153,19 @@ impl StrategyKind {
                 chunks,
                 HybridKind::SortSort,
                 run_size,
-                tuning.hybrid_radix_bits,
+                RADIX_BITS,
             )),
             StrategyKind::Hybrid { algorithm } => Box::new(HybridIndex::from_chunks(
                 chunks,
                 algorithm,
-                tuning.hybrid_partition_size,
-                tuning.hybrid_radix_bits,
+                PARTITION_SIZE,
+                RADIX_BITS,
             )),
-            StrategyKind::OnlineTuning => Box::new(OnlineIndexTuner::from_chunks(chunks)),
-            StrategyKind::SoftIndexes => Box::new(SoftIndexTuner::from_chunks(chunks, 10)),
+            // decide after every query; build once the benefit covers the build
+            StrategyKind::OnlineTuning => Box::new(OnlineIndexTuner::from_chunks(chunks, 1, 1.0)),
+            // decide every 10 queries; the build piggybacks on a scan, at half
+            // the cost
+            StrategyKind::SoftIndexes => Box::new(OnlineIndexTuner::from_chunks(chunks, 10, 0.5)),
         }
     }
 
@@ -394,50 +369,23 @@ mod tests {
     }
 
     #[test]
-    fn build_with_honors_tuning() {
-        let keys = test_keys(2000);
-        let tuning = StrategyTuning {
-            hybrid_partition_size: 256,
-            hybrid_radix_bits: 4,
-        };
-        // tuned builds answer exactly like default builds
-        let kind = StrategyKind::Hybrid {
-            algorithm: HybridKind::CrackRadix,
-        };
-        let mut tuned = kind.build_from(&[&keys], key_domain(&keys), None, &tuning);
-        let mut default = kind.build(&keys);
-        for q in 0..20 {
-            let low = (q * 97) % 1800;
-            assert_eq!(
-                tuned.query_range(low, low + 100).count(),
-                default.query_range(low, low + 100).count(),
-                "query {q}"
-            );
-        }
-        assert_eq!(StrategyTuning::default().hybrid_radix_bits, 6);
-    }
-
-    #[test]
     fn iterator_builds_answer_exactly_like_slice_builds() {
         use aidx_columnstore::segment::Segment;
-        let keys = test_keys(3000);
-        let segment = Segment::from_vec_with_capacity(keys.clone(), 128);
+        // hybrid partitions of `PARTITION_SIZE` end inside chunks
+        let keys = test_keys(40_000);
+        let segment = Segment::from_vec_with_capacity(keys.clone(), 1000);
         let chunks: Vec<&[Key]> = segment.chunks().map(|chunk| chunk.values).collect();
         assert!(chunks.len() > 20);
-        // hybrid partitions end inside chunks
-        let tuning = StrategyTuning {
-            hybrid_partition_size: 200,
-            ..StrategyTuning::default()
-        };
+        assert_ne!(PARTITION_SIZE % 1000, 0);
         let queries: Vec<(Key, Key)> = (0..30)
-            .map(|q| ((q * 151) % 2500, (q * 151) % 2500 + 200))
+            .map(|q| ((q * 1511) % 38_000, (q * 1511) % 38_000 + 2000))
             .collect();
         for kind in all_kinds() {
             // built for no query, and for the one that is asked first
             for first_query in [None, Some(queries[0])] {
-                let mut from_slice = kind.build_from(&[&keys], key_domain(&keys), None, &tuning);
+                let mut from_slice = kind.build_from(&[&keys], key_domain(&keys), None);
                 let domain = segment.min().zip(segment.max());
-                let mut from_segment = kind.build_from(&chunks, domain, first_query, &tuning);
+                let mut from_segment = kind.build_from(&chunks, domain, first_query);
                 assert_eq!(from_segment.len(), from_slice.len(), "{}", kind.label());
                 for (q, &(low, high)) in queries.iter().enumerate() {
                     assert_eq!(
@@ -455,6 +403,73 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// FNV-1a over a sequence of words: one number that pins a whole trace.
+    fn digest(words: &[u64]) -> u64 {
+        words.iter().fold(0xcbf2_9ce4_8422_2325, |hash, &word| {
+            word.to_le_bytes()
+                .iter()
+                .fold(hash, |h, &b| (h ^ b as u64).wrapping_mul(0x0100_0000_01b3))
+        })
+    }
+
+    #[test]
+    fn soft_indexes_and_the_scan_and_sort_baselines_keep_their_traces() {
+        // 200 uniform 1 % ranges over 30 000 keys, from a fixed xorshift stream
+        let (n, width) = (30_000, 300);
+        let keys = test_keys(n);
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        let queries: Vec<(Key, Key)> = (0..200)
+            .map(|_| {
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                let low = (state % (n as u64 - width)) as Key;
+                (low, low + width as Key)
+            })
+            .collect();
+        let mut soft = StrategyKind::SoftIndexes.build(&keys);
+        let mut scan = StrategyKind::FullScan.build(&keys);
+        let mut sort = StrategyKind::FullSort.build(&keys);
+        let (mut answers, mut soft_trace) = (Vec::new(), Vec::new());
+        let (mut scan_effort, mut sort_effort) = (Vec::new(), Vec::new());
+        for (q, &(low, high)) in queries.iter().enumerate() {
+            let before = soft.effort();
+            let out = soft.query_range(low, high);
+            assert_eq!(out.count(), reference_count(&keys, low, high), "query {q}");
+            // the tenth query, the first decision point, scans and builds
+            let built = q + 1 >= 10;
+            assert_eq!(soft.is_converged(), built, "query {q}");
+            assert_eq!(soft.auxiliary_bytes(), if built { 360_000 } else { 0 });
+            let spent = soft.effort() - before;
+            match q + 1 {
+                1..=9 => assert_eq!(spent, 30_000, "query {q} scans"),
+                10 => assert_eq!(spent, 30_000 + 30_000 + 30_000 * 15, "scan, copy, sort"),
+                _ => assert_eq!(spent, 2 * 15 + out.count() as u64, "query {q} probes"),
+            }
+            answers.push(out.count() as u64);
+            answers.extend(out.row_ids().iter().map(|&r| r as u64));
+            soft_trace.extend([
+                soft.effort(),
+                soft.is_converged() as u64,
+                soft.auxiliary_bytes() as u64,
+            ]);
+            let _ = scan.query_range(low, high);
+            scan_effort.push(scan.effort());
+            let _ = sort.query_range(low, high);
+            sort_effort.push(sort.effort());
+        }
+        // the traces of the standalone soft-index type this one replaced,
+        // and of the scan and sort baselines counting into their own stats
+        assert_eq!(
+            (soft.effort(), scan.effort(), sort.effort()),
+            (842_700, 6_000_000, 546_000)
+        );
+        assert_eq!(digest(&answers), 0x5e4e_e675_ba2d_c5d5);
+        assert_eq!(digest(&soft_trace), 0x22de_9707_aa5d_47b8);
+        assert_eq!(digest(&scan_effort), 0x54bd_8d70_81e3_e379);
+        assert_eq!(digest(&sort_effort), 0x641d_d326_a694_81f6);
     }
 
     #[test]

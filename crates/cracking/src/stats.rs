@@ -1,9 +1,11 @@
-//! Instrumentation shared by the adaptive index implementations.
+//! Instrumentation shared by every index implementation, adaptive or not.
 //!
 //! The adaptive-indexing benchmark (TPCTC 2010) characterizes techniques by
 //! *how much work each query does* on top of answering the query; these
 //! counters are the raw material for that: how many crack calls happened, how
-//! many elements were compared and moved, and how many pieces exist.
+//! many elements were compared, moved and scanned, and how many binary-search
+//! steps the sorted baselines took. One counter serves cracking, the hybrids
+//! and the non-adaptive baselines alike, so their efforts compare directly.
 
 use crate::crack::CrackTouch;
 
@@ -26,8 +28,12 @@ pub struct CrackStats {
     pub elements_merged: u64,
     /// Total elements read to produce query answers (scan + result sizes).
     pub elements_scanned: u64,
-    /// Number of pieces sorted outright (hybrid sort/radix steps).
+    /// Number of pieces sorted outright (hybrid sort/radix steps, the
+    /// full-sort baseline's build).
     pub pieces_sorted: u64,
+    /// Binary-search steps into sorted structures (the full-sort baseline's
+    /// lookups): `⌈log₂ n⌉` per probe over `n` keys.
+    pub index_probes: u64,
     /// Number of times a narrow cracker column was re-encoded with `i64`
     /// keys to take an insertion outside its frame.
     pub widenings: u64,
@@ -92,6 +98,11 @@ impl CrackStats {
         self.elements_compared += n as u64 * log;
     }
 
+    /// Record a binary-search probe over `n` sorted keys.
+    pub fn record_probe(&mut self, n: usize) {
+        self.index_probes += (n.max(2) as f64).log2().ceil() as u64;
+    }
+
     /// Total physical reorganization effort: a single scalar combining the
     /// counters, used by the benchmark harness as a machine-independent cost
     /// ("logical cost" in the EXPERIMENTS.md tables).
@@ -101,6 +112,7 @@ impl CrackStats {
             + self.elements_copied
             + self.elements_merged
             + self.elements_scanned
+            + self.index_probes
     }
 
     /// Merge another statistics block into this one (used when aggregating
@@ -115,6 +127,7 @@ impl CrackStats {
         self.elements_merged += other.elements_merged;
         self.elements_scanned += other.elements_scanned;
         self.pieces_sorted += other.pieces_sorted;
+        self.index_probes += other.index_probes;
         self.widenings += other.widenings;
         self.elements_widened += other.elements_widened;
     }
@@ -139,6 +152,7 @@ mod tests {
         s.record_copy(100);
         s.record_merge(7);
         s.record_scan(50);
+        s.record_probe(1024);
         assert_eq!(s.queries, 1);
         assert_eq!(s.crack_in_two_calls, 1);
         assert_eq!(s.crack_in_three_calls, 1);
@@ -147,7 +161,8 @@ mod tests {
         assert_eq!(s.elements_copied, 100);
         assert_eq!(s.elements_merged, 7);
         assert_eq!(s.elements_scanned, 50);
-        assert_eq!(s.total_effort(), 30 + 8 + 100 + 7 + 50);
+        assert_eq!(s.index_probes, 10);
+        assert_eq!(s.total_effort(), 30 + 8 + 100 + 7 + 50 + 10);
     }
 
     #[test]
@@ -177,10 +192,12 @@ mod tests {
         b.record_query();
         b.record_scan(9);
         b.record_sort(4);
+        b.record_probe(4);
         a.merge_from(&b);
         assert_eq!(a.queries, 2);
         assert_eq!(a.elements_copied, 5);
         assert_eq!(a.elements_scanned, 9);
         assert_eq!(a.pieces_sorted, 1);
+        assert_eq!(a.index_probes, 2);
     }
 }

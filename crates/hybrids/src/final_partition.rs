@@ -6,6 +6,7 @@
 //! initialization-vs-convergence trade-off.
 
 use crate::final_index::SortedRangeIndex;
+use crate::source::{bucket_of, radix_buckets};
 use aidx_columnstore::types::{Key, RowId};
 use aidx_cracking::stats::CrackStats;
 
@@ -213,16 +214,14 @@ impl SortFinal {
 pub struct RadixFinal {
     buckets: Vec<Vec<(Key, RowId)>>,
     domain_low: Key,
-    bucket_width: Key,
+    bucket_width: u64,
     len: usize,
 }
 
 impl RadixFinal {
     fn new(domain: (Key, Key), radix_bits: u32) -> Self {
-        let bucket_count = 1usize << radix_bits.min(16);
         let (domain_low, domain_high) = domain;
-        let span = (domain_high - domain_low).max(0) as u128 + 1;
-        let bucket_width = span.div_ceil(bucket_count as u128).max(1) as Key;
+        let (bucket_count, bucket_width) = radix_buckets(radix_bits, domain_low, domain_high);
         RadixFinal {
             buckets: vec![Vec::new(); bucket_count],
             domain_low,
@@ -239,7 +238,7 @@ impl RadixFinal {
         if key < self.domain_low {
             return 0;
         }
-        (((key - self.domain_low) / self.bucket_width) as usize).min(self.buckets.len() - 1)
+        bucket_of(key, self.domain_low, self.bucket_width, self.buckets.len())
     }
 
     fn insert_batch(&mut self, pairs: Vec<(Key, RowId)>) {

@@ -140,6 +140,13 @@ impl HybridQueryAnswer {
     }
 }
 
+/// Tuples per initial partition of the hybrids the kernel builds.
+pub const PARTITION_SIZE: usize = 1 << 14;
+
+/// Radix bits of the radix-organized partitions of the hybrids the kernel
+/// builds.
+pub const RADIX_BITS: u32 = 6;
+
 /// A hybrid adaptive index over one key column.
 #[derive(Debug, Clone)]
 pub struct HybridIndex {
@@ -173,7 +180,9 @@ impl HybridIndex {
     /// buffer fills straight from the chunks (row ids `0..n` in chunk order,
     /// the key domain tracked on the way), so a multi-chunk segment is never
     /// materialized contiguously first. Partitions are cut every
-    /// `partition_size` tuples, wherever chunks end.
+    /// `partition_size` tuples, wherever chunks end; a radix-organized one
+    /// clusters its key range into `2^radix_bits` equal buckets, with
+    /// `radix_bits` clamped to `1..=16`.
     pub fn from_chunks(
         chunks: &[&[Key]],
         algorithm: HybridAlgorithm,
@@ -500,6 +509,46 @@ mod tests {
             assert_eq!(idx.count_range(9, 5), 0);
             assert_eq!(idx.count_range(0, 100), 3);
             assert_eq!(idx.query_range(0, 100).rowids.len(), 3);
+        }
+    }
+
+    #[test]
+    fn keys_spanning_all_of_i64_answer_like_a_scan() {
+        // the key span is 2^64: radix offsets and bucket widths leave `i64`
+        let data = [Key::MIN, 5, 7, Key::MAX, -3, Key::MIN + 1, Key::MAX - 1, 0];
+        let bounds = [
+            Key::MIN,
+            Key::MIN + 1,
+            -3,
+            0,
+            5,
+            6,
+            10,
+            Key::MAX - 1,
+            Key::MAX,
+        ];
+        for algorithm in HybridAlgorithm::all() {
+            for (partition_size, radix_bits) in [(4, 6), (4, 1), (4, 0), (8, 16)] {
+                let context = format!("{algorithm:?} {partition_size} {radix_bits}");
+                let mut idx = HybridIndex::from_keys(&data, algorithm, partition_size, radix_bits);
+                assert_eq!(idx.count_range(0, 10), 3, "{context}");
+                for low in bounds {
+                    for high in bounds {
+                        let answer = idx.query_range(low, high);
+                        for (&k, &r) in answer.keys.iter().zip(&answer.rowids) {
+                            assert_eq!(data[r as usize], k, "{context}");
+                        }
+                        let mut keys = answer.keys;
+                        keys.sort_unstable();
+                        assert_eq!(
+                            keys,
+                            reference(&data, low, high),
+                            "{context} [{low}, {high})"
+                        );
+                    }
+                }
+                assert!(idx.verify_integrity(), "{context}");
+            }
         }
     }
 

@@ -44,5 +44,5 @@ pub mod run;
 pub mod source;
 
 pub use final_partition::FinalOrganization;
-pub use hybrid::{HybridAlgorithm, HybridIndex, HybridQueryAnswer};
+pub use hybrid::{HybridAlgorithm, HybridIndex, HybridQueryAnswer, PARTITION_SIZE, RADIX_BITS};
 pub use source::SourceOrganization;

@@ -243,22 +243,34 @@ pub struct RadixSource {
     /// Inclusive lower bound of the partition's key domain.
     domain_low: Key,
     /// Width of each bucket in key units (>= 1).
-    bucket_width: Key,
+    bucket_width: u64,
     len: usize,
+}
+
+/// The count and width of the equal buckets `radix_bits` cut `[low, high]`
+/// into. At least one bit, at most 16: two buckets over a domain spanning
+/// all of `i64` (2⁶⁴ keys) are 2⁶³ keys wide, which fits the unsigned width
+/// but not a `Key`.
+pub(crate) fn radix_buckets(radix_bits: u32, low: Key, high: Key) -> (usize, u64) {
+    let count = 1usize << radix_bits.clamp(1, 16);
+    let span = u128::from(high.abs_diff(low)) + 1;
+    (count, span.div_ceil(count as u128) as u64)
+}
+
+/// The bucket of `key >= low` among `bucket_count` buckets of `width`.
+pub(crate) fn bucket_of(key: Key, low: Key, width: u64, bucket_count: usize) -> usize {
+    ((key.abs_diff(low) / width) as usize).min(bucket_count - 1)
 }
 
 impl RadixSource {
     fn new(pairs: Vec<(Key, RowId)>, radix_bits: u32) -> Self {
-        let bucket_count = 1usize << radix_bits.min(16);
         let domain_low = pairs.iter().map(|&(k, _)| k).min().unwrap_or(0);
         let domain_high = pairs.iter().map(|&(k, _)| k).max().unwrap_or(0);
-        let span = (domain_high - domain_low).max(0) as u128 + 1;
-        let bucket_width = span.div_ceil(bucket_count as u128).max(1) as Key;
+        let (bucket_count, bucket_width) = radix_buckets(radix_bits, domain_low, domain_high);
         let mut buckets = vec![Vec::new(); bucket_count];
         let len = pairs.len();
         for (k, r) in pairs {
-            let idx = (((k - domain_low) / bucket_width) as usize).min(bucket_count - 1);
-            buckets[idx].push((k, r));
+            buckets[bucket_of(k, domain_low, bucket_width, bucket_count)].push((k, r));
         }
         RadixSource {
             buckets,
@@ -272,17 +284,19 @@ impl RadixSource {
         self.len
     }
 
-    fn bucket_range(&self, index: usize) -> (Key, Key) {
-        let low = self.domain_low + self.bucket_width * index as Key;
-        (low, low + self.bucket_width)
+    /// `[low, high)` of bucket `index`, in `i128`: the last bucket of a
+    /// domain reaching `Key::MAX` ends past it.
+    fn bucket_range(&self, index: usize) -> (i128, i128) {
+        let low = i128::from(self.domain_low) + i128::from(self.bucket_width) * index as i128;
+        (low, low + i128::from(self.bucket_width))
     }
 
     fn overlaps(&self, low: Key, high: Key) -> bool {
         if self.len == 0 {
             return false;
         }
-        let domain_high = self.domain_low + self.bucket_width * self.buckets.len() as Key;
-        self.domain_low < high && domain_high > low
+        let (_, domain_high) = self.bucket_range(self.buckets.len() - 1);
+        self.domain_low < high && domain_high > i128::from(low)
     }
 
     fn extract_range(&mut self, low: Key, high: Key, stats: &mut CrackStats) -> Vec<(Key, RowId)> {
@@ -290,9 +304,10 @@ impl RadixSource {
         if !self.overlaps(low, high) {
             return out;
         }
+        let (low_wide, high_wide) = (i128::from(low), i128::from(high));
         for index in 0..self.buckets.len() {
             let (bucket_low, bucket_high) = self.bucket_range(index);
-            if bucket_low >= high || bucket_high <= low {
+            if bucket_low >= high_wide || bucket_high <= low_wide {
                 continue;
             }
             let bucket = &mut self.buckets[index];
@@ -300,7 +315,7 @@ impl RadixSource {
                 continue;
             }
             stats.record_scan(bucket.len());
-            if bucket_low >= low && bucket_high <= high {
+            if bucket_low >= low_wide && bucket_high <= high_wide {
                 // fully covered bucket: take it wholesale
                 out.append(bucket);
             } else {
@@ -328,7 +343,9 @@ impl RadixSource {
         self.buckets.iter().enumerate().all(|(i, bucket)| {
             let (low, high) = self.bucket_range(i);
             let last = i == self.buckets.len() - 1;
-            bucket.iter().all(|&(k, _)| k >= low && (k < high || last))
+            bucket
+                .iter()
+                .all(|&(k, _)| i128::from(k) >= low && (i128::from(k) < high || last))
         })
     }
 }

@@ -1,10 +1,9 @@
 //! End-to-end tests through the adaptive kernel facade: database, sessions,
-//! query planner, index manager and auto-tuner working together the way the
-//! tutorial's "auto-tuning kernels" section describes.
+//! query planner and index manager working together the way the tutorial's
+//! "auto-tuning kernels" section describes.
 
 use adaptive_indexing::core::manager::ColumnId;
 use adaptive_indexing::core::prelude::*;
-use adaptive_indexing::core::tuner::WorkloadProfile;
 use adaptive_indexing::workloads::data::{generate_keys, DataDistribution};
 use adaptive_indexing::Database;
 
@@ -156,35 +155,23 @@ fn conjunctive_queries_route_through_one_index_and_match_a_scan() {
 }
 
 #[test]
-fn tuner_decisions_drive_the_manager() {
+fn explicit_strategies_drive_the_manager() {
     let rows = 200_000;
     let keys = generate_keys(rows, DataDistribution::UniformPermutation, 21);
     let manager = IndexManager::new(StrategyKind::Cracking);
-    let tuner = AutoTuner::new(TuningPolicy::CostBased);
 
-    // a predictable, long workload on column "stable"
-    let stable_profile = WorkloadProfile {
-        row_count: rows,
-        expected_queries: 100_000,
-        average_selectivity: 0.001,
-        update_fraction: 0.0,
-        predictability: 1.0,
-        storage_budget_bytes: usize::MAX,
-    };
-    let decision = tuner.decide(&stable_profile);
-    assert_eq!(decision.strategy, StrategyKind::FullSort);
-    let column = ColumnId::new("t", "stable");
-    let out = manager.query_range_with(&column, &keys, 100, 1000, decision.strategy);
-    assert_eq!(out.count(), 900);
-    assert_eq!(manager.describe()[0].strategy, "full-sort");
-
-    // an unpredictable workload on column "adhoc"
-    let adhoc_profile = WorkloadProfile::unpredictable(rows, 500);
-    let decision = tuner.decide(&adhoc_profile);
-    assert_eq!(decision.strategy, StrategyKind::Cracking);
-    let column = ColumnId::new("t", "adhoc");
-    let out = manager.query_range_with(&column, &keys, 100, 1000, decision.strategy);
-    assert_eq!(out.count(), 900);
+    // a full index on column "stable", adaptive cracking on column "adhoc"
+    for (name, strategy, label) in [
+        ("stable", StrategyKind::FullSort, "full-sort"),
+        ("adhoc", StrategyKind::Cracking, "cracking"),
+    ] {
+        let column = ColumnId::new("t", name);
+        let out = manager.query_range_with(&column, &keys, 100, 1000, strategy);
+        assert_eq!(out.count(), 900);
+        let info = manager.describe();
+        let info = info.iter().find(|info| info.column == column).unwrap();
+        assert_eq!(info.strategy, label);
+    }
 
     assert_eq!(manager.indexed_column_count(), 2);
     assert!(manager.total_auxiliary_bytes() > 0);
