@@ -168,19 +168,29 @@ mod tests {
         assert_eq!(built_at % 10, 0, "decisions happen every 10 queries");
     }
 
+    /// Run 100 ranges through `tuner`, checking every count, and assert that
+    /// the workload converged.
+    fn assert_answers_correct(mut tuner: OnlineIndexTuner, keys: &[Key]) {
+        for q in 0..100 {
+            let low = (q * 173) % 18_000;
+            let high = low + 500;
+            let got = tuner.query_range(low, high);
+            let expected = keys.iter().filter(|&&k| k >= low && k < high).count();
+            assert_eq!(got.count(), expected, "query {q}");
+        }
+        assert!(tuner.is_converged());
+    }
+
     #[test]
     fn answers_correct_before_and_after_build() {
         let keys = data(20_000, 7919);
-        for mut tuner in [online(&keys), soft(&keys, 5)] {
-            for q in 0..100 {
-                let low = (q * 173) % 18_000;
-                let high = low + 500;
-                let got = tuner.query_range(low, high);
-                let expected = keys.iter().filter(|&&k| k >= low && k < high).count();
-                assert_eq!(got.count(), expected, "query {q}");
-            }
-            assert!(tuner.is_converged());
-        }
+        assert_answers_correct(online(&keys), &keys);
+    }
+
+    #[test]
+    fn soft_answers_correct_before_and_after_build() {
+        let keys = data(20_000, 7919);
+        assert_answers_correct(soft(&keys, 5), &keys);
     }
 
     #[test]
@@ -199,17 +209,24 @@ mod tests {
         assert!(soft_at <= online_at, "soft {soft_at} vs online {online_at}");
     }
 
+    /// Full-range queries: an index would not help, so the benefit stays ~0
+    /// and nothing is built.
+    fn assert_never_builds_on_full_ranges(mut tuner: OnlineIndexTuner) {
+        for _ in 0..60 {
+            let _ = tuner.query_range(Key::MIN, Key::MAX);
+        }
+        assert!(!tuner.is_converged());
+        assert_eq!(tuner.auxiliary_bytes(), 0);
+    }
+
     #[test]
     fn unselective_workload_never_builds() {
-        let keys = data(10_000, 7919);
-        // full-range queries: an index would not help, benefit stays ~0
-        for mut tuner in [online(&keys), soft(&keys, 5)] {
-            for _ in 0..60 {
-                let _ = tuner.query_range(Key::MIN, Key::MAX);
-            }
-            assert!(!tuner.is_converged());
-            assert_eq!(tuner.auxiliary_bytes(), 0);
-        }
+        assert_never_builds_on_full_ranges(online(&data(10_000, 7919)));
+    }
+
+    #[test]
+    fn soft_unselective_workload_never_builds() {
+        assert_never_builds_on_full_ranges(soft(&data(10_000, 7919), 5));
     }
 
     #[test]
@@ -232,16 +249,23 @@ mod tests {
         );
     }
 
+    fn assert_degenerate_inputs_answered(build: impl Fn(&[Key]) -> OnlineIndexTuner) {
+        let mut tuner = build(&[]);
+        assert!(tuner.is_empty());
+        assert!(tuner.query_range(0, 10).is_empty());
+        let mut tuner = build(&[5, 1, 9]);
+        assert_eq!(tuner.len(), 3);
+        assert_eq!(tuner.query_range(9, 5).count(), 0);
+        assert_eq!(tuner.query_range(0, 10).count(), 3);
+    }
+
     #[test]
     fn empty_and_degenerate_inputs() {
-        for period in [1, 5] {
-            let mut tuner = soft(&[], period);
-            assert!(tuner.is_empty());
-            assert!(tuner.query_range(0, 10).is_empty());
-            let mut tuner = soft(&[5, 1, 9], period);
-            assert_eq!(tuner.len(), 3);
-            assert_eq!(tuner.query_range(9, 5).count(), 0);
-            assert_eq!(tuner.query_range(0, 10).count(), 3);
-        }
+        assert_degenerate_inputs_answered(online);
+    }
+
+    #[test]
+    fn soft_empty_and_degenerate_inputs() {
+        assert_degenerate_inputs_answered(|keys| soft(keys, 5));
     }
 }
