@@ -22,15 +22,27 @@ use crate::scan::FullScanIndex;
 use crate::sorted::FullSortIndex;
 use aidx_columnstore::index::{AdaptiveIndex, QueryOutput};
 use aidx_columnstore::types::Key;
+use aidx_cracking::stats::CrackStats;
+
+/// Which index answers: the monitoring scan, or the one it built.
+#[derive(Debug, Clone)]
+enum Phase {
+    /// Answers the monitored queries, and counts them.
+    Monitoring(FullScanIndex),
+    /// The built index answers; of the scan only its work counters stay,
+    /// its copy of the keys is dropped at the build.
+    Built {
+        scan: CrackStats,
+        index: FullSortIndex,
+    },
+}
 
 /// A monitor-then-build index over one key column: scans answer until the
 /// accumulated benefit of a full index pays for building it, and the
 /// [`FullSortIndex`] built then answers from there on.
 #[derive(Debug, Clone)]
 pub struct OnlineIndexTuner {
-    /// Answers the monitored queries, and counts them.
-    scan: FullScanIndex,
-    index: Option<FullSortIndex>,
+    phase: Phase,
     /// Every how many monitored queries the build decision is taken.
     decision_period: u64,
     /// The share of the build cost the accumulated benefit must reach.
@@ -48,8 +60,7 @@ impl OnlineIndexTuner {
     /// reaches `build_factor` times the build cost.
     pub fn from_chunks(chunks: &[&[Key]], decision_period: u64, build_factor: f64) -> Self {
         OnlineIndexTuner {
-            scan: FullScanIndex::from_chunks(chunks),
-            index: None,
+            phase: Phase::Monitoring(FullScanIndex::from_chunks(chunks)),
             decision_period: decision_period.max(1),
             build_factor: build_factor.max(0.0),
             accumulated_benefit: 0.0,
@@ -66,7 +77,10 @@ impl OnlineIndexTuner {
 
 impl AdaptiveIndex for OnlineIndexTuner {
     fn len(&self) -> usize {
-        self.scan.len()
+        match &self.phase {
+            Phase::Monitoring(scan) => scan.len(),
+            Phase::Built { index, .. } => index.len(),
+        }
     }
 
     /// Answer `[low, high)`: scan and monitor, and possibly build, until the
@@ -74,35 +88,43 @@ impl AdaptiveIndex for OnlineIndexTuner {
     /// answer, in key order once the index does.
     fn query_range(&mut self, low: Key, high: Key) -> QueryOutput {
         self.queries += 1;
-        if self.scan.is_empty() || low >= high {
+        if self.is_empty() || low >= high {
             return QueryOutput::from_row_ids(Vec::new());
         }
-        if let Some(index) = &mut self.index {
-            return QueryOutput::from_row_ids(index.query_range(low, high));
-        }
-        let rows = self.scan.query_range(low, high).into_vec();
-        let n = self.scan.len();
+        let scan = match &mut self.phase {
+            Phase::Monitoring(scan) => scan,
+            Phase::Built { index, .. } => {
+                return QueryOutput::from_row_ids(index.query_range(low, high));
+            }
+        };
+        let rows = scan.query_range(low, high).into_vec();
+        let n = scan.len();
         let model = CostModel::default();
         self.accumulated_benefit += model.per_query_benefit(n, rows.len() as f64 / n as f64);
-        let monitored = self.scan.stats().queries;
-        if monitored.is_multiple_of(self.decision_period)
+        if scan.stats().queries.is_multiple_of(self.decision_period)
             && self.accumulated_benefit >= model.index_build_cost(n) * self.build_factor
         {
             // the crossing query pays for construction
-            self.index = Some(FullSortIndex::from_keys(self.scan.keys()));
+            let index = FullSortIndex::from_keys(scan.keys());
+            let scan = *scan.stats();
+            self.phase = Phase::Built { scan, index };
             self.build_at_query = Some(self.queries);
         }
         QueryOutput::from_row_ids(rows)
     }
 
     fn effort(&self) -> u64 {
-        let index = self.index.as_ref();
-        self.scan.stats().total_effort() + index.map_or(0, AdaptiveIndex::effort)
+        match &self.phase {
+            Phase::Monitoring(scan) => scan.stats().total_effort(),
+            Phase::Built { scan, index } => scan.total_effort() + index.effort(),
+        }
     }
 
     fn auxiliary_bytes(&self) -> usize {
-        let index = self.index.as_ref();
-        index.map_or(0, AdaptiveIndex::auxiliary_bytes)
+        match &self.phase {
+            Phase::Monitoring(_) => 0,
+            Phase::Built { index, .. } => index.auxiliary_bytes(),
+        }
     }
 
     fn is_adaptive(&self) -> bool {
@@ -110,7 +132,7 @@ impl AdaptiveIndex for OnlineIndexTuner {
     }
 
     fn is_converged(&self) -> bool {
-        self.index.is_some()
+        matches!(self.phase, Phase::Built { .. })
     }
 }
 
@@ -151,6 +173,29 @@ mod tests {
         let built_at = tuner.build_at_query().expect("selective queries build");
         assert!(built_at > 1, "not on the very first query");
         assert!(built_at < 100, "but within a reasonable horizon");
+    }
+
+    #[test]
+    fn the_build_drops_the_monitors_copy_of_the_keys() {
+        let keys = data(30_000, 7919);
+        let mut tuner = soft(&keys, 10);
+        let Phase::Monitoring(scan) = &tuner.phase else {
+            panic!("a fresh tuner monitors");
+        };
+        assert_eq!(scan.keys(), keys);
+        for q in 0..10 {
+            let low = (q * 1_009) % 29_000;
+            let _ = tuner.query_range(low, low + 300);
+        }
+        assert_eq!(tuner.build_at_query(), Some(10));
+        // what is left of the monitor is its counters: ten scans of 30 000
+        let Phase::Built { scan, index } = &tuner.phase else {
+            panic!("the tenth query builds");
+        };
+        assert_eq!(scan.elements_scanned, 10 * 30_000);
+        assert_eq!(tuner.auxiliary_bytes(), index.auxiliary_bytes());
+        assert_eq!(tuner.len(), keys.len());
+        assert_eq!(tuner.query_range(0, 30_000).count(), keys.len());
     }
 
     #[test]

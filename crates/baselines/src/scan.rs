@@ -1,6 +1,7 @@
 //! The no-index baseline: answer every query with a full scan.
 
 use aidx_columnstore::index::{AdaptiveIndex, QueryOutput};
+use aidx_columnstore::memory::advise_huge_pages;
 use aidx_columnstore::ops::select::Predicate;
 use aidx_columnstore::position::PositionList;
 use aidx_columnstore::types::{Key, RowId};
@@ -23,10 +24,16 @@ impl FullScanIndex {
         Self::from_chunks(&[keys])
     }
 
-    /// Wrap a base column stored as `chunks` (one copy, chunk by chunk).
+    /// Wrap a base column stored as `chunks` (one copy, chunk by chunk, on
+    /// 2 MiB pages where the host allows it).
     pub fn from_chunks(chunks: &[&[Key]]) -> Self {
+        let mut keys = Vec::with_capacity(chunks.iter().map(|chunk| chunk.len()).sum());
+        advise_huge_pages(&keys);
+        for chunk in chunks {
+            keys.extend_from_slice(chunk);
+        }
         FullScanIndex {
-            keys: chunks.concat(),
+            keys,
             stats: CrackStats::new(),
         }
     }

@@ -1,6 +1,7 @@
 //! The full-index baseline: a sorted copy of the column, built up front.
 
 use aidx_columnstore::index::{AdaptiveIndex, QueryOutput};
+use aidx_columnstore::memory::advise_huge_pages;
 use aidx_columnstore::types::{Key, RowId, PAIR_BYTES};
 use aidx_cracking::stats::CrackStats;
 
@@ -25,10 +26,13 @@ impl FullSortIndex {
     }
 
     /// Build from a base column stored as `chunks`: the keys go straight
-    /// into the pair array to sort, row ids `0..n` in chunk order.
+    /// into the pair array to sort, row ids `0..n` in chunk order. The pair,
+    /// key and row id arrays are each written on 2 MiB pages where the host
+    /// allows it.
     pub fn from_chunks(chunks: &[&[Key]]) -> Self {
         let len = chunks.iter().map(|chunk| chunk.len()).sum();
         let mut pairs: Vec<(Key, RowId)> = Vec::with_capacity(len);
+        advise_huge_pages(&pairs);
         for chunk in chunks {
             pairs.extend(chunk.iter().copied().zip(pairs.len() as RowId..));
         }
@@ -36,9 +40,14 @@ impl FullSortIndex {
         stats.record_copy(pairs.len());
         stats.record_sort(pairs.len());
         pairs.sort_unstable();
+        let (mut keys, mut rowids) = (Vec::with_capacity(len), Vec::with_capacity(len));
+        advise_huge_pages(&keys);
+        advise_huge_pages(&rowids);
+        keys.extend(pairs.iter().map(|&(k, _)| k));
+        rowids.extend(pairs.iter().map(|&(_, r)| r));
         FullSortIndex {
-            keys: pairs.iter().map(|&(k, _)| k).collect(),
-            rowids: pairs.iter().map(|&(_, r)| r).collect(),
+            keys,
+            rowids,
             stats,
         }
     }

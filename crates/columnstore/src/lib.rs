@@ -30,7 +30,9 @@
 //! `aidx-cracking`, `aidx-hybrids` and `aidx-baselines` build.
 //! It does hold the interface they share — [`index::AdaptiveIndex`] and its
 //! answer type [`index::QueryOutput`] — beside the [`types::Key`] and
-//! [`types::RowId`] it is written in.
+//! [`types::RowId`] it is written in, and the one call those indexes make
+//! to the operating system: [`memory::advise_huge_pages`], which asks for
+//! 2 MiB pages under the big arrays they write fresh.
 //!
 //! ## Quick example
 //!
@@ -53,10 +55,13 @@
 //! assert_eq!(b, vec![200]);
 //! ```
 
+#![deny(clippy::undocumented_unsafe_blocks)]
+
 pub mod catalog;
 pub mod column;
 pub mod error;
 pub mod index;
+pub mod memory;
 pub mod ops;
 pub mod position;
 pub mod segment;
