@@ -2,7 +2,7 @@
 
 use aidx_columnstore::index::{AdaptiveIndex, QueryOutput};
 use aidx_columnstore::memory::advise_huge_pages;
-use aidx_columnstore::ops::select::Predicate;
+use aidx_columnstore::ops::select::{scan_keys_where, Predicate};
 use aidx_columnstore::position::PositionList;
 use aidx_columnstore::types::{Key, RowId};
 use aidx_cracking::stats::CrackStats;
@@ -68,11 +68,7 @@ impl FullScanIndex {
         self.stats.record_query();
         self.stats.record_scan(self.keys.len());
         let mut out: Vec<RowId> = Vec::new();
-        for (i, &v) in self.keys.iter().enumerate() {
-            if predicate.matches(v) {
-                out.push(i as RowId);
-            }
-        }
+        scan_keys_where(&self.keys, 0, |v| predicate.matches(v), &mut out);
         PositionList::from_sorted_vec(out)
     }
 

@@ -1,19 +1,17 @@
 //! Full-scan selection over a column.
 //!
 //! `scan_select_*` are the baseline (non-adaptive) selection operators: they
-//! read the whole dense array and emit qualifying positions. The cracking
-//! select operator in `aidx-cracking` answers the same predicate shapes but
-//! additionally reorganizes its copy of the column.
+//! read the whole column and emit qualifying positions. The cracking select
+//! operator in `aidx-cracking` answers the same predicate shapes but
+//! additionally reorganizes its copy of the column. Every scan that emits
+//! positions — these, the chunk scans the parallel engine fans out, the
+//! full-scan baseline and the kernel's scan fallbacks — runs one loop,
+//! [`scan_keys_where`].
 
-use crate::column::{Column, FixedColumn};
+use crate::column::Column;
 use crate::position::PositionList;
 use crate::segment::{Segment, ZoneMap};
 use crate::types::{Key, RowId};
-
-/// Block size used for the vectorized scan loop. One block of positions is
-/// collected at a time before being appended to the output, mirroring
-/// vector-at-a-time execution.
-pub const SCAN_BLOCK_SIZE: usize = 1024;
 
 /// A selection predicate over a key column.
 ///
@@ -149,26 +147,21 @@ impl std::iter::Sum for PruneStats {
     }
 }
 
-/// Scan a dense key slice and return the positions of qualifying values.
-pub fn scan_select_keys(keys: &[Key], predicate: &Predicate) -> PositionList {
-    let mut out: Vec<RowId> = Vec::new();
-    let mut block: Vec<RowId> = Vec::with_capacity(SCAN_BLOCK_SIZE);
-    for (chunk_index, chunk) in keys.chunks(SCAN_BLOCK_SIZE).enumerate() {
-        let base = (chunk_index * SCAN_BLOCK_SIZE) as RowId;
-        block.clear();
-        for (i, &v) in chunk.iter().enumerate() {
-            if predicate.matches(v) {
-                block.push(base + i as RowId);
-            }
+/// Append to `out`, in order, the position of every key of `keys` that
+/// satisfies `matches`, where `keys[0]` sits at position `first`: the one
+/// range-scan loop of the workspace.
+#[inline]
+pub fn scan_keys_where(
+    keys: &[Key],
+    first: RowId,
+    matches: impl Fn(Key) -> bool,
+    out: &mut Vec<RowId>,
+) {
+    for (i, &v) in keys.iter().enumerate() {
+        if matches(v) {
+            out.push(first + i as RowId);
         }
-        out.extend_from_slice(&block);
     }
-    PositionList::from_sorted_vec(out)
-}
-
-/// Scan an `Int64` [`FixedColumn`] with a range predicate.
-pub fn scan_select_fixed(column: &FixedColumn<Key>, predicate: &Predicate) -> PositionList {
-    scan_select_keys(column.as_slice(), predicate)
 }
 
 /// The shared chunk-at-a-time scan kernel: chunks failing `zone_may_match`
@@ -209,11 +202,7 @@ pub fn scan_chunk_where(
         return;
     }
     stats.chunks_scanned += 1;
-    for (i, &v) in chunk.values.iter().enumerate() {
-        if matches(v) {
-            out.push(chunk.base + i as RowId);
-        }
-    }
+    scan_keys_where(chunk.values, chunk.base, matches, out);
 }
 
 /// What a chunk's zone map proves about a predicate, for every value in the
@@ -388,21 +377,35 @@ mod tests {
         );
     }
 
-    #[test]
-    fn scan_select_small() {
-        let keys = vec![5, 1, 9, 3, 7, 2, 8];
-        let p = scan_select_keys(&keys, &Predicate::range(3, 8));
-        assert_eq!(p.as_slice(), &[0, 3, 4]);
+    /// The positions of `keys` that `predicate` selects, numbered from 0.
+    fn scan(keys: &[Key], predicate: &Predicate) -> Vec<RowId> {
+        let mut out = Vec::new();
+        scan_keys_where(keys, 0, |v| predicate.matches(v), &mut out);
+        out
     }
 
     #[test]
-    fn scan_select_crosses_block_boundary() {
-        let n = SCAN_BLOCK_SIZE * 3 + 17;
+    fn scan_select_small() {
+        let keys = vec![5, 1, 9, 3, 7, 2, 8];
+        assert_eq!(scan(&keys, &Predicate::range(3, 8)), [0, 3, 4]);
+    }
+
+    #[test]
+    fn scan_keys_where_numbers_from_first_and_appends() {
+        let n = 3 * 1024 + 17;
         let keys: Vec<Key> = (0..n as Key).collect();
-        let p = scan_select_keys(&keys, &Predicate::range(100, (n as Key) - 100));
-        assert_eq!(p.len(), n - 200);
-        assert_eq!(p.as_slice()[0], 100);
-        assert_eq!(*p.as_slice().last().unwrap(), (n - 101) as RowId);
+        let mut out = vec![7];
+        let first = 1_000;
+        scan_keys_where(
+            &keys,
+            first,
+            |v| (100..n as Key - 100).contains(&v),
+            &mut out,
+        );
+        assert_eq!(out.len(), 1 + n - 200);
+        assert_eq!(out[..2], [7, first + 100]);
+        assert_eq!(*out.last().unwrap(), first + (n - 101) as RowId);
+        assert!(out[1..].windows(2).all(|w| w[0] + 1 == w[1]));
     }
 
     #[test]
@@ -418,10 +421,7 @@ mod tests {
     fn scan_count_matches_select_len() {
         let keys: Vec<Key> = (0..5000).map(|i| (i * 7919) % 1000).collect();
         let pred = Predicate::range(100, 300);
-        assert_eq!(
-            scan_count(&keys, &pred),
-            scan_select_keys(&keys, &pred).len()
-        );
+        assert_eq!(scan_count(&keys, &pred), scan(&keys, &pred).len());
     }
 
     #[test]
@@ -439,8 +439,7 @@ mod tests {
         assert_eq!(stats.chunks_pruned, 8);
         assert_eq!(stats.chunks_total(), 10);
         // agreement with the flat scan
-        let flat = scan_select_keys(&seg.to_vec(), &pred);
-        assert_eq!(positions, flat);
+        assert_eq!(positions.as_slice(), scan(&seg.to_vec(), &pred));
     }
 
     #[test]
@@ -563,13 +562,5 @@ mod tests {
             "adding an empty stat is the identity"
         );
         assert_eq!(folded.chunks_total(), serial.chunks_total());
-    }
-
-    #[test]
-    fn scan_select_fixed_matches_slice_variant() {
-        let col: FixedColumn<Key> = vec![3, 1, 4, 1, 5].into();
-        let a = scan_select_fixed(&col, &Predicate::range(1, 4));
-        let b = scan_select_keys(col.as_slice(), &Predicate::range(1, 4));
-        assert_eq!(a, b);
     }
 }

@@ -62,22 +62,6 @@ impl std::fmt::Display for ColumnId {
     }
 }
 
-/// Positions in `keys` (in order) whose value satisfies `matches` — the
-/// index-free scan shared by the manager's lagging-snapshot fallback and the
-/// executor's edge-case fallbacks.
-pub(crate) fn scan_positions(
-    keys: &[Key],
-    matches: impl Fn(Key) -> bool,
-) -> aidx_columnstore::position::PositionList {
-    let mut positions = aidx_columnstore::position::PositionList::new();
-    for (i, &v) in keys.iter().enumerate() {
-        if matches(v) {
-            positions.push(i as RowId);
-        }
-    }
-    positions
-}
-
 /// A borrowed view of the base key column a query was bound against: either
 /// a flat dense slice (standalone, catalog-free callers and benchmarks) or a
 /// chunked [`Segment`] (the facade's segmented tables).
@@ -125,7 +109,11 @@ impl KeySource<'_> {
         pool: &ThreadPool,
     ) -> aidx_columnstore::position::PositionList {
         match self {
-            KeySource::Flat(keys) => scan_positions(keys, |v| v >= low && v < high),
+            KeySource::Flat(_) => {
+                let mut positions = Vec::new();
+                self.scan_range_from(0, low, high, &mut positions);
+                aidx_columnstore::position::PositionList::from_sorted_vec(positions)
+            }
             KeySource::Segmented(segment) => {
                 aidx_parallel::parallel_scan_select(
                     pool,
@@ -191,12 +179,8 @@ impl KeySource<'_> {
             if zone.is_some_and(|zone| !zone.may_contain_range(low, high)) {
                 continue;
             }
-            out.extend(
-                (first..)
-                    .zip(run)
-                    .filter(|&(_, &key)| key >= low && key < high)
-                    .map(|(position, _)| position as RowId),
-            );
+            let matches = |key: Key| key >= low && key < high;
+            columnstore_select::scan_keys_where(run, first as RowId, matches, out);
         }
     }
 }
@@ -1141,7 +1125,7 @@ mod tests {
                 manager.query_range_probed(&column, &segment, 0, 0, 10, kind, Some(&mut probe));
             let mut row_ids = out.into_row_ids();
             row_ids.sort_unstable();
-            let scanned = scan_positions(data, |key| (0..10).contains(&key));
+            let scanned = KeySource::Flat(data).scan_range(0, 10);
             assert_eq!(row_ids, scanned.as_slice(), "{} rows", data.len());
             probe.rebuilt
         };
@@ -1237,7 +1221,7 @@ mod tests {
             manager.query_range_snapshot(&column, &data, 7, 0, 10, StrategyKind::UpdatableCracking);
         let mut row_ids = out.into_row_ids();
         row_ids.sort_unstable();
-        let scanned = scan_positions(&data, |key| (0..10).contains(&key));
+        let scanned = KeySource::Flat(&data).scan_range(0, 10);
         assert_eq!(row_ids, scanned.as_slice());
     }
 

@@ -194,6 +194,7 @@ impl StrategyKind {
 mod tests {
     use super::*;
     use aidx_columnstore::types::RowId;
+    use aidx_cracking::stats::CrackStats;
 
     /// The default kinds, with every hybrid in place of the one.
     fn all_kinds() -> Vec<StrategyKind> {
@@ -414,21 +415,25 @@ mod tests {
         })
     }
 
-    #[test]
-    fn soft_indexes_and_the_scan_and_sort_baselines_keep_their_traces() {
-        // 200 uniform 1 % ranges over 30 000 keys, from a fixed xorshift stream
+    /// 200 uniform 1 % ranges over `0..30 000`, from a fixed xorshift stream.
+    fn uniform_ranges() -> Vec<(Key, Key)> {
         let (n, width) = (30_000, 300);
-        let keys = test_keys(n);
         let mut state = 0x9E37_79B9_7F4A_7C15u64;
-        let queries: Vec<(Key, Key)> = (0..200)
+        (0..200)
             .map(|_| {
                 state ^= state << 13;
                 state ^= state >> 7;
                 state ^= state << 17;
-                let low = (state % (n as u64 - width)) as Key;
+                let low = (state % (n - width)) as Key;
                 (low, low + width as Key)
             })
-            .collect();
+            .collect()
+    }
+
+    #[test]
+    fn soft_indexes_and_the_scan_and_sort_baselines_keep_their_traces() {
+        let keys = test_keys(30_000);
+        let queries = uniform_ranges();
         let mut soft = StrategyKind::SoftIndexes.build(&keys);
         let mut scan = StrategyKind::FullScan.build(&keys);
         let mut sort = StrategyKind::FullSort.build(&keys);
@@ -470,6 +475,80 @@ mod tests {
         assert_eq!(digest(&soft_trace), 0x22de_9707_aa5d_47b8);
         assert_eq!(digest(&scan_effort), 0x54bd_8d70_81e3_e379);
         assert_eq!(digest(&sort_effort), 0x641d_d326_a694_81f6);
+    }
+
+    /// Run `queries` through `answer`, which gives a query's row ids and the
+    /// index's counters after it, checking each count against a scan. The
+    /// run's pin: the last total effort, and digests of the answers (count,
+    /// then row ids) and of the effort steps (the first one includes the
+    /// build), each followed by every counter.
+    fn trace(
+        keys: &[Key],
+        queries: &[(Key, Key)],
+        mut answer: impl FnMut(Key, Key) -> (Vec<RowId>, CrackStats),
+    ) -> (u64, u64, u64) {
+        let (mut answers, mut steps, mut effort) = (Vec::new(), Vec::new(), 0);
+        for (q, &(low, high)) in queries.iter().enumerate() {
+            let (rowids, stats) = answer(low, high);
+            assert_eq!(rowids.len(), reference_count(keys, low, high), "query {q}");
+            answers.push(rowids.len() as u64);
+            answers.extend(rowids.iter().map(|&r| u64::from(r)));
+            steps.push(stats.total_effort() - effort);
+            steps.extend(format!("{stats:?}").bytes().map(u64::from));
+            effort = stats.total_effort();
+        }
+        (effort, digest(&answers), digest(&steps))
+    }
+
+    #[test]
+    fn hybrid_crack_sources_and_sideways_keep_their_traces() {
+        use aidx_cracking::sideways::MapSet;
+        use HybridKind::*;
+        let keys = test_keys(30_000);
+        let queries = uniform_ranges();
+        // recorded when crack sources and cracker maps had crackers of their own
+        #[rustfmt::skip]
+        let pinned = [
+            (CrackCrack, 524_914, 0x8a4c_82cc_02bd_70e9, 0x2512_b044_cbeb_faac),
+            (CrackSort, 714_418, 0x8794_0a1a_2639_1fe9, 0x5562_06b2_8065_0738),
+            (CrackRadix, 541_022, 0xf8f4_8238_084d_d975, 0x7a9a_0fd7_25c3_c0cb),
+            (SortCrack, 509_768, 0x64a2_71f6_d44f_cae9, 0xbd2c_1000_7724_d48a),
+            (SortSort, 699_272, 0x8794_0a1a_2639_1fe9, 0xd287_c9b7_bcaa_6428),
+            (SortRadix, 525_876, 0x8ee9_9732_9eed_614d, 0x66ba_19b0_bb47_4966),
+            (RadixCrack, 242_506, 0x9b21_840d_f05a_f225, 0xe0ad_1358_2f91_1800),
+            (RadixSort, 432_010, 0x8794_0a1a_2639_1fe9, 0x15ec_cd23_653a_7114),
+            (RadixRadix, 258_614, 0x5fbe_03fd_6dc9_e5ad, 0x35c3_5b0b_cb6a_8737),
+        ];
+        let runs = pinned.map(|(algorithm, ..)| {
+            let mut index = HybridIndex::from_keys(&keys, algorithm, 4096, RADIX_BITS);
+            let run = trace(&keys, &queries, |low, high| {
+                (index.query_range(low, high).rowids, *index.stats())
+            });
+            assert!(index.verify_integrity(), "{algorithm:?}");
+            (algorithm, run.0, run.1, run.2)
+        });
+        assert_eq!(runs, pinned);
+
+        // Two tails, projected alone and together. The block kernel orders a
+        // piece unlike the loop it replaced, and counts the swaps that loop
+        // did not: row ids are digested sorted, and the swaps left out.
+        let b = keys.iter().map(|&k| k * 10).collect();
+        let c = keys.iter().map(|&k| 1_000_000 - k).collect();
+        let mut maps = MapSet::new(&keys, vec![("b", b), ("c", c)]);
+        let projections = [&["b"][..], &["c"], &["b", "c"]];
+        let mut next = projections.iter().cycle();
+        let run = trace(&keys, &queries, |low, high| {
+            let mut rowids = maps.select_project(low, high, next.next().unwrap()).rowids;
+            rowids.sort_unstable();
+            let stats = CrackStats {
+                elements_swapped: 0,
+                ..*maps.stats()
+            };
+            (rowids, stats)
+        });
+        assert_eq!(run, (898_335, 0x4404_fc8e_5bc1_3635, 0x6bfb_0318_f547_5ed7));
+        assert_eq!(maps.crack_history_len(), 398);
+        assert!(maps.stats().elements_swapped > 0 && maps.verify_integrity());
     }
 
     #[test]

@@ -1,8 +1,9 @@
 //! The physical reorganization kernels: crack-in-two and crack-in-three in
 //! place, and the out-of-place partition that builds a cracker column.
 //!
-//! All three work on a *pair* of parallel arrays — the key values and the row
-//! ids that travel with them — and they are the only routines in the whole
+//! All three work on a *pair* of parallel arrays — the keys and the payload
+//! that travels with them (a cracker column's row ids, a sideways map's
+//! `(tail, row id)` pairs) — and they are the only routines in the whole
 //! workspace that move data around during query processing. On random data
 //! every comparison of a textbook partition loop is a coin-flip branch, so
 //! none of them branches on a key: comparisons feed cursor arithmetic
@@ -118,9 +119,9 @@ pub struct CrackTouch {
 }
 
 #[inline]
-fn swap_pair<K: CrackKey>(values: &mut [K], rowids: &mut [RowId], a: usize, b: usize) {
+fn swap_pair<K: CrackKey, P: Copy>(values: &mut [K], payload: &mut [P], a: usize, b: usize) {
     values.swap(a, b);
-    rowids.swap(a, b);
+    payload.swap(a, b);
 }
 
 /// Keys classified per side and round by [`crack_in_two`]. Offsets into a
@@ -132,35 +133,35 @@ fn swap_pair<K: CrackKey>(values: &mut [K], rowids: &mut [RowId], a: usize, b: u
 /// which to switch loops.
 pub const BLOCK: usize = 128;
 
-/// Partition `values[begin..end]` (and the parallel `rowids`) in place around
-/// `pivot`, returning the split position.
+/// Partition `values[begin..end]` (and the parallel `payload`) in place
+/// around `pivot`, returning the split position.
 ///
 /// After the call, with `PivotSide::Left`:
 /// `values[begin..split] < pivot <= values[split..end]`.
 ///
 /// A block partition: no allocation, and no branch on a key.
-pub fn crack_in_two<K: CrackKey>(
+pub fn crack_in_two<K: CrackKey, P: Copy>(
     values: &mut [K],
-    rowids: &mut [RowId],
+    payload: &mut [P],
     begin: usize,
     end: usize,
     pivot: K,
     side: PivotSide,
 ) -> SplitPosition {
-    crack_in_two_counted(values, rowids, begin, end, pivot, side).0
+    crack_in_two_counted(values, payload, begin, end, pivot, side).0
 }
 
 /// [`crack_in_two`] that also reports how much data it touched.
-pub fn crack_in_two_counted<K: CrackKey>(
+pub fn crack_in_two_counted<K: CrackKey, P: Copy>(
     values: &mut [K],
-    rowids: &mut [RowId],
+    payload: &mut [P],
     begin: usize,
     end: usize,
     pivot: K,
     side: PivotSide,
 ) -> (SplitPosition, CrackTouch) {
     debug_assert!(begin <= end && end <= values.len());
-    debug_assert_eq!(values.len(), rowids.len());
+    debug_assert_eq!(values.len(), payload.len());
 
     let mut touch = CrackTouch {
         compared: end - begin,
@@ -176,12 +177,12 @@ pub fn crack_in_two_counted<K: CrackKey>(
         },
     };
     let (below, swapped) =
-        partition_in_blocks(&mut values[begin..end], &mut rowids[begin..end], bound);
+        partition_in_blocks(&mut values[begin..end], &mut payload[begin..end], bound);
     touch.swapped = swapped;
     (begin + below, touch)
 }
 
-/// Reorder `values` (and the parallel `rowids`) into `< bound | >= bound`;
+/// Reorder `values` (and the parallel `payload`) into `< bound | >= bound`;
 /// returns the number of keys below `bound` and the number of pair swaps.
 ///
 /// Each round fills, for whichever side has none pending, a buffer with the
@@ -190,9 +191,9 @@ pub fn crack_in_two_counted<K: CrackKey>(
 /// as many pairs as both buffers hold. The last round sizes its blocks to
 /// what is left, and the misplaced keys one side may still hold afterwards
 /// are swapped to the boundary.
-fn partition_in_blocks<K: CrackKey>(
+fn partition_in_blocks<K: CrackKey, P: Copy>(
     values: &mut [K],
-    rowids: &mut [RowId],
+    payload: &mut [P],
     bound: K,
 ) -> (usize, usize) {
     // unclassified keys live in [left, right)
@@ -244,7 +245,7 @@ fn partition_in_blocks<K: CrackKey>(
         for i in 0..pairs {
             swap_pair(
                 values,
-                rowids,
+                payload,
                 left + usize::from(left_offsets[left_from + i]),
                 right - 1 - usize::from(right_offsets[right_from + i]),
             );
@@ -272,7 +273,7 @@ fn partition_in_blocks<K: CrackKey>(
             left_to -= 1;
             right -= 1;
             let misplaced = left + usize::from(left_offsets[left_to]);
-            swap_pair(values, rowids, misplaced, right);
+            swap_pair(values, payload, misplaced, right);
             swapped += usize::from(misplaced != right);
         }
         right
@@ -281,7 +282,7 @@ fn partition_in_blocks<K: CrackKey>(
         while right_from < right_to {
             right_to -= 1;
             let misplaced = right - 1 - usize::from(right_offsets[right_to]);
-            swap_pair(values, rowids, left, misplaced);
+            swap_pair(values, payload, left, misplaced);
             swapped += usize::from(misplaced != left);
             left += 1;
         }

@@ -163,7 +163,9 @@ impl CrackerColumn {
         (column, placed)
     }
 
-    /// Build directly from parallel vectors (used by partial cracking).
+    /// Build directly from parallel vectors (partial cracking's fragments,
+    /// the hybrids' crack-organized sources), narrow when the keys fit a
+    /// frame.
     ///
     /// # Panics
     /// Panics if the vectors have different lengths.
@@ -247,6 +249,15 @@ impl CrackerColumn {
         self.rowids[position]
     }
 
+    /// The smallest and largest key (`None` when the column is empty), read
+    /// off the stored keys without decoding each: offsets order like keys.
+    pub fn domain(&self) -> Option<(Key, Key)> {
+        with_keys!(&self.keys, keys => {
+            let min = keys.iter().min()?.decode(self.base);
+            Some((min, keys.iter().max()?.decode(self.base)))
+        })
+    }
+
     /// Whether `key` can be stored without widening the column.
     pub fn fits(&self, key: Key) -> bool {
         match self.keys {
@@ -297,6 +308,16 @@ impl CrackerColumn {
     pub fn copy_within(&mut self, source: Range<usize>, to: usize) {
         with_keys!(&mut self.keys, keys => keys.copy_within(source.clone(), to));
         self.rowids.copy_within(source, to);
+    }
+
+    /// Remove the pairs of `range` and return them, keys decoded, in column
+    /// order; the pairs above it move down to close the gap.
+    pub fn drain(&mut self, range: Range<usize>) -> Vec<(Key, RowId)> {
+        let base = self.base;
+        let rowids = self.rowids.drain(range.clone());
+        with_keys!(&mut self.keys, keys => {
+            keys.drain(range).map(|key| key.decode(base)).zip(rowids).collect()
+        })
     }
 
     /// Partition `[begin, end)` in place into `< pivot | >= pivot`

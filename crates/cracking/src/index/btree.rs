@@ -4,6 +4,9 @@ use aidx_columnstore::types::Key;
 use std::collections::BTreeMap;
 use std::ops::Bound;
 
+/// One cut: a key, and the first position of the values at or above it.
+pub type Cut = (Key, usize);
+
 /// A catalog of cuts `(key, position)`, ordered by key, on the standard
 /// library B-tree map.
 ///
@@ -47,6 +50,24 @@ impl BTreeCutIndex {
             .range((Bound::Included(key), Bound::Unbounded))
             .next()
             .map(|(&k, &p)| (k, p))
+    }
+
+    /// The cuts that bound the piece holding `key`: the greatest at or below
+    /// it and the smallest above it, either `None` at the column's edge.
+    #[inline]
+    pub fn around(&self, key: Key) -> (Option<Cut>, Option<Cut>) {
+        let above = key.checked_add(1).and_then(|above| self.ceiling(above));
+        (self.floor(key), above)
+    }
+
+    /// The positions `[begin, end)` of the piece holding `key` in a column of
+    /// `len` values: from the greatest cut at or below `key` (0 without one)
+    /// to the smallest cut above it (`len` without one). This is the piece a
+    /// crack on `key` partitions, and the one lookup every cracker makes.
+    #[inline]
+    pub fn piece(&self, key: Key, len: usize) -> (usize, usize) {
+        let (below, above) = self.around(key);
+        (below.map_or(0, |cut| cut.1), above.map_or(len, |cut| cut.1))
     }
 
     /// Remove the cut at exactly `key`, returning its position.
@@ -114,6 +135,28 @@ impl BTreeCutIndex {
         let cuts = self.cuts();
         cuts.windows(2).all(|w| w[0].0 < w[1].0 && w[0].1 <= w[1].1)
             && cuts.iter().all(|&(_, p)| p <= len)
+    }
+
+    /// Whether the cuts are consistent over a column of `len` values whose
+    /// value at each position is `key_at(position)`, and every value lies at
+    /// or above its piece's first cut and below the next. O(len).
+    pub fn pieces_hold(&self, len: usize, key_at: impl Fn(usize) -> Key) -> bool {
+        if !self.check_consistency(len) {
+            return false;
+        }
+        let ends = (self.cuts.iter()).map(|(&key, &position)| (Some(key), position));
+        let mut begin = 0;
+        let mut low = None;
+        for (high, end) in ends.chain([(None, len)]) {
+            let holds = |value: Key| {
+                low.is_none_or(|low| value >= low) && high.is_none_or(|high| value < high)
+            };
+            if !(begin..end).map(&key_at).all(holds) {
+                return false;
+            }
+            (begin, low) = (end, high);
+        }
+        true
     }
 }
 

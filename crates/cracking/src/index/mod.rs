@@ -7,7 +7,9 @@
 //! bag of values falling between two consecutive cut keys.
 //!
 //! There is one implementation, [`btree::BTreeCutIndex`], built on
-//! `std::collections::BTreeMap`.
+//! `std::collections::BTreeMap`, with the one piece lookup
+//! ([`BTreeCutIndex::piece`]) and piece check ([`BTreeCutIndex::pieces_hold`])
+//! of every cracker.
 
 pub mod btree;
 
@@ -79,6 +81,14 @@ mod trait_tests {
 
         assert_eq!(idx.cuts(), vec![(5, 1), (10, 3), (20, 7), (30, 9)]);
         assert!(idx.check_consistency(12));
+        // a piece runs from the cut at or below a key to the one above it
+        assert_eq!(idx.piece(12, 12), (3, 7));
+        assert_eq!((idx.piece(10, 12), idx.piece(31, 12)), ((3, 7), (9, 12)));
+        assert_eq!(idx.piece(Key::MIN, 12), (0, 1));
+        let keys = [0, 5, 7, 12, 10, 15, 19, 20, 25, 30, 31, 40];
+        assert!(idx.pieces_hold(12, |i| keys[i]));
+        assert!(!idx.pieces_hold(12, |i| if i == 4 { 20 } else { keys[i] }));
+        assert!(!idx.pieces_hold(8, |i| keys[i]), "a cut past the end");
 
         // overwrite
         idx.insert(10, 4);
@@ -173,6 +183,9 @@ mod trait_tests {
                     assert_eq!(a.exact(key), b.exact(key));
                     assert_eq!(a.floor(key), b.floor(key));
                     assert_eq!(a.ceiling(key), b.ceiling(key));
+                    let above = b.ceiling(key + 1).map_or(10_000, |(_, p)| p);
+                    let begin = b.floor(key).map_or(0, |(_, p)| p);
+                    assert_eq!(a.piece(key, 10_000), (begin, above));
                 }
             }
         }

@@ -19,14 +19,15 @@
 //! * [`crack`] — the partition kernels: crack-in-two / crack-in-three in
 //!   place, and the out-of-place partition that builds a cracker column from
 //!   the base column's chunks; one source over [`crack::CrackKey`] (`u32`
-//!   offsets or `i64` keys).
+//!   offsets or `i64` keys) and over the payload beside them: the only
+//!   in-place partition loop in the workspace.
 //! * [`cracker_column`] — the (value, row-id) pair column that gets cracked:
 //!   8 bytes a pair when the keys span less than 2^32 (a `u32` offset from
 //!   a frame base centred on the keys), 12 bytes (an `i64` key) otherwise.
 //!   An insertion outside the frame widens the column once; cuts, pieces
 //!   and effort are the same at both widths.
 //! * [`index`] — the cracker index: the catalog of piece boundaries, on a
-//!   `BTreeMap`.
+//!   `BTreeMap`, with the piece lookup and piece check every cracker uses.
 //! * [`selection`] — [`selection::CrackedIndex`], the selection-cracking
 //!   adaptive index: answers range queries and cracks as a side effect, and
 //!   absorbs insertions, staged and merged by the queries that need them
@@ -42,7 +43,9 @@
 //! [`stochastic::StochasticCrackedIndex`] and
 //! [`partial::PartialCrackedIndex`] — implement
 //! `aidx_columnstore::index::AdaptiveIndex` here, beside their own richer
-//! inherent interfaces.
+//! inherent interfaces. The last two crack through a `CrackedIndex`, as do
+//! the hybrids' crack-organized sources ([`selection::CrackedIndex::extract_range`]);
+//! sideways maps crack through the same kernel and cut index.
 //!
 //! ## Quick example
 //!

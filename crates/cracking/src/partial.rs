@@ -6,7 +6,11 @@
 //! storage budget by dropping the least recently used fragments. This module
 //! applies that idea to single-column selection cracking:
 //!
-//! * the base column is never copied wholesale;
+//! * no cracker column over the whole base column is ever built; the index
+//!   keeps one flat copy of the base keys, made at build time
+//!   ([`PartialCrackedIndex::from_chunks`] concatenates the chunks) and not
+//!   counted against the budget, and every fragment is (re)built by a scan
+//!   of that copy;
 //! * each queried value range that is not yet covered gets its own
 //!   **fragment** — a small cracked index over just the qualifying tuples;
 //! * fragments are looked up / refined by later queries that overlap them;
@@ -17,6 +21,7 @@
 use crate::cracker_column::CrackerColumn;
 use crate::selection::CrackedIndex;
 use aidx_columnstore::index::{AdaptiveIndex, QueryOutput};
+use aidx_columnstore::ops::select::scan_keys_where;
 use aidx_columnstore::types::{Key, RowId};
 use std::collections::BTreeMap;
 
@@ -59,8 +64,8 @@ impl PartialQueryAnswer {
 /// A storage-bounded, partially materialized cracked index.
 #[derive(Debug, Clone)]
 pub struct PartialCrackedIndex {
-    /// The base column (not counted against the budget: it belongs to the
-    /// table, not to the index).
+    /// A flat copy of the base column's keys, made at build time (not
+    /// counted against the budget, which bounds the fragments).
     base: Vec<Key>,
     /// Materialized fragments keyed by their low bound; ranges never overlap.
     fragments: BTreeMap<Key, Fragment>,
@@ -196,14 +201,9 @@ impl PartialCrackedIndex {
 
     fn build_fragment(&mut self, low: Key, high: Key) -> Fragment {
         self.base_scans += 1;
-        let mut values = Vec::new();
         let mut rowids = Vec::new();
-        for (i, &v) in self.base.iter().enumerate() {
-            if v >= low && v < high {
-                values.push(v);
-                rowids.push(i as RowId);
-            }
-        }
+        scan_keys_where(&self.base, 0, |v| v >= low && v < high, &mut rowids);
+        let values = rowids.iter().map(|&i| self.base[i as usize]).collect();
         let column = CrackerColumn::from_pairs(values, rowids);
         Fragment {
             low,

@@ -187,12 +187,11 @@ impl CrackedIndex {
         }
     }
 
-    /// Build from an existing cracker column (used by partial cracking).
+    /// Build from an existing cracker column (partial cracking's fragments,
+    /// the hybrids' crack-organized sources), uncracked; the copy is charged
+    /// to the index's statistics.
     pub fn from_cracker_column(column: CrackerColumn) -> Self {
-        let (min_value, max_value) = (
-            column.values().min().unwrap_or(0),
-            column.values().max().unwrap_or(0),
-        );
+        let (min_value, max_value) = column.domain().unwrap_or((0, 0));
         let mut stats = CrackStats::new();
         stats.record_copy(column.len());
         CrackedIndex {
@@ -309,6 +308,13 @@ impl CrackedIndex {
         &self.stats
     }
 
+    /// Hand over the counters accumulated since the build or the last take,
+    /// and start again from zero: an index working as part of a larger one
+    /// (a hybrid's crack-organized source) reports its effort there.
+    pub fn take_stats(&mut self) -> CrackStats {
+        std::mem::take(&mut self.stats)
+    }
+
     /// Number of pieces the cracker column is currently split into.
     pub fn piece_count(&self) -> usize {
         self.cuts.piece_count(self.column.len())
@@ -362,27 +368,18 @@ impl CrackedIndex {
     }
 
     /// The piece of [`Self::pieces`] that starts at the greatest cut at or
-    /// below `key`, found with two lookups in the cut index instead of a
+    /// below `key`, found with one [`BTreeCutIndex::around`] instead of a
     /// listing of every piece. It holds `key` unless `key` is `Key::MAX` and
     /// the piece is the last one, whose open upper bound (`high: None`)
     /// reads as an exclusive `Key::MAX`.
     #[inline]
     pub(crate) fn piece_at(&self, key: Key) -> Piece {
-        let (low, begin) = self
-            .cuts
-            .floor(key)
-            .map_or((None, 0), |(cut, position)| (Some(cut), position));
-        let (high, end) = key
-            .checked_add(1)
-            .and_then(|above| self.cuts.ceiling(above))
-            .map_or((None, self.column.len()), |(cut, position)| {
-                (Some(cut), position)
-            });
+        let (below, above) = self.cuts.around(key);
         Piece {
-            begin,
-            end,
-            low,
-            high,
+            begin: below.map_or(0, |cut| cut.1),
+            end: above.map_or(self.column.len(), |cut| cut.1),
+            low: below.map(|cut| cut.0),
+            high: above.map(|cut| cut.0),
         }
     }
 
@@ -393,9 +390,7 @@ impl CrackedIndex {
         if let Some(position) = self.known_position(key) {
             return position;
         }
-        let len = self.column.len();
-        let begin = self.cuts.floor(key).map_or(0, |(_, p)| p);
-        let end = self.cuts.ceiling(key).map_or(len, |(_, p)| p);
+        let (begin, end) = self.cuts.piece(key, self.column.len());
         let (split, touch) = self.column.crack_in_two(begin, end, key);
         self.stats.record_crack_in_two(touch);
         self.cuts.insert(key, split);
@@ -417,8 +412,8 @@ impl CrackedIndex {
         // yet — a single three-way crack handles the whole query (this is the
         // common case for the first queries on a column).
         if self.known_position(low).is_none() && self.known_position(high).is_none() {
-            let low_piece = self.piece_bounds_for(low);
-            let high_piece = self.piece_bounds_for(high);
+            let low_piece = self.cuts.piece(low, len);
+            let high_piece = self.cuts.piece(high, len);
             if low_piece == high_piece {
                 let (begin, end) = low_piece;
                 let split = self.column.crack_in_three(begin, end, low, high);
@@ -435,6 +430,40 @@ impl CrackedIndex {
         let end = end.max(begin);
         self.stats.record_scan(end - begin);
         self.result(begin, end)
+    }
+
+    /// Remove every tuple with a key in `[low, high)` and return them, in
+    /// column order: merge the staged ones in the range, crack on both
+    /// bounds, drain the piece between the two cuts, drop the cuts inside
+    /// it and move those above it down by what left, and refresh the key
+    /// extremes. The cracks are counted as a query's would be; the query and
+    /// the extraction are not. A hybrid's crack-organized source hands its
+    /// tuples to the final partition this way.
+    pub fn extract_range(&mut self, low: Key, high: Key) -> Vec<(Key, RowId)> {
+        if low >= high {
+            return Vec::new();
+        }
+        self.merge_pending(low, high);
+        let begin = self.ensure_cut(low);
+        let end = self.ensure_cut(high).max(begin);
+        if begin == end {
+            return Vec::new();
+        }
+        let out = self.column.drain(begin..end);
+        // the cuts inside the range bound nothing now
+        let inside: Vec<Key> = (self.cuts.cuts().into_iter())
+            .map(|(key, _)| key)
+            .filter(|&key| low < key && key < high)
+            .collect();
+        for key in inside {
+            self.cuts.remove(key);
+        }
+        self.cuts.shift_positions(end, -((end - begin) as isize));
+        match self.column.domain() {
+            Some(domain) => (self.min_value, self.max_value) = domain,
+            None => self.cuts.clear(),
+        }
+        out
     }
 
     /// Answer an arbitrary predicate by translating it to bounds.
@@ -478,14 +507,6 @@ impl CrackedIndex {
         Some((begin, self.known_position(high)?.max(begin)))
     }
 
-    /// The piece `[begin, end)` that `key` currently falls into.
-    fn piece_bounds_for(&self, key: Key) -> (usize, usize) {
-        let len = self.column.len();
-        let begin = self.cuts.floor(key).map_or(0, |(_, p)| p);
-        let end = self.cuts.ceiling(key).map_or(len, |(_, p)| p);
-        (begin, end)
-    }
-
     fn result(&self, begin: usize, end: usize) -> RangeResult<'_> {
         RangeResult {
             column: &self.column,
@@ -507,21 +528,10 @@ impl CrackedIndex {
     ///
     /// Intended for tests and property-based checks — O(n).
     pub fn verify_integrity(&self) -> bool {
-        if !self.column.check_invariants() {
-            return false;
-        }
-        if !self.cuts.check_consistency(self.column.len()) {
-            return false;
-        }
-        // every key of a piece within its bounds, and every staged key fits
-        let pieces_hold = self.pieces().iter().all(|piece| {
-            (piece.begin..piece.end)
-                .map(|i| self.column.value(i))
-                .all(|v| {
-                    piece.low.is_none_or(|low| v >= low) && piece.high.is_none_or(|high| v < high)
-                })
-        });
-        pieces_hold && self.pending.iter().all(|&(key, _)| self.column.fits(key))
+        let column = &self.column;
+        column.check_invariants()
+            && self.cuts.pieces_hold(column.len(), |i| column.value(i))
+            && self.pending.iter().all(|&(key, _)| column.fits(key))
     }
 }
 
@@ -1039,5 +1049,47 @@ mod tests {
         let _ = idx.query_range(30, 60);
         assert_eq!(idx.cut_at(30), Some(30));
         assert_eq!(idx.cut_at(60), Some(60));
+    }
+
+    #[test]
+    fn extract_range_removes_exactly_the_range_at_both_widths() {
+        let keys: Vec<Key> = (0..3000).map(|i| (i * 7919) % 3000).collect();
+        let mut narrow = CrackedIndex::from_keys(&keys);
+        let mut wide = CrackerColumn::from_keys(&keys);
+        wide.widen();
+        let mut wide = CrackedIndex::from_cracker_column(wide);
+        assert!(narrow.column().is_narrow() && !wide.column().is_narrow());
+        let mut model: Vec<(Key, RowId)> = keys.iter().copied().zip(0..).collect();
+        // nested and overlapping ranges, each after a query that leaves cuts
+        // inside it and above it
+        let ranges = [(200, 400), (100, 300), (350, 900), (0, 50), (40, 120)];
+        for (low, high) in ranges.into_iter().chain([(2500, 2600), (-5, 10_000)]) {
+            for index in [&mut narrow, &mut wide] {
+                let _ = index.query_range(low + 10, high + 150);
+            }
+            let mut got = narrow.extract_range(low, high);
+            assert_eq!(wide.extract_range(low, high), got, "[{low}, {high})");
+            assert_eq!(narrow.stats(), wide.stats(), "[{low}, {high})");
+            let (expected, rest) = model.iter().partition(|(key, _)| (low..high).contains(key));
+            model = rest;
+            got.sort_unstable_by_key(|&(_, rowid)| rowid);
+            assert_eq!(got, expected, "[{low}, {high})");
+            for index in [&mut narrow, &mut wide] {
+                assert!(index.verify_integrity(), "[{low}, {high})");
+                assert!(index.extract_range(low, high).is_empty());
+                assert_eq!(index.count_range(Key::MIN, Key::MAX), model.len());
+            }
+        }
+        assert!(narrow.is_empty() && wide.is_empty());
+        assert_eq!((narrow.cut_count(), wide.cut_count()), (0, 0));
+
+        // slice by slice, extraction drains the column and its cut index
+        let mut index = CrackedIndex::from_keys(&keys);
+        for low in (0..3000).step_by(250) {
+            assert_eq!(index.extract_range(low, low + 250).len(), 250);
+            assert!(index.len() == 2750 - low as usize && index.verify_integrity());
+        }
+        assert_eq!(index.cut_count(), 0);
+        assert_eq!(index.stats().queries, 0, "an extraction is no query");
     }
 }

@@ -17,20 +17,25 @@
 //! alignment**: it keeps a log of every crack performed on the head attribute
 //! and lazily replays the missing suffix of that log on a map right before
 //! the map is used.
+//!
+//! A map is its head keys beside one array of `(tail, row id)` pairs, cracked
+//! as the payload by selection cracking's kernel, with its pieces in the same
+//! cut index. The kernel is deterministic: maps that replay one history from
+//! one base order hold each tuple at the same position.
 
-use crate::crack::PivotSide;
+use crate::crack::{crack_in_two_counted, PivotSide};
 use crate::index::BTreeCutIndex;
 use crate::stats::CrackStats;
 use aidx_columnstore::table::Table;
 use aidx_columnstore::types::{Key, RowId};
 use std::collections::HashMap;
 
-/// One cracker map `M(head, tail)`.
+/// One cracker map `M(head, tail)`: the head keys, and beside them the
+/// payload that travels with each — its tail value and its base row id.
 #[derive(Debug, Clone)]
 pub struct CrackerMap {
     head: Vec<Key>,
-    tail: Vec<Key>,
-    rowids: Vec<RowId>,
+    payload: Vec<(Key, RowId)>,
     cuts: BTreeCutIndex,
     /// How many entries of the owning [`MapSet`]'s crack history this map has
     /// already applied.
@@ -40,29 +45,12 @@ pub struct CrackerMap {
 impl CrackerMap {
     fn new(head: Vec<Key>, tail: Vec<Key>) -> Self {
         assert_eq!(head.len(), tail.len(), "head and tail must be parallel");
-        let rowids = (0..head.len() as RowId).collect();
         CrackerMap {
             head,
-            tail,
-            rowids,
+            payload: tail.into_iter().zip(0..).collect(),
             cuts: BTreeCutIndex::new(),
             applied_history: 0,
         }
-    }
-
-    /// Number of tuples in the map.
-    pub fn len(&self) -> usize {
-        self.head.len()
-    }
-
-    /// True when the map holds no tuples.
-    pub fn is_empty(&self) -> bool {
-        self.head.is_empty()
-    }
-
-    /// Number of pieces the map's head is currently split into.
-    pub fn piece_count(&self) -> usize {
-        self.cuts.piece_count(self.head.len())
     }
 
     /// Crack the map so that a cut exists at `pivot`, returning its position.
@@ -70,94 +58,26 @@ impl CrackerMap {
         if let Some(p) = self.cuts.exact(pivot) {
             return p;
         }
-        let len = self.head.len();
-        let begin = self.cuts.floor(pivot).map_or(0, |(_, p)| p);
-        let end = self.cuts.ceiling(pivot).map_or(len, |(_, p)| p);
-        let split = crack_map_in_two(
+        let (begin, end) = self.cuts.piece(pivot, self.head.len());
+        let (split, touch) = crack_in_two_counted(
             &mut self.head,
-            &mut self.tail,
-            &mut self.rowids,
+            &mut self.payload,
             begin,
             end,
             pivot,
             PivotSide::Left,
         );
-        stats.record_crack_in_two(crate::crack::CrackTouch {
-            compared: end - begin,
-            swapped: 0,
-        });
+        stats.record_crack_in_two(touch);
         self.cuts.insert(pivot, split);
         split
     }
 
-    /// Verify that every piece respects its key bounds and that the three
-    /// arrays are still parallel.
+    /// Verify that the head and payload are still parallel and that every
+    /// piece respects its key bounds.
     pub fn verify_integrity(&self) -> bool {
-        if self.head.len() != self.tail.len() || self.head.len() != self.rowids.len() {
-            return false;
-        }
-        let cuts = self.cuts.cuts();
-        if !self.cuts.check_consistency(self.head.len()) {
-            return false;
-        }
-        let mut begin = 0usize;
-        let mut low: Option<Key> = None;
-        for &(key, position) in &cuts {
-            if self.head[begin..position]
-                .iter()
-                .any(|&v| low.is_some_and(|l| v < l) || v >= key)
-            {
-                return false;
-            }
-            begin = position;
-            low = Some(key);
-        }
-        !self.head[begin..]
-            .iter()
-            .any(|&v| low.is_some_and(|l| v < l))
+        self.head.len() == self.payload.len()
+            && self.cuts.pieces_hold(self.head.len(), |i| self.head[i])
     }
-}
-
-/// Crack three parallel arrays (head, tail, row ids) around a pivot on the
-/// head values. Returns the split position.
-fn crack_map_in_two(
-    head: &mut [Key],
-    tail: &mut [Key],
-    rowids: &mut [RowId],
-    begin: usize,
-    end: usize,
-    pivot: Key,
-    side: PivotSide,
-) -> usize {
-    let goes_left = |v: Key| match side {
-        PivotSide::Left => v < pivot,
-        PivotSide::Right => v <= pivot,
-    };
-    if begin >= end {
-        return begin;
-    }
-    let mut lo = begin;
-    let mut hi = end - 1;
-    loop {
-        while lo <= hi && goes_left(head[lo]) {
-            lo += 1;
-        }
-        while lo < hi && !goes_left(head[hi]) {
-            hi -= 1;
-        }
-        if lo >= hi {
-            break;
-        }
-        head.swap(lo, hi);
-        tail.swap(lo, hi);
-        rowids.swap(lo, hi);
-        lo += 1;
-        if hi == 0 {
-            break;
-        }
-        hi -= 1;
-    }
-    lo
 }
 
 /// The projected answer of a sideways-cracking query.
@@ -234,8 +154,7 @@ impl MapSet {
                 }
             }
         }
-        let tails_ref: Vec<(&str, Vec<Key>)> = tails.iter().map(|(n, v)| (*n, v.clone())).collect();
-        Some(MapSet::new(&head, tails_ref))
+        Some(MapSet::new(&head, tails))
     }
 
     /// Number of tuples.
@@ -296,16 +215,15 @@ impl MapSet {
             }
         }
 
-        let mut first_bounds: Option<(usize, usize)> = None;
-        for (i, tail_name) in tails.iter().enumerate() {
+        let mut head_projected = false;
+        for tail_name in tails {
             if !self.tail_columns.contains_key(*tail_name) {
                 // unknown tail: produce an empty projection for it
                 answer.tails.push(Vec::new());
                 continue;
             }
             self.materialize_map(tail_name);
-            let history = self.crack_history.clone();
-            let stats = &mut self.stats;
+            let (history, stats) = (&self.crack_history, &mut self.stats);
             let map = self.maps.get_mut(*tail_name).expect("just materialized");
             // adaptive alignment: replay the missing history suffix
             while map.applied_history < history.len() {
@@ -317,15 +235,18 @@ impl MapSet {
             // exact cuts exist for them (out-of-domain bounds crack to the
             // column edges).
             let begin = map.cuts.exact(low).unwrap_or(0);
-            let end = map.cuts.exact(high).unwrap_or(map.len()).max(begin);
+            let end = map.cuts.exact(high).unwrap_or(map.head.len()).max(begin);
             stats.record_scan(end - begin);
 
-            if i == 0 || first_bounds.is_none() {
-                first_bounds = Some((begin, end));
+            let payload = &map.payload[begin..end];
+            if !head_projected {
+                head_projected = true;
                 answer.head = map.head[begin..end].to_vec();
-                answer.rowids = map.rowids[begin..end].to_vec();
+                answer.rowids = payload.iter().map(|&(_, rowid)| rowid).collect();
             }
-            answer.tails.push(map.tail[begin..end].to_vec());
+            answer
+                .tails
+                .push(payload.iter().map(|&(tail, _)| tail).collect());
         }
         answer
     }
@@ -354,22 +275,14 @@ impl MapSet {
     /// Verify the integrity of every materialized map and their mutual
     /// alignment (same piece boundaries for fully aligned maps).
     pub fn verify_integrity(&self) -> bool {
-        if !self.maps.values().all(CrackerMap::verify_integrity) {
-            return false;
-        }
         // maps that have applied the same amount of history must have the
         // same cut structure
-        let fully_aligned: Vec<&CrackerMap> = self
-            .maps
-            .values()
+        let mut aligned = (self.maps.values())
             .filter(|m| m.applied_history == self.crack_history.len())
-            .collect();
-        if let Some(first) = fully_aligned.first() {
-            let reference = first.cuts.cuts();
-            fully_aligned.iter().all(|m| m.cuts.cuts() == reference)
-        } else {
-            true
-        }
+            .map(|m| &m.cuts);
+        let first = aligned.next();
+        self.maps.values().all(CrackerMap::verify_integrity)
+            && aligned.all(|cuts| Some(cuts) == first)
     }
 }
 
@@ -515,5 +428,16 @@ mod tests {
         let _ = maps.select_project_one(100, 300, "b");
         assert_eq!(maps.crack_history_len(), history);
         assert_eq!(maps.stats().crack_in_two_calls, cracks);
+    }
+
+    #[test]
+    fn sideways_cracks_count_their_swaps() {
+        let (a, b, _) = relation(2000);
+        let mut maps = MapSet::new(&a, vec![("b", b)]);
+        let _ = maps.select_project_one(500, 900, "b");
+        let stats = maps.stats();
+        assert_eq!(stats.crack_in_two_calls, 2);
+        assert!(stats.elements_swapped > 0, "{stats:?}");
+        assert!(stats.elements_swapped <= stats.elements_compared / 2);
     }
 }

@@ -4,12 +4,16 @@
 //! first touch. A query then *extracts* its key range out of every partition
 //! that may contain qualifying tuples; how cheap that extraction is — and how
 //! much the first touch costs — depends on the partition organization.
+//!
+//! A crack-organized partition is a [`CrackedIndex`] (keys as `u32` offsets
+//! when they fit a frame) drained by [`CrackedIndex::extract_range`]. The
+//! hybrid charges the copy into it once, at build, and takes its counters
+//! after each extraction ([`CrackedIndex::take_stats`]).
 
 use crate::run::SortedRun;
 use aidx_columnstore::types::{Key, RowId};
-use aidx_cracking::crack::{crack_in_two_counted, PivotSide};
-use aidx_cracking::index::BTreeCutIndex;
 use aidx_cracking::stats::CrackStats;
+use aidx_cracking::{CrackedIndex, CrackerColumn};
 
 /// How initial partitions are organized.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -25,8 +29,8 @@ pub enum SourceOrganization {
 /// A source partition in one of the three organizations.
 #[derive(Debug, Clone)]
 pub enum SourcePartition {
-    /// Unsorted pairs with an incremental cracker index.
-    Cracked(CrackedSource),
+    /// Unsorted pairs, cracked at query bounds.
+    Cracked(CrackedIndex),
     /// A fully sorted run.
     Sorted(SortedRun),
     /// Value-range buckets.
@@ -42,7 +46,14 @@ impl SourcePartition {
         stats: &mut CrackStats,
     ) -> Self {
         match organization {
-            SourceOrganization::Crack => SourcePartition::Cracked(CrackedSource::new(pairs)),
+            SourceOrganization::Crack => {
+                let (keys, rowids) = pairs.into_iter().unzip();
+                let mut index =
+                    CrackedIndex::from_cracker_column(CrackerColumn::from_pairs(keys, rowids));
+                // the hybrid charged the copy when it filled the partition
+                index.take_stats();
+                SourcePartition::Cracked(index)
+            }
             SourceOrganization::Sort => {
                 stats.record_sort(pairs.len());
                 SourcePartition::Sorted(SortedRun::from_pairs(pairs))
@@ -72,166 +83,42 @@ impl SourcePartition {
     /// Whether the partition may contain keys in `[low, high)`.
     pub fn overlaps(&self, low: Key, high: Key) -> bool {
         match self {
-            SourcePartition::Cracked(p) => p.overlaps(low, high),
+            SourcePartition::Cracked(p) => {
+                !p.is_empty() && p.min_value() < high && p.max_value() >= low
+            }
             SourcePartition::Sorted(p) => p.overlaps(low, high),
             SourcePartition::Radix(p) => p.overlaps(low, high),
         }
     }
 
-    /// Remove and return every pair with key in `[low, high)`.
+    /// Remove and return every pair with key in `[low, high)`, charging
+    /// the work and the pairs it moves on to `stats`.
     pub fn extract_range(
         &mut self,
         low: Key,
         high: Key,
         stats: &mut CrackStats,
     ) -> Vec<(Key, RowId)> {
-        match self {
-            SourcePartition::Cracked(p) => p.extract_range(low, high, stats),
-            SourcePartition::Sorted(p) => {
+        let out = match self {
+            SourcePartition::Cracked(p) => {
                 let out = p.extract_range(low, high);
-                stats.record_merge(out.len());
+                stats.merge_from(&p.take_stats());
                 out
             }
+            SourcePartition::Sorted(p) => p.extract_range(low, high),
             SourcePartition::Radix(p) => p.extract_range(low, high, stats),
-        }
+        };
+        stats.record_merge(out.len());
+        out
     }
 
     /// Structural invariants (used by tests).
     pub fn check_invariants(&self) -> bool {
         match self {
-            SourcePartition::Cracked(p) => p.check_invariants(),
+            SourcePartition::Cracked(p) => p.verify_integrity(),
             SourcePartition::Sorted(p) => p.check_invariants(),
             SourcePartition::Radix(p) => p.check_invariants(),
         }
-    }
-}
-
-/// An unsorted partition cracked incrementally at query bounds.
-#[derive(Debug, Clone)]
-pub struct CrackedSource {
-    values: Vec<Key>,
-    rowids: Vec<RowId>,
-    cuts: BTreeCutIndex,
-    min: Key,
-    max: Key,
-}
-
-impl CrackedSource {
-    fn new(pairs: Vec<(Key, RowId)>) -> Self {
-        let values: Vec<Key> = pairs.iter().map(|&(k, _)| k).collect();
-        let rowids: Vec<RowId> = pairs.iter().map(|&(_, r)| r).collect();
-        let min = values.iter().copied().min().unwrap_or(0);
-        let max = values.iter().copied().max().unwrap_or(0);
-        CrackedSource {
-            values,
-            rowids,
-            cuts: BTreeCutIndex::new(),
-            min,
-            max,
-        }
-    }
-
-    fn len(&self) -> usize {
-        self.values.len()
-    }
-
-    fn overlaps(&self, low: Key, high: Key) -> bool {
-        !self.values.is_empty() && self.min < high && self.max >= low
-    }
-
-    fn ensure_cut(&mut self, key: Key, stats: &mut CrackStats) -> usize {
-        let len = self.values.len();
-        if len == 0 || key <= self.min {
-            return 0;
-        }
-        if key > self.max {
-            return len;
-        }
-        if let Some(p) = self.cuts.exact(key) {
-            return p;
-        }
-        let begin = self.cuts.floor(key).map_or(0, |(_, p)| p);
-        let end = self.cuts.ceiling(key).map_or(len, |(_, p)| p);
-        let (split, touch) = crack_in_two_counted(
-            &mut self.values,
-            &mut self.rowids,
-            begin,
-            end,
-            key,
-            PivotSide::Left,
-        );
-        stats.record_crack_in_two(touch);
-        self.cuts.insert(key, split);
-        split
-    }
-
-    fn extract_range(&mut self, low: Key, high: Key, stats: &mut CrackStats) -> Vec<(Key, RowId)> {
-        if self.values.is_empty() || !self.overlaps(low, high) {
-            return Vec::new();
-        }
-        let begin = self.ensure_cut(low, stats);
-        let end = self.ensure_cut(high, stats).max(begin);
-        if begin == end {
-            return Vec::new();
-        }
-        let removed = end - begin;
-        let out: Vec<(Key, RowId)> = self.values[begin..end]
-            .iter()
-            .copied()
-            .zip(self.rowids[begin..end].iter().copied())
-            .collect();
-        self.values.drain(begin..end);
-        self.rowids.drain(begin..end);
-        stats.record_merge(removed);
-
-        // Repair the cut catalog: cuts whose key lies inside the extracted
-        // value range now describe an empty region; drop them. Cuts above the
-        // range shift left by the number of removed pairs.
-        let inside: Vec<Key> = self
-            .cuts
-            .cuts()
-            .into_iter()
-            .filter(|&(k, _)| k > low && k < high)
-            .map(|(k, _)| k)
-            .collect();
-        for k in inside {
-            self.cuts.remove(k);
-        }
-        self.cuts.shift_positions(end, -(removed as isize));
-
-        if self.values.is_empty() {
-            self.cuts.clear();
-        } else {
-            self.min = self.values.iter().copied().min().unwrap_or(0);
-            self.max = self.values.iter().copied().max().unwrap_or(0);
-        }
-        out
-    }
-
-    fn check_invariants(&self) -> bool {
-        if self.values.len() != self.rowids.len() {
-            return false;
-        }
-        if !self.cuts.check_consistency(self.values.len()) {
-            return false;
-        }
-        // every piece respects its bounds
-        let mut begin = 0usize;
-        let mut low: Option<Key> = None;
-        for (key, position) in self.cuts.cuts() {
-            let slice = &self.values[begin..position];
-            if slice
-                .iter()
-                .any(|&v| v >= key || low.is_some_and(|l| v < l))
-            {
-                return false;
-            }
-            begin = position;
-            low = Some(key);
-        }
-        !self.values[begin..]
-            .iter()
-            .any(|&v| low.is_some_and(|l| v < l))
     }
 }
 
@@ -331,7 +218,6 @@ impl RadixSource {
             }
         }
         self.len -= out.len();
-        stats.record_merge(out.len());
         out
     }
 
