@@ -1,8 +1,9 @@
 //! E4 — Sideways cracking (SIGMOD 2009): multi-column selections with tuple
 //! reconstruction. Compares (a) selection cracking + late materialization
 //! fetches against (b) aligned cracker maps, for 1–4 projected attributes,
-//! and shows the partial-materialization property (unqueried tails cost
-//! nothing).
+//! in time and in effort (`CrackStats::total_effort`: the maps' copies,
+//! compares, swaps and reads against the one cracker column's), and shows
+//! the partial-materialization property (unqueried tails cost nothing).
 
 use aidx_bench::HarnessConfig;
 use aidx_columnstore::ops::project;
@@ -37,8 +38,13 @@ fn main() {
     );
 
     println!(
-        "\n{:<12} {:>26} {:>26}",
-        "#projected", "crack + late mat. (ms)", "sideways cracker maps (ms)"
+        "\n{:<12} {:>26} {:>26} {:>16} {:>16} {:>16}",
+        "#projected",
+        "crack + late mat. (ms)",
+        "sideways cracker maps (ms)",
+        "crack effort",
+        "sideways effort",
+        "sideways swaps"
     );
     for projected in 1..=tail_count {
         let tails: Vec<String> = (0..projected).map(|t| format!("b{t}")).collect();
@@ -76,16 +82,20 @@ fn main() {
         assert_eq!(checksum_naive, checksum_sideways);
 
         println!(
-            "{:<12} {:>26.1} {:>26.1}",
+            "{:<12} {:>26.1} {:>26.1} {:>16} {:>16} {:>16}",
             projected,
             naive.as_secs_f64() * 1e3,
-            sideways.as_secs_f64() * 1e3
+            sideways.as_secs_f64() * 1e3,
+            plain.stats().total_effort(),
+            maps.stats().total_effort(),
+            maps.stats().elements_swapped
         );
         if projected == tail_count {
             println!(
-                "\nmaterialized maps at the end: {} of {} available tails (partial sideways cracking: only queried tails exist)",
+                "\nmaterialized maps at the end: {} of {} available tails, {:.1} MB (partial sideways cracking: only queried tails exist)",
                 maps.materialized_maps(),
-                maps.tail_names().len()
+                maps.tail_names().len(),
+                maps.auxiliary_bytes() as f64 / 1e6
             );
         }
     }

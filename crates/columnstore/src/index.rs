@@ -73,12 +73,13 @@ impl QueryOutput {
 ///   [`Self::insert_batch`] grows it, by the rows it absorbs.
 /// * **Effort.** [`Self::effort`] never decreases; the difference across a
 ///   query is the work that query caused.
-/// * **Views.** A strategy whose answer lies between two cuts may answer a
-///   count without copying it ([`Self::count_range`]) and hand out the row
-///   ids later, when someone reads them, without reorganizing anything
+/// * **Views.** A strategy whose answer lies between two cuts — or within
+///   two small pieces it can select from by key — may answer a count without
+///   copying it ([`Self::count_range`]) and hand out the row ids later, when
+///   someone reads them, without reorganizing anything
 ///   ([`Self::read_range`]). Refinement moves tuples within pieces but never
-///   across a cut, so an answer named by its two cuts names the same tuples
-///   however far the index cracks on.
+///   across a cut, so an answer named by its two bounds names the same
+///   tuples however far the index cracks on.
 pub trait AdaptiveIndex {
     /// Number of indexed tuples.
     fn len(&self) -> usize;
@@ -94,7 +95,8 @@ pub trait AdaptiveIndex {
 
     /// Count the tuples of `[low, high)`: the same reorganization, effort
     /// and pieces as [`Self::query_range`], then the distance between the
-    /// answer's two cuts. Their row ids are appended to `out`, in the order
+    /// answer's two cuts (or a bound's position within a small piece,
+    /// counted). Their row ids are appended to `out`, in the order
     /// the index holds them, only when there are fewer than `copy_below`;
     /// a larger answer is not copied. Once it returns `Some`,
     /// [`Self::read_range`] on the same bounds reads those tuples — plus any
@@ -114,8 +116,9 @@ pub trait AdaptiveIndex {
 
     /// Append the row ids of `[low, high)` to `out`, in the order the index
     /// holds them, when the index already holds the answer in place — for a
-    /// cracking index, when both bounds are cuts or lie outside its value
-    /// domain. Nothing is reorganized, no query is counted and no effort is
+    /// cracking index, when each bound is a cut, lies outside its value
+    /// domain or lies in a piece small enough to select from by key.
+    /// Nothing is reorganized, no query is counted and no effort is
     /// added. Returns `false` and leaves `out` untouched otherwise; the
     /// default always does.
     fn read_range(&self, _low: Key, _high: Key, _out: &mut Vec<RowId>) -> bool {

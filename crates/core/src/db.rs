@@ -1319,6 +1319,54 @@ mod tests {
     }
 
     #[test]
+    fn a_deferred_read_of_counted_edges_returns_its_count_and_adds_no_effort() {
+        use crate::Query;
+        use aidx_telemetry::SpanEvent;
+        // 2^17 keys, a permutation of 0..2^17: a cracking index counts a
+        // bound in a piece of up to 1 024 tuples instead of cracking it
+        let n: i64 = 1 << 17;
+        let keys: Vec<i64> = (0..n).map(|i| (i * 7_919) % n).collect();
+        let db = Database::builder()
+            .default_strategy(StrategyKind::Cracking)
+            .parallelism(1)
+            .build();
+        let table = Table::from_columns(vec![("k", Column::from_i64(keys.clone()))]).unwrap();
+        db.create_table("t", table).unwrap();
+        let session = db.session();
+        // a sweep leaves pieces of 512 keys
+        for low in (0..n).step_by(1_024) {
+            session
+                .execute(&Query::table("t").range("k", low, low + 512))
+                .unwrap();
+        }
+        // both bounds inside a piece: counted there, not cracked
+        let (low, high) = (30_007, 90_003);
+        let profile = session
+            .explain_profile(&Query::table("t").range("k", low, high))
+            .unwrap();
+        let pieces = profile.trace.events.iter().find_map(|event| match event {
+            SpanEvent::IndexProbe {
+                pieces_before,
+                pieces_after,
+                ..
+            } => Some((*pieces_before, *pieces_after)),
+            _ => None,
+        });
+        let (before, after) = pieces.expect("the driver probed its index");
+        assert_eq!(before, after, "no bound was cracked");
+        let result = profile.result;
+        assert!(result.is_deferred());
+        assert_eq!(result.row_count(), (high - low) as usize);
+        let effort = db.index_stats()[0].effort;
+        let expected: Vec<RowId> = (0..n as RowId)
+            .filter(|&row| (low..high).contains(&keys[row as usize]))
+            .collect();
+        assert_eq!(result.positions().as_slice(), expected.as_slice());
+        assert!(!result.is_deferred(), "read once");
+        assert_eq!(db.index_stats()[0].effort, effort, "a read is no query");
+    }
+
+    #[test]
     fn index_refresh_rebuilds_indexes_larger_than_the_tick_budget() {
         // regression: an all-or-nothing index rebuild bigger than
         // budget_rows_per_tick must still happen (first item of a slice may

@@ -34,8 +34,8 @@
 //! cracks that follow take fewer TLB misses.
 
 use crate::crack::{
-    crack_in_three, crack_in_two_counted, partition_chunks, ChunkPartition, CrackKey, CrackTouch,
-    PivotSide, ThreeWaySplit,
+    count_below, crack_in_three, crack_in_two_counted, partition_chunks, select_within,
+    ChunkPartition, CrackKey, CrackTouch, PivotSide, ThreeWaySplit,
 };
 use aidx_columnstore::column::FixedColumn;
 use aidx_columnstore::memory::advise_huge_pages;
@@ -353,6 +353,42 @@ impl CrackerColumn {
         with_keys!(&mut self.keys, keys => {
             let encode = |bound| CrackKey::encode(bound, base).expect("a bound between two keys");
             crack_in_three(keys, rowids, begin, end, encode(low), encode(high))
+        })
+    }
+
+    /// The number of keys below `key` in `[begin, end)` ([`count_below`]),
+    /// nothing moved.
+    ///
+    /// # Panics
+    /// Panics unless `key` [fits](Self::fits).
+    pub fn count_below(&self, begin: usize, end: usize, key: Key) -> usize {
+        with_keys!(&self.keys, keys => {
+            let bound = CrackKey::encode(key, self.base).expect("a bound between two keys");
+            count_below(&keys[begin..end], bound)
+        })
+    }
+
+    /// Append to `out` the row ids in `[begin, end)` whose key lies in
+    /// `[first, last]` ([`select_within`]), in column order. An empty range
+    /// selects nothing and reads neither bound.
+    ///
+    /// # Panics
+    /// Panics on a non-empty range unless both bounds [fit](Self::fits).
+    pub fn select_within(
+        &self,
+        begin: usize,
+        end: usize,
+        first: Key,
+        last: Key,
+        out: &mut Vec<RowId>,
+    ) {
+        if begin >= end {
+            return;
+        }
+        let rowids = &self.rowids[begin..end];
+        with_keys!(&self.keys, keys => {
+            let encode = |bound| CrackKey::encode(bound, self.base).expect("a bound between two keys");
+            select_within(&keys[begin..end], rowids, encode(first), encode(last), out)
         })
     }
 

@@ -129,6 +129,18 @@ impl BTreeCutIndex {
         }
     }
 
+    /// Length of the longest piece the cuts induce over a column of `len`
+    /// values (0 for an empty column), in one walk of the cuts.
+    pub fn largest_piece(&self, len: usize) -> usize {
+        let mut begin = 0;
+        let mut largest = 0;
+        for &position in self.cuts.values() {
+            largest = largest.max(position.saturating_sub(begin));
+            begin = position;
+        }
+        largest.max(len.saturating_sub(begin))
+    }
+
     /// Consistency check: cut positions must be non-decreasing in key order
     /// and within `0..=len`.
     pub fn check_consistency(&self, len: usize) -> bool {

@@ -8,6 +8,20 @@
 //! pure index lookups with zero reorganization (the "overhead disappears when
 //! a range has been fully optimized" property the tutorial highlights).
 //!
+//! # Counted bounds
+//!
+//! Once pieces fit in cache, a pass over one costs far less than its crack
+//! (at 8 192 `u32` keys ~0.12 ns a key to count, ~2 to crack), so the
+//! queries whose answer need not be one contiguous slice —
+//! [`CrackedIndex::count_range`] and the [`AdaptiveIndex`] probes — leave a
+//! bound that lands inside a small piece uncracked: a piece of at most
+//! `min(8 192, len / 128)` tuples is counted, and a reader selects its row
+//! ids by key. Each such bound is a hit on its piece; the fourth hit cracks
+//! it after all, and both halves start again at none (ski rental, once per
+//! piece). Each bound takes one cut-index lookup. The inherent
+//! [`CrackedIndex::query_range`], whose [`RangeResult`] is one slice of the
+//! column, and the crate's other crackers crack every bound as before.
+//!
 //! # Insertions
 //!
 //! Insertions follow the same adaptive philosophy (Idreos, Kersten,
@@ -19,7 +33,8 @@
 //! just past its end as tuples are merged below it, and has its cut moved
 //! in place — O(pieces above + merged) piece visits, not a shift of the
 //! column's tail. Tuples outside every queried range stay staged, and the
-//! answer stays one contiguous piece.
+//! inherent [`CrackedIndex::query_range`]'s answer stays one contiguous
+//! piece.
 //!
 //! An insertion whose key lies outside a narrow cracker column's frame
 //! widens the column first ([`CrackerColumn::widen`]): once, O(n), counted in
@@ -33,7 +48,7 @@ use crate::stats::CrackStats;
 use aidx_columnstore::index::{AdaptiveIndex, QueryOutput};
 use aidx_columnstore::ops::select::Predicate;
 use aidx_columnstore::types::{Key, RowId};
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 
 /// Description of one piece of the cracker column.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -122,6 +137,10 @@ pub struct CrackedIndex {
     min_value: Key,
     max_value: Key,
     pending: PendingArea,
+    /// How often a counting query has left a bound uncracked inside each
+    /// piece, keyed by the piece's lower cut (`Key::MIN`, never a cut, for
+    /// the first piece); a crack of a piece drops its entry.
+    hits: BTreeMap<Key, u8>,
 }
 
 impl CrackedIndex {
@@ -184,6 +203,7 @@ impl CrackedIndex {
             min_value,
             max_value,
             pending: PendingArea::new(),
+            hits: BTreeMap::new(),
         }
     }
 
@@ -201,6 +221,7 @@ impl CrackedIndex {
             min_value,
             max_value,
             pending: PendingArea::new(),
+            hits: BTreeMap::new(),
         }
     }
 
@@ -325,11 +346,11 @@ impl CrackedIndex {
         self.cuts.len()
     }
 
-    /// Size of the largest piece (0 for an empty index). Convergence metrics
-    /// use this: a random query stops paying reorganization overhead once all
-    /// pieces it can hit are small.
+    /// Size of the largest piece (0 for an empty index), in one walk of the
+    /// cuts. Convergence metrics use this: a random query stops paying
+    /// reorganization overhead once all pieces it can hit are small.
     pub fn largest_piece(&self) -> usize {
-        self.pieces().iter().map(Piece::len).max().unwrap_or(0)
+        self.cuts.largest_piece(self.column.len())
     }
 
     /// The index is considered converged when no piece is larger than
@@ -383,53 +404,122 @@ impl CrackedIndex {
         }
     }
 
+    /// The position where `key` cuts the column when that needs no crack —
+    /// an empty column, a key outside the value domain (these short-circuits
+    /// spare out-of-range keys a full-piece pass), or an existing cut — and
+    /// otherwise the piece holding `key`, found with one cut-index lookup.
+    fn find(&self, key: Key) -> Result<usize, Piece> {
+        if self.column.is_empty() || key <= self.min_value {
+            return Ok(0);
+        }
+        if key > self.max_value {
+            return Ok(self.column.len());
+        }
+        let piece = self.piece_at(key);
+        match piece.low {
+            Some(cut) if cut == key => Ok(piece.begin),
+            _ => Err(piece),
+        }
+    }
+
+    /// The longest piece a counting query counts a bound in instead of
+    /// cracking it: `min(COUNTED_PIECE_CAP, len / COUNTED_PIECE_SHARE)`.
+    fn counted_floor(&self) -> usize {
+        (self.column.len() / COUNTED_PIECE_SHARE).min(COUNTED_PIECE_CAP)
+    }
+
+    /// Resolve `key` with one cut-index lookup: where it cuts the column, or
+    /// — when it lands inside a piece of at most `floor` tuples — that piece,
+    /// left uncracked until its [`CRACK_ON_HIT`]-th such bound. A `floor` of
+    /// 0 cracks every piece it finds.
+    fn locate(&mut self, key: Key, floor: usize) -> Located {
+        match self.find(key) {
+            Ok(position) => Located::At(position),
+            Err(piece) => self.settle(key, piece, floor),
+        }
+    }
+
+    /// Resolve `key`, which lies inside `piece`: one more hit on a piece of
+    /// at most `floor` tuples, or a crack of the piece on `key` — on any
+    /// longer piece, and on a counted piece's [`CRACK_ON_HIT`]-th hit. Both
+    /// halves of a cracked piece start again at no hits.
+    fn settle(&mut self, key: Key, piece: Piece, floor: usize) -> Located {
+        let lower = piece.low.unwrap_or(Key::MIN);
+        if counts_in(&piece, floor) {
+            let hits = self.hits.entry(lower).or_insert(0);
+            *hits += 1;
+            if *hits < CRACK_ON_HIT {
+                return Located::Inside(piece.begin, piece.end);
+            }
+        }
+        let (split, touch) = self.column.crack_in_two(piece.begin, piece.end, key);
+        self.stats.record_crack_in_two(touch);
+        self.cuts.insert(key, split);
+        self.hits.remove(&lower);
+        Located::At(split)
+    }
+
+    /// Resolve both bounds of the non-empty range `[low, high)` with one
+    /// cut-index lookup each, `low` first ([`Self::locate`]). When both land
+    /// inside one piece that is not counted, a single crack-in-three handles
+    /// the whole query (the common case for a column's first queries).
+    fn resolve(&mut self, low: Key, high: Key, floor: usize) -> (Located, Located) {
+        let piece = match self.find(low) {
+            Ok(position) => return (Located::At(position), self.locate(high, floor)),
+            Err(piece) => piece,
+        };
+        let holds_high = high <= self.max_value && piece.high.is_none_or(|upper| high < upper);
+        if holds_high && !counts_in(&piece, floor) {
+            let split = self
+                .column
+                .crack_in_three(piece.begin, piece.end, low, high);
+            self.stats.record_crack_in_three(split.touch);
+            self.cuts.insert(low, split.low_split);
+            self.cuts.insert(high, split.high_split);
+            self.hits.remove(&piece.low.unwrap_or(Key::MIN));
+            return (Located::At(split.low_split), Located::At(split.high_split));
+        }
+        let low_at = self.settle(low, piece, floor);
+        (low_at, self.locate(high, floor))
+    }
+
     /// Ensure a cut exists exactly at `key`, cracking the containing piece if
     /// necessary, and return its position. Exposed within the crate so that
     /// stochastic cracking and the hybrids can introduce auxiliary cuts.
     pub(crate) fn ensure_cut(&mut self, key: Key) -> usize {
-        if let Some(position) = self.known_position(key) {
-            return position;
+        self.locate(key, 0).cut()
+    }
+
+    /// What every query runs: count the query, merge the staged tuples of
+    /// `[low, high)`, and resolve both bounds — in pieces of up to
+    /// [`Self::counted_floor`] tuples without cracking when `counting`. The
+    /// tuples a reader of the answer reads are recorded as scanned: from
+    /// where the lower bound's position or piece starts to where the upper
+    /// one's ends. `None` for an empty column or range.
+    fn probe(&mut self, low: Key, high: Key, counting: bool) -> Option<(Located, Located)> {
+        self.stats.record_query();
+        self.merge_pending(low, high);
+        if self.column.is_empty() || low >= high {
+            return None;
         }
-        let (begin, end) = self.cuts.piece(key, self.column.len());
-        let (split, touch) = self.column.crack_in_two(begin, end, key);
-        self.stats.record_crack_in_two(touch);
-        self.cuts.insert(key, split);
-        split
+        let floor = if counting { self.counted_floor() } else { 0 };
+        let bounds = self.resolve(low, high, floor);
+        let (start, stop) = (bounds.0.span().0, bounds.1.span().1);
+        self.stats.record_scan(stop.saturating_sub(start));
+        Some(bounds)
     }
 
     /// Answer the half-open range query `[low, high)` adaptively: merge the
     /// staged tuples inside it, crack the touched pieces, record the new
     /// cuts, and return the (now contiguous) qualifying tuples.
     pub fn query_range(&mut self, low: Key, high: Key) -> RangeResult<'_> {
-        self.stats.record_query();
-        self.merge_pending(low, high);
-        let len = self.column.len();
-        if len == 0 || low >= high {
-            return self.result(0, 0);
-        }
-
-        // Fast path: both bounds land in the same piece and neither is known
-        // yet — a single three-way crack handles the whole query (this is the
-        // common case for the first queries on a column).
-        if self.known_position(low).is_none() && self.known_position(high).is_none() {
-            let low_piece = self.cuts.piece(low, len);
-            let high_piece = self.cuts.piece(high, len);
-            if low_piece == high_piece {
-                let (begin, end) = low_piece;
-                let split = self.column.crack_in_three(begin, end, low, high);
-                self.stats.record_crack_in_three(split.touch);
-                self.cuts.insert(low, split.low_split);
-                self.cuts.insert(high, split.high_split);
-                self.stats.record_scan(split.high_split - split.low_split);
-                return self.result(split.low_split, split.high_split);
+        match self.probe(low, high, false) {
+            Some((begin, end)) => {
+                let begin = begin.cut();
+                self.result(begin, end.cut().max(begin))
             }
+            None => self.result(0, 0),
         }
-
-        let begin = self.ensure_cut(low);
-        let end = self.ensure_cut(high);
-        let end = end.max(begin);
-        self.stats.record_scan(end - begin);
-        self.result(begin, end)
     }
 
     /// Remove every tuple with a key in `[low, high)` and return them, in
@@ -450,7 +540,8 @@ impl CrackedIndex {
             return Vec::new();
         }
         let out = self.column.drain(begin..end);
-        // the cuts inside the range bound nothing now
+        // the cuts inside the range bound nothing now, and the pieces they
+        // and `low` start hold other tuples
         let inside: Vec<Key> = (self.cuts.cuts().into_iter())
             .map(|(key, _)| key)
             .filter(|&key| low < key && key < high)
@@ -458,10 +549,14 @@ impl CrackedIndex {
         for key in inside {
             self.cuts.remove(key);
         }
+        self.hits.retain(|&key, _| !(low..high).contains(&key));
         self.cuts.shift_positions(end, -((end - begin) as isize));
         match self.column.domain() {
             Some(domain) => (self.min_value, self.max_value) = domain,
-            None => self.cuts.clear(),
+            None => {
+                self.cuts.clear();
+                self.hits.clear();
+            }
         }
         out
     }
@@ -472,39 +567,60 @@ impl CrackedIndex {
         self.query_range(low, high)
     }
 
-    /// Count the qualifying tuples of `[low, high)` (still cracks: counting
-    /// is also a query and therefore also advice).
+    /// Count the qualifying tuples of `[low, high)`. Counting is also a
+    /// query and therefore also advice, but a bound that lands in a small
+    /// piece is counted there, not cracked, until that piece's
+    /// fourth hit (see the module docs).
     pub fn count_range(&mut self, low: Key, high: Key) -> usize {
-        self.query_range(low, high).len()
+        match self.probe(low, high, true) {
+            Some(bounds) => self.count_resolved((low, high), bounds),
+            None => 0,
+        }
     }
 
-    /// The position where `key` cuts the column, when it needs no crack: an
-    /// empty column, a key outside the value domain (these short-circuits
-    /// spare out-of-range keys a full-piece pass), or an existing cut.
-    fn known_position(&self, key: Key) -> Option<usize> {
-        if self.column.is_empty() || key <= self.min_value {
-            return Some(0);
+    /// The number of merged tuples below `key`, a bound resolved to
+    /// `located`: its position, or the start of its piece plus the keys
+    /// below it there. Nothing moves, so this holds after later cracks of
+    /// the piece too.
+    fn rank(&self, key: Key, located: Located) -> usize {
+        match located {
+            Located::At(position) => position,
+            Located::Inside(begin, end) => begin + self.column.count_below(begin, end, key),
         }
-        if key > self.max_value {
-            return Some(self.column.len());
-        }
-        self.cuts.exact(key)
     }
 
-    /// The positions `[begin, end)` holding the merged part of the answer
-    /// of `[low, high)` when the column already holds it in place — both
-    /// bounds need no crack — found without cracking or recording anything.
-    /// After [`Self::query_range`] on the same bounds this is always `Some`,
-    /// and later queries keep it so: a crack adds cuts but never moves a
-    /// tuple across one, and a merge moves cuts with the tuples. (A merged
-    /// insertion that widens the value domain may turn a short-circuited
-    /// bound into one that needs a crack.)
-    pub(crate) fn cut_bounds(&self, low: Key, high: Key) -> Option<(usize, usize)> {
-        if low >= high {
-            return Some((0, 0));
+    /// The number of merged tuples in `[low, high)`, its bounds resolved to
+    /// `bounds`.
+    fn count_resolved(&self, (low, high): (Key, Key), (lo, hi): (Located, Located)) -> usize {
+        self.rank(high, hi).saturating_sub(self.rank(low, lo))
+    }
+
+    /// Append the row ids of the merged tuples in the non-empty range
+    /// `[low, high)`, its bounds resolved to `bounds`: the tuples between
+    /// the two edge pieces are copied, and those of each edge piece are
+    /// selected by key — as one span when the edges overlap, that is when
+    /// both bounds lie in one piece, or when the crack on `high` split the
+    /// piece `low` was counted in.
+    fn read_resolved(
+        &self,
+        (low, high): (Key, Key),
+        (lo, hi): (Located, Located),
+        out: &mut Vec<RowId>,
+    ) {
+        let ((start, low_end), (high_begin, stop)) = (lo.span(), hi.span());
+        // a bound outside the keys selects every key on its side; a bound
+        // inside them lies in (min, max], so both fit the column
+        let first = low.max(self.min_value);
+        let last = (high - 1).min(self.max_value);
+        out.reserve(stop.saturating_sub(start));
+        if low_end <= high_begin {
+            self.column.select_within(start, low_end, first, last, out);
+            out.extend_from_slice(&self.column.rowids()[low_end..high_begin]);
+            self.column
+                .select_within(high_begin, stop, first, last, out);
+        } else {
+            self.column.select_within(start, stop, first, last, out);
         }
-        let begin = self.known_position(low)?;
-        Some((begin, self.known_position(high)?.max(begin)))
     }
 
     fn result(&self, begin: usize, end: usize) -> RangeResult<'_> {
@@ -535,6 +651,60 @@ impl CrackedIndex {
     }
 }
 
+/// Where a query bound cuts the merged column.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Located {
+    /// At a position: the tuples before it are below the bound, the others
+    /// are not.
+    At(usize),
+    /// Somewhere inside the piece `[begin, end)`, which was left uncracked.
+    Inside(usize, usize),
+}
+
+impl Located {
+    /// The positions where the tuples that may lie on either side of the
+    /// bound start and end: an empty span at a cut.
+    fn span(self) -> (usize, usize) {
+        match self {
+            Located::At(position) => (position, position),
+            Located::Inside(begin, end) => (begin, end),
+        }
+    }
+
+    /// The position of a bound resolved with no floor, which is always a cut.
+    fn cut(self) -> usize {
+        match self {
+            Located::At(position) => position,
+            Located::Inside(..) => unreachable!("a floor of 0 cracks every piece"),
+        }
+    }
+}
+
+/// Whether a bound inside `piece` is counted there rather than cracked, at
+/// `floor` (0 counts in no piece).
+fn counts_in(piece: &Piece, floor: usize) -> bool {
+    floor > 0 && piece.len() <= floor
+}
+
+/// The longest piece a counting query leaves uncracked, at most: 8 192
+/// tuples of `u32` key and row id are 64 KiB, which stay in L2, and a sweep
+/// of caps on `crack_converge`'s shape (4 M keys, 1 % ranges) read 8 192 best.
+const COUNTED_PIECE_CAP: usize = 8_192;
+
+/// The share of the column a counted piece holds at most (`len / 128`
+/// tuples), so that the two counted edges of a query stay within `len / 64`:
+/// the share under which the engine's index health still reads a column as
+/// converged.
+const COUNTED_PIECE_SHARE: usize = 128;
+
+/// The hit on which a counted piece is cracked after all (ski rental: the
+/// passes over a piece that keeps being hit pay for its crack). Readers
+/// select their edges at ~1 ns a tuple, against ~0.12 for a count, so a
+/// piece hit again and again is cheaper cracked: on a `served_mix`-shaped
+/// model 4 hits cost ~1 µs of per-query p50 over cracking always, and never
+/// cracking ~5 µs.
+const CRACK_ON_HIT: u8 = 4;
+
 /// Pieces this small no longer cost a query a noticeable crack: an index
 /// whose largest piece is within it reports [`AdaptiveIndex::is_converged`].
 pub(crate) const CONVERGED_PIECE_LEN: usize = 1 << 10;
@@ -544,7 +714,11 @@ impl AdaptiveIndex for CrackedIndex {
         CrackedIndex::len(self)
     }
     fn query_range(&mut self, low: Key, high: Key) -> QueryOutput {
-        QueryOutput::from_row_ids(CrackedIndex::query_range(self, low, high).rowids().to_vec())
+        let mut row_ids = Vec::new();
+        if let Some(bounds) = self.probe(low, high, true) {
+            self.read_resolved((low, high), bounds, &mut row_ids);
+        }
+        QueryOutput::from_row_ids(row_ids)
     }
     fn count_range(
         &mut self,
@@ -553,19 +727,34 @@ impl AdaptiveIndex for CrackedIndex {
         copy_below: usize,
         out: &mut Vec<RowId>,
     ) -> Option<usize> {
-        let answer = CrackedIndex::query_range(self, low, high);
-        if answer.len() < copy_below {
-            out.extend_from_slice(answer.rowids());
-        }
-        Some(answer.len())
-    }
-    /// The piece between the two cuts plus the staged insertions inside
-    /// the range.
-    fn read_range(&self, low: Key, high: Key, out: &mut Vec<RowId>) -> bool {
-        let Some((begin, end)) = self.cut_bounds(low, high) else {
-            return false;
+        let Some(bounds) = self.probe(low, high, true) else {
+            return Some(0);
         };
-        out.extend_from_slice(&self.column.rowids()[begin..end]);
+        let count = self.count_resolved((low, high), bounds);
+        if count < copy_below {
+            self.read_resolved((low, high), bounds, out);
+        }
+        Some(count)
+    }
+    /// The tuples between the two bounds' cuts, plus those of a small piece
+    /// a bound lands in selected by key, plus the staged insertions inside
+    /// the range; `false` when a bound lands in a piece longer than a
+    /// counting query would leave uncracked.
+    fn read_range(&self, low: Key, high: Key, out: &mut Vec<RowId>) -> bool {
+        if low < high && !self.column.is_empty() {
+            let floor = self.counted_floor();
+            let peek = |key| match self.find(key) {
+                Ok(position) => Some(Located::At(position)),
+                Err(piece) if counts_in(&piece, floor) => {
+                    Some(Located::Inside(piece.begin, piece.end))
+                }
+                Err(_) => None,
+            };
+            let (Some(lo), Some(hi)) = (peek(low), peek(high)) else {
+                return false;
+            };
+            self.read_resolved((low, high), (lo, hi), out);
+        }
         out.extend(pending_in(&self.pending, low, high).map(|&(_, rowid)| rowid));
         true
     }
@@ -573,7 +762,9 @@ impl AdaptiveIndex for CrackedIndex {
         self.stats.total_effort()
     }
     fn auxiliary_bytes(&self) -> usize {
-        self.column.byte_size() + self.pending.len() * std::mem::size_of::<(Key, RowId)>()
+        self.column.byte_size()
+            + self.pending.len() * std::mem::size_of::<(Key, RowId)>()
+            + self.hits.len() * std::mem::size_of::<(Key, u8)>()
     }
     fn pieces(&self) -> usize {
         self.piece_count()
@@ -664,7 +855,9 @@ mod tests {
         out.clear();
         assert!(AdaptiveIndex::read_range(&idx, -5, 2_000, &mut out));
         assert_eq!(out.len(), data.len());
-        assert_eq!(idx.cut_bounds(7, 7), Some((0, 0)));
+        out.clear();
+        assert!(AdaptiveIndex::read_range(&idx, 7, 7, &mut out));
+        assert!(out.is_empty());
     }
 
     #[test]
@@ -1091,5 +1284,266 @@ mod tests {
         }
         assert_eq!(index.cut_count(), 0);
         assert_eq!(index.stats().queries, 0, "an extraction is no query");
+    }
+
+    /// Row ids ascending, for comparing answers as sets.
+    fn sorted(mut row_ids: Vec<RowId>) -> Vec<RowId> {
+        row_ids.sort_unstable();
+        row_ids
+    }
+
+    /// The scan's answer to `[low, high)` over `model`, every `(key, row
+    /// id)` the index holds, kept sorted.
+    fn scanned(model: &[(Key, RowId)], low: Key, high: Key) -> Vec<RowId> {
+        let from = model.partition_point(|&(key, _)| key < low);
+        let to = model.partition_point(|&(key, _)| key < high).max(from);
+        sorted(model[from..to].iter().map(|&(_, rowid)| rowid).collect())
+    }
+
+    /// One seeded stream of inserts, counts, reads of counted answers and
+    /// trait queries on an index over `keys`, with the inherent contiguous
+    /// `query_range` — which cracks every bound it finds — run on a clone in
+    /// lockstep; every answer is the scan's. Bounds and inserted keys are
+    /// drawn from `[from, to)`, ranges are up to `width` wide, now and then
+    /// one is open at `Key::MIN` or `Key::MAX`, and `frame_breaker`, when
+    /// given, is inserted a third of the way in: a key outside a narrow
+    /// column's frame.
+    fn run_counted_stream(
+        seed: u64,
+        keys: &[Key],
+        (from, to): (Key, Key),
+        ops: usize,
+        width: Key,
+        frame_breaker: Option<Key>,
+    ) {
+        let mut idx = CrackedIndex::from_keys(keys);
+        let mut cracking = idx.clone();
+        let mut model: Vec<(Key, RowId)> = keys.iter().copied().zip(0..).collect();
+        model.sort_unstable();
+        let mut state = seed;
+        let mut next = move |bound: u64| {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (state >> 33) % bound
+        };
+        let span = (to - from) as u64;
+        let insert =
+            |idx: &mut CrackedIndex, cracking: &mut CrackedIndex, model: &mut Vec<_>, key| {
+                let rowid = idx.insert(key);
+                assert_eq!(cracking.insert(key), rowid);
+                let at = model.partition_point(|&tuple| tuple < (key, rowid));
+                model.insert(at, (key, rowid));
+            };
+        let mut counted: Vec<(Key, Key)> = Vec::new();
+        for op in 0..ops {
+            let mut low = from + next(span) as Key - width / 4;
+            let mut high = low + 1 + next(width as u64) as Key;
+            // an open bound, beside a bound near that end of the keys
+            match next(40) {
+                0 => (low, high) = (Key::MIN, from + next(width as u64) as Key),
+                1 => (low, high) = (to - next(width as u64) as Key, Key::MAX),
+                _ => {}
+            }
+            let context = format!("seed {seed}, op {op}, [{low}, {high})");
+            if op == ops / 3 {
+                if let Some(key) = frame_breaker {
+                    insert(&mut idx, &mut cracking, &mut model, key);
+                    assert!(!idx.column().is_narrow(), "{context}");
+                }
+            }
+            let step = next(6);
+            if step == 0 {
+                insert(
+                    &mut idx,
+                    &mut cracking,
+                    &mut model,
+                    from + next(span) as Key,
+                );
+                continue;
+            }
+            let expected = scanned(&model, low, high);
+            match step {
+                1 => {
+                    assert_eq!(idx.count_range(low, high), expected.len(), "{context}");
+                    counted.push((low, high));
+                }
+                2 => {
+                    let copy_below = next(2 * width as u64) as usize;
+                    let mut out = Vec::new();
+                    let count =
+                        AdaptiveIndex::count_range(&mut idx, low, high, copy_below, &mut out);
+                    assert_eq!(count, Some(expected.len()), "{context}");
+                    if expected.len() < copy_below {
+                        assert_eq!(sorted(out), expected, "{context}");
+                    } else {
+                        assert!(out.is_empty(), "{context}");
+                    }
+                    counted.push((low, high));
+                }
+                3 => {
+                    let answer = AdaptiveIndex::query_range(&mut idx, low, high);
+                    assert_eq!(sorted(answer.into_row_ids()), expected, "{context}");
+                }
+                _ => {
+                    // a range counted earlier, read with nothing moved
+                    let earlier = next(counted.len() as u64 + 1) as usize;
+                    if let Some(&(low, high)) = counted.get(earlier) {
+                        let effort = AdaptiveIndex::effort(&idx);
+                        let mut out = Vec::new();
+                        if AdaptiveIndex::read_range(&idx, low, high, &mut out) {
+                            assert_eq!(sorted(out), scanned(&model, low, high), "{context}");
+                        }
+                        assert_eq!(AdaptiveIndex::effort(&idx), effort, "{context}");
+                    }
+                }
+            }
+            // the last counted answer reads back while no merge intervened
+            if let (1 | 2, Some(&(low, high))) = (step, counted.last()) {
+                let mut out = Vec::new();
+                assert!(
+                    AdaptiveIndex::read_range(&idx, low, high, &mut out),
+                    "{context}"
+                );
+                assert_eq!(sorted(out), expected, "{context}");
+            }
+            let answer = cracking.query_range(low, high);
+            assert_eq!(sorted(answer.rowids().to_vec()), expected, "{context}");
+        }
+        assert!(idx.verify_integrity() && cracking.verify_integrity());
+        assert_eq!(idx.len(), model.len());
+        for index in [&idx, &cracking] {
+            let largest = index.pieces().iter().map(Piece::len).max();
+            assert_eq!(index.largest_piece(), largest.unwrap_or(0));
+        }
+        // bounds were counted where the clone cracked them
+        assert!(idx.cut_count() < cracking.cut_count(), "seed {seed}");
+    }
+
+    #[test]
+    fn counted_bounds_answer_like_a_scan_beside_a_cracking_clone() {
+        // narrow, 20 000 keys: a floor of 156
+        let keys: Vec<Key> = (0..20_000).map(|i| (i * 7_919) % 20_000).collect();
+        let domain = (0, 20_000);
+        for seed in 1..=3 {
+            run_counted_stream(seed, &keys, domain, 1_000, 400, None);
+        }
+        // narrow, widened a third of the way in by a key outside its frame
+        run_counted_stream(4, &keys, domain, 1_000, 400, Some(1 << 40));
+        run_counted_stream(5, &keys, domain, 1_000, 400, Some(-(1 << 40)));
+        // wide from the start: keys spanning all of i64 at both ends
+        let mut wide = keys.clone();
+        wide.extend([Key::MIN, Key::MIN + 1, Key::MAX - 1, Key::MAX]);
+        assert!(!CrackedIndex::from_keys(&wide).column().is_narrow());
+        run_counted_stream(6, &wide, domain, 1_000, 400, None);
+        // 2^20 keys: the floor reaches its cap of 8 192
+        let n: Key = 1 << 20;
+        let keys: Vec<Key> = (0..n).map(|i| (i * 2_654_435_761) % n).collect();
+        assert_eq!(
+            CrackedIndex::from_keys(&keys).counted_floor(),
+            COUNTED_PIECE_CAP
+        );
+        run_counted_stream(7, &keys, (0, n), 1_000, n / 200, Some(1 << 40));
+    }
+
+    /// A column of `n` distinct keys, a permutation of `0..n`, cracked into
+    /// pieces of 100 keys by the inherent `query_range`, which takes no hit.
+    fn cracked_in_hundreds(n: Key) -> CrackedIndex {
+        let keys: Vec<Key> = (0..n).map(|i| (i * 7_919) % n).collect();
+        let mut idx = CrackedIndex::from_keys(&keys);
+        for low in (0..n).step_by(200) {
+            idx.query_range(low, low + 100);
+        }
+        assert!(idx.largest_piece() <= 100 && idx.hits.is_empty());
+        idx
+    }
+
+    #[test]
+    fn a_bound_in_a_small_piece_is_counted_until_its_fourth_hit() {
+        // 16 384 keys: a floor of 128, above the pieces' 100
+        let mut idx = cracked_in_hundreds(16_384);
+        assert_eq!(idx.counted_floor(), 128);
+        let cuts = idx.cut_count();
+        // `high` at the piece's upper cut: the piece [1 000, 1 100) is all
+        // the query reads
+        for (hit, low) in [(1, 1_010), (2, 1_020), (3, 1_030)] {
+            let (effort, scanned) = (AdaptiveIndex::effort(&idx), idx.stats().elements_scanned);
+            assert_eq!(idx.count_range(low, 1_100), (1_100 - low) as usize);
+            assert_eq!(idx.cut_count(), cuts, "hit {hit}");
+            assert_eq!(AdaptiveIndex::effort(&idx) - effort, 100, "hit {hit}");
+            assert_eq!(idx.stats().elements_scanned - scanned, 100, "hit {hit}");
+            assert_eq!(idx.hits.get(&1_000), Some(&hit));
+        }
+        let cracks = idx.stats().crack_in_two_calls;
+        assert_eq!(idx.count_range(1_040, 1_100), 60);
+        assert_eq!(idx.cut_count(), cuts + 1, "the fourth hit cracks");
+        assert_eq!(idx.stats().crack_in_two_calls, cracks + 1);
+        assert_eq!(idx.cut_at(1_040), Some(1_040));
+        assert!(idx.hits.is_empty(), "both halves start again");
+        // each half takes three more hits before its own crack
+        for (low, high, piece) in [(1_005, 1_100, 1_000), (1_045, 1_100, 1_040)] {
+            for hit in 1..=3 {
+                assert_eq!(idx.count_range(low, high), (high - low) as usize);
+                assert_eq!(idx.hits.get(&piece), Some(&hit));
+            }
+        }
+        assert_eq!(idx.cut_count(), cuts + 1);
+        assert_eq!(idx.count_range(1_006, 1_040), 34);
+        assert_eq!(idx.cut_at(1_006), Some(1_006));
+        assert_eq!(idx.count_range(1_046, 1_100), 54);
+        assert_eq!(idx.cut_count(), cuts + 3);
+        // the inherent query cracks a small piece on the first hit
+        assert_eq!(idx.query_range(1_210, 1_300).len(), 90);
+        assert_eq!(idx.cut_count(), cuts + 4);
+        assert!(idx.hits.is_empty() && idx.verify_integrity());
+        // no floor below 128 tuples: a 100-key column cracks every bound
+        let mut small = CrackedIndex::from_keys(&(0..100).collect::<Vec<Key>>());
+        assert_eq!(small.counted_floor(), 0);
+        assert_eq!(small.count_range(10, 20), 10);
+        assert_eq!(small.cut_count(), 2);
+    }
+
+    #[test]
+    fn a_crack_on_high_splits_the_piece_low_was_counted_in() {
+        let idx = cracked_in_hundreds(16_384);
+        let keys: Vec<Key> = (0..16_384).map(|i| (i * 7_919) % 16_384).collect();
+        let expected: Vec<RowId> = sorted(
+            (0..keys.len())
+                .filter(|&i| (1_020..1_080).contains(&keys[i]))
+                .map(|i| i as RowId)
+                .collect(),
+        );
+        let mut copies = [idx.clone(), idx.clone(), idx];
+        for copy in &mut copies {
+            // two hits on [1 000, 1 100) from `low`s
+            for low in [1_010, 1_011] {
+                copy.count_range(low, 1_100);
+            }
+        }
+        let cuts = copies[0].cut_count();
+        // the query's `low` is the piece's third hit, its `high` the fourth:
+        // the crack on `high` leaves tuples >= 1 080 in the span `low` was
+        // counted in
+        let [counting, copying, reading] = &mut copies;
+        assert_eq!(counting.count_range(1_020, 1_080), 60);
+        let mut out = Vec::new();
+        assert_eq!(
+            AdaptiveIndex::count_range(copying, 1_020, 1_080, 61, &mut out),
+            Some(60)
+        );
+        assert_eq!(sorted(out), expected);
+        let answer = AdaptiveIndex::query_range(reading, 1_020, 1_080);
+        assert_eq!(sorted(answer.into_row_ids()), expected);
+        for copy in &copies {
+            assert_eq!(copy.cut_count(), cuts + 1);
+            assert_eq!(
+                (copy.cut_at(1_080), copy.cut_at(1_020)),
+                (Some(1_080), None)
+            );
+            assert_eq!(copy.stats(), copies[0].stats());
+            let mut out = Vec::new();
+            assert!(AdaptiveIndex::read_range(copy, 1_020, 1_080, &mut out));
+            assert_eq!(sorted(out), expected);
+        }
     }
 }

@@ -30,12 +30,25 @@ use aidx_columnstore::table::Table;
 use aidx_columnstore::types::{Key, RowId};
 use std::collections::HashMap;
 
+/// What travels with one head key of a cracker map: its tail value and its
+/// base row id, packed into 12 bytes — as a tuple, the pair would be padded
+/// to 16.
+#[derive(Debug, Clone, Copy, Default)]
+#[repr(C, packed)]
+struct TailRow {
+    tail: Key,
+    rowid: RowId,
+}
+
+const _: () = assert!(std::mem::size_of::<TailRow>() == 12);
+
 /// One cracker map `M(head, tail)`: the head keys, and beside them the
-/// payload that travels with each — its tail value and its base row id.
+/// payload that travels with each, its tail value and row id packed into
+/// 12 bytes.
 #[derive(Debug, Clone)]
 pub struct CrackerMap {
     head: Vec<Key>,
-    payload: Vec<(Key, RowId)>,
+    payload: Vec<TailRow>,
     cuts: BTreeCutIndex,
     /// How many entries of the owning [`MapSet`]'s crack history this map has
     /// already applied.
@@ -47,7 +60,9 @@ impl CrackerMap {
         assert_eq!(head.len(), tail.len(), "head and tail must be parallel");
         CrackerMap {
             head,
-            payload: tail.into_iter().zip(0..).collect(),
+            payload: (tail.into_iter().zip(0..))
+                .map(|(tail, rowid)| TailRow { tail, rowid })
+                .collect(),
             cuts: BTreeCutIndex::new(),
             applied_history: 0,
         }
@@ -70,6 +85,12 @@ impl CrackerMap {
         stats.record_crack_in_two(touch);
         self.cuts.insert(pivot, split);
         split
+    }
+
+    /// Memory footprint in bytes: 8 per head key and 12 per tail value and
+    /// row id.
+    pub fn byte_size(&self) -> usize {
+        self.head.len() * (std::mem::size_of::<Key>() + std::mem::size_of::<TailRow>())
     }
 
     /// Verify that the head and payload are still parallel and that every
@@ -181,6 +202,11 @@ impl MapSet {
         self.maps.len()
     }
 
+    /// Bytes the materialized maps hold: 20 a tuple each.
+    pub fn auxiliary_bytes(&self) -> usize {
+        self.maps.values().map(CrackerMap::byte_size).sum()
+    }
+
     /// Length of the shared crack history.
     pub fn crack_history_len(&self) -> usize {
         self.crack_history.len()
@@ -242,11 +268,11 @@ impl MapSet {
             if !head_projected {
                 head_projected = true;
                 answer.head = map.head[begin..end].to_vec();
-                answer.rowids = payload.iter().map(|&(_, rowid)| rowid).collect();
+                answer.rowids = payload.iter().map(|row| row.rowid).collect();
             }
             answer
                 .tails
-                .push(payload.iter().map(|&(tail, _)| tail).collect());
+                .push(payload.iter().map(|row| row.tail).collect());
         }
         answer
     }
@@ -416,6 +442,15 @@ mod tests {
         pairs.sort_unstable();
         assert_eq!(pairs, vec![(1, 10), (2, 20)]);
         assert!(MapSet::from_table(&table, "name").is_none());
+    }
+
+    #[test]
+    fn a_map_holds_twenty_bytes_a_tuple() {
+        let (a, b, c) = relation(500);
+        let mut maps = MapSet::new(&a, vec![("b", b), ("c", c)]);
+        assert_eq!(maps.auxiliary_bytes(), 0);
+        let _ = maps.select_project(10, 50, &["b", "c"]);
+        assert_eq!(maps.auxiliary_bytes(), 2 * 500 * (8 + 12));
     }
 
     #[test]
