@@ -52,10 +52,6 @@ pub trait CrackKey: Copy + Ord + Default + Debug + Send + Sync + 'static {
     fn encode_within(key: Key, base: Key) -> Self;
     /// The key this offset from `base` stands for.
     fn decode(self, base: Key) -> Key;
-    /// How far `self` lies above `first`, wrapping below it: for `first <=
-    /// last`, a key lies in `[first, last]` exactly when its distance from
-    /// `first` is at most `last`'s — one comparison instead of two.
-    fn distance(self, first: Self) -> u64;
 }
 
 impl CrackKey for i64 {
@@ -74,10 +70,6 @@ impl CrackKey for i64 {
     #[inline]
     fn decode(self, base: Key) -> Key {
         self + base
-    }
-    #[inline]
-    fn distance(self, first: Self) -> u64 {
-        self.wrapping_sub(first) as u64
     }
 }
 
@@ -98,10 +90,6 @@ impl CrackKey for u32 {
     #[inline]
     fn decode(self, base: Key) -> Key {
         base + Key::from(self)
-    }
-    #[inline]
-    fn distance(self, first: Self) -> u64 {
-        u64::from(self.wrapping_sub(first))
     }
 }
 
@@ -363,10 +351,9 @@ pub fn count_below<K: CrackKey>(values: &[K], bound: K) -> usize {
 /// lies in `[first, last]` (none when `first > last`), in slice order: a
 /// selection vector built without a branch on a key. The output is sized
 /// for every entry first; each entry is written at the cursor, and the
-/// cursor advances only past those that qualify, by one comparison of the
-/// key's [`CrackKey::distance`] from `first` (at 8 192 `u32` keys ~0.9
-/// ns/key, against ~1.6 with two comparisons and ~1.2-1.8 for a branchy
-/// `push`). The unused tail is cut off at the end.
+/// cursor advances only past those that qualify, so an edge piece of which
+/// about half qualifies costs no mispredicted branches. The unused tail is
+/// cut off at the end.
 pub fn select_within<K: CrackKey, P: Copy + Default>(
     values: &[K],
     payload: &[P],
@@ -375,17 +362,13 @@ pub fn select_within<K: CrackKey, P: Copy + Default>(
     out: &mut Vec<P>,
 ) {
     debug_assert_eq!(values.len(), payload.len());
-    if first > last {
-        return;
-    }
-    let width = last.distance(first);
     let start = out.len();
     out.resize(start + values.len(), P::default());
     let slots = &mut out[start..];
     let mut cursor = 0;
     for (&key, &entry) in values.iter().zip(payload) {
         slots[cursor] = entry;
-        cursor += usize::from(key.distance(first) <= width);
+        cursor += usize::from((first <= key) & (key <= last));
     }
     out.truncate(start + cursor);
 }

@@ -15,8 +15,10 @@
 //! queries whose answer need not be one contiguous slice —
 //! [`CrackedIndex::count_range`] and the [`AdaptiveIndex`] probes — leave a
 //! bound that lands inside a small piece uncracked: a piece of at most
-//! `min(8 192, len / 128)` tuples is counted, and a reader selects its row
-//! ids by key. Each such bound is a hit on its piece; the fourth hit cracks
+//! `min(8 192, len / 128)` tuples, and of no more than lie between the
+//! query's two edge pieces, is counted, and a reader selects its row ids by
+//! key. A narrow range, whose answer is small beside its edges, cracks as
+//! before. Each such bound is a hit on its piece; the second hit cracks
 //! it after all, and both halves start again at none (ski rental, once per
 //! piece). Each bound takes one cut-index lookup. The inherent
 //! [`CrackedIndex::query_range`], whose [`RangeResult`] is one slice of the
@@ -428,24 +430,14 @@ impl CrackedIndex {
         (self.column.len() / COUNTED_PIECE_SHARE).min(COUNTED_PIECE_CAP)
     }
 
-    /// Resolve `key` with one cut-index lookup: where it cuts the column, or
-    /// — when it lands inside a piece of at most `floor` tuples — that piece,
-    /// left uncracked until its [`CRACK_ON_HIT`]-th such bound. A `floor` of
-    /// 0 cracks every piece it finds.
-    fn locate(&mut self, key: Key, floor: usize) -> Located {
-        match self.find(key) {
-            Ok(position) => Located::At(position),
-            Err(piece) => self.settle(key, piece, floor),
-        }
-    }
-
     /// Resolve `key`, which lies inside `piece`: one more hit on a piece of
-    /// at most `floor` tuples, or a crack of the piece on `key` — on any
-    /// longer piece, and on a counted piece's [`CRACK_ON_HIT`]-th hit. Both
-    /// halves of a cracked piece start again at no hits.
+    /// at most `floor` tuples (none at a floor of 0), or a crack of the
+    /// piece on `key` — on any longer piece, and on a counted piece's
+    /// [`CRACK_ON_HIT`]-th hit. Both halves of a cracked piece start again
+    /// at no hits.
     fn settle(&mut self, key: Key, piece: Piece, floor: usize) -> Located {
         let lower = piece.low.unwrap_or(Key::MIN);
-        if counts_in(&piece, floor) {
+        if floor > 0 && piece.len() <= floor {
             let hits = self.hits.entry(lower).or_insert(0);
             *hits += 1;
             if *hits < CRACK_ON_HIT {
@@ -459,35 +451,47 @@ impl CrackedIndex {
         Located::At(split)
     }
 
-    /// Resolve both bounds of the non-empty range `[low, high)` with one
-    /// cut-index lookup each, `low` first ([`Self::locate`]). When both land
-    /// inside one piece that is not counted, a single crack-in-three handles
-    /// the whole query (the common case for a column's first queries).
+    /// Resolve both bounds of the non-empty range `[low, high)`, each found
+    /// with one cut-index lookup before either is settled. Two bounds inside
+    /// one piece crack it in three, in a single pass (the common case for a
+    /// column's first queries). Otherwise each bound inside a piece is
+    /// settled on its own, and counted there only when the piece holds at
+    /// most `floor` tuples and no more than lie between the two bounds'
+    /// pieces: a reader copies those whole, so selecting its edges by key
+    /// costs it at most about what its answer costs anyway.
     fn resolve(&mut self, low: Key, high: Key, floor: usize) -> (Located, Located) {
-        let piece = match self.find(low) {
-            Ok(position) => return (Located::At(position), self.locate(high, floor)),
-            Err(piece) => piece,
-        };
-        let holds_high = high <= self.max_value && piece.high.is_none_or(|upper| high < upper);
-        if holds_high && !counts_in(&piece, floor) {
-            let split = self
-                .column
-                .crack_in_three(piece.begin, piece.end, low, high);
-            self.stats.record_crack_in_three(split.touch);
-            self.cuts.insert(low, split.low_split);
-            self.cuts.insert(high, split.high_split);
-            self.hits.remove(&piece.low.unwrap_or(Key::MIN));
-            return (Located::At(split.low_split), Located::At(split.high_split));
+        let (lo, hi) = (self.find(low), self.find(high));
+        if let (Err(piece), Err(other)) = (lo, hi) {
+            if piece == other {
+                let split = self
+                    .column
+                    .crack_in_three(piece.begin, piece.end, low, high);
+                self.stats.record_crack_in_three(split.touch);
+                self.cuts.insert(low, split.low_split);
+                self.cuts.insert(high, split.high_split);
+                self.hits.remove(&piece.low.unwrap_or(Key::MIN));
+                return (Located::At(split.low_split), Located::At(split.high_split));
+            }
         }
-        let low_at = self.settle(low, piece, floor);
-        (low_at, self.locate(high, floor))
+        let between = hi
+            .unwrap_or_else(|piece| piece.begin)
+            .saturating_sub(lo.unwrap_or_else(|piece| piece.end));
+        let floor = floor.min(between);
+        let mut settle = |key, found| match found {
+            Ok(position) => Located::At(position),
+            Err(piece) => self.settle(key, piece, floor),
+        };
+        (settle(low, lo), settle(high, hi))
     }
 
     /// Ensure a cut exists exactly at `key`, cracking the containing piece if
     /// necessary, and return its position. Exposed within the crate so that
     /// stochastic cracking and the hybrids can introduce auxiliary cuts.
     pub(crate) fn ensure_cut(&mut self, key: Key) -> usize {
-        self.locate(key, 0).cut()
+        match self.find(key) {
+            Ok(position) => position,
+            Err(piece) => self.settle(key, piece, 0).cut(),
+        }
     }
 
     /// What every query runs: count the query, merge the staged tuples of
@@ -569,8 +573,8 @@ impl CrackedIndex {
 
     /// Count the qualifying tuples of `[low, high)`. Counting is also a
     /// query and therefore also advice, but a bound that lands in a small
-    /// piece is counted there, not cracked, until that piece's
-    /// fourth hit (see the module docs).
+    /// piece is counted there, not cracked, until that piece's second hit
+    /// (see the module docs).
     pub fn count_range(&mut self, low: Key, high: Key) -> usize {
         match self.probe(low, high, true) {
             Some(bounds) => self.count_resolved((low, high), bounds),
@@ -680,12 +684,6 @@ impl Located {
     }
 }
 
-/// Whether a bound inside `piece` is counted there rather than cracked, at
-/// `floor` (0 counts in no piece).
-fn counts_in(piece: &Piece, floor: usize) -> bool {
-    floor > 0 && piece.len() <= floor
-}
-
 /// The longest piece a counting query leaves uncracked, at most: 8 192
 /// tuples of `u32` key and row id are 64 KiB, which stay in L2, and a sweep
 /// of caps on `crack_converge`'s shape (4 M keys, 1 % ranges) read 8 192 best.
@@ -698,12 +696,17 @@ const COUNTED_PIECE_CAP: usize = 8_192;
 const COUNTED_PIECE_SHARE: usize = 128;
 
 /// The hit on which a counted piece is cracked after all (ski rental: the
-/// passes over a piece that keeps being hit pay for its crack). Readers
-/// select their edges at ~1 ns a tuple, against ~0.12 for a count, so a
-/// piece hit again and again is cheaper cracked: on a `served_mix`-shaped
-/// model 4 hits cost ~1 µs of per-query p50 over cracking always, and never
-/// cracking ~5 µs.
-const CRACK_ON_HIT: u8 = 4;
+/// passes over a piece that keeps being hit pay for its crack). A count
+/// passes over a piece at ~0.12 ns a tuple, but a reader selects its edges
+/// at ~1.5, three quarters of a crack, and every hit short of the crack
+/// leaves the pieces larger for the readers after it; most bounds that
+/// land in small pieces are read (`filter_project`, `served_mix`,
+/// `ingest_mixed`) and a count and a read of one query must reorganize
+/// alike. On `crack_converge`'s shape (4 M keys, 1 % ranges) a crack on the
+/// 2nd hit read 10 000 queries at ×1.01 of cracking always and its
+/// converged counts' median at ×0.72-0.80; the 3rd ×1.08-1.10 and ×0.61-0.66;
+/// the 4th ×1.08-1.14 and ×0.38.
+const CRACK_ON_HIT: u8 = 2;
 
 /// Pieces this small no longer cost a query a noticeable crack: an index
 /// whose largest piece is within it reports [`AdaptiveIndex::is_converged`].
@@ -736,16 +739,21 @@ impl AdaptiveIndex for CrackedIndex {
         }
         Some(count)
     }
-    /// The tuples between the two bounds' cuts, plus those of a small piece
-    /// a bound lands in selected by key, plus the staged insertions inside
-    /// the range; `false` when a bound lands in a piece longer than a
-    /// counting query would leave uncracked.
+    /// The tuples between the two bounds' pieces, plus those of a piece a
+    /// bound lands in selected by key, plus the staged insertions inside
+    /// the range; `false` when a bound lands in a piece that no count could
+    /// have been taken in: one longer than a counting query leaves
+    /// uncracked that holds no hit (a counted piece a merge has grown keeps
+    /// its hit).
     fn read_range(&self, low: Key, high: Key, out: &mut Vec<RowId>) -> bool {
         if low < high && !self.column.is_empty() {
             let floor = self.counted_floor();
             let peek = |key| match self.find(key) {
                 Ok(position) => Some(Located::At(position)),
-                Err(piece) if counts_in(&piece, floor) => {
+                Err(piece)
+                    if piece.len() <= floor
+                        || self.hits.contains_key(&piece.low.unwrap_or(Key::MIN)) =>
+                {
                     Some(Located::Inside(piece.begin, piece.end))
                 }
                 Err(_) => None,
@@ -1459,42 +1467,56 @@ mod tests {
     }
 
     #[test]
-    fn a_bound_in_a_small_piece_is_counted_until_its_fourth_hit() {
+    fn a_bound_in_a_small_piece_is_counted_until_its_cracking_hit() {
         // 16 384 keys: a floor of 128, above the pieces' 100
         let mut idx = cracked_in_hundreds(16_384);
         assert_eq!(idx.counted_floor(), 128);
         let cuts = idx.cut_count();
-        // `high` at the piece's upper cut: the piece [1 000, 1 100) is all
-        // the query reads
-        for (hit, low) in [(1, 1_010), (2, 1_020), (3, 1_030)] {
+        let counted = Key::from(CRACK_ON_HIT) - 1;
+        // `high` at a cut 200 tuples past the piece [1 000, 1 100): the
+        // query reads that piece and the 200 between
+        for hit in 1..=counted {
+            let low = 1_000 + 10 * hit;
             let (effort, scanned) = (AdaptiveIndex::effort(&idx), idx.stats().elements_scanned);
-            assert_eq!(idx.count_range(low, 1_100), (1_100 - low) as usize);
+            assert_eq!(idx.count_range(low, 1_300), (1_300 - low) as usize);
             assert_eq!(idx.cut_count(), cuts, "hit {hit}");
-            assert_eq!(AdaptiveIndex::effort(&idx) - effort, 100, "hit {hit}");
-            assert_eq!(idx.stats().elements_scanned - scanned, 100, "hit {hit}");
-            assert_eq!(idx.hits.get(&1_000), Some(&hit));
+            assert_eq!(AdaptiveIndex::effort(&idx) - effort, 300, "hit {hit}");
+            assert_eq!(idx.stats().elements_scanned - scanned, 300, "hit {hit}");
+            assert_eq!(idx.hits.get(&1_000).copied(), Some(hit as u8));
         }
         let cracks = idx.stats().crack_in_two_calls;
-        assert_eq!(idx.count_range(1_040, 1_100), 60);
-        assert_eq!(idx.cut_count(), cuts + 1, "the fourth hit cracks");
+        let split = 1_000 + 10 * (counted + 1);
+        assert_eq!(idx.count_range(split, 1_300), (1_300 - split) as usize);
+        assert_eq!(idx.cut_count(), cuts + 1, "the cracking hit");
         assert_eq!(idx.stats().crack_in_two_calls, cracks + 1);
-        assert_eq!(idx.cut_at(1_040), Some(1_040));
+        assert_eq!(idx.cut_at(split), Some(split as usize));
         assert!(idx.hits.is_empty(), "both halves start again");
-        // each half takes three more hits before its own crack
-        for (low, high, piece) in [(1_005, 1_100, 1_000), (1_045, 1_100, 1_040)] {
-            for hit in 1..=3 {
-                assert_eq!(idx.count_range(low, high), (high - low) as usize);
-                assert_eq!(idx.hits.get(&piece), Some(&hit));
+        // each half is counted in as often again before its own crack
+        for piece in [1_000, split] {
+            for hit in 1..=counted {
+                assert_eq!(
+                    idx.count_range(piece + hit, 1_300),
+                    (1_300 - piece - hit) as usize
+                );
+                assert_eq!(idx.hits.get(&piece).copied(), Some(hit as u8));
             }
         }
         assert_eq!(idx.cut_count(), cuts + 1);
-        assert_eq!(idx.count_range(1_006, 1_040), 34);
-        assert_eq!(idx.cut_at(1_006), Some(1_006));
-        assert_eq!(idx.count_range(1_046, 1_100), 54);
+        for piece in [1_000, split] {
+            let low = piece + counted + 1;
+            assert_eq!(idx.count_range(low, 1_300), (1_300 - low) as usize);
+            assert_eq!(idx.cut_at(low), Some(low as usize));
+        }
         assert_eq!(idx.cut_count(), cuts + 3);
+        assert!(idx.hits.is_empty());
+        // a bound whose piece is longer than the stretch between the edges
+        // cracks at once: [1 410, 1 500) holds 90 tuples, none between
+        assert_eq!(idx.count_range(1_410, 1_500), 90);
+        assert_eq!(idx.cut_at(1_410), Some(1_410));
+        assert_eq!(idx.cut_count(), cuts + 4);
         // the inherent query cracks a small piece on the first hit
         assert_eq!(idx.query_range(1_210, 1_300).len(), 90);
-        assert_eq!(idx.cut_count(), cuts + 4);
+        assert_eq!(idx.cut_count(), cuts + 5);
         assert!(idx.hits.is_empty() && idx.verify_integrity());
         // no floor below 128 tuples: a 100-key column cracks every bound
         let mut small = CrackedIndex::from_keys(&(0..100).collect::<Vec<Key>>());
@@ -1504,7 +1526,7 @@ mod tests {
     }
 
     #[test]
-    fn a_crack_on_high_splits_the_piece_low_was_counted_in() {
+    fn two_bounds_in_one_counted_piece_crack_it_in_three() {
         let idx = cracked_in_hundreds(16_384);
         let keys: Vec<Key> = (0..16_384).map(|i| (i * 7_919) % 16_384).collect();
         let expected: Vec<RowId> = sorted(
@@ -1515,15 +1537,18 @@ mod tests {
         );
         let mut copies = [idx.clone(), idx.clone(), idx];
         for copy in &mut copies {
-            // two hits on [1 000, 1 100) from `low`s
-            for low in [1_010, 1_011] {
-                copy.count_range(low, 1_100);
+            // [1 000, 1 100) one hit short of its crack
+            for low in 1_010..1_010 + Key::from(CRACK_ON_HIT) - 1 {
+                copy.count_range(low, 1_300);
             }
+            assert_eq!(copy.hits.get(&1_000), Some(&(CRACK_ON_HIT - 1)));
         }
-        let cuts = copies[0].cut_count();
-        // the query's `low` is the piece's third hit, its `high` the fourth:
-        // the crack on `high` leaves tuples >= 1 080 in the span `low` was
-        // counted in
+        let (cuts, cracks) = (
+            copies[0].cut_count(),
+            copies[0].stats().crack_in_three_calls,
+        );
+        // both bounds are found before either is settled, so neither is
+        // counted in the piece the other cracks
         let [counting, copying, reading] = &mut copies;
         assert_eq!(counting.count_range(1_020, 1_080), 60);
         let mut out = Vec::new();
@@ -1535,15 +1560,42 @@ mod tests {
         let answer = AdaptiveIndex::query_range(reading, 1_020, 1_080);
         assert_eq!(sorted(answer.into_row_ids()), expected);
         for copy in &copies {
-            assert_eq!(copy.cut_count(), cuts + 1);
+            assert_eq!(copy.cut_count(), cuts + 2);
+            assert_eq!(copy.stats().crack_in_three_calls, cracks + 1);
             assert_eq!(
-                (copy.cut_at(1_080), copy.cut_at(1_020)),
-                (Some(1_080), None)
+                (copy.cut_at(1_020), copy.cut_at(1_080)),
+                (Some(1_020), Some(1_080))
             );
+            assert!(copy.hits.is_empty());
             assert_eq!(copy.stats(), copies[0].stats());
             let mut out = Vec::new();
             assert!(AdaptiveIndex::read_range(copy, 1_020, 1_080, &mut out));
             assert_eq!(sorted(out), expected);
         }
+    }
+
+    #[test]
+    fn a_counted_piece_a_merge_grows_past_the_floor_still_reads() {
+        let mut idx = cracked_in_hundreds(16_384);
+        let mut model: Vec<(Key, RowId)> = (0..16_384)
+            .map(|i| ((i * 7_919) % 16_384, i as RowId))
+            .collect();
+        // both bounds counted: in [1 000, 1 100) and [1 300, 1 400)
+        assert_eq!(idx.count_range(1_010, 1_390), 380);
+        assert_eq!(idx.hits.len(), 2);
+        // 60 tuples staged into the first piece, then merged by a query
+        // whose bounds are its cuts: the piece holds 160, above the floor
+        for _ in 0..60 {
+            let rowid = idx.insert(1_050);
+            model.push((1_050, rowid));
+        }
+        assert_eq!(idx.count_range(1_000, 1_100), 160);
+        assert!(idx.piece_at(1_010).len() > idx.counted_floor());
+        let effort = AdaptiveIndex::effort(&idx);
+        let mut out = Vec::new();
+        assert!(AdaptiveIndex::read_range(&idx, 1_010, 1_390, &mut out));
+        model.sort_unstable();
+        assert_eq!(sorted(out), scanned(&model, 1_010, 1_390));
+        assert_eq!(AdaptiveIndex::effort(&idx), effort, "a read is no query");
     }
 }
