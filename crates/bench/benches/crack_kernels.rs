@@ -11,18 +11,29 @@
 //! `crack_in_three` is two of them rather than one Dutch-flag pass (compare
 //! `crack_in_three/two_cracks/..` with `crack_in_three/dutch_flag/..`).
 //!
+//! A third rests on the `edge_select` group: how often a counted piece is
+//! hit before it is cracked (`CRACK_ON_HIT` in `aidx_cracking::selection`)
+//! depends on what a reader pays to select the row ids of a piece it did
+//! not crack. The group times, at 8 192 `u32` keys and row ids (the largest
+//! piece a query counts in), `select_where` on one bound and on two beside
+//! `count_below` and the store-per-tuple loop the windowed select replaced,
+//! and ends with an `edge_select:` line of each in ns/tuple.
+//!
 //! The kernels are generic over the key width a cracker column stores:
 //! `block` and `two_cracks` run on `i64` keys, `block_u32` and
 //! `two_cracks_u32` on the same keys as `u32` offsets, and `first_touch`
 //! builds a narrow column (`fused`, the keys' own domain) beside a wide one
 //! (`fused_wide`, told the domain is all of `i64`).
 
-use aidx_cracking::crack::{crack_in_three, crack_in_two, PivotSide};
+use aidx_cracking::crack::{
+    count_below, crack_in_three, crack_in_two, select_where, CrackKey, PivotSide,
+};
 use aidx_cracking::cracker_column::key_domain;
 use aidx_cracking::selection::CrackedIndex;
 use aidx_hybrids::run::SortedRun;
 use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion};
 use std::hint::black_box;
+use std::time::Instant;
 
 const SIZES: [usize; 4] = [1 << 14, 1 << 17, 1 << 20, 1 << 22];
 /// Where in the piece the pivot (or the low bound) falls, in percent.
@@ -227,6 +238,94 @@ fn bench_first_touch(c: &mut Criterion) {
     group.finish();
 }
 
+/// The select a reader ran over a counted piece before the windowed
+/// `select_where`: one bounds-checked store per tuple, kept here as the
+/// baseline the kernel is measured against.
+fn store_per_tuple<K: CrackKey>(
+    values: &[K],
+    payload: &[u32],
+    (first, last): (K, K),
+    out: &mut Vec<u32>,
+) {
+    let start = out.len();
+    out.resize(start + values.len(), 0);
+    let slots = &mut out[start..];
+    let mut cursor = 0;
+    for (&key, &entry) in values.iter().zip(payload) {
+        slots[cursor] = entry;
+        cursor += usize::from((first <= key) & (key <= last));
+    }
+    out.truncate(start + cursor);
+}
+
+/// Keys in the largest piece a query counts in, and passes per timed sample.
+const EDGE_KEYS: usize = 8_192;
+const EDGE_PASSES: usize = 64;
+
+/// One pass of an edge kernel, appending what it selects (or its count).
+type EdgeKernel<'a> = Box<dyn FnMut(&mut Vec<u32>) + 'a>;
+
+/// A counted edge piece as a reader meets it: about half its keys on the
+/// answer's side of the bound, in no order.
+fn bench_edge_select(c: &mut Criterion) {
+    let mut group = c.benchmark_group("edge_select");
+    let (values, rowids) = make_pairs(EDGE_KEYS);
+    let keys = narrow(&values);
+    let (half, quarter) = ((EDGE_KEYS / 2) as u32, (EDGE_KEYS / 4) as u32);
+    let mut out = Vec::with_capacity(EDGE_KEYS + 8);
+    let mut kernels: [(&str, EdgeKernel); 4] = [
+        (
+            "select_where/one_bound",
+            Box::new(|out| select_where(&keys, &rowids, |key| half <= key, out)),
+        ),
+        (
+            "select_where/two_bounds",
+            Box::new(|out| {
+                let keep = |key| (quarter <= key) & (key <= half + quarter);
+                select_where(&keys, &rowids, keep, out)
+            }),
+        ),
+        (
+            "store_per_tuple",
+            Box::new(|out| store_per_tuple(&keys, &rowids, (quarter, half + quarter), out)),
+        ),
+        (
+            "count_below",
+            Box::new(|out| out.push(count_below(&keys, half) as u32)),
+        ),
+    ];
+    let pass = |kernel: &mut dyn FnMut(&mut Vec<u32>), out: &mut Vec<u32>| {
+        for _ in 0..EDGE_PASSES {
+            out.clear();
+            kernel(out);
+            black_box(&mut *out);
+        }
+    };
+    for (name, kernel) in &mut kernels {
+        group.bench_function(BenchmarkId::new(*name, EDGE_KEYS), |b| {
+            b.iter(|| pass(kernel, &mut out))
+        });
+    }
+    group.finish();
+    let per_tuple: Vec<String> = (kernels.iter_mut())
+        .map(|(name, kernel)| {
+            let mut samples: Vec<f64> = (0..31)
+                .map(|_| {
+                    let start = Instant::now();
+                    pass(kernel, &mut out);
+                    start.elapsed().as_nanos() as f64 / (EDGE_PASSES * EDGE_KEYS) as f64
+                })
+                .collect();
+            samples.sort_unstable_by(f64::total_cmp);
+            format!("{name} {:.2}", samples[samples.len() / 2])
+        })
+        .collect();
+    println!(
+        "edge_select: {} ns/tuple (median of 31, {EDGE_KEYS} u32 keys)",
+        per_tuple.join(", ")
+    );
+}
+
 fn bench_scan_vs_sorted_extract(c: &mut Criterion) {
     let mut group = c.benchmark_group("select_baselines");
     let n = 1 << 20;
@@ -262,7 +361,7 @@ fn bench_scan_vs_sorted_extract(c: &mut Criterion) {
 criterion_group! {
     name = kernels;
     config = Criterion::default().sample_size(15);
-    targets = bench_crack_in_two, bench_crack_in_three, bench_first_touch,
+    targets = bench_edge_select, bench_crack_in_two, bench_crack_in_three, bench_first_touch,
         bench_scan_vs_sorted_extract
 }
 criterion_main!(kernels);

@@ -34,7 +34,7 @@
 //! cracks that follow take fewer TLB misses.
 
 use crate::crack::{
-    count_below, crack_in_three, crack_in_two_counted, partition_chunks, select_within,
+    count_below, crack_in_three, crack_in_two_counted, partition_chunks, select_where,
     ChunkPartition, CrackKey, CrackTouch, PivotSide, ThreeWaySplit,
 };
 use aidx_columnstore::column::FixedColumn;
@@ -368,18 +368,19 @@ impl CrackerColumn {
         })
     }
 
-    /// Append to `out` the row ids in `[begin, end)` whose key lies in
-    /// `[first, last]` ([`select_within`]), in column order. An empty range
+    /// Append to `out` the row ids in `[begin, end)` whose key is at least
+    /// `first` and at most `last` ([`select_where`]), in column order; a
+    /// side without a bound keeps every key, so a piece that lies wholly on
+    /// one side of a range is selected with one compare. An empty range
     /// selects nothing and reads neither bound.
     ///
     /// # Panics
-    /// Panics on a non-empty range unless both bounds [fit](Self::fits).
-    pub fn select_within(
+    /// Panics on a non-empty range unless each given bound [fits](Self::fits).
+    pub fn select(
         &self,
         begin: usize,
         end: usize,
-        first: Key,
-        last: Key,
+        (first, last): (Option<Key>, Option<Key>),
         out: &mut Vec<RowId>,
     ) {
         if begin >= end {
@@ -387,8 +388,16 @@ impl CrackerColumn {
         }
         let rowids = &self.rowids[begin..end];
         with_keys!(&self.keys, keys => {
+            let keys = &keys[begin..end];
             let encode = |bound| CrackKey::encode(bound, self.base).expect("a bound between two keys");
-            select_within(&keys[begin..end], rowids, encode(first), encode(last), out)
+            match (first.map(encode), last.map(encode)) {
+                (Some(first), Some(last)) => {
+                    select_where(keys, rowids, |key| (first <= key) & (key <= last), out)
+                }
+                (Some(first), None) => select_where(keys, rowids, |key| first <= key, out),
+                (None, Some(last)) => select_where(keys, rowids, |key| key <= last, out),
+                (None, None) => out.extend_from_slice(rowids),
+            }
         })
     }
 

@@ -11,16 +11,21 @@
 //! # Counted bounds
 //!
 //! Once pieces fit in cache, a pass over one costs far less than its crack
-//! (at 8 192 `u32` keys ~0.12 ns a key to count, ~2 to crack), so the
+//! (at 8 192 `u32` keys ~0.1 ns a key to count, ~2 to crack), so the
 //! queries whose answer need not be one contiguous slice —
 //! [`CrackedIndex::count_range`] and the [`AdaptiveIndex`] probes — leave a
 //! bound that lands inside a small piece uncracked: a piece of at most
 //! `min(8 192, len / 128)` tuples, and of no more than lie between the
-//! query's two edge pieces, is counted, and a reader selects its row ids by
-//! key. A narrow range, whose answer is small beside its edges, cracks as
-//! before. Each such bound is a hit on its piece; the second hit cracks
-//! it after all, and both halves start again at none (ski rental, once per
-//! piece). Each bound takes one cut-index lookup. The inherent
+//! query's two edge pieces, is counted. A reader copies the tuples between
+//! the two edge pieces and selects each edge's row ids by key, a window of
+//! eight at a time ([`crate::crack::select_where`]), on the edge's one
+//! bound: the low edge lies wholly below the high bound's piece, the high
+//! edge wholly above the low bound's, so each costs one compare a tuple
+//! (~0.45 ns, less than half the store-per-tuple select it replaced). A
+//! narrow range, whose answer is small beside its edges, cracks as before.
+//! Each such bound is a hit on its piece; the eighth hit cracks it after
+//! all, and both halves start again at none (ski rental, once per piece).
+//! Each bound takes one cut-index lookup. The inherent
 //! [`CrackedIndex::query_range`], whose [`RangeResult`] is one slice of the
 //! column, and the crate's other crackers crack every bound as before.
 //!
@@ -43,7 +48,7 @@
 //! [`CrackStats::widenings`], and with every cut and piece kept. The width
 //! is a storage detail: cuts, pieces and effort are the same at both.
 
-use crate::crack::CrackTouch;
+use crate::crack::{CrackTouch, WINDOW};
 use crate::cracker_column::{key_domain, CrackerColumn};
 use crate::index::BTreeCutIndex;
 use crate::stats::CrackStats;
@@ -573,7 +578,7 @@ impl CrackedIndex {
 
     /// Count the qualifying tuples of `[low, high)`. Counting is also a
     /// query and therefore also advice, but a bound that lands in a small
-    /// piece is counted there, not cracked, until that piece's second hit
+    /// piece is counted there, not cracked, until that piece's eighth hit
     /// (see the module docs).
     pub fn count_range(&mut self, low: Key, high: Key) -> usize {
         match self.probe(low, high, true) {
@@ -602,9 +607,11 @@ impl CrackedIndex {
     /// Append the row ids of the merged tuples in the non-empty range
     /// `[low, high)`, its bounds resolved to `bounds`: the tuples between
     /// the two edge pieces are copied, and those of each edge piece are
-    /// selected by key — as one span when the edges overlap, that is when
-    /// both bounds lie in one piece, or when the crack on `high` split the
-    /// piece `low` was counted in.
+    /// selected by key. Disjoint edges each select on their own bound only:
+    /// the low edge lies wholly below where `high` cuts or the piece it
+    /// lands in, and the high edge wholly above `low`'s. Edges that overlap
+    /// — both bounds in one piece, which only `read_range` meets — are one
+    /// span selected on both.
     fn read_resolved(
         &self,
         (low, high): (Key, Key),
@@ -616,14 +623,15 @@ impl CrackedIndex {
         // inside them lies in (min, max], so both fit the column
         let first = low.max(self.min_value);
         let last = (high - 1).min(self.max_value);
-        out.reserve(stop.saturating_sub(start));
+        out.reserve(stop.saturating_sub(start) + WINDOW);
         if low_end <= high_begin {
-            self.column.select_within(start, low_end, first, last, out);
+            self.column.select(start, low_end, (Some(first), None), out);
             out.extend_from_slice(&self.column.rowids()[low_end..high_begin]);
             self.column
-                .select_within(high_begin, stop, first, last, out);
+                .select(high_begin, stop, (None, Some(last)), out);
         } else {
-            self.column.select_within(start, stop, first, last, out);
+            self.column
+                .select(start, stop, (Some(first), Some(last)), out);
         }
     }
 
@@ -697,16 +705,18 @@ const COUNTED_PIECE_SHARE: usize = 128;
 
 /// The hit on which a counted piece is cracked after all (ski rental: the
 /// passes over a piece that keeps being hit pay for its crack). A count
-/// passes over a piece at ~0.12 ns a tuple, but a reader selects its edges
-/// at ~1.5, three quarters of a crack, and every hit short of the crack
-/// leaves the pieces larger for the readers after it; most bounds that
-/// land in small pieces are read (`filter_project`, `served_mix`,
-/// `ingest_mixed`) and a count and a read of one query must reorganize
-/// alike. On `crack_converge`'s shape (4 M keys, 1 % ranges) a crack on the
-/// 2nd hit read 10 000 queries at ×1.01 of cracking always and its
-/// converged counts' median at ×0.72-0.80; the 3rd ×1.08-1.10 and ×0.61-0.66;
-/// the 4th ×1.08-1.14 and ×0.38.
-const CRACK_ON_HIT: u8 = 2;
+/// passes over a piece at ~0.1 ns a tuple and a reader selects an edge on
+/// its one bound at ~0.45 ([`crate::crack::select_where`]), against ~2 to
+/// crack it, and a count and a read of one query must reorganize alike, so
+/// the crack waits as long as the readers do not pay for the wait. On
+/// `crack_converge`'s shape (4 M permuted keys, 10 000 uniform 1 % ranges
+/// through `StrategyKind::Cracking`, 60 rotated rounds against cracking on
+/// the 2nd hit with the store-per-tuple select, 2 shared vCPUs), the whole
+/// reading path read ×0.93 / ×0.96 / ×0.97 / ×0.97 for a crack on the 2nd /
+/// 3rd / 4th / 8th hit, the counting path ×0.98 / ×0.99 / ×0.97 / ×0.90,
+/// and the median count of queries 500-1 000 ×0.95 / ×0.80 / ×0.48 / ×0.37:
+/// the 8th is the latest hit measured that keeps readers within ×1.05.
+const CRACK_ON_HIT: u8 = 8;
 
 /// Pieces this small no longer cost a query a noticeable crack: an index
 /// whose largest piece is within it reports [`AdaptiveIndex::is_converged`].
@@ -1571,6 +1581,40 @@ mod tests {
             let mut out = Vec::new();
             assert!(AdaptiveIndex::read_range(copy, 1_020, 1_080, &mut out));
             assert_eq!(sorted(out), expected);
+        }
+    }
+
+    #[test]
+    fn disjoint_edges_select_on_their_own_bound_like_on_both() {
+        let mut narrow = cracked_in_hundreds(16_384);
+        let mut wide = narrow.clone();
+        // staged outside every range read here, it only widens the column
+        wide.insert(1 << 40);
+        assert!(narrow.column().is_narrow() && !wide.column().is_narrow());
+        for idx in [&mut narrow, &mut wide] {
+            // one bound in [1 000, 1 100), the other in [1 300, 1 400)
+            assert_eq!(idx.count_range(1_010, 1_390), 380);
+            let (Err(low_piece), Err(high_piece)) = (idx.find(1_010), idx.find(1_390)) else {
+                panic!("both bounds were counted, not cracked");
+            };
+            assert_ne!(low_piece, high_piece);
+            let mut one_bound = Vec::new();
+            idx.read_resolved(
+                (1_010, 1_390),
+                (
+                    Located::Inside(low_piece.begin, low_piece.end),
+                    Located::Inside(high_piece.begin, high_piece.end),
+                ),
+                &mut one_bound,
+            );
+            let mut both_bounds = Vec::new();
+            let range = (Some(1_010), Some(1_389));
+            let column = idx.column();
+            column.select(low_piece.begin, low_piece.end, range, &mut both_bounds);
+            both_bounds.extend_from_slice(&column.rowids()[low_piece.end..high_piece.begin]);
+            column.select(high_piece.begin, high_piece.end, range, &mut both_bounds);
+            assert_eq!(one_bound, both_bounds);
+            assert_eq!(one_bound.len(), 380);
         }
     }
 

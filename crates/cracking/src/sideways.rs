@@ -475,4 +475,21 @@ mod tests {
         assert!(stats.elements_swapped > 0, "{stats:?}");
         assert!(stats.elements_swapped <= stats.elements_compared / 2);
     }
+
+    /// The edge-select kernel over the maps' packed 12-byte payload, whose
+    /// windows straddle cache lines unevenly.
+    #[test]
+    fn select_where_carries_tail_rows_like_a_filter() {
+        let entry = |i: usize| TailRow {
+            tail: -(i as Key),
+            rowid: i as RowId,
+        };
+        let id = |row: TailRow| {
+            let (tail, rowid) = (row.tail, row.rowid);
+            assert_eq!(tail, -Key::from(rowid), "a tail stays with its row id");
+            rowid as usize
+        };
+        crate::crack::tests::check_select_where::<u32, TailRow>(entry, id);
+        crate::crack::tests::check_select_where::<i64, TailRow>(entry, id);
+    }
 }

@@ -21,7 +21,7 @@ use crate::cracker_column::key_domain;
 use crate::selection::{CrackedIndex, Piece, RangeResult, CONVERGED_PIECE_LEN};
 use crate::stats::CrackStats;
 use aidx_columnstore::index::{AdaptiveIndex, QueryOutput};
-use aidx_columnstore::types::Key;
+use aidx_columnstore::types::{Key, RowId};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -219,6 +219,26 @@ impl AdaptiveIndex for StochasticCrackedIndex {
     fn query_range(&mut self, low: Key, high: Key) -> QueryOutput {
         let answer = StochasticCrackedIndex::query_range(self, low, high);
         QueryOutput::from_row_ids(answer.rowids().to_vec())
+    }
+    /// The auxiliary and bound cracks of [`Self::query_range`], then the
+    /// distance between the two cuts; the row ids are copied only below
+    /// `copy_below`.
+    fn count_range(
+        &mut self,
+        low: Key,
+        high: Key,
+        copy_below: usize,
+        out: &mut Vec<RowId>,
+    ) -> Option<usize> {
+        let answer = StochasticCrackedIndex::query_range(self, low, high);
+        if answer.len() < copy_below {
+            out.extend_from_slice(answer.rowids());
+        }
+        Some(answer.len())
+    }
+    /// The inner index's read: every bound a query took is a cut there.
+    fn read_range(&self, low: Key, high: Key, out: &mut Vec<RowId>) -> bool {
+        self.inner.read_range(low, high, out)
     }
     fn effort(&self) -> u64 {
         self.stats().total_effort()
@@ -452,6 +472,64 @@ mod tests {
                 }
                 assert!(looked_up.auxiliary_cracks() > 0, "{variant:?} {name}");
             }
+        }
+    }
+
+    #[test]
+    fn a_count_reorganizes_like_a_query_and_copies_only_below_its_limit() {
+        let data = skewed_data(6000);
+        for variant in [
+            StochasticVariant::DataDrivenCenter,
+            StochasticVariant::DataDrivenRandom,
+            StochasticVariant::MaterializedDataDrivenRandom,
+        ] {
+            let mut counting = StochasticCrackedIndex::from_keys(&data, variant, 64, 9);
+            let mut querying = counting.clone();
+            for q in 0..40 {
+                let (low, high) = ((q * 389) % 5800, (q * 389) % 5800 + 20 + q % 3 * 60);
+                let context = format!("{variant:?}, [{low}, {high})");
+                let answer = AdaptiveIndex::query_range(&mut querying, low, high).into_row_ids();
+                // below the limit on every third query, at or above it otherwise
+                let copy_below = if q % 3 == 0 {
+                    answer.len() + 1
+                } else {
+                    answer.len()
+                };
+                let mut out = vec![RowId::MAX];
+                let count =
+                    AdaptiveIndex::count_range(&mut counting, low, high, copy_below, &mut out);
+                assert_eq!(count, Some(answer.len()), "{context}");
+                let mut answer = answer;
+                answer.sort_unstable();
+                if q % 3 == 0 {
+                    assert_eq!(out.remove(0), RowId::MAX);
+                    out.sort_unstable();
+                    assert_eq!(out, answer, "{context}");
+                } else {
+                    assert_eq!(out, [RowId::MAX], "{context}: nothing appended");
+                }
+                assert_eq!(
+                    counting.inner().pieces(),
+                    querying.inner().pieces(),
+                    "{context}"
+                );
+                assert_eq!(counting.effort(), querying.effort(), "{context}");
+                assert_eq!(
+                    counting.auxiliary_cracks(),
+                    querying.auxiliary_cracks(),
+                    "{context}"
+                );
+                // the counted answer reads back, moving nothing
+                let mut read = Vec::new();
+                assert!(
+                    AdaptiveIndex::read_range(&counting, low, high, &mut read),
+                    "{context}"
+                );
+                read.sort_unstable();
+                assert_eq!(read, answer, "{context}");
+                assert_eq!(counting.effort(), querying.effort(), "{context}");
+            }
+            assert!(counting.auxiliary_cracks() > 0, "{variant:?}");
         }
     }
 }

@@ -5,7 +5,9 @@
 //! whatever a kernel does to a piece, each region afterwards holds exactly
 //! the `(key, row id)` pairs a stable partition of the piece puts there —
 //! none dropped, none duplicated, none re-paired — and nothing outside the
-//! piece moves. A kernel may order a region as it likes.
+//! piece moves. A kernel may order a region as it likes. The selection a
+//! reader runs over a piece it did not crack, `select_where`, moves nothing
+//! and must return exactly a filter's row ids, in slice order.
 //!
 //! Every property runs at both key widths a cracker column stores: `i64`
 //! keys, and `u32` offsets from a frame base, whose keys sit at the frame's
@@ -17,7 +19,8 @@
 
 use aidx_columnstore::types::{Key, RowId};
 use aidx_cracking::crack::{
-    crack_in_three, crack_in_two_counted, partition_chunks, CrackKey, PivotSide, BLOCK,
+    crack_in_three, crack_in_two_counted, partition_chunks, select_where, CrackKey, PivotSide,
+    BLOCK,
 };
 use aidx_cracking::cracker_column::key_domain;
 use aidx_cracking::selection::CrackedIndex;
@@ -171,6 +174,37 @@ fn check_crack_in_three<K: CrackKey>(
     prop_assert_eq!(split.touch.compared, end - begin);
 }
 
+/// `select_where` at width `K` over the piece `[from, to)` against a filter
+/// of it, on the keys at least `first`, at most `last`, or both.
+fn check_select_where<K: CrackKey>(
+    keys: &[Key],
+    edges: (Key, Key),
+    (first, last): (Option<Key>, Option<Key>),
+    (from, to): (usize, usize),
+) {
+    let (begin, end) = (from.min(to).min(keys.len()), from.max(to).min(keys.len()));
+    let keys: Vec<K> = keys[begin..end]
+        .iter()
+        .map(|&key| stored(key, edges))
+        .collect();
+    let rowids: Vec<RowId> = (begin as RowId..end as RowId).collect();
+    let (first, last) = (
+        first.map(|key| stored::<K>(key, edges)),
+        last.map(|key| stored::<K>(key, edges)),
+    );
+    let keep =
+        |key: K| first.is_none_or(|first| first <= key) & last.is_none_or(|last| key <= last);
+    let expected: Vec<RowId> = zip(&keys, &rowids)
+        .into_iter()
+        .filter(|&(key, _)| keep(key))
+        .map(|(_, rowid)| rowid)
+        .collect();
+    let mut out = vec![RowId::MAX];
+    select_where(&keys, &rowids, keep, &mut out);
+    prop_assert_eq!(out[0], RowId::MAX);
+    prop_assert_eq!(&out[1..], &expected[..]);
+}
+
 /// The fused build at the width `edges` make the column take (the domain it
 /// is told is the edges themselves, so it is narrow exactly when they fit a
 /// frame), against the stable partition and against `from_keys` plus the
@@ -289,6 +323,28 @@ proptest! {
                 check_crack_in_three::<i64>(&keys, edges, bounds, piece);
             } else {
                 check_crack_in_three::<u32>(&keys, edges, bounds, piece);
+            }
+        }
+    }
+
+    #[test]
+    fn select_where_returns_a_filter_of_its_piece(
+        raw in keys(6 * BLOCK),
+        (a, b, sides) in (-60i64..60, -60i64..60, 0usize..3),
+        piece in (0usize..6 * BLOCK + 1, 0usize..6 * BLOCK + 1),
+    ) {
+        for edges in [WIDE, NARROW] {
+            let keys: Vec<Key> = raw.iter().map(|&raw| stretch(raw, edges)).collect();
+            let (first, last) = (stretch(a.min(b), edges), stretch(a.max(b), edges));
+            let bounds = match sides {
+                0 => (Some(first), None),
+                1 => (None, Some(last)),
+                _ => (Some(first), Some(last)),
+            };
+            if edges == WIDE {
+                check_select_where::<i64>(&keys, edges, bounds, piece);
+            } else {
+                check_select_where::<u32>(&keys, edges, bounds, piece);
             }
         }
     }
